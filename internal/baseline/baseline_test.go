@@ -110,8 +110,20 @@ func TestMultiplexingGain(t *testing.T) {
 // TestDiurnalPoolingGainShape is the unit-level preview of experiment E4:
 // with a realistic diurnal mix, pooling must beat per-cell static
 // provisioning by a visible factor.
+//
+// The mean-gain floor is 1.8 on the float32 reference model and 1.4 on the
+// default (int16 lockstep) model:
+// decoding is several times cheaper there, the fixed per-cell FFT floor
+// outweighs the load-dependent part of a cell's demand, and the ratio
+// compresses (see TestE4PoolingGainShapes).
 func TestDiurnalPoolingGainShape(t *testing.T) {
-	model := cluster.DefaultCostModel()
+	t.Run("float32", func(t *testing.T) {
+		testDiurnalPoolingGain(t, cluster.DefaultCostModel().WithKernel(phy.KernelFloat32), 1.8)
+	})
+	t.Run("default", func(t *testing.T) { testDiurnalPoolingGain(t, cluster.DefaultCostModel(), 1.4) })
+}
+
+func testDiurnalPoolingGain(t *testing.T, model cluster.CostModel, meanFloor float64) {
 	const nCells = 30
 	classes := traffic.StandardMix(nCells)
 	traces := make([][]float64, nCells)
@@ -144,8 +156,8 @@ func TestDiurnalPoolingGainShape(t *testing.T) {
 	if gainPeak < 1.2 {
 		t.Fatalf("peak pooling gain %.2f below 1.2 — diversity lost", gainPeak)
 	}
-	if gainMean < 1.8 {
-		t.Fatalf("mean pooling gain %.2f below 1.8", gainMean)
+	if gainMean < meanFloor {
+		t.Fatalf("mean pooling gain %.2f below %.1f", gainMean, meanFloor)
 	}
 	if pooled.PeakCores < oracle {
 		t.Fatalf("elastic pool %d below oracle %d — impossible", pooled.PeakCores, oracle)

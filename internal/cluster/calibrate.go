@@ -12,9 +12,14 @@ import (
 
 // Calibrate measures the host's actual per-stage DSP costs by running the
 // real internal/phy implementations and returns a CostModel whose
-// coefficients reflect this machine. The run takes a few hundred
-// milliseconds. Use DefaultCostModel when speed matters more than fidelity
-// (unit tests); use Calibrate in benchmarks and experiments.
+// coefficients reflect this machine. The returned model describes the
+// pipeline a zero-value dataplane.Config runs: its Kernel and Batch are
+// left at their zero values (int16 at lockstep width 8), FrontEnd at fused,
+// and FrontEndVector follows the host; the float32 and scalar coefficients
+// are measured too, for models derived with WithKernel/WithBatch. The run
+// takes a few hundred milliseconds. Use DefaultCostModel when speed matters
+// more than fidelity (unit tests); use Calibrate in benchmarks and
+// experiments.
 func Calibrate() (CostModel, error) {
 	var m CostModel
 	rng := rand.New(rand.NewSource(12345))
@@ -169,7 +174,7 @@ func Calibrate() (CostModel, error) {
 	// variant: vector tile kernels whenever the host supports them.
 	m.FrontEndVector = phy.FrontEndAVX2()
 
-	// Turbo decoding per information bit per iteration, measured once per
+	// Turbo decoding per code-block bit per iteration, measured once per
 	// kernel: fixed iteration count, no early termination.
 	{
 		const k = 6144
@@ -245,7 +250,7 @@ func Calibrate() (CostModel, error) {
 			reps := 6
 			start := time.Now()
 			for i := 0; i < reps; i++ {
-				if _, _, err := bd.Decode(blocks, bl0, bl1, bl2, never, nil); err != nil {
+				if _, _, err := bd.Decode(blocks, bl0, bl1, bl2, nil, never, nil); err != nil {
 					return m, err
 				}
 			}

@@ -260,20 +260,20 @@ func TestServerStateString(t *testing.T) {
 }
 
 func TestCostModelKernelSelection(t *testing.T) {
-	m := DefaultCostModel()
+	m := DefaultCostModel() // int16 lockstep is the zero value, the default
 	a := frame.Allocation{RNTI: 1, FirstPRB: 0, NumPRB: 100, MCS: 27, SNRdB: phy.MCS(27).OperatingSNR()}
-	base := m.AllocCost(a)
-	fast := m.WithKernel(phy.KernelInt16).AllocCost(a)
+	base := m.WithKernel(phy.KernelFloat32).AllocCost(a)
+	fast := m.AllocCost(a)
 	if fast >= base {
 		t.Fatalf("int16 alloc cost %v not below float32 %v", fast, base)
 	}
 	// WithKernel is a copy: the receiver must keep its kernel.
-	if m.Kernel != phy.KernelFloat32 {
+	if m.Kernel != phy.KernelInt16 {
 		t.Fatal("WithKernel mutated the receiver")
 	}
 	// The parallel service-time model must use the same coefficient switch.
-	baseW := m.AllocCostWorkers(a, 4)
-	fastW := m.WithKernel(phy.KernelInt16).AllocCostWorkers(a, 4)
+	baseW := m.WithKernel(phy.KernelFloat32).AllocCostWorkers(a, 4)
+	fastW := m.AllocCostWorkers(a, 4)
 	if fastW >= baseW {
 		t.Fatalf("int16 parallel cost %v not below float32 %v", fastW, baseW)
 	}
@@ -352,15 +352,15 @@ func TestCostModelFrontEndVectorSelection(t *testing.T) {
 }
 
 func TestCostModelBatchSelection(t *testing.T) {
-	m := DefaultCostModel().WithKernel(phy.KernelInt16)
+	m := DefaultCostModel()
 	a := frame.Allocation{RNTI: 1, FirstPRB: 0, NumPRB: 100, MCS: 27, SNRdB: phy.MCS(27).OperatingSNR()}
-	// Cost must fall monotonically with the lockstep width and pin the two
-	// calibration endpoints: width 1 charges the scalar coefficient, width
-	// 8 (and beyond) the batched one.
-	prev := m.AllocCost(a)
-	if m.WithBatch(1).AllocCost(a) != prev {
-		t.Fatal("width 1 differs from the scalar int16 cost")
+	// The zero width is the int16 kernel's own, 8.
+	if m.AllocCost(a) != m.WithBatch(8).AllocCost(a) {
+		t.Fatal("zero batch width does not charge the int16 kernel's width 8")
 	}
+	// Cost must fall monotonically with the lockstep width from the scalar
+	// per-block decode (width 1) to the width-8 calibration point.
+	prev := m.WithBatch(1).AllocCost(a)
 	for _, w := range []int{2, 4, 8} {
 		c := m.WithBatch(w).AllocCost(a)
 		if c >= prev {
@@ -369,23 +369,39 @@ func TestCostModelBatchSelection(t *testing.T) {
 		prev = c
 	}
 	if m.WithBatch(16).AllocCost(a) != m.WithBatch(8).AllocCost(a) {
-		t.Fatal("widths past the calibration endpoint must charge the width-8 coefficient")
+		t.Fatal("widths past the calibration endpoint must be charged as width 8")
+	}
+	// A single-block transport block never rides a lockstep pass: whatever
+	// the width, it is charged the scalar int16 coefficient.
+	one := frame.Allocation{RNTI: 1, NumPRB: 4, MCS: 10, SNRdB: phy.MCS(10).OperatingSNR()}
+	if m.AllocCost(one) != m.WithBatch(1).AllocCost(one) {
+		t.Fatal("single-block cost depends on the lockstep width")
+	}
+	// A ragged span is charged for its occupancy: 3 blocks (MCS 28, 25 PRB)
+	// in one width-8 pass cost more per block than a full span, less than
+	// three scalar decodes.
+	ragged := frame.Allocation{RNTI: 1, NumPRB: 25, MCS: 28, SNRdB: phy.MCS(28).OperatingSNR()}
+	if r, sc := m.AllocCost(ragged), m.WithBatch(1).AllocCost(ragged); r >= sc {
+		t.Fatalf("ragged 3-block span %v not below three scalar decodes %v", r, sc)
+	}
+	if got, full := m.spanUnits(3)/3, m.spanUnits(8)/8; got <= full {
+		t.Fatalf("per-block cost of a 3-lane span %v not above a full span's %v", got, full)
 	}
 	// Batch is inert on the float32 kernel's coefficient switch, and the
 	// receiver keeps its width.
-	f := DefaultCostModel()
-	f.Batch = 8 // bypass WithBatch to probe turboCoeff in isolation
-	if f.AllocCost(a) != DefaultCostModel().AllocCost(a) {
+	f := DefaultCostModel().WithKernel(phy.KernelFloat32)
+	f8 := f
+	f8.Batch = 8 // bypass WithBatch to probe spanUnits in isolation
+	if f8.AllocCost(a) != f.AllocCost(a) {
 		t.Fatal("batch width changed the float32 cost")
 	}
-	derived := m.WithBatch(8)
-	if derived.Batch != 8 || m.Batch != 0 {
+	derived := m.WithBatch(4)
+	if derived.Batch != 4 || m.Batch != 0 {
 		t.Fatal("WithBatch mutated the receiver")
 	}
-	// The parallel service-time model uses the same coefficient switch, and
-	// the batched frontier must beat the scalar one at 4-way parallelism:
-	// an MCS that misses the HARQ budget scalar must fit batched.
-	if bw, sw := m.WithBatch(8).AllocCostWorkers(a, 4), m.AllocCostWorkers(a, 4); bw >= sw {
+	// The parallel service-time model claims spans the same way, and the
+	// batched frontier must beat the scalar one at 4-way parallelism.
+	if bw, sw := m.AllocCostWorkers(a, 4), m.WithBatch(1).AllocCostWorkers(a, 4); bw >= sw {
 		t.Fatalf("batched parallel cost %v not below scalar %v", bw, sw)
 	}
 	// Validation: negative widths and batching the float32 kernel are
@@ -393,7 +409,7 @@ func TestCostModelBatchSelection(t *testing.T) {
 	if err := m.WithBatch(-1).Validate(); err == nil {
 		t.Fatal("negative batch width accepted")
 	}
-	if err := DefaultCostModel().WithBatch(8).Validate(); err == nil {
+	if err := f.WithBatch(8).Validate(); err == nil {
 		t.Fatal("batched float32 model accepted")
 	}
 	bad := m

@@ -60,17 +60,18 @@ type CostModel struct {
 	FusedVecPerREQPSK  float64
 	FusedVecPerRE16QAM float64
 	FusedVecPerRE64QAM float64
-	// TurboPerBitIter is the turbo-decode cost per information bit per
-	// full iteration with the float32 reference kernel — the dominant
-	// coefficient.
+	// TurboPerBitIter is the turbo-decode cost per code-block bit per full
+	// iteration with the float32 reference kernel (phy.KernelFloat32).
 	TurboPerBitIter float64
-	// TurboPerBitIterI16 is the same coefficient measured with the
-	// quantized int16 kernel (phy.KernelInt16).
+	// TurboPerBitIterI16 is the same coefficient measured with the scalar
+	// int16 kernel — what a lone code block (a single-block transport
+	// block, a span's odd block out) costs on the default path.
 	TurboPerBitIterI16 float64
 	// TurboPerBitIterI16Batch is the int16 coefficient measured with the
 	// width-8 lockstep batch kernel (phy.BatchDecoderI16): the per-bit,
 	// per-iteration, per-lane cost when eight same-size code blocks move
-	// through the SISO pipeline together. Charged via the Batch field.
+	// through the SISO pipeline together — the default path's dominant
+	// coefficient.
 	TurboPerBitIterI16Batch float64
 	// CRCPerBit is the CRC verification cost per bit.
 	CRCPerBit float64
@@ -82,8 +83,8 @@ type CostModel struct {
 	// service time is computed at parallelism > 1 (AllocCostWorkers).
 	DispatchPerBlock float64
 
-	// Kernel selects which turbo coefficient the cost queries use
-	// (phy.KernelFloat32 — the zero value — or phy.KernelInt16), mirroring
+	// Kernel selects which turbo coefficients the cost queries use
+	// (phy.KernelInt16 — the zero value — or phy.KernelFloat32), mirroring
 	// dataplane.Config.DecodeKernel so provisioning answers track the data
 	// plane's actual decode arithmetic. Use WithKernel to derive a model
 	// for the other kernel.
@@ -99,11 +100,11 @@ type CostModel struct {
 	// staged front-end. Use WithFrontEndVector to derive the other variant.
 	FrontEndVector bool
 	// Batch is the lockstep batch width the cost queries assume, mirroring
-	// dataplane.Config.DecodeBatch (0 or 1 = scalar per-block decode). It
-	// only affects the int16 kernel: the turbo coefficient interpolates
-	// between the scalar and width-8 calibration points on 1/width — the
-	// lockstep amortization is per-lane, so halving the width forfeits half
-	// of the width-8 saving. Use WithBatch to derive a batched model.
+	// dataplane.Config.DecodeBatch: 0 is the kernel's width (8 for int16, 1
+	// for float32), 1 is scalar per-block decode. It only affects the int16
+	// kernel, whose transport blocks are charged span by span the way the
+	// decoder claims them (see turboUnits). Use WithBatch to derive a model
+	// for another width.
 	Batch int
 	// IterCap, when > 0, caps the expected turbo iterations the cost
 	// queries charge — mirroring the degradation ladder's per-cell
@@ -136,7 +137,8 @@ func (m CostModel) WithFrontEndVector(v bool) CostModel {
 }
 
 // WithBatch returns a copy of the model whose cost queries charge turbo
-// decoding at lockstep batch width w (int16 kernel only; see Batch).
+// decoding at lockstep batch width w (widths above 1 need the int16 kernel;
+// see Batch).
 func (m CostModel) WithBatch(w int) CostModel {
 	m.Batch = w
 	return m
@@ -159,29 +161,39 @@ func (m CostModel) expectedIters(mcs phy.MCS, snrDB float64) float64 {
 	return it
 }
 
-// turboCoeff returns the per-bit-per-iteration turbo cost for the selected
-// kernel and batch width.
-func (m CostModel) turboCoeff() float64 {
-	if m.Kernel != phy.KernelInt16 {
-		return m.TurboPerBitIter
-	}
+// width returns the lockstep width the model charges: Batch, with 0
+// resolved to the kernel's width and anything past the width-8 calibration
+// point charged as width 8.
+func (m CostModel) width() int {
 	w := m.Batch
-	if w <= 1 {
+	if w == 0 {
+		w = m.Kernel.Width()
+	}
+	return min(w, 8)
+}
+
+// spanUnits returns the turbo cost, in seconds per code-block bit per
+// iteration, of decoding n ≤ width code blocks as one claimed span: n
+// scalar decodes on the float32 kernel, one scalar decode for a lone int16
+// block (the decoder does not run a one-lane batch), and otherwise one
+// lockstep pass whose per-lane coefficient interpolates hyperbolically
+// between the scalar (1 lane) and width-8 calibration points — the lockstep
+// saving is per lane, so a pass at half occupancy forfeits half of it.
+func (m CostModel) spanUnits(n int) float64 {
+	switch {
+	case m.Kernel != phy.KernelInt16:
+		return float64(n) * m.TurboPerBitIter
+	case n == 1:
 		return m.TurboPerBitIterI16
 	}
-	if w >= 8 {
-		return m.TurboPerBitIterI16Batch
-	}
-	// Hyperbolic interpolation between the scalar (w=1) and width-8
-	// calibration points: the batch saving is per-lane, so the coefficient
-	// tracks 1/w between the measured endpoints.
-	lam := (1/float64(w) - 1.0/8) / (1 - 1.0/8)
-	return lam*m.TurboPerBitIterI16 + (1-lam)*m.TurboPerBitIterI16Batch
+	lam := (1/float64(n) - 1.0/8) / (1 - 1.0/8)
+	return float64(n) * (lam*m.TurboPerBitIterI16 + (1-lam)*m.TurboPerBitIterI16Batch)
 }
 
 // DefaultCostModel returns coefficients representative of a ~3 GHz x86 core
 // (used when calibration is skipped, e.g. in fast unit tests). Values are in
-// seconds per unit.
+// seconds per unit. Like every CostModel whose Kernel and Batch are zero it
+// charges the default decode path, int16 at lockstep width 8.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		FFTPerButterfly:         2.0e-9,
@@ -310,38 +322,27 @@ func (m CostModel) CellOverhead(bw phy.Bandwidth, antennas int) time.Duration {
 // reference core: the decode front-end (one fused pass, or staged
 // demodulation + descrambling + de-rate-matching) + turbo decoding + CRC.
 func (m CostModel) AllocCost(a frame.Allocation) time.Duration {
-	res := float64(a.NumPRB * phy.DataREsPerPRB)
-	qm := float64(a.MCS.Modulation().BitsPerSymbol())
-	codedBits := res * qm
-	tbs, err := a.MCS.TransportBlockSize(a.NumPRB)
-	if err != nil {
-		return 0
-	}
-	infoBits := float64(tbs + 24)
-	iters := m.expectedIters(a.MCS, a.SNRdB)
-	sec := m.frontEndSec(res, codedBits, a.MCS.Modulation()) +
-		infoBits*iters*m.turboCoeff() +
-		infoBits*m.CRCPerBit
-	return time.Duration(sec * float64(time.Second))
+	return m.AllocCostWorkers(a, 1)
 }
 
 // AllocCostWorkers returns the uplink *service time* of one UE allocation
 // when its decode fans across workers parallel decoders (the knob
-// dataplane.Config.DecodeWorkers sets). What parallelizes depends on the
-// front-end: with the staged pipeline only the turbo stage fans out —
-// demodulation, descrambling, de-rate-matching and CRC stay serial on the
-// owning worker — while the fused front-end runs per code block on the
-// claiming worker, so front-end work overlaps turbo decoding and only the
-// CRC remains serial (the Amdahl ceiling the fused path exists to lift).
-// Fan-out is block-granular either way: the parallel makespan is
-// ceil(C/effective) block times plus a per-handoff dispatch cost. With
-// workers=1 this equals AllocCost. Note this is latency, not compute: total
-// core-seconds consumed only grow (by the dispatch overhead); what shrinks
-// is the time-to-deadline, which is what HARQ feasibility is about.
+// dataplane.Config.DecodeWorkers sets; 1 is the whole cost on one core, i.e.
+// AllocCost). The model follows the decoder: the transport block's C code
+// blocks are claimed in spans of the lockstep width — full spans first, the
+// remainder as one ragged span — each span costs what spanUnits charges for
+// its occupancy, and the workers take spans in order, so the makespan is the
+// sum over claim rounds of each round's most expensive span, plus a
+// per-handoff dispatch cost. What else parallelizes depends on the
+// front-end: with the staged pipeline demodulation, descrambling,
+// de-rate-matching and CRC stay serial on the owning worker, while the fused
+// front-end runs per code block on the claiming worker, so front-end work
+// overlaps turbo decoding and only the CRC remains serial (the Amdahl
+// ceiling the fused path exists to lift). Note this is latency, not
+// compute: total core-seconds consumed only grow (by the dispatch overhead);
+// what shrinks is the time-to-deadline, which is what HARQ feasibility is
+// about.
 func (m CostModel) AllocCostWorkers(a frame.Allocation, workers int) time.Duration {
-	if workers <= 1 {
-		return m.AllocCost(a)
-	}
 	tbs, err := a.MCS.TransportBlockSize(a.NumPRB)
 	if err != nil {
 		return 0
@@ -352,24 +353,32 @@ func (m CostModel) AllocCostWorkers(a frame.Allocation, workers int) time.Durati
 	}
 	res := float64(a.NumPRB * phy.DataREsPerPRB)
 	qm := float64(a.MCS.Modulation().BitsPerSymbol())
-	codedBits := res * qm
-	infoBits := float64(tbs + 24)
-	iters := m.expectedIters(a.MCS, a.SNRdB)
-	frontEnd := m.frontEndSec(res, codedBits, a.MCS.Modulation())
-	serial := infoBits * m.CRCPerBit
-	perBlockWork := infoBits * iters * m.turboCoeff()
+	frontEnd := m.frontEndSec(res, res*qm, a.MCS.Modulation())
+	serial := float64(tbs+24) * m.CRCPerBit
+	blockFE := 0.0 // front-end time riding each claimed block
 	if m.FrontEnd == phy.FrontEndFused {
-		perBlockWork += frontEnd
+		blockFE = frontEnd / float64(seg.C)
 	} else {
 		serial += frontEnd
 	}
-	eff := workers
-	if seg.C < eff {
-		eff = seg.C
+	bitIters := float64(seg.K) * m.expectedIters(a.MCS, a.SNRdB)
+	span := func(n int) float64 { return bitIters*m.spanUnits(n) + float64(n)*blockFE }
+
+	w := m.width()
+	full, rest := seg.C/w, seg.C%w
+	spans := full
+	if rest > 0 {
+		spans++
 	}
-	batches := (seg.C + eff - 1) / eff
-	perBlock := perBlockWork / float64(seg.C)
-	sec := serial + perBlock*float64(batches) + m.DispatchPerBlock*float64(eff-1)
+	eff := max(min(workers, spans), 1)
+	rounds := (spans + eff - 1) / eff
+	// Every round but the last is led by a full span. The last round is
+	// too, unless it holds nothing but the ragged span.
+	last := span(w)
+	if rest > 0 && spans-(rounds-1)*eff == 1 {
+		last = span(rest)
+	}
+	sec := serial + float64(rounds-1)*span(w) + last + m.DispatchPerBlock*float64(eff-1)
 	return time.Duration(sec * float64(time.Second))
 }
 

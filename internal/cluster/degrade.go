@@ -20,8 +20,12 @@ import (
 //	         early-terminate below that; edge-of-cliff decodes lose their
 //	         long tail).
 //	level 2: iterations capped at 3 AND the quantized int16 lockstep kernel
-//	         forced regardless of the pool's configured kernel — the 3–6×
-//	         cheaper arithmetic from E12/E17, within 0.2 dB of float32.
+//	         forced regardless of the pool's configured kernel. On a default
+//	         pool, which already runs that kernel, the override is a no-op
+//	         and the rung is the tighter iteration cap alone; it changes the
+//	         kernel only for pools that name phy.KernelFloat32 (E19's
+//	         reference column). Re-deriving the ladder for the int16 default
+//	         is a ROADMAP item.
 //	level 3: iterations capped at 2 and HARQ retransmission combining shed:
 //	         retransmissions decode fresh instead of accumulating LLRs,
 //	         dropping the soft-buffer bookkeeping and its memory traffic.
@@ -31,8 +35,8 @@ import (
 // Every rung strictly reduces per-TB decode cost (enforced by the monotone
 // ladder property test in internal/dataplane) and never changes the
 // CRC-pass/fail outcome of a block both rungs decode successfully — the
-// int16 kernel is bit-exact against its own ladder and the iteration cap
-// only forgoes decodes that needed the longer budget.
+// int16 kernel sits on the float32 kernel's BLER curve and the iteration
+// cap only forgoes decodes that needed the longer budget.
 type DegradationLevel uint8
 
 // The ladder's rungs, in increasing severity.
@@ -41,7 +45,8 @@ const (
 	DegradeNone DegradationLevel = iota
 	// DegradeIterCap caps turbo iterations.
 	DegradeIterCap
-	// DegradeForceI16 additionally forces the int16 batched kernel.
+	// DegradeForceI16 additionally forces the int16 batched kernel (a
+	// no-op where it is already the pool's kernel, as it is by default).
 	DegradeForceI16
 	// DegradeShedHARQ additionally sheds HARQ soft combining.
 	DegradeShedHARQ

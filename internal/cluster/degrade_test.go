@@ -59,10 +59,23 @@ func TestDegradationLadderStructure(t *testing.T) {
 
 // TestDegradationCostMonotone pins the ladder's pricing contract: raising
 // the level never increases the modelled per-TB decode cost, at any MCS/PRB
-// corner and at any SNR margin (the iteration cap binds hardest at the cliff
-// edge, the kernel swap everywhere).
+// corner and at any SNR margin, and the deepest rung is a real cut wherever
+// a knob binds: the iteration cap at the cliff edge on every model, the
+// kernel swap everywhere on a model that names the float32 kernel (on the
+// default model the forced-int16 rung changes nothing by itself).
 func TestDegradationCostMonotone(t *testing.T) {
-	m := DefaultCostModel()
+	t.Run("default", func(t *testing.T) { testDegradationCostMonotone(t, DefaultCostModel()) })
+	t.Run("float32", func(t *testing.T) {
+		testDegradationCostMonotone(t, DefaultCostModel().WithKernel(phy.KernelFloat32))
+	})
+}
+
+// testDegradationCostMonotone checks the contract on m. The deepest rung
+// must be strictly cheaper wherever one of its knobs binds: everywhere when
+// m charges the float32 kernel (the original assertion, at every margin),
+// and on any model wherever the block is expected to need more iterations
+// than the rung's cap allows.
+func testDegradationCostMonotone(t *testing.T, m CostModel) {
 	for _, mcs := range []phy.MCS{0, 10, 16, 22, 28} {
 		for _, prb := range []int{4, 25, 100} {
 			for _, margin := range []float64{-2, 0, 3} {
@@ -82,11 +95,11 @@ func TestDegradationCostMonotone(t *testing.T) {
 					}
 					prev = c
 				}
-				// The deepest rung must be a real cut at provisioning-relevant
-				// corners (int16 kernel + tight cap).
 				full := DegradeNone.Apply(m).SubframeCost(w, phy.BW20MHz, 1)
 				deep := MaxDegradationLevel.Apply(m).SubframeCost(w, phy.BW20MHz, 1)
-				if deep >= full {
+				binds := m.Kernel == phy.KernelFloat32 ||
+					m.expectedIters(mcs, mcs.OperatingSNR()+margin) > float64(MaxDegradationLevel.IterCap())
+				if binds && deep >= full {
 					t.Fatalf("mcs %d prb %d margin %+.0f: deepest rung not cheaper (%v vs %v)",
 						mcs, prb, margin, deep, full)
 				}

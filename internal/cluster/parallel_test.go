@@ -17,9 +17,10 @@ func TestAllocCostWorkersMatchesSerialAtOne(t *testing.T) {
 }
 
 func TestAllocCostWorkersShrinksServiceTime(t *testing.T) {
-	// A high-MCS wide-band TB segments into ~13 code blocks, so service
-	// time must drop substantially up to that parallelism and then flatten.
-	m := DefaultCostModel()
+	// A high-MCS wide-band TB segments into 13 code blocks, so with
+	// per-block claims (width 1) service time must drop substantially up to
+	// that parallelism and then flatten.
+	m := DefaultCostModel().WithBatch(1)
 	a := frame.Allocation{RNTI: 1, NumPRB: 100, MCS: 28, SNRdB: phy.MCS(28).OperatingSNR() + 2}
 	serial := m.AllocCost(a)
 	prev := serial + time.Hour
@@ -32,6 +33,16 @@ func TestAllocCostWorkersShrinksServiceTime(t *testing.T) {
 	}
 	if four := m.AllocCostWorkers(a, 4); float64(serial)/float64(four) < 1.5 {
 		t.Fatalf("modelled speedup at 4 workers %v → %v is below 1.5×", serial, four)
+	}
+	// At the default width the same TB is two claims — a full span of 8
+	// and a ragged one of 5 — so a second worker helps and a third cannot.
+	d := DefaultCostModel()
+	one, two, four := d.AllocCostWorkers(a, 1), d.AllocCostWorkers(a, 2), d.AllocCostWorkers(a, 4)
+	if two >= one {
+		t.Fatalf("default width: 2 workers %v not below 1 worker %v", two, one)
+	}
+	if four != two {
+		t.Fatalf("default width: 4 workers %v differ from 2 workers %v on a two-span TB", four, two)
 	}
 }
 

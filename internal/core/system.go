@@ -382,8 +382,9 @@ func (s *System) MeasuredMissRate(n int) (float64, error) {
 
 // SuggestedDeadlineScale calibrates a deadline scale for the given
 // bandwidth so measured-mode runs behave like the paper's optimized stack
-// (see dataplane.CalibrateDeadlineScale). The scale is rounded up to avoid
-// borderline flakiness across runs.
+// (see dataplane.CalibrateDeadlineScale, which times the default decode
+// path — what a pool built from this package's Config runs). The scale is
+// rounded up to avoid borderline flakiness across runs.
 func SuggestedDeadlineScale(bw phy.Bandwidth) (float64, error) {
 	s, err := dataplane.CalibrateDeadlineScale(bw, 16)
 	if err != nil {

@@ -18,12 +18,17 @@ func TestEndToEndCrossTaskBatching(t *testing.T) {
 	// the worker's next claim must batch the queued same-shape tasks into
 	// one joint decode. endToEnd verifies every payload against the
 	// transmitted ground truth, and the telemetry must show a full flush.
+	// The odd one is submitted first: equal deadlines pop in submission
+	// order, so it is the task the worker stalls on however late it wakes,
+	// and all five same-shape tasks are queued behind it (submitted last, a
+	// worker that woke mid-ingest claimed two or three of the five at once
+	// and left a ragged remainder — one run in five under -race).
 	reg := telemetry.New(4)
 	var stall sync.Once
 	pool := testPool(t, Config{
 		Workers: 1, DecodeWorkers: 2,
-		DecodeKernel: phy.KernelInt16, DecodeBatch: 8, BatchTasks: 4,
-		Policy: EDF, DeadlineScale: 1000, Telemetry: reg,
+		BatchTasks: 4,
+		Policy:     EDF, DeadlineScale: 1000, Telemetry: reg,
 		FaultHook: func(worker int) error {
 			stall.Do(func() { time.Sleep(20 * time.Millisecond) })
 			return nil
@@ -31,15 +36,15 @@ func TestEndToEndCrossTaskBatching(t *testing.T) {
 	})
 	same := frame.Allocation{NumPRB: 1, MCS: 14, SNRdB: phy.MCS(14).OperatingSNR() + 4}
 	work := frame.SubframeWork{Cell: 1, TTI: 42}
+	work.Allocations = append(work.Allocations, frame.Allocation{
+		RNTI: 200, FirstPRB: 5, NumPRB: 1, MCS: 6, SNRdB: phy.MCS(6).OperatingSNR() + 4,
+	})
 	for i := 0; i < 5; i++ {
 		a := same
 		a.RNTI = frame.RNTI(100 + i)
 		a.FirstPRB = i
 		work.Allocations = append(work.Allocations, a)
 	}
-	work.Allocations = append(work.Allocations, frame.Allocation{
-		RNTI: 200, FirstPRB: 5, NumPRB: 1, MCS: 6, SNRdB: phy.MCS(6).OperatingSNR() + 4,
-	})
 	done := endToEnd(t, pool, work)
 	if len(done) != 6 {
 		t.Fatalf("%d tasks done", len(done))
@@ -72,8 +77,7 @@ func TestCrossTaskBatchingManySubframes(t *testing.T) {
 	// with joint decoders and lockstep kernels chewing a stream of
 	// subframes whose allocations mostly share one shape.
 	pool := testPool(t, Config{
-		Workers: 2, DecodeWorkers: 2,
-		DecodeKernel: phy.KernelInt16, DecodeBatch: 8, BatchTasks: 3,
+		Workers: 2, DecodeWorkers: 2, BatchTasks: 3,
 		Policy: EDF, DeadlineScale: 1000,
 	})
 	subframes := 5
@@ -101,7 +105,7 @@ func TestBatchingNaiveAlloc(t *testing.T) {
 	// The GC-pressure ablation composes with batching: fresh per-slot
 	// processors are built for each joint dispatch and closed after it.
 	pool := testPool(t, Config{
-		Workers: 1, DecodeKernel: phy.KernelInt16, DecodeBatch: 4, BatchTasks: 2,
+		Workers: 1, DecodeBatch: 4, BatchTasks: 2,
 		Policy: EDF, DeadlineScale: 1000, NaiveAlloc: true,
 	})
 	work := frame.SubframeWork{
@@ -168,7 +172,8 @@ func TestConfigBatchValidation(t *testing.T) {
 		t.Fatal("negative DecodeBatch accepted")
 	}
 	cfg = base
-	cfg.DecodeBatch = 8 // float32 kernel (zero value) cannot batch
+	cfg.DecodeKernel = phy.KernelFloat32 // no lockstep float32 kernel exists
+	cfg.DecodeBatch = 8
 	if err := cfg.Validate(); !errors.Is(err, phy.ErrBadParameter) {
 		t.Fatal("float32 batched decode accepted")
 	}

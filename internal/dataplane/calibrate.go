@@ -14,7 +14,8 @@ import (
 // scaled HARQ budget — the same compute-to-deadline ratio the paper's
 // optimized C stack had against the real 3 ms budget. Experiments that use
 // the measured data plane call this once at startup so results are
-// comparable across hosts. The measurement runs a serial decode; use
+// comparable across hosts. The measurement decodes on the default processor
+// — the pipeline a zero-value Config runs — with one decode worker; use
 // CalibrateDeadlineScaleWorkers when the pool enables Config.DecodeWorkers
 // so the budget reflects the parallel service time.
 func CalibrateDeadlineScale(bw phy.Bandwidth, mcs phy.MCS) (float64, error) {

@@ -30,13 +30,21 @@ type CellProcessor struct {
 	FFTTime time.Duration
 
 	// EstimateChannel enables pilot-based LS channel estimation and
-	// per-subcarrier equalization of the data symbols — required when the
-	// link applies a fading response (RRHEmulator.Fading), harmless
-	// otherwise.
+	// per-subcarrier equalization of the scheduled resource elements —
+	// required when the link applies a fading response
+	// (RRHEmulator.Fading), harmless otherwise.
 	EstimateChannel bool
 	estBuf          []complex128 // running channel estimate
 	estRow          []complex128 // per-row LS scratch
-	pilotRef        []complex128 // known pilot values
+	eqW             []complex128 // per-subcarrier equalizer weights 1/Ĥ
+	// pilots caches the known pilot rows, which depend on (PCI, subframe,
+	// symbol) only: index subframe × reference symbols + reference index,
+	// each row generated the first time its subframe is ingested. A pilot
+	// is (±1 ± i)/√2, so a row is kept as two sign bits per subcarrier (6 KB
+	// a cell at 20 MHz, where whole rows would be 384 KB) and expanded into
+	// pilotBuf for the estimate.
+	pilots   [10 * phy.ReferenceSymbolsPerSubframe][]uint64
+	pilotBuf []complex128
 	// EstimateTime accumulates time in estimation + equalization.
 	EstimateTime time.Duration
 }
@@ -114,7 +122,7 @@ func (c *CellProcessor) IngestSubframe(samples []complex128, work frame.Subframe
 	noiseEnhancement := 1.0
 	if c.EstimateChannel {
 		estStart := time.Now()
-		enh, err := c.equalizeSubframe(work.TTI)
+		enh, err := c.equalizeSubframe(work)
 		if err != nil {
 			return err
 		}
@@ -162,27 +170,26 @@ func (c *CellProcessor) IngestSubframe(samples []complex128, work frame.Subframe
 	return nil
 }
 
-// equalizeSubframe estimates the channel from the two pilot rows and
-// divides every data row by the estimate, returning the mean noise
-// enhancement factor to scale the demodulators' noise power.
-func (c *CellProcessor) equalizeSubframe(tti frame.TTI) (float64, error) {
+// equalizeSubframe estimates the channel from the two pilot rows, derives one
+// equalizer weight per subcarrier, and applies it to the data resource
+// elements of the subframe's allocations — unscheduled subcarriers are left
+// as received. It returns the whole-band mean noise enhancement factor that
+// scales the demodulators' noise power.
+func (c *CellProcessor) equalizeSubframe(work frame.SubframeWork) (float64, error) {
 	sc := c.grid.Subcarriers()
 	if len(c.estBuf) != sc {
 		c.estBuf = make([]complex128, sc)
 		c.estRow = make([]complex128, sc)
-		c.pilotRef = make([]complex128, sc)
+		c.eqW = make([]complex128, sc)
 	}
 	refs := frame.ReferenceSymbolIndices()
-	for i := range c.estBuf {
-		c.estBuf[i] = 0
-	}
-	for _, l := range refs {
+	clear(c.estBuf)
+	for ri, l := range refs {
 		row, err := c.grid.Symbol(l)
 		if err != nil {
 			return 0, err
 		}
-		frame.Pilots(c.pilotRef, c.cfg.PCI, tti, l)
-		if err := phy.EstimateLS(c.estRow, row, c.pilotRef); err != nil {
+		if err := phy.EstimateLS(c.estRow, row, c.pilotRow(work.TTI, ri, l)); err != nil {
 			return 0, err
 		}
 		for k := range c.estBuf {
@@ -193,8 +200,10 @@ func (c *CellProcessor) equalizeSubframe(tti frame.TTI) (float64, error) {
 	for k := range c.estBuf {
 		c.estBuf[k] *= inv
 	}
-	var enh float64
-	dataRows := 0
+	enh, err := phy.EqualizerWeights(c.eqW, c.estBuf)
+	if err != nil {
+		return 0, err
+	}
 	for l := 0; l < phy.SymbolsPerSubframe; l++ {
 		if frame.IsReferenceSymbol(l) {
 			continue
@@ -203,12 +212,46 @@ func (c *CellProcessor) equalizeSubframe(tti frame.TTI) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		e, err := phy.Equalize(row, c.estBuf)
-		if err != nil {
-			return 0, err
+		for _, a := range work.Allocations {
+			first := a.FirstPRB * phy.SubcarriersPerPRB
+			end := first + a.NumPRB*phy.SubcarriersPerPRB
+			res, w := row[first:end], c.eqW[first:end]
+			for k := range res {
+				res[k] *= w[k]
+			}
 		}
-		enh += e
-		dataRows++
 	}
-	return enh / float64(dataRows), nil
+	return enh, nil
+}
+
+// pilotRow returns the known pilot values of the subframe's ri-th reference
+// symbol (OFDM symbol l) in pilotBuf, valid until the next call.
+func (c *CellProcessor) pilotRow(tti frame.TTI, ri, l int) []complex128 {
+	sc := c.grid.Subcarriers()
+	if len(c.pilotBuf) != sc {
+		c.pilotBuf = make([]complex128, sc)
+	}
+	row := c.pilotBuf
+	i := int(tti.Subframe())*phy.ReferenceSymbolsPerSubframe + ri
+	signs := c.pilots[i]
+	if signs == nil {
+		frame.Pilots(row, c.cfg.PCI, tti, l)
+		signs = make([]uint64, (2*sc+63)/64)
+		for k, v := range row {
+			if real(v) < 0 {
+				signs[k/32] |= 1 << (2 * (k % 32))
+			}
+			if imag(v) < 0 {
+				signs[k/32] |= 2 << (2 * (k % 32))
+			}
+		}
+		c.pilots[i] = signs
+		return row
+	}
+	amp := [2]float64{1 / math.Sqrt2, -1 / math.Sqrt2}
+	for k := range row {
+		b := signs[k/32] >> (2 * (k % 32))
+		row[k] = complex(amp[b&1], amp[b>>1&1])
+	}
+	return row
 }

@@ -3,6 +3,7 @@ package dataplane
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -186,6 +187,17 @@ func TestEndToEndLowSNRFailsCRC(t *testing.T) {
 	}
 }
 
+// awaitHARQRelease blocks until the pool has handed the allocation's HARQ
+// buffer back, which it does just after the task's OnDone. A real
+// retransmission arrives 8 ms after the first attempt; a test's arrives at
+// once, and the manager rightly withholds a buffer a worker still owns —
+// the retransmission would decode without combining.
+func awaitHARQRelease(cp *CellProcessor, a frame.Allocation) {
+	for st := cp.HARQ().states[harqStateKey{a.RNTI, a.HARQProcess}]; st.busy.Load(); {
+		runtime.Gosched()
+	}
+}
+
 func TestHARQRetransmissionViaDataplane(t *testing.T) {
 	// First TX below the operating point usually fails; a chase-combined
 	// retransmission through the cell's HARQ manager must succeed.
@@ -215,6 +227,7 @@ func TestHARQRetransmissionViaDataplane(t *testing.T) {
 	}
 
 	first := runOnce(work)
+	awaitHARQRelease(cp, alloc)
 	// Retransmission 8 TTIs later, same HARQ process, RV 2.
 	work2 := work
 	work2.TTI = 18
@@ -380,6 +393,53 @@ func TestHARQManagerStateTransitions(t *testing.T) {
 	}
 }
 
+// TestHARQPrepareAllocatesOnlySoftBuffers pins what HARQ state costs: soft
+// buffers sized from the segmentation, and nothing else. The manager used
+// to build a full TransportProcessor per (MCS, PRB) shape just to size them
+// — several times the buffer itself, turbo working set included — which a
+// hundred shapes would show as hundreds of megabytes here.
+func TestHARQPrepareAllocatesOnlySoftBuffers(t *testing.T) {
+	h := NewHARQManager()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	shapes := 0
+	for mcs := phy.MCS(0); mcs <= 28 && shapes < 100; mcs += 3 {
+		for nprb := 10; nprb <= 100 && shapes < 100; nprb += 10 {
+			a := frame.Allocation{RNTI: frame.RNTI(shapes + 1), NumPRB: nprb, MCS: mcs}
+			if h.Prepare(a, 1) == nil {
+				t.Fatalf("no buffer for MCS %d / %d PRB", mcs, nprb)
+			}
+			shapes++
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if shapes != 100 || h.Processes() != 100 {
+		t.Fatalf("%d shapes prepared, %d processes tracked", shapes, h.Processes())
+	}
+	want := 0
+	for mcs := phy.MCS(0); mcs <= 28; mcs += 3 {
+		for nprb := 10; nprb <= 100; nprb += 10 {
+			tbs, err := mcs.TransportBlockSize(nprb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg, err := phy.Segment(tbs + 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += seg.C * 3 * (seg.K + 4) * 4
+		}
+	}
+	if got := h.StateBytes(); got != want {
+		t.Fatalf("StateBytes %d, segmentation says %d", got, want)
+	}
+	// Buffers plus their stream-view slices and map entries: a tenth on top
+	// of the LLRs themselves is generous.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(want)*11/10 {
+		t.Fatalf("preparing 100 shapes allocated %d bytes for %d bytes of soft state", alloc, want)
+	}
+}
+
 func TestHARQManagerBusyOwnership(t *testing.T) {
 	h := NewHARQManager()
 	a := frame.Allocation{RNTI: 5, NumPRB: 4, MCS: 10, HARQProcess: 1, RV: 0, SNRdB: 10}
@@ -423,9 +483,12 @@ func TestCalibrateDeadlineScale(t *testing.T) {
 	}
 }
 
-func TestEndToEndInt16Kernel(t *testing.T) {
-	pool := testPool(t, Config{Workers: 2, Policy: EDF, DeadlineScale: 1000, DecodeKernel: phy.KernelInt16})
-	if pool.Config().DecodeKernel != phy.KernelInt16 {
+// TestEndToEndFloat32Kernel drives the reference kernel through the pool:
+// every other end-to-end test runs the default (int16 lockstep), so this is
+// where the oracle path a Config can still name stays exercised.
+func TestEndToEndFloat32Kernel(t *testing.T) {
+	pool := testPool(t, Config{Workers: 2, Policy: EDF, DeadlineScale: 1000, DecodeKernel: phy.KernelFloat32})
+	if pool.Config().DecodeKernel != phy.KernelFloat32 {
 		t.Fatal("kernel not recorded in config")
 	}
 	work := frame.SubframeWork{

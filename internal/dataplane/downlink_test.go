@@ -177,37 +177,59 @@ func TestEncodeOnPoolValidation(t *testing.T) {
 
 func TestDownlinkCheaperThanUplink(t *testing.T) {
 	// The provisioning asymmetry the paper relies on: encoding a TB costs
-	// well under half of decoding it.
-	proc, err := phy.NewTransportProcessor(16, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(33))
-	payload := make([]byte, proc.TransportBlockSize())
-	for i := range payload {
-		payload[i] = byte(rng.Intn(2))
-	}
-	syms, err := proc.Encode(payload, 1, 1, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rx := append([]complex128(nil), syms...)
-	ch := phy.NewAWGNChannel(phy.MCS(16).OperatingSNR()+2, 34)
-	ch.Apply(rx)
+	// well under half of decoding it — on the default decode path and on the
+	// float32 oracle the bound was first written against.
+	for _, tc := range []struct {
+		name string
+		opts phy.ProcOptions
+	}{
+		{"default", phy.ProcOptions{}},
+		{"float32", phy.ProcOptions{Kernel: phy.KernelFloat32}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proc, err := phy.NewTransportProcessorOpts(16, 25, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(33))
+			payload := make([]byte, proc.TransportBlockSize())
+			for i := range payload {
+				payload[i] = byte(rng.Intn(2))
+			}
+			syms, err := proc.Encode(payload, 1, 1, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rx := append([]complex128(nil), syms...)
+			ch := phy.NewAWGNChannel(phy.MCS(16).OperatingSNR()+2, 34)
+			ch.Apply(rx)
 
-	var encTotal, decTotal time.Duration
-	const reps = 3
-	for i := 0; i < reps; i++ {
-		if _, err := proc.Encode(payload, 1, 1, 0, 0); err != nil {
-			t.Fatal(err)
-		}
-		encTotal += proc.Timings.EncodeChain + proc.Timings.Modulate
-		if _, err := proc.Decode(rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
-			t.Fatal(err)
-		}
-		decTotal += proc.Timings.Total()
-	}
-	if encTotal*2 >= decTotal {
-		t.Fatalf("encode %v not well under half of decode %v", encTotal/reps, decTotal/reps)
+			var encTotal, decTotal time.Duration
+			const reps = 3
+			for i := 0; i < reps; i++ {
+				if _, err := proc.Encode(payload, 1, 1, 0, 0); err != nil {
+					t.Fatal(err)
+				}
+				encTotal += proc.Timings.EncodeChain + proc.Timings.Modulate
+				if _, err := proc.Decode(rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
+					t.Fatal(err)
+				}
+				decTotal += proc.Timings.Total()
+			}
+			t.Logf("encode %v, decode %v", encTotal/reps, decTotal/reps)
+			if raceEnabled && tc.opts.Kernel == phy.KernelInt16 {
+				// The detector instruments the Go encode chain (~16× slower)
+				// and none of the default decode's assembly kernels, so under
+				// it this ratio compares an instrumented stage with an
+				// uninstrumented one (measured 3.0 ms / 5.6 ms, against
+				// 0.19 ms / 1.29 ms in a plain build). The path still ran
+				// above under the detector; its ratio is asserted by the plain
+				// build, and the all-Go float32 ratio by both.
+				t.Skip("wall-clock ratio of Go code to assembly is not meaningful under -race")
+			}
+			if encTotal*2 >= decTotal {
+				t.Fatalf("encode %v not well under half of decode %v", encTotal/reps, decTotal/reps)
+			}
+		})
 	}
 }

@@ -3,6 +3,9 @@ package dataplane
 import (
 	"bytes"
 	"errors"
+	"math"
+	"math/cmplx"
+	"math/rand"
 	"testing"
 
 	"pran/internal/frame"
@@ -131,5 +134,101 @@ func TestEqualizationHarmlessWithoutFading(t *testing.T) {
 	tk := <-done
 	if tk.Err != nil {
 		t.Fatalf("equalization against identity channel broke decode: %v", tk.Err)
+	}
+}
+
+func TestEqualizeAllocationsMatchesWholeGridOracle(t *testing.T) {
+	// The ingest path equalizes only the scheduled subcarrier ranges, with
+	// one weight per subcarrier and cached pilot rows. Every allocation's REs
+	// and the noise enhancement must match dividing the whole grid by the
+	// estimate row by row (phy.Equalize), on an EPA realisation with a fade
+	// below the estimator's floor inside an allocation.
+	cfg := testCellConfig()
+	pool := testPool(t, Config{Workers: 1, Policy: EDF, DeadlineScale: 1000})
+	cp, err := NewCellProcessor(cfg, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fading, err := phy.NewChannelResponse(phy.ProfileEPA, cfg.Bandwidth, 41)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fadedSC = 2*phy.SubcarriersPerPRB + 5
+	fading.H[fadedSC] *= 1e-3
+	allocs := []frame.Allocation{
+		{RNTI: 1, FirstPRB: 1, NumPRB: 3, MCS: 4, SNRdB: 10},
+		{RNTI: 2, FirstPRB: cfg.Bandwidth.PRB() - 2, NumPRB: 2, MCS: 4, SNRdB: 10},
+	}
+	sc := cp.grid.Subcarriers()
+	oracle, err := frame.NewGrid(cfg.Bandwidth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	// TTIs 5 and 15 share a subframe index (the second reads the pilot
+	// cache); 6 does not.
+	for _, tti := range []frame.TTI{5, 15, 6} {
+		for i := range cp.grid.Raw() {
+			cp.grid.Raw()[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+		cp.grid.PlacePilots(cfg.PCI, tti)
+		for l := 0; l < phy.SymbolsPerSubframe; l++ {
+			row, _ := cp.grid.Symbol(l)
+			if err := fading.Apply(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		copy(oracle.Raw(), cp.grid.Raw())
+
+		est := make([]complex128, sc)
+		rowEst := make([]complex128, sc)
+		pilots := make([]complex128, sc)
+		refs := frame.ReferenceSymbolIndices()
+		for _, l := range refs {
+			row, _ := oracle.Symbol(l)
+			frame.Pilots(pilots, cfg.PCI, tti, l)
+			if err := phy.EstimateLS(rowEst, row, pilots); err != nil {
+				t.Fatal(err)
+			}
+			for k := range est {
+				est[k] += rowEst[k] / complex(float64(len(refs)), 0)
+			}
+		}
+		if h := est[fadedSC]; real(h)*real(h)+imag(h)*imag(h) >= 1e-3 {
+			t.Fatalf("tti %d: subcarrier %d estimate %v is not below the floor", tti, fadedSC, h)
+		}
+		var wantEnh float64
+		for l := 0; l < phy.SymbolsPerSubframe; l++ {
+			if frame.IsReferenceSymbol(l) {
+				continue
+			}
+			row, _ := oracle.Symbol(l)
+			if wantEnh, err = phy.Equalize(row, est); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		enh, err := cp.equalizeSubframe(frame.SubframeWork{Cell: cfg.ID, TTI: tti, Allocations: allocs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(enh-wantEnh) > 1e-12*wantEnh {
+			t.Fatalf("tti %d: noise enhancement %v, oracle %v", tti, enh, wantEnh)
+		}
+		for _, a := range allocs {
+			got := make([]complex128, a.NumPRB*phy.DataREsPerPRB)
+			want := make([]complex128, len(got))
+			if err := cp.grid.Extract(got, a); err != nil {
+				t.Fatal(err)
+			}
+			if err := oracle.Extract(want, a); err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if cmplx.Abs(got[i]-want[i]) > 1e-12 {
+					t.Fatalf("tti %d rnti %d RE %d: %v, oracle %v", tti, a.RNTI, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }

@@ -21,7 +21,6 @@ import (
 // records as the migration payload.
 type HARQManager struct {
 	states map[harqStateKey]*harqState
-	protos map[procKey]*phy.TransportProcessor
 }
 
 type harqStateKey struct {
@@ -43,24 +42,7 @@ type harqState struct {
 
 // NewHARQManager returns an empty manager.
 func NewHARQManager() *HARQManager {
-	return &HARQManager{
-		states: make(map[harqStateKey]*harqState),
-		protos: make(map[procKey]*phy.TransportProcessor),
-	}
-}
-
-// prototype returns a processor used only to size soft buffers.
-func (h *HARQManager) prototype(mcs phy.MCS, nprb int) (*phy.TransportProcessor, error) {
-	key := procKey{mcs: mcs, nprb: nprb}
-	if p, ok := h.protos[key]; ok {
-		return p, nil
-	}
-	p, err := phy.NewTransportProcessor(mcs, nprb)
-	if err != nil {
-		return nil, err
-	}
-	h.protos[key] = p
-	return p, nil
+	return &HARQManager{states: make(map[harqStateKey]*harqState)}
 }
 
 // Prepare returns the soft buffer to use for an allocation's decode, or nil
@@ -103,10 +85,6 @@ func (h *HARQManager) prepare(a frame.Allocation, tti frame.TTI) (*phy.SoftBuffe
 		st.tti = tti
 		return st.sb, st
 	}
-	proto, err := h.prototype(a.MCS, a.NumPRB)
-	if err != nil {
-		return nil, nil
-	}
 	if sameCfg && !busy {
 		st.sb.Reset()
 		st.tti = tti
@@ -115,7 +93,11 @@ func (h *HARQManager) prepare(a frame.Allocation, tti frame.TTI) (*phy.SoftBuffe
 	// New process, configuration change, or a first transmission while the
 	// old buffer is still attached to an in-flight decode: start fresh and
 	// let any in-flight task keep the detached buffer.
-	st = &harqState{sb: proto.NewSoftBuffer(), mcs: a.MCS, nprb: a.NumPRB, tti: tti}
+	sb, err := phy.NewSoftBuffer(a.MCS, a.NumPRB)
+	if err != nil {
+		return nil, nil
+	}
+	st = &harqState{sb: sb, mcs: a.MCS, nprb: a.NumPRB, tti: tti}
 	h.states[key] = st
 	return st.sb, st
 }
@@ -124,29 +106,14 @@ func (h *HARQManager) prepare(a frame.Allocation, tti frame.TTI) (*phy.SoftBuffe
 func (h *HARQManager) Processes() int { return len(h.states) }
 
 // StateBytes returns the total soft-buffer state size in bytes — the
-// payload a cell migration must transfer.
+// payload a cell migration must transfer (3 streams × (K+4) float32 per
+// code block).
 func (h *HARQManager) StateBytes() int {
 	total := 0
 	for _, st := range h.states {
-		proto, err := h.prototype(st.mcs, st.nprb)
-		if err != nil {
-			continue
-		}
-		// 3 streams × (K+4) float32 per code block.
-		tbs := proto.TransportBlockSize()
-		_ = tbs
-		total += proto.NumCodeBlocks() * 3 * 4 * (softBufferK(proto) + 4)
+		total += st.sb.MarshalledSize()
 	}
 	return total
-}
-
-// softBufferK recovers the per-block size from a processor's segmentation.
-func softBufferK(p *phy.TransportProcessor) int {
-	seg, err := phy.Segment(p.TransportBlockSize() + 24)
-	if err != nil {
-		return 0
-	}
-	return seg.K
 }
 
 // Reset clears all HARQ state (used after a migration completes on the old
@@ -218,11 +185,10 @@ func (h *HARQManager) UnmarshalBinary(src []byte) error {
 		if pos+blobLen > len(src) {
 			return fmt.Errorf("dataplane: HARQ buffer %d truncated: %w", i, phy.ErrTooShort)
 		}
-		proto, err := h.prototype(mcs, nprb)
+		sb, err := phy.NewSoftBuffer(mcs, nprb)
 		if err != nil {
 			return fmt.Errorf("dataplane: HARQ state entry %d: %w", i, err)
 		}
-		sb := proto.NewSoftBuffer()
 		if sb.MarshalledSize() != blobLen {
 			return fmt.Errorf("dataplane: HARQ buffer %d size %d != expected %d: %w",
 				i, blobLen, sb.MarshalledSize(), ctrlBadState)

@@ -83,9 +83,6 @@ func TestConfigDecodeWorkersValidation(t *testing.T) {
 	if err := (Config{Workers: 1, DeadlineScale: 1, DecodeWorkers: 0}).Validate(); err != nil {
 		t.Fatalf("zero DecodeWorkers (= serial) rejected: %v", err)
 	}
-	if got := (Config{DecodeWorkers: 0}).decodeWorkers(); got != 1 {
-		t.Fatalf("normalized decode workers = %d, want 1", got)
-	}
 }
 
 func TestCalibrateDeadlineScaleWorkers(t *testing.T) {

@@ -41,22 +41,27 @@ var (
 	ErrClosed = errors.New("dataplane: pool closed")
 )
 
-// Config parameterizes a worker pool.
+// Config parameterizes a worker pool. A Config that sets only Workers,
+// Policy and DeadlineScale is the fast path: int16 lockstep turbo decoding
+// behind the fused vector front-end. The reference paths (float32, scalar
+// per-block decode, the staged front-end) run only where a field names
+// them.
 type Config struct {
 	// Workers is the number of processing goroutines (≈ dedicated cores).
 	Workers int
 	// DecodeWorkers is the intra-task parallelism: each pool worker fans a
 	// transport block's code blocks across this many turbo decoders (its
-	// own goroutine plus DecodeWorkers-1 resident helpers per cached
-	// processor). 0 or 1 means serial decode. The effective core demand of
-	// a fully busy pool is ≈ Workers × DecodeWorkers; provisioning math in
+	// own goroutine plus DecodeWorkers-1 resident helpers per turbo block
+	// size it decodes). 0 or 1 means the worker decodes alone. The
+	// effective core demand of a fully busy pool is ≈ Workers ×
+	// DecodeWorkers; provisioning math in
 	// internal/cluster.CostModel.AllocCostWorkers uses the same knob.
 	DecodeWorkers int
-	// DecodeKernel selects the turbo SISO arithmetic every processor this
-	// pool creates runs (phy.KernelFloat32 by default, phy.KernelInt16 for
-	// the quantized fast path). Kernel state is per-worker resident — each
-	// cached processor owns its kernel's buffers — so changing this field
-	// never shares mutable state across workers.
+	// DecodeKernel selects the turbo SISO arithmetic every decoder this
+	// pool creates runs: phy.KernelInt16, the zero value, or
+	// phy.KernelFloat32, the reference oracle. Decoder state is per-worker
+	// resident — each worker owns its decoders' buffers — so no mutable
+	// state is ever shared across workers.
 	DecodeKernel phy.DecodeKernel
 	// FrontEnd selects the decode front-end every processor this pool
 	// creates runs: phy.FrontEndFused (default) collapses demodulation,
@@ -65,11 +70,11 @@ type Config struct {
 	// phy.FrontEndStaged is the three-sweep reference pipeline. Decoded
 	// output is bit-identical either way.
 	FrontEnd phy.FrontEnd
-	// DecodeBatch, when ≥ 2, turbo-decodes code blocks through width-
-	// DecodeBatch lockstep batch kernels (phy.BatchDecoderI16) instead of
-	// one scalar decode per block. Requires DecodeKernel == phy.KernelInt16;
-	// output is bit-identical to the scalar path. 0 or 1 keeps scalar
-	// decoding.
+	// DecodeBatch is the lockstep width code blocks turbo-decode at
+	// (phy.BatchDecoderI16): 0 means the kernel's width — 8 for
+	// phy.KernelInt16, 1 for phy.KernelFloat32 — and 1 is one scalar decode
+	// per block, the oracle the lockstep kernel is bit-identical to. Widths
+	// above 1 require phy.KernelInt16.
 	DecodeBatch int
 	// BatchTasks, when ≥ 2, enables cross-codeword batching: a worker
 	// claiming an uplink task also claims up to BatchTasks-1 further queued
@@ -81,8 +86,8 @@ type Config struct {
 	BatchTasks int
 	// Policy selects EDF or FIFO dispatch.
 	Policy SchedPolicy
-	// DeadlineScale stretches the HARQ budget to compensate for unoptimized
-	// DSP throughput (see the package comment). 1.0 means the real 3 ms
+	// DeadlineScale stretches the HARQ budget to compensate for the DSP's
+	// throughput on this host (see the package comment). 1.0 means the real 3 ms
 	// LTE budget. Typical measured-mode experiments use the value returned
 	// by CalibrateDeadlineScale.
 	DeadlineScale float64
@@ -162,22 +167,6 @@ func (c Config) Validate() error {
 // Budget returns the scaled per-task processing budget.
 func (c Config) Budget() time.Duration {
 	return time.Duration(float64(HARQBudget) * c.DeadlineScale)
-}
-
-// decodeWorkers normalizes the intra-task parallelism (0 means serial).
-func (c Config) decodeWorkers() int {
-	if c.DecodeWorkers < 1 {
-		return 1
-	}
-	return c.DecodeWorkers
-}
-
-// decodeBatch normalizes the lockstep width (0 means scalar).
-func (c Config) decodeBatch() int {
-	if c.DecodeBatch < 1 {
-		return 1
-	}
-	return c.DecodeBatch
 }
 
 // batchTasks normalizes the cross-task batching limit (0 means off).

@@ -5,10 +5,11 @@
 //
 // LTE FDD HARQ gives the pool a hard budget: an uplink subframe received at
 // time t must be decoded (and the ACK/NACK prepared) within ~3 ms. Because
-// pure Go DSP runs tens of times slower than the SIMD C stacks the paper
-// used, Config.DeadlineScale stretches the budget by a constant factor while
-// preserving every ratio the experiments measure (utilization at a given
-// miss rate, EDF-vs-FIFO gaps, pooling factors) — the substitution is
+// this DSP (AVX2 turbo and demodulation kernels around a pure-Go FFT and
+// equalizer) still runs several times slower than the SIMD C stacks the
+// paper used, Config.DeadlineScale stretches the budget by a constant factor
+// while preserving every ratio the experiments measure (utilization at a
+// given miss rate, EDF-vs-FIFO gaps, pooling factors) — the substitution is
 // recorded in DESIGN.md §2.
 //
 // Hot-path discipline (the "GC vs PHY deadlines" mitigation): workers keep
@@ -20,10 +21,11 @@
 // through Submit (any goroutine) and results leave on the pool's completion
 // channel. Each worker owns its processors and metrics outright — nothing on
 // the processing path is shared between workers, so the hot path takes no
-// locks; per-worker metrics merge at collection points. When
-// Config.DecodeWorkers > 1 each processor additionally owns a
-// phy.ParallelDecoder whose helper goroutines fan the task's code blocks
-// out, making the effective core demand ≈ Workers × DecodeWorkers. The
+// locks; per-worker metrics merge at collection points. The turbo decoders
+// belong to the worker too (a phy.DecoderSet keyed by turbo block size,
+// shared by all its processors); when Config.DecodeWorkers > 1 their helper
+// goroutines fan a task's code blocks out, making the effective core demand
+// ≈ Workers × DecodeWorkers. The
 // degradation ladder adds one more goroutine when Degrade.Enable is set —
 // the headroom controller, which writes per-cell level words that Submit
 // reads via atomic loads; workers only ever see the level frozen into

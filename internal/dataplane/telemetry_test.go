@@ -96,6 +96,7 @@ func TestPoolTelemetryHARQAndFailures(t *testing.T) {
 		return <-ch
 	}
 	first := runOnce(work)
+	awaitHARQRelease(cp, alloc)
 	work2 := work
 	work2.TTI = 18
 	work2.Allocations = []frame.Allocation{alloc}

@@ -9,29 +9,33 @@ import (
 
 // worker owns per-configuration DSP state so the steady-state decode path
 // never allocates. One worker maps to one dedicated core in the PRAN model;
-// with Config.DecodeWorkers > 1 each cached processor (or, under cross-task
-// batching, the worker's joint decoder) additionally keeps DecodeWorkers-1
-// resident turbo-decode helpers, so a busy worker occupies up to
-// DecodeWorkers cores during the turbo stage. All processor state is
-// private to this worker's goroutine — only the parallel decoder's internal
-// fan-out (documented on phy.ParallelDecoder) crosses goroutines.
+// with Config.DecodeWorkers > 1 its decoders additionally keep
+// DecodeWorkers-1 resident turbo-decode helpers, so a busy worker occupies
+// up to DecodeWorkers cores during the turbo stage. All processor and
+// decoder state is private to this worker's goroutine — only the parallel
+// decoder's internal fan-out (documented on phy.ParallelDecoder) crosses
+// goroutines.
 type worker struct {
 	pool *Pool
 	id   int
-	// procs caches transport processors keyed by (MCS, NumPRB, kernel);
-	// nil when the pool runs in NaiveAlloc mode. The kernel component
-	// exists for the degradation ladder: a level that forces the int16
-	// kernel decodes through a separate cached processor rather than
-	// mutating the full-fidelity one. With cross-task batching each key
-	// holds one serial processor per potential batch slot (a joint decode
-	// needs a distinct processor per transport block); otherwise the slice
-	// has exactly one fully-configured processor.
+	// decs holds the worker's turbo decoders, one phy.DecoderSet per decode
+	// kernel in use: the pool's configured kernel, plus int16 when a float32
+	// pool degrades a cell to the ladder rung that forces it. Inside a set
+	// decoders are keyed by turbo block size K and built on first decode, so
+	// however many (MCS, NumPRB) shapes the worker caches below, it carries
+	// one turbo working set per K it has decoded — the same one whether a
+	// transport block decodes alone or in a joint group. Nil in NaiveAlloc
+	// mode.
+	decs map[phy.DecodeKernel]*phy.DecoderSet
+	// procs caches transport processors keyed by (MCS, NumPRB, kernel),
+	// built from the kernel's decoder set; nil when the pool runs in
+	// NaiveAlloc mode. With cross-task batching each key holds one
+	// processor per potential batch slot (a joint decode needs a distinct
+	// processor per transport block); otherwise the slice has exactly one.
 	procs map[procKey][]*phy.TransportProcessor
-	// joints caches joint decoders keyed by (turbo block size K, kernel),
-	// created only when Config.BatchTasks ≥ 2. The joint decoder carries
-	// the worker's decode parallelism and lockstep batch width; the
-	// per-slot processors above are serial.
-	joints map[jointKey]*phy.JointDecoder
+	// joint marshals a claimed group's transport blocks into one fan-out on
+	// the set's decoder; non-nil only when Config.BatchTasks ≥ 2.
+	joint *phy.JointDecoder
 
 	// Claim/dispatch scratch, reused across groups.
 	group []*Task
@@ -45,29 +49,25 @@ type procKey struct {
 	kernel phy.DecodeKernel
 }
 
-type jointKey struct {
-	k      int
-	kernel phy.DecodeKernel
-}
-
 func newWorker(p *Pool, id int) *worker {
 	w := &worker{pool: p, id: id}
 	if !p.cfg.NaiveAlloc {
+		w.decs = make(map[phy.DecodeKernel]*phy.DecoderSet)
 		w.procs = make(map[procKey][]*phy.TransportProcessor)
 	}
 	if p.cfg.batchTasks() > 1 {
-		w.joints = make(map[jointKey]*phy.JointDecoder)
+		w.joint = phy.NewJointDecoder()
 	}
 	return w
 }
 
 // batching reports whether this worker decodes uplink tasks through its
 // joint decoder (cross-task batching enabled).
-func (w *worker) batching() bool { return w.joints != nil }
+func (w *worker) batching() bool { return w.joint != nil }
 
 // kernelFor returns the decode kernel a task at degradation level lvl runs:
 // the pool's configured kernel, overridden to int16 at the ladder rungs
-// that force it.
+// that force it (a no-op on the default, int16, pool).
 func (w *worker) kernelFor(lvl cluster.DegradationLevel) phy.DecodeKernel {
 	if lvl.ForcesInt16() {
 		return phy.KernelInt16
@@ -75,35 +75,35 @@ func (w *worker) kernelFor(lvl cluster.DegradationLevel) phy.DecodeKernel {
 	return w.pool.cfg.DecodeKernel
 }
 
-// procOptions returns the construction options for this worker's
-// processors running the given kernel. Under cross-task batching the
-// processors are serial — the joint decoder supplies the worker/batch
-// fan-out.
+// procOptions returns the construction options for this worker's decoder
+// set and processors running the given kernel.
 func (w *worker) procOptions(kern phy.DecodeKernel) phy.ProcOptions {
 	cfg := w.pool.cfg
-	opts := phy.ProcOptions{Kernel: kern, FrontEnd: cfg.FrontEnd}
-	if !w.batching() {
-		opts.Workers = cfg.decodeWorkers()
-		opts.Batch = cfg.decodeBatch()
-	}
-	return opts
+	return phy.ProcOptions{Workers: cfg.DecodeWorkers, Kernel: kern, FrontEnd: cfg.FrontEnd, Batch: cfg.DecodeBatch}
 }
 
 // processor returns slot n's transport processor for the configuration and
 // kernel, cached per worker unless the GC-pressure ablation is on. In
 // NaiveAlloc mode the caller owns the returned processor and must Close it
-// after use (the cached ones are closed when the worker exits). The solo
-// decode and downlink-encode paths use slot 0; joint decodes use one slot
-// per transport block in the batch.
+// after use (the cached ones share the worker's decoder sets, closed when
+// the worker exits). The solo decode and downlink-encode paths use slot 0;
+// joint decodes use one slot per transport block in the batch.
 func (w *worker) processor(mcs phy.MCS, nprb, n int, kern phy.DecodeKernel) (*phy.TransportProcessor, error) {
-	opts := w.procOptions(kern)
 	if w.procs == nil {
-		return phy.NewTransportProcessorOpts(mcs, nprb, opts)
+		return phy.NewTransportProcessorOpts(mcs, nprb, w.procOptions(kern))
 	}
 	key := procKey{mcs: mcs, nprb: nprb, kernel: kern}
 	s := w.procs[key]
 	for len(s) <= n {
-		p, err := phy.NewTransportProcessorOpts(mcs, nprb, opts)
+		ds, ok := w.decs[kern]
+		if !ok {
+			var err error
+			if ds, err = phy.NewDecoderSet(w.procOptions(kern)); err != nil {
+				return nil, err
+			}
+			w.decs[kern] = ds
+		}
+		p, err := ds.NewProcessor(mcs, nprb)
 		if err != nil {
 			return nil, err
 		}
@@ -113,36 +113,12 @@ func (w *worker) processor(mcs phy.MCS, nprb, n int, kern phy.DecodeKernel) (*ph
 	return s[n], nil
 }
 
-// joint returns the worker's joint decoder for turbo block size k and
-// decode kernel, creating it on first use.
-func (w *worker) joint(k int, kern phy.DecodeKernel) (*phy.JointDecoder, error) {
-	key := jointKey{k: k, kernel: kern}
-	if jd, ok := w.joints[key]; ok {
-		return jd, nil
-	}
-	cfg := w.pool.cfg
-	jd, err := phy.NewJointDecoder(k, phy.ParallelOptions{
-		Workers: cfg.decodeWorkers(), Kernel: kern, Batch: cfg.decodeBatch(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	w.joints[key] = jd
-	return jd, nil
-}
-
 func (w *worker) run() {
 	defer w.pool.wg.Done()
 	defer func() {
-		// Release the resident decode helpers of cached parallel processors
-		// and joint decoders.
-		for _, s := range w.procs {
-			for _, p := range s {
-				p.Close()
-			}
-		}
-		for _, jd := range w.joints {
-			jd.Close()
+		// Release the resident decode helpers of the decoder sets.
+		for _, ds := range w.decs {
+			ds.Close()
 		}
 	}()
 	for {
@@ -186,10 +162,9 @@ func (w *worker) admit(t *Task, now time.Time) bool {
 // recent decode.
 func (w *worker) recordStages(tm phy.StageTimings) {
 	if tel := w.pool.tel; tel != nil {
-		// Under the fused+parallel overlap (and under joint decoding)
-		// per-block front-ends fold into TurboDecode (see phy.StageTimings),
-		// so the front-end histogram records 0 there rather than a
-		// fabricated split.
+		// With DecodeWorkers > 1 per-block front-ends overlap turbo decoding
+		// and fold into TurboDecode (see phy.StageTimings), so the front-end
+		// histogram records 0 there rather than a fabricated split.
 		tel.frontEnd.ObserveDuration(w.id, tm.Demodulate+tm.Descramble+tm.Dematch+tm.FrontEnd)
 		tel.turbo.ObserveDuration(w.id, tm.TurboDecode)
 		tel.crc.ObserveDuration(w.id, tm.CRCCheck)
@@ -229,8 +204,8 @@ func (w *worker) execute(t *Task) {
 
 // executeJoint decodes a claimed group of same-shape uplink tasks in one
 // joint fan-out, so lockstep batches span the group's transport blocks.
-// Group width 1 still routes through the joint decoder — that is where this
-// worker's decode parallelism and lockstep width live.
+// Group width 1 still routes through the joint decoder, onto the same
+// decoders a solo decode would use.
 func (w *worker) executeJoint(group []*Task) {
 	now := time.Now()
 	if tel := w.pool.tel; tel != nil {
@@ -264,10 +239,28 @@ func (w *worker) executeJoint(group []*Task) {
 		}
 	}
 	// The group is shape-uniform (sameShape includes the degradation
-	// level), so one kernel choice and one iteration budget cover it.
+	// level), so one kernel choice and one iteration budget cover it. A
+	// joint decode needs its processors from one decoder set: the worker's
+	// cached ones are, and the GC-pressure ablation builds a set for the
+	// dispatch.
 	kern := w.kernelFor(live[0].Degrade)
+	var fresh *phy.DecoderSet
+	if w.procs == nil {
+		var err error
+		if fresh, err = phy.NewDecoderSet(w.procOptions(kern)); err != nil {
+			failAll(err)
+			return
+		}
+		defer fresh.Close()
+	}
 	for n, t := range live {
-		proc, err := w.processor(t.Alloc.MCS, t.Alloc.NumPRB, n, kern)
+		var proc *phy.TransportProcessor
+		var err error
+		if fresh != nil {
+			proc, err = fresh.NewProcessor(t.Alloc.MCS, t.Alloc.NumPRB)
+		} else {
+			proc, err = w.processor(t.Alloc.MCS, t.Alloc.NumPRB, n, kern)
+		}
 		if err != nil {
 			failAll(err)
 			return
@@ -278,25 +271,16 @@ func (w *worker) executeJoint(group []*Task) {
 			RV: int(t.Alloc.RV), SB: t.Soft,
 		})
 	}
-	jd, err := w.joint(reqs[0].P.CodeBlockSize(), kern)
-	if err != nil {
+	w.joint.SetMaxIterations(live[0].Degrade.IterCap())
+	if err := w.joint.DecodeJoint(reqs); err != nil {
 		failAll(err)
 		return
 	}
-	jd.SetMaxIterations(live[0].Degrade.IterCap())
-	// A call-level DecodeJoint error lands in every request's Err field,
-	// so the per-task copy below propagates both outcomes.
-	_ = jd.DecodeJoint(reqs)
 	fin := time.Now()
 	for n, t := range live {
 		r := &reqs[n]
 		t.Payload, t.Err, t.TurboIterations = r.Payload, r.Err, r.Iters
 		t.Finished = fin
 		w.recordStages(r.P.Timings)
-	}
-	if w.procs == nil {
-		for i := range reqs {
-			reqs[i].P.Close()
-		}
 	}
 }

@@ -34,7 +34,10 @@ func E11ParallelSpeedup(quick bool) (Result, error) {
 		Header:  []string{"workers", "t@mcs22(ms)", "t@mcs28(ms)", "speedup@mcs28", "model-feasible-mcs@2ms", "feasible-mcs@i16-batch8", "model-t@mcs28(ms)"},
 		Metrics: map[string]float64{},
 	}
+	// The measured columns and their model mirror are the float32 oracle,
+	// one block per claim; the i16-batch8 column is the default model.
 	m := cluster.DefaultCostModel()
+	ref := m.WithKernel(phy.KernelFloat32)
 	serial28 := 0.0
 	for _, w := range workersGrid {
 		t22, err := measureDecode(22, 100, reps, 2211, w, phy.KernelFloat32, phy.FrontEndFused)
@@ -50,9 +53,9 @@ func E11ParallelSpeedup(quick bool) (Result, error) {
 			serial28 = sec28
 		}
 		speedup := serial28 / sec28
-		frontier := feasibleMCS(m, w)
-		frontierBatch := feasibleMCS(m.WithKernel(phy.KernelInt16).WithBatch(8), w)
-		model28 := m.AllocCostWorkers(alloc100(28), w).Seconds()
+		frontier := feasibleMCS(ref, w)
+		frontierBatch := feasibleMCS(m, w)
+		model28 := ref.AllocCostWorkers(alloc100(28), w).Seconds()
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", w),
 			ms(t22.Total().Seconds()),
@@ -69,9 +72,9 @@ func E11ParallelSpeedup(quick bool) (Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("measured on GOMAXPROCS=%d; speedup saturates at min(cores, code blocks) — rerun on a multi-core host for the full curve", runtime.GOMAXPROCS(0)),
-		"feasibility frontier: highest MCS whose 100-PRB decode fits the 2 ms HARQ compute budget on the reference-core cost model (DefaultCostModel)",
-		"feasible-mcs@i16-batch8: the same frontier on the recalibrated int16 model at lockstep batch width 8 (E17) — the batched kernel moves the 4-worker frontier",
-		"cost-model mirror: serial stages + turbo makespan ceil(C/workers) + dispatch overhead (cluster.CostModel.AllocCostWorkers)")
+		"measured columns and model-feasible-mcs/model-t: the float32 reference kernel, named explicitly (DefaultCostModel().WithKernel(KernelFloat32)); highest MCS whose 100-PRB decode fits the 2 ms HARQ compute budget on the reference core",
+		"feasible-mcs@i16-batch8: the same frontier on the default model — int16 kernel at lockstep width 8 (E17), whose 13-block transport block is two claims, so workers beyond 2 buy nothing",
+		"cost-model mirror: serial stages + makespan of the claimed spans + dispatch overhead (cluster.CostModel.AllocCostWorkers)")
 	return res, nil
 }
 

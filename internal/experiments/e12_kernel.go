@@ -9,16 +9,17 @@ import (
 	"pran/internal/phy"
 )
 
-// E12KernelAblation measures what the quantized int16 max-log-MAP kernel
-// buys and what it costs: per-MCS turbo-stage speedup over the float32
-// reference kernel at a fully loaded 100-PRB subframe (single worker, so
-// the ratio is pure kernel arithmetic, not parallelism), BLER of both
-// kernels in the steepest part of the waterfall, and the deadline-
-// feasibility frontier the recalibrated cost model predicts for each
-// kernel. The BLER reference column runs the float32 kernel 0.2 dB lower:
-// the int16 column staying at or below it is the "within 0.2 dB"
-// acceptance criterion of the kernel, the same bound the phy property
-// tests pin.
+// E12KernelAblation measures what the default decode path — the quantized
+// int16 max-log-MAP kernel at lockstep width 8 — buys over the float32
+// oracle and what it costs: per-MCS turbo-stage speedup at a fully loaded
+// 100-PRB subframe (single worker, so the ratio is kernel arithmetic and
+// lockstep, not parallelism; E17 splits the two), BLER of both kernels in
+// the steepest part of the waterfall, and the deadline-feasibility frontier
+// the cost model predicts for each kernel. With the per-block ingest gain
+// the int16 kernel sits on the float32 BLER curve (the phy parity tests pin
+// it at the high-SNR corner, where the fixed ±16 saturation used to cost
+// most); the float32 column 0.2 dB lower is kept as the scale of what a
+// quantization penalty would look like.
 func E12KernelAblation(quick bool) (Result, error) {
 	mcsGrid := []phy.MCS{4, 13, 22, 27}
 	reps := 3
@@ -30,7 +31,7 @@ func E12KernelAblation(quick bool) (Result, error) {
 	}
 	res := Result{
 		ID:      "E12",
-		Title:   "Decode-kernel ablation: int16 quantized vs float32 max-log-MAP",
+		Title:   "Decode-kernel ablation: default int16 lockstep vs float32 oracle max-log-MAP",
 		Header:  []string{"mcs", "turbo-f32(ms)", "turbo-i16(ms)", "turbo-speedup", "total-speedup", "bler-i16", "bler-f32", "bler-f32@-0.2dB"},
 		Metrics: map[string]float64{},
 	}
@@ -80,14 +81,14 @@ func E12KernelAblation(quick bool) (Result, error) {
 	// Cost-model mirror: the single-worker deadline-feasibility frontier
 	// per kernel, on the reference-core coefficients.
 	m := cluster.DefaultCostModel()
-	frontierF32 := feasibleMCS(m, 1)
-	frontierI16 := feasibleMCS(m.WithKernel(phy.KernelInt16), 1)
+	frontierF32 := feasibleMCS(m.WithKernel(phy.KernelFloat32), 1)
+	frontierI16 := feasibleMCS(m, 1)
 	res.Metrics["feasible_mcs_f32"] = float64(frontierF32)
 	res.Metrics["feasible_mcs_i16"] = float64(frontierI16)
 	res.Notes = append(res.Notes,
-		"speedup at 100 PRB, single worker, op+3 dB — pure kernel arithmetic, no parallelism",
-		"bler at op+0.5 dB / 6 PRB (mid-waterfall); bler-f32@-0.2dB is the accuracy budget: i16 within 0.2 dB means bler-i16 ≤ that column",
-		fmt.Sprintf("model feasibility frontier at 1 worker (2 ms HARQ budget, reference core): MCS %d (float32) → MCS %d (int16)", frontierF32, frontierI16),
+		"speedup at 100 PRB, single worker, op+3 dB: float32 oracle (one block at a time) vs the default int16 kernel at lockstep width 8 — no parallelism; E17 separates kernel from lockstep",
+		"bler at op+0.5 dB / 6 PRB (mid-waterfall), same payloads and noise in every column: bler-i16 tracks bler-f32 (measured parity); bler-f32@-0.2dB shows what a 0.2 dB penalty would cost",
+		fmt.Sprintf("model feasibility frontier at 1 worker (2 ms HARQ budget, reference core): MCS %d (float32 oracle) → MCS %d (default: int16 lockstep)", frontierF32, frontierI16),
 	)
 	return res, nil
 }

@@ -97,7 +97,7 @@ func E13FrontEndAblation(quick bool) (Result, error) {
 	// workers the fused front-end additionally moves into the per-block
 	// parallel region (the Amdahl lift), while the staged front-end stays
 	// serial — so the frontier gap is widest there.
-	m := cluster.DefaultCostModel().WithKernel(phy.KernelInt16)
+	m := cluster.DefaultCostModel()
 	for _, w := range []int{1, 4} {
 		fr := feasibleMCS(m, w)
 		fs := feasibleMCS(m.WithFrontEnd(phy.FrontEndStaged), w)

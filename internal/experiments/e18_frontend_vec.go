@@ -100,7 +100,7 @@ func E18VectorFrontEnd(quick bool) (Result, error) {
 	// Cost-model mirror: E11's feasibility frontier on the vector fused
 	// coefficients. DefaultCostModel carries representative scalar and
 	// vector columns; Calibrate measures both on the host.
-	m := cluster.DefaultCostModel().WithKernel(phy.KernelInt16)
+	m := cluster.DefaultCostModel()
 	for _, w := range []int{1, 4} {
 		fs := feasibleMCS(m, w)
 		fv := feasibleMCS(m.WithFrontEndVector(true), w)

@@ -23,13 +23,21 @@ type taskTemplate struct {
 }
 
 // makeTemplate encodes one allocation at its operating point and measures
-// its decode cost. budgetFrac scales the pool's budget for this class
-// (1.0 = the full scaled HARQ budget; smaller models a stricter service).
+// its decode cost on the default processor — what a pool built from a
+// Config with no decode field set runs. budget is the class's per-task
+// deadline budget.
 func makeTemplate(mcs phy.MCS, nprb int, seed int64, budget time.Duration) (*taskTemplate, error) {
-	proc, err := phy.NewTransportProcessor(mcs, nprb)
+	return makeTemplateOpts(mcs, nprb, seed, budget, phy.ProcOptions{})
+}
+
+// makeTemplateOpts is makeTemplate with the decode cost measured on a
+// processor built from opts, for pools that name a reference path.
+func makeTemplateOpts(mcs phy.MCS, nprb int, seed int64, budget time.Duration, opts phy.ProcOptions) (*taskTemplate, error) {
+	proc, err := phy.NewTransportProcessorOpts(mcs, nprb, opts)
 	if err != nil {
 		return nil, err
 	}
+	defer proc.Close()
 	rng := rand.New(rand.NewSource(seed))
 	payload := make([]byte, proc.TransportBlockSize())
 	for i := range payload {
@@ -244,7 +252,7 @@ func E5DeadlineMiss(quick bool) (Result, error) {
 		res.Metrics[fmt.Sprintf("fifo_urgent_u%.2f", u)] = fifo.classMiss[1]
 	}
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("deadline scale ×%.1f (host-calibrated: a full-band decode ≈ 30%% of the HARQ budget)", scale),
+		fmt.Sprintf("deadline scale ×%.1f (host-calibrated on the default decode path: a full-band decode ≈ 30%% of the HARQ budget, never tighter than the real one)", scale),
 		fmt.Sprintf("bulk task: MCS 16 / 25 PRB, %.2f ms, full budget; urgent task: MCS 10 / 4 PRB, %.2f ms, half budget",
 			bulk.cost.Seconds()*1e3, urgent.cost.Seconds()*1e3),
 		"Poisson arrivals on a single worker (contention-free service time)")

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pran/internal/cluster"
 	"pran/internal/phy"
 	"pran/internal/soak"
 )
@@ -77,9 +78,25 @@ func TestE4PoolingGainShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The headline: pooling beats per-cell static provisioning clearly at
-	// 50 cells, and the gain grows with scale.
-	if r.Metrics["gain_mean_50cells"] < 1.8 {
-		t.Fatalf("mean pooling gain at 50 cells %.2f < 1.8", r.Metrics["gain_mean_50cells"])
+	// 50 cells, and the gain grows with scale. On the default cost model
+	// the mean-gain floor is 1.4 (measured 1.59): with decoding several
+	// times cheaper than on the float32 model, the load-independent
+	// per-cell FFT floor is most of a cell's demand and the ratio
+	// compresses — while the cores it is a ratio of fall 2.8× (470 → 165
+	// static, 226 → 104 pooled mean). The float32 model keeps the 1.8
+	// floor (measured 2.08).
+	if r.Metrics["gain_mean_50cells"] < 1.4 {
+		t.Fatalf("mean pooling gain at 50 cells %.2f < 1.4", r.Metrics["gain_mean_50cells"])
+	}
+	ref, err := e4PoolingGain(true, cluster.DefaultCostModel().WithKernel(phy.KernelFloat32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Metrics["gain_mean_50cells"] < 1.8 {
+		t.Fatalf("float32 model: mean pooling gain at 50 cells %.2f < 1.8", ref.Metrics["gain_mean_50cells"])
+	}
+	if ref.Metrics["gain_peak_50cells"] < 1.2 {
+		t.Fatalf("float32 model: peak pooling gain at 50 cells %.2f < 1.2", ref.Metrics["gain_peak_50cells"])
 	}
 	if r.Metrics["gain_peak_50cells"] < 1.2 {
 		t.Fatalf("peak pooling gain at 50 cells %.2f < 1.2", r.Metrics["gain_peak_50cells"])
@@ -438,7 +455,7 @@ func TestE19OverloadShapes(t *testing.T) {
 			// fresh BENCH_E19.json holds the ≥1x floor.
 			last = fmt.Sprintf("ladder goodput gain at 2x load %.2fx below 1.1x", gain)
 		case r.Metrics["miss_monotone"] != 1:
-			last = "deadline-miss curve not monotone in offered load"
+			last = "deadline-miss curve not monotone in offered load, or ladder missed more than baseline"
 		case r.Metrics["miss_ladder_x3.0"] > r.Metrics["miss_base_x3.0"]+0.05:
 			last = fmt.Sprintf("ladder missed more than baseline at 3x: %.3f vs %.3f",
 				r.Metrics["miss_ladder_x3.0"], r.Metrics["miss_base_x3.0"])

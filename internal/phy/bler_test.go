@@ -73,58 +73,75 @@ func TestBLERWaterfall(t *testing.T) {
 	t.Logf("BLER waterfall MCS %d: %.2f @ op-4, %.2f @ op, %.2f @ op+3", mcs, below, at, above)
 }
 
-// TestBLERImprovesWithHARQ quantifies the combining gain: after one chase
-// retransmission the residual BLER at the operating point must drop by a
-// large factor.
+// TestBLERImprovesWithHARQ quantifies the combining gain on the default
+// (int16 lockstep) decode path: after one retransmission at RV 2, soft-
+// combined into the same buffer, the residual BLER of a stressed first
+// transmission must drop by a large factor. Combined buffers carry larger
+// magnitudes than either transmission; at MCS 24 they cross the int16
+// ingest-gain threshold, so the scaled quantizer is what decodes them.
 func TestBLERImprovesWithHARQ(t *testing.T) {
 	if testing.Short() {
 		t.Skip("link-level sweep")
 	}
-	const (
-		mcs    = MCS(10)
-		nprb   = 6
-		trials = 40
-	)
-	snr := mcs.OperatingSNR() - 1 // stressed first transmission
-	proc, err := NewTransportProcessor(mcs, nprb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(400))
-	ch := NewAWGNChannel(snr, 401)
-	firstFails, combinedFails := 0, 0
-	rx := make([]complex128, proc.NumSymbols())
-	sb := proc.NewSoftBuffer()
-	for i := 0; i < trials; i++ {
-		payload := randBits(rng, proc.TransportBlockSize())
-		sb.Reset()
-		syms, err := proc.Encode(payload, uint16(i+1), 3, 0, 0)
+	for _, c := range []struct {
+		mcs      MCS
+		wantGain bool // combined buffers must engage the ingest gain
+	}{{10, false}, {24, true}} {
+		const (
+			nprb   = 6
+			trials = 40
+		)
+		snr := c.mcs.OperatingSNR() - 1 // stressed first transmission
+		proc, err := NewTransportProcessor(c.mcs, nprb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(rx, syms)
-		ch.Apply(rx)
-		_, err1 := proc.Decode(rx, ch.N0(), uint16(i+1), 3, 0, 0, sb)
-		if err1 == nil {
-			continue
+		if proc.Kernel() != KernelInt16 || proc.Batch() != 8 {
+			t.Fatalf("default processor decodes %v at width %d, want int16 at 8", proc.Kernel(), proc.Batch())
 		}
-		firstFails++
-		// Chase retransmission at RV 2 into the same soft buffer.
-		syms2, err := proc.Encode(payload, uint16(i+1), 3, 0, 2)
-		if err != nil {
-			t.Fatal(err)
+		rng := rand.New(rand.NewSource(400))
+		ch := NewAWGNChannel(snr, 401)
+		firstFails, combinedFails, scaled := 0, 0, 0
+		rx := make([]complex128, proc.NumSymbols())
+		sb := proc.NewSoftBuffer()
+		for i := 0; i < trials; i++ {
+			payload := randBits(rng, proc.TransportBlockSize())
+			sb.Reset()
+			syms, err := proc.Encode(payload, uint16(i+1), 3, 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(rx, syms)
+			ch.Apply(rx)
+			_, err1 := proc.Decode(rx, ch.N0(), uint16(i+1), 3, 0, 0, sb)
+			if err1 == nil {
+				continue
+			}
+			firstFails++
+			// Retransmission at RV 2 into the same soft buffer.
+			syms2, err := proc.Encode(payload, uint16(i+1), 3, 0, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			copy(rx, syms2)
+			ch.Apply(rx)
+			if _, err2 := proc.Decode(rx, ch.N0(), uint16(i+1), 3, 0, 2, sb); err2 != nil {
+				combinedFails++
+			}
+			if llrGain(sb.ld0[0], sb.ld1[0], sb.ld2[0]) < 1 {
+				scaled++
+			}
 		}
-		copy(rx, syms2)
-		ch.Apply(rx)
-		if _, err2 := proc.Decode(rx, ch.N0(), uint16(i+1), 3, 0, 2, sb); err2 != nil {
-			combinedFails++
+		if firstFails == 0 {
+			t.Fatalf("MCS %d: no first-transmission failures 1 dB below the operating point; nothing to combine", c.mcs)
 		}
+		if combinedFails*3 > firstFails {
+			t.Fatalf("MCS %d: combining recovered too little: %d residual of %d failures", c.mcs, combinedFails, firstFails)
+		}
+		if c.wantGain && scaled == 0 {
+			t.Fatalf("MCS %d: no combined buffer crossed the ingest-gain threshold; the scaled quantizer went untested", c.mcs)
+		}
+		t.Logf("HARQ gain MCS %d: %d/%d first-TX failures, %d residual after one combine, %d combined buffers decoded scaled",
+			c.mcs, firstFails, trials, combinedFails, scaled)
 	}
-	if firstFails == 0 {
-		t.Skip("no first-transmission failures at this operating point; nothing to combine")
-	}
-	if combinedFails*3 > firstFails {
-		t.Fatalf("combining recovered too little: %d residual of %d failures", combinedFails, firstFails)
-	}
-	t.Logf("HARQ gain: %d/%d first-TX failures, %d residual after one combine", firstFails, trials, combinedFails)
 }

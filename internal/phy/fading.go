@@ -178,26 +178,57 @@ func EstimateLS(dst []complex128, rx, tx []complex128) error {
 	return nil
 }
 
+// estimateFloor is the squared magnitude below which a channel estimate is
+// clamped, so that a deep fade is not blown up into the data.
+const estimateFloor = 1e-3
+
+// clampEstimate returns the estimate the equalizer divides by and its squared
+// magnitude: h itself, or h rescaled to |h|² = estimateFloor in a deep fade.
+func clampEstimate(h complex128) (complex128, float64) {
+	mag2 := real(h)*real(h) + imag(h)*imag(h)
+	if mag2 >= estimateFloor {
+		return h, mag2
+	}
+	scale := math.Sqrt(estimateFloor) / (cmplx.Abs(h) + 1e-12)
+	return h * complex(scale, 0), estimateFloor
+}
+
 // Equalize divides a data row by the channel estimate in place and returns
 // the mean post-equalization noise enhancement factor mean(1/|Ĥ|²), which
-// scales the demodulator's noise power. Estimates below floor are clamped
-// to avoid exploding deep fades.
+// scales the demodulator's noise power. Estimates below the floor are clamped
+// to avoid exploding deep fades. It is the whole-row reference for
+// EqualizerWeights, which the cell ingest path uses.
 func Equalize(row []complex128, est []complex128) (float64, error) {
 	if len(row) != len(est) {
 		return 0, fmt.Errorf("phy: equalize length mismatch %d vs %d: %w", len(row), len(est), ErrBadParameter)
 	}
-	const floor = 1e-3
 	var enh float64
 	for k := range row {
-		h := est[k]
-		mag2 := real(h)*real(h) + imag(h)*imag(h)
-		if mag2 < floor {
-			mag2 = floor
-			scale := math.Sqrt(floor) / (cmplx.Abs(h) + 1e-12)
-			h = h * complex(scale, 0)
-		}
+		h, mag2 := clampEstimate(est[k])
 		row[k] /= h
 		enh += 1 / mag2
 	}
 	return enh / float64(len(row)), nil
+}
+
+// EqualizerWeights writes the zero-forcing weight 1/Ĥ[k] of every subcarrier
+// into w, with Equalize's deep-fade clamp, and returns the same whole-band
+// noise enhancement factor mean(1/|Ĥ|²). Multiplying any stretch of a data
+// row by the matching stretch of w equalizes it as Equalize would (to
+// rounding), so a receiver computes the weights once per subframe and
+// touches only the resource elements that are scheduled.
+func EqualizerWeights(w []complex128, est []complex128) (float64, error) {
+	if len(w) != len(est) {
+		return 0, fmt.Errorf("phy: equalizer weights length mismatch %d vs %d: %w", len(w), len(est), ErrBadParameter)
+	}
+	var enh float64
+	for k := range est {
+		h, mag2 := clampEstimate(est[k])
+		// 1/h = conj(h)/|h|², from the clamped value's own magnitude (mag2 is
+		// the nominal floor there, not the rounded one).
+		m := real(h)*real(h) + imag(h)*imag(h)
+		w[k] = complex(real(h)/m, -imag(h)/m)
+		enh += 1 / mag2
+	}
+	return enh / float64(len(est)), nil
 }

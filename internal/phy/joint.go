@@ -7,20 +7,27 @@ import (
 
 // JointDecoder decodes several transport blocks of the same configuration
 // in one fan-out: the code blocks of every submitted request are pooled
-// into a single DecodeGroups call on a shared ParallelDecoder, so lockstep
-// batches can span transport-block boundaries — the cross-codeword batching
-// the data plane uses when one cell (or several cells on the same worker
-// set) has more than one uplink TB pending with identical (MCS, PRB) shape.
-// Each request keeps its own abort group: a CRC failure in one TB cancels
-// only that TB's remaining blocks.
+// into a single grouped decode on the ParallelDecoder their processors'
+// DecoderSet keeps for that block size, so lockstep batches can span
+// transport-block boundaries — the cross-codeword batching the data plane
+// uses when one cell (or several cells on the same worker set) has more
+// than one uplink TB pending with identical (MCS, PRB) shape. Each request
+// keeps its own abort group: a CRC failure in one TB cancels only that TB's
+// remaining blocks.
+//
+// A JointDecoder holds no decoders of its own, only the marshalling scratch
+// of a call: the decoders, their workers and their lockstep width are the
+// set's, the same ones that serve a solo TransportProcessor.Decode of that
+// block size.
 //
 // Ownership/concurrency contract: a JointDecoder is owned by one goroutine
 // at a time — DecodeJoint must not be called concurrently, and the
-// processors named in a call are owned by the decoder for the call's
-// duration (the usual one-owner TransportProcessor rule). It keeps resident
-// worker goroutines through its ParallelDecoder; Close releases them.
+// processors named in a call (and with them their decoder set) are owned by
+// the decoder for the call's duration (the usual one-owner
+// TransportProcessor rule).
 type JointDecoder struct {
-	par *ParallelDecoder
+	par     *ParallelDecoder // the set's decoder, for the duration of a call
+	maxIter int              // turbo iteration bound applied per call (≤ 0 = default)
 
 	// Per-call marshalling scratch, grown on demand and reused.
 	reqs          []DecodeRequest // the in-flight slice, for prepare dispatch
@@ -28,6 +35,7 @@ type JointDecoder struct {
 	blocks        [][]byte
 	ld0, ld1, ld2 [][]float32
 	groups        []int32
+	known         []int
 	failed        []bool
 	prep          func(int) // bound dispatchPrepare, allocated once
 }
@@ -55,66 +63,43 @@ type DecodeRequest struct {
 	Err     error
 }
 
-// NewJointDecoder returns a joint decoder for turbo block size k with the
-// given worker/kernel/batch configuration (the ParallelDecoder knobs).
-func NewJointDecoder(k int, o ParallelOptions) (*JointDecoder, error) {
-	par, err := NewParallelDecoderOpts(k, o)
-	if err != nil {
-		return nil, err
-	}
-	jd := &JointDecoder{par: par}
+// NewJointDecoder returns an empty joint decoder.
+func NewJointDecoder() *JointDecoder {
+	jd := &JointDecoder{}
 	jd.prep = jd.dispatchPrepare // bound once: installing per call allocates nothing
-	return jd, nil
+	return jd
 }
 
-// K returns the turbo block size the decoder serves.
-func (jd *JointDecoder) K() int { return jd.par.K() }
-
-// Workers returns the decode parallelism (including the caller).
-func (jd *JointDecoder) Workers() int { return jd.par.Workers() }
-
-// Batch returns the lockstep batch width (1 = scalar per-block decode).
-func (jd *JointDecoder) Batch() int { return jd.par.Batch() }
-
-// SetMaxIterations bounds the pooled workers' turbo iterations for
-// subsequent DecodeJoint calls (n ≤ 0 restores the default budget). Only
-// the owning goroutine may call this, between calls.
-func (jd *JointDecoder) SetMaxIterations(n int) { jd.par.SetMaxIterations(n) }
-
-// MaxIterations returns the current turbo iteration bound.
-func (jd *JointDecoder) MaxIterations() int { return jd.par.MaxIterations() }
-
-// Close releases the resident worker goroutines. It must not race an
-// in-flight DecodeJoint.
-func (jd *JointDecoder) Close() error { return jd.par.Close() }
+// SetMaxIterations bounds the turbo iterations of subsequent DecodeJoint
+// calls (n ≤ 0 restores the default budget). Only the owning goroutine may
+// call this, between calls.
+func (jd *JointDecoder) SetMaxIterations(n int) { jd.maxIter = n }
 
 // DecodeJoint decodes every request's transport block in one pooled
-// fan-out. All processors must share the decoder's block size and one
-// segmentation shape, run the fused front-end, be serial (the joint decoder
-// supplies the parallelism), and be distinct (a processor's buffers hold
-// one TB at a time). The returned error reports validation or internal
-// decode failures affecting the whole call; per-TB CRC outcomes land in
-// each request's Err/Payload/Iters fields. Output bits, soft-buffer state,
-// and iteration counts are bit-identical to decoding each request serially
-// with TransportProcessor.Decode.
+// fan-out on the decoder their shared DecoderSet keeps for the block size
+// (built here if this is its first decode). All processors must come from
+// one DecoderSet and share one segmentation shape, run the fused front-end,
+// and be distinct (a processor's buffers hold one TB at a time). The
+// returned error reports validation or internal decode failures affecting
+// the whole call; per-TB CRC outcomes land in each request's
+// Err/Payload/Iters fields. Output bits, soft-buffer state, and iteration
+// counts are bit-identical to decoding each request serially with
+// TransportProcessor.Decode.
 func (jd *JointDecoder) DecodeJoint(reqs []DecodeRequest) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	seg := reqs[0].P.seg
+	ds, seg := reqs[0].P.decs, reqs[0].P.seg
 	for i := range reqs {
 		p := reqs[i].P
-		if p.seg.K != jd.par.K() {
-			return fmt.Errorf("phy: joint request %d has K=%d, decoder serves K=%d: %w", i, p.seg.K, jd.par.K(), ErrBadParameter)
+		if p.decs != ds {
+			return fmt.Errorf("phy: joint request %d's processor is from another decoder set: %w", i, ErrBadParameter)
 		}
 		if p.seg != seg {
 			return fmt.Errorf("phy: joint request %d segmentation %+v differs from %+v: %w", i, p.seg, seg, ErrBadParameter)
 		}
 		if p.frontEnd != FrontEndFused {
 			return fmt.Errorf("phy: joint request %d needs the fused front-end: %w", i, ErrBadParameter)
-		}
-		if p.par != nil {
-			return fmt.Errorf("phy: joint request %d processor has its own decode fan-out: %w", i, ErrBadParameter)
 		}
 		for j := 0; j < i; j++ {
 			if reqs[j].P == p {
@@ -133,14 +118,22 @@ func (jd *JointDecoder) DecodeJoint(reqs []DecodeRequest) error {
 		}
 	}
 
+	par, err := ds.decoder(seg.K)
+	if err != nil {
+		return err
+	}
+	par.SetMaxIterations(jd.maxIter)
+	jd.par = par
+
 	// Install every processor's front-end state, then marshal the pooled
-	// block list. From here on nothing fails until DecodeGroups.
+	// block list. From here on nothing fails until the grouped decode.
 	start := time.Now()
 	jd.reqs = reqs
 	jd.offs = jd.offs[:0]
 	jd.blocks = jd.blocks[:0]
 	jd.ld0, jd.ld1, jd.ld2 = jd.ld0[:0], jd.ld1[:0], jd.ld2[:0]
 	jd.groups = jd.groups[:0]
+	jd.known = jd.known[:0]
 	jd.failed = jd.failed[:0]
 	for i := range reqs {
 		r := &reqs[i]
@@ -163,6 +156,7 @@ func (jd *JointDecoder) DecodeJoint(reqs []DecodeRequest) error {
 			jd.ld2 = append(jd.ld2, sb.ld2[b])
 			jd.groups = append(jd.groups, int32(i))
 		}
+		jd.known = append(jd.known, p.known...)
 		jd.failed = append(jd.failed, false)
 	}
 	check := checkBlockCRC24A
@@ -170,18 +164,23 @@ func (jd *JointDecoder) DecodeJoint(reqs []DecodeRequest) error {
 		check = checkBlockCRC24B
 	}
 
-	_, err := jd.par.DecodeGroups(jd.blocks, jd.ld0, jd.ld1, jd.ld2, jd.groups, jd.failed, check, jd.prep)
+	_, err = par.DecodeGroups(jd.blocks, jd.ld0, jd.ld1, jd.ld2, jd.known, jd.groups, jd.failed, check, jd.prep)
 	elapsed := time.Since(start)
+	var frontEnd time.Duration
+	for i := range reqs {
+		frontEnd += reqs[i].P.Timings.FrontEnd
+	}
 	for i := range reqs {
 		r := &reqs[i]
 		r.P.clearFrontEndState()
-		r.Iters = jd.par.GroupIters(i)
-		// The fan-out interleaves all requests' front-ends and decodes
-		// across the shared workers; the joint wall time is attributed to
-		// every request's TurboDecode (the same convention as the
-		// overlapped per-TB path — see StageTimings).
+		r.Iters = par.GroupIters(i)
+		// The fan-out interleaves all requests' decodes through shared
+		// lockstep passes; the joint wall time, less the front-end time
+		// dispatchPrepare could attribute, goes to every request's
+		// TurboDecode (the same convention as the overlapped per-TB path —
+		// see StageTimings).
 		r.P.Timings.TurboIterations = r.Iters
-		r.P.Timings.TurboDecode = elapsed
+		r.P.Timings.TurboDecode = elapsed - frontEnd
 		r.P.Timings.CRCCheck = 0
 		switch {
 		case err != nil:
@@ -192,7 +191,7 @@ func (jd *JointDecoder) DecodeJoint(reqs []DecodeRequest) error {
 			r.Payload, r.Err = r.P.finishDecode()
 		}
 	}
-	jd.reqs = nil
+	jd.reqs, jd.par = nil, nil
 	for i := range jd.blocks {
 		jd.blocks[i], jd.ld0[i], jd.ld1[i], jd.ld2[i] = nil, nil, nil, nil
 	}
@@ -202,11 +201,18 @@ func (jd *JointDecoder) DecodeJoint(reqs []DecodeRequest) error {
 // dispatchPrepare is the pooled fan-out's prepare hook: block index i maps
 // back to (request, local block) and runs that processor's fused front-end
 // for the block. The offsets are sorted, so a short reverse scan finds the
-// owning request.
+// owning request. With one decode worker every hook runs on the calling
+// goroutine and is timed into the owning processor's Timings.FrontEnd (as
+// in TransportProcessor.Decode); with several the time is not separable.
 func (jd *JointDecoder) dispatchPrepare(i int) {
 	r := len(jd.offs) - 1
 	for jd.offs[r] > i {
 		r--
 	}
-	jd.reqs[r].P.frontEndBlock(i - jd.offs[r])
+	p := jd.reqs[r].P
+	if jd.par.Workers() == 1 {
+		p.frontEndBlockTimed(i - jd.offs[r])
+	} else {
+		p.frontEndBlock(i - jd.offs[r])
+	}
 }

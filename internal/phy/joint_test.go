@@ -149,7 +149,7 @@ func TestDecodeGroupsIsolatesFailures(t *testing.T) {
 			clear(blocks[i])
 		}
 		failed := make([]bool, 2)
-		total, err := pd.DecodeGroups(blocks, ld0, ld1, ld2, groups, failed, checkBlockCRC24B, nil)
+		total, err := pd.DecodeGroups(blocks, ld0, ld1, ld2, nil, groups, failed, checkBlockCRC24B, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,18 +175,12 @@ func TestJointDecoderMatchesSerial(t *testing.T) {
 	// counts, the hopeless TB must fail alone, and every TB's HARQ soft
 	// state — including the failed one's — must match the serial pipeline's.
 	const mcs, nprb = 22, 25
-	newProc := func() *TransportProcessor {
-		p, err := NewTransportProcessorOpts(mcs, nprb, ProcOptions{Kernel: KernelInt16})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	jd, err := NewJointDecoder(newProc().seg.K, ParallelOptions{Workers: 2, Kernel: KernelInt16, Batch: 8})
+	ds, err := NewDecoderSet(ProcOptions{Workers: 2, Kernel: KernelInt16, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jd.Close()
+	defer ds.Close()
+	jd := NewJointDecoder()
 
 	snr := []float64{MCS(mcs).OperatingSNR() + 5, MCS(mcs).OperatingSNR() - 15, MCS(mcs).OperatingSNR() + 6}
 	reqs := make([]DecodeRequest, 3)
@@ -195,8 +189,11 @@ func TestJointDecoderMatchesSerial(t *testing.T) {
 	wantErr := make([]error, 3)
 	wantSoft := make([][]byte, 3)
 	for i := range reqs {
-		ser := newProc()
-		proc := newProc()
+		ser := mustProc(t, mcs, nprb, ProcOptions{Kernel: KernelInt16})
+		proc, err := ds.NewProcessor(mcs, nprb)
+		if err != nil {
+			t.Fatal(err)
+		}
 		payload, rx, n0 := makeSubframe(t, ser, uint16(i+1), snr[i], int64(i)*101+5)
 		sb := ser.NewSoftBuffer()
 		out, err := ser.Decode(rx, n0, uint16(i+1), 101, 4, 0, sb)
@@ -240,22 +237,31 @@ func TestJointDecoderMatchesSerial(t *testing.T) {
 			t.Fatalf("req %d: joint soft buffer differs from serial", i)
 		}
 	}
+	// A solo decode of the same shape runs on the decoder the joint decode
+	// built: one turbo working set per block size, whichever door is used.
+	out, err := reqs[0].P.Decode(reqs[0].RX, reqs[0].N0, 1, 101, 4, 0, nil)
+	if err != nil || !bytes.Equal(out, wantPayload[0]) {
+		t.Fatalf("solo decode after the joint one: %v", err)
+	}
+	if len(ds.byK) != 1 {
+		t.Fatalf("%d decoders for one block size after a joint and a solo decode", len(ds.byK))
+	}
 }
 
 func TestJointDecoderValidation(t *testing.T) {
-	proc := func(o ProcOptions) *TransportProcessor {
-		p, err := NewTransportProcessorOpts(22, 25, o)
+	ds, err := NewDecoderSet(ProcOptions{Kernel: KernelInt16, Batch: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	proc := func(mcs MCS, nprb int) *TransportProcessor {
+		p, err := ds.NewProcessor(mcs, nprb)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	base := proc(ProcOptions{Kernel: KernelInt16})
-	jd, err := NewJointDecoder(base.seg.K, ParallelOptions{Workers: 1, Kernel: KernelInt16, Batch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jd.Close()
+	base := proc(22, 25)
+	jd := NewJointDecoder()
 	rx := make([]complex128, base.NumSymbols())
 	ok := DecodeRequest{P: base, RX: rx, N0: 1}
 
@@ -263,9 +269,9 @@ func TestJointDecoderValidation(t *testing.T) {
 		t.Fatalf("empty joint decode: %v", err)
 	}
 	for name, reqs := range map[string][]DecodeRequest{
-		"wrong K":            {{P: proc(ProcOptions{Kernel: KernelInt16}), RX: rx}, {P: mustProc(t, 28, 100, ProcOptions{Kernel: KernelInt16})}},
-		"staged front-end":   {{P: proc(ProcOptions{Kernel: KernelInt16, FrontEnd: FrontEndStaged}), RX: rx, N0: 1}},
-		"own fan-out":        {{P: proc(ProcOptions{Kernel: KernelInt16, Workers: 2}), RX: rx, N0: 1}},
+		"other shape":        {{P: proc(22, 25), RX: rx}, {P: proc(28, 100)}},
+		"staged front-end":   {{P: mustProc(t, 22, 25, ProcOptions{Kernel: KernelInt16, FrontEnd: FrontEndStaged}), RX: rx, N0: 1}},
+		"foreign set":        {ok, {P: mustProc(t, 22, 25, ProcOptions{Kernel: KernelInt16}), RX: rx, N0: 1}},
 		"duplicate":          {ok, ok},
 		"short rx":           {{P: base, RX: rx[:1], N0: 1}},
 		"bad rv":             {{P: base, RX: rx, N0: 1, RV: 9}},
@@ -287,10 +293,10 @@ func TestJointDecoderValidation(t *testing.T) {
 	if pd, err := NewParallelDecoderOpts(40, ParallelOptions{Kernel: KernelInt16, Batch: 8}); err != nil {
 		t.Fatal(err)
 	} else {
-		if _, err := pd.DecodeGroups(make([][]byte, 1), make([][]float32, 1), make([][]float32, 1), make([][]float32, 1), []int32{1}, make([]bool, 1), nil, nil); !errors.Is(err, ErrBadParameter) {
+		if _, err := pd.DecodeGroups(make([][]byte, 1), make([][]float32, 1), make([][]float32, 1), make([][]float32, 1), nil, []int32{1}, make([]bool, 1), nil, nil); !errors.Is(err, ErrBadParameter) {
 			t.Fatalf("out-of-range group tag accepted: %v", err)
 		}
-		if _, err := pd.DecodeGroups(nil, nil, nil, nil, nil, nil, nil, nil); !errors.Is(err, ErrBadParameter) {
+		if _, err := pd.DecodeGroups(nil, nil, nil, nil, nil, nil, nil, nil, nil); !errors.Is(err, ErrBadParameter) {
 			t.Fatalf("zero group slots accepted: %v", err)
 		}
 		pd.Close()

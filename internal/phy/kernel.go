@@ -3,24 +3,38 @@ package phy
 import "fmt"
 
 // DecodeKernel selects the arithmetic the turbo decoder's SISO inner loop
-// runs in. The kernel is a first-class knob through the whole stack: it is
-// fixed at decoder construction (buffers are sized per kernel), selected
-// per worker pool via dataplane.Config.DecodeKernel, and mirrored by the
-// cluster cost model so provisioning answers track the chosen kernel.
+// runs in. The kernel is fixed at decoder construction (buffers are sized
+// per kernel), selected per worker pool via dataplane.Config.DecodeKernel,
+// and mirrored by the cluster cost model so provisioning answers track the
+// chosen kernel.
 type DecodeKernel uint8
 
 const (
+	// KernelInt16 is the default (zero-value) kernel: LLRs scaled by a
+	// per-block power-of-two gain, saturated and quantized to Q6 int16 at
+	// ingest, fully unrolled 8-state butterflies, periodic metric
+	// renormalization, and — through BatchDecoderI16 — eight code blocks in
+	// lockstep per SISO pass (AVX2 on amd64, a bit-identical pure-Go
+	// fallback elsewhere). The ingest gain makes the quantization
+	// scale-invariant, so the kernel sits on the float32 kernel's BLER
+	// curve (measured parity, see turbo_i16.go) at a fraction of the cost.
+	KernelInt16 DecodeKernel = iota
 	// KernelFloat32 is the reference max-log-MAP kernel: float32 metrics,
-	// table-driven trellis recursions. It is the default and the accuracy
-	// oracle the quantized kernel is property-tested against.
-	KernelFloat32 DecodeKernel = iota
-	// KernelInt16 is the quantized fixed-point kernel: LLRs saturated and
-	// quantized to Q6 int16 at ingest, fully unrolled 8-state butterflies,
-	// periodic metric renormalization — the shape production LTE SISO
-	// decoders use to hit real-time on SIMD hardware. It trades ≲0.2 dB of
-	// BLER at the operating point for a substantially faster inner loop.
-	KernelInt16
+	// table-driven trellis recursions, one block at a time. It is the
+	// accuracy oracle the quantized kernel is tested against and runs only
+	// where a caller names it.
+	KernelFloat32
 )
+
+// Width returns the lockstep batch width a zero Batch option resolves to
+// for this kernel: 8 code blocks per SISO pass for KernelInt16, 1 (no
+// lockstep kernel exists) for KernelFloat32.
+func (k DecodeKernel) Width() int {
+	if k == KernelInt16 {
+		return 8
+	}
+	return 1
+}
 
 // String implements fmt.Stringer.
 func (k DecodeKernel) String() string {

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -79,6 +80,7 @@ func TestQuantizeLLR(t *testing.T) {
 		{1, i16One},
 		{-1, -i16One},
 		{0.5, i16One / 2},
+		{31.9, 2042}, // inside the ±32 range
 		{100, i16LLRSat},
 		{-100, -i16LLRSat},
 		{1e4, i16LLRSat}, // filler-bit pin saturates cleanly
@@ -90,6 +92,77 @@ func TestQuantizeLLR(t *testing.T) {
 		if got := quantizeLLR(c.in); got != c.want {
 			t.Errorf("quantizeLLR(%v) = %d, want %d", c.in, got, c.want)
 		}
+	}
+}
+
+// TestLLRGain pins the ingest gain's arithmetic: nothing at or below the
+// target, the power of two that lands the mean in (T/2, T] above it (exact
+// powers of two of the target included), and no gain from garbage.
+func TestLLRGain(t *testing.T) {
+	fill := func(n int, v float32) []float32 {
+		s := make([]float32, n)
+		for i := range s {
+			s[i] = v
+			if i%2 == 1 {
+				s[i] = -v
+			}
+		}
+		return s
+	}
+	const T = i16GainTarget
+	for _, c := range []struct {
+		mean, want float32
+	}{
+		{0, 1}, {3, 1}, {T, 1},
+		{T * 1.01, 0.5}, {2 * T, 0.5},
+		{2*T + 1, 0.25}, {4 * T, 0.25}, {200, 1.0 / 16},
+	} {
+		if got := llrGain(fill(44, c.mean), fill(44, c.mean), fill(44, c.mean)); got != c.want {
+			t.Errorf("mean |LLR| %v: gain %v, want %v", c.mean, got, c.want)
+		}
+	}
+	if got := llrGain(fill(44, float32(math.NaN())), fill(44, 3), fill(44, 3)); got != 1 {
+		t.Errorf("NaN input: gain %v, want 1", got)
+	}
+	if got := llrGain(nil, nil, nil); got != 1 {
+		t.Errorf("empty block: gain %v, want 1", got)
+	}
+}
+
+// TestIngestKnownBits checks what the ingest does with a block's known
+// leading bits: whatever the caller stored there, they quantize to the
+// saturation point and take no part in the gain — 20 pins of 1e4 ahead of
+// a quiet block would otherwise read as a mean of 1500.
+func TestIngestKnownBits(t *testing.T) {
+	const k, known = 40, 20
+	ingest := func(pin float32, kn int) (ls1 []int16) {
+		s := [3][]float32{make([]float32, k+4), make([]float32, k+4), make([]float32, k+4)}
+		for i := 0; i < k+4; i++ {
+			s[0][i], s[1][i], s[2][i] = 3, -3, 3
+		}
+		for i := 0; i < known; i++ {
+			s[0][i] = pin
+		}
+		ls1 = make([]int16, k+3)
+		lp1, ls2, lp2 := make([]int16, k+3), make([]int16, k+3), make([]int16, k+3)
+		ingestI16(ls1, lp1, ls2, lp2, 1, 0, k, s[0], s[1], s[2], kn)
+		return ls1
+	}
+	for _, pin := range []float32{fillerLLR, 5, -7, 0} {
+		ls1 := ingest(pin, known)
+		for i := 0; i < k; i++ {
+			want := int16(3 * i16One) // gain 1: the observations average 3
+			if i < known {
+				want = i16LLRSat
+			}
+			if ls1[i] != want {
+				t.Fatalf("pin %v: ls1[%d] = %d, want %d", pin, i, ls1[i], want)
+			}
+		}
+	}
+	// Not told about them, the ingest takes the pins for observations.
+	if ls1 := ingest(fillerLLR, 0); ls1[known] == 3*i16One {
+		t.Fatal("undeclared pins left the gain at 1")
 	}
 }
 
@@ -196,9 +269,26 @@ func TestTurboI16DecodeNoAlloc(t *testing.T) {
 	}
 }
 
-// measureKernelBLER is measureBLER with an explicit kernel (the float32
-// helper in bler_test.go predates the kernel layer and stays as-is).
-func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials int, seed int64, kernel DecodeKernel) float64 {
+// kernelBLER is one kernel's outcome over a seeded sequence of transport
+// blocks: per-block failure and turbo iteration count.
+type kernelBLER struct {
+	failed []bool
+	iters  []int
+}
+
+func (r kernelBLER) bler() float64 {
+	n := 0
+	for _, f := range r.failed {
+		if f {
+			n++
+		}
+	}
+	return float64(n) / float64(len(r.failed))
+}
+
+// measureKernelBLER is measureBLER with an explicit kernel and per-block
+// outcomes; the same seed gives every kernel the same payloads and noise.
+func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials int, seed int64, kernel DecodeKernel) kernelBLER {
 	t.Helper()
 	proc, err := NewTransportProcessorKernel(mcs, nprb, 1, kernel)
 	if err != nil {
@@ -206,7 +296,7 @@ func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials in
 	}
 	rng := rand.New(rand.NewSource(seed))
 	ch := NewAWGNChannel(snrDB, seed+1)
-	errsN := 0
+	res := kernelBLER{failed: make([]bool, trials), iters: make([]int, trials)}
 	rx := make([]complex128, proc.NumSymbols())
 	for i := 0; i < trials; i++ {
 		payload := randBits(rng, proc.TransportBlockSize())
@@ -220,31 +310,90 @@ func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials in
 			if !errors.Is(err, ErrCRC) {
 				t.Fatal(err)
 			}
-			errsN++
+			res.failed[i] = true
 		}
+		res.iters[i] = proc.Timings.TurboIterations
 	}
-	return float64(errsN) / float64(trials)
+	return res
 }
 
-// TestTurboI16BLERParity enforces the ≤0.2 dB acceptance criterion in the
-// steepest part of the waterfall (op+0.5 dB at 6 PRB, where the BLER moves
-// fastest per dB and a quantization penalty would be most visible): the
-// int16 kernel there must perform at least as well as the float32 kernel
-// 0.2 dB further down the cliff, under identical channel seeds.
+// TestTurboI16BLERParity holds the int16 kernel to the float32 curve in
+// the steepest part of the waterfall (op+0.5 dB at 6 PRB, where the BLER
+// moves fastest per dB and a quantization penalty would be most visible),
+// under identical payloads and channel noise. Mid-waterfall about one block
+// in ten decodes under one kernel only, either way round, so the test is on
+// the asymmetry of those discordant blocks: a kernel that is systematically
+// worse loses many more than it wins. At 6 PRB these blocks' mean |LLR| is
+// below the ingest-gain threshold, so this is the un-scaled quantizer;
+// TestI16BLERParityHighSNR covers the scaled one.
 func TestTurboI16BLERParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("BLER measurement in -short mode")
 	}
 	const nprb = 6
-	const trials = 60
+	const trials = 150
 	for _, mcs := range []MCS{4, 13, 22} {
 		snr := mcs.OperatingSNR() + 0.5
-		bi := measureKernelBLER(t, mcs, nprb, snr, trials, 400+int64(mcs), KernelInt16)
-		bref := measureKernelBLER(t, mcs, nprb, snr-0.2, trials, 400+int64(mcs), KernelFloat32)
-		t.Logf("MCS %d @ %.2f dB: int16 BLER %.3f, float32@-0.2dB BLER %.3f", mcs, snr, bi, bref)
-		// Two-trial slack absorbs binomial noise at these sample sizes.
-		if bi > bref+2.0/trials+1e-9 {
-			t.Errorf("MCS %d: int16 BLER %.3f worse than float32 0.2 dB down (%.3f)", mcs, bi, bref)
+		ri := measureKernelBLER(t, mcs, nprb, snr, trials, 400+int64(mcs), KernelInt16)
+		rf := measureKernelBLER(t, mcs, nprb, snr, trials, 400+int64(mcs), KernelFloat32)
+		onlyI, onlyF := 0, 0
+		for i := range ri.failed {
+			switch {
+			case ri.failed[i] && !rf.failed[i]:
+				onlyI++
+			case rf.failed[i] && !ri.failed[i]:
+				onlyF++
+			}
+		}
+		t.Logf("MCS %d @ %.2f dB: int16 BLER %.3f, float32 BLER %.3f; %d blocks fail int16 only, %d float32 only",
+			mcs, snr, ri.bler(), rf.bler(), onlyI, onlyF)
+		// Under parity the difference of the two counts has variance
+		// onlyI+onlyF; three standard deviations is the alarm.
+		if d := float64(onlyI - onlyF); d > 3*math.Sqrt(float64(onlyI+onlyF)) {
+			t.Errorf("MCS %d: %d blocks fail under int16 only against %d under float32 only", mcs, onlyI, onlyF)
+		}
+	}
+}
+
+// TestI16BLERParityHighSNR is the fidelity contract of the default kernel
+// where a fixed-point ingest is most exposed: MCS 28 at 25 PRB, 3 and 4 dB
+// above the operating point, where 64-QAM LLRs average 50–65 — three to four
+// times the old ±16 saturation, which cost 0.07 BLER here before the
+// per-block gain. Over 300 seeded transport blocks per point the int16
+// lockstep path must stay within 0.01 BLER of the float32 oracle, and
+// within 3 % of its mean iteration count on the blocks both decode (a
+// failed transport block stops early on the scalar float32 path and runs
+// every lane to the cap in lockstep, so failures are not comparable).
+func TestI16BLERParityHighSNR(t *testing.T) {
+	if testing.Short() {
+		t.Skip("BLER measurement in -short mode")
+	}
+	const (
+		mcs    = MCS(28)
+		nprb   = 25
+		trials = 300
+	)
+	for _, margin := range []float64{3, 4} {
+		snr := mcs.OperatingSNR() + margin
+		seed := 2800 + int64(margin)
+		ri := measureKernelBLER(t, mcs, nprb, snr, trials, seed, KernelInt16)
+		rf := measureKernelBLER(t, mcs, nprb, snr, trials, seed, KernelFloat32)
+		var itI, itF, both int
+		for i := range ri.failed {
+			if !ri.failed[i] && !rf.failed[i] {
+				itI += ri.iters[i]
+				itF += rf.iters[i]
+				both++
+			}
+		}
+		meanI, meanF := float64(itI)/float64(both), float64(itF)/float64(both)
+		t.Logf("op+%.0f dB: BLER int16 %.3f float32 %.3f; iterations on %d common successes int16 %.2f float32 %.2f",
+			margin, ri.bler(), rf.bler(), both, meanI, meanF)
+		if ri.bler() > rf.bler()+0.01+1e-9 {
+			t.Errorf("op+%.0f dB: int16 BLER %.3f more than 0.01 above float32 %.3f", margin, ri.bler(), rf.bler())
+		}
+		if meanI > 1.03*meanF || meanI < 0.97*meanF {
+			t.Errorf("op+%.0f dB: int16 mean iterations %.2f not within 3%% of float32 %.2f", margin, meanI, meanF)
 		}
 	}
 }

@@ -17,9 +17,10 @@ import (
 // Ownership/concurrency contract: a ParallelDecoder is owned by exactly one
 // goroutine at a time, the one calling Decode — like TurboDecoder, it is NOT
 // safe for concurrent Decode calls. Internally it keeps workers-1 resident
-// helper goroutines, each owning a private TurboDecoder (with its own
-// preallocated metric buffers) and, when batching is enabled, a private
-// BatchDecoderI16, parked on a wake channel between calls. The calling
+// helper goroutines parked on a wake channel between calls; every worker
+// owns a private TurboDecoder and, when batching is enabled, a private
+// BatchDecoderI16, each with its preallocated metric buffers, built at
+// construction (DecoderSet is what defers it to a first decode). The calling
 // goroutine participates as worker 0, so workers=1 spawns no goroutines and
 // adds no synchronization to the serial path. During a call, block indices
 // are claimed through an atomic counter (lock-free, no per-subframe
@@ -56,6 +57,7 @@ type ParallelDecoder struct {
 	// the atomics and the distinct blocks each claim writes.
 	blocks        [][]byte
 	ld0, ld1, ld2 [][]float32
+	known         []int   // nil = no block has known leading bits
 	groups        []int32 // nil = all blocks in group 0
 	check         func([]byte) bool
 	prepare       func(int)
@@ -66,7 +68,7 @@ type ParallelDecoder struct {
 	gIters        []atomic.Int64 // per-group iteration totals
 	wg            sync.WaitGroup
 
-	failed1 [1]bool // scratch for the single-group entry points
+	failed1 [1]bool // Decode's one group slot
 }
 
 // pdWorker is one worker's private state: its scalar decoder, its optional
@@ -80,38 +82,65 @@ type pdWorker struct {
 	idx        []int // claim scratch: lane → block index
 	blk        [][]byte
 	l0, l1, l2 [][]float32
+	kn         []int          // lane → known leading bits
 	drop       func(int) bool // bound dropLane, allocated once
 }
 
 // ParallelOptions bundles the ParallelDecoder construction knobs. The zero
-// value (with a valid kernel) is a serial scalar decoder.
+// value is the default decode path: one worker, the int16 kernel, width-8
+// lockstep.
 type ParallelOptions struct {
 	// Workers is the decode parallelism including the caller. 0 is treated
 	// as 1 (no helper goroutines).
 	Workers int
 	// Kernel selects the per-worker turbo SISO arithmetic.
 	Kernel DecodeKernel
-	// Batch, when ≥ 2, gives every worker a BatchDecoderI16 of that width:
-	// a worker claims Batch block indices at a time and decodes the claimed
-	// span in lockstep through one SISO pipeline (single leftover blocks
-	// fall back to the scalar decoder, which is faster than a one-lane
-	// batch). Requires KernelInt16 — the lockstep kernel is bit-identical
-	// to the scalar int16 kernel, so outputs do not change. 0 or 1 disables
-	// batching.
+	// Batch is the lockstep width: a worker claims Batch block indices at
+	// a time and decodes the claimed span through one BatchDecoderI16 SISO
+	// pipeline (single leftover blocks fall back to the scalar decoder,
+	// which is faster than a one-lane batch). 0 means the kernel's width
+	// (DecodeKernel.Width: 8 for KernelInt16, 1 for KernelFloat32); 1 is
+	// scalar per-block decode, the oracle the lockstep kernel is
+	// bit-identical to. Widths above 1 require KernelInt16.
 	Batch int
 }
 
+// resolve validates the options and replaces zero values by what they
+// stand for.
+func (o ParallelOptions) resolve() (ParallelOptions, error) {
+	if err := o.Kernel.Validate(); err != nil {
+		return o, err
+	}
+	if o.Workers == 0 {
+		o.Workers = 1
+	}
+	if o.Workers < 1 {
+		return o, fmt.Errorf("phy: %d parallel decode workers: %w", o.Workers, ErrBadParameter)
+	}
+	if o.Batch == 0 {
+		o.Batch = o.Kernel.Width()
+	}
+	if o.Batch < 1 || o.Batch > maxBatchWidth {
+		return o, fmt.Errorf("phy: batch width %d (want 1..%d): %w", o.Batch, maxBatchWidth, ErrBadParameter)
+	}
+	if o.Batch > 1 && o.Kernel != KernelInt16 {
+		return o, fmt.Errorf("phy: batched decode requires the int16 kernel, have %v: %w", o.Kernel, ErrBadParameter)
+	}
+	return o, nil
+}
+
 // NewParallelDecoder returns a decoder pool for turbo block size k with the
-// given parallelism (≥ 1), using the default float32 kernel. workers-1
-// resident helper goroutines are started; call Close to release them.
+// given parallelism (≥ 1) on the default kernel and lockstep width.
+// workers-1 resident helper goroutines are started; call Close to release
+// them.
 func NewParallelDecoder(k, workers int) (*ParallelDecoder, error) {
-	return NewParallelDecoderKernel(k, workers, KernelFloat32)
+	return NewParallelDecoderKernel(k, workers, KernelInt16)
 }
 
 // NewParallelDecoderKernel is NewParallelDecoder with an explicit SISO
-// kernel. Every per-worker TurboDecoder runs the same kernel; each owns its
-// private (per-kernel) working buffers, so kernel state is worker-resident
-// and never shared.
+// kernel (at that kernel's lockstep width). Every per-worker decoder runs
+// the same kernel; each owns its private working buffers, so kernel state
+// is worker-resident and never shared.
 func NewParallelDecoderKernel(k, workers int, kernel DecodeKernel) (*ParallelDecoder, error) {
 	if workers < 1 {
 		// The explicit-workers constructors reject 0; only ParallelOptions
@@ -124,31 +153,18 @@ func NewParallelDecoderKernel(k, workers int, kernel DecodeKernel) (*ParallelDec
 // NewParallelDecoderOpts builds a decoder pool with explicit options; the
 // other constructors are shorthands for common combinations.
 func NewParallelDecoderOpts(k int, o ParallelOptions) (*ParallelDecoder, error) {
-	workers := o.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("phy: %d parallel decode workers: %w", workers, ErrBadParameter)
-	}
-	batch := o.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	if batch < 1 {
-		return nil, fmt.Errorf("phy: batch width %d: %w", batch, ErrBadParameter)
-	}
-	if batch > 1 && o.Kernel != KernelInt16 {
-		return nil, fmt.Errorf("phy: batched decode requires the int16 kernel, have %v: %w", o.Kernel, ErrBadParameter)
+	o, err := o.resolve()
+	if err != nil {
+		return nil, err
 	}
 	pd := &ParallelDecoder{
-		workers: workers,
-		batch:   batch,
+		workers: o.Workers,
+		batch:   o.Batch,
 		wake:    make(chan struct{}),
 		gAbort:  make([]atomic.Bool, 1),
 		gIters:  make([]atomic.Int64, 1),
 	}
-	pd.ws = make([]pdWorker, workers)
+	pd.ws = make([]pdWorker, o.Workers)
 	for i := range pd.ws {
 		w := &pd.ws[i]
 		w.pd = pd
@@ -157,21 +173,22 @@ func NewParallelDecoderOpts(k int, o ParallelOptions) (*ParallelDecoder, error) 
 			return nil, err
 		}
 		w.dec = dec
-		if batch > 1 {
-			bd, err := NewBatchDecoderI16(k, batch)
+		if o.Batch > 1 {
+			bd, err := NewBatchDecoderI16(k, o.Batch)
 			if err != nil {
 				return nil, err
 			}
 			w.bd = bd
-			w.blk = make([][]byte, batch)
-			w.l0 = make([][]float32, batch)
-			w.l1 = make([][]float32, batch)
-			w.l2 = make([][]float32, batch)
+			w.kn = make([]int, o.Batch)
+			w.blk = make([][]byte, o.Batch)
+			w.l0 = make([][]float32, o.Batch)
+			w.l1 = make([][]float32, o.Batch)
+			w.l2 = make([][]float32, o.Batch)
 			w.drop = w.dropLane // bound once: installing per call allocates nothing
 		}
-		w.idx = make([]int, batch)
+		w.idx = make([]int, o.Batch)
 	}
-	for i := 1; i < workers; i++ {
+	for i := 1; i < o.Workers; i++ {
 		go pd.helper(&pd.ws[i])
 	}
 	return pd, nil
@@ -217,31 +234,28 @@ func (pd *ParallelDecoder) K() int { return pd.ws[0].dec.K() }
 // decoded block failed check. Successful output is bit-identical to
 // decoding the blocks serially with one TurboDecoder, because each block's
 // decode depends only on its own streams.
-func (pd *ParallelDecoder) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, check func([]byte) bool) (int, bool, error) {
-	return pd.DecodePrepared(blocks, ld0, ld1, ld2, check, nil)
-}
-
-// DecodePrepared is Decode with a per-block preparation hook: when prepare
-// is non-nil, the worker that claims block i calls prepare(i) immediately
-// before turbo-decoding it. This is how the fused decode front-end overlaps
-// with turbo decoding — block i+1's demod/descramble/dematch runs on one
-// worker while block i decodes on another, instead of all front-end work
-// serializing on the caller.
 //
-// prepare must follow the block-ownership rule: it may read state the owner
-// published before the call (the wake-channel send is the happens-before
-// edge) but may write only block i's private data — in the fused front-end,
-// the block's soft streams ld0[i]/ld1[i]/ld2[i]. It must not fail; any
-// validation belongs on the owner before the call. prepare runs for every
-// block even when a CRC failure aborts the decode fan-out, because its side
-// effects are HARQ soft state that must match the staged pipeline's (see
-// claimBlocks).
-func (pd *ParallelDecoder) DecodePrepared(blocks [][]byte, ld0, ld1, ld2 [][]float32, check func([]byte) bool, prepare func(int)) (int, bool, error) {
-	iters, err := pd.DecodeGroups(blocks, ld0, ld1, ld2, nil, pd.failed1[:], check, prepare)
-	if err != nil {
-		return iters, false, err
-	}
-	return iters, !pd.failed1[0], nil
+// known, when non-nil, gives for each block the number of leading
+// systematic values that are LTE filler — known zeros the caller (or
+// prepare) pins to fillerLLR — which the int16 kernel keeps out of the
+// block's ingest gain (see ingestI16).
+//
+// prepare, when non-nil, is a per-block preparation hook: the worker that
+// claims block i calls prepare(i) immediately before turbo-decoding it.
+// This is how the fused decode front-end overlaps with turbo decoding —
+// block i+1's demod/descramble/dematch runs on one worker while block i
+// decodes on another, instead of all front-end work serializing on the
+// caller. prepare must follow the block-ownership rule: it may read state
+// the owner published before the call (the wake-channel send is the
+// happens-before edge) but may write only block i's private data — in the
+// fused front-end, the block's soft streams ld0[i]/ld1[i]/ld2[i]. It must
+// not fail; any validation belongs on the owner before the call. prepare
+// runs for every block even when a CRC failure aborts the decode fan-out,
+// because its side effects are HARQ soft state that must match the staged
+// pipeline's (see claimBlocks).
+func (pd *ParallelDecoder) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, known []int, check func([]byte) bool, prepare func(int)) (int, bool, error) {
+	iters, err := pd.DecodeGroups(blocks, ld0, ld1, ld2, known, nil, pd.failed1[:], check, prepare)
+	return iters, err == nil && !pd.failed1[0], err
 }
 
 // DecodeGroups is the joint entry point: it decodes blocks belonging to
@@ -251,12 +265,12 @@ func (pd *ParallelDecoder) DecodePrepared(blocks [][]byte, ld0, ld1, ld2 [][]flo
 // return failed[g] reports whether any block of group g missed its check. A
 // failure aborts only the remaining blocks of that group — other groups
 // keep decoding — which is what makes cross-transport-block batching safe:
-// one UE's bad channel cannot starve another's decode. check and prepare
-// are as in DecodePrepared; prepare still runs for every block of aborted
+// one UE's bad channel cannot starve another's decode. known, check and
+// prepare are as in Decode; prepare still runs for every block of aborted
 // groups (HARQ soft state). The returned total iteration count sums all
 // groups; per-group totals are available from GroupIters until the next
 // decode call. Like Decode, only the owning goroutine may call this.
-func (pd *ParallelDecoder) DecodeGroups(blocks [][]byte, ld0, ld1, ld2 [][]float32, groups []int32, failed []bool, check func([]byte) bool, prepare func(int)) (int, error) {
+func (pd *ParallelDecoder) DecodeGroups(blocks [][]byte, ld0, ld1, ld2 [][]float32, known []int, groups []int32, failed []bool, check func([]byte) bool, prepare func(int)) (int, error) {
 	if pd.closed {
 		return 0, fmt.Errorf("phy: parallel decoder is closed: %w", ErrBadParameter)
 	}
@@ -264,6 +278,9 @@ func (pd *ParallelDecoder) DecodeGroups(blocks [][]byte, ld0, ld1, ld2 [][]float
 	if len(ld0) != c || len(ld1) != c || len(ld2) != c {
 		return 0, fmt.Errorf("phy: %d blocks but %d/%d/%d LLR streams: %w",
 			c, len(ld0), len(ld1), len(ld2), ErrBadParameter)
+	}
+	if known != nil && len(known) != c {
+		return 0, fmt.Errorf("phy: %d blocks but %d known-bit counts: %w", c, len(known), ErrBadParameter)
 	}
 	ng := len(failed)
 	if ng < 1 {
@@ -293,7 +310,7 @@ func (pd *ParallelDecoder) DecodeGroups(blocks [][]byte, ld0, ld1, ld2 [][]float
 		pd.gAbort[g].Store(false)
 		pd.gIters[g].Store(0)
 	}
-	pd.blocks, pd.ld0, pd.ld1, pd.ld2 = blocks, ld0, ld1, ld2
+	pd.blocks, pd.ld0, pd.ld1, pd.ld2, pd.known = blocks, ld0, ld1, ld2, known
 	pd.groups, pd.check, pd.prepare, pd.ng = groups, check, prepare, ng
 	pd.next.Store(0)
 	pd.iters.Store(0)
@@ -309,7 +326,7 @@ func (pd *ParallelDecoder) DecodeGroups(blocks [][]byte, ld0, ld1, ld2 [][]float
 	for g := 0; g < ng; g++ {
 		failed[g] = pd.gAbort[g].Load()
 	}
-	pd.blocks, pd.ld0, pd.ld1, pd.ld2 = nil, nil, nil, nil
+	pd.blocks, pd.ld0, pd.ld1, pd.ld2, pd.known = nil, nil, nil, nil, nil
 	pd.groups, pd.check, pd.prepare = nil, nil, nil
 	return int(pd.iters.Load()), err
 }
@@ -324,6 +341,14 @@ func (pd *ParallelDecoder) group(i int) int {
 		return 0
 	}
 	return int(pd.groups[i])
+}
+
+// knownBits returns block i's count of known leading systematic bits.
+func (pd *ParallelDecoder) knownBits(i int) int {
+	if pd.known == nil {
+		return 0
+	}
+	return pd.known[i]
 }
 
 // abortAll marks every group aborted (decode-error path).
@@ -400,7 +425,7 @@ func (pd *ParallelDecoder) claimBlocks(w *pdWorker) error {
 		}
 		for j := 0; j < n; j++ {
 			i := w.idx[j]
-			iters, err := w.dec.Decode(pd.blocks[i], pd.ld0[i], pd.ld1[i], pd.ld2[i])
+			iters, err := w.dec.decode(pd.blocks[i], pd.ld0[i], pd.ld1[i], pd.ld2[i], pd.knownBits(i))
 			if err != nil {
 				pd.abortAll()
 				return err
@@ -423,8 +448,9 @@ func (w *pdWorker) decodeBatch(n int) error {
 	for j := 0; j < n; j++ {
 		i := w.idx[j]
 		w.blk[j], w.l0[j], w.l1[j], w.l2[j] = pd.blocks[i], pd.ld0[i], pd.ld1[i], pd.ld2[i]
+		w.kn[j] = pd.knownBits(i)
 	}
-	iters, failedMask, err := w.bd.Decode(w.blk[:n], w.l0[:n], w.l1[:n], w.l2[:n], pd.check, w.drop)
+	iters, failedMask, err := w.bd.Decode(w.blk[:n], w.l0[:n], w.l1[:n], w.l2[:n], w.kn[:n], pd.check, w.drop)
 	for j := 0; j < n; j++ {
 		w.blk[j], w.l0[j], w.l1[j], w.l2[j] = nil, nil, nil, nil
 	}

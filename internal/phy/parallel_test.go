@@ -226,7 +226,7 @@ func TestParallelDecoderLifecycle(t *testing.T) {
 	if pd.Workers() != 3 || pd.K() != 40 {
 		t.Fatalf("Workers=%d K=%d", pd.Workers(), pd.K())
 	}
-	if _, _, err := pd.Decode(make([][]byte, 2), nil, nil, nil, nil); err == nil {
+	if _, _, err := pd.Decode(make([][]byte, 2), nil, nil, nil, nil, nil, nil); err == nil {
 		t.Fatal("mismatched stream shapes accepted")
 	}
 	if err := pd.Close(); err != nil {
@@ -235,7 +235,7 @@ func TestParallelDecoderLifecycle(t *testing.T) {
 	if err := pd.Close(); err != nil {
 		t.Fatal(err) // double Close is safe
 	}
-	if _, _, err := pd.Decode(nil, nil, nil, nil, nil); err == nil {
+	if _, _, err := pd.Decode(nil, nil, nil, nil, nil, nil, nil); err == nil {
 		t.Fatal("Decode after Close accepted")
 	}
 	if _, err := NewParallelDecoder(40, 0); err == nil {

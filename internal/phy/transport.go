@@ -16,38 +16,47 @@ import (
 //	decode: LLR demodulate → descramble → soft de-rate-match (with HARQ
 //	        combining) → turbo decode (CRC early stop) → desegment → TB CRC
 //
-// All buffers are allocated at construction, sized for the configuration,
-// and reused, so per-subframe processing performs no heap allocation — the
-// property that keeps Go's GC out of the PHY deadline path (DESIGN.md §2).
+// All bit-chain buffers are allocated at construction, sized for the
+// configuration, and reused, so per-subframe processing performs no heap
+// allocation — the property that keeps Go's GC out of the PHY deadline path
+// (DESIGN.md §2). The turbo decoders are the exception: they belong to the
+// processor's DecoderSet, are keyed by the turbo block size K rather than by
+// (MCS, PRB) shape, and are built by the first Decode that needs them, so a
+// processor that only encodes (the RRH emulator, the downlink path) or only
+// sizes buffers never carries a turbo working set, and processors built
+// from one set (DecoderSet.NewProcessor) share theirs.
+//
 // A TransportProcessor is not safe for concurrent use; the data plane keeps
-// one per (worker, configuration) via a pool. Construction with
-// NewTransportProcessorWorkers additionally fans the turbo stage of Decode
-// across a resident ParallelDecoder; that internal fan-out does not change
-// the external contract (one owning goroutine per processor), but a
-// processor with workers > 1 must be Closed to release its helper
-// goroutines. See docs/concurrency.md for the end-to-end threading model.
+// one per (worker, configuration). With decode workers > 1 the turbo stage
+// of Decode fans out across the set's resident ParallelDecoder helpers;
+// that internal fan-out does not change the external contract (one owning
+// goroutine per processor), but such a processor must be Closed to release
+// the helper goroutines. See docs/concurrency.md for the end-to-end
+// threading model.
 type TransportProcessor struct {
 	mcs      MCS
 	nprb     int
 	tbs      int // payload bits
 	e        int // total coded bits
 	seg      Segmentation
-	kernel   DecodeKernel
 	frontEnd FrontEnd
 
-	enc *TurboEncoder
-	dec *TurboDecoder
-	par *ParallelDecoder // non-nil when decode parallelism > 1
-	rm  *RateMatcher
-	scr *Scrambler
+	enc     *TurboEncoder
+	decs    *DecoderSet // turbo decoders by K; private unless built by DecoderSet.NewProcessor
+	ownDecs bool
+	maxIter int // turbo iteration bound applied to the decoder per Decode (0 = default)
+	rm      *RateMatcher
+	scr     *Scrambler
 
 	blockOff []int // starting coded-bit offset of each code block
+	known    []int // per code block, the leading filler bits: {F, 0, 0, …}
 
 	// Fused front-end per-call state. The owner writes these before the
 	// per-block front-ends run; under the parallel overlap the wake-channel
-	// send inside ParallelDecoder.DecodePrepared publishes them to the
+	// send inside ParallelDecoder.Decode publishes them to the
 	// helpers, which treat them as read-only (see frontEndBlock).
 	feFn    func(int) // p.frontEndBlock, bound once so installing it never allocates
+	feTimed func(int) // p.frontEndBlockTimed, likewise
 	feRX    []complex128
 	feKey   []uint32
 	feSB    *SoftBuffer
@@ -65,7 +74,6 @@ type TransportProcessor struct {
 	symbols  []complex128 // modulated symbols
 	llr      []float32    // demodulated LLRs (E)
 	softBuf  *SoftBuffer  // default soft buffer when the caller passes nil
-	decBlock []byte       // decoded block bits (K)
 	blocks   [][]byte     // per-block decoded bit slices
 	blockbk  []byte       // backing array for blocks
 	joined   []byte       // reassembled B bits
@@ -85,10 +93,12 @@ type StageTimings struct {
 	Dematch     time.Duration // soft de-rate-matching (staged front-end)
 	// FrontEnd is the fused single-pass demod+descramble+dematch time; it
 	// replaces the three staged fields above when the processor runs
-	// FrontEndFused serially. Under the parallel overlap (fused + decode
-	// workers > 1) per-block front-ends interleave with turbo decoding
-	// across workers, so their time is not separable: it is folded into
-	// TurboDecode and FrontEnd reads 0.
+	// FrontEndFused. The per-block front-ends run as the decoder's prepare
+	// hook; with one decode worker the hook runs on the calling goroutine,
+	// where it is timed block by block and subtracted from the decode
+	// region. Only under the parallel overlap (decode workers > 1), where
+	// front-ends interleave with turbo decoding across workers and are not
+	// separable, is the time folded into TurboDecode and FrontEnd reads 0.
 	FrontEnd    time.Duration
 	TurboDecode time.Duration
 	CRCCheck    time.Duration // desegmentation + CRC verification
@@ -115,6 +125,22 @@ type SoftBuffer struct {
 // segmentation.
 func (p *TransportProcessor) NewSoftBuffer() *SoftBuffer {
 	return newSoftBuffer(p.seg.C, p.seg.K+4)
+}
+
+// NewSoftBuffer allocates a soft buffer for the transport blocks of the
+// given configuration — C code blocks of three K+4 streams, from the
+// segmentation alone — for callers (the HARQ manager) that hold soft state
+// without ever owning a processor.
+func NewSoftBuffer(mcs MCS, nprb int) (*SoftBuffer, error) {
+	tbs, err := mcs.TransportBlockSize(nprb)
+	if err != nil {
+		return nil, err
+	}
+	seg, err := Segment(tbs + 24)
+	if err != nil {
+		return nil, err
+	}
+	return newSoftBuffer(seg.C, seg.K+4), nil
 }
 
 func newSoftBuffer(c, d int) *SoftBuffer {
@@ -176,53 +202,56 @@ func (sb *SoftBuffer) Unmarshal(src []byte) (int, error) {
 	return need, nil
 }
 
-// NewTransportProcessor builds a serial processor for the given MCS and PRB
-// count (equivalent to NewTransportProcessorWorkers with workers=1).
+// NewTransportProcessor builds a processor for the given MCS and PRB count
+// with the default options (equivalent to NewTransportProcessorWorkers with
+// workers=1).
 func NewTransportProcessor(mcs MCS, nprb int) (*TransportProcessor, error) {
 	return NewTransportProcessorWorkers(mcs, nprb, 1)
 }
 
 // NewTransportProcessorWorkers builds a processor whose Decode fans the
 // transport block's code blocks across workers turbo decoders (the callers
-// goroutine counts as one). workers=1 is the fully serial processor;
-// workers > 1 keeps resident helper goroutines that Close releases. The
-// decoded output is bit-identical across worker counts.
+// goroutine counts as one), on the default kernel. workers=1 runs entirely
+// on the caller; workers > 1 keeps resident helper goroutines that Close
+// releases. The decoded output is bit-identical across worker counts.
 func NewTransportProcessorWorkers(mcs MCS, nprb, workers int) (*TransportProcessor, error) {
-	return NewTransportProcessorKernel(mcs, nprb, workers, KernelFloat32)
+	return NewTransportProcessorKernel(mcs, nprb, workers, KernelInt16)
 }
 
 // NewTransportProcessorKernel is NewTransportProcessorWorkers with an
-// explicit turbo SISO kernel; every decoder the processor owns (serial or
-// per-worker) runs that kernel. HARQ soft buffers remain float32 regardless
-// of kernel — quantization happens at the turbo decoder's ingest — so the
-// soft-combining wire format is kernel-independent.
+// explicit turbo SISO kernel (at that kernel's lockstep width); every
+// decoder the processor uses runs that kernel. HARQ soft buffers remain
+// float32 regardless of kernel — quantization happens at the turbo
+// decoder's ingest — so the soft-combining wire format is
+// kernel-independent.
 func NewTransportProcessorKernel(mcs MCS, nprb, workers int, kernel DecodeKernel) (*TransportProcessor, error) {
 	if workers < 1 {
 		// The explicit-workers constructors reject 0; only ProcOptions
-		// treats the zero value as "serial".
+		// treats the zero value as "one worker".
 		return nil, fmt.Errorf("phy: %d decode workers: %w", workers, ErrBadParameter)
 	}
 	return NewTransportProcessorOpts(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel})
 }
 
 // ProcOptions bundles the TransportProcessor construction knobs. The zero
-// value is the default configuration: serial decode, float32 turbo kernel,
-// fused front-end.
+// value is the default — and fastest — configuration: one decode worker,
+// the int16 kernel at lockstep width 8, the fused vector front-end. The
+// reference paths (KernelFloat32, Batch: 1, FrontEndStaged,
+// NoVectorFrontEnd) run only where a caller names them.
 type ProcOptions struct {
 	// Workers is the decode parallelism (code-block fan-out). 0 is treated
-	// as 1 (fully serial); values > 1 keep resident helper goroutines that
-	// Close releases.
+	// as 1 (everything on the caller); values > 1 keep resident helper
+	// goroutines that Close releases.
 	Workers int
 	// Kernel selects the turbo SISO arithmetic.
 	Kernel DecodeKernel
 	// FrontEnd selects the fused single-pass or staged three-sweep decode
 	// front-end. Outputs are bit-identical either way.
 	FrontEnd FrontEnd
-	// Batch, when ≥ 2, decodes a transport block's code blocks through
-	// width-Batch lockstep batch decoders instead of one scalar decode per
-	// block (see ParallelOptions.Batch; requires KernelInt16, output is
-	// bit-identical). It composes with Workers: each worker claims Batch
-	// blocks at a time. 0 or 1 keeps the scalar per-block path.
+	// Batch is the lockstep decode width (see ParallelOptions.Batch): 0
+	// means the kernel's width (8 for KernelInt16, 1 for KernelFloat32), 1
+	// is scalar per-block decode; output is bit-identical across widths. It
+	// composes with Workers: each worker claims Batch blocks at a time.
 	Batch int
 	// NoVectorFrontEnd forces the fused front-end's pure-Go tile kernels
 	// even where the AVX2 path is available (FrontEndAVX2). Outputs are
@@ -232,23 +261,77 @@ type ProcOptions struct {
 	NoVectorFrontEnd bool
 }
 
-// NewTransportProcessorOpts builds a processor with explicit options; the
-// other constructors are shorthands for common combinations.
-func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProcessor, error) {
-	workers := o.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers < 1 {
-		return nil, fmt.Errorf("phy: %d decode workers: %w", workers, ErrBadParameter)
-	}
-	kernel := o.Kernel
-	if err := kernel.Validate(); err != nil {
-		return nil, err
-	}
+// DecoderSet is one goroutine's family of turbo decoders, keyed by turbo
+// block size K (at most 188 values) and built on first use. Every processor
+// created through NewProcessor decodes with the set's decoders, so a data-
+// plane worker caching hundreds of (MCS, PRB) shapes holds one scalar and
+// one lockstep working set per K it has actually decoded, not one per
+// shape. The set and its processors share the processors' ownership rule:
+// one goroutine at a time. Close releases the helper goroutines of sets
+// with Workers > 1.
+type DecoderSet struct {
+	opts ProcOptions // Workers and Batch resolved
+	byK  map[int]*ParallelDecoder
+}
+
+// NewDecoderSet validates the options and returns an empty set.
+func NewDecoderSet(o ProcOptions) (*DecoderSet, error) {
 	if err := o.FrontEnd.Validate(); err != nil {
 		return nil, err
 	}
+	po, err := ParallelOptions{Workers: o.Workers, Kernel: o.Kernel, Batch: o.Batch}.resolve()
+	if err != nil {
+		return nil, err
+	}
+	o.Workers, o.Batch = po.Workers, po.Batch
+	return &DecoderSet{opts: o, byK: make(map[int]*ParallelDecoder)}, nil
+}
+
+// decoder returns the set's decoder for block size k, creating it and its
+// working sets on first request.
+func (ds *DecoderSet) decoder(k int) (*ParallelDecoder, error) {
+	if pd, ok := ds.byK[k]; ok {
+		return pd, nil
+	}
+	o := ds.opts
+	pd, err := NewParallelDecoderOpts(k, ParallelOptions{Workers: o.Workers, Kernel: o.Kernel, Batch: o.Batch})
+	if err != nil {
+		return nil, err
+	}
+	ds.byK[k] = pd
+	return pd, nil
+}
+
+// Close releases the resident decode goroutines of every decoder in the
+// set. It must not race an in-flight Decode of any of the set's processors.
+func (ds *DecoderSet) Close() error {
+	for _, pd := range ds.byK {
+		pd.Close()
+	}
+	return nil
+}
+
+// NewTransportProcessorOpts builds a processor with explicit options and a
+// decoder set of its own; the other constructors are shorthands for common
+// combinations.
+func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProcessor, error) {
+	ds, err := NewDecoderSet(o)
+	if err != nil {
+		return nil, err
+	}
+	p, err := ds.NewProcessor(mcs, nprb)
+	if err != nil {
+		return nil, err
+	}
+	p.ownDecs = true
+	return p, nil
+}
+
+// NewProcessor builds a processor for the configuration that runs the set's
+// options and decodes with the set's decoders. Closing the set, not the
+// processor, releases them.
+func (ds *DecoderSet) NewProcessor(mcs MCS, nprb int) (*TransportProcessor, error) {
+	o := ds.opts
 	tbs, err := mcs.TransportBlockSize(nprb)
 	if err != nil {
 		return nil, err
@@ -262,30 +345,16 @@ func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProc
 	if err != nil {
 		return nil, err
 	}
-	batch := o.Batch
-	if batch == 0 {
-		batch = 1
-	}
-	usePar := workers > 1 || batch > 1
-	var dec *TurboDecoder
-	if !usePar {
-		// The parallel decoder owns per-worker decoders; only the serial
-		// path needs the processor-level one.
-		dec, err = NewTurboDecoderKernel(seg.K, kernel)
-		if err != nil {
-			return nil, err
-		}
-	}
 	rm, err := NewRateMatcher(seg.K)
 	if err != nil {
 		return nil, err
 	}
 	e := mcs.CodedBits(nprb)
 	p := &TransportProcessor{
-		mcs: mcs, nprb: nprb, tbs: tbs, e: e, seg: seg, kernel: kernel,
+		mcs: mcs, nprb: nprb, tbs: tbs, e: e, seg: seg,
 		frontEnd: o.FrontEnd,
 		feVec:    FrontEndAVX2() && !o.NoVectorFrontEnd,
-		enc:      enc, dec: dec, rm: rm, scr: NewScrambler(0),
+		enc:      enc, decs: ds, rm: rm, scr: NewScrambler(0),
 		tbBits:   make([]byte, b),
 		blockBuf: make([]byte, seg.K),
 		d0:       make([]byte, seg.K+4),
@@ -294,10 +363,11 @@ func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProc
 		coded:    make([]byte, 0, e),
 		symbols:  make([]complex128, 0, e/mcs.Modulation().BitsPerSymbol()),
 		llr:      make([]float32, 0, e),
-		decBlock: make([]byte, seg.K),
 		joined:   make([]byte, b),
 	}
-	p.feFn = p.frontEndBlock // bound once: installing per call allocates nothing
+	// Bound once: installing a hook per call allocates nothing.
+	p.feFn = p.frontEndBlock
+	p.feTimed = p.frontEndBlockTimed
 	p.blockOff = make([]int, seg.C)
 	off := 0
 	for i := 0; i < seg.C; i++ {
@@ -308,56 +378,39 @@ func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProc
 	for i := 0; i < seg.C; i++ {
 		p.blocks = append(p.blocks, p.blockbk[i*seg.K:(i+1)*seg.K])
 	}
+	p.known = make([]int, seg.C)
+	p.known[0] = seg.F
 	p.softBuf = p.NewSoftBuffer()
-	if usePar {
-		p.par, err = NewParallelDecoderOpts(seg.K, ParallelOptions{Workers: workers, Kernel: kernel, Batch: batch})
-		if err != nil {
-			return nil, err
-		}
-	}
 	return p, nil
 }
 
-// Workers returns the configured decode parallelism (1 = serial).
-func (p *TransportProcessor) Workers() int {
-	if p.par == nil {
-		return 1
-	}
-	return p.par.Workers()
-}
+// Workers returns the configured decode parallelism (1 = caller only).
+func (p *TransportProcessor) Workers() int { return p.decs.opts.Workers }
 
 // Batch returns the configured lockstep decode width (1 = scalar).
-func (p *TransportProcessor) Batch() int {
-	if p.par == nil {
-		return 1
-	}
-	return p.par.Batch()
-}
+func (p *TransportProcessor) Batch() int { return p.decs.opts.Batch }
 
 // Kernel returns the turbo SISO kernel the processor decodes with.
-func (p *TransportProcessor) Kernel() DecodeKernel { return p.kernel }
+func (p *TransportProcessor) Kernel() DecodeKernel { return p.decs.opts.Kernel }
 
 // SetMaxIterations bounds the turbo decoders' full iterations for subsequent
 // Decode calls (n ≤ 0 restores the default budget) — the degradation
-// ladder's iteration-cap knob. Like Decode, only the owning goroutine may
-// call this, between decode calls.
+// ladder's iteration-cap knob. The bound is the processor's, applied to the
+// (possibly shared) decoder at each Decode. Like Decode, only the owning
+// goroutine may call this, between decode calls.
 func (p *TransportProcessor) SetMaxIterations(n int) {
-	if p.par != nil {
-		p.par.SetMaxIterations(n)
-		return
-	}
 	if n <= 0 {
 		n = DefaultTurboIterations
 	}
-	p.dec.MaxIterations = n
+	p.maxIter = n
 }
 
 // MaxIterations returns the current turbo iteration bound.
 func (p *TransportProcessor) MaxIterations() int {
-	if p.par != nil {
-		return p.par.MaxIterations()
+	if p.maxIter == 0 {
+		return DefaultTurboIterations
 	}
-	return p.dec.MaxIterations
+	return p.maxIter
 }
 
 // FrontEnd returns the decode front-end the processor runs.
@@ -369,11 +422,12 @@ func (p *TransportProcessor) FrontEnd() FrontEnd { return p.frontEnd }
 // either way.
 func (p *TransportProcessor) FrontEndVector() bool { return p.feVec }
 
-// Close releases the resident decode goroutines of a parallel processor. It
-// is a no-op for serial processors and must not race an in-flight Decode.
+// Close releases the resident decode goroutines of a processor that owns
+// its decoder set. It is a no-op for processors built from a shared set
+// (close the set instead) and must not race an in-flight Decode.
 func (p *TransportProcessor) Close() error {
-	if p.par != nil {
-		return p.par.Close()
+	if p.ownDecs {
+		return p.decs.Close()
 	}
 	return nil
 }
@@ -391,7 +445,7 @@ func (p *TransportProcessor) TransportBlockSize() int { return p.tbs }
 func (p *TransportProcessor) NumCodeBlocks() int { return p.seg.C }
 
 // CodeBlockSize returns the turbo block size K the configuration segments
-// into — the key a JointDecoder serving this configuration must match.
+// into — the key its DecoderSet files the configuration's decoder under.
 func (p *TransportProcessor) CodeBlockSize() int { return p.seg.K }
 
 // NumSymbols returns the number of constellation symbols per TB.
@@ -470,7 +524,9 @@ func (p *TransportProcessor) Encode(payload []byte, rnti uint16, cellID uint16, 
 }
 
 // fillerLLR pins filler bits (known zeros at the head of block 0) to a
-// strong bit-0 likelihood before turbo decoding.
+// strong bit-0 likelihood before turbo decoding; the decoders are also told
+// how many there are (TransportProcessor.known), so that the int16 ingest
+// does not mistake the pins for channel observations.
 const fillerLLR = 1e4
 
 // Decode recovers the payload from received symbols under noise power n0.
@@ -488,13 +544,18 @@ func (p *TransportProcessor) Decode(rx []complex128, n0 float64, rnti uint16, ce
 		sb = p.softBuf
 		sb.Reset()
 	}
+	par, err := p.decs.decoder(p.seg.K)
+	if err != nil {
+		return nil, err
+	}
+	par.SetMaxIterations(p.maxIter)
 	p.Timings.TurboIterations = 0
 	check := checkBlockCRC24A
 	if p.seg.C > 1 {
 		check = checkBlockCRC24B
 	}
 	if p.frontEnd == FrontEndFused {
-		return p.decodeFused(rx, n0, rnti, cellID, subframe, rv, sb, check)
+		return p.decodeFused(par, rx, n0, rnti, cellID, subframe, rv, sb, check)
 	}
 
 	// Staged (oracle) path: three full sweeps over the E coded bits.
@@ -510,7 +571,6 @@ func (p *TransportProcessor) Decode(rx []complex128, n0 float64, rnti uint16, ce
 	}
 	start := time.Now()
 	p.llr = p.llr[:0]
-	var err error
 	p.llr, err = Demodulate(p.llr, rx, p.mcs.Modulation(), n0)
 	if err != nil {
 		return nil, err
@@ -538,45 +598,24 @@ func (p *TransportProcessor) Decode(rx []complex128, n0 float64, rnti uint16, ce
 	}
 	p.Timings.Dematch = time.Since(start)
 
-	// Turbo decode each block with CRC-based early termination.
+	// Turbo decode with CRC-based early termination: the code blocks fan
+	// across the decoder's workers and lockstep lanes; a block failing its
+	// CRC aborts the rest, since the TB CRC could no longer pass.
 	start = time.Now()
-	if p.par != nil {
-		// Parallel path: fan the independent code blocks across the
-		// resident workers; a block failing its CRC aborts the rest, since
-		// the TB CRC below could no longer pass.
-		iters, ok, err := p.par.Decode(p.blocks, sb.ld0, sb.ld1, sb.ld2, check)
-		p.Timings.TurboIterations = iters
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			p.Timings.TurboDecode = time.Since(start)
-			p.Timings.CRCCheck = 0
-			return nil, fmt.Errorf("phy: transport block: %w", ErrCRC)
-		}
-	} else {
-		p.dec.EarlyCheck = check
-		for i := 0; i < p.seg.C; i++ {
-			iters, err := p.dec.Decode(p.blocks[i], sb.ld0[i], sb.ld1[i], sb.ld2[i])
-			if err != nil {
-				return nil, err
-			}
-			p.Timings.TurboIterations += iters
-		}
-	}
+	iters, ok, err := par.Decode(p.blocks, sb.ld0, sb.ld1, sb.ld2, p.known, check, nil)
+	p.Timings.TurboIterations = iters
 	p.Timings.TurboDecode = time.Since(start)
-
-	return p.finishDecode()
+	return p.finishTurbo(ok, err)
 }
 
 // decodeFused is the fused-front-end decode body: the per-block front-end
-// (see frontEndBlock) replaces the staged sweeps, and with decode workers
-// the front-end of each code block rides the worker that claims the block,
-// overlapping with other blocks' turbo decodes. Validation that the staged
-// path performs inside SoftDematch happens up front here, so the per-block
-// front-end itself cannot fail — the invariant DecodePrepared's hook
-// requires.
-func (p *TransportProcessor) decodeFused(rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer, check func([]byte) bool) ([]byte, error) {
+// (see frontEndBlock) replaces the staged sweeps and runs as the decoder's
+// prepare hook, on the worker that claims the block — with decode workers
+// that overlaps one block's front-end with other blocks' turbo decodes.
+// Validation that the staged path performs inside SoftDematch happens up
+// front here, so the per-block front-end itself cannot fail — the invariant
+// the decoder's prepare hook requires.
+func (p *TransportProcessor) decodeFused(par *ParallelDecoder, rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer, check func([]byte) bool) ([]byte, error) {
 	if rv < 0 || rv > 3 {
 		return nil, fmt.Errorf("phy: rv=%d out of range: %w", rv, ErrBadParameter)
 	}
@@ -591,43 +630,44 @@ func (p *TransportProcessor) decodeFused(rx []complex128, n0 float64, rnti uint1
 	p.feKey = p.scr.KeyWords(p.e)
 	p.feRX, p.feInvN0, p.feSB, p.feRV = rx, demodInvN0(n0), sb, rv
 
-	if p.par != nil {
-		// Overlapped: each worker runs a claimed block's front-end, then its
-		// turbo decode. Front-end and decode time interleave across workers
-		// and are not separable; the whole region is attributed to
-		// TurboDecode (FrontEnd reads 0 — see StageTimings).
-		iters, ok, err := p.par.DecodePrepared(p.blocks, sb.ld0, sb.ld1, sb.ld2, check, p.feFn)
-		p.clearFrontEndState()
-		p.Timings.TurboIterations = iters
-		p.Timings.FrontEnd = 0
-		p.Timings.TurboDecode = time.Since(start)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			p.Timings.CRCCheck = 0
-			return nil, fmt.Errorf("phy: transport block: %w", ErrCRC)
-		}
-		return p.finishDecode()
+	// One decode worker: every front-end runs here, on the caller, so it is
+	// timed (the keystream set-up above counts as front-end) and the split
+	// reported. Several: front-end and decode time interleave across the
+	// workers and the whole region is attributed to TurboDecode (see
+	// StageTimings).
+	prepare := p.feFn
+	p.Timings.FrontEnd = 0
+	if par.Workers() == 1 {
+		prepare = p.feTimed
+		p.Timings.FrontEnd = time.Since(start)
 	}
-
-	for i := 0; i < p.seg.C; i++ {
-		p.frontEndBlock(i)
-	}
+	iters, ok, err := par.Decode(p.blocks, sb.ld0, sb.ld1, sb.ld2, p.known, check, prepare)
 	p.clearFrontEndState()
-	p.Timings.FrontEnd = time.Since(start)
+	p.Timings.TurboIterations = iters
+	p.Timings.TurboDecode = time.Since(start) - p.Timings.FrontEnd
+	return p.finishTurbo(ok, err)
+}
 
-	start = time.Now()
-	p.dec.EarlyCheck = check
-	for i := 0; i < p.seg.C; i++ {
-		iters, err := p.dec.Decode(p.blocks[i], sb.ld0[i], sb.ld1[i], sb.ld2[i])
-		if err != nil {
-			return nil, err
-		}
-		p.Timings.TurboIterations += iters
+// frontEndBlockTimed is frontEndBlock for the single-worker decode: it runs
+// on the calling goroutine and adds the block's front-end time to
+// Timings.FrontEnd.
+func (p *TransportProcessor) frontEndBlockTimed(i int) {
+	start := time.Now()
+	p.frontEndBlock(i)
+	p.Timings.FrontEnd += time.Since(start)
+}
+
+// finishTurbo maps the turbo stage's outcome to Decode's: an internal error
+// or an aborted transport block ends the decode, success moves on to
+// desegmentation and the TB CRC.
+func (p *TransportProcessor) finishTurbo(ok bool, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
 	}
-	p.Timings.TurboDecode = time.Since(start)
-
+	if !ok {
+		p.Timings.CRCCheck = 0
+		return nil, fmt.Errorf("phy: transport block: %w", ErrCRC)
+	}
 	return p.finishDecode()
 }
 

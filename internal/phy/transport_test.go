@@ -166,6 +166,143 @@ func TestTransportTimingsPopulated(t *testing.T) {
 	}
 }
 
+// TestTransportFrontEndFoldOnlyWithWorkers pins where the stage ledger may
+// go blind: with several decode workers the per-block front-ends overlap
+// turbo decoding and fold into TurboDecode; with one — the default, lockstep
+// width 8 included — they run on the caller and are reported.
+func TestTransportFrontEndFoldOnlyWithWorkers(t *testing.T) {
+	decodeOnce := func(o ProcOptions) StageTimings {
+		t.Helper()
+		p, err := NewTransportProcessorOpts(24, 50, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		rng := rand.New(rand.NewSource(65))
+		payload := randBits(rng, p.TransportBlockSize())
+		syms, err := p.Encode(payload, 1, 1, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx := append([]complex128(nil), syms...)
+		ch := NewAWGNChannel(MCS(24).OperatingSNR()+3, 66)
+		ch.Apply(rx)
+		if _, err := p.Decode(rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
+			t.Fatal(err)
+		}
+		return p.Timings
+	}
+	for _, o := range []ProcOptions{{}, {Batch: 1}, {Kernel: KernelFloat32}} {
+		if tm := decodeOnce(o); tm.FrontEnd <= 0 || tm.TurboDecode <= 0 {
+			t.Errorf("%+v: one decode worker must report the front-end/turbo split, got %+v", o, tm)
+		}
+	}
+	if tm := decodeOnce(ProcOptions{Workers: 2}); tm.FrontEnd != 0 || tm.TurboDecode <= 0 {
+		t.Errorf("two decode workers: front-end must fold into TurboDecode, got %+v", tm)
+	}
+}
+
+// TestDecoderSetSharesDecodersByK pins turbo-decoder ownership: a processor
+// builds no decoder until it decodes, and processors built from one set
+// share one decoder per turbo block size — not one per (MCS, PRB) shape —
+// while each keeps its own iteration bound.
+func TestDecoderSetSharesDecodersByK(t *testing.T) {
+	// Two shapes that segment to the same K.
+	type shape struct {
+		mcs  MCS
+		nprb int
+	}
+	var a, b shape
+	byK := map[int]shape{}
+search:
+	for mcs := MCS(4); mcs <= 20; mcs++ {
+		for nprb := 2; nprb <= 12; nprb++ {
+			tbs, err := mcs.TransportBlockSize(nprb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg, err := Segment(tbs + 24)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, ok := byK[seg.K]; ok && prev.mcs != mcs {
+				a, b = prev, shape{mcs, nprb}
+				break search
+			}
+			byK[seg.K] = shape{mcs, nprb}
+		}
+	}
+	if a == b {
+		t.Fatal("no two shapes share a turbo block size")
+	}
+	ds, err := NewDecoderSet(ProcOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ds.Close()
+	pa, err := ds.NewProcessor(a.mcs, a.nprb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := ds.NewProcessor(b.mcs, b.nprb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pa.CodeBlockSize() != pb.CodeBlockSize() {
+		t.Fatalf("K %d vs %d", pa.CodeBlockSize(), pb.CodeBlockSize())
+	}
+	rng := rand.New(rand.NewSource(71))
+	roundtrip := func(p *TransportProcessor, margin float64) error {
+		payload := randBits(rng, p.TransportBlockSize())
+		syms, err := p.Encode(payload, 5, 9, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ds.byK) > 1 {
+			t.Fatalf("%d decoders for one block size", len(ds.byK))
+		}
+		rx := append([]complex128(nil), syms...)
+		ch := NewAWGNChannel(p.MCS().OperatingSNR()+margin, 72)
+		ch.Apply(rx)
+		out, err := p.Decode(rx, ch.N0(), 5, 9, 1, 0, nil)
+		if err == nil && !bytes.Equal(out, payload) {
+			t.Fatal("payload mismatch")
+		}
+		return err
+	}
+	if _, err := pa.Encode(randBits(rng, pa.TransportBlockSize()), 5, 9, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.byK) != 0 {
+		t.Fatal("an encode built a turbo decoder")
+	}
+	if err := roundtrip(pa, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := roundtrip(pb, 4); err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.byK) != 1 {
+		t.Fatalf("%d decoders after decoding two shapes of one block size, want 1", len(ds.byK))
+	}
+	// The iteration bound is the processor's, not the shared decoder's: a
+	// one-iteration cap on pa fails a block at the operating point that
+	// pb's default budget, through the same decoder, does not inherit.
+	pa.SetMaxIterations(1)
+	if err := roundtrip(pa, 0); !errors.Is(err, ErrCRC) {
+		t.Fatalf("one iteration at the operating point: %v, want ErrCRC", err)
+	}
+	if pa.Timings.TurboIterations != 1 || pb.MaxIterations() != DefaultTurboIterations {
+		t.Fatalf("capped decode ran %d iterations; pb bound %d", pa.Timings.TurboIterations, pb.MaxIterations())
+	}
+	if err := roundtrip(pb, 4); err != nil {
+		t.Fatalf("uncapped processor after a capped one on the same decoder: %v", err)
+	}
+	if pb.Timings.TurboIterations < 1 {
+		t.Fatal("iterations not recorded")
+	}
+}
+
 func TestTransportMultiBlockSegmentation(t *testing.T) {
 	// High MCS at 100 PRB forces multiple code blocks.
 	p, err := NewTransportProcessor(28, 100)

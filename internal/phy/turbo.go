@@ -197,9 +197,9 @@ type TurboDecoder struct {
 }
 
 // NewTurboDecoder returns a decoder for block size k using the default
-// float32 kernel.
+// kernel (KernelInt16).
 func NewTurboDecoder(k int) (*TurboDecoder, error) {
-	return NewTurboDecoderKernel(k, KernelFloat32)
+	return NewTurboDecoderKernel(k, KernelInt16)
 }
 
 // NewTurboDecoderKernel returns a decoder for block size k running the given
@@ -253,6 +253,14 @@ func (d *TurboDecoder) IterationsUsed() int { return d.iterationsUsed }
 // Decode does not itself verify a CRC; install EarlyCheck or verify the
 // output.
 func (d *TurboDecoder) Decode(out []byte, ld0, ld1, ld2 []float32) (int, error) {
+	return d.decode(out, ld0, ld1, ld2, 0)
+}
+
+// decode is Decode for a block whose first known systematic values are
+// known zero bits (LTE filler) that the caller has pinned to fillerLLR: the
+// int16 kernel keeps them out of its ingest gain (ingestI16), the float32
+// kernel takes the pins as they are.
+func (d *TurboDecoder) decode(out []byte, ld0, ld1, ld2 []float32, known int) (int, error) {
 	k := d.q.K
 	if len(out) != k {
 		return 0, fmt.Errorf("phy: decode output length %d != K=%d: %w", len(out), k, ErrBadParameter)
@@ -261,7 +269,7 @@ func (d *TurboDecoder) Decode(out []byte, ld0, ld1, ld2 []float32) (int, error) 
 		return 0, fmt.Errorf("phy: decode input streams must each be K+4=%d: %w", k+4, ErrBadParameter)
 	}
 	if d.kernel == KernelInt16 {
-		return d.decodeI16(out, ld0, ld1, ld2)
+		return d.decodeI16(out, ld0, ld1, ld2, known)
 	}
 	// Demultiplex data and tails into per-constituent streams.
 	copy(d.ls1[:k], ld0[:k])

@@ -28,11 +28,11 @@ import "fmt"
 // can replace the inner passes without touching the surrounding structure
 // (the pure-Go pass below is the mandatory scalar fallback and the oracle).
 //
-// Arithmetic is bit-identical to the scalar kernel: the same Q6
-// quantization at ingest, the same unrolled LTE butterflies, the same
-// renorm-every-4-steps schedule, all in exact integer ops, so lane b's
-// output equals what TurboDecoder{KernelInt16} produces for the same
-// streams — property- and fuzz-tested in turbo_batch_test.go.
+// Arithmetic is bit-identical to the scalar kernel: the same per-block gain
+// and Q6 quantization at ingest (ingestI16, shared), the same unrolled LTE
+// butterflies, the same renorm-every-4-steps schedule, all in exact integer
+// ops, so lane b's output equals what TurboDecoder{KernelInt16} produces
+// for the same streams — property- and fuzz-tested in turbo_batch_test.go.
 //
 // Early termination is per lane: after every full iteration each active
 // lane's hard decisions are checked (a CRC in production); a passing lane
@@ -71,11 +71,15 @@ type BatchDecoderI16 struct {
 	lit   []int    // per-lane iteration counts of the last Decode
 }
 
+// maxBatchWidth bounds the lockstep width: Decode's failure mask is a
+// uint64.
+const maxBatchWidth = 64
+
 // NewBatchDecoderI16 returns a lockstep decoder for turbo block size k with
-// room for width lanes (2..64; the failure mask is a uint64).
+// room for width lanes (2..maxBatchWidth).
 func NewBatchDecoderI16(k, width int) (*BatchDecoderI16, error) {
-	if width < 2 || width > 64 {
-		return nil, fmt.Errorf("phy: batch width %d (want 2..64): %w", width, ErrBadParameter)
+	if width < 2 || width > maxBatchWidth {
+		return nil, fmt.Errorf("phy: batch width %d (want 2..%d): %w", width, maxBatchWidth, ErrBadParameter)
 	}
 	q, err := NewQPPInterleaver(k)
 	if err != nil {
@@ -121,6 +125,9 @@ func (bd *BatchDecoderI16) Width() int { return bd.width }
 // ld0[i], ld1[i], ld2[i] (each length K+4, the encoder's layout — the same
 // contract as TurboDecoder.Decode). Ragged batches (fewer blocks than the
 // width) are fine; lanes beyond len(blocks) are simply never touched.
+// known, when non-nil, gives for each lane the number of leading systematic
+// values that are known zero bits pinned by the caller (LTE filler; see
+// ingestI16).
 //
 // check, when non-nil, is the per-lane success predicate (a CRC), evaluated
 // on each lane's hard decisions after every full iteration; a passing lane
@@ -134,7 +141,7 @@ func (bd *BatchDecoderI16) Width() int { return bd.width }
 // failing (dropped lanes are not failed — they were cancelled). Successful
 // lanes are bit-identical to decoding the same streams with a scalar
 // KernelInt16 TurboDecoder under the same check.
-func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, check func([]byte) bool, drop func(lane int) bool) (int, uint64, error) {
+func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, known []int, check func([]byte) bool, drop func(lane int) bool) (int, uint64, error) {
 	n := len(blocks)
 	if n == 0 {
 		return 0, 0, nil
@@ -142,7 +149,7 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, ch
 	if n > bd.width {
 		return 0, 0, fmt.Errorf("phy: %d blocks exceed batch width %d: %w", n, bd.width, ErrBadParameter)
 	}
-	if len(ld0) != n || len(ld1) != n || len(ld2) != n {
+	if len(ld0) != n || len(ld1) != n || len(ld2) != n || (known != nil && len(known) != n) {
 		return 0, 0, fmt.Errorf("phy: %d blocks but %d/%d/%d LLR streams: %w",
 			n, len(ld0), len(ld1), len(ld2), ErrBadParameter)
 	}
@@ -156,7 +163,7 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, ch
 		}
 	}
 
-	bd.ingest(n, ld0, ld1, ld2)
+	bd.ingest(n, ld0, ld1, ld2, known)
 	w := bd.width
 	clear(bd.apri[:k*w])
 	clear(bd.lit[:n])
@@ -257,25 +264,17 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, ch
 	return itersTotal, failed, nil
 }
 
-// ingest quantizes the lanes' float32 streams into the SoA working set,
-// mirroring the scalar kernel's demux (decodeI16) lane by lane.
-func (bd *BatchDecoderI16) ingest(n int, ld0, ld1, ld2 [][]float32) {
+// ingest quantizes the lanes' float32 streams into the SoA working set
+// through the int16 kernels' shared ingest boundary (ingestI16: per-block
+// gain, quantization, tail demux).
+func (bd *BatchDecoderI16) ingest(n int, ld0, ld1, ld2 [][]float32, known []int) {
 	k, w := bd.q.K, bd.width
 	for b := 0; b < n; b++ {
-		s0, s1, s2 := ld0[b], ld1[b], ld2[b]
-		for t := 0; t < k; t++ {
-			bd.ls1[t*w+b] = quantizeLLR(s0[t])
-			bd.lp1[t*w+b] = quantizeLLR(s1[t])
-			bd.lp2[t*w+b] = quantizeLLR(s2[t])
+		kb := 0
+		if known != nil {
+			kb = known[b]
 		}
-		// Tails: inverse of the encoder multiplexing (same layout as the
-		// scalar kernels).
-		bd.ls1[(k+0)*w+b], bd.lp1[(k+0)*w+b] = quantizeLLR(s0[k+0]), quantizeLLR(s1[k+0])
-		bd.ls1[(k+1)*w+b], bd.lp1[(k+1)*w+b] = quantizeLLR(s2[k+0]), quantizeLLR(s0[k+1])
-		bd.ls1[(k+2)*w+b], bd.lp1[(k+2)*w+b] = quantizeLLR(s1[k+1]), quantizeLLR(s2[k+1])
-		bd.ls2[(k+0)*w+b], bd.lp2[(k+0)*w+b] = quantizeLLR(s0[k+2]), quantizeLLR(s1[k+2])
-		bd.ls2[(k+1)*w+b], bd.lp2[(k+1)*w+b] = quantizeLLR(s2[k+2]), quantizeLLR(s0[k+3])
-		bd.ls2[(k+2)*w+b], bd.lp2[(k+2)*w+b] = quantizeLLR(s1[k+3]), quantizeLLR(s2[k+3])
+		ingestI16(bd.ls1, bd.lp1, bd.ls2, bd.lp2, w, b, k, ld0[b], ld1[b], ld2[b], kb)
 	}
 	// Interleaved systematic stream, built row-wise once all lanes are
 	// quantized (per-lane gathers would re-walk ls1 randomly per lane).

@@ -10,17 +10,17 @@
 // Streams (ls/lp/la/ext) are stride-8 int16: one trellis step = 16 bytes =
 // one VPMOVSXWD load. An alpha row is 8 states x 8 lanes of int16 = 128
 // bytes, packed from int32 with VPACKSSDW+VPERMQ (never saturates: stored
-// metrics are bounded to [-29216, +9216] by the renorm schedule).
+// metrics are bounded to [-28285, +12285] by the renorm schedule).
 
-// 8 x int32 -20000: the i16MetricMin floor applied by renormalization.
-DATA batchFloor32<>+0(SB)/4, $-20000
-DATA batchFloor32<>+4(SB)/4, $-20000
-DATA batchFloor32<>+8(SB)/4, $-20000
-DATA batchFloor32<>+12(SB)/4, $-20000
-DATA batchFloor32<>+16(SB)/4, $-20000
-DATA batchFloor32<>+20(SB)/4, $-20000
-DATA batchFloor32<>+24(SB)/4, $-20000
-DATA batchFloor32<>+28(SB)/4, $-20000
+// 8 x int32 -16000: the i16MetricMin floor applied by renormalization.
+DATA batchFloor32<>+0(SB)/4, $-16000
+DATA batchFloor32<>+4(SB)/4, $-16000
+DATA batchFloor32<>+8(SB)/4, $-16000
+DATA batchFloor32<>+12(SB)/4, $-16000
+DATA batchFloor32<>+16(SB)/4, $-16000
+DATA batchFloor32<>+20(SB)/4, $-16000
+DATA batchFloor32<>+24(SB)/4, $-16000
+DATA batchFloor32<>+28(SB)/4, $-16000
 GLOBL batchFloor32<>(SB), RODATA|NOPTR, $32
 
 // 8 x int32 +/-4096: the i16ExtSat extrinsic clamp.
@@ -70,7 +70,7 @@ noavx2:
 	RET
 
 // Renormalize the Y0..Y7 bank in place: subtract the per-lane maximum,
-// floor at -20000 (exactly normI16's int math). Clobbers Y12, Y13.
+// floor at -16000 (exactly normI16's int math). Clobbers Y12, Y13.
 #define RENORM_BANK \
 	VPMAXSD	Y1, Y0, Y12   \
 	VPMAXSD	Y2, Y12, Y12  \
@@ -105,7 +105,7 @@ TEXT ·forwardI16Batch8(SB), NOSPLIT, $0-40
 	MOVQ	alpha+24(FP), DI
 	MOVQ	k+32(FP), CX
 
-	// Bank init: state 0 at 0, the rest at the -20000 floor.
+	// Bank init: state 0 at 0, the rest at the -16000 floor.
 	VPXOR	Y0, Y0, Y0
 	VMOVDQU	batchFloor32<>(SB), Y1
 	VMOVDQA	Y1, Y2

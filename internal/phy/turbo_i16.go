@@ -1,8 +1,11 @@
 package phy
 
-// Quantized fixed-point max-log-MAP SISO (KernelInt16).
+import "math"
+
+// Quantized fixed-point max-log-MAP SISO (KernelInt16, the default kernel).
 //
-// Arithmetic model: LLRs are quantized to Q6 fixed point (64 units per LLR
+// Arithmetic model: each code block's LLRs are scaled by a per-block
+// power-of-two gain (below), quantized to Q6 fixed point (64 units per LLR
 // unit) and saturated at ingest; extrinsic information is clamped to ±64
 // LLR; path metrics live in int16 with the trellis butterflies fully
 // unrolled over the fixed LTE 8-state RSC structure (no table lookups, no
@@ -14,27 +17,73 @@ package phy
 // decoders use; here they buy the same things in pure Go — fewer loads,
 // smaller cache footprint, branch-free maxes.
 //
-// Numerical ranges (all in Q6 units): channel LLRs saturate at ±1023
-// (±16.0), a-priori/extrinsic at ±4096 (±64.0), so branch metrics satisfy
-// |g| ≤ (1023+4096+1023)/2 < 3072. With renormalization every 4 steps,
-// stored metrics stay within [−29213, +9213] and every intermediate fits
-// comfortably in int16/int — see the derivation in the kernel tests.
+// Ingest gain: max-log-MAP is invariant to a positive scaling of its
+// inputs, but a fixed-point kernel is not — scaled too high, a block's LLRs
+// pile up at the saturation point and the reliability differences the
+// decoder feeds on flatten out (64-QAM LLRs a few dB above the operating
+// point average 50–70); scaled too low, the integer halvings of the branch
+// metrics start to bias the weakest bits of a high-rate block. ingestI16
+// therefore scales a block's three streams by g = 2^-⌈log2(mean|LLR| / T)⌉
+// whenever the block's mean magnitude exceeds T = i16GainTarget, which
+// lands the scaled mean in (T/2, T]; blocks already below T keep g = 1. A
+// power of two keeps the scaling exact in float32, so c·llr and llr
+// quantize to identical int16 streams for any power-of-two c while the gain
+// is active (TestI16GainScaleInvariance), and the one function is shared by
+// the scalar and lockstep kernels, which therefore stay bit-identical.
+//
+// Where T and the saturation point sit was measured, not assumed (paired
+// against float32 on the same payloads and noise, 1500–2500 blocks per
+// point, the scaled mean forced to a target): with saturation at ±16 no
+// target serves every block — 16-QAM and QPSK blocks at their operating
+// point lose BLER once the scaled mean passes 6 (MCS 14 / 2 PRB: 0.44 at 8,
+// 0.52 at 11, float32 0.42), 64-QAM blocks past 11, while MCS 28 / 25 PRB
+// at op+3 dB needs at least 11 (0.135 at 6, 0.123 at 11, 0.118 at 16–22,
+// float32 0.113). The format has the headroom to move the saturation
+// instead (trading 4000 units of metric floor for it, see the range
+// derivation below): at ±32 (i16LLRSat 2047) the
+// low-order modulations hold parity up to a scaled mean of 11, 64-QAM up to
+// 22, and MCS 28 from 8 upward, so T = 16 — window (8, 16] for scaled
+// blocks, nothing above 16 for unscaled ones — sits on the float32 curve
+// everywhere measured: MCS 28 / 25 PRB at op+3 / op+4 dB within 0.01 BLER
+// and 3 % mean iterations of float32 (TestI16BLERParityHighSNR), and over
+// MCS 0–28 × {2, 6, 15} PRB at the operating point 270 blocks of 18 000
+// fail int16 only against 245 float32 only.
+//
+// Numerical ranges (all in Q6 units, unchanged by the gain — it only moves
+// where in the range a block sits): channel LLRs saturate at ±2047
+// (±32.0), a-priori/extrinsic at ±4096 (±64.0), so branch metrics satisfy
+// |g| ≤ (2047+4096+2047)/2 = 4095. Renormalization every 4 steps leaves
+// metrics in [i16MetricMin, 0] = [−16000, 0]; the forward rows are stored
+// after at most 3 further steps, and the lockstep kernel's int16 metric
+// banks hold a 4th step for the moment between computing it and
+// renormalizing it, so everything stored stays within [−32380, +16380] —
+// inside int16. That is what bounds the saturation point and the floor
+// together: with the floor at −20000 the channel saturation could not pass
+// ±1144. The three un-renormalized tail steps carry no a-priori term and
+// drift by at most 3·2047.
 
 const (
 	// i16FracBits is the Q-format: 64 quantization units per LLR unit.
 	i16FracBits = 6
 	i16One      = 1 << i16FracBits
-	// i16LLRSat saturates quantized channel LLRs (≈ ±16 LLR).
-	i16LLRSat = 1023
+	// i16LLRSat saturates quantized channel LLRs (≈ ±32 LLR), the widest
+	// the int16 metric range allows (see the header).
+	i16LLRSat = 2047
 	// i16ExtSat clamps extrinsic/a-priori values (≈ ±64 LLR).
 	i16ExtSat = 4096
-	// i16MetricMin is the metric floor standing in for −inf; real path
-	// metric spreads are bounded well above it (≤ 3·2·3072 ≈ 18.4k), so
-	// clamping only ever affects dead states.
-	i16MetricMin = -20000
-	// i16NormStride renormalizes metrics every 4 trellis steps; between
-	// renormalizations metrics drift by at most 3·3072 in either direction,
-	// which keeps every stored value inside int16.
+	// i16MetricMin is the metric floor standing in for −inf. A state this
+	// far (250 LLR) behind the best one never wins a max again, so clamping
+	// changes no decision; what the value is bounded by is int16 (see the
+	// header), and the AVX2 kernel carries the same constant
+	// (batchFloor32 in turbo_batch_amd64.s).
+	i16MetricMin = -16000
+	// i16GainTarget is T of the ingest gain: blocks whose mean |LLR|
+	// exceeds it are scaled down by a power of two into (T/2, T] (see the
+	// header for the measurements behind 16).
+	i16GainTarget = 16
+	// i16NormStride renormalizes metrics every 4 trellis steps; a metric
+	// is never more than 4 steps of at most 4095 each away from its last
+	// renormalization, which keeps every stored value inside int16.
 	i16NormStride = 4
 )
 
@@ -80,32 +129,74 @@ func quantizeLLR(v float32) int16 {
 	}
 }
 
-// quantizeLLRs quantizes a stream (the ingest boundary of the kernel).
-func quantizeLLRs(dst []int16, src []float32) {
-	for i, v := range src {
-		dst[i] = quantizeLLR(v)
+// llrGain returns the ingest gain for the channel observations of one code
+// block — its three streams, known bits left out by the caller: 1 when
+// their mean magnitude is at most i16GainTarget, otherwise the power of two
+// that brings it into (T/2, T]. The sum runs in one fixed order, so it is
+// exactly linear in a power-of-two scaling of the input.
+func llrGain(s0, s1, s2 []float32) float32 {
+	n := len(s0) + len(s1) + len(s2)
+	if n == 0 {
+		return 1
 	}
+	var sum float64
+	for _, s := range [3][]float32{s0, s1, s2} {
+		for _, v := range s {
+			sum += math.Abs(float64(v))
+		}
+	}
+	r := sum / (float64(n) * i16GainTarget)
+	if !(r > 1) { // also catches NaN input
+		return 1
+	}
+	frac, exp := math.Frexp(r) // r = frac·2^exp, frac ∈ [0.5, 1)
+	if frac == 0.5 {
+		exp-- // exact power of two: ⌈log2 r⌉ = exp−1
+	}
+	return float32(math.Ldexp(1, -exp))
+}
+
+// ingestI16 is the int16 kernels' one ingest boundary. It takes one code
+// block — d0, d1, d2 are its three float32 streams, each length K+4 in the
+// encoder's layout — applies the block's gain (llrGain), quantizes, and
+// demultiplexes data and tails into lane b of the stride-w constituent
+// arrays: w=1, b=0 is the scalar kernel's layout, w=Width the lockstep
+// kernel's. known is the number of leading systematic values that are known
+// zero bits (LTE filler) rather than channel observations: they take no
+// part in the gain and quantize to the saturation point whatever the
+// caller stored there. The interleaved systematic data ls2[:K·w] is the
+// caller's to build from ls1.
+func ingestI16(ls1, lp1, ls2, lp2 []int16, w, b, k int, d0, d1, d2 []float32, known int) {
+	g := llrGain(d0[known:], d1, d2)
+	for t := 0; t < k; t++ {
+		ls1[t*w+b] = quantizeLLR(d0[t] * g)
+		lp1[t*w+b] = quantizeLLR(d1[t] * g)
+		lp2[t*w+b] = quantizeLLR(d2[t] * g)
+	}
+	for t := 0; t < known; t++ {
+		ls1[t*w+b] = i16LLRSat
+	}
+	q := func(v float32) int16 { return quantizeLLR(v * g) }
+	// Tails: inverse of the encoder multiplexing (same layout as float32).
+	t0, t1, t2 := d0[k:], d1[k:], d2[k:]
+	ls1[(k+0)*w+b], lp1[(k+0)*w+b] = q(t0[0]), q(t1[0])
+	ls1[(k+1)*w+b], lp1[(k+1)*w+b] = q(t2[0]), q(t0[1])
+	ls1[(k+2)*w+b], lp1[(k+2)*w+b] = q(t1[1]), q(t2[1])
+	ls2[(k+0)*w+b], lp2[(k+0)*w+b] = q(t0[2]), q(t1[2])
+	ls2[(k+1)*w+b], lp2[(k+1)*w+b] = q(t2[2]), q(t0[3])
+	ls2[(k+2)*w+b], lp2[(k+2)*w+b] = q(t1[3]), q(t2[3])
 }
 
 // decodeI16 is the int16-kernel body of Decode: identical iteration
-// structure to the float32 path, with LLR quantization at the demux step.
-// Inputs were already length-checked by Decode.
-func (d *TurboDecoder) decodeI16(out []byte, ld0, ld1, ld2 []float32) (int, error) {
+// structure to the float32 path, with gain + LLR quantization at the demux
+// step. Inputs were already length-checked by Decode.
+func (d *TurboDecoder) decodeI16(out []byte, ld0, ld1, ld2 []float32, known int) (int, error) {
 	k := d.q.K
 	b := d.i16
-	quantizeLLRs(b.ls1[:k], ld0[:k])
-	quantizeLLRs(b.lp1[:k], ld1[:k])
-	quantizeLLRs(b.lp2[:k], ld2[:k])
+	ingestI16(b.ls1, b.lp1, b.ls2, b.lp2, 1, 0, k, ld0, ld1, ld2, known)
 	for i := 0; i < k; i++ {
 		b.ls2[i] = b.ls1[d.q.Perm(i)]
 	}
-	// Tails: inverse of the encoder multiplexing (same layout as float32).
-	b.ls1[k+0], b.lp1[k+0] = quantizeLLR(ld0[k+0]), quantizeLLR(ld1[k+0])
-	b.ls1[k+1], b.lp1[k+1] = quantizeLLR(ld2[k+0]), quantizeLLR(ld0[k+1])
-	b.ls1[k+2], b.lp1[k+2] = quantizeLLR(ld1[k+1]), quantizeLLR(ld2[k+1])
-	b.ls2[k+0], b.lp2[k+0] = quantizeLLR(ld0[k+2]), quantizeLLR(ld1[k+2])
-	b.ls2[k+1], b.lp2[k+1] = quantizeLLR(ld2[k+2]), quantizeLLR(ld0[k+3])
-	b.ls2[k+2], b.lp2[k+2] = quantizeLLR(ld1[k+3]), quantizeLLR(ld2[k+3])
 
 	for i := range b.apri {
 		b.apri[i] = 0
