@@ -135,6 +135,10 @@ func Calibrate() (CostModel, error) {
 		{22, &m.FusedPerRE64QAM, &m.FusedVecPerRE64QAM}, // 64-QAM
 	} {
 		const nprb = 50
+		tbs, err := cfg.mcs.TransportBlockSize(nprb)
+		if err != nil {
+			return m, err
+		}
 		for _, col := range []struct {
 			coef     *float64
 			noVector bool
@@ -142,17 +146,17 @@ func Calibrate() (CostModel, error) {
 			{cfg.scalar, true},
 			{cfg.vector, false},
 		} {
-			p, err := phy.NewTransportProcessorOpts(cfg.mcs, nprb, phy.ProcOptions{
+			p, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{
 				FrontEnd: phy.FrontEndFused, NoVectorFrontEnd: col.noVector,
 			})
 			if err != nil {
 				return m, fmt.Errorf("cluster: calibrate fused front-end: %w", err)
 			}
-			payload := make([]byte, p.TransportBlockSize())
+			payload := make([]byte, tbs)
 			for i := range payload {
 				payload[i] = byte(rng.Intn(2))
 			}
-			syms, err := p.Encode(payload, 9, 301, 2, 0)
+			syms, err := p.Encode(cfg.mcs, nprb, payload, 9, 301, 2, 0)
 			if err != nil {
 				return m, err
 			}
@@ -162,12 +166,12 @@ func Calibrate() (CostModel, error) {
 			reps := 20
 			var el time.Duration
 			for i := 0; i < reps; i++ {
-				if _, err := p.Decode(rx, ch.N0(), 9, 301, 2, 0, nil); err != nil {
+				if _, err := p.Decode(cfg.mcs, nprb, rx, ch.N0(), 9, 301, 2, 0, nil); err != nil {
 					return m, err
 				}
 				el += p.Timings.FrontEnd
 			}
-			*col.coef = el.Seconds() / float64(reps) / float64(p.NumSymbols())
+			*col.coef = el.Seconds() / float64(reps) / float64(len(rx))
 		}
 	}
 	// The calibrated model mirrors the data plane's default front-end
@@ -178,10 +182,7 @@ func Calibrate() (CostModel, error) {
 	// kernel: fixed iteration count, no early termination.
 	{
 		const k = 6144
-		enc, err := phy.NewTurboEncoder(k)
-		if err != nil {
-			return m, err
-		}
+		enc := phy.NewTurboEncoder()
 		input := make([]byte, k)
 		for i := range input {
 			input[i] = byte(rng.Intn(2))
@@ -189,7 +190,8 @@ func Calibrate() (CostModel, error) {
 		d0 := make([]byte, k+4)
 		d1 := make([]byte, k+4)
 		d2 := make([]byte, k+4)
-		if err := enc.Encode(d0, d1, d2, input); err != nil {
+		err := enc.Encode(d0, d1, d2, input)
+		if err != nil {
 			return m, err
 		}
 		toLLR := func(bits []byte) []float32 {
@@ -207,7 +209,7 @@ func Calibrate() (CostModel, error) {
 		out := make([]byte, k)
 		const iters = 4
 		measure := func(kernel phy.DecodeKernel) (float64, error) {
-			dec, err := phy.NewTurboDecoderKernel(k, kernel)
+			dec, err := phy.NewTurboDecoderKernel(kernel)
 			if err != nil {
 				return 0, err
 			}
@@ -233,7 +235,7 @@ func Calibrate() (CostModel, error) {
 		// coefficient is per bit per iteration per lane.
 		{
 			const width = 8
-			bd, err := phy.NewBatchDecoderI16(k, width)
+			bd, err := phy.NewBatchDecoderI16(width)
 			if err != nil {
 				return m, err
 			}
@@ -276,22 +278,27 @@ func Calibrate() (CostModel, error) {
 	// Downlink encode chain per information bit (full TransportProcessor
 	// encode at a mid-range configuration).
 	{
-		p, err := phy.NewTransportProcessor(17, 50)
+		const mcs, nprb = 17, 50
+		p, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{})
 		if err != nil {
 			return m, err
 		}
-		payload := make([]byte, p.TransportBlockSize())
+		tbs, err := phy.MCS(mcs).TransportBlockSize(nprb)
+		if err != nil {
+			return m, err
+		}
+		payload := make([]byte, tbs)
 		for i := range payload {
 			payload[i] = byte(rng.Intn(2))
 		}
 		reps := 20
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if _, err := p.Encode(payload, 1, 1, 0, 0); err != nil {
+			if _, err := p.Encode(mcs, nprb, payload, 1, 1, 0, 0); err != nil {
 				return m, err
 			}
 		}
-		m.EncodePerBit = time.Since(start).Seconds() / float64(reps) / float64(p.TransportBlockSize())
+		m.EncodePerBit = time.Since(start).Seconds() / float64(reps) / float64(tbs)
 	}
 
 	// Parallel dispatch overhead: the wake-and-join round trip through a

@@ -28,17 +28,22 @@ func CalibrateDeadlineScale(bw phy.Bandwidth, mcs phy.MCS) (float64, error) {
 // roughly with min(workers, code blocks) because the turbo stage — the
 // dominant cost — parallelizes across code blocks.
 func CalibrateDeadlineScaleWorkers(bw phy.Bandwidth, mcs phy.MCS, workers int) (float64, error) {
-	proc, err := phy.NewTransportProcessorWorkers(mcs, bw.PRB(), workers)
+	nprb := bw.PRB()
+	proc, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{Workers: workers})
 	if err != nil {
 		return 0, err
 	}
 	defer proc.Close()
-	payload := make([]byte, proc.TransportBlockSize())
+	tbs, err := mcs.TransportBlockSize(nprb)
+	if err != nil {
+		return 0, err
+	}
+	payload := make([]byte, tbs)
 	for i := range payload {
 		payload[i] = byte(i % 2)
 	}
 	snr := mcs.OperatingSNR() + 2
-	syms, err := proc.Encode(payload, 1, 1, 0, 0)
+	syms, err := proc.Encode(mcs, nprb, payload, 1, 1, 0, 0)
 	if err != nil {
 		return 0, err
 	}
@@ -47,13 +52,13 @@ func CalibrateDeadlineScaleWorkers(bw phy.Bandwidth, mcs phy.MCS, workers int) (
 	ch := phy.NewAWGNChannel(snr, 4242)
 	ch.Apply(rx)
 	// Warm up once, then time a few decodes.
-	if _, err := proc.Decode(rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
+	if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
 		return 0, fmt.Errorf("dataplane: calibration decode failed: %w", err)
 	}
 	const reps = 3
 	start := time.Now()
 	for i := 0; i < reps; i++ {
-		if _, err := proc.Decode(rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
+		if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
 			return 0, fmt.Errorf("dataplane: calibration decode failed: %w", err)
 		}
 	}

@@ -19,13 +19,12 @@ import (
 // PRAN's design where cell-level low-PHY work is pinned and only UE-level
 // work is pool-scheduled. A CellProcessor is not safe for concurrent use.
 type CellProcessor struct {
-	cfg   frame.CellConfig
-	ofdm  *phy.OFDMModulator
-	grid  *frame.Grid
-	harq  *HARQManager
-	pool  *Pool
-	tel   *cellTelemetry // nil when the pool's telemetry is disabled
-	reBuf []complex128   // reusable RE extraction buffer (max allocation)
+	cfg  frame.CellConfig
+	ofdm *phy.OFDMModulator
+	grid *frame.Grid
+	harq *HARQManager
+	pool *Pool
+	tel  *cellTelemetry // nil when the pool's telemetry is disabled
 	// FFTTime accumulates time spent in the cell-level FFT stage.
 	FFTTime time.Duration
 
@@ -63,12 +62,11 @@ func NewCellProcessor(cfg frame.CellConfig, pool *Pool) (*CellProcessor, error) 
 		return nil, err
 	}
 	c := &CellProcessor{
-		cfg:   cfg,
-		ofdm:  ofdm,
-		grid:  grid,
-		harq:  NewHARQManager(),
-		pool:  pool,
-		reBuf: make([]complex128, cfg.Bandwidth.PRB()*phy.DataREsPerPRB),
+		cfg:  cfg,
+		ofdm: ofdm,
+		grid: grid,
+		harq: NewHARQManager(),
+		pool: pool,
 	}
 	if pool.tel != nil {
 		c.tel = newCellTelemetry(pool.tel, cfg.ID)

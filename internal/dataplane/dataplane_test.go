@@ -379,11 +379,29 @@ func TestHARQManagerStateTransitions(t *testing.T) {
 	if h.Prepare(a, 17) != sb1 {
 		t.Fatal("new TX same config should reuse buffer")
 	}
-	// Config change rebuilds.
-	a.MCS = 12
-	if h.Prepare(a, 25) == sb1 {
-		t.Fatal("config change must rebuild buffer")
+	// Config change at rest: the same buffer, laid out for the new
+	// configuration and zeroed.
+	sb1.Unmarshal(bytes.Repeat([]byte{0x40}, sb1.MarshalledSize()))
+	a.MCS, a.NumPRB = 16, 40
+	want, err := phy.NewSoftBuffer(a.MCS, a.NumPRB)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if h.Prepare(a, 25) != sb1 {
+		t.Fatal("config change at rest should re-lay out the process's buffer")
+	}
+	if sb1.Blocks() != want.Blocks() || sb1.StreamLen() != want.StreamLen() ||
+		!bytes.Equal(sb1.MarshalAppend(nil), want.MarshalAppend(nil)) || h.StateBytes() != want.MarshalledSize() {
+		t.Fatalf("re-laid out buffer %d×%d (%d bytes), want a zeroed %d×%d", sb1.Blocks(), sb1.StreamLen(), h.StateBytes(), want.Blocks(), want.StreamLen())
+	}
+	// Config change while a decode still owns the buffer: a fresh one, the
+	// in-flight task keeps the old.
+	_, st := h.prepareOwned(a, 33)
+	a.MCS = 12
+	if sb2 := h.Prepare(a, 41); sb2 == nil || sb2 == sb1 {
+		t.Fatal("config change under an in-flight decode must not touch its buffer")
+	}
+	st.busy.Store(false)
 	if h.Processes() != 1 {
 		t.Fatalf("processes %d", h.Processes())
 	}
@@ -576,5 +594,90 @@ func TestPoolFrontEndConfig(t *testing.T) {
 	}
 	if !bytes.Equal(outputs[0], outputs[1]) {
 		t.Fatal("fused and staged pools decoded different payloads")
+	}
+}
+
+// TestWorkerFootprintFlatAcrossShapes pins the pooling property the worker's
+// scratch is built for: what a worker holds depends on the load it is
+// handed, not on how many (MCS, PRB) shapes it has ever decoded. The live
+// heap after 300 distinct shapes must sit within 1 MB of its value after 3
+// (the block sizes' interleavers and rate-match tables are the process's,
+// not the worker's, and are built before either reading).
+func TestWorkerFootprintFlatAcrossShapes(t *testing.T) {
+	type shape struct {
+		mcs  phy.MCS
+		nprb int
+	}
+	var shapes []shape
+	for i := 0; len(shapes) < 300; i++ {
+		s := shape{phy.MCS(i % 29), 1 + (i/29)*5 + i%5}
+		tbs, err := s.mcs.TransportBlockSize(s.nprb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := phy.Segment(tbs + 24)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := phy.NewRateMatcher(seg.K); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := phy.NewQPPInterleaver(seg.K); err != nil {
+			t.Fatal(err)
+		}
+		shapes = append(shapes, s)
+	}
+	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1e6, DisableTelemetry: true})
+	enc, err := phy.NewTransportProcessor(phy.MaxPRB, phy.ProcOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	decode := func(shapes []shape) {
+		t.Helper()
+		for i, s := range shapes {
+			tbs, _ := s.mcs.TransportBlockSize(s.nprb)
+			payload := make([]byte, tbs)
+			for j := range payload {
+				payload[j] = byte((i + j*j) & 1)
+			}
+			syms, err := enc.Encode(s.mcs, s.nprb, payload, 9, 42, 1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			now := time.Now()
+			err = pool.Submit(&Task{
+				PCI: 42, TTI: 1, Alloc: frame.Allocation{RNTI: 9, NumPRB: s.nprb, MCS: s.mcs},
+				REs: append([]complex128(nil), syms...), N0: 1e-3,
+				Enqueued: now, Deadline: now.Add(time.Hour),
+				OnDone: func(tk *Task) {
+					if tk.Err == nil && !bytes.Equal(tk.Payload, payload) {
+						tk.Err = errors.New("payload mismatch")
+					}
+					done <- tk.Err
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-done; err != nil {
+				t.Fatalf("MCS %d / %d PRB: %v", s.mcs, s.nprb, err)
+			}
+		}
+	}
+	live := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	decode(shapes[:3])
+	after3 := live()
+	decode(shapes)
+	after300 := live()
+	t.Logf("live heap after 3 shapes %d KB, after 300 shapes %d KB", after3>>10, after300>>10)
+	if after300 > after3+1<<20 {
+		t.Fatalf("live heap grew from %d to %d bytes across 300 shapes", after3, after300)
 	}
 }

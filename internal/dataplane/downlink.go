@@ -48,7 +48,7 @@ type DownlinkProcessor struct {
 	cfg     frame.CellConfig
 	ofdm    *phy.OFDMModulator
 	grid    *frame.Grid
-	procs   map[procKey]*phy.TransportProcessor
+	enc     *phy.TransportProcessor // encode-only: sized for the cell bandwidth, no decode buffers
 	samples []complex128
 	// EncodeTime accumulates transmit-chain time for cost accounting.
 	EncodeTime time.Duration
@@ -67,30 +67,21 @@ func NewDownlinkProcessor(cfg frame.CellConfig) (*DownlinkProcessor, error) {
 	if err != nil {
 		return nil, err
 	}
+	enc, err := phy.NewTransportProcessor(cfg.Bandwidth.PRB(), phy.ProcOptions{})
+	if err != nil {
+		return nil, err
+	}
 	return &DownlinkProcessor{
 		cfg:     cfg,
 		ofdm:    ofdm,
 		grid:    grid,
-		procs:   make(map[procKey]*phy.TransportProcessor),
+		enc:     enc,
 		samples: make([]complex128, ofdm.FFTSize()*phy.SymbolsPerSubframe),
 	}, nil
 }
 
 // Config returns the cell configuration.
 func (d *DownlinkProcessor) Config() frame.CellConfig { return d.cfg }
-
-func (d *DownlinkProcessor) processor(mcs phy.MCS, nprb int) (*phy.TransportProcessor, error) {
-	key := procKey{mcs: mcs, nprb: nprb}
-	if p, ok := d.procs[key]; ok {
-		return p, nil
-	}
-	p, err := phy.NewTransportProcessor(mcs, nprb)
-	if err != nil {
-		return nil, err
-	}
-	d.procs[key] = p
-	return p, nil
-}
 
 // BuildSubframe encodes every allocation's payload, maps the results onto
 // the grid, and returns the subframe's time-domain samples (reused across
@@ -106,11 +97,7 @@ func (d *DownlinkProcessor) BuildSubframe(work frame.SubframeWork, payloads [][]
 	start := time.Now()
 	d.grid.Reset()
 	for i, a := range work.Allocations {
-		proc, err := d.processor(a.MCS, a.NumPRB)
-		if err != nil {
-			return nil, err
-		}
-		syms, err := proc.Encode(payloads[i], uint16(a.RNTI), d.cfg.PCI, work.TTI.Subframe(), int(a.RV))
+		syms, err := d.enc.Encode(a.MCS, a.NumPRB, payloads[i], uint16(a.RNTI), d.cfg.PCI, work.TTI.Subframe(), int(a.RV))
 		if err != nil {
 			return nil, fmt.Errorf("dataplane: DL encode alloc %d: %w", i, err)
 		}
@@ -164,15 +151,13 @@ func EncodeOnPool(pool *Pool, cell frame.CellConfig, work frame.SubframeWork, pa
 				start := time.Now()
 				// Encode doesn't decode, so the degradation ladder's kernel
 				// override is irrelevant — use the pool's configured kernel.
-				proc, err := w.processor(dl.Alloc.MCS, dl.Alloc.NumPRB, 0, w.pool.cfg.DecodeKernel)
+				d, err := w.dspFor(w.pool.cfg.DecodeKernel)
 				if err != nil {
 					dl.Err = err
 					return
 				}
-				if w.procs == nil {
-					defer proc.Close()
-				}
-				syms, err := proc.Encode(dl.Payload, uint16(dl.Alloc.RNTI), dl.PCI, dl.TTI.Subframe(), int(dl.Alloc.RV))
+				defer w.release(d)
+				syms, err := d.procs[0].Encode(dl.Alloc.MCS, dl.Alloc.NumPRB, dl.Payload, uint16(dl.Alloc.RNTI), dl.PCI, dl.TTI.Subframe(), int(dl.Alloc.RV))
 				if err != nil {
 					dl.Err = err
 					return

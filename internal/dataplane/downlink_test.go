@@ -83,11 +83,11 @@ func TestDownlinkBuildAndReceive(t *testing.T) {
 		if err := grid.Extract(res, a); err != nil {
 			t.Fatal(err)
 		}
-		proc, err := phy.NewTransportProcessor(a.MCS, a.NumPRB)
+		proc, err := phy.NewTransportProcessor(a.NumPRB, phy.ProcOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := proc.Decode(res, 1e-4, uint16(a.RNTI), cfg.PCI, work.TTI.Subframe(), int(a.RV), nil)
+		got, err := proc.Decode(a.MCS, a.NumPRB, res, 1e-4, uint16(a.RNTI), cfg.PCI, work.TTI.Subframe(), int(a.RV), nil)
 		if err != nil {
 			t.Fatalf("UE %d decode: %v", a.RNTI, err)
 		}
@@ -146,8 +146,8 @@ func TestEncodeOnPool(t *testing.T) {
 		}
 		// The pooled encode must produce the exact symbols the inline
 		// transmit chain produces.
-		proc, _ := phy.NewTransportProcessor(a.MCS, a.NumPRB)
-		want, err := proc.Encode(payloads[i], uint16(a.RNTI), cfg.PCI, work.TTI.Subframe(), int(a.RV))
+		proc, _ := phy.NewTransportProcessor(a.NumPRB, phy.ProcOptions{})
+		want, err := proc.Encode(a.MCS, a.NumPRB, payloads[i], uint16(a.RNTI), cfg.PCI, work.TTI.Subframe(), int(a.RV))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,31 +187,36 @@ func TestDownlinkCheaperThanUplink(t *testing.T) {
 		{"float32", phy.ProcOptions{Kernel: phy.KernelFloat32}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			proc, err := phy.NewTransportProcessorOpts(16, 25, tc.opts)
+			const mcs, nprb = phy.MCS(16), 25
+			proc, err := phy.NewTransportProcessor(nprb, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbs, err := mcs.TransportBlockSize(nprb)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(33))
-			payload := make([]byte, proc.TransportBlockSize())
+			payload := make([]byte, tbs)
 			for i := range payload {
 				payload[i] = byte(rng.Intn(2))
 			}
-			syms, err := proc.Encode(payload, 1, 1, 0, 0)
+			syms, err := proc.Encode(mcs, nprb, payload, 1, 1, 0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rx := append([]complex128(nil), syms...)
-			ch := phy.NewAWGNChannel(phy.MCS(16).OperatingSNR()+2, 34)
+			ch := phy.NewAWGNChannel(mcs.OperatingSNR()+2, 34)
 			ch.Apply(rx)
 
 			var encTotal, decTotal time.Duration
 			const reps = 3
 			for i := 0; i < reps; i++ {
-				if _, err := proc.Encode(payload, 1, 1, 0, 0); err != nil {
+				if _, err := proc.Encode(mcs, nprb, payload, 1, 1, 0, 0); err != nil {
 					t.Fatal(err)
 				}
 				encTotal += proc.Timings.EncodeChain + proc.Timings.Modulate
-				if _, err := proc.Decode(rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
+				if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
 					t.Fatal(err)
 				}
 				decTotal += proc.Timings.Total()

@@ -50,7 +50,13 @@ func fadingEndToEnd(t *testing.T, profile phy.MultipathProfile, equalize bool, s
 	}
 	results := make(map[frame.RNTI]*Task)
 	done := make(chan *Task, len(work.Allocations))
-	if err := cp.IngestSubframe(samples, work, func(tk *Task) { done <- tk }); err != nil {
+	err = cp.IngestSubframe(samples, work, func(tk *Task) {
+		// Payload aliases the worker's processor, which the next task —
+		// whatever its shape — decodes into.
+		tk.Payload = append([]byte(nil), tk.Payload...)
+		done <- tk
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for range work.Allocations {
@@ -128,7 +134,13 @@ func TestEqualizationHarmlessWithoutFading(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan *Task, 1)
-	if err := cp.IngestSubframe(samples, work, func(tk *Task) { done <- tk }); err != nil {
+	err = cp.IngestSubframe(samples, work, func(tk *Task) {
+		// Payload aliases the worker's processor, which the next task —
+		// whatever its shape — decodes into.
+		tk.Payload = append([]byte(nil), tk.Payload...)
+		done <- tk
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	tk := <-done

@@ -48,7 +48,9 @@ func NewHARQManager() *HARQManager {
 // Prepare returns the soft buffer to use for an allocation's decode, or nil
 // when no buffer could be built (the decode then runs without combining).
 // RV 0 resets the process; a retransmission reuses the accumulated LLRs if
-// the configuration matches, else the buffer is rebuilt. Prepare is for
+// the configuration matches, else the buffer is laid out afresh — in the
+// process's own storage when no decode still holds it, so an allocation
+// that changes shape every TTI allocates nothing. Prepare is for
 // synchronous callers that decode on the calling goroutine; when the decode
 // is handed to a pool worker, the cell processor uses prepareOwned so the
 // buffer's ownership transfers with the task.
@@ -85,14 +87,17 @@ func (h *HARQManager) prepare(a frame.Allocation, tti frame.TTI) (*phy.SoftBuffe
 		st.tti = tti
 		return st.sb, st
 	}
-	if sameCfg && !busy {
-		st.sb.Reset()
-		st.tti = tti
+	if ok && !busy {
+		// At rest: zero the buffer, re-laid out if the shape changed.
+		if err := st.sb.Reshape(a.MCS, a.NumPRB); err != nil {
+			return nil, nil
+		}
+		st.mcs, st.nprb, st.tti = a.MCS, a.NumPRB, tti
 		return st.sb, st
 	}
-	// New process, configuration change, or a first transmission while the
-	// old buffer is still attached to an in-flight decode: start fresh and
-	// let any in-flight task keep the detached buffer.
+	// New process, or a transmission that cannot combine while the old
+	// buffer is still attached to an in-flight decode: start fresh and let
+	// any in-flight task keep the detached buffer.
 	sb, err := phy.NewSoftBuffer(a.MCS, a.NumPRB)
 	if err != nil {
 		return nil, nil
@@ -165,11 +170,16 @@ func (h *HARQManager) UnmarshalBinary(src []byte) error {
 	if len(src) < 4 {
 		return fmt.Errorf("dataplane: HARQ state truncated: %w", phy.ErrTooShort)
 	}
+	const hdr = 2 + 1 + 1 + 2 + 8 + 4
 	n := binary.BigEndian.Uint32(src)
 	pos := 4
+	// The count is the sender's word: refuse one the remaining bytes
+	// cannot hold (a header per entry) before it sizes anything.
+	if uint64(n) > uint64(len(src)-pos)/hdr {
+		return fmt.Errorf("dataplane: HARQ state claims %d entries in %d bytes: %w", n, len(src)-pos, phy.ErrTooShort)
+	}
 	states := make(map[harqStateKey]*harqState, n)
 	for i := uint32(0); i < n; i++ {
-		const hdr = 2 + 1 + 1 + 2 + 8 + 4
 		if pos+hdr > len(src) {
 			return fmt.Errorf("dataplane: HARQ state entry %d truncated: %w", i, phy.ErrTooShort)
 		}

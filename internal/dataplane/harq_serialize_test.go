@@ -1,8 +1,10 @@
 package dataplane
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"pran/internal/frame"
@@ -10,7 +12,7 @@ import (
 )
 
 // warmHARQ builds a manager with a few processes carrying nonzero LLRs.
-func warmHARQ(t *testing.T, seed int64) *HARQManager {
+func warmHARQ(t testing.TB, seed int64) *HARQManager {
 	t.Helper()
 	h := NewHARQManager()
 	rng := rand.New(rand.NewSource(seed))
@@ -111,12 +113,16 @@ func TestHARQMigrationPreservesDecodeState(t *testing.T) {
 	// HARQ state migrates, and the retransmission decodes on server B by
 	// combining with the migrated LLRs.
 	const mcs, nprb = 14, 6
-	proc, err := phy.NewTransportProcessor(mcs, nprb)
+	proc, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbs, err := phy.MCS(mcs).TransportBlockSize(nprb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	payload := make([]byte, proc.TransportBlockSize())
+	payload := make([]byte, tbs)
 	for i := range payload {
 		payload[i] = byte(rng.Intn(2))
 	}
@@ -127,13 +133,13 @@ func TestHARQMigrationPreservesDecodeState(t *testing.T) {
 	// Server A: first transmission into its HARQ manager.
 	hA := NewHARQManager()
 	sbA := hA.Prepare(alloc, 0)
-	syms, err := proc.Encode(payload, 9, 5, 0, 0)
+	syms, err := proc.Encode(mcs, nprb, payload, 9, 5, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rx := append([]complex128(nil), syms...)
 	ch.Apply(rx)
-	_, errA := proc.Decode(rx, ch.N0(), 9, 5, 0, 0, sbA)
+	_, errA := proc.Decode(mcs, nprb, rx, ch.N0(), 9, 5, 0, 0, sbA)
 
 	// Migrate A → B.
 	blob, err := hA.MarshalBinary()
@@ -151,13 +157,13 @@ func TestHARQMigrationPreservesDecodeState(t *testing.T) {
 	if sbB == nil {
 		t.Fatal("no buffer on destination")
 	}
-	syms2, err := proc.Encode(payload, 9, 5, 0, 2)
+	syms2, err := proc.Encode(mcs, nprb, payload, 9, 5, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rx2 := append([]complex128(nil), syms2...)
 	ch.Apply(rx2)
-	got, errB := proc.Decode(rx2, ch.N0(), 9, 5, 0, 2, sbB)
+	got, errB := proc.Decode(mcs, nprb, rx2, ch.N0(), 9, 5, 0, 2, sbB)
 	if errB != nil {
 		t.Fatalf("post-migration combined decode failed (first TX err=%v): %v", errA, errB)
 	}
@@ -166,4 +172,72 @@ func TestHARQMigrationPreservesDecodeState(t *testing.T) {
 			t.Fatalf("payload mismatch at %d", i)
 		}
 	}
+}
+
+// TestHARQUnmarshalBoundsCount is the regression test for the count read off
+// the wire: four bytes claiming 2³²−1 entries must be refused as too short
+// before the count sizes anything (it used to pre-size the state map).
+func TestHARQUnmarshalBoundsCount(t *testing.T) {
+	h := warmHARQ(t, 3)
+	want, _ := h.MarshalBinary()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := h.UnmarshalBinary([]byte{0xff, 0xff, 0xff, 0xff})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, phy.ErrTooShort) {
+		t.Fatalf("count-only blob: %v, want ErrTooShort", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<16 {
+		t.Fatalf("refusing a 4-byte blob allocated %d bytes", alloc)
+	}
+	// Less than two 18-byte entry headers cannot carry two entries either,
+	// and a refused blob leaves the manager's state alone.
+	two := append([]byte{0, 0, 0, 2}, make([]byte, 18+17)...)
+	if err := h.UnmarshalBinary(two); !errors.Is(err, phy.ErrTooShort) {
+		t.Fatalf("two entries claimed in 35 bytes: %v, want ErrTooShort", err)
+	}
+	if got, _ := h.MarshalBinary(); !bytes.Equal(got, want) {
+		t.Fatal("a refused blob changed the manager's state")
+	}
+}
+
+// FuzzHARQUnmarshal feeds UnmarshalBinary marshalled state with arbitrary
+// edits, and arbitrary bytes: it must not panic, must not allocate out of
+// proportion to its input (one rejected entry's buffer, under 1 MB, is the
+// most it may waste), and whatever it accepts must be state the wire could
+// carry, which marshals and restores to itself.
+func FuzzHARQUnmarshal(f *testing.F) {
+	blob, err := warmHARQ(f, 4).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	f.Add(blob[:len(blob)-7])
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h := NewHARQManager()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := h.UnmarshalBinary(data)
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2<<20+8*uint64(len(data)) {
+			t.Fatalf("%d bytes of input allocated %d", len(data), alloc)
+		}
+		if err != nil {
+			return
+		}
+		if h.StateBytes() > len(data) {
+			t.Fatalf("%d bytes of input restored %d bytes of soft state", len(data), h.StateBytes())
+		}
+		blob, err := h.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2 := NewHARQManager()
+		if err := h2.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("restored state does not restore: %v", err)
+		}
+		if blob2, _ := h2.MarshalBinary(); !bytes.Equal(blob, blob2) {
+			t.Fatal("restored state does not marshal to itself")
+		}
+	})
 }

@@ -51,10 +51,9 @@ type Config struct {
 	Workers int
 	// DecodeWorkers is the intra-task parallelism: each pool worker fans a
 	// transport block's code blocks across this many turbo decoders (its
-	// own goroutine plus DecodeWorkers-1 resident helpers per turbo block
-	// size it decodes). 0 or 1 means the worker decodes alone. The
-	// effective core demand of a fully busy pool is ≈ Workers ×
-	// DecodeWorkers; provisioning math in
+	// own goroutine plus DecodeWorkers-1 resident helpers). 0 or 1 means the
+	// worker decodes alone. The effective core demand of a fully busy pool
+	// is ≈ Workers × DecodeWorkers; provisioning math in
 	// internal/cluster.CostModel.AllocCostWorkers uses the same knob.
 	DecodeWorkers int
 	// DecodeKernel selects the turbo SISO arithmetic every decoder this
@@ -95,8 +94,9 @@ type Config struct {
 	// instead of decoding them anyway (PRAN behaviour: a late UL decode is
 	// useless — the NACK window has closed).
 	AbandonLate bool
-	// NaiveAlloc disables worker-local processor caching so every task
-	// allocates fresh DSP state — the GC-pressure ablation knob.
+	// NaiveAlloc disables the workers' resident scratch so every task builds
+	// (and drops) a turbo working set and a processor of its own — the
+	// GC-pressure ablation knob.
 	NaiveAlloc bool
 	// Degrade parameterizes the compute-aware degradation ladder (see
 	// DegradeConfig and cluster.DegradationLevel). The ladder's per-cell

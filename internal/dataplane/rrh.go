@@ -22,7 +22,7 @@ type RRHEmulator struct {
 	cfg     frame.CellConfig
 	ofdm    *phy.OFDMModulator
 	grid    *frame.Grid
-	procs   map[procKey]*phy.TransportProcessor
+	enc     *phy.TransportProcessor // encode-only: sized for the cell bandwidth, no decode buffers
 	rng     *rand.Rand
 	chans   map[int]*phy.AWGNChannel // keyed by integer SNR decibel bucket
 	samples []complex128
@@ -48,11 +48,15 @@ func NewRRHEmulator(cfg frame.CellConfig, seed int64) (*RRHEmulator, error) {
 	if err != nil {
 		return nil, err
 	}
+	enc, err := phy.NewTransportProcessor(cfg.Bandwidth.PRB(), phy.ProcOptions{})
+	if err != nil {
+		return nil, err
+	}
 	return &RRHEmulator{
 		cfg:     cfg,
 		ofdm:    ofdm,
 		grid:    grid,
-		procs:   make(map[procKey]*phy.TransportProcessor),
+		enc:     enc,
 		rng:     rand.New(rand.NewSource(seed)),
 		chans:   make(map[int]*phy.AWGNChannel),
 		samples: make([]complex128, ofdm.FFTSize()*phy.SymbolsPerSubframe),
@@ -62,19 +66,6 @@ func NewRRHEmulator(cfg frame.CellConfig, seed int64) (*RRHEmulator, error) {
 
 // Config returns the cell configuration.
 func (r *RRHEmulator) Config() frame.CellConfig { return r.cfg }
-
-func (r *RRHEmulator) processor(mcs phy.MCS, nprb int) (*phy.TransportProcessor, error) {
-	key := procKey{mcs: mcs, nprb: nprb}
-	if p, ok := r.procs[key]; ok {
-		return p, nil
-	}
-	p, err := phy.NewTransportProcessor(mcs, nprb)
-	if err != nil {
-		return nil, err
-	}
-	r.procs[key] = p
-	return p, nil
-}
 
 // channel returns a persistent AWGN channel for the (rounded) SNR so noise
 // streams stay deterministic per cell.
@@ -121,11 +112,7 @@ func (r *RRHEmulator) Emit(work frame.SubframeWork, payloads [][]byte) ([]comple
 	r.grid.Reset()
 	// Clean transmit grid first: UE data plus the cell's pilot sequence.
 	for i, a := range work.Allocations {
-		proc, err := r.processor(a.MCS, a.NumPRB)
-		if err != nil {
-			return nil, err
-		}
-		syms, err := proc.Encode(payloads[i], uint16(a.RNTI), r.cfg.PCI, work.TTI.Subframe(), int(a.RV))
+		syms, err := r.enc.Encode(a.MCS, a.NumPRB, payloads[i], uint16(a.RNTI), r.cfg.PCI, work.TTI.Subframe(), int(a.RV))
 		if err != nil {
 			return nil, fmt.Errorf("dataplane: encode alloc %d: %w", i, err)
 		}

@@ -12,20 +12,23 @@
 // given miss rate, EDF-vs-FIFO gaps, pooling factors) — the substitution is
 // recorded in DESIGN.md §2.
 //
-// Hot-path discipline (the "GC vs PHY deadlines" mitigation): workers keep
-// per-configuration phy.TransportProcessor instances and reuse every buffer;
-// steady-state processing performs no heap allocation. Config.NaiveAlloc
-// deliberately disables the caches for the GC-pressure ablation in E5.
+// Hot-path discipline (the "GC vs PHY deadlines" mitigation): each worker
+// keeps one phy.TransportProcessor per batch slot and one turbo working set,
+// sized for the largest transport block and reused for every shape;
+// steady-state processing performs no heap allocation and a worker's memory
+// does not depend on the shapes it has decoded. Config.NaiveAlloc builds
+// that scratch per task instead, for the GC-pressure ablation in E5.
 //
 // Concurrency: a Pool owns Config.Workers resident goroutines; tasks enter
 // through Submit (any goroutine) and results leave on the pool's completion
-// channel. Each worker owns its processors and metrics outright — nothing on
-// the processing path is shared between workers, so the hot path takes no
-// locks; per-worker metrics merge at collection points. The turbo decoders
-// belong to the worker too (a phy.DecoderSet keyed by turbo block size,
-// shared by all its processors); when Config.DecodeWorkers > 1 their helper
-// goroutines fan a task's code blocks out, making the effective core demand
-// ≈ Workers × DecodeWorkers. The
+// channel. Each worker owns its processors, its turbo decoder (one
+// phy.DecoderSet shared by its processors) and its metrics outright —
+// nothing mutable on the processing path is shared between workers (the
+// interleaver and rate-match tables they share are read-only), so the hot
+// path takes no locks; per-worker metrics merge at collection points. When
+// Config.DecodeWorkers > 1 the decoder's DecodeWorkers−1 helper goroutines
+// fan a task's code blocks out, making the effective core demand ≈ Workers
+// × DecodeWorkers. The
 // degradation ladder adds one more goroutine when Degrade.Enable is set —
 // the headroom controller, which writes per-cell level words that Submit
 // reads via atomic loads; workers only ever see the level frozen into

@@ -7,34 +7,25 @@ import (
 	"pran/internal/phy"
 )
 
-// worker owns per-configuration DSP state so the steady-state decode path
-// never allocates. One worker maps to one dedicated core in the PRAN model;
-// with Config.DecodeWorkers > 1 its decoders additionally keep
-// DecodeWorkers-1 resident turbo-decode helpers, so a busy worker occupies
-// up to DecodeWorkers cores during the turbo stage. All processor and
-// decoder state is private to this worker's goroutine — only the parallel
-// decoder's internal fan-out (documented on phy.ParallelDecoder) crosses
-// goroutines.
+// worker owns the DSP scratch its decodes run in, so the decode path never
+// allocates and a worker's memory does not depend on the shapes it has
+// decoded. One worker maps to one dedicated core in the PRAN model; with
+// Config.DecodeWorkers > 1 its decoder additionally keeps DecodeWorkers-1
+// resident turbo-decode helpers, so a busy worker occupies up to
+// DecodeWorkers cores during the turbo stage. All processor and decoder
+// state is private to this worker's goroutine — only the parallel decoder's
+// internal fan-out (documented on phy.ParallelDecoder) crosses goroutines —
+// and what workers share (interleavers, rate-match tables) is immutable.
 type worker struct {
 	pool *Pool
 	id   int
-	// decs holds the worker's turbo decoders, one phy.DecoderSet per decode
-	// kernel in use: the pool's configured kernel, plus int16 when a float32
-	// pool degrades a cell to the ladder rung that forces it. Inside a set
-	// decoders are keyed by turbo block size K and built on first decode, so
-	// however many (MCS, NumPRB) shapes the worker caches below, it carries
-	// one turbo working set per K it has decoded — the same one whether a
-	// transport block decodes alone or in a joint group. Nil in NaiveAlloc
-	// mode.
-	decs map[phy.DecodeKernel]*phy.DecoderSet
-	// procs caches transport processors keyed by (MCS, NumPRB, kernel),
-	// built from the kernel's decoder set; nil when the pool runs in
-	// NaiveAlloc mode. With cross-task batching each key holds one
-	// processor per potential batch slot (a joint decode needs a distinct
-	// processor per transport block); otherwise the slice has exactly one.
-	procs map[procKey][]*phy.TransportProcessor
+	// dsps holds the worker's DSP scratch, one entry per decode kernel in
+	// use: the pool's configured kernel, plus int16 when a float32 pool
+	// degrades a cell to the ladder rung that forces it. Nil in NaiveAlloc
+	// mode, where every dispatch builds and drops its own.
+	dsps map[phy.DecodeKernel]*dsp
 	// joint marshals a claimed group's transport blocks into one fan-out on
-	// the set's decoder; non-nil only when Config.BatchTasks ≥ 2.
+	// the kernel's decoder; non-nil only when Config.BatchTasks ≥ 2.
 	joint *phy.JointDecoder
 
 	// Claim/dispatch scratch, reused across groups.
@@ -43,17 +34,21 @@ type worker struct {
 	reqs  []phy.DecodeRequest
 }
 
-type procKey struct {
-	mcs    phy.MCS
-	nprb   int
-	kernel phy.DecodeKernel
+// dsp is one decode kernel's scratch on a worker: one turbo working set
+// (phy.DecoderSet, the same whether a transport block decodes alone or in a
+// joint group) and one transport processor per batch slot — a joint decode
+// needs a distinct processor per transport block, a solo decode or a
+// downlink encode uses slot 0 — each sized for the largest transport block
+// (phy.MaxPRB at phy.MaxMCS).
+type dsp struct {
+	set   *phy.DecoderSet
+	procs []*phy.TransportProcessor
 }
 
 func newWorker(p *Pool, id int) *worker {
 	w := &worker{pool: p, id: id}
 	if !p.cfg.NaiveAlloc {
-		w.decs = make(map[phy.DecodeKernel]*phy.DecoderSet)
-		w.procs = make(map[procKey][]*phy.TransportProcessor)
+		w.dsps = make(map[phy.DecodeKernel]*dsp)
 	}
 	if p.cfg.batchTasks() > 1 {
 		w.joint = phy.NewJointDecoder()
@@ -75,50 +70,45 @@ func (w *worker) kernelFor(lvl cluster.DegradationLevel) phy.DecodeKernel {
 	return w.pool.cfg.DecodeKernel
 }
 
-// procOptions returns the construction options for this worker's decoder
-// set and processors running the given kernel.
-func (w *worker) procOptions(kern phy.DecodeKernel) phy.ProcOptions {
-	cfg := w.pool.cfg
-	return phy.ProcOptions{Workers: cfg.DecodeWorkers, Kernel: kern, FrontEnd: cfg.FrontEnd, Batch: cfg.DecodeBatch}
-}
-
-// processor returns slot n's transport processor for the configuration and
-// kernel, cached per worker unless the GC-pressure ablation is on. In
-// NaiveAlloc mode the caller owns the returned processor and must Close it
-// after use (the cached ones share the worker's decoder sets, closed when
-// the worker exits). The solo decode and downlink-encode paths use slot 0;
-// joint decodes use one slot per transport block in the batch.
-func (w *worker) processor(mcs phy.MCS, nprb, n int, kern phy.DecodeKernel) (*phy.TransportProcessor, error) {
-	if w.procs == nil {
-		return phy.NewTransportProcessorOpts(mcs, nprb, w.procOptions(kern))
+// dspFor returns the scratch a dispatch on the given kernel runs in: the
+// worker's resident one, built on first use, or under the GC-pressure
+// ablation (NaiveAlloc) a fresh one. The caller releases it after the
+// dispatch.
+func (w *worker) dspFor(kern phy.DecodeKernel) (*dsp, error) {
+	if d := w.dsps[kern]; d != nil {
+		return d, nil
 	}
-	key := procKey{mcs: mcs, nprb: nprb, kernel: kern}
-	s := w.procs[key]
-	for len(s) <= n {
-		ds, ok := w.decs[kern]
-		if !ok {
-			var err error
-			if ds, err = phy.NewDecoderSet(w.procOptions(kern)); err != nil {
-				return nil, err
-			}
-			w.decs[kern] = ds
-		}
-		p, err := ds.NewProcessor(mcs, nprb)
-		if err != nil {
+	cfg := w.pool.cfg
+	set, err := phy.NewDecoderSet(phy.ProcOptions{Workers: cfg.DecodeWorkers, Kernel: kern, FrontEnd: cfg.FrontEnd, Batch: cfg.DecodeBatch})
+	if err != nil {
+		return nil, err
+	}
+	d := &dsp{set: set, procs: make([]*phy.TransportProcessor, cfg.batchTasks())}
+	for i := range d.procs {
+		if d.procs[i], err = set.NewProcessor(phy.MaxPRB); err != nil {
 			return nil, err
 		}
-		s = append(s, p)
-		w.procs[key] = s
 	}
-	return s[n], nil
+	if w.dsps != nil {
+		w.dsps[kern] = d
+	}
+	return d, nil
+}
+
+// release ends a dispatch's use of its scratch: resident scratch stays until
+// the worker exits, NaiveAlloc scratch goes now.
+func (w *worker) release(d *dsp) {
+	if w.dsps == nil {
+		d.set.Close()
+	}
 }
 
 func (w *worker) run() {
 	defer w.pool.wg.Done()
 	defer func() {
 		// Release the resident decode helpers of the decoder sets.
-		for _, ds := range w.decs {
-			ds.Close()
+		for _, d := range w.dsps {
+			d.set.Close()
 		}
 	}()
 	for {
@@ -181,20 +171,19 @@ func (w *worker) execute(t *Task) {
 		t.Finished = time.Now()
 		return
 	}
-	proc, err := w.processor(t.Alloc.MCS, t.Alloc.NumPRB, 0, w.kernelFor(t.Degrade))
+	d, err := w.dspFor(w.kernelFor(t.Degrade))
 	if err != nil {
 		t.Err = err
 		t.Finished = time.Now()
 		return
 	}
-	if w.procs == nil {
-		defer proc.Close()
-	}
+	defer w.release(d)
+	proc := d.procs[0]
 	// IterCap is 0 at level 0, which SetMaxIterations maps back to the
-	// default budget — a cached processor left capped by a degraded task
-	// is restored before the next full-fidelity decode.
+	// default budget — a processor left capped by a degraded task is
+	// restored before the next full-fidelity decode.
 	proc.SetMaxIterations(t.Degrade.IterCap())
-	payload, err := proc.Decode(t.REs, t.N0, uint16(t.Alloc.RNTI), t.PCI, t.TTI.Subframe(), int(t.Alloc.RV), t.Soft)
+	payload, err := proc.Decode(t.Alloc.MCS, t.Alloc.NumPRB, t.REs, t.N0, uint16(t.Alloc.RNTI), t.PCI, t.TTI.Subframe(), int(t.Alloc.RV), t.Soft)
 	t.Payload = payload
 	t.Err = err
 	t.TurboIterations = proc.Timings.TurboIterations
@@ -239,34 +228,18 @@ func (w *worker) executeJoint(group []*Task) {
 		}
 	}
 	// The group is shape-uniform (sameShape includes the degradation
-	// level), so one kernel choice and one iteration budget cover it. A
-	// joint decode needs its processors from one decoder set: the worker's
-	// cached ones are, and the GC-pressure ablation builds a set for the
-	// dispatch.
-	kern := w.kernelFor(live[0].Degrade)
-	var fresh *phy.DecoderSet
-	if w.procs == nil {
-		var err error
-		if fresh, err = phy.NewDecoderSet(w.procOptions(kern)); err != nil {
-			failAll(err)
-			return
-		}
-		defer fresh.Close()
+	// level), so one kernel choice and one iteration budget cover it, and
+	// one dsp supplies the distinct processors on one decoder set a joint
+	// decode needs.
+	d, err := w.dspFor(w.kernelFor(live[0].Degrade))
+	if err != nil {
+		failAll(err)
+		return
 	}
+	defer w.release(d)
 	for n, t := range live {
-		var proc *phy.TransportProcessor
-		var err error
-		if fresh != nil {
-			proc, err = fresh.NewProcessor(t.Alloc.MCS, t.Alloc.NumPRB)
-		} else {
-			proc, err = w.processor(t.Alloc.MCS, t.Alloc.NumPRB, n, kern)
-		}
-		if err != nil {
-			failAll(err)
-			return
-		}
 		reqs = append(reqs, phy.DecodeRequest{
-			P: proc, RX: t.REs, N0: t.N0,
+			P: d.procs[n], MCS: t.Alloc.MCS, NumPRB: t.Alloc.NumPRB, RX: t.REs, N0: t.N0,
 			RNTI: uint16(t.Alloc.RNTI), CellID: t.PCI, Subframe: t.TTI.Subframe(),
 			RV: int(t.Alloc.RV), SB: t.Soft,
 		})

@@ -97,26 +97,30 @@ func E12KernelAblation(quick bool) (Result, error) {
 // at the given SNR with the given decode kernel and returns the block error
 // rate (the experiments-side sibling of the phy test helper).
 func measureKernelBLER(mcs phy.MCS, nprb int, snrDB float64, trials int, seed int64, kernel phy.DecodeKernel) (float64, error) {
-	proc, err := phy.NewTransportProcessorKernel(mcs, nprb, 1, kernel)
+	proc, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{Kernel: kernel})
+	if err != nil {
+		return 0, err
+	}
+	tbs, err := mcs.TransportBlockSize(nprb)
 	if err != nil {
 		return 0, err
 	}
 	rng := rand.New(rand.NewSource(seed))
 	ch := phy.NewAWGNChannel(snrDB, seed+1)
 	errsN := 0
-	rx := make([]complex128, proc.NumSymbols())
-	payload := make([]byte, proc.TransportBlockSize())
+	rx := make([]complex128, nprb*phy.DataREsPerPRB)
+	payload := make([]byte, tbs)
 	for i := 0; i < trials; i++ {
 		for j := range payload {
 			payload[j] = byte(rng.Intn(2))
 		}
-		syms, err := proc.Encode(payload, uint16(i+1), 7, uint8(i%10), 0)
+		syms, err := proc.Encode(mcs, nprb, payload, uint16(i+1), 7, uint8(i%10), 0)
 		if err != nil {
 			return 0, err
 		}
 		copy(rx, syms)
 		ch.Apply(rx)
-		if _, err := proc.Decode(rx, ch.N0(), uint16(i+1), 7, uint8(i%10), 0, nil); err != nil {
+		if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), uint16(i+1), 7, uint8(i%10), 0, nil); err != nil {
 			if !errors.Is(err, phy.ErrCRC) {
 				return 0, err
 			}

@@ -120,10 +120,7 @@ func E17BatchSpeedup(quick bool, maxWidth int) (Result, error) {
 // The batched hard decisions are compared against the scalar oracle's on
 // the same LLR streams; a mismatch is an error.
 func measureBatchKernel(k, width, iters, reps int, seed int64) (float64, error) {
-	enc, err := phy.NewTurboEncoder(k)
-	if err != nil {
-		return 0, err
-	}
+	enc := phy.NewTurboEncoder()
 	rng := rand.New(rand.NewSource(seed))
 	input := make([]byte, k)
 	for i := range input {
@@ -152,7 +149,7 @@ func measureBatchKernel(k, width, iters, reps int, seed int64) (float64, error) 
 
 	// Scalar oracle output for the bit-identity check (and the width-1
 	// timing path itself).
-	dec, err := phy.NewTurboDecoderKernel(k, phy.KernelInt16)
+	dec, err := phy.NewTurboDecoderKernel(phy.KernelInt16)
 	if err != nil {
 		return 0, err
 	}
@@ -177,7 +174,7 @@ func measureBatchKernel(k, width, iters, reps int, seed int64) (float64, error) 
 		return el / float64(reps) / float64(k*iters), nil
 	}
 
-	bd, err := phy.NewBatchDecoderI16(k, width)
+	bd, err := phy.NewBatchDecoderI16(width)
 	if err != nil {
 		return 0, err
 	}

@@ -24,18 +24,22 @@ func measureDecode(mcs phy.MCS, nprb, reps int, seed int64, workers int, kernel 
 // measureDecodeOpts is measureDecode with the full processor option set
 // (E17 additionally threads ProcOptions.Batch through).
 func measureDecodeOpts(mcs phy.MCS, nprb, reps int, seed int64, opts phy.ProcOptions) (phy.StageTimings, error) {
-	proc, err := phy.NewTransportProcessorOpts(mcs, nprb, opts)
+	proc, err := phy.NewTransportProcessor(nprb, opts)
 	if err != nil {
 		return phy.StageTimings{}, err
 	}
 	defer proc.Close()
+	tbs, err := mcs.TransportBlockSize(nprb)
+	if err != nil {
+		return phy.StageTimings{}, err
+	}
 	rng := rand.New(rand.NewSource(seed))
-	payload := make([]byte, proc.TransportBlockSize())
+	payload := make([]byte, tbs)
 	for i := range payload {
 		payload[i] = byte(rng.Intn(2))
 	}
 	snr := mcs.OperatingSNR() + 3
-	syms, err := proc.Encode(payload, 7, 101, 2, 0)
+	syms, err := proc.Encode(mcs, nprb, payload, 7, 101, 2, 0)
 	if err != nil {
 		return phy.StageTimings{}, err
 	}
@@ -44,9 +48,9 @@ func measureDecodeOpts(mcs phy.MCS, nprb, reps int, seed int64, opts phy.ProcOpt
 	ch := phy.NewAWGNChannel(snr, seed)
 	ch.Apply(rx)
 
-	// The first decode of a processor builds its turbo decoders; run it
-	// untimed so every rep below measures the steady state.
-	if _, err := proc.Decode(rx, ch.N0(), 7, 101, 2, 0, nil); err != nil && !errors.Is(err, phy.ErrCRC) {
+	// The first decode of a processor builds its decode-side buffers and
+	// turbo working set; run it untimed so every rep below measures the steady state.
+	if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 7, 101, 2, 0, nil); err != nil && !errors.Is(err, phy.ErrCRC) {
 		return phy.StageTimings{}, err
 	}
 
@@ -59,7 +63,7 @@ func measureDecodeOpts(mcs phy.MCS, nprb, reps int, seed int64, opts phy.ProcOpt
 	var min phy.StageTimings
 	ok := 0
 	for i := 0; i < reps; i++ {
-		if _, err := proc.Decode(rx, ch.N0(), 7, 101, 2, 0, nil); err != nil {
+		if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 7, 101, 2, 0, nil); err != nil {
 			continue
 		}
 		t := proc.Timings

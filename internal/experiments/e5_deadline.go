@@ -33,18 +33,22 @@ func makeTemplate(mcs phy.MCS, nprb int, seed int64, budget time.Duration) (*tas
 // makeTemplateOpts is makeTemplate with the decode cost measured on a
 // processor built from opts, for pools that name a reference path.
 func makeTemplateOpts(mcs phy.MCS, nprb int, seed int64, budget time.Duration, opts phy.ProcOptions) (*taskTemplate, error) {
-	proc, err := phy.NewTransportProcessorOpts(mcs, nprb, opts)
+	proc, err := phy.NewTransportProcessor(nprb, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer proc.Close()
+	tbs, err := mcs.TransportBlockSize(nprb)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(seed))
-	payload := make([]byte, proc.TransportBlockSize())
+	payload := make([]byte, tbs)
 	for i := range payload {
 		payload[i] = byte(rng.Intn(2))
 	}
 	snr := mcs.OperatingSNR() + 3
-	syms, err := proc.Encode(payload, 9, 77, 1, 0)
+	syms, err := proc.Encode(mcs, nprb, payload, 9, 77, 1, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -53,13 +57,13 @@ func makeTemplateOpts(mcs phy.MCS, nprb int, seed int64, budget time.Duration, o
 	ch := phy.NewAWGNChannel(snr, seed)
 	ch.Apply(rx)
 	// Warm, then time.
-	if _, err := proc.Decode(rx, ch.N0(), 9, 77, 1, 0, nil); err != nil {
+	if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 9, 77, 1, 0, nil); err != nil {
 		return nil, fmt.Errorf("experiments: template decode failed: %w", err)
 	}
 	start := time.Now()
 	const reps = 5
 	for i := 0; i < reps; i++ {
-		if _, err := proc.Decode(rx, ch.N0(), 9, 77, 1, 0, nil); err != nil {
+		if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 9, 77, 1, 0, nil); err != nil {
 			return nil, err
 		}
 	}

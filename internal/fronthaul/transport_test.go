@@ -162,16 +162,21 @@ func TestTransportBFPFrameWithoutCompressor(t *testing.T) {
 func TestTransportFullChainOverFronthaul(t *testing.T) {
 	// End-to-end proof: a real encoded subframe survives the compressed
 	// fronthaul link and still decodes. This is the RF-IQ split in action.
-	proc, err := phy.NewTransportProcessor(10, 6)
+	const mcs, nprb = phy.MCS(10), 6
+	proc, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbs, err := mcs.TransportBlockSize(nprb)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
-	payload := make([]byte, proc.TransportBlockSize())
+	payload := make([]byte, tbs)
 	for i := range payload {
 		payload[i] = byte(rng.Intn(2))
 	}
-	syms, err := proc.Encode(payload, 4, 4, 0, 0)
+	syms, err := proc.Encode(mcs, nprb, payload, 4, 4, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

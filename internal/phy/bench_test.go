@@ -45,7 +45,7 @@ func BenchmarkFFT2048Inverse(b *testing.B) {
 
 func BenchmarkTurboEncodeK6144(b *testing.B) {
 	const k = 6144
-	enc, _ := NewTurboEncoder(k)
+	enc := NewTurboEncoder()
 	rng := rand.New(rand.NewSource(2))
 	input := randBits(rng, k)
 	d0 := make([]byte, k+4)
@@ -63,8 +63,8 @@ func BenchmarkTurboEncodeK6144(b *testing.B) {
 
 func BenchmarkTurboDecodeK6144(b *testing.B) {
 	const k = 6144
-	enc, _ := NewTurboEncoder(k)
-	dec, _ := NewTurboDecoder(k)
+	enc := NewTurboEncoder()
+	dec := NewTurboDecoder()
 	dec.MaxIterations = 4
 	rng := rand.New(rand.NewSource(3))
 	input := randBits(rng, k)
@@ -90,8 +90,8 @@ func BenchmarkTurboDecodeK6144(b *testing.B) {
 // BenchmarkTurboDecodeK6144; the ratio between the two is the E12 headline.
 func BenchmarkTurboDecodeK6144Int16(b *testing.B) {
 	const k = 6144
-	enc, _ := NewTurboEncoder(k)
-	dec, _ := NewTurboDecoderKernel(k, KernelInt16)
+	enc := NewTurboEncoder()
+	dec, _ := NewTurboDecoderKernel(KernelInt16)
 	dec.MaxIterations = 4
 	rng := rand.New(rand.NewSource(3))
 	input := randBits(rng, k)
@@ -185,7 +185,7 @@ func BenchmarkFullDecode_MCS13_50PRB(b *testing.B) {
 
 func benchFullDecode(b *testing.B, mcs MCS, nprb int) {
 	b.Helper()
-	proc, err := NewTransportProcessor(mcs, nprb)
+	proc, err := newTBProc(mcs, nprb, ProcOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

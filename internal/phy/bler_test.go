@@ -10,7 +10,7 @@ import (
 // channel at the given SNR and returns the block error rate.
 func measureBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials int, seed int64) float64 {
 	t.Helper()
-	proc, err := NewTransportProcessor(mcs, nprb)
+	proc, err := newTBProc(mcs, nprb, ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestBLERImprovesWithHARQ(t *testing.T) {
 			trials = 40
 		)
 		snr := c.mcs.OperatingSNR() - 1 // stressed first transmission
-		proc, err := NewTransportProcessor(c.mcs, nprb)
+		proc, err := newTBProc(c.mcs, nprb, ProcOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

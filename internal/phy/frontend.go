@@ -60,18 +60,18 @@ func (f FrontEnd) Validate() error {
 // bit-identical to the oracle.
 //
 // Concurrency: when invoked from ParallelDecoder workers, frontEndBlock
-// reads only shared-immutable call state (feRX, feKey, feRV, feInvN0, the
-// rate-match tables — published by the wake-channel send) and writes only
-// block i's private soft streams. The tile working set (LLR strip + sign
-// words, ~12 KiB) lives on the invoking worker's stack, so concurrent
-// invocations for distinct blocks never touch the same memory — not even
-// scratch. See docs/concurrency.md.
+// reads only shared-immutable call state (the call's shape, feRX, feKey,
+// feRV, feInvN0 — published by the wake-channel send — and the process-wide
+// rate-match plan) and writes only block i's private soft streams. The tile
+// working set (LLR strip + sign words, ~12 KiB) lives on the invoking
+// worker's stack, so concurrent invocations for distinct blocks never touch
+// the same memory — not even scratch. See docs/concurrency.md.
 func (p *TransportProcessor) frontEndBlock(i int) {
 	rm := p.rm
-	mod := p.mcs.Modulation()
+	mod := p.sh.mcs.Modulation()
 	qm := mod.BitsPerSymbol()
-	off := p.blockOff[i]
-	e := p.blockE(i)
+	off := p.sh.blockOff(i)
+	e := p.sh.blockE(i)
 	// blk is block i's contiguous soft-buffer region, laid out d0|d1|d2 —
 	// exactly the flat indexing of the rate matcher's scatter table, so one
 	// indexed add replaces the staged per-stream switch.
@@ -112,7 +112,7 @@ func (p *TransportProcessor) frontEndBlock(i int) {
 		// Pin filler bits (known zeros at the head of block 0); only block
 		// 0's front-end touches ld0[0], so this stays race-free under the
 		// parallel overlap.
-		for f := 0; f < p.seg.F; f++ {
+		for f := 0; f < p.sh.seg.F; f++ {
 			blk[f] = fillerLLR
 		}
 	}

@@ -18,20 +18,20 @@ import (
 // every code-block boundary residue the configuration produces.
 func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb, workers int, kernel DecodeKernel, rvs []int, snrDB float64, seed int64) {
 	t.Helper()
-	staged, err := NewTransportProcessorOpts(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndStaged})
+	staged, err := newTBProc(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndStaged})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer staged.Close()
-	fused, err := NewTransportProcessorOpts(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused})
+	fused, err := newTBProc(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fused.Close()
-	var scalar *TransportProcessor
+	var scalar *tbProc
 	var sbSc *SoftBuffer
 	if FrontEndAVX2() {
-		scalar, err = NewTransportProcessorOpts(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused, NoVectorFrontEnd: true})
+		scalar, err = newTBProc(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused, NoVectorFrontEnd: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,13 +146,13 @@ func TestFrontEndValidate(t *testing.T) {
 	if FrontEndFused.String() != "fused" || FrontEndStaged.String() != "staged" {
 		t.Fatalf("front-end names wrong: %v %v", FrontEndFused, FrontEndStaged)
 	}
-	if _, err := NewTransportProcessorOpts(10, 25, ProcOptions{FrontEnd: FrontEnd(9)}); err == nil {
+	if _, err := newTBProc(10, 25, ProcOptions{FrontEnd: FrontEnd(9)}); err == nil {
 		t.Fatal("processor with bogus front-end accepted")
 	}
 }
 
 func TestFusedDecodeValidation(t *testing.T) {
-	p, err := NewTransportProcessor(10, 25)
+	p, err := newTBProc(10, 25, ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

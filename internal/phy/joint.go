@@ -7,8 +7,8 @@ import (
 
 // JointDecoder decodes several transport blocks of the same configuration
 // in one fan-out: the code blocks of every submitted request are pooled
-// into a single grouped decode on the ParallelDecoder their processors'
-// DecoderSet keeps for that block size, so lockstep batches can span
+// into a single grouped decode on their processors' DecoderSet's
+// ParallelDecoder, so lockstep batches can span
 // transport-block boundaries — the cross-codeword batching the data plane
 // uses when one cell (or several cells on the same worker set) has more
 // than one uplink TB pending with identical (MCS, PRB) shape. Each request
@@ -17,8 +17,7 @@ import (
 //
 // A JointDecoder holds no decoders of its own, only the marshalling scratch
 // of a call: the decoders, their workers and their lockstep width are the
-// set's, the same ones that serve a solo TransportProcessor.Decode of that
-// block size.
+// set's, the same ones that serve a solo TransportProcessor.Decode.
 //
 // Ownership/concurrency contract: a JointDecoder is owned by one goroutine
 // at a time — DecodeJoint must not be called concurrently, and the
@@ -41,14 +40,16 @@ type JointDecoder struct {
 }
 
 // DecodeRequest is one transport block's decode submission to a
-// JointDecoder: the processor that owns the TB's configuration and buffers,
-// the received symbols, and the channel/HARQ parameters (the same arguments
-// as TransportProcessor.Decode). After DecodeJoint returns, Payload/Iters/
-// Err hold that TB's outcome: Payload aliases the processor's buffer (valid
-// until its next decode) and Err is nil on success, ErrCRC-wrapped on a
-// failed TB.
+// JointDecoder: the processor whose buffers the TB decodes in, the TB's
+// configuration, the received symbols, and the channel/HARQ parameters (the
+// same arguments as TransportProcessor.Decode). After DecodeJoint returns,
+// Payload/Iters/Err hold that TB's outcome: Payload aliases the processor's
+// buffer (valid until its next decode) and Err is nil on success,
+// ErrCRC-wrapped on a failed TB.
 type DecodeRequest struct {
 	P        *TransportProcessor
+	MCS      MCS
+	NumPRB   int
 	RX       []complex128
 	N0       float64
 	RNTI     uint16
@@ -76,27 +77,23 @@ func NewJointDecoder() *JointDecoder {
 func (jd *JointDecoder) SetMaxIterations(n int) { jd.maxIter = n }
 
 // DecodeJoint decodes every request's transport block in one pooled
-// fan-out on the decoder their shared DecoderSet keeps for the block size
-// (built here if this is its first decode). All processors must come from
-// one DecoderSet and share one segmentation shape, run the fused front-end,
-// and be distinct (a processor's buffers hold one TB at a time). The
-// returned error reports validation or internal decode failures affecting
-// the whole call; per-TB CRC outcomes land in each request's
-// Err/Payload/Iters fields. Output bits, soft-buffer state, and iteration
-// counts are bit-identical to decoding each request serially with
-// TransportProcessor.Decode.
+// fan-out on their shared DecoderSet's decoder (built here if this is its
+// first decode). All processors must come from one DecoderSet, run the fused
+// front-end and be distinct (a processor's buffers hold one TB at a time),
+// and all requests must share one segmentation shape. The returned error
+// reports validation or internal decode failures affecting the whole call;
+// per-TB CRC outcomes land in each request's Err/Payload/Iters fields.
+// Output bits, soft-buffer state, and iteration counts are bit-identical to
+// decoding each request serially with TransportProcessor.Decode.
 func (jd *JointDecoder) DecodeJoint(reqs []DecodeRequest) error {
 	if len(reqs) == 0 {
 		return nil
 	}
-	ds, seg := reqs[0].P.decs, reqs[0].P.seg
+	ds := reqs[0].P.decs
 	for i := range reqs {
 		p := reqs[i].P
 		if p.decs != ds {
 			return fmt.Errorf("phy: joint request %d's processor is from another decoder set: %w", i, ErrBadParameter)
-		}
-		if p.seg != seg {
-			return fmt.Errorf("phy: joint request %d segmentation %+v differs from %+v: %w", i, p.seg, seg, ErrBadParameter)
 		}
 		if p.frontEnd != FrontEndFused {
 			return fmt.Errorf("phy: joint request %d needs the fused front-end: %w", i, ErrBadParameter)
@@ -106,19 +103,27 @@ func (jd *JointDecoder) DecodeJoint(reqs []DecodeRequest) error {
 				return fmt.Errorf("phy: joint requests %d and %d share a processor: %w", j, i, ErrBadParameter)
 			}
 		}
-		if len(reqs[i].RX) != p.NumSymbols() {
-			return fmt.Errorf("phy: joint request %d: got %d symbols, want %d: %w", i, len(reqs[i].RX), p.NumSymbols(), ErrBadParameter)
+		if err := p.setDecodeShape(reqs[i].MCS, reqs[i].NumPRB); err != nil {
+			return fmt.Errorf("phy: joint request %d: %w", i, err)
+		}
+		if seg := reqs[0].P.sh.seg; p.sh.seg != seg {
+			return fmt.Errorf("phy: joint request %d segmentation %+v differs from %+v: %w", i, p.sh.seg, seg, ErrBadParameter)
+		}
+		if len(reqs[i].RX) != p.sh.numSymbols() {
+			return fmt.Errorf("phy: joint request %d: got %d symbols, want %d: %w", i, len(reqs[i].RX), p.sh.numSymbols(), ErrBadParameter)
 		}
 		if reqs[i].RV < 0 || reqs[i].RV > 3 {
 			return fmt.Errorf("phy: joint request %d: rv=%d out of range: %w", i, reqs[i].RV, ErrBadParameter)
 		}
-		if sb := reqs[i].SB; sb != nil && (sb.Blocks() != p.seg.C || sb.StreamLen() != p.seg.K+4) {
-			return fmt.Errorf("phy: joint request %d: soft buffer shape %d×%d, want %d×%d: %w",
-				i, sb.Blocks(), sb.StreamLen(), p.seg.C, p.seg.K+4, ErrBadParameter)
+		if sb := reqs[i].SB; sb != nil {
+			if err := p.sh.checkSoftBuffer(sb); err != nil {
+				return fmt.Errorf("phy: joint request %d: %w", i, err)
+			}
 		}
 	}
+	seg := reqs[0].P.sh.seg
 
-	par, err := ds.decoder(seg.K)
+	par, err := ds.decoder()
 	if err != nil {
 		return err
 	}
@@ -141,15 +146,15 @@ func (jd *JointDecoder) DecodeJoint(reqs []DecodeRequest) error {
 		sb := r.SB
 		if sb == nil {
 			sb = p.softBuf
-			sb.Reset()
+			sb.reshape(seg.C, seg.K+4)
 		}
 		p.scr.Reinit(ScramblerInit(r.RNTI, r.CellID, r.Subframe))
-		p.feKey = p.scr.KeyWords(p.e)
+		p.feKey = p.scr.KeyWords(p.sh.e)
 		p.feRX, p.feInvN0, p.feSB, p.feRV = r.RX, demodInvN0(r.N0), sb, r.RV
 		p.Timings.Demodulate, p.Timings.Descramble, p.Timings.Dematch = 0, 0, 0
 		p.Timings.FrontEnd = 0
 		jd.offs = append(jd.offs, len(jd.blocks))
-		for b := 0; b < p.seg.C; b++ {
+		for b := 0; b < seg.C; b++ {
 			jd.blocks = append(jd.blocks, p.blocks[b])
 			jd.ld0 = append(jd.ld0, sb.ld0[b])
 			jd.ld1 = append(jd.ld1, sb.ld1[b])

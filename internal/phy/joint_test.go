@@ -9,7 +9,7 @@ import (
 
 // makeSubframe encodes a random payload on proc and returns the payload and
 // the noisy received symbols.
-func makeSubframe(t *testing.T, proc *TransportProcessor, rnti uint16, snrDB float64, seed int64) (payload []byte, rx []complex128, n0 float64) {
+func makeSubframe(t *testing.T, proc *tbProc, rnti uint16, snrDB float64, seed int64) (payload []byte, rx []complex128, n0 float64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	payload = randBits(rng, proc.TransportBlockSize())
@@ -44,11 +44,11 @@ func TestBatchedProcessorBitIdentical(t *testing.T) {
 		{10, 4, 2, 8, FrontEndFused, 4, false, "single block, ragged"},
 		{22, 50, 2, 8, FrontEndFused, -15, true, "hopeless SNR aborts"},
 	} {
-		ser, err := NewTransportProcessorOpts(tc.mcs, tc.nprb, ProcOptions{Kernel: KernelInt16, FrontEnd: tc.frontEnd})
+		ser, err := newTBProc(tc.mcs, tc.nprb, ProcOptions{Kernel: KernelInt16, FrontEnd: tc.frontEnd})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bat, err := NewTransportProcessorOpts(tc.mcs, tc.nprb, ProcOptions{
+		bat, err := newTBProc(tc.mcs, tc.nprb, ProcOptions{
 			Workers: tc.workers, Kernel: KernelInt16, FrontEnd: tc.frontEnd, Batch: tc.batch,
 		})
 		if err != nil {
@@ -85,7 +85,7 @@ func TestBatchedProcessorBitIdentical(t *testing.T) {
 func TestBatchedProcessorNoAlloc(t *testing.T) {
 	// Batched decode must preserve the zero-allocation steady state: the
 	// lockstep decoders and gather scratch are worker-resident.
-	p, err := NewTransportProcessorOpts(28, 100, ProcOptions{Workers: 2, Kernel: KernelInt16, Batch: 8})
+	p, err := newTBProc(28, 100, ProcOptions{Workers: 2, Kernel: KernelInt16, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,10 +109,7 @@ func TestDecodeGroupsIsolatesFailures(t *testing.T) {
 	// must fail that group only, with the healthy group still bit-identical
 	// to a serial decode and per-group iteration totals that add up.
 	const k = 512
-	enc, err := NewTurboEncoder(k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := NewTurboEncoder()
 	rng := rand.New(rand.NewSource(7))
 	const blocksPerGroup = 3
 	var blocks [][]byte
@@ -141,7 +138,7 @@ func TestDecodeGroupsIsolatesFailures(t *testing.T) {
 		}
 	}
 	for _, batch := range []int{1, 4, 8} {
-		pd, err := NewParallelDecoderOpts(k, ParallelOptions{Workers: 2, Kernel: KernelInt16, Batch: batch})
+		pd, err := NewParallelDecoder(ParallelOptions{Workers: 2, Kernel: KernelInt16, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +187,7 @@ func TestJointDecoderMatchesSerial(t *testing.T) {
 	wantSoft := make([][]byte, 3)
 	for i := range reqs {
 		ser := mustProc(t, mcs, nprb, ProcOptions{Kernel: KernelInt16})
-		proc, err := ds.NewProcessor(mcs, nprb)
+		proc, err := ds.newTBProc(mcs, nprb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,10 +201,7 @@ func TestJointDecoderMatchesSerial(t *testing.T) {
 		if err == nil && !bytes.Equal(out, payload) {
 			t.Fatalf("req %d: serial reference decode wrong", i)
 		}
-		reqs[i] = DecodeRequest{
-			P: proc, RX: rx, N0: n0, RNTI: uint16(i + 1), CellID: 101, Subframe: 4, RV: 0,
-			SB: proc.NewSoftBuffer(),
-		}
+		reqs[i] = proc.request(rx, n0, uint16(i+1), 0, proc.NewSoftBuffer())
 	}
 	if err := jd.DecodeJoint(reqs); err != nil {
 		t.Fatal(err)
@@ -237,14 +231,15 @@ func TestJointDecoderMatchesSerial(t *testing.T) {
 			t.Fatalf("req %d: joint soft buffer differs from serial", i)
 		}
 	}
-	// A solo decode of the same shape runs on the decoder the joint decode
-	// built: one turbo working set per block size, whichever door is used.
-	out, err := reqs[0].P.Decode(reqs[0].RX, reqs[0].N0, 1, 101, 4, 0, nil)
+	// A solo decode runs on the decoder the joint decode built: one turbo
+	// working set per set, whichever door is used.
+	joint := ds.pd
+	out, err := reqs[0].P.Decode(mcs, nprb, reqs[0].RX, reqs[0].N0, 1, 101, 4, 0, nil)
 	if err != nil || !bytes.Equal(out, wantPayload[0]) {
 		t.Fatalf("solo decode after the joint one: %v", err)
 	}
-	if len(ds.byK) != 1 {
-		t.Fatalf("%d decoders for one block size after a joint and a solo decode", len(ds.byK))
+	if joint == nil || ds.pd != joint {
+		t.Fatal("the solo decode did not run on the joint decode's decoder")
 	}
 }
 
@@ -253,29 +248,33 @@ func TestJointDecoderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := func(mcs MCS, nprb int) *TransportProcessor {
-		p, err := ds.NewProcessor(mcs, nprb)
+	proc := func() *TransportProcessor {
+		p, err := ds.NewProcessor(50)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
-	base := proc(22, 25)
+	base := proc()
 	jd := NewJointDecoder()
-	rx := make([]complex128, base.NumSymbols())
-	ok := DecodeRequest{P: base, RX: rx, N0: 1}
+	rx := make([]complex128, 25*DataREsPerPRB)
+	ok := DecodeRequest{P: base, MCS: 22, NumPRB: 25, RX: rx, N0: 1}
+	req := func(p *TransportProcessor) DecodeRequest {
+		return DecodeRequest{P: p, MCS: 22, NumPRB: 25, RX: rx, N0: 1}
+	}
 
 	if err := jd.DecodeJoint(nil); err != nil {
 		t.Fatalf("empty joint decode: %v", err)
 	}
 	for name, reqs := range map[string][]DecodeRequest{
-		"other shape":        {{P: proc(22, 25), RX: rx}, {P: proc(28, 100)}},
-		"staged front-end":   {{P: mustProc(t, 22, 25, ProcOptions{Kernel: KernelInt16, FrontEnd: FrontEndStaged}), RX: rx, N0: 1}},
-		"foreign set":        {ok, {P: mustProc(t, 22, 25, ProcOptions{Kernel: KernelInt16}), RX: rx, N0: 1}},
+		"other shape":        {ok, {P: proc(), MCS: 28, NumPRB: 50}},
+		"too many PRB":       {{P: base, MCS: 22, NumPRB: 51, RX: rx, N0: 1}},
+		"staged front-end":   {req(mustProc(t, 22, 25, ProcOptions{Kernel: KernelInt16, FrontEnd: FrontEndStaged}).TransportProcessor)},
+		"foreign set":        {ok, req(mustProc(t, 22, 25, ProcOptions{Kernel: KernelInt16}).TransportProcessor)},
 		"duplicate":          {ok, ok},
-		"short rx":           {{P: base, RX: rx[:1], N0: 1}},
-		"bad rv":             {{P: base, RX: rx, N0: 1, RV: 9}},
-		"wrong-shape buffer": {{P: base, RX: rx, N0: 1, SB: newSoftBuffer(1, 3)}},
+		"short rx":           {{P: base, MCS: 22, NumPRB: 25, RX: rx[:1], N0: 1}},
+		"bad rv":             {{P: base, MCS: 22, NumPRB: 25, RX: rx, N0: 1, RV: 9}},
+		"wrong-shape buffer": {{P: base, MCS: 22, NumPRB: 25, RX: rx, N0: 1, SB: newSoftBuffer(1, 3)}},
 	} {
 		if err := jd.DecodeJoint(reqs); !errors.Is(err, ErrBadParameter) {
 			t.Fatalf("%s: want ErrBadParameter, got %v", name, err)
@@ -284,13 +283,13 @@ func TestJointDecoderValidation(t *testing.T) {
 
 	// Batch construction guards: a non-int16 kernel cannot batch, and the
 	// explicit-batch constructor surfaces BatchDecoderI16's width range.
-	if _, err := NewParallelDecoderOpts(40, ParallelOptions{Kernel: KernelFloat32, Batch: 8}); !errors.Is(err, ErrBadParameter) {
+	if _, err := NewParallelDecoder(ParallelOptions{Kernel: KernelFloat32, Batch: 8}); !errors.Is(err, ErrBadParameter) {
 		t.Fatalf("float32 batch accepted: %v", err)
 	}
-	if _, err := NewParallelDecoderOpts(40, ParallelOptions{Kernel: KernelInt16, Batch: 65}); !errors.Is(err, ErrBadParameter) {
+	if _, err := NewParallelDecoder(ParallelOptions{Kernel: KernelInt16, Batch: 65}); !errors.Is(err, ErrBadParameter) {
 		t.Fatalf("width 65 accepted: %v", err)
 	}
-	if pd, err := NewParallelDecoderOpts(40, ParallelOptions{Kernel: KernelInt16, Batch: 8}); err != nil {
+	if pd, err := NewParallelDecoder(ParallelOptions{Kernel: KernelInt16, Batch: 8}); err != nil {
 		t.Fatal(err)
 	} else {
 		if _, err := pd.DecodeGroups(make([][]byte, 1), make([][]float32, 1), make([][]float32, 1), make([][]float32, 1), nil, []int32{1}, make([]bool, 1), nil, nil); !errors.Is(err, ErrBadParameter) {
@@ -303,9 +302,9 @@ func TestJointDecoderValidation(t *testing.T) {
 	}
 }
 
-func mustProc(t *testing.T, mcs MCS, nprb int, o ProcOptions) *TransportProcessor {
+func mustProc(t *testing.T, mcs MCS, nprb int, o ProcOptions) *tbProc {
 	t.Helper()
-	p, err := NewTransportProcessorOpts(mcs, nprb, o)
+	p, err := newTBProc(mcs, nprb, o)
 	if err != nil {
 		t.Fatal(err)
 	}

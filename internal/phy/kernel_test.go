@@ -27,7 +27,7 @@ func TestDecodeKernelStringValidate(t *testing.T) {
 	if err := DecodeKernel(9).Validate(); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("DecodeKernel(9).Validate() = %v, want ErrBadParameter", err)
 	}
-	if _, err := NewTurboDecoderKernel(512, DecodeKernel(9)); !errors.Is(err, ErrBadParameter) {
+	if _, err := NewTurboDecoderKernel(DecodeKernel(9)); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("NewTurboDecoderKernel(bad kernel) = %v, want ErrBadParameter", err)
 	}
 }
@@ -169,11 +169,8 @@ func TestIngestKnownBits(t *testing.T) {
 func TestTurboI16NoiseFreeRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, k := range []int{40, 512, 1056, 6144} {
-		enc, err := NewTurboEncoder(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := NewTurboDecoderKernel(k, KernelInt16)
+		enc := NewTurboEncoder()
+		dec, err := NewTurboDecoderKernel(KernelInt16)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,9 +199,9 @@ func TestTurboI16NoiseFreeRoundtrip(t *testing.T) {
 // (both recover the transmitted block, quantization error notwithstanding).
 func TestTurboI16MatchesFloatHighSNR(t *testing.T) {
 	const k = 512
-	enc, _ := NewTurboEncoder(k)
-	decF, _ := NewTurboDecoderKernel(k, KernelFloat32)
-	decI, _ := NewTurboDecoderKernel(k, KernelInt16)
+	enc := NewTurboEncoder()
+	decF, _ := NewTurboDecoderKernel(KernelFloat32)
+	decI, _ := NewTurboDecoderKernel(KernelInt16)
 	d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
 	outF, outI := make([]byte, k), make([]byte, k)
 
@@ -249,8 +246,8 @@ func TestTurboI16MatchesFloatHighSNR(t *testing.T) {
 
 func TestTurboI16DecodeNoAlloc(t *testing.T) {
 	const k = 512
-	enc, _ := NewTurboEncoder(k)
-	dec, _ := NewTurboDecoderKernel(k, KernelInt16)
+	enc := NewTurboEncoder()
+	dec, _ := NewTurboDecoderKernel(KernelInt16)
 	rng := rand.New(rand.NewSource(26))
 	input := randBits(rng, k)
 	d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
@@ -290,7 +287,7 @@ func (r kernelBLER) bler() float64 {
 // outcomes; the same seed gives every kernel the same payloads and noise.
 func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials int, seed int64, kernel DecodeKernel) kernelBLER {
 	t.Helper()
-	proc, err := NewTransportProcessorKernel(mcs, nprb, 1, kernel)
+	proc, err := newTBProc(mcs, nprb, ProcOptions{Workers: 1, Kernel: kernel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,11 +400,11 @@ func TestI16BLERParityHighSNR(t *testing.T) {
 func TestTransportKernelI16(t *testing.T) {
 	const nprb = 50
 	const mcs = MCS(22) // segments into several code blocks at 50 PRB
-	serial, err := NewTransportProcessorKernel(mcs, nprb, 1, KernelInt16)
+	serial, err := newTBProc(mcs, nprb, ProcOptions{Workers: 1, Kernel: KernelInt16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewTransportProcessorKernel(mcs, nprb, 3, KernelInt16)
+	par, err := newTBProc(mcs, nprb, ProcOptions{Workers: 3, Kernel: KernelInt16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,10 @@ import (
 // embarrassingly parallel; this type is the repo's intra-subframe
 // parallelization of it.
 //
+// A ParallelDecoder has no block size: a call's K is read off its blocks
+// and the workers' scratch is sized for the largest, so one decoder (≈ 1.7
+// MB per worker on the default path) serves every shape its owner meets.
+//
 // Ownership/concurrency contract: a ParallelDecoder is owned by exactly one
 // goroutine at a time, the one calling Decode — like TurboDecoder, it is NOT
 // safe for concurrent Decode calls. Internally it keeps workers-1 resident
@@ -129,30 +133,12 @@ func (o ParallelOptions) resolve() (ParallelOptions, error) {
 	return o, nil
 }
 
-// NewParallelDecoder returns a decoder pool for turbo block size k with the
-// given parallelism (≥ 1) on the default kernel and lockstep width.
-// workers-1 resident helper goroutines are started; call Close to release
-// them.
-func NewParallelDecoder(k, workers int) (*ParallelDecoder, error) {
-	return NewParallelDecoderKernel(k, workers, KernelInt16)
-}
-
-// NewParallelDecoderKernel is NewParallelDecoder with an explicit SISO
-// kernel (at that kernel's lockstep width). Every per-worker decoder runs
-// the same kernel; each owns its private working buffers, so kernel state
-// is worker-resident and never shared.
-func NewParallelDecoderKernel(k, workers int, kernel DecodeKernel) (*ParallelDecoder, error) {
-	if workers < 1 {
-		// The explicit-workers constructors reject 0; only ParallelOptions
-		// treats the zero value as "serial".
-		return nil, fmt.Errorf("phy: %d parallel decode workers: %w", workers, ErrBadParameter)
-	}
-	return NewParallelDecoderOpts(k, ParallelOptions{Workers: workers, Kernel: kernel})
-}
-
-// NewParallelDecoderOpts builds a decoder pool with explicit options; the
-// other constructors are shorthands for common combinations.
-func NewParallelDecoderOpts(k int, o ParallelOptions) (*ParallelDecoder, error) {
+// NewParallelDecoder builds a decoder pool with the given options (the zero
+// value is the default path). Workers-1 resident helper goroutines are
+// started; call Close to release them. Every per-worker decoder runs the
+// same kernel and owns its private working buffers, so kernel state is
+// worker-resident and never shared.
+func NewParallelDecoder(o ParallelOptions) (*ParallelDecoder, error) {
 	o, err := o.resolve()
 	if err != nil {
 		return nil, err
@@ -168,13 +154,9 @@ func NewParallelDecoderOpts(k int, o ParallelOptions) (*ParallelDecoder, error) 
 	for i := range pd.ws {
 		w := &pd.ws[i]
 		w.pd = pd
-		dec, err := NewTurboDecoderKernel(k, o.Kernel)
-		if err != nil {
-			return nil, err
-		}
-		w.dec = dec
+		w.dec = newTurboDecoder(o.Kernel)
 		if o.Batch > 1 {
-			bd, err := NewBatchDecoderI16(k, o.Batch)
+			bd, err := NewBatchDecoderI16(o.Batch)
 			if err != nil {
 				return nil, err
 			}
@@ -222,15 +204,12 @@ func (pd *ParallelDecoder) SetMaxIterations(n int) {
 // MaxIterations returns the per-decoder iteration bound.
 func (pd *ParallelDecoder) MaxIterations() int { return pd.ws[0].dec.MaxIterations }
 
-// K returns the turbo block size.
-func (pd *ParallelDecoder) K() int { return pd.ws[0].dec.K() }
-
-// Decode turbo-decodes every code block: blocks[i] (length K each) receives
-// the hard decisions for the LLR streams ld0[i], ld1[i], ld2[i] (each length
-// K+4, the encoder's layout). check, when non-nil, is the per-block success
-// predicate (a CRC); it is installed as each worker's EarlyCheck, and a
-// block that still fails it after the iteration budget aborts the remaining
-// blocks. Decode returns the total iterations consumed and ok=false if any
+// Decode turbo-decodes every code block: blocks[i] (all of one length K, a
+// legal turbo block size) receives the hard decisions for the LLR streams
+// ld0[i], ld1[i], ld2[i] (each length K+4, the encoder's layout). check,
+// when non-nil, is the per-block success predicate (a CRC); it is installed
+// as each worker's EarlyCheck, and a block that still fails it after the
+// iteration budget aborts the remaining blocks. Decode returns the total iterations consumed and ok=false if any
 // decoded block failed check. Successful output is bit-identical to
 // decoding the blocks serially with one TurboDecoder, because each block's
 // decode depends only on its own streams.
@@ -370,10 +349,8 @@ func (w *pdWorker) dropLane(b int) bool {
 // A closed wake channel terminates the loop.
 func (pd *ParallelDecoder) helper(w *pdWorker) {
 	for range pd.wake {
-		// Decode errors cannot occur here: DecodeGroups validated the
-		// stream shapes and the constructor fixed K, which are the only
-		// failure modes of the per-worker decoders. The owner's own
-		// claimBlocks call surfaces them in the degenerate cases.
+		// A decode error (a block or stream of the wrong length) aborts
+		// every group, which the owner reports as failed.
 		_ = pd.claimBlocks(w)
 		pd.wg.Done()
 	}

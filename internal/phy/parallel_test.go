@@ -12,11 +12,11 @@ import (
 // processor and returns both outcomes.
 func decodeBoth(t *testing.T, mcs MCS, nprb, workers int, snrDB float64, seed int64) (serialOut, parOut []byte, serialErr, parErr error, serialIters, parIters int) {
 	t.Helper()
-	ser, err := NewTransportProcessor(mcs, nprb)
+	ser, err := newTBProc(mcs, nprb, ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewTransportProcessorWorkers(mcs, nprb, workers)
+	par, err := newTBProc(mcs, nprb, ProcOptions{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestParallelDecodeConcurrentSubframes(t *testing.T) {
 			defer wg.Done()
 			mcs := MCS(10 + 3*(g%4))
 			nprb := 10 + 5*g
-			proc, err := NewTransportProcessorWorkers(mcs, nprb, 2+g%3)
+			proc, err := newTBProc(mcs, nprb, ProcOptions{Workers: 2 + g%3})
 			if err != nil {
 				errs[g] = err
 				return
@@ -191,7 +191,7 @@ func TestParallelDecodeNoAlloc(t *testing.T) {
 	// The parallel steady state must stay allocation-free like the serial
 	// path: resident goroutines, preallocated per-worker decoders, atomic
 	// block claiming — nothing on the per-subframe path touches the heap.
-	p, err := NewTransportProcessorWorkers(28, 100, 4)
+	p, err := newTBProc(28, 100, ProcOptions{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,12 +219,12 @@ func TestParallelDecodeNoAlloc(t *testing.T) {
 }
 
 func TestParallelDecoderLifecycle(t *testing.T) {
-	pd, err := NewParallelDecoder(40, 3)
+	pd, err := NewParallelDecoder(ParallelOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pd.Workers() != 3 || pd.K() != 40 {
-		t.Fatalf("Workers=%d K=%d", pd.Workers(), pd.K())
+	if pd.Workers() != 3 {
+		t.Fatalf("Workers=%d", pd.Workers())
 	}
 	if _, _, err := pd.Decode(make([][]byte, 2), nil, nil, nil, nil, nil, nil); err == nil {
 		t.Fatal("mismatched stream shapes accepted")
@@ -238,10 +238,10 @@ func TestParallelDecoderLifecycle(t *testing.T) {
 	if _, _, err := pd.Decode(nil, nil, nil, nil, nil, nil, nil); err == nil {
 		t.Fatal("Decode after Close accepted")
 	}
-	if _, err := NewParallelDecoder(40, 0); err == nil {
-		t.Fatal("zero workers accepted")
+	if _, err := NewParallelDecoder(ParallelOptions{Workers: -1}); err == nil {
+		t.Fatal("negative workers accepted")
 	}
-	if _, err := NewTransportProcessorWorkers(10, 25, 0); err == nil {
-		t.Fatal("zero transport workers accepted")
+	if _, err := newTBProc(10, 25, ProcOptions{Workers: -1}); err == nil {
+		t.Fatal("negative transport workers accepted")
 	}
 }

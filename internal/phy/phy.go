@@ -19,12 +19,16 @@
 // 213 (exact TBS tables, sub-block interleaver details) are documented where
 // they occur and in DESIGN.md §2.
 //
-// Concurrency: stateless transforms (CRCs, Modulate/Demodulate, TBS tables)
-// are safe for concurrent use. Stateful processors — TransportProcessor,
-// TurboEncoder/TurboDecoder, RateMatcher, Scrambler, OFDMModulator — each
-// belong to exactly one goroutine at a time; they reuse internal buffers
-// across calls and perform no locking, which is what keeps the steady-state
-// hot path allocation-free. The one construct that spans goroutines is
+// Concurrency and ownership: stateless transforms (CRCs, Modulate/
+// Demodulate, TBS tables) and plans — the QPPInterleaver and RateMatcher
+// tables, built once per block size K for the whole process and read-only
+// afterwards — are safe for concurrent use. Scratch — TransportProcessor,
+// TurboEncoder/TurboDecoder, BatchDecoderI16, Scrambler, OFDMModulator —
+// belongs to exactly one goroutine at a time: sized once for the largest
+// block rather than per (MCS, PRB) shape or K, reused across calls and never
+// locked, which keeps the steady-state hot path allocation-free and an
+// owner's memory independent of its traffic. The one construct that spans
+// goroutines is
 // ParallelDecoder: it owns a set of resident helper goroutines that fan a
 // transport block's code blocks across per-worker TurboDecoders, while its
 // Decode/Close API remains single-owner like everything else. The

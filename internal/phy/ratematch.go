@@ -2,6 +2,7 @@ package phy
 
 import (
 	"fmt"
+	"sync"
 )
 
 // Rate matching per 36.212 §5.1.4.1: each turbo output stream passes through
@@ -27,7 +28,9 @@ const nullPos int32 = -1
 
 // RateMatcher performs rate matching and soft de-rate-matching for one turbo
 // block size K. The index map from circular-buffer position to (stream,
-// offset) is precomputed; Match and SoftDematch do not allocate.
+// offset) is precomputed; Match and SoftDematch do not allocate. A matcher
+// is a plan, not scratch: immutable, one per K for the whole process, and
+// safe for concurrent use.
 type RateMatcher struct {
 	k    int
 	d    int     // stream length K+4
@@ -46,10 +49,17 @@ type RateMatcher struct {
 	rvStart [4]int
 }
 
-// NewRateMatcher returns a rate matcher for turbo block size k.
+var rmCache sync.Map // int → *RateMatcher
+
+// NewRateMatcher returns the rate matcher for turbo block size k, which
+// must be a legal turbo block size. Like the QPP interleavers, matchers are
+// built on first request and cached process-wide.
 func NewRateMatcher(k int) (*RateMatcher, error) {
 	if !IsValidBlockSize(k) {
 		return nil, fmt.Errorf("phy: %d is not a legal turbo block size: %w", k, ErrBadParameter)
+	}
+	if v, ok := rmCache.Load(k); ok {
+		return v.(*RateMatcher), nil
 	}
 	d := k + 4
 	rows := (d + subblockCols - 1) / subblockCols
@@ -109,7 +119,8 @@ func NewRateMatcher(k int) (*RateMatcher, error) {
 		}
 		m.rvStart[rv] = nn
 	}
-	return m, nil
+	actual, _ := rmCache.LoadOrStore(k, m)
+	return actual.(*RateMatcher), nil
 }
 
 // K returns the turbo block size.

@@ -51,8 +51,8 @@ func TestRateMatchPuncturedRoundtripThroughTurbo(t *testing.T) {
 	// rate matching.
 	const k = 512
 	rm, _ := NewRateMatcher(k)
-	enc, _ := NewTurboEncoder(k)
-	dec, _ := NewTurboDecoder(k)
+	enc := NewTurboEncoder()
+	dec := NewTurboDecoder()
 	rng := rand.New(rand.NewSource(31))
 	input := randBits(rng, k)
 	d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)

@@ -8,52 +8,52 @@ import (
 	"time"
 )
 
-// TransportProcessor runs the full LTE shared-channel bit chain for one
-// (MCS, PRB-count) configuration:
+// TransportProcessor runs the full LTE shared-channel bit chain for
+// transport blocks of any (MCS, PRB-count) configuration up to the PRB count
+// it was built for:
 //
 //	encode: payload → TB CRC → segmentation → turbo encode → rate match →
 //	        scramble → modulate
 //	decode: LLR demodulate → descramble → soft de-rate-match (with HARQ
 //	        combining) → turbo decode (CRC early stop) → desegment → TB CRC
 //
-// All bit-chain buffers are allocated at construction, sized for the
-// configuration, and reused, so per-subframe processing performs no heap
-// allocation — the property that keeps Go's GC out of the PHY deadline path
-// (DESIGN.md §2). The turbo decoders are the exception: they belong to the
-// processor's DecoderSet, are keyed by the turbo block size K rather than by
-// (MCS, PRB) shape, and are built by the first Decode that needs them, so a
-// processor that only encodes (the RRH emulator, the downlink path) or only
-// sizes buffers never carries a turbo working set, and processors built
-// from one set (DecoderSet.NewProcessor) share theirs.
+// A processor owns scratch only. The plans of a turbo block size K — QPP
+// interleaver, rate-match index tables — are process-wide and read-only
+// (NewQPPInterleaver, NewRateMatcher), and what a (MCS, PRB) configuration
+// fixes is derived per call (tbShape). Scratch is sized once for the owner's
+// largest transport block (MaxMCS at the construction PRB count) and a call
+// uses the leading part of it: the encode side at construction, the decode
+// side and the decoder set's turbo working set by the first Decode, so an
+// encode-only owner (the RRH emulator, the downlink path) never carries
+// them. A processor's memory and the cost of its first Encode or Decode of
+// a never-seen shape do not depend on what it has processed, and processing
+// performs no heap allocation — the property that keeps Go's GC out of the
+// PHY deadline path (DESIGN.md §2).
 //
 // A TransportProcessor is not safe for concurrent use; the data plane keeps
-// one per (worker, configuration). With decode workers > 1 the turbo stage
-// of Decode fans out across the set's resident ParallelDecoder helpers;
-// that internal fan-out does not change the external contract (one owning
+// one per worker batch slot. With decode workers > 1 the turbo stage of
+// Decode fans out across the set's resident ParallelDecoder helpers; that
+// internal fan-out does not change the external contract (one owning
 // goroutine per processor), but such a processor must be Closed to release
 // the helper goroutines. See docs/concurrency.md for the end-to-end
 // threading model.
 type TransportProcessor struct {
-	mcs      MCS
-	nprb     int
-	tbs      int // payload bits
-	e        int // total coded bits
-	seg      Segmentation
+	top      tbShape // the largest shape: MaxMCS at the construction PRB count
 	frontEnd FrontEnd
 
 	enc     *TurboEncoder
-	decs    *DecoderSet // turbo decoders by K; private unless built by DecoderSet.NewProcessor
+	decs    *DecoderSet // the turbo decoder; private unless built by DecoderSet.NewProcessor
 	ownDecs bool
 	maxIter int // turbo iteration bound applied to the decoder per Decode (0 = default)
-	rm      *RateMatcher
 	scr     *Scrambler
 
-	blockOff []int // starting coded-bit offset of each code block
-	known    []int // per code block, the leading filler bits: {F, 0, 0, …}
+	// The running call's configuration and its K's rate-match plan.
+	sh tbShape
+	rm *RateMatcher
 
-	// Fused front-end per-call state. The owner writes these before the
-	// per-block front-ends run; under the parallel overlap the wake-channel
-	// send inside ParallelDecoder.Decode publishes them to the
+	// Fused front-end per-call state. The owner writes these (and sh, rm)
+	// before the per-block front-ends run; under the parallel overlap the
+	// wake-channel send inside ParallelDecoder.Decode publishes them to the
 	// helpers, which treat them as read-only (see frontEndBlock).
 	feFn    func(int) // p.frontEndBlock, bound once so installing it never allocates
 	feTimed func(int) // p.frontEndBlockTimed, likewise
@@ -64,7 +64,7 @@ type TransportProcessor struct {
 	feInvN0 float64
 	feVec   bool // AVX2 tile demodulation (fixed at construction)
 
-	// Preallocated working storage.
+	// Working storage, sized for the largest transport block.
 	tbBits   []byte // payload + TB CRC (B bits)
 	blockBuf []byte // one code block (K bits)
 	d0       []byte // turbo output streams (K+4)
@@ -72,14 +72,64 @@ type TransportProcessor struct {
 	d2       []byte
 	coded    []byte       // rate-matched coded bits (E)
 	symbols  []complex128 // modulated symbols
-	llr      []float32    // demodulated LLRs (E)
-	softBuf  *SoftBuffer  // default soft buffer when the caller passes nil
-	blocks   [][]byte     // per-block decoded bit slices
-	blockbk  []byte       // backing array for blocks
-	joined   []byte       // reassembled B bits
+	// Decode side, built by the first Decode (initDecode).
+	llr     []float32   // demodulated LLRs (E); staged front-end only
+	softBuf *SoftBuffer // default soft buffer when the caller passes nil
+	blocks  [][]byte    // per-block decoded bit slices of the running call
+	blockbk []byte      // backing array for blocks
+	known   []int       // per code block, the leading filler bits: {F, 0, 0, …}
+	joined  []byte      // reassembled B bits
 
 	// Timings records the stage breakdown of the most recent Encode/Decode.
 	Timings StageTimings
+}
+
+// tbShape is what a transport block's (MCS, PRB) configuration fixes: cheap
+// enough (arithmetic and one binary search) that every call derives its own.
+type tbShape struct {
+	mcs  MCS
+	nprb int
+	tbs  int // payload bits
+	e    int // total coded bits
+	seg  Segmentation
+}
+
+func shapeOf(mcs MCS, nprb int) (tbShape, error) {
+	tbs, err := mcs.TransportBlockSize(nprb)
+	if err != nil {
+		return tbShape{}, err
+	}
+	seg, err := Segment(tbs + 24)
+	if err != nil {
+		return tbShape{}, err
+	}
+	return tbShape{mcs: mcs, nprb: nprb, tbs: tbs, e: mcs.CodedBits(nprb), seg: seg}, nil
+}
+
+// numSymbols returns the number of constellation symbols per TB.
+func (s tbShape) numSymbols() int { return s.e / s.mcs.Modulation().BitsPerSymbol() }
+
+// blockE returns the coded-bit share of block i.
+func (s tbShape) blockE(i int) int {
+	if i < s.e%s.seg.C {
+		return s.e/s.seg.C + 1
+	}
+	return s.e / s.seg.C
+}
+
+// checkSoftBuffer reports whether a caller's soft buffer is laid out for
+// this shape.
+func (s tbShape) checkSoftBuffer(sb *SoftBuffer) error {
+	if sb.Blocks() != s.seg.C || sb.StreamLen() != s.seg.K+4 {
+		return fmt.Errorf("phy: soft buffer shape %d×%d, want %d×%d: %w",
+			sb.Blocks(), sb.StreamLen(), s.seg.C, s.seg.K+4, ErrBadParameter)
+	}
+	return nil
+}
+
+// blockOff returns the starting coded-bit offset of block i.
+func (s tbShape) blockOff(i int) int {
+	return i*(s.e/s.seg.C) + min(i, s.e%s.seg.C)
 }
 
 // StageTimings is the per-stage wall-clock breakdown of one subframe's
@@ -121,37 +171,48 @@ type SoftBuffer struct {
 	ld0, ld1, ld2 [][]float32 // per-block stream views into back
 }
 
-// NewSoftBuffer allocates a soft buffer matching the processor's
-// segmentation.
-func (p *TransportProcessor) NewSoftBuffer() *SoftBuffer {
-	return newSoftBuffer(p.seg.C, p.seg.K+4)
-}
-
 // NewSoftBuffer allocates a soft buffer for the transport blocks of the
 // given configuration — C code blocks of three K+4 streams, from the
 // segmentation alone — for callers (the HARQ manager) that hold soft state
 // without ever owning a processor.
 func NewSoftBuffer(mcs MCS, nprb int) (*SoftBuffer, error) {
-	tbs, err := mcs.TransportBlockSize(nprb)
-	if err != nil {
+	sb := &SoftBuffer{}
+	if err := sb.Reshape(mcs, nprb); err != nil {
 		return nil, err
 	}
-	seg, err := Segment(tbs + 24)
-	if err != nil {
-		return nil, err
-	}
-	return newSoftBuffer(seg.C, seg.K+4), nil
+	return sb, nil
 }
 
-func newSoftBuffer(c, d int) *SoftBuffer {
-	sb := &SoftBuffer{back: make([]float32, c*3*d)}
+// Reshape lays sb out for the transport blocks of the given configuration
+// and zeroes it — the buffer NewSoftBuffer would return, in sb's own storage
+// when that is large enough (a HARQ process whose allocation changes shape
+// keeps one backing array). On error sb is untouched.
+func (sb *SoftBuffer) Reshape(mcs MCS, nprb int) error {
+	sh, err := shapeOf(mcs, nprb)
+	if err != nil {
+		return err
+	}
+	sb.reshape(sh.seg.C, sh.seg.K+4)
+	return nil
+}
+
+// reshape lays the buffer out as c code blocks of three d-long streams, all
+// zero, reusing the backing array and the view slices when they are large
+// enough.
+func (sb *SoftBuffer) reshape(c, d int) {
+	if n := c * 3 * d; cap(sb.back) < n {
+		sb.back = make([]float32, n)
+	} else {
+		sb.back = sb.back[:n]
+		clear(sb.back)
+	}
+	sb.ld0, sb.ld1, sb.ld2 = sb.ld0[:0], sb.ld1[:0], sb.ld2[:0]
 	for i := 0; i < c; i++ {
 		base := i * 3 * d
 		sb.ld0 = append(sb.ld0, sb.back[base:base+d:base+d])
 		sb.ld1 = append(sb.ld1, sb.back[base+d:base+2*d:base+2*d])
 		sb.ld2 = append(sb.ld2, sb.back[base+2*d:base+3*d:base+3*d])
 	}
-	return sb
 }
 
 // Reset zeroes the accumulated LLRs for a fresh transport block.
@@ -202,37 +263,6 @@ func (sb *SoftBuffer) Unmarshal(src []byte) (int, error) {
 	return need, nil
 }
 
-// NewTransportProcessor builds a processor for the given MCS and PRB count
-// with the default options (equivalent to NewTransportProcessorWorkers with
-// workers=1).
-func NewTransportProcessor(mcs MCS, nprb int) (*TransportProcessor, error) {
-	return NewTransportProcessorWorkers(mcs, nprb, 1)
-}
-
-// NewTransportProcessorWorkers builds a processor whose Decode fans the
-// transport block's code blocks across workers turbo decoders (the callers
-// goroutine counts as one), on the default kernel. workers=1 runs entirely
-// on the caller; workers > 1 keeps resident helper goroutines that Close
-// releases. The decoded output is bit-identical across worker counts.
-func NewTransportProcessorWorkers(mcs MCS, nprb, workers int) (*TransportProcessor, error) {
-	return NewTransportProcessorKernel(mcs, nprb, workers, KernelInt16)
-}
-
-// NewTransportProcessorKernel is NewTransportProcessorWorkers with an
-// explicit turbo SISO kernel (at that kernel's lockstep width); every
-// decoder the processor uses runs that kernel. HARQ soft buffers remain
-// float32 regardless of kernel — quantization happens at the turbo
-// decoder's ingest — so the soft-combining wire format is
-// kernel-independent.
-func NewTransportProcessorKernel(mcs MCS, nprb, workers int, kernel DecodeKernel) (*TransportProcessor, error) {
-	if workers < 1 {
-		// The explicit-workers constructors reject 0; only ProcOptions
-		// treats the zero value as "one worker".
-		return nil, fmt.Errorf("phy: %d decode workers: %w", workers, ErrBadParameter)
-	}
-	return NewTransportProcessorOpts(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel})
-}
-
 // ProcOptions bundles the TransportProcessor construction knobs. The zero
 // value is the default — and fastest — configuration: one decode worker,
 // the int16 kernel at lockstep width 8, the fused vector front-end. The
@@ -261,65 +291,61 @@ type ProcOptions struct {
 	NoVectorFrontEnd bool
 }
 
-// DecoderSet is one goroutine's family of turbo decoders, keyed by turbo
-// block size K (at most 188 values) and built on first use. Every processor
-// created through NewProcessor decodes with the set's decoders, so a data-
-// plane worker caching hundreds of (MCS, PRB) shapes holds one scalar and
-// one lockstep working set per K it has actually decoded, not one per
-// shape. The set and its processors share the processors' ownership rule:
-// one goroutine at a time. Close releases the helper goroutines of sets
-// with Workers > 1.
+// DecoderSet is one goroutine's turbo decoder: a single ParallelDecoder,
+// built by the first decode and shared by every processor created through
+// NewProcessor, whatever shapes they decode. The set and its processors
+// share the processors' ownership rule: one goroutine at a time. Close
+// releases the helper goroutines of sets with Workers > 1.
 type DecoderSet struct {
-	opts ProcOptions // Workers and Batch resolved
-	byK  map[int]*ParallelDecoder
+	opts ProcOptions     // FrontEnd, NoVectorFrontEnd
+	par  ParallelOptions // resolved
+	pd   *ParallelDecoder
 }
 
-// NewDecoderSet validates the options and returns an empty set.
+// NewDecoderSet validates the options and returns a set that has not built
+// its decoder yet.
 func NewDecoderSet(o ProcOptions) (*DecoderSet, error) {
 	if err := o.FrontEnd.Validate(); err != nil {
 		return nil, err
 	}
-	po, err := ParallelOptions{Workers: o.Workers, Kernel: o.Kernel, Batch: o.Batch}.resolve()
+	par, err := ParallelOptions{Workers: o.Workers, Kernel: o.Kernel, Batch: o.Batch}.resolve()
 	if err != nil {
 		return nil, err
 	}
-	o.Workers, o.Batch = po.Workers, po.Batch
-	return &DecoderSet{opts: o, byK: make(map[int]*ParallelDecoder)}, nil
+	return &DecoderSet{opts: o, par: par}, nil
 }
 
-// decoder returns the set's decoder for block size k, creating it and its
-// working sets on first request.
-func (ds *DecoderSet) decoder(k int) (*ParallelDecoder, error) {
-	if pd, ok := ds.byK[k]; ok {
-		return pd, nil
+// decoder returns the set's decoder, creating it and its working sets on
+// first request.
+func (ds *DecoderSet) decoder() (*ParallelDecoder, error) {
+	if ds.pd == nil {
+		pd, err := NewParallelDecoder(ds.par)
+		if err != nil {
+			return nil, err
+		}
+		ds.pd = pd
 	}
-	o := ds.opts
-	pd, err := NewParallelDecoderOpts(k, ParallelOptions{Workers: o.Workers, Kernel: o.Kernel, Batch: o.Batch})
-	if err != nil {
-		return nil, err
-	}
-	ds.byK[k] = pd
-	return pd, nil
+	return ds.pd, nil
 }
 
-// Close releases the resident decode goroutines of every decoder in the
-// set. It must not race an in-flight Decode of any of the set's processors.
+// Close releases the resident decode goroutines of the set's decoder. It
+// must not race an in-flight Decode of any of the set's processors.
 func (ds *DecoderSet) Close() error {
-	for _, pd := range ds.byK {
-		pd.Close()
+	if ds.pd != nil {
+		return ds.pd.Close()
 	}
 	return nil
 }
 
-// NewTransportProcessorOpts builds a processor with explicit options and a
-// decoder set of its own; the other constructors are shorthands for common
-// combinations.
-func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProcessor, error) {
+// NewTransportProcessor builds a processor for transport blocks of up to
+// maxPRB resource blocks, with the given options and a decoder set of its
+// own.
+func NewTransportProcessor(maxPRB int, o ProcOptions) (*TransportProcessor, error) {
 	ds, err := NewDecoderSet(o)
 	if err != nil {
 		return nil, err
 	}
-	p, err := ds.NewProcessor(mcs, nprb)
+	p, err := ds.NewProcessor(maxPRB)
 	if err != nil {
 		return nil, err
 	}
@@ -327,71 +353,98 @@ func NewTransportProcessorOpts(mcs MCS, nprb int, o ProcOptions) (*TransportProc
 	return p, nil
 }
 
-// NewProcessor builds a processor for the configuration that runs the set's
-// options and decodes with the set's decoders. Closing the set, not the
-// processor, releases them.
-func (ds *DecoderSet) NewProcessor(mcs MCS, nprb int) (*TransportProcessor, error) {
+// NewProcessor builds a processor for transport blocks of up to maxPRB
+// resource blocks that runs the set's options and decodes with the set's
+// decoder. Closing the set, not the processor, releases it.
+func (ds *DecoderSet) NewProcessor(maxPRB int) (*TransportProcessor, error) {
+	// MaxMCS has the largest payload and, being 64-QAM, the most coded bits.
+	top, err := shapeOf(MaxMCS, maxPRB)
+	if err != nil {
+		return nil, err
+	}
 	o := ds.opts
-	tbs, err := mcs.TransportBlockSize(nprb)
-	if err != nil {
-		return nil, err
-	}
-	b := tbs + 24
-	seg, err := Segment(b)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := NewTurboEncoder(seg.K)
-	if err != nil {
-		return nil, err
-	}
-	rm, err := NewRateMatcher(seg.K)
-	if err != nil {
-		return nil, err
-	}
-	e := mcs.CodedBits(nprb)
 	p := &TransportProcessor{
-		mcs: mcs, nprb: nprb, tbs: tbs, e: e, seg: seg,
+		top:      top,
 		frontEnd: o.FrontEnd,
 		feVec:    FrontEndAVX2() && !o.NoVectorFrontEnd,
-		enc:      enc, decs: ds, rm: rm, scr: NewScrambler(0),
-		tbBits:   make([]byte, b),
-		blockBuf: make([]byte, seg.K),
-		d0:       make([]byte, seg.K+4),
-		d1:       make([]byte, seg.K+4),
-		d2:       make([]byte, seg.K+4),
-		coded:    make([]byte, 0, e),
-		symbols:  make([]complex128, 0, e/mcs.Modulation().BitsPerSymbol()),
-		llr:      make([]float32, 0, e),
-		joined:   make([]byte, b),
+		enc:      NewTurboEncoder(), decs: ds, scr: NewScrambler(0),
+		tbBits:   make([]byte, top.seg.B),
+		blockBuf: make([]byte, MaxBlockSize),
+		d0:       make([]byte, MaxBlockSize+4),
+		d1:       make([]byte, MaxBlockSize+4),
+		d2:       make([]byte, MaxBlockSize+4),
+		coded:    make([]byte, 0, top.e),
+		symbols:  make([]complex128, 0, maxPRB*DataREsPerPRB),
 	}
+	// Cover the longest keystream now, so no later call grows it.
+	p.scr.KeyWords(top.e)
 	// Bound once: installing a hook per call allocates nothing.
 	p.feFn = p.frontEndBlock
 	p.feTimed = p.frontEndBlockTimed
-	p.blockOff = make([]int, seg.C)
-	off := 0
-	for i := 0; i < seg.C; i++ {
-		p.blockOff[i] = off
-		off += p.blockE(i)
-	}
-	p.blockbk = make([]byte, seg.C*seg.K)
-	for i := 0; i < seg.C; i++ {
-		p.blocks = append(p.blocks, p.blockbk[i*seg.K:(i+1)*seg.K])
-	}
-	p.known = make([]int, seg.C)
-	p.known[0] = seg.F
-	p.softBuf = p.NewSoftBuffer()
 	return p, nil
 }
 
+// initDecode allocates the decode side for the largest transport block. K
+// is the smallest legal size ≥ ⌈B′/C⌉ and legal sizes are at most 64 apart,
+// so C·K < B + 88·C for every segmentation; B and C peak at the top shape.
+func (p *TransportProcessor) initDecode() {
+	b, c := p.top.seg.B, p.top.seg.C
+	p.blockbk = make([]byte, b+88*c)
+	p.blocks = make([][]byte, 0, c)
+	p.known = make([]int, c)
+	p.joined = make([]byte, b)
+	p.softBuf = &SoftBuffer{}
+	p.softBuf.reshape(c, b/c+93) // C·(K+4) < B + 92·C values, C views
+	if p.frontEnd == FrontEndStaged {
+		p.llr = make([]float32, 0, p.top.e)
+	}
+}
+
+// setShape makes (mcs, nprb) the running call's configuration: its shape
+// and its block size's rate-match plan.
+func (p *TransportProcessor) setShape(mcs MCS, nprb int) error {
+	if nprb > p.top.nprb {
+		return fmt.Errorf("phy: %d PRB on a processor built for %d: %w", nprb, p.top.nprb, ErrBadParameter)
+	}
+	sh, err := shapeOf(mcs, nprb)
+	if err != nil {
+		return err
+	}
+	rm, err := NewRateMatcher(sh.seg.K)
+	if err != nil {
+		return err
+	}
+	p.sh, p.rm = sh, rm
+	return nil
+}
+
+// setDecodeShape is setShape for a decode: it also lays the per-block views
+// and filler counts of the decode side out for the shape.
+func (p *TransportProcessor) setDecodeShape(mcs MCS, nprb int) error {
+	if err := p.setShape(mcs, nprb); err != nil {
+		return err
+	}
+	if p.blockbk == nil {
+		p.initDecode()
+	}
+	c, k := p.sh.seg.C, p.sh.seg.K
+	p.blocks = p.blocks[:c]
+	for i := range p.blocks {
+		p.blocks[i] = p.blockbk[i*k : (i+1)*k : (i+1)*k]
+	}
+	p.known = p.known[:c]
+	p.known[0] = p.sh.seg.F
+	return nil
+}
+
 // Workers returns the configured decode parallelism (1 = caller only).
-func (p *TransportProcessor) Workers() int { return p.decs.opts.Workers }
+func (p *TransportProcessor) Workers() int { return p.decs.par.Workers }
 
 // Batch returns the configured lockstep decode width (1 = scalar).
-func (p *TransportProcessor) Batch() int { return p.decs.opts.Batch }
+func (p *TransportProcessor) Batch() int { return p.decs.par.Batch }
 
 // Kernel returns the turbo SISO kernel the processor decodes with.
-func (p *TransportProcessor) Kernel() DecodeKernel { return p.decs.opts.Kernel }
+func (p *TransportProcessor) Kernel() DecodeKernel { return p.decs.par.Kernel }
 
 // SetMaxIterations bounds the turbo decoders' full iterations for subsequent
 // Decode calls (n ≤ 0 restores the default budget) — the degradation
@@ -432,27 +485,6 @@ func (p *TransportProcessor) Close() error {
 	return nil
 }
 
-// MCS returns the configured modulation-and-coding scheme.
-func (p *TransportProcessor) MCS() MCS { return p.mcs }
-
-// PRB returns the configured resource-block count.
-func (p *TransportProcessor) PRB() int { return p.nprb }
-
-// TransportBlockSize returns the payload size in bits.
-func (p *TransportProcessor) TransportBlockSize() int { return p.tbs }
-
-// NumCodeBlocks returns the number of turbo code blocks per TB.
-func (p *TransportProcessor) NumCodeBlocks() int { return p.seg.C }
-
-// CodeBlockSize returns the turbo block size K the configuration segments
-// into — the key its DecoderSet files the configuration's decoder under.
-func (p *TransportProcessor) CodeBlockSize() int { return p.seg.K }
-
-// NumSymbols returns the number of constellation symbols per TB.
-func (p *TransportProcessor) NumSymbols() int {
-	return p.e / p.mcs.Modulation().BitsPerSymbol()
-}
-
 // checkBlockCRC24B reports whether a decoded code block passes its CRC-24B —
 // the per-block early-termination predicate when a TB segments into several
 // blocks. Package-level (not a closure) so installing it allocates nothing.
@@ -468,41 +500,40 @@ func checkBlockCRC24A(bits []byte) bool {
 	return ok
 }
 
-// blockE returns the coded-bit share of block i.
-func (p *TransportProcessor) blockE(i int) int {
-	base := p.e / p.seg.C
-	if i < p.e%p.seg.C {
-		return base + 1
+// Encode turns payload (exactly the configuration's transport block size in
+// bits, one bit per byte) into constellation symbols for nprb resource
+// blocks at mcs. The returned slice is owned by the processor and valid
+// until the next Encode call. rv selects the HARQ redundancy version (0 on
+// first transmission).
+func (p *TransportProcessor) Encode(mcs MCS, nprb int, payload []byte, rnti uint16, cellID uint16, subframe uint8, rv int) ([]complex128, error) {
+	if err := p.setShape(mcs, nprb); err != nil {
+		return nil, err
 	}
-	return base
-}
-
-// Encode turns payload (exactly TransportBlockSize bits, one bit per byte)
-// into constellation symbols. The returned slice is owned by the processor
-// and valid until the next Encode call. rv selects the HARQ redundancy
-// version (0 on first transmission).
-func (p *TransportProcessor) Encode(payload []byte, rnti uint16, cellID uint16, subframe uint8, rv int) ([]complex128, error) {
-	if len(payload) != p.tbs {
-		return nil, fmt.Errorf("phy: payload %d bits, want TBS=%d: %w", len(payload), p.tbs, ErrBadParameter)
+	sh := p.sh
+	if len(payload) != sh.tbs {
+		return nil, fmt.Errorf("phy: payload %d bits, want TBS=%d: %w", len(payload), sh.tbs, ErrBadParameter)
 	}
 	start := time.Now()
 	// TB CRC.
-	copy(p.tbBits, payload)
+	tbBits := p.tbBits[:sh.seg.B]
+	copy(tbBits, payload)
 	c := CRC24A(payload)
 	for j := 0; j < 24; j++ {
-		p.tbBits[p.tbs+j] = byte((c >> uint(23-j)) & 1)
+		tbBits[sh.tbs+j] = byte((c >> uint(23-j)) & 1)
 	}
 	// Segment, turbo-encode, and rate-match each block.
+	k := sh.seg.K
+	blockBuf, d0, d1, d2 := p.blockBuf[:k], p.d0[:k+4], p.d1[:k+4], p.d2[:k+4]
 	p.coded = p.coded[:0]
-	for i := 0; i < p.seg.C; i++ {
-		if err := p.seg.Split(p.blockBuf, p.tbBits, i); err != nil {
+	for i := 0; i < sh.seg.C; i++ {
+		if err := sh.seg.Split(blockBuf, tbBits, i); err != nil {
 			return nil, err
 		}
-		if err := p.enc.Encode(p.d0, p.d1, p.d2, p.blockBuf); err != nil {
+		if err := p.enc.Encode(d0, d1, d2, blockBuf); err != nil {
 			return nil, err
 		}
 		var err error
-		p.coded, err = p.rm.Match(p.coded, p.d0, p.d1, p.d2, p.blockE(i), rv)
+		p.coded, err = p.rm.Match(p.coded, d0, d1, d2, sh.blockE(i), rv)
 		if err != nil {
 			return nil, err
 		}
@@ -515,7 +546,7 @@ func (p *TransportProcessor) Encode(payload []byte, rnti uint16, cellID uint16, 
 	p.scr.Scramble(p.coded)
 	p.symbols = p.symbols[:0]
 	var err error
-	p.symbols, err = Modulate(p.symbols, p.coded, p.mcs.Modulation())
+	p.symbols, err = Modulate(p.symbols, p.coded, mcs.Modulation())
 	if err != nil {
 		return nil, err
 	}
@@ -529,29 +560,39 @@ func (p *TransportProcessor) Encode(payload []byte, rnti uint16, cellID uint16, 
 // does not mistake the pins for channel observations.
 const fillerLLR = 1e4
 
-// Decode recovers the payload from received symbols under noise power n0.
-// sb, when non-nil, supplies HARQ soft-combining state: callers Reset it for
-// a new TB and reuse it across retransmissions (passing the matching rv).
-// When sb is nil a fresh internal buffer is used. On success the returned
-// slice (owned by the processor, valid until next Decode) holds the payload
-// bits; a CRC failure returns ErrCRC. The decoded output and the soft-buffer
-// contents are bit-identical across front-ends, kernels, and worker counts.
-func (p *TransportProcessor) Decode(rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer) ([]byte, error) {
-	if len(rx) != p.NumSymbols() {
-		return nil, fmt.Errorf("phy: got %d symbols, want %d: %w", len(rx), p.NumSymbols(), ErrBadParameter)
+// Decode recovers the payload of a transport block of nprb resource blocks
+// at mcs from received symbols under noise power n0. sb, when non-nil,
+// supplies HARQ soft-combining state: callers Reset it for a new TB and
+// reuse it across retransmissions (passing the matching rv). When sb is nil
+// a fresh internal buffer is used. On success the returned slice (owned by
+// the processor, valid until next Decode) holds the payload bits; a CRC
+// failure returns ErrCRC. Output and soft-buffer contents are bit-identical
+// across front-ends, kernels, worker counts and the processor's history.
+func (p *TransportProcessor) Decode(mcs MCS, nprb int, rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer) ([]byte, error) {
+	if err := p.setDecodeShape(mcs, nprb); err != nil {
+		return nil, err
+	}
+	sh := p.sh
+	if len(rx) != sh.numSymbols() {
+		return nil, fmt.Errorf("phy: got %d symbols, want %d: %w", len(rx), sh.numSymbols(), ErrBadParameter)
+	}
+	if rv < 0 || rv > 3 {
+		return nil, fmt.Errorf("phy: rv=%d out of range: %w", rv, ErrBadParameter)
 	}
 	if sb == nil {
 		sb = p.softBuf
-		sb.Reset()
+		sb.reshape(sh.seg.C, sh.seg.K+4)
+	} else if err := sh.checkSoftBuffer(sb); err != nil {
+		return nil, err
 	}
-	par, err := p.decs.decoder(p.seg.K)
+	par, err := p.decs.decoder()
 	if err != nil {
 		return nil, err
 	}
 	par.SetMaxIterations(p.maxIter)
 	p.Timings.TurboIterations = 0
 	check := checkBlockCRC24A
-	if p.seg.C > 1 {
+	if sh.seg.C > 1 {
 		check = checkBlockCRC24B
 	}
 	if p.frontEnd == FrontEndFused {
@@ -561,17 +602,12 @@ func (p *TransportProcessor) Decode(rx []complex128, n0 float64, rnti uint16, ce
 	// Staged (oracle) path: three full sweeps over the E coded bits.
 	p.Timings.FrontEnd = 0
 
-	// Demodulate to LLRs. Pre-size the append destination from len(rx)*Qm
-	// (normally a no-op — construction capped llr at E) so the staged
-	// oracle never grows mid-measurement: the E2/E13/E18 staged columns
-	// time this path, and an append-driven grow would charge allocator
-	// noise to the demodulate stage.
-	if need := len(rx) * p.mcs.Modulation().BitsPerSymbol(); cap(p.llr) < need {
-		p.llr = make([]float32, 0, need)
-	}
+	// Demodulate to LLRs (initDecode capped llr at the largest E, so the
+	// append never grows mid-measurement: the E2/E13/E18 staged columns
+	// time this path).
 	start := time.Now()
 	p.llr = p.llr[:0]
-	p.llr, err = Demodulate(p.llr, rx, p.mcs.Modulation(), n0)
+	p.llr, err = Demodulate(p.llr, rx, mcs.Modulation(), n0)
 	if err != nil {
 		return nil, err
 	}
@@ -586,14 +622,14 @@ func (p *TransportProcessor) Decode(rx []complex128, n0 float64, rnti uint16, ce
 	// De-rate-match per block, accumulating into the soft buffer.
 	start = time.Now()
 	off := 0
-	for i := 0; i < p.seg.C; i++ {
-		e := p.blockE(i)
+	for i := 0; i < sh.seg.C; i++ {
+		e := sh.blockE(i)
 		if err := p.rm.SoftDematch(sb.ld0[i], sb.ld1[i], sb.ld2[i], p.llr[off:off+e], rv); err != nil {
 			return nil, err
 		}
 		off += e
 	}
-	for j := 0; j < p.seg.F; j++ {
+	for j := 0; j < sh.seg.F; j++ {
 		sb.ld0[0][j] = fillerLLR
 	}
 	p.Timings.Dematch = time.Since(start)
@@ -612,22 +648,15 @@ func (p *TransportProcessor) Decode(rx []complex128, n0 float64, rnti uint16, ce
 // (see frontEndBlock) replaces the staged sweeps and runs as the decoder's
 // prepare hook, on the worker that claims the block — with decode workers
 // that overlaps one block's front-end with other blocks' turbo decodes.
-// Validation that the staged path performs inside SoftDematch happens up
-// front here, so the per-block front-end itself cannot fail — the invariant
-// the decoder's prepare hook requires.
+// Decode has validated rv and the soft buffer's shape, so the per-block
+// front-end itself cannot fail — the invariant the decoder's prepare hook
+// requires.
 func (p *TransportProcessor) decodeFused(par *ParallelDecoder, rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer, check func([]byte) bool) ([]byte, error) {
-	if rv < 0 || rv > 3 {
-		return nil, fmt.Errorf("phy: rv=%d out of range: %w", rv, ErrBadParameter)
-	}
-	if sb.Blocks() != p.seg.C || sb.StreamLen() != p.seg.K+4 {
-		return nil, fmt.Errorf("phy: soft buffer shape %d×%d, want %d×%d: %w",
-			sb.Blocks(), sb.StreamLen(), p.seg.C, p.seg.K+4, ErrBadParameter)
-	}
 	p.Timings.Demodulate, p.Timings.Descramble, p.Timings.Dematch = 0, 0, 0
 
 	start := time.Now()
 	p.scr.Reinit(ScramblerInit(rnti, cellID, subframe))
-	p.feKey = p.scr.KeyWords(p.e)
+	p.feKey = p.scr.KeyWords(p.sh.e)
 	p.feRX, p.feInvN0, p.feSB, p.feRV = rx, demodInvN0(n0), sb, rv
 
 	// One decode worker: every front-end runs here, on the caller, so it is
@@ -674,11 +703,12 @@ func (p *TransportProcessor) finishTurbo(ok bool, err error) ([]byte, error) {
 // finishDecode desegments the decoded blocks and verifies the TB CRC.
 func (p *TransportProcessor) finishDecode() ([]byte, error) {
 	start := time.Now()
-	if err := p.seg.Join(p.joined, p.blocks); err != nil {
+	joined := p.joined[:p.sh.seg.B]
+	if err := p.sh.seg.Join(joined, p.blocks); err != nil {
 		p.Timings.CRCCheck = time.Since(start)
 		return nil, err
 	}
-	payload, ok := CheckCRC24A(p.joined)
+	payload, ok := CheckCRC24A(joined)
 	p.Timings.CRCCheck = time.Since(start)
 	if !ok {
 		return nil, fmt.Errorf("phy: transport block: %w", ErrCRC)

@@ -10,7 +10,7 @@ import (
 
 func roundtripOnce(t *testing.T, mcs MCS, nprb int, snrDB float64, seed int64) error {
 	t.Helper()
-	p, err := NewTransportProcessor(mcs, nprb)
+	p, err := newTBProc(mcs, nprb, ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestTransportFailsAtVeryLowSNR(t *testing.T) {
 
 func TestTransportWrongScramblingFails(t *testing.T) {
 	// Decoding with the wrong RNTI must descramble garbage and fail CRC.
-	p, err := NewTransportProcessor(10, 25)
+	p, err := newTBProc(10, 25, ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTransportHARQCombining(t *testing.T) {
 	// At an SNR where a single transmission fails, chase-combining two
 	// transmissions (rv 0 then 2) through a shared soft buffer must succeed.
 	const mcs, nprb = 17, 50
-	p, err := NewTransportProcessor(mcs, nprb)
+	p, err := newTBProc(mcs, nprb, ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTransportHARQCombining(t *testing.T) {
 }
 
 func TestTransportTimingsPopulated(t *testing.T) {
-	p, err := NewTransportProcessor(20, 50)
+	p, err := newTBProc(20, 50, ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestTransportTimingsPopulated(t *testing.T) {
 		t.Fatalf("turbo iterations %d below block count %d", tm.TurboIterations, p.NumCodeBlocks())
 	}
 	// Staged oracle front-end: the per-stage sweeps are timed instead.
-	ps, err := NewTransportProcessorOpts(20, 50, ProcOptions{FrontEnd: FrontEndStaged})
+	ps, err := newTBProc(20, 50, ProcOptions{FrontEnd: FrontEndStaged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestTransportTimingsPopulated(t *testing.T) {
 func TestTransportFrontEndFoldOnlyWithWorkers(t *testing.T) {
 	decodeOnce := func(o ProcOptions) StageTimings {
 		t.Helper()
-		p, err := NewTransportProcessorOpts(24, 50, o)
+		p, err := newTBProc(24, 50, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,64 +202,33 @@ func TestTransportFrontEndFoldOnlyWithWorkers(t *testing.T) {
 	}
 }
 
-// TestDecoderSetSharesDecodersByK pins turbo-decoder ownership: a processor
-// builds no decoder until it decodes, and processors built from one set
-// share one decoder per turbo block size — not one per (MCS, PRB) shape —
-// while each keeps its own iteration bound.
-func TestDecoderSetSharesDecodersByK(t *testing.T) {
-	// Two shapes that segment to the same K.
-	type shape struct {
-		mcs  MCS
-		nprb int
-	}
-	var a, b shape
-	byK := map[int]shape{}
-search:
-	for mcs := MCS(4); mcs <= 20; mcs++ {
-		for nprb := 2; nprb <= 12; nprb++ {
-			tbs, err := mcs.TransportBlockSize(nprb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seg, err := Segment(tbs + 24)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if prev, ok := byK[seg.K]; ok && prev.mcs != mcs {
-				a, b = prev, shape{mcs, nprb}
-				break search
-			}
-			byK[seg.K] = shape{mcs, nprb}
-		}
-	}
-	if a == b {
-		t.Fatal("no two shapes share a turbo block size")
-	}
+// TestDecoderSetSharesOneDecoder pins turbo-decoder ownership: a processor
+// builds neither a decoder nor its decode-side buffers until it decodes,
+// and processors built from one set share one decoder whatever shapes and
+// block sizes they decode, while each keeps its own iteration bound.
+func TestDecoderSetSharesOneDecoder(t *testing.T) {
 	ds, err := NewDecoderSet(ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ds.Close()
-	pa, err := ds.NewProcessor(a.mcs, a.nprb)
+	pa, err := ds.newTBProc(9, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := ds.NewProcessor(b.mcs, b.nprb)
+	pb, err := ds.newTBProc(16, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pa.CodeBlockSize() != pb.CodeBlockSize() {
-		t.Fatalf("K %d vs %d", pa.CodeBlockSize(), pb.CodeBlockSize())
+	if pa.CodeBlockSize() == pb.CodeBlockSize() {
+		t.Fatalf("both shapes segment to K=%d", pa.CodeBlockSize())
 	}
 	rng := rand.New(rand.NewSource(71))
-	roundtrip := func(p *TransportProcessor, margin float64) error {
+	roundtrip := func(p *tbProc, margin float64) error {
 		payload := randBits(rng, p.TransportBlockSize())
 		syms, err := p.Encode(payload, 5, 9, 1, 0)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if len(ds.byK) > 1 {
-			t.Fatalf("%d decoders for one block size", len(ds.byK))
 		}
 		rx := append([]complex128(nil), syms...)
 		ch := NewAWGNChannel(p.MCS().OperatingSNR()+margin, 72)
@@ -273,17 +242,18 @@ search:
 	if _, err := pa.Encode(randBits(rng, pa.TransportBlockSize()), 5, 9, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.byK) != 0 {
-		t.Fatal("an encode built a turbo decoder")
+	if ds.pd != nil || pa.blockbk != nil || pa.softBuf != nil {
+		t.Fatal("an encode built decode-side state")
 	}
 	if err := roundtrip(pa, 4); err != nil {
 		t.Fatal(err)
 	}
+	first := ds.pd
 	if err := roundtrip(pb, 4); err != nil {
 		t.Fatal(err)
 	}
-	if len(ds.byK) != 1 {
-		t.Fatalf("%d decoders after decoding two shapes of one block size, want 1", len(ds.byK))
+	if first == nil || ds.pd != first {
+		t.Fatal("a second shape did not decode on the set's one decoder")
 	}
 	// The iteration bound is the processor's, not the shared decoder's: a
 	// one-iteration cap on pa fails a block at the operating point that
@@ -305,7 +275,7 @@ search:
 
 func TestTransportMultiBlockSegmentation(t *testing.T) {
 	// High MCS at 100 PRB forces multiple code blocks.
-	p, err := NewTransportProcessor(28, 100)
+	p, err := newTBProc(28, 100, ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,17 +288,17 @@ func TestTransportMultiBlockSegmentation(t *testing.T) {
 }
 
 func TestTransportBadInputs(t *testing.T) {
-	p, _ := NewTransportProcessor(5, 10)
+	p, _ := newTBProc(5, 10, ProcOptions{})
 	if _, err := p.Encode(make([]byte, 3), 0, 0, 0, 0); err == nil {
 		t.Fatal("wrong payload size accepted")
 	}
 	if _, err := p.Decode(make([]complex128, 3), 0.1, 0, 0, 0, 0, nil); err == nil {
 		t.Fatal("wrong symbol count accepted")
 	}
-	if _, err := NewTransportProcessor(35, 10); err == nil {
+	if _, err := newTBProc(35, 10, ProcOptions{}); err == nil {
 		t.Fatal("invalid MCS accepted")
 	}
-	if _, err := NewTransportProcessor(5, 0); err == nil {
+	if _, err := newTBProc(5, 0, ProcOptions{}); err == nil {
 		t.Fatal("invalid PRB accepted")
 	}
 }
@@ -337,7 +307,7 @@ func TestTransportDecodeNoAlloc(t *testing.T) {
 	// The full receive chain (demod → descramble → dematch → turbo → CRC)
 	// must be allocation-free in steady state — the GC-vs-deadline
 	// mitigation DESIGN.md §2 commits to.
-	p, err := NewTransportProcessor(16, 25)
+	p, err := newTBProc(16, 25, ProcOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +335,7 @@ func TestTransportDecodeNoAlloc(t *testing.T) {
 }
 
 func TestTransportEncodeIdempotentAcrossCalls(t *testing.T) {
-	p, _ := NewTransportProcessor(12, 20)
+	p, _ := newTBProc(12, 20, ProcOptions{})
 	rng := rand.New(rand.NewSource(66))
 	payload := randBits(rng, p.TransportBlockSize())
 	a, err := p.Encode(payload, 9, 9, 9, 0)
@@ -402,7 +372,7 @@ func refMarshalSoftBuffer(sb *SoftBuffer) []byte {
 }
 
 func TestSoftBufferMarshalGoldenFormat(t *testing.T) {
-	p, err := NewTransportProcessor(27, 100) // multi-block
+	p, err := newTBProc(27, 100, ProcOptions{}) // multi-block
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,36 +100,27 @@ func init() {
 	}
 }
 
-// TurboEncoder encodes blocks of a fixed legal size K. Create one per
+// TurboEncoder encodes blocks of any legal size K (the length of the
+// input), with scratch sized for the largest. Create one per
 // pipeline and reuse; Encode does not allocate.
 type TurboEncoder struct {
-	q      *QPPInterleaver
 	interl []byte // scratch: interleaved systematic bits
 }
 
-// NewTurboEncoder returns an encoder for block size k (a legal turbo block
-// size per IsValidBlockSize).
-func NewTurboEncoder(k int) (*TurboEncoder, error) {
-	q, err := NewQPPInterleaver(k)
-	if err != nil {
-		return nil, err
-	}
-	return &TurboEncoder{q: q, interl: make([]byte, k)}, nil
+// NewTurboEncoder returns an encoder.
+func NewTurboEncoder() *TurboEncoder {
+	return &TurboEncoder{interl: make([]byte, MaxBlockSize)}
 }
 
-// K returns the block size.
-func (e *TurboEncoder) K() int { return e.q.K }
-
-// OutputLen returns the total encoded length 3K+12.
-func (e *TurboEncoder) OutputLen() int { return 3*e.q.K + TailBits }
-
-// Encode encodes the K input bits into three streams d0 (systematic), d1
-// (parity 1), d2 (parity 2), each of length K+4, following a fixed tail
-// multiplexing compatible with the decoder. input is not modified.
+// Encode encodes the K input bits (K a legal turbo block size per
+// IsValidBlockSize) into three streams d0 (systematic), d1 (parity 1), d2
+// (parity 2), each of length K+4, following a fixed tail multiplexing
+// compatible with the decoder. input is not modified.
 func (e *TurboEncoder) Encode(d0, d1, d2, input []byte) error {
-	k := e.q.K
-	if len(input) != k {
-		return fmt.Errorf("phy: turbo input length %d != K=%d: %w", len(input), k, ErrBadParameter)
+	k := len(input)
+	q, err := NewQPPInterleaver(k)
+	if err != nil {
+		return err
 	}
 	if len(d0) != k+4 || len(d1) != k+4 || len(d2) != k+4 {
 		return fmt.Errorf("phy: turbo output streams must each be K+4=%d bits: %w", k+4, ErrBadParameter)
@@ -137,10 +128,11 @@ func (e *TurboEncoder) Encode(d0, d1, d2, input []byte) error {
 	var x1, z1, x2, z2 [turboTail]byte
 	runRSC(input, d1[:k], &x1, &z1)
 	copy(d0, input[:k])
-	if err := e.q.Interleave(e.interl, input); err != nil {
+	interl := e.interl[:k]
+	if err := q.Interleave(interl, input); err != nil {
 		return err
 	}
-	runRSC(e.interl, d2[:k], &x2, &z2)
+	runRSC(interl, d2[:k], &x2, &z2)
 	// Tail multiplexing (fixed layout shared with the decoder):
 	d0[k+0], d0[k+1], d0[k+2], d0[k+3] = x1[0], z1[1], x2[0], z2[1]
 	d1[k+0], d1[k+1], d1[k+2], d1[k+3] = z1[0], x1[2], z2[0], x2[2]
@@ -166,14 +158,16 @@ func runRSC(input, parity []byte, xt, zt *[turboTail]byte) {
 	}
 }
 
-// TurboDecoder decodes blocks of a fixed size K using iterative max-log-MAP.
-// All working memory is allocated at construction; Decode performs no heap
-// allocation, keeping the data-plane hot path GC-quiet. A TurboDecoder is
-// not safe for concurrent use; the data plane keeps one per worker.
+// TurboDecoder decodes blocks of any legal size K using iterative
+// max-log-MAP: the block size is the length of the output, the interleaver
+// a process-wide plan, and all working memory is allocated at construction
+// for the largest block, so a decoder's footprint does not depend on what
+// it has decoded. Decode performs no heap allocation, keeping the data-plane
+// hot path GC-quiet. A TurboDecoder is not safe for concurrent use; the data
+// plane keeps one per worker.
 type TurboDecoder struct {
-	q      *QPPInterleaver
 	kernel DecodeKernel
-	// Soft inputs split per constituent, each length K+3 trellis steps.
+	// Soft inputs split per constituent, each K+3 trellis steps at most.
 	// The float32 buffers exist only for KernelFloat32; KernelInt16 keeps
 	// its quantized working set in i16 instead (never both).
 	ls1, lp1 []float32 // systematic & parity, natural order
@@ -196,25 +190,22 @@ type TurboDecoder struct {
 	iterationsUsed int
 }
 
-// NewTurboDecoder returns a decoder for block size k using the default
-// kernel (KernelInt16).
-func NewTurboDecoder(k int) (*TurboDecoder, error) {
-	return NewTurboDecoderKernel(k, KernelInt16)
-}
+// NewTurboDecoder returns a decoder using the default kernel (KernelInt16).
+func NewTurboDecoder() *TurboDecoder { return newTurboDecoder(KernelInt16) }
 
-// NewTurboDecoderKernel returns a decoder for block size k running the given
-// SISO kernel. Only the selected kernel's working buffers are allocated; the
-// kernel is fixed for the decoder's lifetime.
-func NewTurboDecoderKernel(k int, kernel DecodeKernel) (*TurboDecoder, error) {
+// NewTurboDecoderKernel returns a decoder running the given SISO kernel.
+// Only the selected kernel's working buffers are allocated; the kernel is
+// fixed for the decoder's lifetime.
+func NewTurboDecoderKernel(kernel DecodeKernel) (*TurboDecoder, error) {
 	if err := kernel.Validate(); err != nil {
 		return nil, err
 	}
-	q, err := NewQPPInterleaver(k)
-	if err != nil {
-		return nil, err
-	}
+	return newTurboDecoder(kernel), nil
+}
+
+func newTurboDecoder(kernel DecodeKernel) *TurboDecoder {
+	const k = MaxBlockSize
 	d := &TurboDecoder{
-		q:             q,
 		kernel:        kernel,
 		hard:          make([]byte, k),
 		MaxIterations: DefaultTurboIterations,
@@ -222,7 +213,7 @@ func NewTurboDecoderKernel(k int, kernel DecodeKernel) (*TurboDecoder, error) {
 	steps := k + turboTail
 	switch kernel {
 	case KernelInt16:
-		d.i16 = newI16Buffers(k)
+		d.i16 = newI16Buffers()
 	default:
 		d.ls1 = make([]float32, steps)
 		d.lp1 = make([]float32, steps)
@@ -234,11 +225,8 @@ func NewTurboDecoderKernel(k int, kernel DecodeKernel) (*TurboDecoder, error) {
 		d.alpha = make([]float32, (steps+1)*turboStates)
 		d.beta = make([]float32, (steps+1)*turboStates)
 	}
-	return d, nil
+	return d
 }
-
-// K returns the block size.
-func (d *TurboDecoder) K() int { return d.q.K }
 
 // Kernel returns the SISO kernel this decoder was constructed with.
 func (d *TurboDecoder) Kernel() DecodeKernel { return d.kernel }
@@ -248,10 +236,10 @@ func (d *TurboDecoder) Kernel() DecodeKernel { return d.kernel }
 func (d *TurboDecoder) IterationsUsed() int { return d.iterationsUsed }
 
 // Decode consumes the three LLR streams ld0, ld1, ld2 (each length K+4,
-// matching the encoder's output layout; positive ⇒ bit 0) and writes K
-// decoded bits into out. It returns the number of full iterations used.
-// Decode does not itself verify a CRC; install EarlyCheck or verify the
-// output.
+// matching the encoder's output layout; positive ⇒ bit 0) and writes the
+// decoded bits into out, whose length K must be a legal turbo block size.
+// It returns the number of full iterations used. Decode does not itself
+// verify a CRC; install EarlyCheck or verify the output.
 func (d *TurboDecoder) Decode(out []byte, ld0, ld1, ld2 []float32) (int, error) {
 	return d.decode(out, ld0, ld1, ld2, 0)
 }
@@ -261,21 +249,23 @@ func (d *TurboDecoder) Decode(out []byte, ld0, ld1, ld2 []float32) (int, error) 
 // int16 kernel keeps them out of its ingest gain (ingestI16), the float32
 // kernel takes the pins as they are.
 func (d *TurboDecoder) decode(out []byte, ld0, ld1, ld2 []float32, known int) (int, error) {
-	k := d.q.K
-	if len(out) != k {
-		return 0, fmt.Errorf("phy: decode output length %d != K=%d: %w", len(out), k, ErrBadParameter)
+	k := len(out)
+	q, err := NewQPPInterleaver(k)
+	if err != nil {
+		return 0, err
 	}
 	if len(ld0) != k+4 || len(ld1) != k+4 || len(ld2) != k+4 {
 		return 0, fmt.Errorf("phy: decode input streams must each be K+4=%d: %w", k+4, ErrBadParameter)
 	}
+	hard := d.hard[:k]
 	if d.kernel == KernelInt16 {
-		return d.decodeI16(out, ld0, ld1, ld2, known)
+		return d.decodeI16(q, hard, out, ld0, ld1, ld2, known)
 	}
 	// Demultiplex data and tails into per-constituent streams.
 	copy(d.ls1[:k], ld0[:k])
 	copy(d.lp1[:k], ld1[:k])
 	for i := 0; i < k; i++ {
-		d.ls2[i] = ld0[d.q.Perm(i)]
+		d.ls2[i] = ld0[q.Perm(i)]
 	}
 	copy(d.lp2[:k], ld2[:k])
 	// Tails: inverse of the encoder multiplexing.
@@ -286,50 +276,47 @@ func (d *TurboDecoder) decode(out []byte, ld0, ld1, ld2 []float32, known int) (i
 	d.ls2[k+1], d.lp2[k+1] = ld2[k+2], ld0[k+3]
 	d.ls2[k+2], d.lp2[k+2] = ld1[k+3], ld2[k+3]
 
-	for i := range d.apri {
-		d.apri[i] = 0
-	}
+	clear(d.apri[:k])
 	d.iterationsUsed = 0
 	for it := 0; it < d.MaxIterations; it++ {
 		// Decoder 1 (natural order). apri currently holds deinterleaved
 		// extrinsic from decoder 2 (zero on the first pass).
-		d.siso(d.ls1, d.lp1, d.apri, d.ext1)
+		d.siso(k, d.ls1, d.lp1, d.apri, d.ext1)
 		// Interleave ext1 → a-priori for decoder 2.
 		for i := 0; i < k; i++ {
-			d.apri[i] = d.ext1[d.q.Perm(i)]
+			d.apri[i] = d.ext1[q.Perm(i)]
 		}
-		d.siso(d.ls2, d.lp2, d.apri, d.ext2)
+		d.siso(k, d.ls2, d.lp2, d.apri, d.ext2)
 		// Deinterleave ext2 back to natural order for the next round.
 		for i := 0; i < k; i++ {
-			d.apri[d.q.Perm(i)] = d.ext2[i]
+			d.apri[q.Perm(i)] = d.ext2[i]
 		}
 		d.iterationsUsed = it + 1
 		// A-posteriori in natural order: channel + both extrinsics.
 		for i := 0; i < k; i++ {
 			if d.ls1[i]+d.ext1[i]+d.apri[i] >= 0 {
-				d.hard[i] = 0
+				hard[i] = 0
 			} else {
-				d.hard[i] = 1
+				hard[i] = 1
 			}
 		}
-		if d.EarlyCheck != nil && d.EarlyCheck(d.hard) {
+		if d.EarlyCheck != nil && d.EarlyCheck(hard) {
 			break
 		}
 	}
-	copy(out, d.hard)
+	copy(out, hard)
 	return d.iterationsUsed, nil
 }
 
-// siso runs one max-log-MAP pass over a terminated constituent trellis.
-// ls/lp are systematic/parity LLRs with tail steps appended (len K+3); la is
-// the a-priori LLR for the K data steps; ext receives the extrinsic output.
+// siso runs one max-log-MAP pass over a terminated constituent trellis of k
+// data steps. ls/lp are systematic/parity LLRs with tail steps appended (K+3
+// values); la is the a-priori LLR for the K data steps; ext the extrinsic.
 //
 // The recursions are destination-oriented over precomputed two-predecessor
 // tables, with the four possible branch metrics (±systematic ±parity)
 // computed once per step — the layout that makes this the fastest pure-Go
 // inner loop we measured (see BenchmarkTurboDecodeK6144).
-func (d *TurboDecoder) siso(ls, lp, la, ext []float32) {
-	k := d.q.K
+func (d *TurboDecoder) siso(k int, ls, lp, la, ext []float32) {
 	steps := k + turboTail
 	alpha, beta := d.alpha, d.beta
 

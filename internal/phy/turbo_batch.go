@@ -4,8 +4,9 @@ import "fmt"
 
 // Batched lockstep int16 max-log-MAP kernel.
 //
-// BatchDecoderI16 decodes up to `width` same-size code blocks in lockstep
-// through one SISO pipeline. Where the scalar int16 kernel (turbo_i16.go)
+// BatchDecoderI16 decodes up to `width` code blocks of one size — any legal
+// K, read off the blocks of each Decode call — in lockstep through one SISO
+// pipeline. Where the scalar int16 kernel (turbo_i16.go)
 // keeps the eight path metrics of ONE block in registers and walks the
 // trellis step by step, the batched kernel lays every per-step quantity out
 // as structure-of-arrays — lane b of trellis step t lives at index t*W+b,
@@ -44,18 +45,21 @@ import "fmt"
 // doomed transport block).
 //
 // A BatchDecoderI16 is owned by one goroutine at a time (the data plane
-// keeps one per parallel-decode worker); Decode reuses the working set
-// allocated at construction and performs no heap allocation.
+// keeps one per parallel-decode worker). Its working set is allocated once
+// at construction for the largest block (240·K bytes ≈ 1.5 MB at width 8)
+// and a smaller K uses the leading K steps of every array, so Decode
+// performs no heap allocation and a decoder's footprint does not depend on
+// the block sizes it has seen; the interleaver is a process-wide plan.
 type BatchDecoderI16 struct {
-	q     *QPPInterleaver
+	q     *QPPInterleaver // the running Decode's interleaver
 	width int
 
 	// MaxIterations bounds full decoder iterations (default 8), matching
 	// TurboDecoder.MaxIterations.
 	MaxIterations int
 
-	// SoA working set, stride = width. Streams are (K+3)×W, apri/ext are
-	// K×W, alpha is K×8×W, the metric banks are 8×W.
+	// SoA working set, stride = width, K = MaxBlockSize. Streams are
+	// (K+3)×W, apri/ext are K×W, alpha is K×8×W, the metric banks are 8×W.
 	ls1, lp1 []int16
 	ls2, lp2 []int16
 	apri     []int16
@@ -75,20 +79,16 @@ type BatchDecoderI16 struct {
 // uint64.
 const maxBatchWidth = 64
 
-// NewBatchDecoderI16 returns a lockstep decoder for turbo block size k with
-// room for width lanes (2..maxBatchWidth).
-func NewBatchDecoderI16(k, width int) (*BatchDecoderI16, error) {
+// NewBatchDecoderI16 returns a lockstep decoder with room for width lanes
+// (2..maxBatchWidth).
+func NewBatchDecoderI16(width int) (*BatchDecoderI16, error) {
 	if width < 2 || width > maxBatchWidth {
 		return nil, fmt.Errorf("phy: batch width %d (want 2..%d): %w", width, maxBatchWidth, ErrBadParameter)
 	}
-	q, err := NewQPPInterleaver(k)
-	if err != nil {
-		return nil, err
-	}
+	const k = MaxBlockSize
 	steps := k + turboTail
 	w := width
 	return &BatchDecoderI16{
-		q:             q,
 		width:         w,
 		MaxIterations: DefaultTurboIterations,
 		ls1:           make([]int16, steps*w),
@@ -108,9 +108,6 @@ func NewBatchDecoderI16(k, width int) (*BatchDecoderI16, error) {
 	}, nil
 }
 
-// K returns the turbo block size.
-func (bd *BatchDecoderI16) K() int { return bd.q.K }
-
 // LaneIters returns the iterations lane b of the most recent Decode
 // consumed (valid until the next Decode call). The per-lane counts sum to
 // Decode's iteration total; callers decoding several transport blocks
@@ -121,10 +118,11 @@ func (bd *BatchDecoderI16) LaneIters(b int) int { return bd.lit[b] }
 func (bd *BatchDecoderI16) Width() int { return bd.width }
 
 // Decode turbo-decodes len(blocks) ≤ Width code blocks in lockstep:
-// blocks[i] (length K) receives the hard decisions for the LLR streams
-// ld0[i], ld1[i], ld2[i] (each length K+4, the encoder's layout — the same
-// contract as TurboDecoder.Decode). Ragged batches (fewer blocks than the
-// width) are fine; lanes beyond len(blocks) are simply never touched.
+// blocks[i] (all of one length K, a legal turbo block size) receives the
+// hard decisions for the LLR streams ld0[i], ld1[i], ld2[i] (each length
+// K+4, the encoder's layout — the same contract as TurboDecoder.Decode).
+// Ragged batches (fewer blocks than the width) are fine; lanes beyond
+// len(blocks) are simply never touched.
 // known, when non-nil, gives for each lane the number of leading systematic
 // values that are known zero bits pinned by the caller (LTE filler; see
 // ingestI16).
@@ -153,7 +151,12 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 		return 0, 0, fmt.Errorf("phy: %d blocks but %d/%d/%d LLR streams: %w",
 			n, len(ld0), len(ld1), len(ld2), ErrBadParameter)
 	}
-	k := bd.q.K
+	q, err := NewQPPInterleaver(len(blocks[0]))
+	if err != nil {
+		return 0, 0, err
+	}
+	k := q.K
+	bd.q = q
 	for b := 0; b < n; b++ {
 		if len(blocks[b]) != k {
 			return 0, 0, fmt.Errorf("phy: batch lane %d output length %d != K=%d: %w", b, len(blocks[b]), k, ErrBadParameter)
@@ -299,11 +302,13 @@ func (bd *BatchDecoderI16) compact(j, n int) int {
 	m := n - 1
 	if j != m {
 		w := bd.width
-		moveLane(bd.ls1, j, m, w)
-		moveLane(bd.lp1, j, m, w)
-		moveLane(bd.ls2, j, m, w)
-		moveLane(bd.lp2, j, m, w)
-		moveLane(bd.apri, j, m, w)
+		k := bd.q.K
+		steps := (k + turboTail) * w
+		moveLane(bd.ls1[:steps], j, m, w)
+		moveLane(bd.lp1[:steps], j, m, w)
+		moveLane(bd.ls2[:steps], j, m, w)
+		moveLane(bd.lp2[:steps], j, m, w)
+		moveLane(bd.apri[:k*w], j, m, w)
 		bd.lanes[j] = bd.lanes[m]
 	}
 	return m

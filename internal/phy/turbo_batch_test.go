@@ -12,10 +12,7 @@ import (
 // noisy LLR streams (sigma=0 means noise-free) plus the transmitted blocks.
 func batchTestVectors(t testing.TB, rng *rand.Rand, k, n int, sigma float64) (blocks [][]byte, l0, l1, l2 [][]float32) {
 	t.Helper()
-	enc, err := NewTurboEncoder(k)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := NewTurboEncoder()
 	d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
 	noisy := func(bits []byte) []float32 {
 		llr := make([]float32, len(bits))
@@ -66,7 +63,7 @@ func scaleStreams(c float32, puncture bool, ls ...[][]float32) {
 // for bit.
 func decodeScalarOracle(t testing.TB, k, maxIter int, l0, l1, l2 [][]float32, check func([]byte) bool) (outs [][]byte, iters int, failed uint64) {
 	t.Helper()
-	dec, err := NewTurboDecoderKernel(k, KernelInt16)
+	dec, err := NewTurboDecoderKernel(KernelInt16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +123,7 @@ func TestBatchDecoderMatchesScalarOracle(t *testing.T) {
 		}
 		wantOuts, wantIters, wantFailed := decodeScalarOracle(t, c.k, c.maxIter, l0, l1, l2, check)
 
-		bd, err := NewBatchDecoderI16(c.k, c.width)
+		bd, err := NewBatchDecoderI16(c.width)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +198,7 @@ func TestI16GainScaleInvariance(t *testing.T) {
 				}
 			}
 			for _, w := range []int{8, 5} {
-				bd, err := NewBatchDecoderI16(k, w)
+				bd, err := NewBatchDecoderI16(w)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -237,7 +234,7 @@ func TestBatchDecoderDropLane(t *testing.T) {
 	_, l0, l1, l2 := batchTestVectors(t, rng, k, n, 0.85)
 	wantOuts, _, wantFailed := decodeScalarOracle(t, k, 8, l0, l1, l2, checkBlockCRC24B)
 
-	bd, err := NewBatchDecoderI16(k, n)
+	bd, err := NewBatchDecoderI16(n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,18 +277,18 @@ func TestBatchDecoderDropLane(t *testing.T) {
 }
 
 func TestBatchDecoderValidation(t *testing.T) {
-	if _, err := NewBatchDecoderI16(512, 1); !errors.Is(err, ErrBadParameter) {
+	if _, err := NewBatchDecoderI16(1); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("width 1 = %v, want ErrBadParameter", err)
 	}
-	if _, err := NewBatchDecoderI16(512, 65); !errors.Is(err, ErrBadParameter) {
+	if _, err := NewBatchDecoderI16(65); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("width 65 = %v, want ErrBadParameter", err)
 	}
-	bd, err := NewBatchDecoderI16(512, 4)
+	bd, err := NewBatchDecoderI16(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd.K() != 512 || bd.Width() != 4 {
-		t.Errorf("K()=%d Width()=%d", bd.K(), bd.Width())
+	if bd.Width() != 4 {
+		t.Errorf("Width()=%d", bd.Width())
 	}
 	mk := func(n, l int) [][]float32 {
 		s := make([][]float32, n)
@@ -317,9 +314,15 @@ func TestBatchDecoderValidation(t *testing.T) {
 	if _, _, err := bd.Decode(blocks, mk(2, 515), mk(2, 516), mk(2, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("stream length mismatch = %v, want ErrBadParameter", err)
 	}
+	// The first block fixes the call's K: an illegal size is rejected, and
+	// so is a later lane of another size.
 	short := [][]byte{make([]byte, 511), make([]byte, 512)}
 	if _, _, err := bd.Decode(short, mk(2, 516), mk(2, 516), mk(2, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
-		t.Errorf("short output = %v, want ErrBadParameter", err)
+		t.Errorf("illegal block size = %v, want ErrBadParameter", err)
+	}
+	mixed := [][]byte{make([]byte, 512), make([]byte, 504)}
+	if _, _, err := bd.Decode(mixed, mk(2, 516), mk(2, 516), mk(2, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
+		t.Errorf("mixed block sizes = %v, want ErrBadParameter", err)
 	}
 }
 
@@ -327,7 +330,7 @@ func TestBatchDecoderNoAlloc(t *testing.T) {
 	const k, w = 512, 8
 	rng := rand.New(rand.NewSource(55))
 	_, l0, l1, l2 := batchTestVectors(t, rng, k, w, 0.8)
-	bd, err := NewBatchDecoderI16(k, w)
+	bd, err := NewBatchDecoderI16(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +378,7 @@ func FuzzBatchedKernel(f *testing.F) {
 		}
 		wantOuts, wantIters, wantFailed := decodeScalarOracle(t, k, mi, l0, l1, l2, checkBlockCRC24B)
 
-		bd, err := NewBatchDecoderI16(k, w)
+		bd, err := NewBatchDecoderI16(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -410,7 +413,7 @@ func BenchmarkBatchVsScalarI16(b *testing.B) {
 	_, l0, l1, l2 := batchTestVectors(b, rng, k, 8, 0.8)
 	out := make([]byte, k)
 	b.Run("scalar", func(b *testing.B) {
-		dec, err := NewTurboDecoderKernel(k, KernelInt16)
+		dec, err := NewTurboDecoderKernel(KernelInt16)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -425,7 +428,7 @@ func BenchmarkBatchVsScalarI16(b *testing.B) {
 	})
 	for _, w := range []int{2, 4, 8} {
 		b.Run(map[int]string{2: "batch2", 4: "batch4", 8: "batch8"}[w], func(b *testing.B) {
-			bd, err := NewBatchDecoderI16(k, w)
+			bd, err := NewBatchDecoderI16(w)
 			if err != nil {
 				b.Fatal(err)
 			}

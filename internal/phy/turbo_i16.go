@@ -88,18 +88,20 @@ const (
 )
 
 // i16Buffers is the working storage of the int16 kernel, allocated once at
-// decoder construction (TurboDecoder keeps either these or the float32
-// buffers, never both).
+// decoder construction for the largest block (TurboDecoder keeps either
+// these or the float32 buffers, never both); a decode of block size K uses
+// the leading part of each.
 type i16Buffers struct {
-	ls1, lp1 []int16 // systematic & parity, natural order (len K+3)
-	ls2, lp2 []int16 // systematic (interleaved) & parity (len K+3)
-	apri     []int16 // a-priori input to the running constituent (len K)
+	ls1, lp1 []int16 // systematic & parity, natural order (K+3 used)
+	ls2, lp2 []int16 // systematic (interleaved) & parity (K+3 used)
+	apri     []int16 // a-priori input to the running constituent (K used)
 	ext1     []int16 // extrinsic from decoder 1, natural order
 	ext2     []int16 // extrinsic from decoder 2, interleaved order
 	alpha    []int16 // K×8 forward metrics (beta stays in registers)
 }
 
-func newI16Buffers(k int) *i16Buffers {
+func newI16Buffers() *i16Buffers {
+	const k = MaxBlockSize
 	steps := k + turboTail
 	return &i16Buffers{
 		ls1:   make([]int16, steps),
@@ -189,41 +191,40 @@ func ingestI16(ls1, lp1, ls2, lp2 []int16, w, b, k int, d0, d1, d2 []float32, kn
 
 // decodeI16 is the int16-kernel body of Decode: identical iteration
 // structure to the float32 path, with gain + LLR quantization at the demux
-// step. Inputs were already length-checked by Decode.
-func (d *TurboDecoder) decodeI16(out []byte, ld0, ld1, ld2 []float32, known int) (int, error) {
-	k := d.q.K
+// step. Inputs were already length-checked by decode; hard is the decoder's
+// K-bit decision scratch.
+func (d *TurboDecoder) decodeI16(q *QPPInterleaver, hard, out []byte, ld0, ld1, ld2 []float32, known int) (int, error) {
+	k := q.K
 	b := d.i16
 	ingestI16(b.ls1, b.lp1, b.ls2, b.lp2, 1, 0, k, ld0, ld1, ld2, known)
 	for i := 0; i < k; i++ {
-		b.ls2[i] = b.ls1[d.q.Perm(i)]
+		b.ls2[i] = b.ls1[q.Perm(i)]
 	}
 
-	for i := range b.apri {
-		b.apri[i] = 0
-	}
+	clear(b.apri[:k])
 	d.iterationsUsed = 0
 	for it := 0; it < d.MaxIterations; it++ {
 		sisoI16(b.ls1, b.lp1, b.apri, b.ext1, b.alpha, k)
 		for i := 0; i < k; i++ {
-			b.apri[i] = b.ext1[d.q.Perm(i)]
+			b.apri[i] = b.ext1[q.Perm(i)]
 		}
 		sisoI16(b.ls2, b.lp2, b.apri, b.ext2, b.alpha, k)
 		for i := 0; i < k; i++ {
-			b.apri[d.q.Perm(i)] = b.ext2[i]
+			b.apri[q.Perm(i)] = b.ext2[i]
 		}
 		d.iterationsUsed = it + 1
 		for i := 0; i < k; i++ {
 			if int(b.ls1[i])+int(b.ext1[i])+int(b.apri[i]) >= 0 {
-				d.hard[i] = 0
+				hard[i] = 0
 			} else {
-				d.hard[i] = 1
+				hard[i] = 1
 			}
 		}
-		if d.EarlyCheck != nil && d.EarlyCheck(d.hard) {
+		if d.EarlyCheck != nil && d.EarlyCheck(hard) {
 			break
 		}
 	}
-	copy(out, d.hard)
+	copy(out, hard)
 	return d.iterationsUsed, nil
 }
 

@@ -43,10 +43,7 @@ func TestRSCTermination(t *testing.T) {
 }
 
 func TestTurboEncodeDeterministic(t *testing.T) {
-	enc, err := NewTurboEncoder(104)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := NewTurboEncoder()
 	rng := rand.New(rand.NewSource(21))
 	input := randBits(rng, 104)
 	a0, a1, a2 := make([]byte, 108), make([]byte, 108), make([]byte, 108)
@@ -73,14 +70,8 @@ func TestTurboEncodeDeterministic(t *testing.T) {
 func TestTurboNoiseFreeRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for _, k := range []int{40, 104, 512, 2048, 6144} {
-		enc, err := NewTurboEncoder(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := NewTurboDecoder(k)
-		if err != nil {
-			t.Fatal(err)
-		}
+		enc := NewTurboEncoder()
+		dec := NewTurboDecoder()
 		input := randBits(rng, k)
 		d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
 		if err := enc.Encode(d0, d1, d2, input); err != nil {
@@ -100,8 +91,8 @@ func TestTurboNoiseFreeRoundtrip(t *testing.T) {
 
 func TestTurboAllZeros(t *testing.T) {
 	const k = 256
-	enc, _ := NewTurboEncoder(k)
-	dec, _ := NewTurboDecoder(k)
+	enc := NewTurboEncoder()
+	dec := NewTurboDecoder()
 	input := make([]byte, k)
 	d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
 	if err := enc.Encode(d0, d1, d2, input); err != nil {
@@ -130,8 +121,8 @@ func TestTurboWithAWGN(t *testing.T) {
 	// must succeed with soft LLRs 4·y/N0.
 	const k = 1024
 	rng := rand.New(rand.NewSource(23))
-	enc, _ := NewTurboEncoder(k)
-	dec, _ := NewTurboDecoder(k)
+	enc := NewTurboEncoder()
+	dec := NewTurboDecoder()
 	input := randBits(rng, k)
 	d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
 	if err := enc.Encode(d0, d1, d2, input); err != nil {
@@ -170,8 +161,8 @@ func TestTurboWithAWGN(t *testing.T) {
 
 func TestTurboEarlyTermination(t *testing.T) {
 	const k = 512
-	enc, _ := NewTurboEncoder(k)
-	dec, _ := NewTurboDecoder(k)
+	enc := NewTurboEncoder()
+	dec := NewTurboDecoder()
 	dec.MaxIterations = 8
 	rng := rand.New(rand.NewSource(24))
 	payload := randBits(rng, k-24)
@@ -201,14 +192,7 @@ func TestTurboQuickRoundtrip(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		k := validBlockSizes[rng.Intn(40)] // sizes up to ~360 keep it fast
-		enc, err := NewTurboEncoder(k)
-		if err != nil {
-			return false
-		}
-		dec, err := NewTurboDecoder(k)
-		if err != nil {
-			return false
-		}
+		enc, dec := NewTurboEncoder(), NewTurboDecoder()
 		input := randBits(rng, k)
 		d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
 		if err := enc.Encode(d0, d1, d2, input); err != nil {
@@ -231,8 +215,8 @@ func TestTurboQuickRoundtrip(t *testing.T) {
 }
 
 func TestTurboBadInputs(t *testing.T) {
-	enc, _ := NewTurboEncoder(40)
-	dec, _ := NewTurboDecoder(40)
+	enc := NewTurboEncoder()
+	dec := NewTurboDecoder()
 	if err := enc.Encode(make([]byte, 44), make([]byte, 44), make([]byte, 44), make([]byte, 39)); err == nil {
 		t.Fatal("wrong input length accepted")
 	}
@@ -242,18 +226,18 @@ func TestTurboBadInputs(t *testing.T) {
 	if _, err := dec.Decode(make([]byte, 40), make([]float32, 40), make([]float32, 44), make([]float32, 44)); err == nil {
 		t.Fatal("wrong LLR length accepted")
 	}
-	if _, err := NewTurboEncoder(39); err == nil {
+	if err := enc.Encode(make([]byte, 43), make([]byte, 43), make([]byte, 43), make([]byte, 39)); err == nil {
 		t.Fatal("illegal K accepted by encoder")
 	}
-	if _, err := NewTurboDecoder(39); err == nil {
+	if _, err := dec.Decode(make([]byte, 39), make([]float32, 43), make([]float32, 43), make([]float32, 43)); err == nil {
 		t.Fatal("illegal K accepted by decoder")
 	}
 }
 
 func TestTurboDecodeNoAlloc(t *testing.T) {
 	const k = 512
-	enc, _ := NewTurboEncoder(k)
-	dec, _ := NewTurboDecoder(k)
+	enc := NewTurboEncoder()
+	dec := NewTurboDecoder()
 	rng := rand.New(rand.NewSource(25))
 	input := randBits(rng, k)
 	d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
