@@ -118,7 +118,7 @@ func TestMultiplexingGain(t *testing.T) {
 // compresses (see TestE4PoolingGainShapes).
 func TestDiurnalPoolingGainShape(t *testing.T) {
 	t.Run("float32", func(t *testing.T) {
-		testDiurnalPoolingGain(t, cluster.DefaultCostModel().WithKernel(phy.KernelFloat32), 1.8)
+		testDiurnalPoolingGain(t, cluster.DefaultCostModel().WithProfile(phy.DecodeProfile{Kernel: phy.KernelFloat32}), 1.8)
 	})
 	t.Run("default", func(t *testing.T) { testDiurnalPoolingGain(t, cluster.DefaultCostModel(), 1.4) })
 }

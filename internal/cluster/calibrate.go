@@ -12,14 +12,13 @@ import (
 
 // Calibrate measures the host's actual per-stage DSP costs by running the
 // real internal/phy implementations and returns a CostModel whose
-// coefficients reflect this machine. The returned model describes the
-// pipeline a zero-value dataplane.Config runs: its Kernel and Batch are
-// left at their zero values (int16 at lockstep width 8), FrontEnd at fused,
-// and FrontEndVector follows the host; the float32 and scalar coefficients
-// are measured too, for models derived with WithKernel/WithBatch. The run
-// takes a few hundred milliseconds. Use DefaultCostModel when speed matters
-// more than fidelity (unit tests); use Calibrate in benchmarks and
-// experiments.
+// coefficients reflect this machine. The returned model prices the zero
+// phy.DecodeProfile — the pipeline a dataplane.Config that names no other
+// runs — and FrontEndVector records whether this host's default tiles are
+// the vector ones; the coefficients of every other profile are measured
+// too, for models derived with WithProfile. The run takes a few hundred
+// milliseconds. Use DefaultCostModel when speed matters more than fidelity
+// (unit tests); use Calibrate in benchmarks and experiments.
 func Calibrate() (CostModel, error) {
 	var m CostModel
 	rng := rand.New(rand.NewSource(12345))
@@ -118,7 +117,7 @@ func Calibrate() (CostModel, error) {
 	}
 
 	// Fused front-end per RE for each constellation, in two columns: the
-	// scalar tile pipeline (NoVectorFrontEnd) and the default pipeline,
+	// pure-Go tile pipeline (NoVectorFrontEnd) and the default pipeline,
 	// which uses the AVX2 tile kernels when the host has them. Each column
 	// runs a serial fused TransportProcessor over a representative
 	// allocation per modulation and reads the measured Timings.FrontEnd,
@@ -146,9 +145,7 @@ func Calibrate() (CostModel, error) {
 			{cfg.scalar, true},
 			{cfg.vector, false},
 		} {
-			p, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{
-				FrontEnd: phy.FrontEndFused, NoVectorFrontEnd: col.noVector,
-			})
+			p, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{NoVectorFrontEnd: col.noVector})
 			if err != nil {
 				return m, fmt.Errorf("cluster: calibrate fused front-end: %w", err)
 			}
@@ -174,8 +171,7 @@ func Calibrate() (CostModel, error) {
 			*col.coef = el.Seconds() / float64(reps) / float64(len(rx))
 		}
 	}
-	// The calibrated model mirrors the data plane's default front-end
-	// variant: vector tile kernels whenever the host supports them.
+	// Which of the two columns the host's default tiles are.
 	m.FrontEndVector = phy.FrontEndAVX2()
 
 	// Turbo decoding per code-block bit per iteration, measured once per
@@ -279,7 +275,7 @@ func Calibrate() (CostModel, error) {
 	// encode at a mid-range configuration).
 	{
 		const mcs, nprb = 17, 50
-		p, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{})
+		p, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
 		if err != nil {
 			return m, err
 		}

@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"bufio"
 	"errors"
+	"fmt"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -259,20 +263,27 @@ func TestServerStateString(t *testing.T) {
 	}
 }
 
+// Profiles the selection tests derive models for.
+var (
+	profFloat32 = phy.DecodeProfile{Kernel: phy.KernelFloat32}
+	profStaged  = phy.DecodeProfile{FrontEnd: phy.FrontEndStaged}
+	profScalar  = phy.DecodeProfile{Batch: 1}
+)
+
 func TestCostModelKernelSelection(t *testing.T) {
-	m := DefaultCostModel() // int16 lockstep is the zero value, the default
+	m := DefaultCostModel() // int16 lockstep is the zero profile, the default
 	a := frame.Allocation{RNTI: 1, FirstPRB: 0, NumPRB: 100, MCS: 27, SNRdB: phy.MCS(27).OperatingSNR()}
-	base := m.WithKernel(phy.KernelFloat32).AllocCost(a)
+	base := m.WithProfile(profFloat32).AllocCost(a)
 	fast := m.AllocCost(a)
 	if fast >= base {
 		t.Fatalf("int16 alloc cost %v not below float32 %v", fast, base)
 	}
-	// WithKernel is a copy: the receiver must keep its kernel.
-	if m.Kernel != phy.KernelInt16 {
-		t.Fatal("WithKernel mutated the receiver")
+	// WithProfile is a copy: the receiver must keep its profile.
+	if m.Profile != (phy.DecodeProfile{}) {
+		t.Fatal("WithProfile mutated the receiver")
 	}
 	// The parallel service-time model must use the same coefficient switch.
-	baseW := m.WithKernel(phy.KernelFloat32).AllocCostWorkers(a, 4)
+	baseW := m.WithProfile(profFloat32).AllocCostWorkers(a, 4)
 	fastW := m.AllocCostWorkers(a, 4)
 	if fastW >= baseW {
 		t.Fatalf("int16 parallel cost %v not below float32 %v", fastW, baseW)
@@ -289,18 +300,14 @@ func TestCostModelFrontEndSelection(t *testing.T) {
 	m := DefaultCostModel()
 	a := frame.Allocation{RNTI: 1, FirstPRB: 0, NumPRB: 100, MCS: 27, SNRdB: phy.MCS(27).OperatingSNR()}
 	fused := m.AllocCost(a) // FrontEndFused is the zero value, the default
-	staged := m.WithFrontEnd(phy.FrontEndStaged).AllocCost(a)
+	staged := m.WithProfile(profStaged).AllocCost(a)
 	if fused >= staged {
 		t.Fatalf("fused alloc cost %v not below staged %v", fused, staged)
-	}
-	// WithFrontEnd is a copy: the receiver must keep its front-end.
-	if m.FrontEnd != phy.FrontEndFused {
-		t.Fatal("WithFrontEnd mutated the receiver")
 	}
 	// In the parallel service-time model the fused front-end additionally
 	// overlaps turbo decoding, so the gap must widen relative to staged.
 	fusedW := m.AllocCostWorkers(a, 4)
-	stagedW := m.WithFrontEnd(phy.FrontEndStaged).AllocCostWorkers(a, 4)
+	stagedW := m.WithProfile(profStaged).AllocCostWorkers(a, 4)
 	if fusedW >= stagedW {
 		t.Fatalf("fused parallel cost %v not below staged %v", fusedW, stagedW)
 	}
@@ -308,39 +315,37 @@ func TestCostModelFrontEndSelection(t *testing.T) {
 		t.Fatalf("parallel fused gap %v not wider than serial gap %v",
 			stagedW-fusedW, staged-fused)
 	}
-	// A zero fused coefficient or a bogus front-end must fail validation.
+	// A zero fused coefficient must fail validation.
 	bad := m
 	bad.FusedPerRE64QAM = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero FusedPerRE64QAM accepted")
-	}
-	bad = m
-	bad.FrontEnd = phy.FrontEnd(9)
-	if err := bad.Validate(); err == nil {
-		t.Fatal("bogus front-end accepted")
 	}
 }
 
 func TestCostModelFrontEndVectorSelection(t *testing.T) {
 	m := DefaultCostModel()
 	a := frame.Allocation{RNTI: 1, FirstPRB: 0, NumPRB: 100, MCS: 27, SNRdB: phy.MCS(27).OperatingSNR()}
-	scalar := m.AllocCost(a) // FrontEndVector defaults to false
-	vector := m.WithFrontEndVector(true).AllocCost(a)
+	scalar := m.AllocCost(a) // FrontEndVector is false until a calibration sets it
+	vec := m
+	vec.FrontEndVector = true // what Calibrate records on an AVX2 host
+	vector := vec.AllocCost(a)
 	if vector >= scalar {
 		t.Fatalf("vector fused alloc cost %v not below scalar %v", vector, scalar)
 	}
-	// WithFrontEndVector is a copy: the receiver must keep its variant.
-	if m.FrontEndVector {
-		t.Fatal("WithFrontEndVector mutated the receiver")
+	// A profile that names the pure-Go tiles is charged the scalar column
+	// whatever the host's default tiles are.
+	pureGo := phy.DecodeProfile{NoVectorFrontEnd: true}
+	if vec.WithProfile(pureGo).AllocCost(a) != scalar || m.WithProfile(pureGo).AllocCost(a) != scalar {
+		t.Fatal("NoVectorFrontEnd is not charged the pure-Go tile coefficients")
 	}
 	// The vector coefficients only apply to the fused front-end: the staged
-	// model must be indifferent to the knob.
-	st := m.WithFrontEnd(phy.FrontEndStaged)
-	if st.WithFrontEndVector(true).AllocCost(a) != st.AllocCost(a) {
+	// model must be indifferent to them.
+	if vec.WithProfile(profStaged).AllocCost(a) != m.WithProfile(profStaged).AllocCost(a) {
 		t.Fatal("FrontEndVector changed the staged front-end cost")
 	}
 	// The parallel service-time model uses the same coefficient switch.
-	if vw, sw := m.WithFrontEndVector(true).AllocCostWorkers(a, 4), m.AllocCostWorkers(a, 4); vw >= sw {
+	if vw, sw := vec.AllocCostWorkers(a, 4), m.AllocCostWorkers(a, 4); vw >= sw {
 		t.Fatalf("vector fused parallel cost %v not below scalar %v", vw, sw)
 	}
 	// A zero vector coefficient must fail validation.
@@ -354,68 +359,108 @@ func TestCostModelFrontEndVectorSelection(t *testing.T) {
 func TestCostModelBatchSelection(t *testing.T) {
 	m := DefaultCostModel()
 	a := frame.Allocation{RNTI: 1, FirstPRB: 0, NumPRB: 100, MCS: 27, SNRdB: phy.MCS(27).OperatingSNR()}
+	width := func(w int) CostModel { return m.WithProfile(phy.DecodeProfile{Batch: w}) }
 	// The zero width is the int16 kernel's own, 8.
-	if m.AllocCost(a) != m.WithBatch(8).AllocCost(a) {
+	if m.AllocCost(a) != width(8).AllocCost(a) {
 		t.Fatal("zero batch width does not charge the int16 kernel's width 8")
 	}
 	// Cost must fall monotonically with the lockstep width from the scalar
 	// per-block decode (width 1) to the width-8 calibration point.
-	prev := m.WithBatch(1).AllocCost(a)
+	prev := width(1).AllocCost(a)
 	for _, w := range []int{2, 4, 8} {
-		c := m.WithBatch(w).AllocCost(a)
+		c := width(w).AllocCost(a)
 		if c >= prev {
 			t.Fatalf("width %d cost %v not below previous %v", w, c, prev)
 		}
 		prev = c
 	}
-	if m.WithBatch(16).AllocCost(a) != m.WithBatch(8).AllocCost(a) {
-		t.Fatal("widths past the calibration endpoint must be charged as width 8")
-	}
 	// A single-block transport block never rides a lockstep pass: whatever
 	// the width, it is charged the scalar int16 coefficient.
 	one := frame.Allocation{RNTI: 1, NumPRB: 4, MCS: 10, SNRdB: phy.MCS(10).OperatingSNR()}
-	if m.AllocCost(one) != m.WithBatch(1).AllocCost(one) {
+	if m.AllocCost(one) != width(1).AllocCost(one) {
 		t.Fatal("single-block cost depends on the lockstep width")
 	}
 	// A ragged span is charged for its occupancy: 3 blocks (MCS 28, 25 PRB)
 	// in one width-8 pass cost more per block than a full span, less than
 	// three scalar decodes.
 	ragged := frame.Allocation{RNTI: 1, NumPRB: 25, MCS: 28, SNRdB: phy.MCS(28).OperatingSNR()}
-	if r, sc := m.AllocCost(ragged), m.WithBatch(1).AllocCost(ragged); r >= sc {
+	if r, sc := m.AllocCost(ragged), width(1).AllocCost(ragged); r >= sc {
 		t.Fatalf("ragged 3-block span %v not below three scalar decodes %v", r, sc)
 	}
 	if got, full := m.spanUnits(3)/3, m.spanUnits(8)/8; got <= full {
 		t.Fatalf("per-block cost of a 3-lane span %v not above a full span's %v", got, full)
 	}
-	// Batch is inert on the float32 kernel's coefficient switch, and the
-	// receiver keeps its width.
-	f := DefaultCostModel().WithKernel(phy.KernelFloat32)
-	f8 := f
-	f8.Batch = 8 // bypass WithBatch to probe spanUnits in isolation
-	if f8.AllocCost(a) != f.AllocCost(a) {
-		t.Fatal("batch width changed the float32 cost")
-	}
-	derived := m.WithBatch(4)
-	if derived.Batch != 4 || m.Batch != 0 {
-		t.Fatal("WithBatch mutated the receiver")
-	}
 	// The parallel service-time model claims spans the same way, and the
 	// batched frontier must beat the scalar one at 4-way parallelism.
-	if bw, sw := m.AllocCostWorkers(a, 4), m.WithBatch(1).AllocCostWorkers(a, 4); bw >= sw {
+	if bw, sw := m.AllocCostWorkers(a, 4), m.WithProfile(profScalar).AllocCostWorkers(a, 4); bw >= sw {
 		t.Fatalf("batched parallel cost %v not below scalar %v", bw, sw)
 	}
-	// Validation: negative widths and batching the float32 kernel are
-	// configuration errors; a zero batch coefficient is invalid.
-	if err := m.WithBatch(-1).Validate(); err == nil {
-		t.Fatal("negative batch width accepted")
-	}
-	if err := f.WithBatch(8).Validate(); err == nil {
-		t.Fatal("batched float32 model accepted")
-	}
+	// A zero batch coefficient is invalid (invalid profiles are
+	// dataplane's TestInvalidProfileRejectedEverywhere).
 	bad := m
 	bad.TurboPerBitIterI16Batch = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("zero TurboPerBitIterI16Batch accepted")
+	}
+}
+
+// TestCostModelGoldenGrid pins every profile's price on DefaultCostModel to
+// the answers recorded before the model's four selection fields became one
+// Profile (testdata/costmodel_grid.txt): 100-PRB service times to the
+// nanosecond over kernel × front-end × width × tile kernels × workers × MCS.
+func TestCostModelGoldenGrid(t *testing.T) {
+	f, err := os.Open("testdata/costmodel_grid.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	kernels := map[string]phy.DecodeKernel{"int16": phy.KernelInt16, "float32": phy.KernelFloat32}
+	frontEnds := map[string]phy.FrontEnd{"fused": phy.FrontEndFused, "staged": phy.FrontEndStaged}
+	points := 0
+	for sc := bufio.NewScanner(f); sc.Scan(); {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		var kernel, frontEnd, tiles string
+		var batch, workers, mcs int
+		var want int64
+		if _, err := fmt.Sscan(line, &kernel, &frontEnd, &batch, &tiles, &workers, &mcs, &want); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		// The recorded model ran on a host whose default tiles are the
+		// vector ones; the pure-Go column is the profile that opts out.
+		m := DefaultCostModel()
+		m.FrontEndVector = true
+		m = m.WithProfile(phy.DecodeProfile{
+			Kernel: kernels[kernel], FrontEnd: frontEnds[frontEnd], Batch: batch,
+			NoVectorFrontEnd: tiles == "pure-go",
+		})
+		if err := m.Validate(); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		a := frame.Allocation{RNTI: 1, NumPRB: 100, MCS: phy.MCS(mcs), SNRdB: phy.MCS(mcs).OperatingSNR()}
+		if got := m.AllocCostWorkers(a, workers).Nanoseconds(); got != want {
+			t.Errorf("%q: got %d ns", line, got)
+		}
+		if workers == 1 {
+			if got := m.AllocCost(a).Nanoseconds(); got != want {
+				t.Errorf("%q: AllocCost %d ns", line, got)
+			}
+			// A model that never saw a vector host prices the pure-Go
+			// column for either profile.
+			if tiles == "pure-go" {
+				m.FrontEndVector = false
+				m.Profile.NoVectorFrontEnd = false
+				if got := m.AllocCost(a).Nanoseconds(); got != want {
+					t.Errorf("%q: uncalibrated AllocCost %d ns", line, got)
+				}
+			}
+		}
+		points++
+	}
+	if points != 192 {
+		t.Fatalf("read %d grid points, want 192", points)
 	}
 }
 
@@ -467,7 +512,7 @@ func TestCalibrateMeasuresBothKernels(t *testing.T) {
 		}
 	}
 	// The vector column must be populated, and the calibrated model must
-	// mirror the data plane's default variant. On AVX2 hosts the tile
+	// record the host's default tiles. On AVX2 hosts the tile
 	// kernels must beat the scalar tiles (generous slack for CI noise).
 	for _, c := range []struct {
 		name           string
@@ -486,7 +531,7 @@ func TestCalibrateMeasuresBothKernels(t *testing.T) {
 		}
 	}
 	if m.FrontEndVector != phy.FrontEndAVX2() {
-		t.Fatalf("calibrated FrontEndVector %v does not mirror phy.FrontEndAVX2() %v",
+		t.Fatalf("calibrated FrontEndVector %v is not phy.FrontEndAVX2() %v",
 			m.FrontEndVector, phy.FrontEndAVX2())
 	}
 }

@@ -46,8 +46,8 @@ type CostModel struct {
 	// fused decode front-end (phy.FrontEndFused), which replaces the three
 	// staged sweeps (demodulate + descramble + de-rate-match) with one
 	// word-oriented pass. Charged instead of — never in addition to — the
-	// DemodPerRE*/DescramblePerBit/DematchPerBit coefficients when FrontEnd
-	// is FrontEndFused.
+	// DemodPerRE*/DescramblePerBit/DematchPerBit coefficients when
+	// Profile.FrontEnd is FrontEndFused.
 	FusedPerREQPSK  float64
 	FusedPerRE16QAM float64
 	FusedPerRE64QAM float64
@@ -56,7 +56,7 @@ type CostModel struct {
 	// demodulation and descrambling run 8 symbols per iteration in
 	// assembly. On hosts without AVX2 the calibrator sets these equal to
 	// the scalar FusedPerRE* coefficients. Charged instead of FusedPerRE*
-	// when FrontEndVector is set.
+	// as FrontEndVector describes.
 	FusedVecPerREQPSK  float64
 	FusedVecPerRE16QAM float64
 	FusedVecPerRE64QAM float64
@@ -83,31 +83,25 @@ type CostModel struct {
 	// service time is computed at parallelism > 1 (AllocCostWorkers).
 	DispatchPerBlock float64
 
-	// Kernel selects which turbo coefficients the cost queries use
-	// (phy.KernelInt16 — the zero value — or phy.KernelFloat32), mirroring
-	// dataplane.Config.DecodeKernel so provisioning answers track the data
-	// plane's actual decode arithmetic. Use WithKernel to derive a model
-	// for the other kernel.
-	Kernel phy.DecodeKernel
-	// FrontEnd selects which front-end coefficients the cost queries use
-	// (phy.FrontEndFused — the zero value — or phy.FrontEndStaged),
-	// mirroring dataplane.Config.FrontEnd. Use WithFrontEnd to derive a
-	// model for the other front-end.
-	FrontEnd phy.FrontEnd
-	// FrontEndVector selects the AVX2 tile coefficients (FusedVecPerRE*)
-	// for the fused front-end, mirroring the data plane's default of
-	// phy.FrontEndAVX2() && !NoVectorFrontEnd. It has no effect on the
-	// staged front-end. Use WithFrontEndVector to derive the other variant.
+	// Profile is the decode pipeline the cost queries price — the same value
+	// a pool runs as dataplane.Config.Decode, so a provisioning answer and
+	// the pipeline it describes are compared with ==. Its Kernel and lockstep
+	// Width select the turbo coefficients and how a transport block's code
+	// blocks are charged span by span (see spanUnits), its FrontEnd and
+	// NoVectorFrontEnd the front-end coefficients. Workers is not read: the
+	// cost queries take the parallelism a service time is asked at as an
+	// argument (AllocCostWorkers). The zero value is the default path. Use
+	// WithProfile to derive a model for another pipeline.
+	Profile phy.DecodeProfile
+	// FrontEndVector is the calibration's record of which fused column this
+	// host's default tile kernels run: Calibrate sets it to
+	// phy.FrontEndAVX2(), DefaultCostModel leaves it false. The fused
+	// front-end is charged FusedVecPerRE* when it is set and the profile does
+	// not name the pure-Go tiles (Profile.NoVectorFrontEnd), FusedPerRE*
+	// otherwise.
 	FrontEndVector bool
-	// Batch is the lockstep batch width the cost queries assume, mirroring
-	// dataplane.Config.DecodeBatch: 0 is the kernel's width (8 for int16, 1
-	// for float32), 1 is scalar per-block decode. It only affects the int16
-	// kernel, whose transport blocks are charged span by span the way the
-	// decoder claims them (see turboUnits). Use WithBatch to derive a model
-	// for another width.
-	Batch int
 	// IterCap, when > 0, caps the expected turbo iterations the cost
-	// queries charge — mirroring the degradation ladder's per-cell
+	// queries charge — the degradation ladder's per-cell
 	// iteration cap (DegradationLevel.IterCap), so a degraded cell's
 	// modelled demand shrinks to what its capped decode actually costs.
 	// 0 (the default) leaves ExpectedTurboIterations unclamped. Use
@@ -115,32 +109,10 @@ type CostModel struct {
 	IterCap int
 }
 
-// WithKernel returns a copy of the model whose cost queries charge turbo
-// decoding at the given kernel's calibrated coefficient.
-func (m CostModel) WithKernel(k phy.DecodeKernel) CostModel {
-	m.Kernel = k
-	return m
-}
-
-// WithFrontEnd returns a copy of the model whose cost queries charge the
-// decode front-end at the given variant's calibrated coefficients.
-func (m CostModel) WithFrontEnd(fe phy.FrontEnd) CostModel {
-	m.FrontEnd = fe
-	return m
-}
-
-// WithFrontEndVector returns a copy of the model whose cost queries charge
-// the fused front-end at the vector (AVX2 tile) or scalar coefficients.
-func (m CostModel) WithFrontEndVector(v bool) CostModel {
-	m.FrontEndVector = v
-	return m
-}
-
-// WithBatch returns a copy of the model whose cost queries charge turbo
-// decoding at lockstep batch width w (widths above 1 need the int16 kernel;
-// see Batch).
-func (m CostModel) WithBatch(w int) CostModel {
-	m.Batch = w
+// WithProfile returns a copy of the model whose cost queries price the
+// given decode pipeline.
+func (m CostModel) WithProfile(p phy.DecodeProfile) CostModel {
+	m.Profile = p
 	return m
 }
 
@@ -161,17 +133,6 @@ func (m CostModel) expectedIters(mcs phy.MCS, snrDB float64) float64 {
 	return it
 }
 
-// width returns the lockstep width the model charges: Batch, with 0
-// resolved to the kernel's width and anything past the width-8 calibration
-// point charged as width 8.
-func (m CostModel) width() int {
-	w := m.Batch
-	if w == 0 {
-		w = m.Kernel.Width()
-	}
-	return min(w, 8)
-}
-
 // spanUnits returns the turbo cost, in seconds per code-block bit per
 // iteration, of decoding n ≤ width code blocks as one claimed span: n
 // scalar decodes on the float32 kernel, one scalar decode for a lone int16
@@ -181,7 +142,7 @@ func (m CostModel) width() int {
 // saving is per lane, so a pass at half occupancy forfeits half of it.
 func (m CostModel) spanUnits(n int) float64 {
 	switch {
-	case m.Kernel != phy.KernelInt16:
+	case m.Profile.Kernel != phy.KernelInt16:
 		return float64(n) * m.TurboPerBitIter
 	case n == 1:
 		return m.TurboPerBitIterI16
@@ -192,8 +153,8 @@ func (m CostModel) spanUnits(n int) float64 {
 
 // DefaultCostModel returns coefficients representative of a ~3 GHz x86 core
 // (used when calibration is skipped, e.g. in fast unit tests). Values are in
-// seconds per unit. Like every CostModel whose Kernel and Batch are zero it
-// charges the default decode path, int16 at lockstep width 8.
+// seconds per unit. Like every CostModel whose Profile is zero it charges
+// the default decode path, int16 at lockstep width 8.
 func DefaultCostModel() CostModel {
 	return CostModel{
 		FFTPerButterfly:         2.0e-9,
@@ -231,14 +192,8 @@ func (m CostModel) Validate() error {
 			return fmt.Errorf("cluster: non-positive cost coefficient: %w", phy.ErrBadParameter)
 		}
 	}
-	if err := m.FrontEnd.Validate(); err != nil {
+	if err := m.Profile.Validate(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
-	}
-	if m.Batch < 0 {
-		return fmt.Errorf("cluster: negative batch width %d: %w", m.Batch, phy.ErrBadParameter)
-	}
-	if m.Batch > 1 && m.Kernel != phy.KernelInt16 {
-		return fmt.Errorf("cluster: batch width %d requires the int16 kernel: %w", m.Batch, phy.ErrBadParameter)
 	}
 	if m.IterCap < 0 {
 		return fmt.Errorf("cluster: negative turbo iteration cap %d: %w", m.IterCap, phy.ErrBadParameter)
@@ -258,10 +213,10 @@ func (m CostModel) demodPerRE(mod phy.Modulation) float64 {
 	}
 }
 
-// fusedPerRE selects the per-RE fused front-end coefficient for the
-// model's tile-kernel variant (vector vs scalar).
+// fusedPerRE selects the per-RE fused front-end coefficient for the tile
+// kernels the profile runs on the calibrated host (vector vs pure Go).
 func (m CostModel) fusedPerRE(mod phy.Modulation) float64 {
-	if m.FrontEndVector {
+	if m.FrontEndVector && !m.Profile.NoVectorFrontEnd {
 		switch mod {
 		case phy.QAM16:
 			return m.FusedVecPerRE16QAM
@@ -284,9 +239,9 @@ func (m CostModel) fusedPerRE(mod phy.Modulation) float64 {
 // frontEndSec returns the decode front-end cost (everything between the
 // received symbols and turbo-ready soft streams) for res resource elements
 // carrying codedBits coded bits: one fused pass, or the staged
-// demodulate + descramble + de-rate-match sweeps, per the model's FrontEnd.
+// demodulate + descramble + de-rate-match sweeps, per the profile's FrontEnd.
 func (m CostModel) frontEndSec(res, codedBits float64, mod phy.Modulation) float64 {
-	if m.FrontEnd == phy.FrontEndFused {
+	if m.Profile.FrontEnd == phy.FrontEndFused {
 		return res * m.fusedPerRE(mod)
 	}
 	return res*m.demodPerRE(mod) + codedBits*(m.DescramblePerBit+m.DematchPerBit)
@@ -326,9 +281,9 @@ func (m CostModel) AllocCost(a frame.Allocation) time.Duration {
 }
 
 // AllocCostWorkers returns the uplink *service time* of one UE allocation
-// when its decode fans across workers parallel decoders (the knob
-// dataplane.Config.DecodeWorkers sets; 1 is the whole cost on one core, i.e.
-// AllocCost). The model follows the decoder: the transport block's C code
+// when its decode fans across workers parallel decoders (what
+// phy.DecodeProfile.Workers sets on a pool; 1 is the whole cost on one core,
+// i.e. AllocCost). The model follows the decoder: the transport block's C code
 // blocks are claimed in spans of the lockstep width — full spans first, the
 // remainder as one ragged span — each span costs what spanUnits charges for
 // its occupancy, and the workers take spans in order, so the makespan is the
@@ -356,7 +311,7 @@ func (m CostModel) AllocCostWorkers(a frame.Allocation, workers int) time.Durati
 	frontEnd := m.frontEndSec(res, res*qm, a.MCS.Modulation())
 	serial := float64(tbs+24) * m.CRCPerBit
 	blockFE := 0.0 // front-end time riding each claimed block
-	if m.FrontEnd == phy.FrontEndFused {
+	if m.Profile.FrontEnd == phy.FrontEndFused {
 		blockFE = frontEnd / float64(seg.C)
 	} else {
 		serial += frontEnd
@@ -364,7 +319,7 @@ func (m CostModel) AllocCostWorkers(a frame.Allocation, workers int) time.Durati
 	bitIters := float64(seg.K) * m.expectedIters(a.MCS, a.SNRdB)
 	span := func(n int) float64 { return bitIters*m.spanUnits(n) + float64(n)*blockFE }
 
-	w := m.width()
+	w := m.Profile.Width()
 	full, rest := seg.C/w, seg.C%w
 	spans := full
 	if rest > 0 {
@@ -380,18 +335,6 @@ func (m CostModel) AllocCostWorkers(a frame.Allocation, workers int) time.Durati
 	}
 	sec := serial + float64(rounds-1)*span(w) + last + m.DispatchPerBlock*float64(eff-1)
 	return time.Duration(sec * float64(time.Second))
-}
-
-// SubframeCostWorkers returns the uplink service time of one cell subframe
-// at the given intra-task parallelism: cell overhead (serial) plus every
-// allocation's parallel service time. It is the provisioning-side mirror of
-// running the pool with DecodeWorkers=workers.
-func (m CostModel) SubframeCostWorkers(w frame.SubframeWork, bw phy.Bandwidth, antennas, workers int) time.Duration {
-	total := m.CellOverhead(bw, antennas)
-	for _, a := range w.Allocations {
-		total += m.AllocCostWorkers(a, workers)
-	}
-	return total
 }
 
 // SubframeCost returns the total uplink cost of one cell subframe: cell

@@ -91,7 +91,7 @@ func (l DegradationLevel) MCSCap() phy.MCS { return degradeMCSCaps[l.Clamp()] }
 
 // Apply derives the cost model a cell running at this level should be
 // charged with: the iteration cap always, plus the int16 kernel (at the
-// model's configured lockstep width) when the level forces it. This is how
+// profile's lockstep width) when the level forces it. This is how
 // the controller prices degraded placements — a hot cell's demand shrinks to
 // what its degraded decode actually costs.
 func (l DegradationLevel) Apply(m CostModel) CostModel {
@@ -100,7 +100,7 @@ func (l DegradationLevel) Apply(m CostModel) CostModel {
 		m = m.WithIterCap(c)
 	}
 	if l.ForcesInt16() {
-		m = m.WithKernel(phy.KernelInt16)
+		m.Profile.Kernel = phy.KernelInt16
 	}
 	return m
 }

@@ -66,7 +66,7 @@ func TestDegradationLadderStructure(t *testing.T) {
 func TestDegradationCostMonotone(t *testing.T) {
 	t.Run("default", func(t *testing.T) { testDegradationCostMonotone(t, DefaultCostModel()) })
 	t.Run("float32", func(t *testing.T) {
-		testDegradationCostMonotone(t, DefaultCostModel().WithKernel(phy.KernelFloat32))
+		testDegradationCostMonotone(t, DefaultCostModel().WithProfile(profFloat32))
 	})
 }
 
@@ -97,7 +97,7 @@ func testDegradationCostMonotone(t *testing.T, m CostModel) {
 				}
 				full := DegradeNone.Apply(m).SubframeCost(w, phy.BW20MHz, 1)
 				deep := MaxDegradationLevel.Apply(m).SubframeCost(w, phy.BW20MHz, 1)
-				binds := m.Kernel == phy.KernelFloat32 ||
+				binds := m.Profile.Kernel == phy.KernelFloat32 ||
 					m.expectedIters(mcs, mcs.OperatingSNR()+margin) > float64(MaxDegradationLevel.IterCap())
 				if binds && deep >= full {
 					t.Fatalf("mcs %d prb %d margin %+.0f: deepest rung not cheaper (%v vs %v)",
@@ -115,12 +115,12 @@ func TestDegradationApplyMirrorsKnobs(t *testing.T) {
 		if got.IterCap != l.IterCap() {
 			t.Fatalf("level %d: model iter cap %d, ladder %d", l, got.IterCap, l.IterCap())
 		}
-		wantKernel := m.Kernel
+		wantKernel := m.Profile.Kernel
 		if l.ForcesInt16() {
 			wantKernel = phy.KernelInt16
 		}
-		if got.Kernel != wantKernel {
-			t.Fatalf("level %d: model kernel %v, want %v", l, got.Kernel, wantKernel)
+		if got.Profile.Kernel != wantKernel {
+			t.Fatalf("level %d: model kernel %v, want %v", l, got.Profile.Kernel, wantKernel)
 		}
 	}
 }

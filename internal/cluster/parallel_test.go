@@ -20,7 +20,7 @@ func TestAllocCostWorkersShrinksServiceTime(t *testing.T) {
 	// A high-MCS wide-band TB segments into 13 code blocks, so with
 	// per-block claims (width 1) service time must drop substantially up to
 	// that parallelism and then flatten.
-	m := DefaultCostModel().WithBatch(1)
+	m := DefaultCostModel().WithProfile(profScalar)
 	a := frame.Allocation{RNTI: 1, NumPRB: 100, MCS: 28, SNRdB: phy.MCS(28).OperatingSNR() + 2}
 	serial := m.AllocCost(a)
 	prev := serial + time.Hour
@@ -55,24 +55,6 @@ func TestAllocCostWorkersBoundedByBlocks(t *testing.T) {
 	serial := m.AllocCost(a)
 	if c := m.AllocCostWorkers(a, 8); c < serial {
 		t.Fatalf("single-block cost %v dropped below serial %v", c, serial)
-	}
-}
-
-func TestSubframeCostWorkers(t *testing.T) {
-	m := DefaultCostModel()
-	w := frame.SubframeWork{
-		Cell: 1, TTI: 0,
-		Allocations: []frame.Allocation{
-			{RNTI: 1, NumPRB: 100, MCS: 28, SNRdB: phy.MCS(28).OperatingSNR() + 2},
-		},
-	}
-	serial := m.SubframeCost(w, phy.BW20MHz, 2)
-	par := m.SubframeCostWorkers(w, phy.BW20MHz, 2, 4)
-	if par >= serial {
-		t.Fatalf("parallel subframe service time %v not below serial %v", par, serial)
-	}
-	if par <= m.CellOverhead(phy.BW20MHz, 2) {
-		t.Fatal("parallel cost lost the cell overhead floor")
 	}
 }
 

@@ -56,7 +56,8 @@ type Config struct {
 	// Cluster sizes the managed pool.
 	Cluster ClusterSpec
 	// CostModel attributes compute demand; zero value selects
-	// cluster.DefaultCostModel.
+	// cluster.DefaultCostModel. Whichever it is, it prices Pool.Decode — the
+	// pipeline the pool runs — not the profile it arrived with.
 	CostModel cluster.CostModel
 	// Seed makes runs reproducible.
 	Seed int64
@@ -88,10 +89,10 @@ type System struct {
 	demandTTIs int
 	harq       []*harqLoop // per-cell HARQ retransmission loops
 
-	// mcsCap is the auto-registered scheduler-feedback program (nil when
-	// the pool runs NoDegrade): every control period it receives each
-	// cell's degradation-ladder MCS cap, so a degraded cell's future
-	// subframes arrive with cheaper transport blocks.
+	// mcsCap is the auto-registered scheduler-feedback program: every
+	// control period it receives each cell's degradation-ladder MCS cap, so
+	// a degraded cell's future subframes arrive with cheaper transport
+	// blocks.
 	mcsCap *ranapi.MCSCapProgram
 	// ctlLevels is the controller's last pushed per-cell level set, kept
 	// to reset cells the controller stops degrading.
@@ -126,6 +127,7 @@ func New(cfg Config) (*System, error) {
 	if model.Validate() != nil {
 		model = cluster.DefaultCostModel()
 	}
+	model = model.WithProfile(cfg.Pool.Decode)
 
 	gen, err := traffic.NewGenerator(bw, profiles, cfg.Seed, cfg.StartHour)
 	if err != nil {
@@ -156,12 +158,10 @@ func New(cfg Config) (*System, error) {
 		cellDemand: make([]float64, len(cfg.Cells)),
 		ctlLevels:  make(map[frame.CellID]cluster.DegradationLevel),
 	}
-	if !cfg.Pool.NoDegrade {
-		s.mcsCap = ranapi.NewMCSCapProgram()
-		if err := s.registry.Register(s.mcsCap); err != nil {
-			_ = pool.Close()
-			return nil, err
-		}
+	s.mcsCap = ranapi.NewMCSCapProgram()
+	if err := s.registry.Register(s.mcsCap); err != nil {
+		_ = pool.Close()
+		return nil, err
 	}
 	for i, c := range cfg.Cells {
 		rrh, err := dataplane.NewRRHEmulator(c.Config, cfg.Seed+int64(i)*131)
@@ -293,8 +293,7 @@ func (s *System) RunTTIs(n int) error {
 	return nil
 }
 
-// MCSCaps exposes the auto-registered scheduler-feedback program (nil when
-// the pool runs NoDegrade).
+// MCSCaps exposes the auto-registered scheduler-feedback program.
 func (s *System) MCSCaps() *ranapi.MCSCapProgram { return s.mcsCap }
 
 // syncDegradation runs after every control step: the controller's
@@ -304,9 +303,6 @@ func (s *System) MCSCaps() *ranapi.MCSCapProgram { return s.mcsCap }
 // scheduler as an MCS cap. With no DegradePolicy on the controller the
 // level map is always empty and only the cap feedback runs.
 func (s *System) syncDegradation() {
-	if s.pool.CellLevels() == nil {
-		return // NoDegrade pool
-	}
 	levels := s.ctl.DegradationLevels()
 	for cell, prev := range s.ctlLevels {
 		if _, still := levels[cell]; !still && prev != cluster.DegradeNone {
@@ -317,11 +313,9 @@ func (s *System) syncDegradation() {
 		_ = s.pool.SetCellLevel(cell, lvl)
 	}
 	s.ctlLevels = levels
-	if s.mcsCap != nil {
-		for ci := range s.cells {
-			id := s.cfg.Cells[ci].Config.ID
-			s.mcsCap.SetCap(id, s.pool.CellLevel(id).MCSCap())
-		}
+	for ci := range s.cells {
+		id := s.cfg.Cells[ci].Config.ID
+		s.mcsCap.SetCap(id, s.pool.CellLevel(id).MCSCap())
 	}
 }
 

@@ -216,23 +216,34 @@ func TestSystemDegradationFeedback(t *testing.T) {
 	}
 }
 
-func TestSystemNoDegrade(t *testing.T) {
-	cfg := smallConfig(1)
-	cfg.Pool.NoDegrade = true
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestSystemModelFollowsPoolProfile pins that the model a System attributes
+// demand with prices the pipeline its pool runs: naming float32 on the pool
+// alone must make AllocCost the float32 model's, whichever model was passed.
+func TestSystemModelFollowsPoolProfile(t *testing.T) {
+	f32 := phy.DecodeProfile{Kernel: phy.KernelFloat32}
+	a := frame.Allocation{RNTI: 1, NumPRB: 6, MCS: 20, SNRdB: phy.MCS(20).OperatingSNR()}
+	want := cluster.DefaultCostModel().WithProfile(f32).AllocCost(a)
+	if want == cluster.DefaultCostModel().AllocCost(a) {
+		t.Fatal("float32 and default models price the allocation alike; the test cannot tell them apart")
 	}
-	defer s.Close()
-	if s.MCSCaps() != nil {
-		t.Fatal("NoDegrade system registered an MCS-cap program")
-	}
-	if err := s.RunTTIs(25); err != nil {
-		t.Fatal(err)
-	}
-	s.Drain()
-	if s.Pool().Stats().Submitted == 0 {
-		t.Fatal("no tasks reached the pool")
+	for name, model := range map[string]cluster.CostModel{
+		"no model":      {},
+		"default model": cluster.DefaultCostModel(),
+	} {
+		cfg := smallConfig(1)
+		cfg.Pool.Decode = f32
+		cfg.CostModel = model
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.CostModel().Profile; got != f32 {
+			t.Errorf("%s: system model prices %+v, pool runs %+v", name, got, f32)
+		}
+		if got := s.CostModel().AllocCost(a); got != want {
+			t.Errorf("%s: AllocCost %v on a float32 pool, float32 model says %v", name, got, want)
+		}
+		s.Close()
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"testing"
 
+	"pran/internal/cluster"
 	"pran/internal/frame"
 	"pran/internal/phy"
 	"pran/internal/telemetry"
@@ -26,7 +27,7 @@ func TestEndToEndCrossTaskBatching(t *testing.T) {
 	reg := telemetry.New(4)
 	var stall sync.Once
 	pool := testPool(t, Config{
-		Workers: 1, DecodeWorkers: 2,
+		Workers: 1, Decode: phy.DecodeProfile{Workers: 2},
 		BatchTasks: 4,
 		Policy:     EDF, DeadlineScale: 1000, Telemetry: reg,
 		FaultHook: func(worker int) error {
@@ -77,7 +78,7 @@ func TestCrossTaskBatchingManySubframes(t *testing.T) {
 	// with joint decoders and lockstep kernels chewing a stream of
 	// subframes whose allocations mostly share one shape.
 	pool := testPool(t, Config{
-		Workers: 2, DecodeWorkers: 2, BatchTasks: 3,
+		Workers: 2, Decode: phy.DecodeProfile{Workers: 2}, BatchTasks: 3,
 		Policy: EDF, DeadlineScale: 1000,
 	})
 	subframes := 5
@@ -97,31 +98,6 @@ func TestCrossTaskBatchingManySubframes(t *testing.T) {
 			if tk.Err != nil {
 				t.Fatalf("subframe %d rnti %d: %v", s, tk.Alloc.RNTI, tk.Err)
 			}
-		}
-	}
-}
-
-func TestBatchingNaiveAlloc(t *testing.T) {
-	// The GC-pressure ablation composes with batching: fresh per-slot
-	// processors are built for each joint dispatch and closed after it.
-	pool := testPool(t, Config{
-		Workers: 1, DecodeBatch: 4, BatchTasks: 2,
-		Policy: EDF, DeadlineScale: 1000, NaiveAlloc: true,
-	})
-	work := frame.SubframeWork{
-		Cell: 1, TTI: 9,
-		Allocations: []frame.Allocation{
-			{RNTI: 100, FirstPRB: 0, NumPRB: 3, MCS: 10, SNRdB: phy.MCS(10).OperatingSNR() + 4},
-			{RNTI: 101, FirstPRB: 3, NumPRB: 3, MCS: 10, SNRdB: phy.MCS(10).OperatingSNR() + 4},
-		},
-	}
-	done := endToEnd(t, pool, work)
-	if len(done) != 2 {
-		t.Fatalf("%d tasks done", len(done))
-	}
-	for _, tk := range done {
-		if tk.Err != nil {
-			t.Fatalf("rnti %d: %v", tk.Alloc.RNTI, tk.Err)
 		}
 	}
 }
@@ -167,32 +143,62 @@ func TestTakeMatchGroupsSameShape(t *testing.T) {
 func TestConfigBatchValidation(t *testing.T) {
 	base := Config{Workers: 1, DeadlineScale: 1}
 	cfg := base
-	cfg.DecodeBatch = -1
-	if err := cfg.Validate(); !errors.Is(err, phy.ErrBadParameter) {
-		t.Fatal("negative DecodeBatch accepted")
-	}
-	cfg = base
-	cfg.DecodeKernel = phy.KernelFloat32 // no lockstep float32 kernel exists
-	cfg.DecodeBatch = 8
-	if err := cfg.Validate(); !errors.Is(err, phy.ErrBadParameter) {
-		t.Fatal("float32 batched decode accepted")
-	}
-	cfg = base
 	cfg.BatchTasks = -1
 	if err := cfg.Validate(); !errors.Is(err, phy.ErrBadParameter) {
 		t.Fatal("negative BatchTasks accepted")
 	}
 	cfg = base
 	cfg.BatchTasks = 2
-	cfg.FrontEnd = phy.FrontEndStaged
+	cfg.Decode.FrontEnd = phy.FrontEndStaged
 	if err := cfg.Validate(); !errors.Is(err, phy.ErrBadParameter) {
 		t.Fatal("staged front-end with cross-task batching accepted")
 	}
 	cfg = base
-	cfg.DecodeKernel = phy.KernelInt16
-	cfg.DecodeBatch = 8
+	cfg.Decode.Batch = 8
 	cfg.BatchTasks = 4
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("valid batched config rejected: %v", err)
+	}
+}
+
+// TestInvalidProfileRejectedEverywhere pins that the decode profile has one
+// validator: every profile phy.DecodeProfile.Validate rejects is rejected,
+// with phy.ErrBadParameter, by each thing built from a profile — the decoder
+// set, the pool and the cost model — and every profile it accepts is
+// accepted by all three.
+func TestInvalidProfileRejectedEverywhere(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		prof  phy.DecodeProfile
+		valid bool
+	}{
+		{"zero value", phy.DecodeProfile{}, true},
+		{"every oracle", phy.DecodeProfile{Workers: 2, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndStaged, Batch: 1, NoVectorFrontEnd: true}, true},
+		{"width 8", phy.DecodeProfile{Batch: 8}, true},
+		{"negative workers", phy.DecodeProfile{Workers: -1}, false},
+		{"negative width", phy.DecodeProfile{Batch: -1}, false},
+		{"width above 8", phy.DecodeProfile{Batch: 9}, false},
+		{"lockstep float32", phy.DecodeProfile{Kernel: phy.KernelFloat32, Batch: 2}, false},
+		{"unknown kernel", phy.DecodeProfile{Kernel: phy.DecodeKernel(9)}, false},
+		{"unknown front-end", phy.DecodeProfile{FrontEnd: phy.FrontEnd(7)}, false},
+	} {
+		_, setErr := phy.NewDecoderSet(tc.prof)
+		pool, poolErr := NewPool(Config{Workers: 1, DeadlineScale: 1, Decode: tc.prof})
+		if poolErr == nil {
+			pool.Close()
+		}
+		for who, err := range map[string]error{
+			"DecodeProfile.Validate": tc.prof.Validate(),
+			"NewDecoderSet":          setErr,
+			"NewPool":                poolErr,
+			"CostModel.Validate":     cluster.DefaultCostModel().WithProfile(tc.prof).Validate(),
+		} {
+			if tc.valid && err != nil {
+				t.Errorf("%s: %s rejected a valid profile: %v", tc.name, who, err)
+			}
+			if !tc.valid && !errors.Is(err, phy.ErrBadParameter) {
+				t.Errorf("%s: %s returned %v, want phy.ErrBadParameter", tc.name, who, err)
+			}
+		}
 	}
 }

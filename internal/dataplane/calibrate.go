@@ -15,25 +15,13 @@ import (
 // optimized C stack had against the real 3 ms budget. Experiments that use
 // the measured data plane call this once at startup so results are
 // comparable across hosts. The measurement decodes on the default processor
-// — the pipeline a zero-value Config runs — with one decode worker; use
-// CalibrateDeadlineScaleWorkers when the pool enables Config.DecodeWorkers
-// so the budget reflects the parallel service time.
+// — the pipeline a Config that names no decode profile runs.
 func CalibrateDeadlineScale(bw phy.Bandwidth, mcs phy.MCS) (float64, error) {
-	return CalibrateDeadlineScaleWorkers(bw, mcs, 1)
-}
-
-// CalibrateDeadlineScaleWorkers is CalibrateDeadlineScale measured with the
-// given intra-task decode parallelism, matching a pool configured with
-// DecodeWorkers=workers. On a multi-core host the returned scale shrinks
-// roughly with min(workers, code blocks) because the turbo stage — the
-// dominant cost — parallelizes across code blocks.
-func CalibrateDeadlineScaleWorkers(bw phy.Bandwidth, mcs phy.MCS, workers int) (float64, error) {
 	nprb := bw.PRB()
-	proc, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{Workers: workers})
+	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
 	if err != nil {
 		return 0, err
 	}
-	defer proc.Close()
 	tbs, err := mcs.TransportBlockSize(nprb)
 	if err != nil {
 		return 0, err

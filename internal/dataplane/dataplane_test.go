@@ -318,20 +318,6 @@ func TestPoolDrain(t *testing.T) {
 	}
 }
 
-func TestNaiveAllocMode(t *testing.T) {
-	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1000, NaiveAlloc: true})
-	work := frame.SubframeWork{
-		Cell: 1, TTI: 2,
-		Allocations: []frame.Allocation{
-			{RNTI: 9, FirstPRB: 0, NumPRB: 3, MCS: 6, SNRdB: 20},
-		},
-	}
-	done := endToEnd(t, pool, work)
-	if len(done) != 1 || done[0].Err != nil {
-		t.Fatalf("naive mode decode failed: %+v", done[0].Err)
-	}
-}
-
 func TestIngestValidation(t *testing.T) {
 	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1})
 	cp, err := NewCellProcessor(testCellConfig(), pool)
@@ -505,8 +491,8 @@ func TestCalibrateDeadlineScale(t *testing.T) {
 // every other end-to-end test runs the default (int16 lockstep), so this is
 // where the oracle path a Config can still name stays exercised.
 func TestEndToEndFloat32Kernel(t *testing.T) {
-	pool := testPool(t, Config{Workers: 2, Policy: EDF, DeadlineScale: 1000, DecodeKernel: phy.KernelFloat32})
-	if pool.Config().DecodeKernel != phy.KernelFloat32 {
+	pool := testPool(t, Config{Workers: 2, Policy: EDF, DeadlineScale: 1000, Decode: phy.DecodeProfile{Kernel: phy.KernelFloat32}})
+	if pool.Config().Decode.Kernel != phy.KernelFloat32 {
 		t.Fatal("kernel not recorded in config")
 	}
 	work := frame.SubframeWork{
@@ -528,7 +514,7 @@ func TestEndToEndFloat32Kernel(t *testing.T) {
 }
 
 func TestConfigRejectsBadKernel(t *testing.T) {
-	cfg := Config{Workers: 1, DeadlineScale: 1, DecodeKernel: phy.DecodeKernel(9)}
+	cfg := Config{Workers: 1, DeadlineScale: 1, Decode: phy.DecodeProfile{Kernel: phy.DecodeKernel(9)}}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("invalid decode kernel accepted")
 	}
@@ -574,7 +560,7 @@ func TestPoolDrainEventDriven(t *testing.T) {
 
 func TestPoolFrontEndConfig(t *testing.T) {
 	// A staged-front-end pool must decode identically to the fused default.
-	if err := (Config{Workers: 1, DeadlineScale: 1, FrontEnd: phy.FrontEnd(7)}).Validate(); err == nil {
+	if err := (Config{Workers: 1, DeadlineScale: 1, Decode: phy.DecodeProfile{FrontEnd: phy.FrontEnd(7)}}).Validate(); err == nil {
 		t.Fatal("bogus front-end accepted")
 	}
 	work := frame.SubframeWork{
@@ -585,7 +571,7 @@ func TestPoolFrontEndConfig(t *testing.T) {
 	}
 	var outputs [][]byte
 	for _, fe := range []phy.FrontEnd{phy.FrontEndFused, phy.FrontEndStaged} {
-		pool := testPool(t, Config{Workers: 1, DeadlineScale: 1000, FrontEnd: fe})
+		pool := testPool(t, Config{Workers: 1, DeadlineScale: 1000, Decode: phy.DecodeProfile{FrontEnd: fe}})
 		done := endToEnd(t, pool, work)
 		if len(done) != 1 || done[0].Err != nil {
 			t.Fatalf("front-end %v decode failed: %+v", fe, done[0].Err)
@@ -628,7 +614,7 @@ func TestWorkerFootprintFlatAcrossShapes(t *testing.T) {
 		shapes = append(shapes, s)
 	}
 	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1e6, DisableTelemetry: true})
-	enc, err := phy.NewTransportProcessor(phy.MaxPRB, phy.ProcOptions{})
+	enc, err := phy.NewTransportProcessor(phy.MaxPRB, phy.DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,9 +35,8 @@ const (
 
 // DegradeConfig parameterizes the pool's compute-aware degradation ladder
 // (see cluster.DegradationLevel for what each rung sheds). The ladder's
-// per-cell level words always exist on a pool unless Config.NoDegrade is
-// set — SetCellLevel works regardless — but the automatic headroom
-// controller only runs when Enable is true.
+// per-cell level words exist on every pool — SetCellLevel always works — but
+// the automatic headroom controller only runs when Enable is true.
 //
 // The controller is a deliberately simple hysteresis loop: every Period it
 // folds the pool's queue depth and the completed tasks' deadline slack into
@@ -333,45 +332,32 @@ func (d *degradeState) step() {
 	}
 }
 
-// CellLevel returns the cell's current degradation level (DegradeNone on a
-// NoDegrade pool). Safe from any goroutine.
+// CellLevel returns the cell's current degradation level. Safe from any
+// goroutine.
 func (p *Pool) CellLevel(cell frame.CellID) cluster.DegradationLevel {
-	if p.deg == nil {
-		return cluster.DegradeNone
-	}
 	return p.deg.level(cell)
 }
 
 // SetCellLevel pins one cell's degradation level — the manual/controller-
 // driven path (the cluster controller uses it to run a hot cell degraded
-// rather than shed it). On a NoDegrade pool it returns an error; with the
-// automatic headroom controller enabled the pin lasts until the
-// controller's next transition. Safe from any goroutine; tasks already
-// queued keep the level they were stamped with.
+// rather than shed it). With the automatic headroom controller enabled the
+// pin lasts until the controller's next transition. Safe from any goroutine;
+// tasks already queued keep the level they were stamped with.
 func (p *Pool) SetCellLevel(cell frame.CellID, lvl cluster.DegradationLevel) error {
 	if err := lvl.Validate(); err != nil {
 		return err
-	}
-	if p.deg == nil {
-		return fmt.Errorf("dataplane: degradation disabled on this pool: %w", errBadDegrade)
 	}
 	p.deg.set(cell, lvl)
 	return nil
 }
 
 // CellLevels returns a snapshot of every registered cell's degradation
-// level (nil on a NoDegrade pool).
+// level.
 func (p *Pool) CellLevels() map[frame.CellID]cluster.DegradationLevel {
-	if p.deg == nil {
-		return nil
-	}
 	return p.deg.snapshot()
 }
 
 // DegradeTarget returns the automatic controller's current pool-wide level.
 func (p *Pool) DegradeTarget() cluster.DegradationLevel {
-	if p.deg == nil {
-		return cluster.DegradeNone
-	}
 	return cluster.DegradationLevel(p.deg.target.Load()).Clamp()
 }

@@ -18,7 +18,6 @@ func TestDegradeConfigValidate(t *testing.T) {
 		{Workers: 1, DeadlineScale: 1, Degrade: DegradeConfig{Alpha: 1.5}},
 		{Workers: 1, DeadlineScale: 1, Degrade: DegradeConfig{RaiseDepth: 1, LowerDepth: 2}},
 		{Workers: 1, DeadlineScale: 1, Degrade: DegradeConfig{RaiseSlack: 0.5, LowerSlack: 0.4}},
-		{Workers: 1, DeadlineScale: 1, NoDegrade: true, Degrade: DegradeConfig{Enable: true}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -97,49 +96,6 @@ func TestLadderMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestNoDegradeBitIdentical is the level-0 regression gate: a pool with the
-// ladder compiled out (Config.NoDegrade) and a ladder pool held at level 0
-// produce bit-identical decodes — same payloads, same errors, same iteration
-// counts. The ladder's mere presence must cost nothing in fidelity.
-func TestNoDegradeBitIdentical(t *testing.T) {
-	work := frame.SubframeWork{
-		Cell: 1, TTI: 7,
-		Allocations: []frame.Allocation{
-			{RNTI: 10, FirstPRB: 0, NumPRB: 3, MCS: 8, SNRdB: phy.MCS(8).OperatingSNR() + 4},
-			{RNTI: 11, FirstPRB: 3, NumPRB: 2, MCS: 14, SNRdB: phy.MCS(14).OperatingSNR() - 1},
-			{RNTI: 12, FirstPRB: 5, NumPRB: 1, MCS: 20, SNRdB: phy.MCS(20).OperatingSNR() - 15},
-		},
-	}
-	run := func(cfg Config) map[frame.RNTI]*Task {
-		pool := testPool(t, cfg)
-		out := make(map[frame.RNTI]*Task)
-		for _, tk := range endToEnd(t, pool, work) {
-			out[tk.Alloc.RNTI] = tk
-		}
-		return out
-	}
-	frozen := run(Config{Workers: 1, Policy: EDF, DeadlineScale: 1000, NoDegrade: true})
-	ladder := run(Config{Workers: 1, Policy: EDF, DeadlineScale: 1000})
-	if len(frozen) != len(ladder) {
-		t.Fatalf("task counts differ: %d vs %d", len(frozen), len(ladder))
-	}
-	for rnti, f := range frozen {
-		l := ladder[rnti]
-		if l == nil {
-			t.Fatalf("rnti %d missing from ladder pool", rnti)
-		}
-		if (f.Err == nil) != (l.Err == nil) || (f.Err != nil && f.Err.Error() != l.Err.Error()) {
-			t.Fatalf("rnti %d: errors differ: %v vs %v", rnti, f.Err, l.Err)
-		}
-		if !bytes.Equal(f.Payload, l.Payload) {
-			t.Fatalf("rnti %d: payloads differ between NoDegrade and level-0 ladder", rnti)
-		}
-		if f.TurboIterations != l.TurboIterations {
-			t.Fatalf("rnti %d: iterations differ: %d vs %d", rnti, f.TurboIterations, l.TurboIterations)
-		}
-	}
-}
-
 // TestShedHARQSkipsSoftState checks the deepest rung's shed: at level 3 the
 // ingest path attaches no soft-combining buffer, so the cell accumulates no
 // HARQ state; dropping back to level 0 restores combining.
@@ -185,13 +141,6 @@ func TestShedHARQSkipsSoftState(t *testing.T) {
 }
 
 func TestDegradeLevelAccessors(t *testing.T) {
-	frozen := testPool(t, Config{Workers: 1, DeadlineScale: 1, NoDegrade: true})
-	if frozen.CellLevel(1) != cluster.DegradeNone || frozen.CellLevels() != nil || frozen.DegradeTarget() != cluster.DegradeNone {
-		t.Fatal("NoDegrade pool not pinned at level 0")
-	}
-	if err := frozen.SetCellLevel(1, cluster.DegradeIterCap); err == nil {
-		t.Fatal("SetCellLevel accepted on a NoDegrade pool")
-	}
 	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1})
 	if err := pool.SetCellLevel(1, cluster.MaxDegradationLevel+1); err == nil {
 		t.Fatal("invalid level accepted")

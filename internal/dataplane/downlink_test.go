@@ -83,7 +83,7 @@ func TestDownlinkBuildAndReceive(t *testing.T) {
 		if err := grid.Extract(res, a); err != nil {
 			t.Fatal(err)
 		}
-		proc, err := phy.NewTransportProcessor(a.NumPRB, phy.ProcOptions{})
+		proc, err := phy.NewTransportProcessor(a.NumPRB, phy.DecodeProfile{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestEncodeOnPool(t *testing.T) {
 		}
 		// The pooled encode must produce the exact symbols the inline
 		// transmit chain produces.
-		proc, _ := phy.NewTransportProcessor(a.NumPRB, phy.ProcOptions{})
+		proc, _ := phy.NewTransportProcessor(a.NumPRB, phy.DecodeProfile{})
 		want, err := proc.Encode(a.MCS, a.NumPRB, payloads[i], uint16(a.RNTI), cfg.PCI, work.TTI.Subframe(), int(a.RV))
 		if err != nil {
 			t.Fatal(err)
@@ -181,10 +181,10 @@ func TestDownlinkCheaperThanUplink(t *testing.T) {
 	// float32 oracle the bound was first written against.
 	for _, tc := range []struct {
 		name string
-		opts phy.ProcOptions
+		opts phy.DecodeProfile
 	}{
-		{"default", phy.ProcOptions{}},
-		{"float32", phy.ProcOptions{Kernel: phy.KernelFloat32}},
+		{"default", phy.DecodeProfile{}},
+		{"float32", phy.DecodeProfile{Kernel: phy.KernelFloat32}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const mcs, nprb = phy.MCS(16), 25

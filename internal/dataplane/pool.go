@@ -42,39 +42,18 @@ var (
 )
 
 // Config parameterizes a worker pool. A Config that sets only Workers,
-// Policy and DeadlineScale is the fast path: int16 lockstep turbo decoding
-// behind the fused vector front-end. The reference paths (float32, scalar
-// per-block decode, the staged front-end) run only where a field names
-// them.
+// Policy and DeadlineScale runs the default decode path.
 type Config struct {
 	// Workers is the number of processing goroutines (≈ dedicated cores).
 	Workers int
-	// DecodeWorkers is the intra-task parallelism: each pool worker fans a
-	// transport block's code blocks across this many turbo decoders (its
-	// own goroutine plus DecodeWorkers-1 resident helpers). 0 or 1 means the
-	// worker decodes alone. The effective core demand of a fully busy pool
-	// is ≈ Workers × DecodeWorkers; provisioning math in
-	// internal/cluster.CostModel.AllocCostWorkers uses the same knob.
-	DecodeWorkers int
-	// DecodeKernel selects the turbo SISO arithmetic every decoder this
-	// pool creates runs: phy.KernelInt16, the zero value, or
-	// phy.KernelFloat32, the reference oracle. Decoder state is per-worker
-	// resident — each worker owns its decoders' buffers — so no mutable
-	// state is ever shared across workers.
-	DecodeKernel phy.DecodeKernel
-	// FrontEnd selects the decode front-end every processor this pool
-	// creates runs: phy.FrontEndFused (default) collapses demodulation,
-	// descrambling, and soft de-rate-matching into one per-code-block pass
-	// (overlapped with turbo decoding when DecodeWorkers > 1);
-	// phy.FrontEndStaged is the three-sweep reference pipeline. Decoded
-	// output is bit-identical either way.
-	FrontEnd phy.FrontEnd
-	// DecodeBatch is the lockstep width code blocks turbo-decode at
-	// (phy.BatchDecoderI16): 0 means the kernel's width — 8 for
-	// phy.KernelInt16, 1 for phy.KernelFloat32 — and 1 is one scalar decode
-	// per block, the oracle the lockstep kernel is bit-identical to. Widths
-	// above 1 require phy.KernelInt16.
-	DecodeBatch int
+	// Decode is the decode pipeline every worker's processors and decoders
+	// are built from; the zero value is the default path (int16 lockstep
+	// turbo behind the fused vector front-end). With Decode.Workers > 1 each
+	// pool worker fans a transport block's code blocks across its own
+	// goroutine plus Decode.Workers-1 resident helpers, so a fully busy pool
+	// demands ≈ Workers × Decode.Workers cores. A cost model prices this pool
+	// when its Profile equals this field (cluster.CostModel.WithProfile).
+	Decode phy.DecodeProfile
 	// BatchTasks, when ≥ 2, enables cross-codeword batching: a worker
 	// claiming an uplink task also claims up to BatchTasks-1 further queued
 	// tasks with the same (MCS, NumPRB) shape — across cells — and decodes
@@ -94,19 +73,12 @@ type Config struct {
 	// instead of decoding them anyway (PRAN behaviour: a late UL decode is
 	// useless — the NACK window has closed).
 	AbandonLate bool
-	// NaiveAlloc disables the workers' resident scratch so every task builds
-	// (and drops) a turbo working set and a processor of its own — the
-	// GC-pressure ablation knob.
-	NaiveAlloc bool
 	// Degrade parameterizes the compute-aware degradation ladder (see
 	// DegradeConfig and cluster.DegradationLevel). The ladder's per-cell
-	// level words exist on every pool unless NoDegrade is set; the
-	// automatic headroom controller runs only when Degrade.Enable is true.
+	// level words exist on every pool, all at cluster.DegradeNone until
+	// something sets one; the automatic headroom controller runs only when
+	// Degrade.Enable is true.
 	Degrade DegradeConfig
-	// NoDegrade hard-disables the degradation ladder: no level registry,
-	// no task stamping, no controller — the exact pre-ladder pipeline (the
-	// bit-identity baseline the regression tests compare against).
-	NoDegrade bool
 	// Telemetry selects the registry this pool records runtime metrics
 	// into; nil means the process-wide telemetry.Default(). Telemetry is
 	// default-on — the record path is lock-free and allocation-free, and
@@ -129,39 +101,19 @@ func (c Config) Validate() error {
 	if c.Workers < 1 {
 		return fmt.Errorf("dataplane: %d workers: %w", c.Workers, phy.ErrBadParameter)
 	}
-	if c.DecodeWorkers < 0 {
-		return fmt.Errorf("dataplane: %d decode workers: %w", c.DecodeWorkers, phy.ErrBadParameter)
-	}
-	if err := c.DecodeKernel.Validate(); err != nil {
+	if err := c.Decode.Validate(); err != nil {
 		return fmt.Errorf("dataplane: %w", err)
-	}
-	if err := c.FrontEnd.Validate(); err != nil {
-		return fmt.Errorf("dataplane: %w", err)
-	}
-	if c.DecodeBatch < 0 {
-		return fmt.Errorf("dataplane: %d decode batch width: %w", c.DecodeBatch, phy.ErrBadParameter)
-	}
-	if c.DecodeBatch > 1 && c.DecodeKernel != phy.KernelInt16 {
-		return fmt.Errorf("dataplane: batched decode requires the int16 kernel: %w", phy.ErrBadParameter)
 	}
 	if c.BatchTasks < 0 {
 		return fmt.Errorf("dataplane: %d batch tasks: %w", c.BatchTasks, phy.ErrBadParameter)
 	}
-	if c.BatchTasks > 1 && c.FrontEnd != phy.FrontEndFused {
+	if c.BatchTasks > 1 && c.Decode.FrontEnd != phy.FrontEndFused {
 		return fmt.Errorf("dataplane: cross-task batching requires the fused front-end: %w", phy.ErrBadParameter)
 	}
 	if c.DeadlineScale <= 0 {
 		return fmt.Errorf("dataplane: deadline scale %v: %w", c.DeadlineScale, phy.ErrBadParameter)
 	}
-	if c.NoDegrade && c.Degrade.Enable {
-		return fmt.Errorf("dataplane: NoDegrade conflicts with Degrade.Enable: %w", phy.ErrBadParameter)
-	}
-	if !c.NoDegrade {
-		if err := c.Degrade.validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return c.Degrade.validate()
 }
 
 // Budget returns the scaled per-task processing budget.
@@ -205,7 +157,7 @@ func (s Stats) MissRate() float64 {
 type Pool struct {
 	cfg Config
 	tel *poolTelemetry // nil when Config.DisableTelemetry
-	deg *degradeState  // nil when Config.NoDegrade
+	deg *degradeState
 
 	mu   sync.Mutex
 	cond *sync.Cond // wakes workers: signaled per Submit, broadcast on Close
@@ -238,11 +190,9 @@ func NewPool(cfg Config) (*Pool, error) {
 	p.cond = sync.NewCond(&p.mu)
 	p.idle = sync.NewCond(&p.mu)
 	p.queue.fifo = cfg.Policy == FIFO
-	if !cfg.NoDegrade {
-		p.deg = newDegradeState(p)
-		if cfg.Degrade.Enable {
-			go p.deg.run()
-		}
+	p.deg = newDegradeState(p)
+	if cfg.Degrade.Enable {
+		go p.deg.run()
 	}
 	p.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -268,12 +218,10 @@ func (p *Pool) Telemetry() *telemetry.Registry {
 // Config.Budget from its Enqueued time); OnDone fires on a worker goroutine
 // when the task completes or is abandoned.
 func (p *Pool) Submit(t *Task) error {
-	if p.deg != nil {
-		// Freeze the cell's current ladder level into the task: the
-		// degrade knobs a decode runs with are decided at submission, so a
-		// mid-queue transition never splits one task's decisions.
-		t.Degrade = p.deg.level(t.Cell)
-	}
+	// Freeze the cell's current ladder level into the task: the degrade
+	// knobs a decode runs with are decided at submission, so a mid-queue
+	// transition never splits one task's decisions.
+	t.Degrade = p.deg.level(t.Cell)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -329,7 +277,7 @@ func (p *Pool) Close() error {
 	p.mu.Unlock()
 	p.cond.Broadcast()
 	p.wg.Wait()
-	if p.deg != nil && p.cfg.Degrade.Enable {
+	if p.cfg.Degrade.Enable {
 		close(p.deg.stop)
 		<-p.deg.done
 	}
@@ -403,9 +351,7 @@ func (p *Pool) finish(t *Task, shard int) {
 		p.idle.Broadcast()
 	}
 	p.mu.Unlock()
-	if p.deg != nil {
-		p.deg.observe(t)
-	}
+	p.deg.observe(t)
 	if tel := p.tel; tel != nil {
 		switch {
 		case errors.Is(t.Err, ErrAbandoned):

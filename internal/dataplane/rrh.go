@@ -48,7 +48,7 @@ func NewRRHEmulator(cfg frame.CellConfig, seed int64) (*RRHEmulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc, err := phy.NewTransportProcessor(cfg.Bandwidth.PRB(), phy.ProcOptions{})
+	enc, err := phy.NewTransportProcessor(cfg.Bandwidth.PRB(), phy.DecodeProfile{})
 	if err != nil {
 		return nil, err
 	}

@@ -16,8 +16,7 @@
 // keeps one phy.TransportProcessor per batch slot and one turbo working set,
 // sized for the largest transport block and reused for every shape;
 // steady-state processing performs no heap allocation and a worker's memory
-// does not depend on the shapes it has decoded. Config.NaiveAlloc builds
-// that scratch per task instead, for the GC-pressure ablation in E5.
+// does not depend on the shapes it has decoded.
 //
 // Concurrency: a Pool owns Config.Workers resident goroutines; tasks enter
 // through Submit (any goroutine) and results leave on the pool's completion
@@ -26,14 +25,13 @@
 // nothing mutable on the processing path is shared between workers (the
 // interleaver and rate-match tables they share are read-only), so the hot
 // path takes no locks; per-worker metrics merge at collection points. When
-// Config.DecodeWorkers > 1 the decoder's DecodeWorkers−1 helper goroutines
-// fan a task's code blocks out, making the effective core demand ≈ Workers
-// × DecodeWorkers. The
-// degradation ladder adds one more goroutine when Degrade.Enable is set —
-// the headroom controller, which writes per-cell level words that Submit
-// reads via atomic loads; workers only ever see the level frozen into
-// Task.Degrade at submission (see degradeState). The full threading model
-// is documented in docs/concurrency.md.
+// Config.Decode.Workers > 1 the decoder's helper goroutines fan a task's
+// code blocks out, making the effective core demand ≈ Workers ×
+// Decode.Workers. The degradation ladder adds one more goroutine when
+// Degrade.Enable is set — the headroom controller, which writes per-cell
+// level words that Submit reads via atomic loads; workers only ever see the
+// level frozen into Task.Degrade at submission (see degradeState). The full
+// threading model is documented in docs/concurrency.md.
 package dataplane
 
 import (
@@ -72,9 +70,9 @@ type Task struct {
 	// Enqueued is when the task entered the pool.
 	Enqueued time.Time
 	// Degrade is the degradation-ladder level this task decodes at,
-	// stamped by Submit from the cell's current level (DegradeNone on a
-	// NoDegrade pool). It selects the worker's iteration cap and kernel
-	// override; tasks only batch with same-level tasks.
+	// stamped by Submit from the cell's current level. It selects the
+	// worker's iteration cap and kernel override; tasks only batch with
+	// same-level tasks.
 	Degrade cluster.DegradationLevel
 
 	// Soft, when non-nil, supplies the HARQ soft-combining buffer for this

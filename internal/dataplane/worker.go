@@ -10,9 +10,9 @@ import (
 // worker owns the DSP scratch its decodes run in, so the decode path never
 // allocates and a worker's memory does not depend on the shapes it has
 // decoded. One worker maps to one dedicated core in the PRAN model; with
-// Config.DecodeWorkers > 1 its decoder additionally keeps DecodeWorkers-1
-// resident turbo-decode helpers, so a busy worker occupies up to
-// DecodeWorkers cores during the turbo stage. All processor and decoder
+// Config.Decode.Workers = n > 1 its decoder additionally keeps n-1 resident
+// turbo-decode helpers, so a busy worker occupies up to n cores during the
+// turbo stage. All processor and decoder
 // state is private to this worker's goroutine — only the parallel decoder's
 // internal fan-out (documented on phy.ParallelDecoder) crosses goroutines —
 // and what workers share (interleavers, rate-match tables) is immutable.
@@ -21,8 +21,7 @@ type worker struct {
 	id   int
 	// dsps holds the worker's DSP scratch, one entry per decode kernel in
 	// use: the pool's configured kernel, plus int16 when a float32 pool
-	// degrades a cell to the ladder rung that forces it. Nil in NaiveAlloc
-	// mode, where every dispatch builds and drops its own.
+	// degrades a cell to the ladder rung that forces it.
 	dsps map[phy.DecodeKernel]*dsp
 	// joint marshals a claimed group's transport blocks into one fan-out on
 	// the kernel's decoder; non-nil only when Config.BatchTasks ≥ 2.
@@ -46,10 +45,7 @@ type dsp struct {
 }
 
 func newWorker(p *Pool, id int) *worker {
-	w := &worker{pool: p, id: id}
-	if !p.cfg.NaiveAlloc {
-		w.dsps = make(map[phy.DecodeKernel]*dsp)
-	}
+	w := &worker{pool: p, id: id, dsps: make(map[phy.DecodeKernel]*dsp)}
 	if p.cfg.batchTasks() > 1 {
 		w.joint = phy.NewJointDecoder()
 	}
@@ -67,40 +63,29 @@ func (w *worker) kernelFor(lvl cluster.DegradationLevel) phy.DecodeKernel {
 	if lvl.ForcesInt16() {
 		return phy.KernelInt16
 	}
-	return w.pool.cfg.DecodeKernel
+	return w.pool.cfg.Decode.Kernel
 }
 
-// dspFor returns the scratch a dispatch on the given kernel runs in: the
-// worker's resident one, built on first use, or under the GC-pressure
-// ablation (NaiveAlloc) a fresh one. The caller releases it after the
-// dispatch.
+// dspFor returns the scratch a dispatch on the given kernel runs in — the
+// pool's decode profile at that kernel — building it on first use.
 func (w *worker) dspFor(kern phy.DecodeKernel) (*dsp, error) {
 	if d := w.dsps[kern]; d != nil {
 		return d, nil
 	}
-	cfg := w.pool.cfg
-	set, err := phy.NewDecoderSet(phy.ProcOptions{Workers: cfg.DecodeWorkers, Kernel: kern, FrontEnd: cfg.FrontEnd, Batch: cfg.DecodeBatch})
+	prof := w.pool.cfg.Decode
+	prof.Kernel = kern
+	set, err := phy.NewDecoderSet(prof)
 	if err != nil {
 		return nil, err
 	}
-	d := &dsp{set: set, procs: make([]*phy.TransportProcessor, cfg.batchTasks())}
+	d := &dsp{set: set, procs: make([]*phy.TransportProcessor, w.pool.cfg.batchTasks())}
 	for i := range d.procs {
 		if d.procs[i], err = set.NewProcessor(phy.MaxPRB); err != nil {
 			return nil, err
 		}
 	}
-	if w.dsps != nil {
-		w.dsps[kern] = d
-	}
+	w.dsps[kern] = d
 	return d, nil
-}
-
-// release ends a dispatch's use of its scratch: resident scratch stays until
-// the worker exits, NaiveAlloc scratch goes now.
-func (w *worker) release(d *dsp) {
-	if w.dsps == nil {
-		d.set.Close()
-	}
 }
 
 func (w *worker) run() {
@@ -152,7 +137,7 @@ func (w *worker) admit(t *Task, now time.Time) bool {
 // recent decode.
 func (w *worker) recordStages(tm phy.StageTimings) {
 	if tel := w.pool.tel; tel != nil {
-		// With DecodeWorkers > 1 per-block front-ends overlap turbo decoding
+		// With Decode.Workers > 1 per-block front-ends overlap turbo decoding
 		// and fold into TurboDecode (see phy.StageTimings), so the front-end
 		// histogram records 0 there rather than a fabricated split.
 		tel.frontEnd.ObserveDuration(w.id, tm.Demodulate+tm.Descramble+tm.Dematch+tm.FrontEnd)
@@ -177,7 +162,6 @@ func (w *worker) execute(t *Task) {
 		t.Finished = time.Now()
 		return
 	}
-	defer w.release(d)
 	proc := d.procs[0]
 	// IterCap is 0 at level 0, which SetMaxIterations maps back to the
 	// default budget — a processor left capped by a degraded task is
@@ -236,7 +220,6 @@ func (w *worker) executeJoint(group []*Task) {
 		failAll(err)
 		return
 	}
-	defer w.release(d)
 	for n, t := range live {
 		reqs = append(reqs, phy.DecodeRequest{
 			P: d.procs[n], MCS: t.Alloc.MCS, NumPRB: t.Alloc.NumPRB, RX: t.REs, N0: t.N0,

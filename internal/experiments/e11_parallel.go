@@ -19,7 +19,7 @@ import (
 // The measured columns fan phy.ParallelDecoder across this host's cores, so
 // the observable speedup saturates at GOMAXPROCS (recorded in the notes) and
 // at the transport block's code-block count (~13 at MCS 28 / 100 PRB). The
-// frontier columns use the cluster cost model, whose AllocCostWorkers mirrors
+// frontier columns use the cluster cost model, whose AllocCostWorkers charges
 // the same block-granular fan-out on a paper-representative reference core.
 func E11ParallelSpeedup(quick bool) (Result, error) {
 	workersGrid := []int{1, 2, 4, 8}
@@ -34,17 +34,19 @@ func E11ParallelSpeedup(quick bool) (Result, error) {
 		Header:  []string{"workers", "t@mcs22(ms)", "t@mcs28(ms)", "speedup@mcs28", "model-feasible-mcs@2ms", "feasible-mcs@i16-batch8", "model-t@mcs28(ms)"},
 		Metrics: map[string]float64{},
 	}
-	// The measured columns and their model mirror are the float32 oracle,
-	// one block per claim; the i16-batch8 column is the default model.
+	// The measured columns and the model that prices them share one
+	// profile, the float32 oracle, one block per claim; the i16-batch8
+	// column is the default model.
 	m := cluster.DefaultCostModel()
-	ref := m.WithKernel(phy.KernelFloat32)
 	serial28 := 0.0
 	for _, w := range workersGrid {
-		t22, err := measureDecode(22, 100, reps, 2211, w, phy.KernelFloat32, phy.FrontEndFused)
+		prof := phy.DecodeProfile{Workers: w, Kernel: phy.KernelFloat32}
+		ref := m.WithProfile(prof)
+		t22, err := measureDecode(22, 100, reps, 2211, prof)
 		if err != nil {
 			return res, err
 		}
-		t28, err := measureDecode(28, 100, reps, 2811, w, phy.KernelFloat32, phy.FrontEndFused)
+		t28, err := measureDecode(28, 100, reps, 2811, prof)
 		if err != nil {
 			return res, err
 		}
@@ -72,9 +74,9 @@ func E11ParallelSpeedup(quick bool) (Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("measured on GOMAXPROCS=%d; speedup saturates at min(cores, code blocks) — rerun on a multi-core host for the full curve", runtime.GOMAXPROCS(0)),
-		"measured columns and model-feasible-mcs/model-t: the float32 reference kernel, named explicitly (DefaultCostModel().WithKernel(KernelFloat32)); highest MCS whose 100-PRB decode fits the 2 ms HARQ compute budget on the reference core",
+		"measured columns and model-feasible-mcs/model-t: the float32 reference kernel, named explicitly (a DecodeProfile with Kernel: KernelFloat32, on the processor and on the model alike); highest MCS whose 100-PRB decode fits the 2 ms HARQ compute budget on the reference core",
 		"feasible-mcs@i16-batch8: the same frontier on the default model — int16 kernel at lockstep width 8 (E17), whose 13-block transport block is two claims, so workers beyond 2 buy nothing",
-		"cost-model mirror: serial stages + makespan of the claimed spans + dispatch overhead (cluster.CostModel.AllocCostWorkers)")
+		"cost-model column: serial stages + makespan of the claimed spans + dispatch overhead (cluster.CostModel.AllocCostWorkers)")
 	return res, nil
 }
 

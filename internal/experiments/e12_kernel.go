@@ -35,12 +35,13 @@ func E12KernelAblation(quick bool) (Result, error) {
 		Header:  []string{"mcs", "turbo-f32(ms)", "turbo-i16(ms)", "turbo-speedup", "total-speedup", "bler-i16", "bler-f32", "bler-f32@-0.2dB"},
 		Metrics: map[string]float64{},
 	}
+	f32 := phy.DecodeProfile{Kernel: phy.KernelFloat32}
 	for _, mcs := range mcsGrid {
-		tf, err := measureDecode(mcs, 100, reps, int64(mcs)*1201, 1, phy.KernelFloat32, phy.FrontEndFused)
+		tf, err := measureDecode(mcs, 100, reps, int64(mcs)*1201, f32)
 		if err != nil {
 			return res, err
 		}
-		ti, err := measureDecode(mcs, 100, reps, int64(mcs)*1201, 1, phy.KernelInt16, phy.FrontEndFused)
+		ti, err := measureDecode(mcs, 100, reps, int64(mcs)*1201, phy.DecodeProfile{})
 		if err != nil {
 			return res, err
 		}
@@ -78,10 +79,10 @@ func E12KernelAblation(quick bool) (Result, error) {
 		res.Metrics[fmt.Sprintf("bler_mcs%d_f32_minus02db", mcs)] = bref
 	}
 
-	// Cost-model mirror: the single-worker deadline-feasibility frontier
-	// per kernel, on the reference-core coefficients.
+	// The same two profiles on the cost model: the single-worker
+	// deadline-feasibility frontier, on the reference-core coefficients.
 	m := cluster.DefaultCostModel()
-	frontierF32 := feasibleMCS(m.WithKernel(phy.KernelFloat32), 1)
+	frontierF32 := feasibleMCS(m.WithProfile(f32), 1)
 	frontierI16 := feasibleMCS(m, 1)
 	res.Metrics["feasible_mcs_f32"] = float64(frontierF32)
 	res.Metrics["feasible_mcs_i16"] = float64(frontierI16)
@@ -97,7 +98,7 @@ func E12KernelAblation(quick bool) (Result, error) {
 // at the given SNR with the given decode kernel and returns the block error
 // rate (the experiments-side sibling of the phy test helper).
 func measureKernelBLER(mcs phy.MCS, nprb int, snrDB float64, trials int, seed int64, kernel phy.DecodeKernel) (float64, error) {
-	proc, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{Kernel: kernel})
+	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{Kernel: kernel})
 	if err != nil {
 		return 0, err
 	}

@@ -46,17 +46,17 @@ func E13FrontEndAblation(quick bool) (Result, error) {
 		// the fused pass with the pure-Go tile kernels pinned
 		// (NoVectorFrontEnd) — it isolates the algorithmic fusion win from
 		// the AVX2 vectorization win (which E18 measures in full).
-		cfgs := []phy.ProcOptions{
-			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndStaged},
-			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused},
-			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused, NoVectorFrontEnd: true},
-			{Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndStaged},
-			{Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndFused},
+		cfgs := []phy.DecodeProfile{
+			{Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndStaged},
+			{Kernel: phy.KernelFloat32},
+			{Kernel: phy.KernelFloat32, NoVectorFrontEnd: true},
+			{FrontEnd: phy.FrontEndStaged},
+			{},
 		}
 		st := make([]phy.StageTimings, len(cfgs))
 		for round := 0; round < 2; round++ {
 			for i, o := range cfgs {
-				t, err := measureDecodeOpts(mcs, 100, reps, seed, o)
+				t, err := measureDecode(mcs, 100, reps, seed, o)
 				if err != nil {
 					return res, err
 				}
@@ -92,7 +92,7 @@ func E13FrontEndAblation(quick bool) (Result, error) {
 		res.Metrics[fmt.Sprintf("e2e_speedup_mcs%d_i16", mcs)] = e2eI16
 	}
 
-	// Cost-model mirror: the deadline-feasibility frontier per front-end.
+	// On the cost model: the deadline-feasibility frontier per front-end.
 	// At 1 worker the fused coefficients simply shrink the serial sum; at 4
 	// workers the fused front-end additionally moves into the per-block
 	// parallel region (the Amdahl lift), while the staged front-end stays
@@ -100,7 +100,7 @@ func E13FrontEndAblation(quick bool) (Result, error) {
 	m := cluster.DefaultCostModel()
 	for _, w := range []int{1, 4} {
 		fr := feasibleMCS(m, w)
-		fs := feasibleMCS(m.WithFrontEnd(phy.FrontEndStaged), w)
+		fs := feasibleMCS(m.WithProfile(phy.DecodeProfile{FrontEnd: phy.FrontEndStaged}), w)
 		res.Metrics[fmt.Sprintf("feasible_mcs_fused_i16_%dw", w)] = float64(fr)
 		res.Metrics[fmt.Sprintf("feasible_mcs_staged_i16_%dw", w)] = float64(fs)
 		res.Notes = append(res.Notes, fmt.Sprintf(

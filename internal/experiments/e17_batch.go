@@ -70,9 +70,8 @@ func E17BatchSpeedup(quick bool, maxWidth int) (Result, error) {
 			// Payload throughput at the fixed iteration budget, all lanes live.
 			mbps := 1.0 / perBit / float64(kernelIters) / 1e6
 
-			e2e, err := measureDecodeOpts(mcs, 100, reps, int64(mcs)*1701, phy.ProcOptions{
-				Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndFused, Batch: w,
-			})
+			prof := phy.DecodeProfile{Batch: w}
+			e2e, err := measureDecode(mcs, 100, reps, int64(mcs)*1701, prof)
 			if err != nil {
 				return res, err
 			}
@@ -81,7 +80,7 @@ func E17BatchSpeedup(quick bool, maxWidth int) (Result, error) {
 				scalarTurbo = turboSec
 			}
 			e2eSpeedup := scalarTurbo / turboSec
-			frontier := feasibleMCS(m.WithBatch(w), 1)
+			frontier := feasibleMCS(m.WithProfile(prof), 1)
 			res.Rows = append(res.Rows, []string{
 				fmt.Sprintf("%d", mcs),
 				fmt.Sprintf("%d", w),
@@ -99,7 +98,7 @@ func E17BatchSpeedup(quick bool, maxWidth int) (Result, error) {
 	}
 	// The frontier movement E11's 4-worker sweep sees between its float32
 	// reference model and the default (int16, width 8) model.
-	f32At4 := feasibleMCS(m.WithKernel(phy.KernelFloat32), 4)
+	f32At4 := feasibleMCS(m.WithProfile(phy.DecodeProfile{Kernel: phy.KernelFloat32}), 4)
 	batchAt4 := feasibleMCS(m, 4)
 	res.Metrics["feasible_mcs_w4_f32"] = float64(f32At4)
 	res.Metrics["feasible_mcs_w4_batch8"] = float64(batchAt4)
@@ -108,7 +107,7 @@ func E17BatchSpeedup(quick bool, maxWidth int) (Result, error) {
 		"every batched timing run is verified bit-identical to the scalar int16 oracle on the same inputs",
 		"e2e columns: full transport decode at 100 PRB, 1 worker, fused front-end — batching within one TB's code blocks only",
 		"width 1 (Batch: 1, the scalar int16 oracle) is the reference row; width 8 is what a zero Batch resolves to",
-		"feasibility frontier: highest MCS whose 100-PRB service time fits the 2 ms HARQ budget on the int16 cost model at that width, 1 worker (cluster.CostModel.WithBatch)",
+		"feasibility frontier: highest MCS whose 100-PRB service time fits the 2 ms HARQ budget on the int16 cost model at that width, 1 worker (the same profile on cluster.CostModel.WithProfile)",
 		fmt.Sprintf("E11's 4-worker frontier moves MCS %d (float32 reference model) → MCS %d (default model: int16 at width 8)", f32At4, batchAt4),
 	)
 	return res, nil

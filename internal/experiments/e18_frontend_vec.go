@@ -22,7 +22,7 @@ import (
 // and the fe_avx2 metric is 0 so downstream gates know to stand down.
 //
 // The frontier rows recompute E11's deadline-feasibility frontier on the
-// cost model's vector coefficients (WithFrontEndVector): the per-RE fused
+// cost model's vector coefficients (CostModel.FrontEndVector): the per-RE fused
 // costs shrink, so the highest MCS whose 100-PRB subframe fits the ~2 ms
 // HARQ budget can move up at a given parallelism.
 func E18VectorFrontEnd(quick bool) (Result, error) {
@@ -52,17 +52,17 @@ func E18VectorFrontEnd(quick bool) (Result, error) {
 		// they are sampled in two interleaved rounds merged with a
 		// stage-wise min (see minStages): a slow window has to cover the
 		// same configuration in both rounds to bias a ratio.
-		cfgs := []phy.ProcOptions{
-			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndStaged},
-			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused, NoVectorFrontEnd: true},
-			{Workers: 1, Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndFused},
-			{Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndFused, NoVectorFrontEnd: true},
-			{Workers: 1, Kernel: phy.KernelInt16, FrontEnd: phy.FrontEndFused},
+		cfgs := []phy.DecodeProfile{
+			{Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndStaged},
+			{Kernel: phy.KernelFloat32, NoVectorFrontEnd: true},
+			{Kernel: phy.KernelFloat32},
+			{NoVectorFrontEnd: true},
+			{},
 		}
 		tm := make([]phy.StageTimings, len(cfgs))
 		for round := 0; round < 2; round++ {
 			for i, o := range cfgs {
-				t, err := measureDecodeOpts(mcs, 100, reps, seed, o)
+				t, err := measureDecode(mcs, 100, reps, seed, o)
 				if err != nil {
 					return res, err
 				}
@@ -97,13 +97,16 @@ func E18VectorFrontEnd(quick bool) (Result, error) {
 		res.Metrics[fmt.Sprintf("e2e_vec_speedup_mcs%d_i16", mcs)] = e2eI16
 	}
 
-	// Cost-model mirror: E11's feasibility frontier on the vector fused
+	// On the cost model: E11's feasibility frontier on the vector fused
 	// coefficients. DefaultCostModel carries representative scalar and
-	// vector columns; Calibrate measures both on the host.
+	// vector columns (Calibrate measures both on the host); the reference
+	// host here is one whose default tiles are the vector ones, and the
+	// scalar frontier is the profile that opts out of them.
 	m := cluster.DefaultCostModel()
+	m.FrontEndVector = true
 	for _, w := range []int{1, 4} {
-		fs := feasibleMCS(m, w)
-		fv := feasibleMCS(m.WithFrontEndVector(true), w)
+		fs := feasibleMCS(m.WithProfile(phy.DecodeProfile{NoVectorFrontEnd: true}), w)
+		fv := feasibleMCS(m, w)
 		res.Metrics[fmt.Sprintf("feasible_mcs_vec_i16_%dw", w)] = float64(fv)
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"model feasibility frontier at %d worker(s) (2 ms HARQ budget, int16 kernel, reference core): MCS %d (scalar fused) → MCS %d (vector fused)", w, fs, fv))

@@ -109,8 +109,9 @@ func runOverloadPoint(tpls []*taskTemplate, cfg dataplane.Config, load float64, 
 
 // E19OverloadCurve measures compute-aware graceful degradation under
 // overload: offered load is swept from half the pool's capacity to 3×, and
-// each point runs twice — once on the pre-ladder pipeline (NoDegrade: the
-// overload cliff) and once with the degradation ladder's headroom
+// each point runs twice — once on a pool that never enables the ladder's
+// controller, so every cell stays at level 0 (the overload cliff), and once
+// with the degradation ladder's headroom
 // controller enabled (the slope). Under overload the ladder should climb
 // (iteration cap → forced int16 kernel → HARQ shed), cutting compute per
 // bit so goodput keeps rising past the cliff instead of flatlining while
@@ -133,12 +134,12 @@ func E19OverloadCurve(quick bool) (Result, error) {
 	// measured on that kernel too: the bulk decode fills a fifth of the
 	// per-task budget (the ratio the experiment ran at when its scale came
 	// from CalibrateDeadlineScale on a float32 default).
-	ref := phy.ProcOptions{Kernel: phy.KernelFloat32}
-	bulk, err := makeTemplateOpts(16, 25, 61, 0, ref)
+	ref := phy.DecodeProfile{Kernel: phy.KernelFloat32}
+	bulk, err := makeTemplate(16, 25, 61, 0, ref)
 	if err != nil {
 		return Result{ID: "E19"}, err
 	}
-	narrow, err := makeTemplateOpts(10, 4, 62, 0, ref)
+	narrow, err := makeTemplate(10, 4, 62, 0, ref)
 	if err != nil {
 		return Result{ID: "E19"}, err
 	}
@@ -153,19 +154,17 @@ func E19OverloadCurve(quick bool) (Result, error) {
 		Header:  []string{"load", "base-goodput", "ladder-goodput", "base-miss", "ladder-miss", "ladder-level"},
 		Metrics: map[string]float64{},
 	}
-	// The baseline is the exact pre-ladder pipeline; the ladder variant
+	// The baseline never moves a cell off level 0; the ladder variant
 	// runs the headroom controller with a snappy period and short dwell so
 	// adaptation completes within the measured window even on quick runs.
 	// Both use EDF and late abandonment (a late UL decode is useless —
 	// burning the worker on it only deepens the backlog).
 	baseCfg := dataplane.Config{
 		Workers: 1, DeadlineScale: scale,
-		DecodeKernel: ref.Kernel,
-		Policy:       dataplane.EDF, AbandonLate: true,
-		NoDegrade: true,
+		Decode: ref,
+		Policy: dataplane.EDF, AbandonLate: true,
 	}
 	ladderCfg := baseCfg
-	ladderCfg.NoDegrade = false
 	ladderCfg.Degrade = dataplane.DegradeConfig{
 		Enable:       true,
 		Period:       budget / 8,

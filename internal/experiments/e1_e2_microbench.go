@@ -11,20 +11,12 @@ import (
 	"pran/internal/phy"
 )
 
-// measureDecode times the full uplink transport decode at a configuration,
-// returning the per-subframe stage timings over reps runs. workers
-// sets the intra-subframe code-block parallelism (1 = serial); kernel
-// selects the turbo SISO arithmetic; fe selects the fused or staged decode
-// front-end (experiments that attribute cost to individual pre-turbo stages
-// pin FrontEndStaged, since the fused pass reports one combined time).
-func measureDecode(mcs phy.MCS, nprb, reps int, seed int64, workers int, kernel phy.DecodeKernel, fe phy.FrontEnd) (phy.StageTimings, error) {
-	return measureDecodeOpts(mcs, nprb, reps, seed, phy.ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: fe})
-}
-
-// measureDecodeOpts is measureDecode with the full processor option set
-// (E17 additionally threads ProcOptions.Batch through).
-func measureDecodeOpts(mcs phy.MCS, nprb, reps int, seed int64, opts phy.ProcOptions) (phy.StageTimings, error) {
-	proc, err := phy.NewTransportProcessor(nprb, opts)
+// measureDecode times the full uplink transport decode of a configuration on
+// the given decode profile, returning the per-subframe stage timings over
+// reps runs (experiments that attribute cost to individual pre-turbo stages
+// name FrontEndStaged, since the fused pass reports one combined time).
+func measureDecode(mcs phy.MCS, nprb, reps int, seed int64, prof phy.DecodeProfile) (phy.StageTimings, error) {
+	proc, err := phy.NewTransportProcessor(nprb, prof)
 	if err != nil {
 		return phy.StageTimings{}, err
 	}
@@ -152,7 +144,7 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 				row = append(row, "-")
 				continue
 			}
-			tm, err := measureDecode(mcs, nprb, reps, int64(mcs)*100+int64(nprb), 1, phy.KernelFloat32, phy.FrontEndFused)
+			tm, err := measureDecode(mcs, nprb, reps, int64(mcs)*100+int64(nprb), phy.DecodeProfile{Kernel: phy.KernelFloat32})
 			if err != nil {
 				return res, err
 			}
@@ -164,7 +156,7 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 			res.Metrics[fmt.Sprintf("mcs%d_prb%d_ms", mcs, nprb)] = tm.Total().Seconds() * 1e3
 		}
 		if serial100 > 0 {
-			tm, err := measureDecode(mcs, 100, reps, int64(mcs)*100+100, parWorkers, phy.KernelFloat32, phy.FrontEndFused)
+			tm, err := measureDecode(mcs, 100, reps, int64(mcs)*100+100, phy.DecodeProfile{Workers: parWorkers, Kernel: phy.KernelFloat32})
 			if err != nil {
 				return res, err
 			}
@@ -211,7 +203,7 @@ func E2StageBreakdown(quick bool) (Result, error) {
 		return res, err
 	}
 	for _, mcs := range mcsGrid {
-		tm, err := measureDecode(mcs, 100, reps, int64(mcs)*977, 1, phy.KernelFloat32, phy.FrontEndStaged)
+		tm, err := measureDecode(mcs, 100, reps, int64(mcs)*977, phy.DecodeProfile{Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndStaged})
 		if err != nil {
 			return res, err
 		}

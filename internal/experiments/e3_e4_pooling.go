@@ -177,6 +177,6 @@ func e4PoolingGain(quick bool, model cluster.CostModel) (Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("headroom %.0f%% on all elastic/static variants; 5-minute scale-down lag on the elastic pool", headroom*100),
-		fmt.Sprintf("demands from the cost model charging %v decode (the default is int16 lockstep) over 20 MHz 2-antenna cells, standard class mix; the per-cell FFT floor (1.26 cores) is load-independent and on the default model the larger part of a cell's demand", model.Kernel))
+		fmt.Sprintf("demands from the cost model charging %v decode (the default is int16 lockstep) over 20 MHz 2-antenna cells, standard class mix; the per-cell FFT floor (1.26 cores) is load-independent and on the default model the larger part of a cell's demand", model.Profile.Kernel))
 	return res, nil
 }

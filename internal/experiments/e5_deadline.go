@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 
@@ -23,17 +22,11 @@ type taskTemplate struct {
 }
 
 // makeTemplate encodes one allocation at its operating point and measures
-// its decode cost on the default processor — what a pool built from a
-// Config with no decode field set runs. budget is the class's per-task
-// deadline budget.
-func makeTemplate(mcs phy.MCS, nprb int, seed int64, budget time.Duration) (*taskTemplate, error) {
-	return makeTemplateOpts(mcs, nprb, seed, budget, phy.ProcOptions{})
-}
-
-// makeTemplateOpts is makeTemplate with the decode cost measured on a
-// processor built from opts, for pools that name a reference path.
-func makeTemplateOpts(mcs phy.MCS, nprb int, seed int64, budget time.Duration, opts phy.ProcOptions) (*taskTemplate, error) {
-	proc, err := phy.NewTransportProcessor(nprb, opts)
+// its decode cost on a processor built from prof — the profile of the pool
+// the template will load (the zero value for a pool that names none).
+// budget is the class's per-task deadline budget.
+func makeTemplate(mcs phy.MCS, nprb int, seed int64, budget time.Duration, prof phy.DecodeProfile) (*taskTemplate, error) {
+	proc, err := phy.NewTransportProcessor(nprb, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -201,11 +194,11 @@ func E5DeadlineMiss(quick bool) (Result, error) {
 	}
 	scale := baseScale * 2
 	budget := time.Duration(float64(dataplane.HARQBudget) * scale)
-	bulk, err := makeTemplate(16, 25, 51, budget)
+	bulk, err := makeTemplate(16, 25, 51, budget, phy.DecodeProfile{})
 	if err != nil {
 		return Result{ID: "E5"}, err
 	}
-	urgent, err := makeTemplate(10, 4, 52, budget/2)
+	urgent, err := makeTemplate(10, 4, 52, budget/2, phy.DecodeProfile{})
 	if err != nil {
 		return Result{ID: "E5"}, err
 	}
@@ -214,7 +207,7 @@ func E5DeadlineMiss(quick bool) (Result, error) {
 	res := Result{
 		ID:      "E5",
 		Title:   "Deadline-miss rate vs utilization, mixed workload (measured pool)",
-		Header:  []string{"util", "edf-miss", "fifo-miss", "edf-urgent-miss", "fifo-urgent-miss", "naive-alloc-miss"},
+		Header:  []string{"util", "edf-miss", "fifo-miss", "edf-urgent-miss", "fifo-urgent-miss"},
 		Metrics: map[string]float64{},
 	}
 	baseCfg := dataplane.Config{Workers: 1, DeadlineScale: scale}
@@ -231,24 +224,12 @@ func E5DeadlineMiss(quick bool) (Result, error) {
 		if err != nil {
 			return res, err
 		}
-		naiveCell := "-"
-		if math.Abs(u-0.9) < 1e-9 {
-			naiveCfg := edfCfg
-			naiveCfg.NaiveAlloc = true
-			ns, err := runLoadPoint(tpls, naiveCfg, u, nTasks, 900+int64(i))
-			if err != nil {
-				return res, err
-			}
-			naiveCell = f(ns.overallMiss())
-			res.Metrics["naive_alloc_miss_u0.90"] = ns.overallMiss()
-		}
 		res.Rows = append(res.Rows, []string{
 			f(u),
 			f(edf.overallMiss()),
 			f(fifo.overallMiss()),
 			f(edf.classMiss[1]),
 			f(fifo.classMiss[1]),
-			naiveCell,
 		})
 		res.Metrics[fmt.Sprintf("edf_miss_u%.2f", u)] = edf.overallMiss()
 		res.Metrics[fmt.Sprintf("fifo_miss_u%.2f", u)] = fifo.overallMiss()

@@ -88,7 +88,7 @@ func TestE4PoolingGainShapes(t *testing.T) {
 	if r.Metrics["gain_mean_50cells"] < 1.4 {
 		t.Fatalf("mean pooling gain at 50 cells %.2f < 1.4", r.Metrics["gain_mean_50cells"])
 	}
-	ref, err := e4PoolingGain(true, cluster.DefaultCostModel().WithKernel(phy.KernelFloat32))
+	ref, err := e4PoolingGain(true, cluster.DefaultCostModel().WithProfile(phy.DecodeProfile{Kernel: phy.KernelFloat32}))
 	if err != nil {
 		t.Fatal(err)
 	}

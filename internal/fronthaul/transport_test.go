@@ -163,7 +163,7 @@ func TestTransportFullChainOverFronthaul(t *testing.T) {
 	// End-to-end proof: a real encoded subframe survives the compressed
 	// fronthaul link and still decodes. This is the RF-IQ split in action.
 	const mcs, nprb = phy.MCS(10), 6
-	proc, err := phy.NewTransportProcessor(nprb, phy.ProcOptions{})
+	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -174,7 +174,7 @@ func NewAgentNode(cfg AgentConfig) (*AgentNode, error) {
 		cfg:     cfg,
 		client:  client,
 		pool:    pool,
-		model:   cluster.DefaultCostModel(),
+		model:   cluster.DefaultCostModel().WithProfile(cfg.Pool.Decode),
 		logf:    cfg.Logf,
 		dial:    cfg.Dial,
 		cells:   make(map[frame.CellID]*cellRuntime),

@@ -185,7 +185,7 @@ func BenchmarkFullDecode_MCS13_50PRB(b *testing.B) {
 
 func benchFullDecode(b *testing.B, mcs MCS, nprb int) {
 	b.Helper()
-	proc, err := newTBProc(mcs, nprb, ProcOptions{})
+	proc, err := newTBProc(mcs, nprb, DecodeProfile{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 // channel at the given SNR and returns the block error rate.
 func measureBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials int, seed int64) float64 {
 	t.Helper()
-	proc, err := newTBProc(mcs, nprb, ProcOptions{})
+	proc, err := newTBProc(mcs, nprb, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +92,12 @@ func TestBLERImprovesWithHARQ(t *testing.T) {
 			trials = 40
 		)
 		snr := c.mcs.OperatingSNR() - 1 // stressed first transmission
-		proc, err := newTBProc(c.mcs, nprb, ProcOptions{})
+		proc, err := newTBProc(c.mcs, nprb, DecodeProfile{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if proc.Kernel() != KernelInt16 || proc.Batch() != 8 {
-			t.Fatalf("default processor decodes %v at width %d, want int16 at 8", proc.Kernel(), proc.Batch())
+		if prof := proc.Profile(); prof.Kernel != KernelInt16 || prof.Width() != 8 {
+			t.Fatalf("default processor decodes %v at width %d, want int16 at 8", prof.Kernel, prof.Width())
 		}
 		rng := rand.New(rand.NewSource(400))
 		ch := NewAWGNChannel(snr, 401)

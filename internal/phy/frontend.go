@@ -3,10 +3,9 @@ package phy
 import "fmt"
 
 // FrontEnd selects how TransportProcessor.Decode runs the pre-turbo bit
-// chain (demodulate → descramble → soft de-rate-match). Like DecodeKernel,
-// it is a first-class knob: fixed at processor construction, selected per
-// worker pool via dataplane.Config.FrontEnd, and mirrored by the cluster
-// cost model so provisioning answers track the configured path.
+// chain (demodulate → descramble → soft de-rate-match). Like DecodeKernel it
+// is fixed at processor construction; a pipeline names its front-end in
+// DecodeProfile.FrontEnd.
 type FrontEnd uint8
 
 const (

@@ -18,12 +18,12 @@ import (
 // every code-block boundary residue the configuration produces.
 func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb, workers int, kernel DecodeKernel, rvs []int, snrDB float64, seed int64) {
 	t.Helper()
-	staged, err := newTBProc(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndStaged})
+	staged, err := newTBProc(mcs, nprb, DecodeProfile{Workers: workers, Kernel: kernel, FrontEnd: FrontEndStaged})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer staged.Close()
-	fused, err := newTBProc(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused})
+	fused, err := newTBProc(mcs, nprb, DecodeProfile{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +31,7 @@ func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb, workers int, kernel Decode
 	var scalar *tbProc
 	var sbSc *SoftBuffer
 	if FrontEndAVX2() {
-		scalar, err = newTBProc(mcs, nprb, ProcOptions{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused, NoVectorFrontEnd: true})
+		scalar, err = newTBProc(mcs, nprb, DecodeProfile{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused, NoVectorFrontEnd: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,13 +146,13 @@ func TestFrontEndValidate(t *testing.T) {
 	if FrontEndFused.String() != "fused" || FrontEndStaged.String() != "staged" {
 		t.Fatalf("front-end names wrong: %v %v", FrontEndFused, FrontEndStaged)
 	}
-	if _, err := newTBProc(10, 25, ProcOptions{FrontEnd: FrontEnd(9)}); err == nil {
+	if _, err := newTBProc(10, 25, DecodeProfile{FrontEnd: FrontEnd(9)}); err == nil {
 		t.Fatal("processor with bogus front-end accepted")
 	}
 }
 
 func TestFusedDecodeValidation(t *testing.T) {
-	p, err := newTBProc(10, 25, ProcOptions{})
+	p, err := newTBProc(10, 25, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}

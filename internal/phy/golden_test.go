@@ -104,18 +104,18 @@ func goldenDigest(h io.Writer, payload []byte, err error, sb *SoftBuffer, iters 
 func TestDecodeGoldenDigests(t *testing.T) {
 	variants := []struct {
 		name string
-		opts ProcOptions
+		opts DecodeProfile
 	}{
-		{"i16x8", ProcOptions{}},
-		{"i16x1", ProcOptions{Batch: 1}},
-		{"f32", ProcOptions{Kernel: KernelFloat32}},
+		{"i16x8", DecodeProfile{}},
+		{"i16x1", DecodeProfile{Batch: 1}},
+		{"f32", DecodeProfile{Kernel: KernelFloat32}},
 	}
 	rigs := make([]*goldenRig, len(variants))
 	for i, v := range variants {
 		rigs[i] = newGoldenRig(t, v.opts)
 		defer rigs[i].close()
 	}
-	enc := newGoldenRig(t, ProcOptions{})
+	enc := newGoldenRig(t, DecodeProfile{})
 	defer enc.close()
 
 	var lines []string
@@ -238,7 +238,7 @@ type goldenRig struct {
 	procs [3]*TransportProcessor
 }
 
-func newGoldenRig(t *testing.T, o ProcOptions) *goldenRig {
+func newGoldenRig(t *testing.T, o DecodeProfile) *goldenRig {
 	t.Helper()
 	ds, err := NewDecoderSet(o)
 	if err != nil {

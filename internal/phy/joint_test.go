@@ -44,18 +44,15 @@ func TestBatchedProcessorBitIdentical(t *testing.T) {
 		{10, 4, 2, 8, FrontEndFused, 4, false, "single block, ragged"},
 		{22, 50, 2, 8, FrontEndFused, -15, true, "hopeless SNR aborts"},
 	} {
-		ser, err := newTBProc(tc.mcs, tc.nprb, ProcOptions{Kernel: KernelInt16, FrontEnd: tc.frontEnd})
+		ser, err := newTBProc(tc.mcs, tc.nprb, DecodeProfile{Kernel: KernelInt16, FrontEnd: tc.frontEnd})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bat, err := newTBProc(tc.mcs, tc.nprb, ProcOptions{
+		bat, err := newTBProc(tc.mcs, tc.nprb, DecodeProfile{
 			Workers: tc.workers, Kernel: KernelInt16, FrontEnd: tc.frontEnd, Batch: tc.batch,
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		if bat.Batch() != tc.batch {
-			t.Fatalf("%s: Batch()=%d want %d", tc.descriptiveName, bat.Batch(), tc.batch)
 		}
 		payload, rx, n0 := makeSubframe(t, ser, 17, tc.mcs.OperatingSNR()+tc.snrOffset, int64(tc.mcs)*13+int64(tc.batch))
 		so, se := ser.Decode(rx, n0, 17, 101, 4, 0, nil)
@@ -85,7 +82,7 @@ func TestBatchedProcessorBitIdentical(t *testing.T) {
 func TestBatchedProcessorNoAlloc(t *testing.T) {
 	// Batched decode must preserve the zero-allocation steady state: the
 	// lockstep decoders and gather scratch are worker-resident.
-	p, err := newTBProc(28, 100, ProcOptions{Workers: 2, Kernel: KernelInt16, Batch: 8})
+	p, err := newTBProc(28, 100, DecodeProfile{Workers: 2, Kernel: KernelInt16, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +135,7 @@ func TestDecodeGroupsIsolatesFailures(t *testing.T) {
 		}
 	}
 	for _, batch := range []int{1, 4, 8} {
-		pd, err := NewParallelDecoder(ParallelOptions{Workers: 2, Kernel: KernelInt16, Batch: batch})
+		pd, err := NewParallelDecoder(DecodeProfile{Workers: 2, Kernel: KernelInt16, Batch: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +169,7 @@ func TestJointDecoderMatchesSerial(t *testing.T) {
 	// counts, the hopeless TB must fail alone, and every TB's HARQ soft
 	// state — including the failed one's — must match the serial pipeline's.
 	const mcs, nprb = 22, 25
-	ds, err := NewDecoderSet(ProcOptions{Workers: 2, Kernel: KernelInt16, Batch: 8})
+	ds, err := NewDecoderSet(DecodeProfile{Workers: 2, Kernel: KernelInt16, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +183,7 @@ func TestJointDecoderMatchesSerial(t *testing.T) {
 	wantErr := make([]error, 3)
 	wantSoft := make([][]byte, 3)
 	for i := range reqs {
-		ser := mustProc(t, mcs, nprb, ProcOptions{Kernel: KernelInt16})
+		ser := mustProc(t, mcs, nprb, DecodeProfile{Kernel: KernelInt16})
 		proc, err := ds.newTBProc(mcs, nprb)
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +241,7 @@ func TestJointDecoderMatchesSerial(t *testing.T) {
 }
 
 func TestJointDecoderValidation(t *testing.T) {
-	ds, err := NewDecoderSet(ProcOptions{Kernel: KernelInt16, Batch: 8})
+	ds, err := NewDecoderSet(DecodeProfile{Kernel: KernelInt16, Batch: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +266,8 @@ func TestJointDecoderValidation(t *testing.T) {
 	for name, reqs := range map[string][]DecodeRequest{
 		"other shape":        {ok, {P: proc(), MCS: 28, NumPRB: 50}},
 		"too many PRB":       {{P: base, MCS: 22, NumPRB: 51, RX: rx, N0: 1}},
-		"staged front-end":   {req(mustProc(t, 22, 25, ProcOptions{Kernel: KernelInt16, FrontEnd: FrontEndStaged}).TransportProcessor)},
-		"foreign set":        {ok, req(mustProc(t, 22, 25, ProcOptions{Kernel: KernelInt16}).TransportProcessor)},
+		"staged front-end":   {req(mustProc(t, 22, 25, DecodeProfile{Kernel: KernelInt16, FrontEnd: FrontEndStaged}).TransportProcessor)},
+		"foreign set":        {ok, req(mustProc(t, 22, 25, DecodeProfile{Kernel: KernelInt16}).TransportProcessor)},
 		"duplicate":          {ok, ok},
 		"short rx":           {{P: base, MCS: 22, NumPRB: 25, RX: rx[:1], N0: 1}},
 		"bad rv":             {{P: base, MCS: 22, NumPRB: 25, RX: rx, N0: 1, RV: 9}},
@@ -283,13 +280,13 @@ func TestJointDecoderValidation(t *testing.T) {
 
 	// Batch construction guards: a non-int16 kernel cannot batch, and the
 	// explicit-batch constructor surfaces BatchDecoderI16's width range.
-	if _, err := NewParallelDecoder(ParallelOptions{Kernel: KernelFloat32, Batch: 8}); !errors.Is(err, ErrBadParameter) {
+	if _, err := NewParallelDecoder(DecodeProfile{Kernel: KernelFloat32, Batch: 8}); !errors.Is(err, ErrBadParameter) {
 		t.Fatalf("float32 batch accepted: %v", err)
 	}
-	if _, err := NewParallelDecoder(ParallelOptions{Kernel: KernelInt16, Batch: 65}); !errors.Is(err, ErrBadParameter) {
+	if _, err := NewParallelDecoder(DecodeProfile{Kernel: KernelInt16, Batch: 65}); !errors.Is(err, ErrBadParameter) {
 		t.Fatalf("width 65 accepted: %v", err)
 	}
-	if pd, err := NewParallelDecoder(ParallelOptions{Kernel: KernelInt16, Batch: 8}); err != nil {
+	if pd, err := NewParallelDecoder(DecodeProfile{Kernel: KernelInt16, Batch: 8}); err != nil {
 		t.Fatal(err)
 	} else {
 		if _, err := pd.DecodeGroups(make([][]byte, 1), make([][]float32, 1), make([][]float32, 1), make([][]float32, 1), nil, []int32{1}, make([]bool, 1), nil, nil); !errors.Is(err, ErrBadParameter) {
@@ -302,7 +299,7 @@ func TestJointDecoderValidation(t *testing.T) {
 	}
 }
 
-func mustProc(t *testing.T, mcs MCS, nprb int, o ProcOptions) *tbProc {
+func mustProc(t *testing.T, mcs MCS, nprb int, o DecodeProfile) *tbProc {
 	t.Helper()
 	p, err := newTBProc(mcs, nprb, o)
 	if err != nil {

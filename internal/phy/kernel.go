@@ -4,9 +4,7 @@ import "fmt"
 
 // DecodeKernel selects the arithmetic the turbo decoder's SISO inner loop
 // runs in. The kernel is fixed at decoder construction (buffers are sized
-// per kernel), selected per worker pool via dataplane.Config.DecodeKernel,
-// and mirrored by the cluster cost model so provisioning answers track the
-// chosen kernel.
+// per kernel); a pipeline names its kernel in DecodeProfile.Kernel.
 type DecodeKernel uint8
 
 const (
@@ -25,16 +23,6 @@ const (
 	// where a caller names it.
 	KernelFloat32
 )
-
-// Width returns the lockstep batch width a zero Batch option resolves to
-// for this kernel: 8 code blocks per SISO pass for KernelInt16, 1 (no
-// lockstep kernel exists) for KernelFloat32.
-func (k DecodeKernel) Width() int {
-	if k == KernelInt16 {
-		return 8
-	}
-	return 1
-}
 
 // String implements fmt.Stringer.
 func (k DecodeKernel) String() string {

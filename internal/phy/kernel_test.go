@@ -287,7 +287,7 @@ func (r kernelBLER) bler() float64 {
 // outcomes; the same seed gives every kernel the same payloads and noise.
 func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials int, seed int64, kernel DecodeKernel) kernelBLER {
 	t.Helper()
-	proc, err := newTBProc(mcs, nprb, ProcOptions{Workers: 1, Kernel: kernel})
+	proc, err := newTBProc(mcs, nprb, DecodeProfile{Workers: 1, Kernel: kernel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,17 +400,17 @@ func TestI16BLERParityHighSNR(t *testing.T) {
 func TestTransportKernelI16(t *testing.T) {
 	const nprb = 50
 	const mcs = MCS(22) // segments into several code blocks at 50 PRB
-	serial, err := newTBProc(mcs, nprb, ProcOptions{Workers: 1, Kernel: KernelInt16})
+	serial, err := newTBProc(mcs, nprb, DecodeProfile{Workers: 1, Kernel: KernelInt16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := newTBProc(mcs, nprb, ProcOptions{Workers: 3, Kernel: KernelInt16})
+	par, err := newTBProc(mcs, nprb, DecodeProfile{Workers: 3, Kernel: KernelInt16})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer par.Close()
-	if serial.Kernel() != KernelInt16 || par.Kernel() != KernelInt16 {
-		t.Fatalf("Kernel() = %v/%v, want int16", serial.Kernel(), par.Kernel())
+	if serial.Profile().Kernel != KernelInt16 || par.Profile().Kernel != KernelInt16 {
+		t.Fatalf("kernels %v/%v, want int16", serial.Profile().Kernel, par.Profile().Kernel)
 	}
 	rng := rand.New(rand.NewSource(77))
 	ch := NewAWGNChannel(mcs.OperatingSNR()+3, 78)

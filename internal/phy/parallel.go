@@ -29,7 +29,7 @@ import (
 // adds no synchronization to the serial path. During a call, block indices
 // are claimed through an atomic counter (lock-free, no per-subframe
 // allocation) — one index at a time without batching, a contiguous span of
-// Batch indices with it; worker i writes only the blocks it claimed and
+// width indices with it; worker i writes only the blocks it claimed and
 // reads only those blocks' LLR streams, so result placement is
 // deterministic regardless of scheduling order: block j's bits always land
 // in blocks[j]. The wake-channel send happens-before helper execution and
@@ -90,87 +90,45 @@ type pdWorker struct {
 	drop       func(int) bool // bound dropLane, allocated once
 }
 
-// ParallelOptions bundles the ParallelDecoder construction knobs. The zero
-// value is the default decode path: one worker, the int16 kernel, width-8
-// lockstep.
-type ParallelOptions struct {
-	// Workers is the decode parallelism including the caller. 0 is treated
-	// as 1 (no helper goroutines).
-	Workers int
-	// Kernel selects the per-worker turbo SISO arithmetic.
-	Kernel DecodeKernel
-	// Batch is the lockstep width: a worker claims Batch block indices at
-	// a time and decodes the claimed span through one BatchDecoderI16 SISO
-	// pipeline (single leftover blocks fall back to the scalar decoder,
-	// which is faster than a one-lane batch). 0 means the kernel's width
-	// (DecodeKernel.Width: 8 for KernelInt16, 1 for KernelFloat32); 1 is
-	// scalar per-block decode, the oracle the lockstep kernel is
-	// bit-identical to. Widths above 1 require KernelInt16.
-	Batch int
-}
-
-// resolve validates the options and replaces zero values by what they
-// stand for.
-func (o ParallelOptions) resolve() (ParallelOptions, error) {
-	if err := o.Kernel.Validate(); err != nil {
-		return o, err
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
-	if o.Workers < 1 {
-		return o, fmt.Errorf("phy: %d parallel decode workers: %w", o.Workers, ErrBadParameter)
-	}
-	if o.Batch == 0 {
-		o.Batch = o.Kernel.Width()
-	}
-	if o.Batch < 1 || o.Batch > maxBatchWidth {
-		return o, fmt.Errorf("phy: batch width %d (want 1..%d): %w", o.Batch, maxBatchWidth, ErrBadParameter)
-	}
-	if o.Batch > 1 && o.Kernel != KernelInt16 {
-		return o, fmt.Errorf("phy: batched decode requires the int16 kernel, have %v: %w", o.Kernel, ErrBadParameter)
-	}
-	return o, nil
-}
-
-// NewParallelDecoder builds a decoder pool with the given options (the zero
-// value is the default path). Workers-1 resident helper goroutines are
-// started; call Close to release them. Every per-worker decoder runs the
-// same kernel and owns its private working buffers, so kernel state is
-// worker-resident and never shared.
-func NewParallelDecoder(o ParallelOptions) (*ParallelDecoder, error) {
-	o, err := o.resolve()
-	if err != nil {
+// NewParallelDecoder builds the decoder pool of a profile (the zero value is
+// the default path): Workers, Kernel and the lockstep Width are read, the
+// front-end fields are the processor's business. Workers-1 resident helper
+// goroutines are started; call Close to release them. Every per-worker
+// decoder runs the same kernel and owns its private working buffers, so
+// kernel state is worker-resident and never shared.
+func NewParallelDecoder(p DecodeProfile) (*ParallelDecoder, error) {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	workers, batch := max(p.Workers, 1), p.Width() // 0 workers means the caller alone
 	pd := &ParallelDecoder{
-		workers: o.Workers,
-		batch:   o.Batch,
+		workers: workers,
+		batch:   batch,
 		wake:    make(chan struct{}),
 		gAbort:  make([]atomic.Bool, 1),
 		gIters:  make([]atomic.Int64, 1),
 	}
-	pd.ws = make([]pdWorker, o.Workers)
+	pd.ws = make([]pdWorker, workers)
 	for i := range pd.ws {
 		w := &pd.ws[i]
 		w.pd = pd
-		w.dec = newTurboDecoder(o.Kernel)
-		if o.Batch > 1 {
-			bd, err := NewBatchDecoderI16(o.Batch)
+		w.dec = newTurboDecoder(p.Kernel)
+		if batch > 1 {
+			bd, err := NewBatchDecoderI16(batch)
 			if err != nil {
 				return nil, err
 			}
 			w.bd = bd
-			w.kn = make([]int, o.Batch)
-			w.blk = make([][]byte, o.Batch)
-			w.l0 = make([][]float32, o.Batch)
-			w.l1 = make([][]float32, o.Batch)
-			w.l2 = make([][]float32, o.Batch)
+			w.kn = make([]int, batch)
+			w.blk = make([][]byte, batch)
+			w.l0 = make([][]float32, batch)
+			w.l1 = make([][]float32, batch)
+			w.l2 = make([][]float32, batch)
 			w.drop = w.dropLane // bound once: installing per call allocates nothing
 		}
-		w.idx = make([]int, o.Batch)
+		w.idx = make([]int, batch)
 	}
-	for i := 1; i < o.Workers; i++ {
+	for i := 1; i < workers; i++ {
 		go pd.helper(&pd.ws[i])
 	}
 	return pd, nil
@@ -178,12 +136,6 @@ func NewParallelDecoder(o ParallelOptions) (*ParallelDecoder, error) {
 
 // Workers returns the configured parallelism (including the caller).
 func (pd *ParallelDecoder) Workers() int { return pd.workers }
-
-// Batch returns the lockstep batch width (1 = scalar per-block decode).
-func (pd *ParallelDecoder) Batch() int { return pd.batch }
-
-// Kernel returns the SISO kernel the per-worker decoders run.
-func (pd *ParallelDecoder) Kernel() DecodeKernel { return pd.ws[0].dec.Kernel() }
 
 // SetMaxIterations bounds every per-worker decoder's full turbo iterations
 // (scalar and lockstep alike); n ≤ 0 restores the default budget. Like

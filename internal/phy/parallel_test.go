@@ -12,11 +12,11 @@ import (
 // processor and returns both outcomes.
 func decodeBoth(t *testing.T, mcs MCS, nprb, workers int, snrDB float64, seed int64) (serialOut, parOut []byte, serialErr, parErr error, serialIters, parIters int) {
 	t.Helper()
-	ser, err := newTBProc(mcs, nprb, ProcOptions{})
+	ser, err := newTBProc(mcs, nprb, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := newTBProc(mcs, nprb, ProcOptions{Workers: workers})
+	par, err := newTBProc(mcs, nprb, DecodeProfile{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestParallelDecodeConcurrentSubframes(t *testing.T) {
 			defer wg.Done()
 			mcs := MCS(10 + 3*(g%4))
 			nprb := 10 + 5*g
-			proc, err := newTBProc(mcs, nprb, ProcOptions{Workers: 2 + g%3})
+			proc, err := newTBProc(mcs, nprb, DecodeProfile{Workers: 2 + g%3})
 			if err != nil {
 				errs[g] = err
 				return
@@ -191,7 +191,7 @@ func TestParallelDecodeNoAlloc(t *testing.T) {
 	// The parallel steady state must stay allocation-free like the serial
 	// path: resident goroutines, preallocated per-worker decoders, atomic
 	// block claiming — nothing on the per-subframe path touches the heap.
-	p, err := newTBProc(28, 100, ProcOptions{Workers: 4})
+	p, err := newTBProc(28, 100, DecodeProfile{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestParallelDecodeNoAlloc(t *testing.T) {
 }
 
 func TestParallelDecoderLifecycle(t *testing.T) {
-	pd, err := NewParallelDecoder(ParallelOptions{Workers: 3})
+	pd, err := NewParallelDecoder(DecodeProfile{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +238,10 @@ func TestParallelDecoderLifecycle(t *testing.T) {
 	if _, _, err := pd.Decode(nil, nil, nil, nil, nil, nil, nil); err == nil {
 		t.Fatal("Decode after Close accepted")
 	}
-	if _, err := NewParallelDecoder(ParallelOptions{Workers: -1}); err == nil {
+	if _, err := NewParallelDecoder(DecodeProfile{Workers: -1}); err == nil {
 		t.Fatal("negative workers accepted")
 	}
-	if _, err := newTBProc(10, 25, ProcOptions{Workers: -1}); err == nil {
+	if _, err := newTBProc(10, 25, DecodeProfile{Workers: -1}); err == nil {
 		t.Fatal("negative transport workers accepted")
 	}
 }

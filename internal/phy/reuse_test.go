@@ -45,7 +45,7 @@ func (o reuseOutcome) equal(w reuseOutcome) bool {
 // newReuseTB draws a payload for the shape, sends it at the operating-point
 // SNR with RV 0 and RV 2, and records the outcome of decoding both on a
 // fresh processor sized for this shape alone.
-func newReuseTB(t *testing.T, mcs MCS, nprb int, o ProcOptions, ownSoft bool, seed int64) *reuseTB {
+func newReuseTB(t *testing.T, mcs MCS, nprb int, o DecodeProfile, ownSoft bool, seed int64) *reuseTB {
 	t.Helper()
 	p, err := NewTransportProcessor(nprb, o)
 	if err != nil {
@@ -90,7 +90,7 @@ func newReuseTB(t *testing.T, mcs MCS, nprb int, o ProcOptions, ownSoft bool, se
 // block — starting with the largest shape followed by a three-PRB shape with
 // filler bits, the pair that leaves the most behind.
 func TestProcessorReuseMatchesFresh(t *testing.T) {
-	for name, o := range map[string]ProcOptions{
+	for name, o := range map[string]DecodeProfile{
 		"default": {},
 		"scalar":  {Batch: 1},
 		"float32": {Kernel: KernelFloat32},
@@ -183,7 +183,7 @@ func plannedShapes(t *testing.T, n int, maxPRB int) []goldenShape {
 // soft buffer, for the default path, the scalar decoders and the staged
 // front-end.
 func TestProcessorNoAllocOnNewShape(t *testing.T) {
-	for name, o := range map[string]ProcOptions{
+	for name, o := range map[string]DecodeProfile{
 		"default": {},
 		"float32": {Kernel: KernelFloat32},
 		"staged":  {FrontEnd: FrontEndStaged, Batch: 1},
@@ -191,7 +191,7 @@ func TestProcessorNoAllocOnNewShape(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			const runs = 6
 			shapes := plannedShapes(t, 2*(runs+1)+1, 50)
-			src, err := NewTransportProcessor(50, ProcOptions{})
+			src, err := NewTransportProcessor(50, DecodeProfile{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -270,7 +270,7 @@ func TestPlansSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := NewTransportProcessor(MaxPRB, ProcOptions{})
+			p, err := NewTransportProcessor(MaxPRB, DecodeProfile{})
 			if err != nil {
 				t.Error(err)
 				return

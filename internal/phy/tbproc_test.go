@@ -13,7 +13,7 @@ type tbProc struct {
 
 // newTBProc builds a processor of its own, sized for nprb, bound to the
 // shape.
-func newTBProc(mcs MCS, nprb int, o ProcOptions) (*tbProc, error) {
+func newTBProc(mcs MCS, nprb int, o DecodeProfile) (*tbProc, error) {
 	ds, err := NewDecoderSet(o)
 	if err != nil {
 		return nil, err

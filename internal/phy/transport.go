@@ -263,63 +263,30 @@ func (sb *SoftBuffer) Unmarshal(src []byte) (int, error) {
 	return need, nil
 }
 
-// ProcOptions bundles the TransportProcessor construction knobs. The zero
-// value is the default — and fastest — configuration: one decode worker,
-// the int16 kernel at lockstep width 8, the fused vector front-end. The
-// reference paths (KernelFloat32, Batch: 1, FrontEndStaged,
-// NoVectorFrontEnd) run only where a caller names them.
-type ProcOptions struct {
-	// Workers is the decode parallelism (code-block fan-out). 0 is treated
-	// as 1 (everything on the caller); values > 1 keep resident helper
-	// goroutines that Close releases.
-	Workers int
-	// Kernel selects the turbo SISO arithmetic.
-	Kernel DecodeKernel
-	// FrontEnd selects the fused single-pass or staged three-sweep decode
-	// front-end. Outputs are bit-identical either way.
-	FrontEnd FrontEnd
-	// Batch is the lockstep decode width (see ParallelOptions.Batch): 0
-	// means the kernel's width (8 for KernelInt16, 1 for KernelFloat32), 1
-	// is scalar per-block decode; output is bit-identical across widths. It
-	// composes with Workers: each worker claims Batch blocks at a time.
-	Batch int
-	// NoVectorFrontEnd forces the fused front-end's pure-Go tile kernels
-	// even where the AVX2 path is available (FrontEndAVX2). Outputs are
-	// bit-identical either way; the knob exists for measurement (E18's
-	// scalar-fused column, cost-model calibration) and debugging. It has
-	// no effect on the staged front-end.
-	NoVectorFrontEnd bool
-}
-
 // DecoderSet is one goroutine's turbo decoder: a single ParallelDecoder,
 // built by the first decode and shared by every processor created through
 // NewProcessor, whatever shapes they decode. The set and its processors
 // share the processors' ownership rule: one goroutine at a time. Close
 // releases the helper goroutines of sets with Workers > 1.
 type DecoderSet struct {
-	opts ProcOptions     // FrontEnd, NoVectorFrontEnd
-	par  ParallelOptions // resolved
+	prof DecodeProfile
 	pd   *ParallelDecoder
 }
 
-// NewDecoderSet validates the options and returns a set that has not built
+// NewDecoderSet validates the profile and returns a set that has not built
 // its decoder yet.
-func NewDecoderSet(o ProcOptions) (*DecoderSet, error) {
-	if err := o.FrontEnd.Validate(); err != nil {
+func NewDecoderSet(prof DecodeProfile) (*DecoderSet, error) {
+	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	par, err := ParallelOptions{Workers: o.Workers, Kernel: o.Kernel, Batch: o.Batch}.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return &DecoderSet{opts: o, par: par}, nil
+	return &DecoderSet{prof: prof}, nil
 }
 
 // decoder returns the set's decoder, creating it and its working sets on
 // first request.
 func (ds *DecoderSet) decoder() (*ParallelDecoder, error) {
 	if ds.pd == nil {
-		pd, err := NewParallelDecoder(ds.par)
+		pd, err := NewParallelDecoder(ds.prof)
 		if err != nil {
 			return nil, err
 		}
@@ -338,10 +305,10 @@ func (ds *DecoderSet) Close() error {
 }
 
 // NewTransportProcessor builds a processor for transport blocks of up to
-// maxPRB resource blocks, with the given options and a decoder set of its
+// maxPRB resource blocks, with the given profile and a decoder set of its
 // own.
-func NewTransportProcessor(maxPRB int, o ProcOptions) (*TransportProcessor, error) {
-	ds, err := NewDecoderSet(o)
+func NewTransportProcessor(maxPRB int, prof DecodeProfile) (*TransportProcessor, error) {
+	ds, err := NewDecoderSet(prof)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +321,7 @@ func NewTransportProcessor(maxPRB int, o ProcOptions) (*TransportProcessor, erro
 }
 
 // NewProcessor builds a processor for transport blocks of up to maxPRB
-// resource blocks that runs the set's options and decodes with the set's
+// resource blocks that runs the set's profile and decodes with the set's
 // decoder. Closing the set, not the processor, releases it.
 func (ds *DecoderSet) NewProcessor(maxPRB int) (*TransportProcessor, error) {
 	// MaxMCS has the largest payload and, being 64-QAM, the most coded bits.
@@ -362,11 +329,10 @@ func (ds *DecoderSet) NewProcessor(maxPRB int) (*TransportProcessor, error) {
 	if err != nil {
 		return nil, err
 	}
-	o := ds.opts
 	p := &TransportProcessor{
 		top:      top,
-		frontEnd: o.FrontEnd,
-		feVec:    FrontEndAVX2() && !o.NoVectorFrontEnd,
+		frontEnd: ds.prof.FrontEnd,
+		feVec:    FrontEndAVX2() && !ds.prof.NoVectorFrontEnd,
 		enc:      NewTurboEncoder(), decs: ds, scr: NewScrambler(0),
 		tbBits:   make([]byte, top.seg.B),
 		blockBuf: make([]byte, MaxBlockSize),
@@ -437,14 +403,8 @@ func (p *TransportProcessor) setDecodeShape(mcs MCS, nprb int) error {
 	return nil
 }
 
-// Workers returns the configured decode parallelism (1 = caller only).
-func (p *TransportProcessor) Workers() int { return p.decs.par.Workers }
-
-// Batch returns the configured lockstep decode width (1 = scalar).
-func (p *TransportProcessor) Batch() int { return p.decs.par.Batch }
-
-// Kernel returns the turbo SISO kernel the processor decodes with.
-func (p *TransportProcessor) Kernel() DecodeKernel { return p.decs.par.Kernel }
+// Profile returns the decode profile the processor was built with.
+func (p *TransportProcessor) Profile() DecodeProfile { return p.decs.prof }
 
 // SetMaxIterations bounds the turbo decoders' full iterations for subsequent
 // Decode calls (n ≤ 0 restores the default budget) — the degradation
@@ -465,15 +425,6 @@ func (p *TransportProcessor) MaxIterations() int {
 	}
 	return p.maxIter
 }
-
-// FrontEnd returns the decode front-end the processor runs.
-func (p *TransportProcessor) FrontEnd() FrontEnd { return p.frontEnd }
-
-// FrontEndVector reports whether this processor's fused front-end runs the
-// AVX2 tile demodulation (false: pure-Go tile kernels — non-AVX2 host,
-// purego build, or ProcOptions.NoVectorFrontEnd). Outputs are bit-identical
-// either way.
-func (p *TransportProcessor) FrontEndVector() bool { return p.feVec }
 
 // Close releases the resident decode goroutines of a processor that owns
 // its decoder set. It is a no-op for processors built from a shared set

@@ -10,7 +10,7 @@ import (
 
 func roundtripOnce(t *testing.T, mcs MCS, nprb int, snrDB float64, seed int64) error {
 	t.Helper()
-	p, err := newTBProc(mcs, nprb, ProcOptions{})
+	p, err := newTBProc(mcs, nprb, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestTransportFailsAtVeryLowSNR(t *testing.T) {
 
 func TestTransportWrongScramblingFails(t *testing.T) {
 	// Decoding with the wrong RNTI must descramble garbage and fail CRC.
-	p, err := newTBProc(10, 25, ProcOptions{})
+	p, err := newTBProc(10, 25, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestTransportHARQCombining(t *testing.T) {
 	// At an SNR where a single transmission fails, chase-combining two
 	// transmissions (rv 0 then 2) through a shared soft buffer must succeed.
 	const mcs, nprb = 17, 50
-	p, err := newTBProc(mcs, nprb, ProcOptions{})
+	p, err := newTBProc(mcs, nprb, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestTransportHARQCombining(t *testing.T) {
 }
 
 func TestTransportTimingsPopulated(t *testing.T) {
-	p, err := newTBProc(20, 50, ProcOptions{})
+	p, err := newTBProc(20, 50, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestTransportTimingsPopulated(t *testing.T) {
 		t.Fatalf("turbo iterations %d below block count %d", tm.TurboIterations, p.NumCodeBlocks())
 	}
 	// Staged oracle front-end: the per-stage sweeps are timed instead.
-	ps, err := newTBProc(20, 50, ProcOptions{FrontEnd: FrontEndStaged})
+	ps, err := newTBProc(20, 50, DecodeProfile{FrontEnd: FrontEndStaged})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTransportTimingsPopulated(t *testing.T) {
 // turbo decoding and fold into TurboDecode; with one — the default, lockstep
 // width 8 included — they run on the caller and are reported.
 func TestTransportFrontEndFoldOnlyWithWorkers(t *testing.T) {
-	decodeOnce := func(o ProcOptions) StageTimings {
+	decodeOnce := func(o DecodeProfile) StageTimings {
 		t.Helper()
 		p, err := newTBProc(24, 50, o)
 		if err != nil {
@@ -192,12 +192,12 @@ func TestTransportFrontEndFoldOnlyWithWorkers(t *testing.T) {
 		}
 		return p.Timings
 	}
-	for _, o := range []ProcOptions{{}, {Batch: 1}, {Kernel: KernelFloat32}} {
+	for _, o := range []DecodeProfile{{}, {Batch: 1}, {Kernel: KernelFloat32}} {
 		if tm := decodeOnce(o); tm.FrontEnd <= 0 || tm.TurboDecode <= 0 {
 			t.Errorf("%+v: one decode worker must report the front-end/turbo split, got %+v", o, tm)
 		}
 	}
-	if tm := decodeOnce(ProcOptions{Workers: 2}); tm.FrontEnd != 0 || tm.TurboDecode <= 0 {
+	if tm := decodeOnce(DecodeProfile{Workers: 2}); tm.FrontEnd != 0 || tm.TurboDecode <= 0 {
 		t.Errorf("two decode workers: front-end must fold into TurboDecode, got %+v", tm)
 	}
 }
@@ -207,7 +207,7 @@ func TestTransportFrontEndFoldOnlyWithWorkers(t *testing.T) {
 // and processors built from one set share one decoder whatever shapes and
 // block sizes they decode, while each keeps its own iteration bound.
 func TestDecoderSetSharesOneDecoder(t *testing.T) {
-	ds, err := NewDecoderSet(ProcOptions{})
+	ds, err := NewDecoderSet(DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestDecoderSetSharesOneDecoder(t *testing.T) {
 
 func TestTransportMultiBlockSegmentation(t *testing.T) {
 	// High MCS at 100 PRB forces multiple code blocks.
-	p, err := newTBProc(28, 100, ProcOptions{})
+	p, err := newTBProc(28, 100, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,17 +288,17 @@ func TestTransportMultiBlockSegmentation(t *testing.T) {
 }
 
 func TestTransportBadInputs(t *testing.T) {
-	p, _ := newTBProc(5, 10, ProcOptions{})
+	p, _ := newTBProc(5, 10, DecodeProfile{})
 	if _, err := p.Encode(make([]byte, 3), 0, 0, 0, 0); err == nil {
 		t.Fatal("wrong payload size accepted")
 	}
 	if _, err := p.Decode(make([]complex128, 3), 0.1, 0, 0, 0, 0, nil); err == nil {
 		t.Fatal("wrong symbol count accepted")
 	}
-	if _, err := newTBProc(35, 10, ProcOptions{}); err == nil {
+	if _, err := newTBProc(35, 10, DecodeProfile{}); err == nil {
 		t.Fatal("invalid MCS accepted")
 	}
-	if _, err := newTBProc(5, 0, ProcOptions{}); err == nil {
+	if _, err := newTBProc(5, 0, DecodeProfile{}); err == nil {
 		t.Fatal("invalid PRB accepted")
 	}
 }
@@ -307,7 +307,7 @@ func TestTransportDecodeNoAlloc(t *testing.T) {
 	// The full receive chain (demod → descramble → dematch → turbo → CRC)
 	// must be allocation-free in steady state — the GC-vs-deadline
 	// mitigation DESIGN.md §2 commits to.
-	p, err := newTBProc(16, 25, ProcOptions{})
+	p, err := newTBProc(16, 25, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestTransportDecodeNoAlloc(t *testing.T) {
 }
 
 func TestTransportEncodeIdempotentAcrossCalls(t *testing.T) {
-	p, _ := newTBProc(12, 20, ProcOptions{})
+	p, _ := newTBProc(12, 20, DecodeProfile{})
 	rng := rand.New(rand.NewSource(66))
 	payload := randBits(rng, p.TransportBlockSize())
 	a, err := p.Encode(payload, 9, 9, 9, 0)
@@ -372,7 +372,7 @@ func refMarshalSoftBuffer(sb *SoftBuffer) []byte {
 }
 
 func TestSoftBufferMarshalGoldenFormat(t *testing.T) {
-	p, err := newTBProc(27, 100, ProcOptions{}) // multi-block
+	p, err := newTBProc(27, 100, DecodeProfile{}) // multi-block
 	if err != nil {
 		t.Fatal(err)
 	}
