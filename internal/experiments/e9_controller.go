@@ -84,8 +84,14 @@ func protocolRTT(rounds int) (p50, p99 float64, err error) {
 			}
 		}
 	}()
-	agent, ok := srv.Agent(1)
-	if !ok {
+	// The server registers the agent on its own connection goroutine, which
+	// may not have run yet when DialAgent returns.
+	var agent *ctrlproto.Agent
+	if !waitUntil(5*time.Second, func() bool {
+		a, ok := srv.Agent(1)
+		agent = a
+		return ok
+	}) {
 		return 0, 0, fmt.Errorf("experiments: agent not registered")
 	}
 	var rtts []float64

@@ -89,8 +89,11 @@ func TestQuantizeLLR(t *testing.T) {
 		{-0.008, -1},
 	}
 	for _, c := range cases {
-		if got := quantizeLLR(c.in); got != c.want {
-			t.Errorf("quantizeLLR(%v) = %d, want %d", c.in, got, c.want)
+		if got := quantI16(c.in, 1); got != c.want {
+			t.Errorf("quantI16(%v, 1) = %d, want %d", c.in, got, c.want)
+		}
+		if got := quantizeLLRRef(c.in); got != c.want {
+			t.Errorf("quantizeLLRRef(%v) = %d, want %d", c.in, got, c.want)
 		}
 	}
 }
@@ -135,6 +138,10 @@ func TestLLRGain(t *testing.T) {
 // a quiet block would otherwise read as a mean of 1500.
 func TestIngestKnownBits(t *testing.T) {
 	const k, known = 40, 20
+	q, err := NewQPPInterleaver(k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ingest := func(pin float32, kn int) (ls1 []int16) {
 		s := [3][]float32{make([]float32, k+4), make([]float32, k+4), make([]float32, k+4)}
 		for i := 0; i < k+4; i++ {
@@ -143,10 +150,9 @@ func TestIngestKnownBits(t *testing.T) {
 		for i := 0; i < known; i++ {
 			s[0][i] = pin
 		}
-		ls1 = make([]int16, k+3)
-		lp1, ls2, lp2 := make([]int16, k+3), make([]int16, k+3), make([]int16, k+3)
-		ingestI16(ls1, lp1, ls2, lp2, 1, 0, k, s[0], s[1], s[2], kn)
-		return ls1
+		b := newI16Buffers()
+		b.ingest(q, s[0], s[1], s[2], kn)
+		return b.ls1[:k+3]
 	}
 	for _, pin := range []float32{fillerLLR, 5, -7, 0} {
 		ls1 := ingest(pin, known)

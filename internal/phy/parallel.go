@@ -169,7 +169,7 @@ func (pd *ParallelDecoder) MaxIterations() int { return pd.ws[0].dec.MaxIteratio
 // known, when non-nil, gives for each block the number of leading
 // systematic values that are LTE filler — known zeros the caller (or
 // prepare) pins to fillerLLR — which the int16 kernel keeps out of the
-// block's ingest gain (see ingestI16).
+// block's ingest gain (see llrGain).
 //
 // prepare, when non-nil, is a per-block preparation hook: the worker that
 // claims block i calls prepare(i) immediately before turbo-decoding it.

@@ -246,7 +246,7 @@ func (d *TurboDecoder) Decode(out []byte, ld0, ld1, ld2 []float32) (int, error) 
 
 // decode is Decode for a block whose first known systematic values are
 // known zero bits (LTE filler) that the caller has pinned to fillerLLR: the
-// int16 kernel keeps them out of its ingest gain (ingestI16), the float32
+// int16 kernel keeps them out of its ingest gain (llrGain), the float32
 // kernel takes the pins as they are.
 func (d *TurboDecoder) decode(out []byte, ld0, ld1, ld2 []float32, known int) (int, error) {
 	k := len(out)

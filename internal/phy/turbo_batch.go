@@ -30,7 +30,8 @@ import "fmt"
 // (the pure-Go pass below is the mandatory scalar fallback and the oracle).
 //
 // Arithmetic is bit-identical to the scalar kernel: the same per-block gain
-// and Q6 quantization at ingest (ingestI16, shared), the same unrolled LTE
+// and Q6 quantization at ingest (llrGain and quantI16, shared; the AVX2
+// ingest performs the same operations), the same unrolled LTE
 // butterflies, the same renorm-every-4-steps schedule, all in exact integer
 // ops, so lane b's output equals what TurboDecoder{KernelInt16} produces
 // for the same streams — property- and fuzz-tested in turbo_batch_test.go.
@@ -122,10 +123,11 @@ func (bd *BatchDecoderI16) Width() int { return bd.width }
 // hard decisions for the LLR streams ld0[i], ld1[i], ld2[i] (each length
 // K+4, the encoder's layout — the same contract as TurboDecoder.Decode).
 // Ragged batches (fewer blocks than the width) are fine; lanes beyond
-// len(blocks) are simply never touched.
+// len(blocks) carry no block (the AVX2 path ingests zeros into them and
+// runs them as dead columns).
 // known, when non-nil, gives for each lane the number of leading systematic
 // values that are known zero bits pinned by the caller (LTE filler; see
-// ingestI16).
+// ingestTailI16).
 //
 // check, when non-nil, is the per-lane success predicate (a CRC), evaluated
 // on each lane's hard decisions after every full iteration; a passing lane
@@ -231,22 +233,23 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 			bd.lit[bd.lanes[j]]++
 		}
 
-		// Hard decisions, step-major so the three metric streams are read
-		// sequentially (lane-major would walk each cache line once per
-		// lane). outs caches the lane→output mapping for the inner loop.
+		// Hard decisions — the sign bit of the a-posteriori sum — step-major
+		// so the three metric streams are read sequentially (lane-major
+		// would walk each cache line once per lane). outs caches the
+		// lane→output mapping for the inner loop.
 		outs := bd.outs[:n]
 		for j := 0; j < n; j++ {
 			outs[j] = blocks[bd.lanes[j]]
 		}
-		for i := 0; i < k; i++ {
-			ls1 := bd.ls1[i*w : i*w+n : i*w+n]
-			ext1 := bd.ext1[i*w : i*w+n : i*w+n]
-			apri := bd.apri[i*w : i*w+n : i*w+n]
-			for j := range ls1 {
-				if int(ls1[j])+int(ext1[j])+int(apri[j]) >= 0 {
-					outs[j][i] = 0
-				} else {
-					outs[j][i] = 1
+		if useAVX2 {
+			hardI16AVX2(outs, bd.ls1, bd.ext1, bd.apri, k)
+		} else {
+			for i := 0; i < k; i++ {
+				ls1 := bd.ls1[i*w : i*w+n : i*w+n]
+				ext1 := bd.ext1[i*w : i*w+n : i*w+n]
+				apri := bd.apri[i*w : i*w+n : i*w+n]
+				for j := range ls1 {
+					outs[j][i] = byte(uint32(int32(ls1[j])+int32(ext1[j])+int32(apri[j])) >> 31)
 				}
 			}
 		}
@@ -267,17 +270,38 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 	return itersTotal, failed, nil
 }
 
+// ingestTile is the step height of the pure-Go lockstep ingest's tiles:
+// 128 steps of the three stride-w streams (6 KiB at width 8) stay
+// L1-resident while every lane writes its column into them.
+const ingestTile = 128
+
 // ingest quantizes the lanes' float32 streams into the SoA working set
-// through the int16 kernels' shared ingest boundary (ingestI16: per-block
-// gain, quantization, tail demux).
+// through the int16 kernels' ingest boundary (turbo_i16.go): every lane's
+// gain, then the data steps — the AVX2 tile kernel at width 8, 128-step
+// tiles of ingestI16 across the lanes otherwise — then each lane's filler
+// pins and tails.
 func (bd *BatchDecoderI16) ingest(n int, ld0, ld1, ld2 [][]float32, known []int) {
 	k, w := bd.q.K, bd.width
+	var kn [maxBatchWidth]int
+	if known != nil {
+		copy(kn[:n], known)
+	}
+	var g [maxBatchWidth]float32
 	for b := 0; b < n; b++ {
-		kb := 0
-		if known != nil {
-			kb = known[b]
+		g[b] = llrGain(ld0[b][kn[b]:], ld1[b], ld2[b])
+	}
+	if batchAsm && w == 8 {
+		ingestI16AVX2(bd.ls1, bd.lp1, bd.lp2, k, n, ld0, ld1, ld2, &g)
+	} else {
+		for t0 := 0; t0 < k; t0 += ingestTile {
+			t1 := min(t0+ingestTile, k)
+			for b := 0; b < n; b++ {
+				ingestI16(bd.ls1, bd.lp1, bd.lp2, w, b, t0, t1, ld0[b], ld1[b], ld2[b], g[b])
+			}
 		}
-		ingestI16(bd.ls1, bd.lp1, bd.ls2, bd.lp2, w, b, k, ld0[b], ld1[b], ld2[b], kb)
+	}
+	for b := 0; b < n; b++ {
+		ingestTailI16(bd.ls1, bd.lp1, bd.ls2, bd.lp2, w, b, k, ld0[b], ld1[b], ld2[b], kn[b], g[b])
 	}
 	// Interleaved systematic stream, built row-wise once all lanes are
 	// quantized (per-lane gathers would re-walk ls1 randomly per lane).

@@ -2,11 +2,13 @@
 
 #include "textflag.h"
 
-// AVX2 lockstep int16 turbo SISO, 8 lanes (see turbo_batch_asm.go).
+// AVX2 lockstep int16 turbo SISO, 8 lanes (see turbo_batch_asm.go), and
+// the glue around it: ingest quantizer, gain sum, hard decisions.
 //
-// Register convention in both kernels: Y0..Y7 hold the eight trellis-state
-// metric vectors (8 int32 lanes each, one lane per code block); all
-// arithmetic is int32, mirroring the scalar kernel's Go-int math exactly.
+// Register convention in both SISO kernels: Y0..Y7 hold the eight
+// trellis-state metric vectors (8 int32 lanes each, one lane per code
+// block); all arithmetic is int32, mirroring the scalar kernel's Go-int
+// math exactly.
 // Streams (ls/lp/la/ext) are stride-8 int16: one trellis step = 16 bytes =
 // one VPMOVSXWD load. An alpha row is 8 states x 8 lanes of int16 = 128
 // bytes, packed from int32 with VPACKSSDW+VPERMQ (never saturates: stored
@@ -43,6 +45,19 @@ DATA batchExtLo32<>+20(SB)/4, $-4096
 DATA batchExtLo32<>+24(SB)/4, $-4096
 DATA batchExtLo32<>+28(SB)/4, $-4096
 GLOBL batchExtLo32<>(SB), RODATA|NOPTR, $32
+
+// Ingest quantizer constants (float32 bit patterns, broadcast on load):
+// the Q6 scale 64, the +/-2047 saturation point, the sign bit, and 0.5.
+DATA ingestConsts<>+0(SB)/4, $0x42800000
+DATA ingestConsts<>+4(SB)/4, $0x44ffe000
+DATA ingestConsts<>+8(SB)/4, $0xc4ffe000
+DATA ingestConsts<>+12(SB)/4, $0x80000000
+DATA ingestConsts<>+16(SB)/4, $0x3f000000
+GLOBL ingestConsts<>(SB), RODATA|NOPTR, $20
+
+// float64 |x| mask for the gain's |LLR| sum.
+DATA absMask64<>+0(SB)/8, $0x7fffffffffffffff
+GLOBL absMask64<>(SB), RODATA|NOPTR, $8
 
 // func cpuHasAVX2() bool
 TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
@@ -377,5 +392,174 @@ bwdnext:
 	SUBQ	$128, DI
 	DECQ	R9
 	JGE	bwdloop
+	VZEROUPPER
+	RET
+
+// Quantize lane b's eight floats at source byte offset AX into the int32
+// lanes of Y: (v*g)*64 (g*v is v*g: IEEE multiplication commutes),
+// clamped to +/-2047 (the clamp operand order keeps a NaN, as Go's min/max
+// do), plus 0.5 carrying the clamped sign, truncated — quantI16's float32
+// operations. Clobbers BX, Y13, Y14.
+#define QUANT_LANE(b, Y) \
+	MOVQ	(b*8)(SI), BX \
+	VBROADCASTSS	(b*4)(DX), Y14 \
+	VMULPS	(BX)(AX*1), Y14, Y \
+	VMULPS	Y8, Y, Y \
+	VMAXPS	Y, Y10, Y \
+	VMINPS	Y, Y9, Y \
+	VANDPS	Y11, Y, Y13 \
+	VORPS	Y12, Y13, Y13 \
+	VADDPS	Y13, Y, Y \
+	VCVTTPS2DQ	Y, Y
+
+// Pack two lanes' int32 steps into one vector of int16 pairs: dword t of
+// YA becomes (YA[t] low 16 bits, YB[t] low 16 bits). Keeping the low 16
+// bits is Go's int16(int32) truncation, which a NaN's 0x80000000 needs.
+#define PAIR_LANES(YB, YA) \
+	VPSLLD	$16, YB, YB \
+	VPBLENDW	$0xAA, YB, YA, YA
+
+// func quantI16x8(dst *int16, src *[8]*float32, gains *[8]float32, k int)
+TEXT ·quantI16x8(SB), NOSPLIT, $0-32
+	MOVQ	dst+0(FP), DI
+	MOVQ	src+8(FP), SI
+	MOVQ	gains+16(FP), DX
+	MOVQ	k+24(FP), CX
+	VBROADCASTSS	ingestConsts<>+0(SB), Y8	// 64
+	VBROADCASTSS	ingestConsts<>+4(SB), Y9	// +2047
+	VBROADCASTSS	ingestConsts<>+8(SB), Y10	// -2047
+	VBROADCASTSS	ingestConsts<>+12(SB), Y11	// sign bit
+	VBROADCASTSS	ingestConsts<>+16(SB), Y12	// 0.5
+	XORQ	AX, AX		// byte offset of step t in every source stream
+
+quantloop:
+	// One 8-step tile: lane b's steps t..t+7 as int32, paired into
+	// P01=Y0, P23=Y2, P45=Y4, P67=Y6 (dword t = lanes 2i, 2i+1 at step t).
+	QUANT_LANE(0, Y0)
+	QUANT_LANE(1, Y1)
+	PAIR_LANES(Y1, Y0)
+	QUANT_LANE(2, Y2)
+	QUANT_LANE(3, Y3)
+	PAIR_LANES(Y3, Y2)
+	QUANT_LANE(4, Y4)
+	QUANT_LANE(5, Y5)
+	PAIR_LANES(Y5, Y4)
+	QUANT_LANE(6, Y6)
+	QUANT_LANE(7, Y7)
+	PAIR_LANES(Y7, Y6)
+
+	// 8x8 int16 transpose. Each 128-bit half holds steps t..t+3 (low)
+	// and t+4..t+7 (high); steps below are relative to the tile.
+	VPUNPCKLDQ	Y2, Y0, Y1	// lanes 0-3, steps 0,1 | 4,5
+	VPUNPCKHDQ	Y2, Y0, Y3	// lanes 0-3, steps 2,3 | 6,7
+	VPUNPCKLDQ	Y6, Y4, Y5	// lanes 4-7, steps 0,1 | 4,5
+	VPUNPCKHDQ	Y6, Y4, Y7	// lanes 4-7, steps 2,3 | 6,7
+	VPUNPCKLQDQ	Y5, Y1, Y0	// rows 0 | 4
+	VPUNPCKHQDQ	Y5, Y1, Y2	// rows 1 | 5
+	VPUNPCKLQDQ	Y7, Y3, Y4	// rows 2 | 6
+	VPUNPCKHQDQ	Y7, Y3, Y6	// rows 3 | 7
+	VPERM2I128	$0x20, Y2, Y0, Y1	// rows 0, 1
+	VPERM2I128	$0x20, Y6, Y4, Y5	// rows 2, 3
+	VPERM2I128	$0x31, Y2, Y0, Y3	// rows 4, 5
+	VPERM2I128	$0x31, Y6, Y4, Y7	// rows 6, 7
+	VMOVDQU	Y1, 0(DI)
+	VMOVDQU	Y5, 32(DI)
+	VMOVDQU	Y3, 64(DI)
+	VMOVDQU	Y7, 96(DI)
+
+	ADDQ	$32, AX
+	ADDQ	$128, DI
+	SUBQ	$8, CX
+	JGT	quantloop
+	VZEROUPPER
+	RET
+
+// func absSumF32x16(acc *[16]float64, s *float32, n int)
+TEXT ·absSumF32x16(SB), NOSPLIT, $0-24
+	MOVQ	acc+0(FP), DI
+	MOVQ	s+8(FP), SI
+	MOVQ	n+16(FP), CX
+	VBROADCASTSD	absMask64<>(SB), Y8
+	VMOVUPD	0(DI), Y0	// partial sums 0-3
+	VMOVUPD	32(DI), Y1	// 4-7
+	VMOVUPD	64(DI), Y2	// 8-11
+	VMOVUPD	96(DI), Y3	// 12-15
+
+absloop:
+	VCVTPS2PD	0(SI), Y4
+	VANDPD	Y8, Y4, Y4
+	VADDPD	Y4, Y0, Y0
+	VCVTPS2PD	16(SI), Y5
+	VANDPD	Y8, Y5, Y5
+	VADDPD	Y5, Y1, Y1
+	VCVTPS2PD	32(SI), Y6
+	VANDPD	Y8, Y6, Y6
+	VADDPD	Y6, Y2, Y2
+	VCVTPS2PD	48(SI), Y7
+	VANDPD	Y8, Y7, Y7
+	VADDPD	Y7, Y3, Y3
+	ADDQ	$64, SI
+	SUBQ	$16, CX
+	JGT	absloop
+
+	VMOVUPD	Y0, 0(DI)
+	VMOVUPD	Y1, 32(DI)
+	VMOVUPD	Y2, 64(DI)
+	VMOVUPD	Y3, 96(DI)
+	VZEROUPPER
+	RET
+
+// Sign bits of four steps' a-posteriori sums (ls+ext+apri at byte offset
+// off of the three streams), as a 32-bit mask in R: bit 8s+j is step s,
+// lane j. The int16 adds cannot overflow (|sum| <= 2047+4096+4096), so
+// their signs are the int32 sums' signs.
+#define HARD_MASK4(off, R) \
+	VMOVDQU	off(SI), Y0 \
+	VPADDW	off(DX), Y0, Y0 \
+	VPADDW	off(BX), Y0, Y0 \
+	VMOVDQU	(off+32)(SI), Y1 \
+	VPADDW	(off+32)(DX), Y1, Y1 \
+	VPADDW	(off+32)(BX), Y1, Y1 \
+	VPACKSSWB	Y1, Y0, Y0 \
+	VPERMQ	$0xD8, Y0, Y0 \
+	VPMOVMSKB	Y0, R
+
+// func hardI16x8(ls, ext, apri *int16, outs *[8]*byte, n, k int)
+TEXT ·hardI16x8(SB), NOSPLIT, $0-48
+	MOVQ	ls+0(FP), SI
+	MOVQ	ext+8(FP), DX
+	MOVQ	apri+16(FP), BX
+	MOVQ	outs+24(FP), DI
+	MOVQ	n+32(FP), R8
+	MOVQ	k+40(FP), CX
+	MOVQ	$0x0101010101010101, R11
+	XORQ	R9, R9		// t
+
+hardloop:
+	// AX bit 8s+j = decision of step t+s, lane j.
+	HARD_MASK4(0, AX)
+	HARD_MASK4(64, R10)
+	SHLQ	$32, R10
+	ORQ	R10, AX
+
+	// Lane j's eight decisions are bits j, j+8, ..., j+56: shifted down
+	// to bit 0 of each byte they are its 8 output bytes, little-endian.
+	XORQ	R12, R12
+hardlane:
+	MOVQ	AX, R10
+	ANDQ	R11, R10
+	MOVQ	(DI)(R12*8), R13
+	MOVQ	R10, (R13)(R9*1)
+	SHRQ	$1, AX
+	INCQ	R12
+	CMPQ	R12, R8
+	JLT	hardlane
+
+	ADDQ	$128, SI
+	ADDQ	$128, DX
+	ADDQ	$128, BX
+	ADDQ	$8, R9
+	CMPQ	R9, CX
+	JLT	hardloop
 	VZEROUPPER
 	RET

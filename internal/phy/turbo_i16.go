@@ -22,7 +22,7 @@ import "math"
 // pile up at the saturation point and the reliability differences the
 // decoder feeds on flatten out (64-QAM LLRs a few dB above the operating
 // point average 50–70); scaled too low, the integer halvings of the branch
-// metrics start to bias the weakest bits of a high-rate block. ingestI16
+// metrics start to bias the weakest bits of a high-rate block. The ingest
 // therefore scales a block's three streams by g = 2^-⌈log2(mean|LLR| / T)⌉
 // whenever the block's mean magnitude exceeds T = i16GainTarget, which
 // lands the scaled mean in (T/2, T]; blocks already below T keep g = 1. A
@@ -30,6 +30,21 @@ import "math"
 // quantize to identical int16 streams for any power-of-two c while the gain
 // is active (TestI16GainScaleInvariance), and the one function is shared by
 // the scalar and lockstep kernels, which therefore stay bit-identical.
+//
+// Ingest boundary: gain, quantize and demultiplex, with no data-dependent
+// branch anywhere. The gain's float64 sum of |LLR| runs over s0[known:], s1,
+// s2 in that order, element i of each stream into partial sum i mod 16, and
+// the 16 partial sums fold in one fixed tree (j += j+8, then +4, +2, +1); on
+// AVX2 hosts absSumF32x16 performs the same adds four float64 lanes at a
+// time, so every kernel and build computes the same sum. quantI16 clamps
+// (v·g)·64 to ±i16LLRSat, adds 0.5 carrying the clamped value's sign and
+// truncates — round half away from zero in the same float32 operations a
+// sign branch would take. The scalar kernel runs ingestI16 over the whole
+// block; the lockstep kernel runs it in 128-step tiles across its lanes, or
+// at width 8 on AVX2 hosts quantI16x8, which quantizes an 8-step tile of all
+// eight lanes and stores it with one 8×8 int16 transpose. Filler pins and
+// tails (ingestTailI16) stay scalar Go on every path. FuzzIngestI16 pins all
+// of it against the per-element reference in ingest_test.go.
 //
 // Where T and the saturation point sit was measured, not assumed (paired
 // against float32 on the same payloads and noise, 1500–2500 blocks per
@@ -115,39 +130,42 @@ func newI16Buffers() *i16Buffers {
 	}
 }
 
-// quantizeLLR converts one float32 LLR to saturated Q6 fixed point,
-// rounding half away from zero.
-func quantizeLLR(v float32) int16 {
-	x := v * i16One
-	switch {
-	case x >= i16LLRSat:
-		return i16LLRSat
-	case x <= -i16LLRSat:
-		return -i16LLRSat
-	case x >= 0:
-		return int16(x + 0.5)
-	default:
-		return int16(x - 0.5)
-	}
+// quantI16 converts the LLR v at ingest gain g to saturated Q6 fixed point,
+// rounding half away from zero: clamp, add 0.5 with the sign of the clamped
+// value, truncate. A NaN passes the clamp and truncates to 0. quantI16x8
+// (turbo_batch_amd64.s) performs the same float32 operations eight at a
+// time.
+func quantI16(v, g float32) int16 {
+	c := min(max(v*g*i16One, -i16LLRSat), i16LLRSat)
+	return int16(c + math.Float32frombits(math.Float32bits(c)&(1<<31)|f32Half))
 }
+
+// f32Half is the float32 bit pattern of 0.5.
+const f32Half = 0x3f000000
+
+// gainSums is the number of partial sums llrGain accumulates |LLR| in.
+const gainSums = 16
 
 // llrGain returns the ingest gain for the channel observations of one code
 // block — its three streams, known bits left out by the caller: 1 when
 // their mean magnitude is at most i16GainTarget, otherwise the power of two
-// that brings it into (T/2, T]. The sum runs in one fixed order, so it is
-// exactly linear in a power-of-two scaling of the input.
+// that brings it into (T/2, T]. The sum runs in one fixed order (see the
+// header), so it is exactly linear in a power-of-two scaling of the input.
 func llrGain(s0, s1, s2 []float32) float32 {
 	n := len(s0) + len(s1) + len(s2)
 	if n == 0 {
 		return 1
 	}
-	var sum float64
+	var acc [gainSums]float64
 	for _, s := range [3][]float32{s0, s1, s2} {
-		for _, v := range s {
-			sum += math.Abs(float64(v))
+		absSum(&acc, s)
+	}
+	for h := gainSums / 2; h > 0; h /= 2 {
+		for j := 0; j < h; j++ {
+			acc[j] += acc[j+h]
 		}
 	}
-	r := sum / (float64(n) * i16GainTarget)
+	r := acc[0] / (float64(n) * i16GainTarget)
 	if !(r > 1) { // also catches NaN input
 		return 1
 	}
@@ -158,27 +176,44 @@ func llrGain(s0, s1, s2 []float32) float32 {
 	return float32(math.Ldexp(1, -exp))
 }
 
-// ingestI16 is the int16 kernels' one ingest boundary. It takes one code
-// block — d0, d1, d2 are its three float32 streams, each length K+4 in the
-// encoder's layout — applies the block's gain (llrGain), quantizes, and
-// demultiplexes data and tails into lane b of the stride-w constituent
-// arrays: w=1, b=0 is the scalar kernel's layout, w=Width the lockstep
-// kernel's. known is the number of leading systematic values that are known
-// zero bits (LTE filler) rather than channel observations: they take no
-// part in the gain and quantize to the saturation point whatever the
-// caller stored there. The interleaved systematic data ls2[:K·w] is the
-// caller's to build from ls1.
-func ingestI16(ls1, lp1, ls2, lp2 []int16, w, b, k int, d0, d1, d2 []float32, known int) {
-	g := llrGain(d0[known:], d1, d2)
-	for t := 0; t < k; t++ {
-		ls1[t*w+b] = quantizeLLR(d0[t] * g)
-		lp1[t*w+b] = quantizeLLR(d1[t] * g)
-		lp2[t*w+b] = quantizeLLR(d2[t] * g)
+// absSum adds |s[i]| to acc[i mod gainSums] in index order. On AVX2 hosts
+// the leading multiple of gainSums goes through absSumF32x16, which
+// performs the same adds.
+func absSum(acc *[gainSums]float64, s []float32) {
+	i := 0
+	if batchAsm && len(s) >= gainSums {
+		i = len(s) &^ (gainSums - 1)
+		absSumF32x16(acc, &s[0], i)
 	}
+	for ; i < len(s); i++ {
+		acc[i%gainSums] += math.Abs(float64(s[i]))
+	}
+}
+
+// ingestI16 quantizes data steps [t0, t1) of one code block at gain g into
+// lane b of the stride-w constituent arrays: d0, d1, d2 are the block's
+// three float32 streams, each length K+4 in the encoder's layout, and land
+// in ls1, lp1, lp2. w=1, b=0 is the scalar kernel's layout, w=Width the
+// lockstep kernel's. ingestTailI16 completes the lane.
+func ingestI16(ls1, lp1, lp2 []int16, w, b, t0, t1 int, d0, d1, d2 []float32, g float32) {
+	for t := t0; t < t1; t++ {
+		ls1[t*w+b] = quantI16(d0[t], g)
+		lp1[t*w+b] = quantI16(d1[t], g)
+		lp2[t*w+b] = quantI16(d2[t], g)
+	}
+}
+
+// ingestTailI16 completes lane b's ingest once its K data steps are in:
+// the known leading systematic values — known zero bits (LTE filler), not
+// channel observations, which llrGain is given without them — are pinned
+// to the saturation point whatever the caller stored there, and the tails
+// are quantized and demultiplexed. The interleaved systematic data
+// ls2[:K·w] is the caller's to build from ls1.
+func ingestTailI16(ls1, lp1, ls2, lp2 []int16, w, b, k int, d0, d1, d2 []float32, known int, g float32) {
 	for t := 0; t < known; t++ {
 		ls1[t*w+b] = i16LLRSat
 	}
-	q := func(v float32) int16 { return quantizeLLR(v * g) }
+	q := func(v float32) int16 { return quantI16(v, g) }
 	// Tails: inverse of the encoder multiplexing (same layout as float32).
 	t0, t1, t2 := d0[k:], d1[k:], d2[k:]
 	ls1[(k+0)*w+b], lp1[(k+0)*w+b] = q(t0[0]), q(t1[0])
@@ -189,6 +224,18 @@ func ingestI16(ls1, lp1, ls2, lp2 []int16, w, b, k int, d0, d1, d2 []float32, kn
 	ls2[(k+2)*w+b], lp2[(k+2)*w+b] = q(t1[3]), q(t2[3])
 }
 
+// ingest is the scalar kernel's whole ingest boundary: one code block at
+// width 1, including the interleaved systematic stream.
+func (b *i16Buffers) ingest(q *QPPInterleaver, d0, d1, d2 []float32, known int) {
+	k := q.K
+	g := llrGain(d0[known:], d1, d2)
+	ingestI16(b.ls1, b.lp1, b.lp2, 1, 0, 0, k, d0, d1, d2, g)
+	ingestTailI16(b.ls1, b.lp1, b.ls2, b.lp2, 1, 0, k, d0, d1, d2, known, g)
+	for i := 0; i < k; i++ {
+		b.ls2[i] = b.ls1[q.Perm(i)]
+	}
+}
+
 // decodeI16 is the int16-kernel body of Decode: identical iteration
 // structure to the float32 path, with gain + LLR quantization at the demux
 // step. Inputs were already length-checked by decode; hard is the decoder's
@@ -196,11 +243,7 @@ func ingestI16(ls1, lp1, ls2, lp2 []int16, w, b, k int, d0, d1, d2 []float32, kn
 func (d *TurboDecoder) decodeI16(q *QPPInterleaver, hard, out []byte, ld0, ld1, ld2 []float32, known int) (int, error) {
 	k := q.K
 	b := d.i16
-	ingestI16(b.ls1, b.lp1, b.ls2, b.lp2, 1, 0, k, ld0, ld1, ld2, known)
-	for i := 0; i < k; i++ {
-		b.ls2[i] = b.ls1[q.Perm(i)]
-	}
-
+	b.ingest(q, ld0, ld1, ld2, known)
 	clear(b.apri[:k])
 	d.iterationsUsed = 0
 	for it := 0; it < d.MaxIterations; it++ {
@@ -213,12 +256,10 @@ func (d *TurboDecoder) decodeI16(q *QPPInterleaver, hard, out []byte, ld0, ld1, 
 			b.apri[q.Perm(i)] = b.ext2[i]
 		}
 		d.iterationsUsed = it + 1
-		for i := 0; i < k; i++ {
-			if int(b.ls1[i])+int(b.ext1[i])+int(b.apri[i]) >= 0 {
-				hard[i] = 0
-			} else {
-				hard[i] = 1
-			}
+		// Hard decisions: the sign bit of the a-posteriori sum.
+		ls1, ext1, apri := b.ls1[:k], b.ext1[:k], b.apri[:k]
+		for i := range hard {
+			hard[i] = byte(uint32(int32(ls1[i])+int32(ext1[i])+int32(apri[i])) >> 31)
 		}
 		if d.EarlyCheck != nil && d.EarlyCheck(hard) {
 			break
