@@ -88,14 +88,6 @@ func BenchmarkE10_HeadroomAblation(b *testing.B) {
 	report(b, experiments.E10HeadroomAblation)
 }
 
-// BenchmarkE11_ParallelSpeedup regenerates the intra-subframe parallel
-// decode sweep: measured speedup vs workers and the modelled
-// deadline-feasibility frontier. The measured speedup saturates at
-// GOMAXPROCS, so the headline ratios need a multi-core host.
-func BenchmarkE11_ParallelSpeedup(b *testing.B) {
-	report(b, experiments.E11ParallelSpeedup)
-}
-
 // BenchmarkE12_KernelAblation regenerates the decode-kernel ablation:
 // int16 quantized vs float32 max-log-MAP turbo speedup, BLER parity in
 // the waterfall, and the per-kernel feasibility frontier.

@@ -60,7 +60,6 @@ func run() int {
 		{"E8", experiments.E8Failover},
 		{"E9", experiments.E9Controller},
 		{"E10", experiments.E10HeadroomAblation},
-		{"E11", experiments.E11ParallelSpeedup},
 		{"E12", experiments.E12KernelAblation},
 		{"E13", experiments.E13FrontEndAblation},
 		{"E14", experiments.E14TelemetryOverhead},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 	"time"
 
 	"pran/internal/phy"
@@ -248,7 +247,7 @@ func Calibrate() (CostModel, error) {
 			reps := 6
 			start := time.Now()
 			for i := 0; i < reps; i++ {
-				if _, _, err := bd.Decode(blocks, bl0, bl1, bl2, nil, never, nil); err != nil {
+				if _, _, err := bd.Decode(blocks, bl0, bl1, bl2, nil, never); err != nil {
 					return m, err
 				}
 			}
@@ -295,28 +294,6 @@ func Calibrate() (CostModel, error) {
 			}
 		}
 		m.EncodePerBit = time.Since(start).Seconds() / float64(reps) / float64(tbs)
-	}
-
-	// Parallel dispatch overhead: the wake-and-join round trip through a
-	// resident goroutine, which is what handing a code block to a
-	// phy.ParallelDecoder worker costs on top of the decode itself.
-	{
-		work := make(chan struct{})
-		var wg sync.WaitGroup
-		go func() {
-			for range work {
-				wg.Done()
-			}
-		}()
-		const reps = 2000
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			wg.Add(1)
-			work <- struct{}{}
-			wg.Wait()
-		}
-		close(work)
-		m.DispatchPerBlock = time.Since(start).Seconds() / reps
 	}
 
 	if err := m.Validate(); err != nil {

@@ -282,12 +282,6 @@ func TestCostModelKernelSelection(t *testing.T) {
 	if m.Profile != (phy.DecodeProfile{}) {
 		t.Fatal("WithProfile mutated the receiver")
 	}
-	// The parallel service-time model must use the same coefficient switch.
-	baseW := m.WithProfile(profFloat32).AllocCostWorkers(a, 4)
-	fastW := m.AllocCostWorkers(a, 4)
-	if fastW >= baseW {
-		t.Fatalf("int16 parallel cost %v not below float32 %v", fastW, baseW)
-	}
 	// A zero int16 coefficient must fail validation.
 	bad := m
 	bad.TurboPerBitIterI16 = 0
@@ -303,17 +297,6 @@ func TestCostModelFrontEndSelection(t *testing.T) {
 	staged := m.WithProfile(profStaged).AllocCost(a)
 	if fused >= staged {
 		t.Fatalf("fused alloc cost %v not below staged %v", fused, staged)
-	}
-	// In the parallel service-time model the fused front-end additionally
-	// overlaps turbo decoding, so the gap must widen relative to staged.
-	fusedW := m.AllocCostWorkers(a, 4)
-	stagedW := m.WithProfile(profStaged).AllocCostWorkers(a, 4)
-	if fusedW >= stagedW {
-		t.Fatalf("fused parallel cost %v not below staged %v", fusedW, stagedW)
-	}
-	if stagedW-fusedW <= staged-fused {
-		t.Fatalf("parallel fused gap %v not wider than serial gap %v",
-			stagedW-fusedW, staged-fused)
 	}
 	// A zero fused coefficient must fail validation.
 	bad := m
@@ -343,10 +326,6 @@ func TestCostModelFrontEndVectorSelection(t *testing.T) {
 	// model must be indifferent to them.
 	if vec.WithProfile(profStaged).AllocCost(a) != m.WithProfile(profStaged).AllocCost(a) {
 		t.Fatal("FrontEndVector changed the staged front-end cost")
-	}
-	// The parallel service-time model uses the same coefficient switch.
-	if vw, sw := vec.AllocCostWorkers(a, 4), m.AllocCostWorkers(a, 4); vw >= sw {
-		t.Fatalf("vector fused parallel cost %v not below scalar %v", vw, sw)
 	}
 	// A zero vector coefficient must fail validation.
 	bad := m
@@ -390,11 +369,6 @@ func TestCostModelBatchSelection(t *testing.T) {
 	if got, full := m.spanUnits(3)/3, m.spanUnits(8)/8; got <= full {
 		t.Fatalf("per-block cost of a 3-lane span %v not above a full span's %v", got, full)
 	}
-	// The parallel service-time model claims spans the same way, and the
-	// batched frontier must beat the scalar one at 4-way parallelism.
-	if bw, sw := m.AllocCostWorkers(a, 4), m.WithProfile(profScalar).AllocCostWorkers(a, 4); bw >= sw {
-		t.Fatalf("batched parallel cost %v not below scalar %v", bw, sw)
-	}
 	// A zero batch coefficient is invalid (invalid profiles are
 	// dataplane's TestInvalidProfileRejectedEverywhere).
 	bad := m
@@ -406,8 +380,8 @@ func TestCostModelBatchSelection(t *testing.T) {
 
 // TestCostModelGoldenGrid pins every profile's price on DefaultCostModel to
 // the answers recorded before the model's four selection fields became one
-// Profile (testdata/costmodel_grid.txt): 100-PRB service times to the
-// nanosecond over kernel × front-end × width × tile kernels × workers × MCS.
+// Profile (testdata/costmodel_grid.txt): 100-PRB costs to the nanosecond over
+// kernel × front-end × width × tile kernels × MCS.
 func TestCostModelGoldenGrid(t *testing.T) {
 	f, err := os.Open("testdata/costmodel_grid.txt")
 	if err != nil {
@@ -423,9 +397,9 @@ func TestCostModelGoldenGrid(t *testing.T) {
 			continue
 		}
 		var kernel, frontEnd, tiles string
-		var batch, workers, mcs int
+		var batch, mcs int
 		var want int64
-		if _, err := fmt.Sscan(line, &kernel, &frontEnd, &batch, &tiles, &workers, &mcs, &want); err != nil {
+		if _, err := fmt.Sscan(line, &kernel, &frontEnd, &batch, &tiles, &mcs, &want); err != nil {
 			t.Fatalf("%q: %v", line, err)
 		}
 		// The recorded model ran on a host whose default tiles are the
@@ -440,27 +414,22 @@ func TestCostModelGoldenGrid(t *testing.T) {
 			t.Fatalf("%q: %v", line, err)
 		}
 		a := frame.Allocation{RNTI: 1, NumPRB: 100, MCS: phy.MCS(mcs), SNRdB: phy.MCS(mcs).OperatingSNR()}
-		if got := m.AllocCostWorkers(a, workers).Nanoseconds(); got != want {
+		if got := m.AllocCost(a).Nanoseconds(); got != want {
 			t.Errorf("%q: got %d ns", line, got)
 		}
-		if workers == 1 {
+		// A model that never saw a vector host prices the pure-Go column
+		// for either profile.
+		if tiles == "pure-go" {
+			m.FrontEndVector = false
+			m.Profile.NoVectorFrontEnd = false
 			if got := m.AllocCost(a).Nanoseconds(); got != want {
-				t.Errorf("%q: AllocCost %d ns", line, got)
-			}
-			// A model that never saw a vector host prices the pure-Go
-			// column for either profile.
-			if tiles == "pure-go" {
-				m.FrontEndVector = false
-				m.Profile.NoVectorFrontEnd = false
-				if got := m.AllocCost(a).Nanoseconds(); got != want {
-					t.Errorf("%q: uncalibrated AllocCost %d ns", line, got)
-				}
+				t.Errorf("%q: uncalibrated AllocCost %d ns", line, got)
 			}
 		}
 		points++
 	}
-	if points != 192 {
-		t.Fatalf("read %d grid points, want 192", points)
+	if points != 96 {
+		t.Fatalf("read %d grid points, want 96", points)
 	}
 }
 

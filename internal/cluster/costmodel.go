@@ -10,7 +10,7 @@
 // would do on the same machine, keeping the experiment shapes transferable.
 //
 // Concurrency: CostModel is an immutable value after construction — its
-// cost queries (AllocCost, AllocCostWorkers, SubframeCost, …) are pure and
+// cost queries (AllocCost, SubframeCost, …) are pure and
 // safe to call concurrently. Server and Cluster are plain mutable state
 // owned by whoever constructs them (in practice the controller's single
 // goroutine); they perform no internal locking. Calibrate runs measured
@@ -77,21 +77,14 @@ type CostModel struct {
 	CRCPerBit float64
 	// EncodePerBit is the downlink encode-chain cost per information bit.
 	EncodePerBit float64
-	// DispatchPerBlock is the synchronization cost of handing one code
-	// block to a parallel decode worker (wake + join through the resident
-	// goroutines of phy.ParallelDecoder). It only applies when a subframe's
-	// service time is computed at parallelism > 1 (AllocCostWorkers).
-	DispatchPerBlock float64
 
 	// Profile is the decode pipeline the cost queries price — the same value
 	// a pool runs as dataplane.Config.Decode, so a provisioning answer and
 	// the pipeline it describes are compared with ==. Its Kernel and lockstep
 	// Width select the turbo coefficients and how a transport block's code
 	// blocks are charged span by span (see spanUnits), its FrontEnd and
-	// NoVectorFrontEnd the front-end coefficients. Workers is not read: the
-	// cost queries take the parallelism a service time is asked at as an
-	// argument (AllocCostWorkers). The zero value is the default path. Use
-	// WithProfile to derive a model for another pipeline.
+	// NoVectorFrontEnd the front-end coefficients. The zero value is the
+	// default path. Use WithProfile to derive a model for another pipeline.
 	Profile phy.DecodeProfile
 	// FrontEndVector is the calibration's record of which fused column this
 	// host's default tile kernels run: Calibrate sets it to
@@ -134,7 +127,7 @@ func (m CostModel) expectedIters(mcs phy.MCS, snrDB float64) float64 {
 }
 
 // spanUnits returns the turbo cost, in seconds per code-block bit per
-// iteration, of decoding n ≤ width code blocks as one claimed span: n
+// iteration, of decoding n ≤ width code blocks as one span: n
 // scalar decodes on the float32 kernel, one scalar decode for a lone int16
 // block (the decoder does not run a one-lane batch), and otherwise one
 // lockstep pass whose per-lane coefficient interpolates hyperbolically
@@ -174,7 +167,6 @@ func DefaultCostModel() CostModel {
 		TurboPerBitIterI16Batch: 2.4e-9,
 		CRCPerBit:               0.8e-9,
 		EncodePerBit:            12e-9,
-		DispatchPerBlock:        300e-9,
 	}
 }
 
@@ -186,7 +178,7 @@ func (m CostModel) Validate() error {
 		m.FusedPerREQPSK, m.FusedPerRE16QAM, m.FusedPerRE64QAM,
 		m.FusedVecPerREQPSK, m.FusedVecPerRE16QAM, m.FusedVecPerRE64QAM,
 		m.TurboPerBitIter, m.TurboPerBitIterI16, m.TurboPerBitIterI16Batch,
-		m.CRCPerBit, m.EncodePerBit, m.DispatchPerBlock,
+		m.CRCPerBit, m.EncodePerBit,
 	} {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("cluster: non-positive cost coefficient: %w", phy.ErrBadParameter)
@@ -276,28 +268,11 @@ func (m CostModel) CellOverhead(bw phy.Bandwidth, antennas int) time.Duration {
 // AllocCost returns the uplink processing cost of one UE allocation on a
 // reference core: the decode front-end (one fused pass, or staged
 // demodulation + descrambling + de-rate-matching) + turbo decoding + CRC.
+// The model follows the decoder: the transport block's C code blocks decode
+// in spans of the lockstep width — full spans first, the remainder as one
+// ragged span — each span costing what spanUnits charges for its occupancy,
+// plus, with the fused front-end, the front-end share of its blocks.
 func (m CostModel) AllocCost(a frame.Allocation) time.Duration {
-	return m.AllocCostWorkers(a, 1)
-}
-
-// AllocCostWorkers returns the uplink *service time* of one UE allocation
-// when its decode fans across workers parallel decoders (what
-// phy.DecodeProfile.Workers sets on a pool; 1 is the whole cost on one core,
-// i.e. AllocCost). The model follows the decoder: the transport block's C code
-// blocks are claimed in spans of the lockstep width — full spans first, the
-// remainder as one ragged span — each span costs what spanUnits charges for
-// its occupancy, and the workers take spans in order, so the makespan is the
-// sum over claim rounds of each round's most expensive span, plus a
-// per-handoff dispatch cost. What else parallelizes depends on the
-// front-end: with the staged pipeline demodulation, descrambling,
-// de-rate-matching and CRC stay serial on the owning worker, while the fused
-// front-end runs per code block on the claiming worker, so front-end work
-// overlaps turbo decoding and only the CRC remains serial (the Amdahl
-// ceiling the fused path exists to lift). Note this is latency, not
-// compute: total core-seconds consumed only grow (by the dispatch overhead);
-// what shrinks is the time-to-deadline, which is what HARQ feasibility is
-// about.
-func (m CostModel) AllocCostWorkers(a frame.Allocation, workers int) time.Duration {
 	tbs, err := a.MCS.TransportBlockSize(a.NumPRB)
 	if err != nil {
 		return 0
@@ -310,7 +285,7 @@ func (m CostModel) AllocCostWorkers(a frame.Allocation, workers int) time.Durati
 	qm := float64(a.MCS.Modulation().BitsPerSymbol())
 	frontEnd := m.frontEndSec(res, res*qm, a.MCS.Modulation())
 	serial := float64(tbs+24) * m.CRCPerBit
-	blockFE := 0.0 // front-end time riding each claimed block
+	blockFE := 0.0 // front-end time riding each decoded block
 	if m.Profile.FrontEnd == phy.FrontEndFused {
 		blockFE = frontEnd / float64(seg.C)
 	} else {
@@ -321,19 +296,13 @@ func (m CostModel) AllocCostWorkers(a frame.Allocation, workers int) time.Durati
 
 	w := m.Profile.Width()
 	full, rest := seg.C/w, seg.C%w
-	spans := full
+	// The leading full spans, then the last span, full or ragged: the
+	// summation order testdata/costmodel_grid.txt's nanoseconds pin.
+	lead, last := full-1, span(w)
 	if rest > 0 {
-		spans++
+		lead, last = full, span(rest)
 	}
-	eff := max(min(workers, spans), 1)
-	rounds := (spans + eff - 1) / eff
-	// Every round but the last is led by a full span. The last round is
-	// too, unless it holds nothing but the ragged span.
-	last := span(w)
-	if rest > 0 && spans-(rounds-1)*eff == 1 {
-		last = span(rest)
-	}
-	sec := serial + float64(rounds-1)*span(w) + last + m.DispatchPerBlock*float64(eff-1)
+	sec := serial + float64(lead)*span(w) + last
 	return time.Duration(sec * float64(time.Second))
 }
 

@@ -6,8 +6,7 @@
 // usable.
 //
 // Concurrency: a System is driven by one goroutine calling Tick; the
-// dataplane pool it owns runs its own worker goroutines (plus optional
-// per-task decode helpers, see internal/phy.ParallelDecoder), and results
+// dataplane pool it owns runs its own worker goroutines, and results
 // are joined back into the Tick goroutine before observations and control
 // steps run. Only Tick's caller may touch the System; everything the pool
 // touches crosses via the pool's channels.

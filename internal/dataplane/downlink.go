@@ -151,12 +151,12 @@ func EncodeOnPool(pool *Pool, cell frame.CellConfig, work frame.SubframeWork, pa
 				start := time.Now()
 				// Encode doesn't decode, so the degradation ladder's kernel
 				// override is irrelevant — use the pool's configured kernel.
-				d, err := w.dspFor(w.pool.cfg.Decode.Kernel)
+				proc, err := w.dspFor(w.pool.cfg.Decode.Kernel)
 				if err != nil {
 					dl.Err = err
 					return
 				}
-				syms, err := d.procs[0].Encode(dl.Alloc.MCS, dl.Alloc.NumPRB, dl.Payload, uint16(dl.Alloc.RNTI), dl.PCI, dl.TTI.Subframe(), int(dl.Alloc.RV))
+				syms, err := proc.Encode(dl.Alloc.MCS, dl.Alloc.NumPRB, dl.Payload, uint16(dl.Alloc.RNTI), dl.PCI, dl.TTI.Subframe(), int(dl.Alloc.RV))
 				if err != nil {
 					dl.Err = err
 					return

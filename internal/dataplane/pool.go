@@ -46,22 +46,13 @@ var (
 type Config struct {
 	// Workers is the number of processing goroutines (≈ dedicated cores).
 	Workers int
-	// Decode is the decode pipeline every worker's processors and decoders
-	// are built from; the zero value is the default path (int16 lockstep
-	// turbo behind the fused vector front-end). With Decode.Workers > 1 each
-	// pool worker fans a transport block's code blocks across its own
-	// goroutine plus Decode.Workers-1 resident helpers, so a fully busy pool
-	// demands ≈ Workers × Decode.Workers cores. A cost model prices this pool
-	// when its Profile equals this field (cluster.CostModel.WithProfile).
+	// Decode is the decode pipeline every worker's processor is built from;
+	// the zero value is the default path (int16 lockstep turbo behind the
+	// fused vector front-end). A worker decodes a task's code blocks on its
+	// own goroutine, so a fully busy pool demands Workers cores. A cost model
+	// prices this pool when its Profile equals this field
+	// (cluster.CostModel.WithProfile).
 	Decode phy.DecodeProfile
-	// BatchTasks, when ≥ 2, enables cross-codeword batching: a worker
-	// claiming an uplink task also claims up to BatchTasks-1 further queued
-	// tasks with the same (MCS, NumPRB) shape — across cells — and decodes
-	// all of them in one joint fan-out, so lockstep batches span transport-
-	// block boundaries and the per-pass kernel overheads amortize across
-	// UEs. CRC failures stay isolated per transport block. Requires the
-	// fused front-end. 0 or 1 decodes one task at a time.
-	BatchTasks int
 	// Policy selects EDF or FIFO dispatch.
 	Policy SchedPolicy
 	// DeadlineScale stretches the HARQ budget to compensate for the DSP's
@@ -104,12 +95,6 @@ func (c Config) Validate() error {
 	if err := c.Decode.Validate(); err != nil {
 		return fmt.Errorf("dataplane: %w", err)
 	}
-	if c.BatchTasks < 0 {
-		return fmt.Errorf("dataplane: %d batch tasks: %w", c.BatchTasks, phy.ErrBadParameter)
-	}
-	if c.BatchTasks > 1 && c.Decode.FrontEnd != phy.FrontEndFused {
-		return fmt.Errorf("dataplane: cross-task batching requires the fused front-end: %w", phy.ErrBadParameter)
-	}
 	if c.DeadlineScale <= 0 {
 		return fmt.Errorf("dataplane: deadline scale %v: %w", c.DeadlineScale, phy.ErrBadParameter)
 	}
@@ -119,14 +104,6 @@ func (c Config) Validate() error {
 // Budget returns the scaled per-task processing budget.
 func (c Config) Budget() time.Duration {
 	return time.Duration(float64(HARQBudget) * c.DeadlineScale)
-}
-
-// batchTasks normalizes the cross-task batching limit (0 means off).
-func (c Config) batchTasks() int {
-	if c.BatchTasks < 1 {
-		return 1
-	}
-	return c.BatchTasks
 }
 
 // Stats aggregates pool-level counters. Retrieve a snapshot with
@@ -284,38 +261,19 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// nextGroup blocks for the next task group or returns nil when the pool is
-// closed and drained. Without cross-task batching every group is a single
-// task. With Config.BatchTasks ≥ 2, claiming an uplink decode task also
-// claims up to BatchTasks-1 further queued uplink tasks of the same
-// (MCS, NumPRB) shape — those decode jointly on the claiming worker, so the
-// lockstep kernel sees batches spanning transport blocks. The extra claims
-// take same-shape tasks in queue order regardless of deadline rank: they
-// were going to be decoded anyway, and riding an already-paid batch pass is
-// never slower than waiting for their own turn. buf backs the returned
-// slice (worker-owned scratch, so claiming allocates nothing).
-func (p *Pool) nextGroup(buf []*Task) []*Task {
+// next blocks for the next task or returns nil when the pool is closed and
+// drained.
+func (p *Pool) next() *Task {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.queue.Len() > 0 {
 			t := p.queue.pop()
 			p.inflight++
-			buf = append(buf[:0], t)
-			if limit := p.cfg.batchTasks(); limit > 1 && t.joinable() {
-				for len(buf) < limit {
-					m := p.queue.takeMatch(t)
-					if m == nil {
-						break
-					}
-					p.inflight++
-					buf = append(buf, m)
-				}
-			}
 			if p.tel != nil {
 				p.tel.queueDepth.Set(int64(p.queue.Len()))
 			}
-			return buf
+			return t
 		}
 		if p.closed {
 			return nil

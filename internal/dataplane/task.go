@@ -13,25 +13,23 @@
 // recorded in DESIGN.md §2.
 //
 // Hot-path discipline (the "GC vs PHY deadlines" mitigation): each worker
-// keeps one phy.TransportProcessor per batch slot and one turbo working set,
-// sized for the largest transport block and reused for every shape;
-// steady-state processing performs no heap allocation and a worker's memory
-// does not depend on the shapes it has decoded.
+// keeps one phy.TransportProcessor, with its turbo working set, sized for the
+// largest transport block and reused for every shape; steady-state
+// processing performs no heap allocation and a worker's memory does not
+// depend on the shapes it has decoded.
 //
-// Concurrency: a Pool owns Config.Workers resident goroutines; tasks enter
-// through Submit (any goroutine) and results leave on the pool's completion
-// channel. Each worker owns its processors, its turbo decoder (one
-// phy.DecoderSet shared by its processors) and its metrics outright —
+// Concurrency: a Pool owns Config.Workers resident goroutines, and each
+// decodes a task's code blocks on its own goroutine; tasks enter through
+// Submit (any goroutine) and results leave on the pool's completion
+// channel. Each worker owns its processor and its metrics outright —
 // nothing mutable on the processing path is shared between workers (the
 // interleaver and rate-match tables they share are read-only), so the hot
-// path takes no locks; per-worker metrics merge at collection points. When
-// Config.Decode.Workers > 1 the decoder's helper goroutines fan a task's
-// code blocks out, making the effective core demand ≈ Workers ×
-// Decode.Workers. The degradation ladder adds one more goroutine when
-// Degrade.Enable is set — the headroom controller, which writes per-cell
-// level words that Submit reads via atomic loads; workers only ever see the
-// level frozen into Task.Degrade at submission (see degradeState). The full
-// threading model is documented in docs/concurrency.md.
+// path takes no locks; per-worker metrics merge at collection points. The
+// degradation ladder adds one more goroutine when Degrade.Enable is set —
+// the headroom controller, which writes per-cell level words that Submit
+// reads via atomic loads; workers only ever see the level frozen into
+// Task.Degrade at submission (see degradeState). The full threading model is
+// documented in docs/concurrency.md.
 package dataplane
 
 import (
@@ -71,8 +69,7 @@ type Task struct {
 	Enqueued time.Time
 	// Degrade is the degradation-ladder level this task decodes at,
 	// stamped by Submit from the cell's current level. It selects the
-	// worker's iteration cap and kernel override; tasks only batch with
-	// same-level tasks.
+	// worker's iteration cap and kernel override.
 	Degrade cluster.DegradationLevel
 
 	// Soft, when non-nil, supplies the HARQ soft-combining buffer for this
@@ -103,25 +100,11 @@ type Task struct {
 	Started, Finished time.Time
 	// TurboIterations is the decoder iteration count consumed.
 	TurboIterations int
-
-	index int // heap index
 }
 
 // Missed reports whether the task finished (or was abandoned) after its
 // deadline.
 func (t *Task) Missed() bool { return t.Finished.After(t.Deadline) }
-
-// joinable reports whether the task can ride a cross-codeword batch: only
-// plain uplink decodes pool (custom work functions run alone).
-func (t *Task) joinable() bool { return t.runInstead == nil }
-
-// sameShape reports whether two tasks decode identically-shaped transport
-// blocks at the same degradation level — the grouping key for
-// cross-codeword batching (a joint dispatch runs one kernel and one
-// iteration budget, so mixed-level groups must not form).
-func (t *Task) sameShape(o *Task) bool {
-	return t.Alloc.MCS == o.Alloc.MCS && t.Alloc.NumPRB == o.Alloc.NumPRB && t.Degrade == o.Degrade
-}
 
 // Latency returns enqueue-to-finish latency.
 func (t *Task) Latency() time.Duration { return t.Finished.Sub(t.Enqueued) }
@@ -154,14 +137,10 @@ func (q *taskQueue) Less(i, j int) bool {
 func (q *taskQueue) Swap(i, j int) {
 	q.items[i], q.items[j] = q.items[j], q.items[i]
 	q.seqs[i], q.seqs[j] = q.seqs[j], q.seqs[i]
-	q.items[i].index = i
-	q.items[j].index = j
 }
 
 func (q *taskQueue) Push(x any) {
-	t := x.(*Task)
-	t.index = len(q.items)
-	q.items = append(q.items, t)
+	q.items = append(q.items, x.(*Task))
 	q.seqs = append(q.seqs, q.seq)
 	q.seq++
 }
@@ -172,30 +151,9 @@ func (q *taskQueue) Pop() any {
 	q.items[n-1] = nil
 	q.items = q.items[:n-1]
 	q.seqs = q.seqs[:n-1]
-	t.index = -1
 	return t
 }
 
 // push/pop wrappers keep heap usage local.
 func (q *taskQueue) push(t *Task) { heap.Push(q, t) }
 func (q *taskQueue) pop() *Task   { return heap.Pop(q).(*Task) }
-
-// takeMatch removes and returns the earliest-queued joinable task with the
-// same transport-block shape as t, or nil. The linear scan is over the heap
-// array (queue depths are tens of tasks at the operating points the
-// experiments run), and removal reuses the heap's sift machinery.
-func (q *taskQueue) takeMatch(t *Task) *Task {
-	best := -1
-	for i, c := range q.items {
-		if !c.joinable() || !c.sameShape(t) {
-			continue
-		}
-		if best < 0 || q.seqs[i] < q.seqs[best] {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	return heap.Remove(q, best).(*Task)
-}

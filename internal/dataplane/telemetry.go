@@ -42,18 +42,18 @@ const (
 	MetricStageTurbo = "pool.stage_turbo_s"
 	// MetricStageCRC is the desegment+CRC stage histogram (seconds).
 	MetricStageCRC = "pool.stage_crc_s"
-	// MetricBatchWidth is the cross-codeword batching width histogram: the
-	// number of same-shape uplink tasks each joint dispatch claimed
-	// (recorded only when Config.BatchTasks ≥ 2). Width 1 means a task
-	// found no batch partners in the queue.
+	// MetricBatchWidth is the lockstep lane-fill histogram: one observation
+	// per span a worker's turbo decoder ran, valued at the number of code
+	// blocks it decoded together (1 = a scalar decode). A transport block of
+	// C code blocks decodes as ⌊C/width⌋ full spans and one ragged span of
+	// the remainder, so single-block transport blocks read 1.
 	MetricBatchWidth = "dataplane.batch_width"
-	// MetricBatchFlushFull counts joint dispatches that claimed a full
-	// BatchTasks-wide group.
+	// MetricBatchFlushFull counts spans that filled the decode profile's
+	// lockstep width.
 	MetricBatchFlushFull = "dataplane.batch_flush_full"
-	// MetricBatchFlushRagged counts joint dispatches that went out ragged —
-	// fewer same-shape tasks were queued than the batch limit, so the
-	// dispatch flushed early rather than hold tasks against their HARQ
-	// deadline.
+	// MetricBatchFlushRagged counts spans narrower than the decode profile's
+	// lockstep width — lanes left empty because the transport block had no
+	// more code blocks to fill them with.
 	MetricBatchFlushRagged = "dataplane.batch_flush_ragged"
 	// MetricDegradeLevel gauges the headroom controller's current
 	// pool-wide degradation-ladder target (0 = full service; see

@@ -82,8 +82,8 @@ func E12KernelAblation(quick bool) (Result, error) {
 	// The same two profiles on the cost model: the single-worker
 	// deadline-feasibility frontier, on the reference-core coefficients.
 	m := cluster.DefaultCostModel()
-	frontierF32 := feasibleMCS(m.WithProfile(f32), 1)
-	frontierI16 := feasibleMCS(m, 1)
+	frontierF32 := feasibleMCS(m.WithProfile(f32))
+	frontierI16 := feasibleMCS(m)
 	res.Metrics["feasible_mcs_f32"] = float64(frontierF32)
 	res.Metrics["feasible_mcs_i16"] = float64(frontierI16)
 	res.Notes = append(res.Notes,

@@ -12,11 +12,8 @@ import (
 // pre-turbo bit chain (demodulate + descramble + dematch, plus the CRC check
 // both paths share) at a fully loaded 100-PRB subframe, the resulting
 // end-to-end decode gain under both turbo kernels, and the deadline-
-// feasibility frontier the cost model predicts per front-end. Single worker
-// throughout the measured columns — with workers > 1 the fused front-end
-// overlaps turbo decoding per block and its time is no longer separable
-// (StageTimings.FrontEnd reads 0), so serial runs are the only fair
-// per-stage comparison. The e2e columns with the int16 kernel are where the
+// feasibility frontier the cost model predicts per front-end. The e2e
+// columns with the int16 kernel are where the
 // front-end matters most: the faster the turbo stage, the larger the share
 // of the Amdahl ceiling the pre-turbo chain owns.
 func E13FrontEndAblation(quick bool) (Result, error) {
@@ -93,21 +90,14 @@ func E13FrontEndAblation(quick bool) (Result, error) {
 	}
 
 	// On the cost model: the deadline-feasibility frontier per front-end.
-	// At 1 worker the fused coefficients simply shrink the serial sum; at 4
-	// workers the fused front-end additionally moves into the per-block
-	// parallel region (the Amdahl lift), while the staged front-end stays
-	// serial — so the frontier gap is widest there.
 	m := cluster.DefaultCostModel()
-	for _, w := range []int{1, 4} {
-		fr := feasibleMCS(m, w)
-		fs := feasibleMCS(m.WithProfile(phy.DecodeProfile{FrontEnd: phy.FrontEndStaged}), w)
-		res.Metrics[fmt.Sprintf("feasible_mcs_fused_i16_%dw", w)] = float64(fr)
-		res.Metrics[fmt.Sprintf("feasible_mcs_staged_i16_%dw", w)] = float64(fs)
-		res.Notes = append(res.Notes, fmt.Sprintf(
-			"model feasibility frontier at %d worker(s) (2 ms HARQ budget, int16 kernel, reference core): MCS %d (staged) → MCS %d (fused)", w, fs, fr))
-	}
+	fr := feasibleMCS(m)
+	fs := feasibleMCS(m.WithProfile(phy.DecodeProfile{FrontEnd: phy.FrontEndStaged}))
+	res.Metrics["feasible_mcs_fused_i16_1w"] = float64(fr)
+	res.Metrics["feasible_mcs_staged_i16_1w"] = float64(fs)
 	res.Notes = append(res.Notes,
-		"fe columns: demod+descramble+dematch+crc at 100 PRB, single worker, op+3 dB; fused path reports one combined FrontEnd time",
+		fmt.Sprintf("model feasibility frontier (2 ms HARQ budget, int16 kernel, reference core): MCS %d (staged) → MCS %d (fused)", fs, fr),
+		"fe columns: demod+descramble+dematch+crc at 100 PRB, op+3 dB; fused path reports one combined FrontEnd time",
 		"fe-fused-sc: the fused pass with the pure-Go tile kernels (NoVectorFrontEnd); fe-fused and the fe-speedup metric use the default pipeline, AVX2 tiles when the host has them (E18 isolates that gap)",
 		"e2e columns: whole-decode speedup staged→fused per turbo kernel; larger under int16 because the turbo share shrinks")
 	return res, nil

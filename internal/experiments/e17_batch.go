@@ -14,8 +14,8 @@ import (
 // turbo-kernel throughput at batch widths 1/2/4/8 versus the scalar int16
 // kernel across the MCS grid, the end-to-end turbo-stage effect when the
 // width is threaded through a TransportProcessor, and the recomputed
-// deadline-feasibility frontier the batched cost-model coefficient buys
-// next to E11's 4-worker column. Every batched decode is checked
+// deadline-feasibility frontier the batched cost-model coefficient buys.
+// Every batched decode is checked
 // bit-identical to the scalar int16 oracle before its timing is accepted
 // (the exhaustive equivalence sweep lives in the phy property/fuzz tests).
 //
@@ -80,7 +80,7 @@ func E17BatchSpeedup(quick bool, maxWidth int) (Result, error) {
 				scalarTurbo = turboSec
 			}
 			e2eSpeedup := scalarTurbo / turboSec
-			frontier := feasibleMCS(m.WithProfile(prof), 1)
+			frontier := feasibleMCS(m.WithProfile(prof))
 			res.Rows = append(res.Rows, []string{
 				fmt.Sprintf("%d", mcs),
 				fmt.Sprintf("%d", w),
@@ -96,19 +96,12 @@ func E17BatchSpeedup(quick bool, maxWidth int) (Result, error) {
 			res.Metrics[fmt.Sprintf("feasible_mcs_w1_batch%d", w)] = float64(frontier)
 		}
 	}
-	// The frontier movement E11's 4-worker sweep sees between its float32
-	// reference model and the default (int16, width 8) model.
-	f32At4 := feasibleMCS(m.WithProfile(phy.DecodeProfile{Kernel: phy.KernelFloat32}), 4)
-	batchAt4 := feasibleMCS(m, 4)
-	res.Metrics["feasible_mcs_w4_f32"] = float64(f32At4)
-	res.Metrics["feasible_mcs_w4_batch8"] = float64(batchAt4)
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("kernel columns: K per MCS at 100 PRB, %d fixed iterations, all lanes live; Mb/s is per-lane payload throughput × width", kernelIters),
 		"every batched timing run is verified bit-identical to the scalar int16 oracle on the same inputs",
-		"e2e columns: full transport decode at 100 PRB, 1 worker, fused front-end — batching within one TB's code blocks only",
+		"e2e columns: full transport decode at 100 PRB, fused front-end — batching within one TB's code blocks only",
 		"width 1 (Batch: 1, the scalar int16 oracle) is the reference row; width 8 is what a zero Batch resolves to",
-		"feasibility frontier: highest MCS whose 100-PRB service time fits the 2 ms HARQ budget on the int16 cost model at that width, 1 worker (the same profile on cluster.CostModel.WithProfile)",
-		fmt.Sprintf("E11's 4-worker frontier moves MCS %d (float32 reference model) → MCS %d (default model: int16 at width 8)", f32At4, batchAt4),
+		"feasibility frontier: highest MCS whose 100-PRB cost fits the 2 ms HARQ budget on the int16 cost model at that width (the same profile on cluster.CostModel.WithProfile)",
 	)
 	return res, nil
 }
@@ -188,7 +181,7 @@ func measureBatchKernel(k, width, iters, reps int, seed int64) (float64, error) 
 	}
 	start := time.Now()
 	for r := 0; r < reps; r++ {
-		if _, _, err := bd.Decode(blocks, bl0, bl1, bl2, nil, nil, nil); err != nil {
+		if _, _, err := bd.Decode(blocks, bl0, bl1, bl2, nil, nil); err != nil {
 			return 0, err
 		}
 	}

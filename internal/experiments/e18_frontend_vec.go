@@ -12,19 +12,17 @@ import (
 // fused decode front-end: per-MCS front-end stage time under three variants
 // — the staged three-sweep oracle, the fused pipeline with the pure-Go tile
 // kernels (NoVectorFrontEnd), and the fused pipeline with the AVX2 tile
-// kernels — at a fully loaded 100-PRB subframe, single worker (the only
-// configuration where the fused front-end time is separable; see E13). The
-// e2e column uses the int16 turbo kernel, where the pre-turbo chain owns
+// kernels — at a fully loaded 100-PRB subframe. The e2e column uses the int16 turbo kernel, where the pre-turbo chain owns
 // the largest share of the decode and the vector kernels matter most.
 //
 // On hosts without AVX2 (or under the purego build tag) the vector variant
 // silently runs the same pure-Go tiles, the speedup columns read ~1.00x,
 // and the fe_avx2 metric is 0 so downstream gates know to stand down.
 //
-// The frontier rows recompute E11's deadline-feasibility frontier on the
-// cost model's vector coefficients (CostModel.FrontEndVector): the per-RE fused
+// The frontier row recomputes the deadline-feasibility frontier on the cost
+// model's vector coefficients (CostModel.FrontEndVector): the per-RE fused
 // costs shrink, so the highest MCS whose 100-PRB subframe fits the ~2 ms
-// HARQ budget can move up at a given parallelism.
+// HARQ budget can move up.
 func E18VectorFrontEnd(quick bool) (Result, error) {
 	// Higher rep counts than the sibling ablations: the measured quantity
 	// is a single sub-millisecond stage, so one-shot timings jitter badly
@@ -97,23 +95,20 @@ func E18VectorFrontEnd(quick bool) (Result, error) {
 		res.Metrics[fmt.Sprintf("e2e_vec_speedup_mcs%d_i16", mcs)] = e2eI16
 	}
 
-	// On the cost model: E11's feasibility frontier on the vector fused
+	// On the cost model: the feasibility frontier on the vector fused
 	// coefficients. DefaultCostModel carries representative scalar and
 	// vector columns (Calibrate measures both on the host); the reference
 	// host here is one whose default tiles are the vector ones, and the
 	// scalar frontier is the profile that opts out of them.
 	m := cluster.DefaultCostModel()
 	m.FrontEndVector = true
-	for _, w := range []int{1, 4} {
-		fs := feasibleMCS(m.WithProfile(phy.DecodeProfile{NoVectorFrontEnd: true}), w)
-		fv := feasibleMCS(m, w)
-		res.Metrics[fmt.Sprintf("feasible_mcs_vec_i16_%dw", w)] = float64(fv)
-		res.Notes = append(res.Notes, fmt.Sprintf(
-			"model feasibility frontier at %d worker(s) (2 ms HARQ budget, int16 kernel, reference core): MCS %d (scalar fused) → MCS %d (vector fused)", w, fs, fv))
-	}
+	fs := feasibleMCS(m.WithProfile(phy.DecodeProfile{NoVectorFrontEnd: true}))
+	fv := feasibleMCS(m)
+	res.Metrics["feasible_mcs_vec_i16_1w"] = float64(fv)
 	res.Notes = append(res.Notes,
+		fmt.Sprintf("model feasibility frontier (2 ms HARQ budget, int16 kernel, reference core): MCS %d (scalar fused) → MCS %d (vector fused)", fs, fv),
 		fmt.Sprintf("host AVX2 front-end: %v (GOMAXPROCS=%d); without it all three columns run pure Go and the speedups read ~1.00x", phy.FrontEndAVX2(), runtime.GOMAXPROCS(0)),
-		"fe columns: the pre-turbo chain at 100 PRB, single worker, op+3 dB; staged = demod+descramble+dematch sweeps, scalar/vector = the two-phase tile pass (expand keystream signs → demod tile → scatter through the rate-match inverse)",
+		"fe columns: the pre-turbo chain at 100 PRB, op+3 dB; staged = demod+descramble+dematch sweeps, scalar/vector = the two-phase tile pass (expand keystream signs → demod tile → scatter through the rate-match inverse)",
 		"e2e-i16: whole-decode speedup scalar-fused → vector-fused under the int16 turbo kernel")
 	return res, nil
 }

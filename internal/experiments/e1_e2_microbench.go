@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"pran/internal/dataplane"
@@ -20,7 +19,6 @@ func measureDecode(mcs phy.MCS, nprb, reps int, seed int64, prof phy.DecodeProfi
 	if err != nil {
 		return phy.StageTimings{}, err
 	}
-	defer proc.Close()
 	tbs, err := mcs.TransportBlockSize(nprb)
 	if err != nil {
 		return phy.StageTimings{}, err
@@ -105,9 +103,7 @@ func minStages(a, b phy.StageTimings) phy.StageTimings {
 // high-MCS wide-band corner defining the provisioning requirement. Every
 // column names the float32 reference kernel — the per-block decoder of the
 // paper's era; E12/E17 measure what the default int16 lockstep path takes
-// off it. The last columns add the parallel decode path at 4 workers on the
-// 100-PRB point — the knob that moves the provisioning corner (speedup needs
-// ≥ 4 free cores; on fewer, the measured ratio degrades toward 1).
+// off it.
 func E1SubframeVsMCS(quick bool) (Result, error) {
 	mcsGrid := []phy.MCS{0, 4, 9, 13, 17, 22, 28}
 	prbGrid := []int{25, 50, 100}
@@ -120,10 +116,9 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 	res := Result{
 		ID:      "E1",
 		Title:   "UL subframe processing time vs MCS and bandwidth (measured Go DSP)",
-		Header:  []string{"mcs", "mod", "tbs@100prb(bits)", "t@25prb(ms)", "t@50prb(ms)", "t@100prb(ms)", "t@100prb/4w(ms)", "speedup@4w", "turbo-iters"},
+		Header:  []string{"mcs", "mod", "tbs@100prb(bits)", "t@25prb(ms)", "t@50prb(ms)", "t@100prb(ms)", "turbo-iters"},
 		Metrics: map[string]float64{},
 	}
-	const parWorkers = 4
 	for _, mcs := range mcsGrid {
 		row := []string{fmt.Sprintf("%d", mcs), mcs.Modulation().String()}
 		tbs, err := mcs.TransportBlockSize(100)
@@ -132,7 +127,6 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 		}
 		row = append(row, fmt.Sprintf("%d", tbs))
 		iters := 0
-		serial100 := 0.0
 		for _, nprb := range []int{25, 50, 100} {
 			in := false
 			for _, p := range prbGrid {
@@ -150,30 +144,14 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 			}
 			row = append(row, ms(tm.Total().Seconds()))
 			iters = tm.TurboIterations
-			if nprb == 100 {
-				serial100 = tm.Total().Seconds()
-			}
 			res.Metrics[fmt.Sprintf("mcs%d_prb%d_ms", mcs, nprb)] = tm.Total().Seconds() * 1e3
-		}
-		if serial100 > 0 {
-			tm, err := measureDecode(mcs, 100, reps, int64(mcs)*100+100, phy.DecodeProfile{Workers: parWorkers, Kernel: phy.KernelFloat32})
-			if err != nil {
-				return res, err
-			}
-			par := tm.Total().Seconds()
-			row = append(row, ms(par), fmt.Sprintf("%.2fx", serial100/par))
-			res.Metrics[fmt.Sprintf("mcs%d_prb100_w%d_ms", mcs, parWorkers)] = par * 1e3
-			res.Metrics[fmt.Sprintf("mcs%d_speedup_w%d", mcs, parWorkers)] = serial100 / par
-		} else {
-			row = append(row, "-", "-")
 		}
 		row = append(row, fmt.Sprintf("%d", iters))
 		res.Rows = append(res.Rows, row)
 	}
 	res.Notes = append(res.Notes,
 		"float32 reference kernel (phy.KernelFloat32), one block at a time: tens of times slower than the paper's SIMD C stack and several times slower than this repo's default int16 lockstep path (E12/E17); shapes (linear in PRB, turbo-dominated growth in MCS) are the reproduced result",
-		"operating point: per-MCS operating SNR + 3 dB, CRC-based early termination active",
-		fmt.Sprintf("4w columns fan code blocks across %d turbo decoders (phy.ParallelDecoder); GOMAXPROCS=%d on this run", parWorkers, runtime.GOMAXPROCS(0)))
+		"operating point: per-MCS operating SNR + 3 dB, CRC-based early termination active")
 	return res, nil
 }
 

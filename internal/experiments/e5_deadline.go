@@ -30,7 +30,6 @@ func makeTemplate(mcs phy.MCS, nprb int, seed int64, budget time.Duration, prof 
 	if err != nil {
 		return nil, err
 	}
-	defer proc.Close()
 	tbs, err := mcs.TransportBlockSize(nprb)
 	if err != nil {
 		return nil, err

@@ -1,5 +1,6 @@
 // Package experiments regenerates PRAN's evaluation: one function per
-// reconstructed table/figure (E1–E20, indexed in DESIGN.md §4). Each returns
+// reconstructed table/figure (E1–E20 less the retired E11, indexed in
+// DESIGN.md §4). Each returns
 // a Result whose rows cmd/pran-bench prints and whose headline numbers the
 // root bench_test.go reports as benchmark metrics. The quick flag trades
 // sweep breadth for runtime so `go test -bench` stays fast; the full sweeps
@@ -7,8 +8,8 @@
 //
 // Concurrency: experiment functions are plain synchronous calls — each runs
 // its sweep on the calling goroutine and returns a self-contained Result.
-// Measured experiments spin up their own dataplane pools or parallel
-// decoders internally and tear them down before returning, so concurrent
+// Measured experiments spin up their own dataplane pools or transport
+// processors internally and tear them down before returning, so concurrent
 // experiment runs don't share state; the only process-global is the lazily
 // calibrated deadline scale, which is written once and is not safe to race
 // from multiple goroutines (the benchmark and CLI drivers run experiments
@@ -19,7 +20,11 @@ import (
 	"fmt"
 	"math"
 
+	"pran/internal/cluster"
+	"pran/internal/dataplane"
+	"pran/internal/frame"
 	"pran/internal/metrics"
+	"pran/internal/phy"
 )
 
 // Result is one experiment's regenerated table.
@@ -65,6 +70,27 @@ func f(v float64) string {
 // ms formats seconds as milliseconds.
 func ms(sec float64) string { return fmt.Sprintf("%.3f", sec*1e3) }
 
+// alloc100 is the fully loaded 100-PRB allocation at an MCS's operating
+// point — the provisioning corner case.
+func alloc100(mcs phy.MCS) frame.Allocation {
+	return frame.Allocation{RNTI: 1, FirstPRB: 0, NumPRB: 100, MCS: mcs, SNRdB: mcs.OperatingSNR()}
+}
+
+// feasibleMCS returns the highest MCS whose full-band subframe cost fits the
+// HARQ compute budget on the model's reference core, or -1 if none does.
+func feasibleMCS(m cluster.CostModel) int {
+	best := -1
+	for mcs := phy.MCS(0); mcs <= 28; mcs++ {
+		if _, err := mcs.TransportBlockSize(100); err != nil {
+			continue
+		}
+		if m.AllocCost(alloc100(mcs)) <= dataplane.HARQBudget {
+			best = int(mcs)
+		}
+	}
+	return best
+}
+
 // baseSeed shifts the deterministic seeds experiments derive their workloads
 // and fault schedules from. The default 1 reproduces the committed baselines
 // bit for bit; cmd/pran-bench's -seed flag overrides it so a soak or sweep
@@ -102,7 +128,6 @@ func All(quick bool) ([]Result, error) {
 		E8Failover,
 		E9Controller,
 		E10HeadroomAblation,
-		E11ParallelSpeedup,
 		E12KernelAblation,
 		E13FrontEndAblation,
 		E14TelemetryOverhead,

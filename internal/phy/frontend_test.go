@@ -16,26 +16,23 @@ import (
 // hosts a third, scalar-tile fused processor (NoVectorFrontEnd) decodes the
 // same vector, pinning the vector and pure-Go tile kernels to each other at
 // every code-block boundary residue the configuration produces.
-func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb, workers int, kernel DecodeKernel, rvs []int, snrDB float64, seed int64) {
+func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb int, kernel DecodeKernel, rvs []int, snrDB float64, seed int64) {
 	t.Helper()
-	staged, err := newTBProc(mcs, nprb, DecodeProfile{Workers: workers, Kernel: kernel, FrontEnd: FrontEndStaged})
+	staged, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: kernel, FrontEnd: FrontEndStaged})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer staged.Close()
-	fused, err := newTBProc(mcs, nprb, DecodeProfile{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused})
+	fused, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: kernel, FrontEnd: FrontEndFused})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fused.Close()
 	var scalar *tbProc
 	var sbSc *SoftBuffer
 	if FrontEndAVX2() {
-		scalar, err = newTBProc(mcs, nprb, DecodeProfile{Workers: workers, Kernel: kernel, FrontEnd: FrontEndFused, NoVectorFrontEnd: true})
+		scalar, err = newTBProc(mcs, nprb, DecodeProfile{Kernel: kernel, FrontEnd: FrontEndFused, NoVectorFrontEnd: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer scalar.Close()
 		sbSc = scalar.NewSoftBuffer()
 	}
 
@@ -109,7 +106,7 @@ func TestFusedFrontEndMatchesStagedOracle(t *testing.T) {
 		for i, c := range cases {
 			// op+3dB: first transmission usually passes; the low-SNR HARQ
 			// case below covers combining across rv.
-			decodeBothFrontEnds(t, c.mcs, c.nprb, 1, kernel, []int{0}, c.mcs.OperatingSNR()+3, int64(100+i))
+			decodeBothFrontEnds(t, c.mcs, c.nprb, kernel, []int{0}, c.mcs.OperatingSNR()+3, int64(100+i))
 		}
 	}
 }
@@ -121,16 +118,9 @@ func TestFusedFrontEndHARQRetransmissions(t *testing.T) {
 		mcs  MCS
 		nprb int
 	}{{13, 50}, {22, 100}} {
-		decodeBothFrontEnds(t, c.mcs, c.nprb, 1, KernelFloat32,
+		decodeBothFrontEnds(t, c.mcs, c.nprb, KernelFloat32,
 			[]int{0, 2, 3, 1}, c.mcs.OperatingSNR()-4, 7)
 	}
-}
-
-func TestFusedFrontEndParallelOverlap(t *testing.T) {
-	// With decode workers the fused front-end runs per block on the claiming
-	// worker; output must stay bit-identical to the staged serial oracle.
-	decodeBothFrontEnds(t, 27, 100, 3, KernelInt16, []int{0}, MCS(27).OperatingSNR()+3, 11)
-	decodeBothFrontEnds(t, 20, 75, 4, KernelFloat32, []int{0, 2}, MCS(20).OperatingSNR()-3, 13)
 }
 
 func TestFrontEndValidate(t *testing.T) {
@@ -193,6 +183,6 @@ func FuzzFusedFrontEnd(f *testing.F) {
 		if rv != 0 {
 			rvs = []int{0, rv}
 		}
-		decodeBothFrontEnds(t, mcs, nprb, 1, KernelFloat32, rvs, mcs.OperatingSNR()+1, seed)
+		decodeBothFrontEnds(t, mcs, nprb, KernelFloat32, rvs, mcs.OperatingSNR()+1, seed)
 	})
 }

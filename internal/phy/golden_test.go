@@ -96,11 +96,11 @@ func goldenDigest(h io.Writer, payload []byte, err error, sb *SoftBuffer, iters 
 // shape: every shape of the sweep is sent at its operating-point SNR (so
 // some blocks stop early, some run to the iteration cap and some fail their
 // CRC), RV 0 then RV 2 into one soft buffer, through the int16 lockstep,
-// int16 scalar and float32 decoders, as a solo Decode and as a DecodeJoint
-// of three transport blocks, and payload ‖ soft buffer ‖ iteration count of
-// each transport block is hashed. One decoder set and three processors per
-// variant serve the whole sweep, so whatever a decode leaves behind in them
-// meets every later shape.
+// int16 scalar and float32 decoders, as a solo Decode of the first transport
+// block and as serial decodes of three transport blocks, block j on
+// processor j, and payload ‖ soft buffer ‖ iteration count of each
+// transport block is hashed. Three processors per variant serve the whole
+// sweep, so whatever a decode leaves behind in them meets every later shape.
 func TestDecodeGoldenDigests(t *testing.T) {
 	variants := []struct {
 		name string
@@ -113,10 +113,8 @@ func TestDecodeGoldenDigests(t *testing.T) {
 	rigs := make([]*goldenRig, len(variants))
 	for i, v := range variants {
 		rigs[i] = newGoldenRig(t, v.opts)
-		defer rigs[i].close()
 	}
 	enc := newGoldenRig(t, DecodeProfile{})
-	defer enc.close()
 
 	var lines []string
 	failed, passed, capped := 0, 0, 0
@@ -160,21 +158,24 @@ func TestDecodeGoldenDigests(t *testing.T) {
 			}
 			lines = append(lines, fmt.Sprintf("mcs=%d nprb=%d %s solo tb=0 %x", s.mcs, s.nprb, v.name, solo.Sum(nil)))
 
-			// Joint: all three in one fan-out per transmission.
+			// Serial: all three in turn per transmission, each on its own
+			// processor.
 			hs := [3]hash.Hash{sha256.New(), sha256.New(), sha256.New()}
 			sbs := [3]*SoftBuffer{mustSoftBuffer(t, s), mustSoftBuffer(t, s), mustSoftBuffer(t, s)}
 			for r, rv := range goldenRVs {
-				res := rig.decodeJoint(t, s, tbsOf, r, rv, sbs[:])
-				for j := range res {
-					goldenDigest(hs[j], res[j].Payload, res[j].Err, sbs[j], res[j].Iters)
+				for j := range tbsOf {
+					tb := &tbsOf[j]
+					out, iters, err := rig.decodeOn(t, j, s, tb.rx[r], tb.n0, tb.rnti, rv, sbs[j])
+					goldenDigest(hs[j], out, err, sbs[j], iters)
 				}
 			}
 			for j := range hs {
-				lines = append(lines, fmt.Sprintf("mcs=%d nprb=%d %s joint tb=%d %x", s.mcs, s.nprb, v.name, j, hs[j].Sum(nil)))
+				lines = append(lines, fmt.Sprintf("mcs=%d nprb=%d %s serial tb=%d %x", s.mcs, s.nprb, v.name, j, hs[j].Sum(nil)))
 			}
-			// DecodeJoint is documented bit-identical to serial decodes.
+			// One transport block decodes the same on a processor whatever it
+			// decoded before.
 			if a, b := lines[len(lines)-4], lines[len(lines)-3]; a[strings.LastIndexByte(a, ' '):] != b[strings.LastIndexByte(b, ' '):] {
-				t.Errorf("solo and joint digests of one transport block differ:\n%s\n%s", a, b)
+				t.Errorf("solo and serial digests of one transport block differ:\n%s\n%s", a, b)
 			}
 		}
 	}
@@ -230,30 +231,23 @@ func mustSoftBuffer(t *testing.T, s goldenShape) *SoftBuffer {
 }
 
 // goldenRig is the only part of this file that names the processor API:
-// one decoder set with three processors sized for the largest transport
-// block, and the calls the sweep makes on them.
+// three processors sized for the largest transport block, and the calls the
+// sweep makes on them.
 type goldenRig struct {
-	ds    *DecoderSet
-	jd    *JointDecoder
 	procs [3]*TransportProcessor
 }
 
 func newGoldenRig(t *testing.T, o DecodeProfile) *goldenRig {
 	t.Helper()
-	ds, err := NewDecoderSet(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := &goldenRig{ds: ds, jd: NewJointDecoder()}
+	g := &goldenRig{}
 	for i := range g.procs {
-		if g.procs[i], err = ds.NewProcessor(MaxPRB); err != nil {
+		var err error
+		if g.procs[i], err = NewTransportProcessor(MaxPRB, o); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return g
 }
-
-func (g *goldenRig) close() { g.ds.Close() }
 
 func (g *goldenRig) encode(t *testing.T, s goldenShape, payload []byte, rnti uint16, rv int) []complex128 {
 	t.Helper()
@@ -266,22 +260,13 @@ func (g *goldenRig) encode(t *testing.T, s goldenShape, payload []byte, rnti uin
 
 func (g *goldenRig) decode(t *testing.T, s goldenShape, rx []complex128, n0 float64, rnti uint16, rv int, sb *SoftBuffer) ([]byte, int, error) {
 	t.Helper()
-	p := g.procs[0]
-	out, err := p.Decode(s.mcs, s.nprb, rx, n0, rnti, 101, 4, rv, sb)
-	return out, p.Timings.TurboIterations, err
+	return g.decodeOn(t, 0, s, rx, n0, rnti, rv, sb)
 }
 
-func (g *goldenRig) decodeJoint(t *testing.T, s goldenShape, tbs []goldenTB, r, rv int, sbs []*SoftBuffer) []DecodeRequest {
+// decodeOn decodes on processor j.
+func (g *goldenRig) decodeOn(t *testing.T, j int, s goldenShape, rx []complex128, n0 float64, rnti uint16, rv int, sb *SoftBuffer) ([]byte, int, error) {
 	t.Helper()
-	reqs := make([]DecodeRequest, len(tbs))
-	for j := range tbs {
-		reqs[j] = DecodeRequest{
-			P: g.procs[j], MCS: s.mcs, NumPRB: s.nprb, RX: tbs[j].rx[r], N0: tbs[j].n0,
-			RNTI: tbs[j].rnti, CellID: 101, Subframe: 4, RV: rv, SB: sbs[j],
-		}
-	}
-	if err := g.jd.DecodeJoint(reqs); err != nil {
-		t.Fatal(err)
-	}
-	return reqs
+	p := g.procs[j]
+	out, err := p.Decode(s.mcs, s.nprb, rx, n0, rnti, 101, 4, rv, sb)
+	return out, p.Timings.TurboIterations, err
 }

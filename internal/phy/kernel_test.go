@@ -293,7 +293,7 @@ func (r kernelBLER) bler() float64 {
 // outcomes; the same seed gives every kernel the same payloads and noise.
 func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials int, seed int64, kernel DecodeKernel) kernelBLER {
 	t.Helper()
-	proc, err := newTBProc(mcs, nprb, DecodeProfile{Workers: 1, Kernel: kernel})
+	proc, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: kernel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,19 +402,19 @@ func TestI16BLERParityHighSNR(t *testing.T) {
 }
 
 // TestTransportKernelI16 exercises the kernel through the full transport
-// chain, serial and parallel, and checks parallel/serial bit-identity.
+// chain, scalar per block and in lockstep spans, and checks their
+// bit-identity.
 func TestTransportKernelI16(t *testing.T) {
 	const nprb = 50
 	const mcs = MCS(22) // segments into several code blocks at 50 PRB
-	serial, err := newTBProc(mcs, nprb, DecodeProfile{Workers: 1, Kernel: KernelInt16})
+	serial, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: KernelInt16, Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := newTBProc(mcs, nprb, DecodeProfile{Workers: 3, Kernel: KernelInt16})
+	par, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: KernelInt16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer par.Close()
 	if serial.Profile().Kernel != KernelInt16 || par.Profile().Kernel != KernelInt16 {
 		t.Fatalf("kernels %v/%v, want int16", serial.Profile().Kernel, par.Profile().Kernel)
 	}
@@ -432,7 +432,7 @@ func TestTransportKernelI16(t *testing.T) {
 		gotS, errS := serial.Decode(rx, ch.N0(), 17, 7, uint8(trial), 0, nil)
 		gotP, errP := par.Decode(rx, ch.N0(), 17, 7, uint8(trial), 0, nil)
 		if (errS == nil) != (errP == nil) {
-			t.Fatalf("trial %d: serial err=%v, parallel err=%v", trial, errS, errP)
+			t.Fatalf("trial %d: scalar err=%v, lockstep err=%v", trial, errS, errP)
 		}
 		if errS != nil {
 			if !errors.Is(errS, ErrCRC) {
@@ -442,7 +442,7 @@ func TestTransportKernelI16(t *testing.T) {
 		}
 		for i := range gotS {
 			if gotS[i] != gotP[i] {
-				t.Fatalf("trial %d: parallel bit %d differs from serial", trial, i)
+				t.Fatalf("trial %d: lockstep bit %d differs from scalar", trial, i)
 			}
 			if gotS[i] != payload[i] {
 				t.Fatalf("trial %d: decoded bit %d differs from payload", trial, i)

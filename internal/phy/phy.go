@@ -27,12 +27,10 @@
 // belongs to exactly one goroutine at a time: sized once for the largest
 // block rather than per (MCS, PRB) shape or K, reused across calls and never
 // locked, which keeps the steady-state hot path allocation-free and an
-// owner's memory independent of its traffic. The one construct that spans
-// goroutines is
-// ParallelDecoder: it owns a set of resident helper goroutines that fan a
-// transport block's code blocks across per-worker TurboDecoders, while its
-// Decode/Close API remains single-owner like everything else. The
-// end-to-end threading model is documented in docs/concurrency.md.
+// owner's memory independent of its traffic. The package starts no
+// goroutines: a TransportProcessor decodes every code block of a transport
+// block on its caller's goroutine. The end-to-end threading model is
+// documented in docs/concurrency.md.
 package phy
 
 import (

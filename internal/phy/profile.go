@@ -2,37 +2,30 @@ package phy
 
 import "fmt"
 
-// DecodeProfile declares the uplink decode pipeline: how many workers a
-// transport block's code blocks fan across, the turbo SISO arithmetic, the
-// front-end that feeds it, and the lockstep width. It is the one declaration
-// of that pipeline — a TransportProcessor and its DecoderSet are built from
-// it, a worker pool carries it as dataplane.Config.Decode, and the cost model
+// DecodeProfile declares the uplink decode pipeline: the turbo SISO
+// arithmetic, the front-end that feeds it, and the lockstep width. It is the
+// one declaration of that pipeline — a TransportProcessor is built from it,
+// a worker pool carries it as dataplane.Config.Decode, and the cost model
 // prices it as cluster.CostModel.Profile — and it is comparable, so "does
 // this provisioning answer describe the pipeline that runs" is p == q.
 //
-// The zero value is the default, and fastest, path: one worker, KernelInt16
-// at lockstep width 8, FrontEndFused with the host's vector tile kernels.
+// The zero value is the default, and fastest, path: KernelInt16 at lockstep
+// width 8, FrontEndFused with the host's vector tile kernels.
 // The reference paths (KernelFloat32, Batch 1, FrontEndStaged,
 // NoVectorFrontEnd) are test oracles and measurement columns; they run only
 // where a caller names them.
 type DecodeProfile struct {
-	// Workers is the decode parallelism, caller included: a transport
-	// block's code blocks fan across this many turbo decoders. 0 and 1 both
-	// mean the caller decodes alone; values above 1 keep Workers-1 resident
-	// helper goroutines that the owner's Close releases.
-	Workers int
 	// Kernel selects the turbo SISO arithmetic.
 	Kernel DecodeKernel
 	// FrontEnd selects the fused single-pass or the staged three-sweep decode
 	// front-end. Outputs are bit-identical either way.
 	FrontEnd FrontEnd
-	// Batch is the lockstep width: a worker claims Batch code blocks at a
-	// time and decodes the span through one BatchDecoderI16 pass (a lone
+	// Batch is the lockstep width: a transport block's code blocks decode
+	// Batch at a time, each span through one BatchDecoderI16 pass (a lone
 	// leftover block falls back to the scalar decoder, which is faster than a
 	// one-lane batch). 0 means the kernel's own width (see Width); 1 is
 	// scalar per-block decode, the oracle the lockstep kernel is
-	// bit-identical to. It composes with Workers: each worker claims Batch
-	// blocks at a time.
+	// bit-identical to.
 	Batch int
 	// NoVectorFrontEnd forces the fused front-end's pure-Go tile kernels
 	// even where the AVX2 ones are available (FrontEndAVX2). Outputs are
@@ -60,17 +53,15 @@ func (p DecodeProfile) Width() int {
 }
 
 // Validate reports whether the profile names a pipeline that exists. Every
-// consumer — NewDecoderSet, dataplane.NewPool, cluster.CostModel.Validate —
-// rejects a profile by calling this, so they cannot disagree.
+// consumer — NewTransportProcessor, dataplane.NewPool,
+// cluster.CostModel.Validate — rejects a profile by calling this, so they
+// cannot disagree.
 func (p DecodeProfile) Validate() error {
 	if err := p.Kernel.Validate(); err != nil {
 		return err
 	}
 	if err := p.FrontEnd.Validate(); err != nil {
 		return err
-	}
-	if p.Workers < 0 {
-		return fmt.Errorf("phy: %d decode workers: %w", p.Workers, ErrBadParameter)
 	}
 	if p.Batch < 0 || p.Batch > maxProfileWidth {
 		return fmt.Errorf("phy: lockstep width %d (want 0..%d): %w", p.Batch, maxProfileWidth, ErrBadParameter)

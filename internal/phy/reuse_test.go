@@ -51,7 +51,6 @@ func newReuseTB(t *testing.T, mcs MCS, nprb int, o DecodeProfile, ownSoft bool, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	tbs, err := mcs.TransportBlockSize(nprb)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +83,7 @@ func newReuseTB(t *testing.T, mcs MCS, nprb int, o DecodeProfile, ownSoft bool, 
 }
 
 // TestProcessorReuseMatchesFresh is the stale-state property: one processor
-// (and one decoder set) decoding a random interleaving of shapes and
+// (and its one turbo decoder) decoding a random interleaving of shapes and
 // redundancy versions gives, for every decode, the payload, the soft buffer
 // and the iteration count of a processor built fresh for that transport
 // block — starting with the largest shape followed by a three-PRB shape with
@@ -95,7 +94,6 @@ func TestProcessorReuseMatchesFresh(t *testing.T) {
 		"scalar":  {Batch: 1},
 		"float32": {Kernel: KernelFloat32},
 		"staged":  {FrontEnd: FrontEndStaged},
-		"workers": {Workers: 3},
 	} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
@@ -130,7 +128,6 @@ func TestProcessorReuseMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer p.Close()
 			sent := make([]int, len(tbs))
 			for _, i := range order {
 				tb, r := tbs[i], sent[i]
@@ -217,7 +214,6 @@ func TestProcessorNoAllocOnNewShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer p.Close()
 			// One decode builds the decode side and the turbo working set;
 			// everything after it is a shape the processor meets for the
 			// first time.
@@ -304,10 +300,10 @@ func TestPlansSharedAcrossGoroutines(t *testing.T) {
 }
 
 // TestProcessorScratchCoversEveryShape checks the sizing argument of
-// NewProcessor and initDecode by enumeration: for every construction PRB
-// count, no shape the processor accepts needs more transport-block bits,
-// coded bits, code blocks, block bits or soft values than the top shape's
-// bounds provide.
+// NewTransportProcessor and initDecode by enumeration: for every
+// construction PRB count, no shape the processor accepts needs more
+// transport-block bits, coded bits, code blocks, block bits or soft values
+// than the top shape's bounds provide.
 func TestProcessorScratchCoversEveryShape(t *testing.T) {
 	for maxPRB := 1; maxPRB <= MaxPRB; maxPRB++ {
 		top, err := shapeOf(MaxMCS, maxPRB)

@@ -11,29 +11,13 @@ type tbProc struct {
 	sh tbShape
 }
 
-// newTBProc builds a processor of its own, sized for nprb, bound to the
-// shape.
+// newTBProc builds a processor sized for nprb, bound to the shape.
 func newTBProc(mcs MCS, nprb int, o DecodeProfile) (*tbProc, error) {
-	ds, err := NewDecoderSet(o)
-	if err != nil {
-		return nil, err
-	}
-	p, err := ds.newTBProc(mcs, nprb)
-	if err != nil {
-		return nil, err
-	}
-	p.ownDecs = true
-	return p, nil
-}
-
-// newTBProc builds a processor on the set, sized for nprb, bound to the
-// shape.
-func (ds *DecoderSet) newTBProc(mcs MCS, nprb int) (*tbProc, error) {
 	sh, err := shapeOf(mcs, nprb)
 	if err != nil {
 		return nil, err
 	}
-	p, err := ds.NewProcessor(nprb)
+	p, err := NewTransportProcessor(nprb, o)
 	if err != nil {
 		return nil, err
 	}
@@ -46,14 +30,6 @@ func (p *tbProc) Encode(payload []byte, rnti, cellID uint16, subframe uint8, rv 
 
 func (p *tbProc) Decode(rx []complex128, n0 float64, rnti, cellID uint16, subframe uint8, rv int, sb *SoftBuffer) ([]byte, error) {
 	return p.TransportProcessor.Decode(p.sh.mcs, p.sh.nprb, rx, n0, rnti, cellID, subframe, rv, sb)
-}
-
-// request returns the joint-decode request for one transmission on p.
-func (p *tbProc) request(rx []complex128, n0 float64, rnti uint16, rv int, sb *SoftBuffer) DecodeRequest {
-	return DecodeRequest{
-		P: p.TransportProcessor, MCS: p.sh.mcs, NumPRB: p.sh.nprb,
-		RX: rx, N0: n0, RNTI: rnti, CellID: 101, Subframe: 4, RV: rv, SB: sb,
-	}
 }
 
 func (p *tbProc) MCS() MCS                { return p.sh.mcs }

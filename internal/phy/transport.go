@@ -23,40 +23,33 @@ import (
 // fixes is derived per call (tbShape). Scratch is sized once for the owner's
 // largest transport block (MaxMCS at the construction PRB count) and a call
 // uses the leading part of it: the encode side at construction, the decode
-// side and the decoder set's turbo working set by the first Decode, so an
+// side and the turbo decoder's working set by the first Decode, so an
 // encode-only owner (the RRH emulator, the downlink path) never carries
 // them. A processor's memory and the cost of its first Encode or Decode of
 // a never-seen shape do not depend on what it has processed, and processing
 // performs no heap allocation — the property that keeps Go's GC out of the
 // PHY deadline path (DESIGN.md §2).
 //
-// A TransportProcessor is not safe for concurrent use; the data plane keeps
-// one per worker batch slot. With decode workers > 1 the turbo stage of
-// Decode fans out across the set's resident ParallelDecoder helpers; that
-// internal fan-out does not change the external contract (one owning
-// goroutine per processor), but such a processor must be Closed to release
-// the helper goroutines. See docs/concurrency.md for the end-to-end
-// threading model.
+// A TransportProcessor is not safe for concurrent use and starts no
+// goroutines: every stage of Decode, turbo decoding included, runs on the
+// calling goroutine. The data plane keeps one per pool worker. See
+// docs/concurrency.md for the end-to-end threading model.
 type TransportProcessor struct {
-	top      tbShape // the largest shape: MaxMCS at the construction PRB count
-	frontEnd FrontEnd
+	top  tbShape // the largest shape: MaxMCS at the construction PRB count
+	prof DecodeProfile
 
 	enc     *TurboEncoder
-	decs    *DecoderSet // the turbo decoder; private unless built by DecoderSet.NewProcessor
-	ownDecs bool
-	maxIter int // turbo iteration bound applied to the decoder per Decode (0 = default)
+	dec     *spanDecoder // the turbo decoder, built by the first Decode
+	maxIter int          // turbo iteration bound applied to the decoder per Decode (0 = default)
 	scr     *Scrambler
 
 	// The running call's configuration and its K's rate-match plan.
 	sh tbShape
 	rm *RateMatcher
 
-	// Fused front-end per-call state. The owner writes these (and sh, rm)
-	// before the per-block front-ends run; under the parallel overlap the
-	// wake-channel send inside ParallelDecoder.Decode publishes them to the
-	// helpers, which treat them as read-only (see frontEndBlock).
-	feFn    func(int) // p.frontEndBlock, bound once so installing it never allocates
-	feTimed func(int) // p.frontEndBlockTimed, likewise
+	// Fused front-end per-call state, written before the per-block
+	// front-ends run (see frontEndBlock).
+	fe      func(int) // p.frontEndBlock, bound once so installing it never allocates
 	feRX    []complex128
 	feKey   []uint32
 	feSB    *SoftBuffer
@@ -143,17 +136,18 @@ type StageTimings struct {
 	Dematch     time.Duration // soft de-rate-matching (staged front-end)
 	// FrontEnd is the fused single-pass demod+descramble+dematch time; it
 	// replaces the three staged fields above when the processor runs
-	// FrontEndFused. The per-block front-ends run as the decoder's prepare
-	// hook; with one decode worker the hook runs on the calling goroutine,
-	// where it is timed block by block and subtracted from the decode
-	// region. Only under the parallel overlap (decode workers > 1), where
-	// front-ends interleave with turbo decoding across workers and are not
-	// separable, is the time folded into TurboDecode and FrontEnd reads 0.
+	// FrontEndFused. The per-block front-ends run as the turbo decoder's
+	// prepare hook, timed block by block and subtracted from the decode
+	// region.
 	FrontEnd    time.Duration
 	TurboDecode time.Duration
 	CRCCheck    time.Duration // desegmentation + CRC verification
 	// TurboIterations is the total turbo iterations across code blocks.
 	TurboIterations int
+	// Spans counts the turbo stage's spans by width: Spans[n] is the number
+	// of spans that decoded n code blocks together, n = 1 being a scalar
+	// decode. Spans narrower than the profile's lockstep width are ragged.
+	Spans [maxProfileWidth + 1]int
 }
 
 // Total returns the decode-side total (the HARQ-deadline-relevant part).
@@ -263,67 +257,12 @@ func (sb *SoftBuffer) Unmarshal(src []byte) (int, error) {
 	return need, nil
 }
 
-// DecoderSet is one goroutine's turbo decoder: a single ParallelDecoder,
-// built by the first decode and shared by every processor created through
-// NewProcessor, whatever shapes they decode. The set and its processors
-// share the processors' ownership rule: one goroutine at a time. Close
-// releases the helper goroutines of sets with Workers > 1.
-type DecoderSet struct {
-	prof DecodeProfile
-	pd   *ParallelDecoder
-}
-
-// NewDecoderSet validates the profile and returns a set that has not built
-// its decoder yet.
-func NewDecoderSet(prof DecodeProfile) (*DecoderSet, error) {
+// NewTransportProcessor builds a processor for transport blocks of up to
+// maxPRB resource blocks that runs the given decode profile.
+func NewTransportProcessor(maxPRB int, prof DecodeProfile) (*TransportProcessor, error) {
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	return &DecoderSet{prof: prof}, nil
-}
-
-// decoder returns the set's decoder, creating it and its working sets on
-// first request.
-func (ds *DecoderSet) decoder() (*ParallelDecoder, error) {
-	if ds.pd == nil {
-		pd, err := NewParallelDecoder(ds.prof)
-		if err != nil {
-			return nil, err
-		}
-		ds.pd = pd
-	}
-	return ds.pd, nil
-}
-
-// Close releases the resident decode goroutines of the set's decoder. It
-// must not race an in-flight Decode of any of the set's processors.
-func (ds *DecoderSet) Close() error {
-	if ds.pd != nil {
-		return ds.pd.Close()
-	}
-	return nil
-}
-
-// NewTransportProcessor builds a processor for transport blocks of up to
-// maxPRB resource blocks, with the given profile and a decoder set of its
-// own.
-func NewTransportProcessor(maxPRB int, prof DecodeProfile) (*TransportProcessor, error) {
-	ds, err := NewDecoderSet(prof)
-	if err != nil {
-		return nil, err
-	}
-	p, err := ds.NewProcessor(maxPRB)
-	if err != nil {
-		return nil, err
-	}
-	p.ownDecs = true
-	return p, nil
-}
-
-// NewProcessor builds a processor for transport blocks of up to maxPRB
-// resource blocks that runs the set's profile and decodes with the set's
-// decoder. Closing the set, not the processor, releases it.
-func (ds *DecoderSet) NewProcessor(maxPRB int) (*TransportProcessor, error) {
 	// MaxMCS has the largest payload and, being 64-QAM, the most coded bits.
 	top, err := shapeOf(MaxMCS, maxPRB)
 	if err != nil {
@@ -331,9 +270,10 @@ func (ds *DecoderSet) NewProcessor(maxPRB int) (*TransportProcessor, error) {
 	}
 	p := &TransportProcessor{
 		top:      top,
-		frontEnd: ds.prof.FrontEnd,
-		feVec:    FrontEndAVX2() && !ds.prof.NoVectorFrontEnd,
-		enc:      NewTurboEncoder(), decs: ds, scr: NewScrambler(0),
+		prof:     prof,
+		feVec:    FrontEndAVX2() && !prof.NoVectorFrontEnd,
+		enc:      NewTurboEncoder(),
+		scr:      NewScrambler(0),
 		tbBits:   make([]byte, top.seg.B),
 		blockBuf: make([]byte, MaxBlockSize),
 		d0:       make([]byte, MaxBlockSize+4),
@@ -344,9 +284,8 @@ func (ds *DecoderSet) NewProcessor(maxPRB int) (*TransportProcessor, error) {
 	}
 	// Cover the longest keystream now, so no later call grows it.
 	p.scr.KeyWords(top.e)
-	// Bound once: installing a hook per call allocates nothing.
-	p.feFn = p.frontEndBlock
-	p.feTimed = p.frontEndBlockTimed
+	// Bound once: installing the hook per call allocates nothing.
+	p.fe = p.frontEndBlock
 	return p, nil
 }
 
@@ -361,7 +300,7 @@ func (p *TransportProcessor) initDecode() {
 	p.joined = make([]byte, b)
 	p.softBuf = &SoftBuffer{}
 	p.softBuf.reshape(c, b/c+93) // C·(K+4) < B + 92·C values, C views
-	if p.frontEnd == FrontEndStaged {
+	if p.prof.FrontEnd == FrontEndStaged {
 		p.llr = make([]float32, 0, p.top.e)
 	}
 }
@@ -404,13 +343,25 @@ func (p *TransportProcessor) setDecodeShape(mcs MCS, nprb int) error {
 }
 
 // Profile returns the decode profile the processor was built with.
-func (p *TransportProcessor) Profile() DecodeProfile { return p.decs.prof }
+func (p *TransportProcessor) Profile() DecodeProfile { return p.prof }
+
+// decoder returns the processor's turbo decoder, building it and its
+// working sets on the first request.
+func (p *TransportProcessor) decoder() (*spanDecoder, error) {
+	if p.dec == nil {
+		sd, err := newSpanDecoder(p.prof)
+		if err != nil {
+			return nil, err
+		}
+		p.dec = sd
+	}
+	return p.dec, nil
+}
 
 // SetMaxIterations bounds the turbo decoders' full iterations for subsequent
 // Decode calls (n ≤ 0 restores the default budget) — the degradation
-// ladder's iteration-cap knob. The bound is the processor's, applied to the
-// (possibly shared) decoder at each Decode. Like Decode, only the owning
-// goroutine may call this, between decode calls.
+// ladder's iteration-cap knob, applied to the decoder at each Decode. Like
+// Decode, only the owning goroutine may call this, between decode calls.
 func (p *TransportProcessor) SetMaxIterations(n int) {
 	if n <= 0 {
 		n = DefaultTurboIterations
@@ -424,16 +375,6 @@ func (p *TransportProcessor) MaxIterations() int {
 		return DefaultTurboIterations
 	}
 	return p.maxIter
-}
-
-// Close releases the resident decode goroutines of a processor that owns
-// its decoder set. It is a no-op for processors built from a shared set
-// (close the set instead) and must not race an in-flight Decode.
-func (p *TransportProcessor) Close() error {
-	if p.ownDecs {
-		return p.decs.Close()
-	}
-	return nil
 }
 
 // checkBlockCRC24B reports whether a decoded code block passes its CRC-24B —
@@ -518,7 +459,7 @@ const fillerLLR = 1e4
 // a fresh internal buffer is used. On success the returned slice (owned by
 // the processor, valid until next Decode) holds the payload bits; a CRC
 // failure returns ErrCRC. Output and soft-buffer contents are bit-identical
-// across front-ends, kernels, worker counts and the processor's history.
+// across front-ends, kernels, lockstep widths and the processor's history.
 func (p *TransportProcessor) Decode(mcs MCS, nprb int, rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer) ([]byte, error) {
 	if err := p.setDecodeShape(mcs, nprb); err != nil {
 		return nil, err
@@ -536,18 +477,18 @@ func (p *TransportProcessor) Decode(mcs MCS, nprb int, rx []complex128, n0 float
 	} else if err := sh.checkSoftBuffer(sb); err != nil {
 		return nil, err
 	}
-	par, err := p.decs.decoder()
+	sd, err := p.decoder()
 	if err != nil {
 		return nil, err
 	}
-	par.SetMaxIterations(p.maxIter)
+	sd.setMaxIterations(p.maxIter)
 	p.Timings.TurboIterations = 0
 	check := checkBlockCRC24A
 	if sh.seg.C > 1 {
 		check = checkBlockCRC24B
 	}
-	if p.frontEnd == FrontEndFused {
-		return p.decodeFused(par, rx, n0, rnti, cellID, subframe, rv, sb, check)
+	if p.prof.FrontEnd == FrontEndFused {
+		return p.decodeFused(sd, rx, n0, rnti, cellID, subframe, rv, sb, check)
 	}
 
 	// Staged (oracle) path: three full sweeps over the E coded bits.
@@ -585,24 +526,23 @@ func (p *TransportProcessor) Decode(mcs MCS, nprb int, rx []complex128, n0 float
 	}
 	p.Timings.Dematch = time.Since(start)
 
-	// Turbo decode with CRC-based early termination: the code blocks fan
-	// across the decoder's workers and lockstep lanes; a block failing its
-	// CRC aborts the rest, since the TB CRC could no longer pass.
+	// Turbo decode with CRC-based early termination, span by span; a block
+	// failing its CRC ends the decoding, since the TB CRC could no longer
+	// pass.
 	start = time.Now()
-	iters, ok, err := par.Decode(p.blocks, sb.ld0, sb.ld1, sb.ld2, p.known, check, nil)
+	iters, ok, err := sd.decode(p.blocks, sb.ld0, sb.ld1, sb.ld2, p.known, check, nil)
 	p.Timings.TurboIterations = iters
 	p.Timings.TurboDecode = time.Since(start)
+	p.Timings.Spans = sd.spans
 	return p.finishTurbo(ok, err)
 }
 
 // decodeFused is the fused-front-end decode body: the per-block front-end
 // (see frontEndBlock) replaces the staged sweeps and runs as the decoder's
-// prepare hook, on the worker that claims the block — with decode workers
-// that overlaps one block's front-end with other blocks' turbo decodes.
-// Decode has validated rv and the soft buffer's shape, so the per-block
-// front-end itself cannot fail — the invariant the decoder's prepare hook
-// requires.
-func (p *TransportProcessor) decodeFused(par *ParallelDecoder, rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer, check func([]byte) bool) ([]byte, error) {
+// prepare hook, just before the block's span decodes. Decode has validated
+// rv and the soft buffer's shape, so the per-block front-end itself cannot
+// fail — the invariant the decoder's prepare hook requires.
+func (p *TransportProcessor) decodeFused(sd *spanDecoder, rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer, check func([]byte) bool) ([]byte, error) {
 	p.Timings.Demodulate, p.Timings.Descramble, p.Timings.Dematch = 0, 0, 0
 
 	start := time.Now()
@@ -610,31 +550,15 @@ func (p *TransportProcessor) decodeFused(par *ParallelDecoder, rx []complex128, 
 	p.feKey = p.scr.KeyWords(p.sh.e)
 	p.feRX, p.feInvN0, p.feSB, p.feRV = rx, demodInvN0(n0), sb, rv
 
-	// One decode worker: every front-end runs here, on the caller, so it is
-	// timed (the keystream set-up above counts as front-end) and the split
-	// reported. Several: front-end and decode time interleave across the
-	// workers and the whole region is attributed to TurboDecode (see
-	// StageTimings).
-	prepare := p.feFn
-	p.Timings.FrontEnd = 0
-	if par.Workers() == 1 {
-		prepare = p.feTimed
-		p.Timings.FrontEnd = time.Since(start)
-	}
-	iters, ok, err := par.Decode(p.blocks, sb.ld0, sb.ld1, sb.ld2, p.known, check, prepare)
+	// The keystream set-up above counts as front-end; each block's
+	// front-end adds its own time as the decoder runs it.
+	p.Timings.FrontEnd = time.Since(start)
+	iters, ok, err := sd.decode(p.blocks, sb.ld0, sb.ld1, sb.ld2, p.known, check, p.fe)
 	p.clearFrontEndState()
 	p.Timings.TurboIterations = iters
 	p.Timings.TurboDecode = time.Since(start) - p.Timings.FrontEnd
+	p.Timings.Spans = sd.spans
 	return p.finishTurbo(ok, err)
-}
-
-// frontEndBlockTimed is frontEndBlock for the single-worker decode: it runs
-// on the calling goroutine and adds the block's front-end time to
-// Timings.FrontEnd.
-func (p *TransportProcessor) frontEndBlockTimed(i int) {
-	start := time.Now()
-	p.frontEndBlock(i)
-	p.Timings.FrontEnd += time.Since(start)
 }
 
 // finishTurbo maps the turbo stage's outcome to Decode's: an internal error

@@ -166,18 +166,16 @@ func TestTransportTimingsPopulated(t *testing.T) {
 	}
 }
 
-// TestTransportFrontEndFoldOnlyWithWorkers pins where the stage ledger may
-// go blind: with several decode workers the per-block front-ends overlap
-// turbo decoding and fold into TurboDecode; with one — the default, lockstep
-// width 8 included — they run on the caller and are reported.
-func TestTransportFrontEndFoldOnlyWithWorkers(t *testing.T) {
-	decodeOnce := func(o DecodeProfile) StageTimings {
-		t.Helper()
+// TestTransportFrontEndSplitAlwaysReported pins the stage ledger: every
+// profile with the fused front-end — the default, the scalar width and the
+// float32 kernel — reports the front-end/turbo split, because the per-block
+// front-ends run on the caller, where they are timed.
+func TestTransportFrontEndSplitAlwaysReported(t *testing.T) {
+	for _, o := range []DecodeProfile{{}, {Batch: 1}, {Kernel: KernelFloat32}} {
 		p, err := newTBProc(24, 50, o)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer p.Close()
 		rng := rand.New(rand.NewSource(65))
 		payload := randBits(rng, p.TransportBlockSize())
 		syms, err := p.Encode(payload, 1, 1, 0, 0)
@@ -190,85 +188,81 @@ func TestTransportFrontEndFoldOnlyWithWorkers(t *testing.T) {
 		if _, err := p.Decode(rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
 			t.Fatal(err)
 		}
-		return p.Timings
-	}
-	for _, o := range []DecodeProfile{{}, {Batch: 1}, {Kernel: KernelFloat32}} {
-		if tm := decodeOnce(o); tm.FrontEnd <= 0 || tm.TurboDecode <= 0 {
-			t.Errorf("%+v: one decode worker must report the front-end/turbo split, got %+v", o, tm)
+		if tm := p.Timings; tm.FrontEnd <= 0 || tm.TurboDecode <= 0 {
+			t.Errorf("%+v: the front-end/turbo split is not reported, got %+v", o, tm)
 		}
-	}
-	if tm := decodeOnce(DecodeProfile{Workers: 2}); tm.FrontEnd != 0 || tm.TurboDecode <= 0 {
-		t.Errorf("two decode workers: front-end must fold into TurboDecode, got %+v", tm)
 	}
 }
 
-// TestDecoderSetSharesOneDecoder pins turbo-decoder ownership: a processor
-// builds neither a decoder nor its decode-side buffers until it decodes,
-// and processors built from one set share one decoder whatever shapes and
-// block sizes they decode, while each keeps its own iteration bound.
-func TestDecoderSetSharesOneDecoder(t *testing.T) {
-	ds, err := NewDecoderSet(DecodeProfile{})
+// TestProcessorBuildsDecoderOnFirstDecode pins turbo-decoder ownership: a
+// processor builds neither its decoder nor its decode-side buffers until it
+// decodes, then keeps the one decoder for every shape and block size it
+// decodes, with the iteration bound it was given.
+func TestProcessorBuildsDecoderOnFirstDecode(t *testing.T) {
+	p, err := NewTransportProcessor(11, DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ds.Close()
-	pa, err := ds.newTBProc(9, 6)
+	a, err := shapeOf(9, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := ds.newTBProc(16, 11)
+	b, err := shapeOf(16, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pa.CodeBlockSize() == pb.CodeBlockSize() {
-		t.Fatalf("both shapes segment to K=%d", pa.CodeBlockSize())
+	if a.seg.K == b.seg.K {
+		t.Fatalf("both shapes segment to K=%d", a.seg.K)
 	}
 	rng := rand.New(rand.NewSource(71))
-	roundtrip := func(p *tbProc, margin float64) error {
-		payload := randBits(rng, p.TransportBlockSize())
-		syms, err := p.Encode(payload, 5, 9, 1, 0)
+	roundtrip := func(sh tbShape, margin float64) error {
+		payload := randBits(rng, sh.tbs)
+		syms, err := p.Encode(sh.mcs, sh.nprb, payload, 5, 9, 1, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rx := append([]complex128(nil), syms...)
-		ch := NewAWGNChannel(p.MCS().OperatingSNR()+margin, 72)
+		ch := NewAWGNChannel(sh.mcs.OperatingSNR()+margin, 72)
 		ch.Apply(rx)
-		out, err := p.Decode(rx, ch.N0(), 5, 9, 1, 0, nil)
+		out, err := p.Decode(sh.mcs, sh.nprb, rx, ch.N0(), 5, 9, 1, 0, nil)
 		if err == nil && !bytes.Equal(out, payload) {
 			t.Fatal("payload mismatch")
 		}
 		return err
 	}
-	if _, err := pa.Encode(randBits(rng, pa.TransportBlockSize()), 5, 9, 1, 0); err != nil {
+	if _, err := p.Encode(a.mcs, a.nprb, randBits(rng, a.tbs), 5, 9, 1, 0); err != nil {
 		t.Fatal(err)
 	}
-	if ds.pd != nil || pa.blockbk != nil || pa.softBuf != nil {
+	if p.dec != nil || p.blockbk != nil || p.softBuf != nil {
 		t.Fatal("an encode built decode-side state")
 	}
-	if err := roundtrip(pa, 4); err != nil {
+	if err := roundtrip(a, 4); err != nil {
 		t.Fatal(err)
 	}
-	first := ds.pd
-	if err := roundtrip(pb, 4); err != nil {
+	first := p.dec
+	if err := roundtrip(b, 4); err != nil {
 		t.Fatal(err)
 	}
-	if first == nil || ds.pd != first {
-		t.Fatal("a second shape did not decode on the set's one decoder")
+	if first == nil || p.dec != first {
+		t.Fatal("a second shape did not decode on the processor's one decoder")
 	}
-	// The iteration bound is the processor's, not the shared decoder's: a
-	// one-iteration cap on pa fails a block at the operating point that
-	// pb's default budget, through the same decoder, does not inherit.
-	pa.SetMaxIterations(1)
-	if err := roundtrip(pa, 0); !errors.Is(err, ErrCRC) {
+	// A one-iteration cap fails a block at the operating point; restoring
+	// the default budget lifts it for the next decode.
+	p.SetMaxIterations(1)
+	if err := roundtrip(a, 0); !errors.Is(err, ErrCRC) {
 		t.Fatalf("one iteration at the operating point: %v, want ErrCRC", err)
 	}
-	if pa.Timings.TurboIterations != 1 || pb.MaxIterations() != DefaultTurboIterations {
-		t.Fatalf("capped decode ran %d iterations; pb bound %d", pa.Timings.TurboIterations, pb.MaxIterations())
+	if p.Timings.TurboIterations != 1 {
+		t.Fatalf("capped decode ran %d iterations", p.Timings.TurboIterations)
 	}
-	if err := roundtrip(pb, 4); err != nil {
-		t.Fatalf("uncapped processor after a capped one on the same decoder: %v", err)
+	p.SetMaxIterations(0)
+	if p.MaxIterations() != DefaultTurboIterations {
+		t.Fatalf("restored bound %d", p.MaxIterations())
 	}
-	if pb.Timings.TurboIterations < 1 {
+	if err := roundtrip(b, 4); err != nil {
+		t.Fatalf("uncapped decode after a capped one: %v", err)
+	}
+	if p.Timings.TurboIterations < 1 {
 		t.Fatal("iterations not recorded")
 	}
 }

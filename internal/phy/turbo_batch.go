@@ -41,12 +41,10 @@ import "fmt"
 // retires from the batch by column compaction — the last active lane's
 // columns are copied over the retiring lane's — so the remaining lanes keep
 // running dense lockstep iterations and a retired block never perturbs its
-// neighbours. An optional drop hook lets the caller cancel lanes between
-// iterations (the data plane uses it to stop decoding blocks of an already
-// doomed transport block).
+// neighbours.
 //
-// A BatchDecoderI16 is owned by one goroutine at a time (the data plane
-// keeps one per parallel-decode worker). Its working set is allocated once
+// A BatchDecoderI16 is owned by one goroutine at a time (a
+// TransportProcessor's turbo decoder keeps one). Its working set is allocated once
 // at construction for the largest block (240·K bytes ≈ 1.5 MB at width 8)
 // and a smaller K uses the leading K steps of every array, so Decode
 // performs no heap allocation and a decoder's footprint does not depend on
@@ -73,7 +71,6 @@ type BatchDecoderI16 struct {
 
 	lanes []int    // lane slot → caller block index (compaction mapping)
 	outs  [][]byte // lane slot → output block (rebuilt each iteration)
-	lit   []int    // per-lane iteration counts of the last Decode
 }
 
 // maxBatchWidth bounds the lockstep width: Decode's failure mask is a
@@ -105,15 +102,8 @@ func NewBatchDecoderI16(width int) (*BatchDecoderI16, error) {
 		nbt:           make([]int16, turboStates*w),
 		lanes:         make([]int, w),
 		outs:          make([][]byte, w),
-		lit:           make([]int, w),
 	}, nil
 }
-
-// LaneIters returns the iterations lane b of the most recent Decode
-// consumed (valid until the next Decode call). The per-lane counts sum to
-// Decode's iteration total; callers decoding several transport blocks
-// jointly use them to attribute iterations back to each block's owner.
-func (bd *BatchDecoderI16) LaneIters(b int) int { return bd.lit[b] }
 
 // Width returns the lane capacity.
 func (bd *BatchDecoderI16) Width() int { return bd.width }
@@ -131,17 +121,13 @@ func (bd *BatchDecoderI16) Width() int { return bd.width }
 //
 // check, when non-nil, is the per-lane success predicate (a CRC), evaluated
 // on each lane's hard decisions after every full iteration; a passing lane
-// retires early. drop, when non-nil, is polled for every still-active lane
-// before each iteration; returning true cancels the lane (its block keeps
-// the previous iteration's decisions — the caller has already decided not
-// to use them).
+// retires early.
 //
 // Decode returns the total iterations consumed (summed over lanes) and a
 // bitmask of lanes that exhausted the iteration budget with check still
-// failing (dropped lanes are not failed — they were cancelled). Successful
-// lanes are bit-identical to decoding the same streams with a scalar
-// KernelInt16 TurboDecoder under the same check.
-func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, known []int, check func([]byte) bool, drop func(lane int) bool) (int, uint64, error) {
+// failing. Successful lanes are bit-identical to decoding the same streams
+// with a scalar KernelInt16 TurboDecoder under the same check.
+func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, known []int, check func([]byte) bool) (int, uint64, error) {
 	n := len(blocks)
 	if n == 0 {
 		return 0, 0, nil
@@ -171,7 +157,6 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 	bd.ingest(n, ld0, ld1, ld2, known)
 	w := bd.width
 	clear(bd.apri[:k*w])
-	clear(bd.lit[:n])
 	for b := 0; b < n; b++ {
 		bd.lanes[b] = b
 	}
@@ -184,16 +169,6 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 	itersTotal := 0
 	var failed uint64
 	for it := 0; it < bd.MaxIterations && n > 0; it++ {
-		if drop != nil {
-			for j := n - 1; j >= 0; j-- {
-				if drop(bd.lanes[j]) {
-					n = bd.compact(j, n)
-				}
-			}
-			if n == 0 {
-				break
-			}
-		}
 		if useAVX2 {
 			sisoI16BatchAVX2(bd.ls1, bd.lp1, bd.apri, bd.ext1, bd.alpha, bd.bt, bd.nbt, k)
 		} else {
@@ -229,9 +204,6 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 			}
 		}
 		itersTotal += n
-		for j := 0; j < n; j++ {
-			bd.lit[bd.lanes[j]]++
-		}
 
 		// Hard decisions — the sign bit of the a-posteriori sum — step-major
 		// so the three metric streams are read sequentially (lane-major

@@ -132,7 +132,7 @@ func TestBatchDecoderMatchesScalarOracle(t *testing.T) {
 		for b := range got {
 			got[b] = make([]byte, c.k)
 		}
-		iters, failed, err := bd.Decode(got, l0, l1, l2, nil, check, nil)
+		iters, failed, err := bd.Decode(got, l0, l1, l2, nil, check)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,7 +207,7 @@ func TestI16GainScaleInvariance(t *testing.T) {
 				for b := range got {
 					got[b] = make([]byte, k)
 				}
-				iters, failed, err := bd.Decode(got, l0, l1, l2, nil, checkBlockCRC24B, nil)
+				iters, failed, err := bd.Decode(got, l0, l1, l2, nil, checkBlockCRC24B)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,58 +219,6 @@ func TestI16GainScaleInvariance(t *testing.T) {
 						t.Fatalf("K=%d c=2^%d width %d: lane %d decisions differ from the unscaled block's", k, e, w, b)
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestBatchDecoderDropLane pins the cancellation hook: a lane dropped
-// between iterations retires without disturbing its neighbours (their
-// outputs stay bit-identical to the scalar oracle) and is neither failed
-// nor iterated further.
-func TestBatchDecoderDropLane(t *testing.T) {
-	const k, n = 512, 4
-	rng := rand.New(rand.NewSource(99))
-	_, l0, l1, l2 := batchTestVectors(t, rng, k, n, 0.85)
-	wantOuts, _, wantFailed := decodeScalarOracle(t, k, 8, l0, l1, l2, checkBlockCRC24B)
-
-	bd, err := NewBatchDecoderI16(n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([][]byte, n)
-	for b := range got {
-		got[b] = make([]byte, k)
-	}
-	const victim = 1
-	dropped := false
-	drop := func(lane int) bool {
-		// Cancel the victim lane before its second iteration.
-		if lane == victim && dropped {
-			return true
-		}
-		if lane == victim {
-			dropped = true
-		}
-		return false
-	}
-	_, failed, err := bd.Decode(got, l0, l1, l2, nil, checkBlockCRC24B, drop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed&(1<<victim) != 0 {
-		t.Errorf("dropped lane %d reported as failed", victim)
-	}
-	for b := range got {
-		if b == victim {
-			continue // dropped mid-decode; its bits are whatever iteration 1 left
-		}
-		if wantFailed&(1<<uint(b)) != 0 {
-			continue // failed lanes compare via the mask in the oracle test
-		}
-		for i := range got[b] {
-			if got[b][i] != wantOuts[b][i] {
-				t.Fatalf("lane %d bit %d perturbed by dropping lane %d", b, i, victim)
 			}
 		}
 	}
@@ -298,31 +246,43 @@ func TestBatchDecoderValidation(t *testing.T) {
 		return s
 	}
 	blocks := [][]byte{make([]byte, 512), make([]byte, 512)}
-	if _, _, err := bd.Decode(blocks[:0], nil, nil, nil, nil, nil, nil); err != nil {
+	if _, _, err := bd.Decode(blocks[:0], nil, nil, nil, nil, nil); err != nil {
 		t.Errorf("empty batch = %v, want nil", err)
 	}
 	five := make([][]byte, 5)
 	for i := range five {
 		five[i] = make([]byte, 512)
 	}
-	if _, _, err := bd.Decode(five, mk(5, 516), mk(5, 516), mk(5, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
+	if _, _, err := bd.Decode(five, mk(5, 516), mk(5, 516), mk(5, 516), nil, nil); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("overwide batch = %v, want ErrBadParameter", err)
 	}
-	if _, _, err := bd.Decode(blocks, mk(1, 516), mk(2, 516), mk(2, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
+	if _, _, err := bd.Decode(blocks, mk(1, 516), mk(2, 516), mk(2, 516), nil, nil); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("stream count mismatch = %v, want ErrBadParameter", err)
 	}
-	if _, _, err := bd.Decode(blocks, mk(2, 515), mk(2, 516), mk(2, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
+	if _, _, err := bd.Decode(blocks, mk(2, 515), mk(2, 516), mk(2, 516), nil, nil); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("stream length mismatch = %v, want ErrBadParameter", err)
 	}
 	// The first block fixes the call's K: an illegal size is rejected, and
 	// so is a later lane of another size.
 	short := [][]byte{make([]byte, 511), make([]byte, 512)}
-	if _, _, err := bd.Decode(short, mk(2, 516), mk(2, 516), mk(2, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
+	if _, _, err := bd.Decode(short, mk(2, 516), mk(2, 516), mk(2, 516), nil, nil); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("illegal block size = %v, want ErrBadParameter", err)
 	}
 	mixed := [][]byte{make([]byte, 512), make([]byte, 504)}
-	if _, _, err := bd.Decode(mixed, mk(2, 516), mk(2, 516), mk(2, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
+	if _, _, err := bd.Decode(mixed, mk(2, 516), mk(2, 516), mk(2, 516), nil, nil); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("mixed block sizes = %v, want ErrBadParameter", err)
+	}
+	// The span decoder a processor drives the batch decoder through checks
+	// the transport block's stream shapes before it cuts them into spans.
+	sd, err := newSpanDecoder(DecodeProfile{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sd.decode(blocks, mk(1, 516), mk(2, 516), mk(2, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
+		t.Errorf("span decoder stream count mismatch = %v, want ErrBadParameter", err)
+	}
+	if _, _, err := sd.decode(blocks, mk(2, 516), mk(2, 516), mk(2, 516), []int{0}, nil, nil); !errors.Is(err, ErrBadParameter) {
+		t.Errorf("span decoder known-bit count mismatch = %v, want ErrBadParameter", err)
 	}
 }
 
@@ -339,7 +299,7 @@ func TestBatchDecoderNoAlloc(t *testing.T) {
 		got[b] = make([]byte, k)
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		if _, _, err := bd.Decode(got, l0, l1, l2, nil, checkBlockCRC24B, nil); err != nil {
+		if _, _, err := bd.Decode(got, l0, l1, l2, nil, checkBlockCRC24B); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -387,7 +347,7 @@ func FuzzBatchedKernel(f *testing.F) {
 		for b := range got {
 			got[b] = make([]byte, k)
 		}
-		iters, failed, err := bd.Decode(got, l0, l1, l2, nil, checkBlockCRC24B, nil)
+		iters, failed, err := bd.Decode(got, l0, l1, l2, nil, checkBlockCRC24B)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,7 +400,7 @@ func BenchmarkBatchVsScalarI16(b *testing.B) {
 			b.SetBytes(int64(k * w))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bd.Decode(got, l0[:w], l1[:w], l2[:w], nil, nil, nil); err != nil {
+				if _, _, err := bd.Decode(got, l0[:w], l1[:w], l2[:w], nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
