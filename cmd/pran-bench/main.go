@@ -1,5 +1,5 @@
-// Command pran-bench regenerates the PRAN evaluation: every reconstructed
-// table and figure (E1–E20, indexed in DESIGN.md §4) as printable tables.
+// Command pran-bench regenerates the PRAN evaluation: every live experiment
+// in experiments.Registry (indexed in DESIGN.md §4) as printable tables.
 //
 // Usage:
 //
@@ -8,10 +8,9 @@
 //	pran-bench -run E4        # one experiment
 //	pran-bench -list          # list experiment IDs
 //	pran-bench -json outdir   # additionally write BENCH_<id>.json per result
-//	pran-bench -batch 4       # cap E17's lockstep width sweep (1 = scalar only)
 //	pran-bench -seed 7        # shift every experiment's workload seeds (1 = committed baselines)
 //	pran-bench -telemetry     # dump the process telemetry snapshot after the run
-//	pran-bench -cpuprofile cpu.out -run E13   # profile one experiment
+//	pran-bench -cpuprofile cpu.out -run E1    # profile one experiment
 package main
 
 import (
@@ -36,8 +35,7 @@ func main() {
 
 func run() int {
 	quick := flag.Bool("quick", false, "reduced sweeps for a fast pass")
-	runID := flag.String("run", "", "run a single experiment by ID (E1..E20)")
-	batchW := flag.Int("batch", 8, "maximum lockstep batch width E17 sweeps (1 = scalar baseline only)")
+	runID := flag.String("run", "", "run a single experiment by ID (see -list)")
 	seed := flag.Int64("seed", 1, "base workload seed; 1 reproduces the committed baselines, reports record derived seeds for replay")
 	dumpTelemetry := flag.Bool("telemetry", false, "print the process-default telemetry snapshot after the run")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -45,36 +43,11 @@ func run() int {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
 	flag.Parse()
-
-	table := []struct {
-		id string
-		fn func(bool) (experiments.Result, error)
-	}{
-		{"E1", experiments.E1SubframeVsMCS},
-		{"E2", experiments.E2StageBreakdown},
-		{"E3", experiments.E3TraceDiversity},
-		{"E4", experiments.E4PoolingGain},
-		{"E5", experiments.E5DeadlineMiss},
-		{"E6", experiments.E6Scaling},
-		{"E7", func(bool) (experiments.Result, error) { return experiments.E7Fronthaul() }},
-		{"E8", experiments.E8Failover},
-		{"E9", experiments.E9Controller},
-		{"E10", experiments.E10HeadroomAblation},
-		{"E12", experiments.E12KernelAblation},
-		{"E13", experiments.E13FrontEndAblation},
-		{"E14", experiments.E14TelemetryOverhead},
-		{"E15", experiments.E15Recovery},
-		{"E16", experiments.E16Scale},
-		{"E17", func(q bool) (experiments.Result, error) { return experiments.E17BatchSpeedup(q, *batchW) }},
-		{"E18", experiments.E18VectorFrontEnd},
-		{"E19", experiments.E19OverloadCurve},
-		{"E20", experiments.E20SoakSLO},
-	}
 	experiments.SetBaseSeed(*seed)
 
 	if *list {
-		for _, e := range table {
-			fmt.Println(e.id)
+		for _, e := range experiments.Registry {
+			fmt.Println(e.ID)
 		}
 		return 0
 	}
@@ -109,21 +82,21 @@ func run() int {
 
 	failed := false
 	matched := false
-	for _, e := range table {
-		if *runID != "" && !strings.EqualFold(*runID, e.id) {
+	for _, e := range experiments.Registry {
+		if *runID != "" && !strings.EqualFold(*runID, e.ID) {
 			continue
 		}
 		matched = true
-		res, err := e.fn(*quick)
+		res, err := e.Run(*quick)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 			failed = true
 			continue
 		}
 		fmt.Println(res.String())
 		if *jsonDir != "" {
 			if err := writeJSON(*jsonDir, res); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", e.id, err)
+				fmt.Fprintf(os.Stderr, "%s: %v\n", e.ID, err)
 				failed = true
 			}
 		}

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"pran/internal/experiments"
 )
 
 // TestInternalPackagesDocumentConcurrency is the concurrency-contract lint:
@@ -115,6 +117,51 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 		t.Fatal("lint found no qualified identifiers — pattern broken?")
 	}
 	t.Logf("resolved %d qualified identifiers in %d documents", checked, len(docs))
+}
+
+// TestExperimentRegistryMatchesDocs ties the documents to the one experiment
+// driver: the live `## EX —` sections of EXPERIMENTS.md and the live rows of
+// the DESIGN.md §4 index must name exactly experiments.Registry's IDs, in
+// order. A retired experiment keeps its section and row, marked retired, so
+// its number is never reused and its last result stays on record.
+func TestExperimentRegistryMatchesDocs(t *testing.T) {
+	var want []string
+	for _, e := range experiments.Registry {
+		want = append(want, e.ID)
+	}
+	live := func(doc, start, end string, entry *regexp.Regexp, retired string) []string {
+		t.Helper()
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := string(text)
+		i := strings.Index(s, start)
+		if i < 0 {
+			t.Fatalf("%s: no %q", doc, start)
+		}
+		s = s[i:]
+		if j := strings.Index(s, end); j >= 0 {
+			s = s[:j]
+		}
+		var ids []string
+		for _, m := range entry.FindAllStringSubmatch(s, -1) {
+			if !strings.HasPrefix(m[2], retired) {
+				ids = append(ids, m[1])
+			}
+		}
+		return ids
+	}
+	for doc, got := range map[string][]string{
+		"EXPERIMENTS.md": live("EXPERIMENTS.md", "## E1 ", "## Reproducing",
+			regexp.MustCompile(`(?m)^## (E\d+) — (.*)$`), "retired"),
+		"DESIGN.md §4": live("DESIGN.md", "## 4.", "## 5.",
+			regexp.MustCompile(`(?m)^\| (E\d+) \| (.*)$`), "*Retired*"),
+	} {
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Errorf("%s lists live experiments %v; experiments.Registry has %v", doc, got, want)
+		}
+	}
 }
 
 // exportedNames parses a package's non-test files (every build variant) and

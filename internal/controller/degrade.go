@@ -32,9 +32,10 @@ type DegradePolicy struct {
 // DefaultDegradePolicy returns demand factors matching the ladder's knobs
 // under the cluster cost model: level 1's iteration cap trims the decode
 // tail (~0.8×), level 2's forced int16 kernel is the big step (~0.35× —
-// the 3× arithmetic speedup of E12 plus a tighter cap), and level 3 only
-// shaves further iterations on top (~0.3×; its HARQ shedding saves memory
-// traffic, not modeled cycles).
+// the int16 kernel's ~3× arithmetic speedup over float32, phy's
+// BenchmarkTurboDecodeK6144Int16 against BenchmarkTurboDecodeK6144, plus a
+// tighter cap), and level 3 only shaves further iterations on top (~0.3×;
+// its HARQ shedding saves memory traffic, not modeled cycles).
 func DefaultDegradePolicy() *DegradePolicy {
 	return &DegradePolicy{
 		MaxLevel: cluster.MaxDegradationLevel,

@@ -81,29 +81,13 @@ func minDur(dst *time.Duration, v time.Duration) {
 	}
 }
 
-// minStages merges two stage-timing samples of the same configuration,
-// keeping the per-stage minimum. Experiments whose metrics are ratios of
-// configurations measured back to back use this to merge measurement
-// rounds that are separated in time: a frequency-scaling or scheduling
-// burst long enough to cover every rep of one configuration then has to
-// recur over the same configuration in a later round to bias the ratio.
-func minStages(a, b phy.StageTimings) phy.StageTimings {
-	minDur(&a.Demodulate, b.Demodulate)
-	minDur(&a.Descramble, b.Descramble)
-	minDur(&a.Dematch, b.Dematch)
-	minDur(&a.FrontEnd, b.FrontEnd)
-	minDur(&a.TurboDecode, b.TurboDecode)
-	minDur(&a.CRCCheck, b.CRCCheck)
-	return a
-}
-
 // E1SubframeVsMCS reconstructs the paper's software-PHY microbenchmark:
 // uplink subframe processing time as a function of MCS for 25/50/100 PRB.
 // Expected shape: ~linear in PRBs, superlinear in MCS efficiency, with the
 // high-MCS wide-band corner defining the provisioning requirement. Every
 // column names the float32 reference kernel — the per-block decoder of the
-// paper's era; E12/E17 measure what the default int16 lockstep path takes
-// off it.
+// paper's era; phy's BenchmarkFullDecode times the default int16 lockstep
+// path next to it.
 func E1SubframeVsMCS(quick bool) (Result, error) {
 	mcsGrid := []phy.MCS{0, 4, 9, 13, 17, 22, 28}
 	prbGrid := []int{25, 50, 100}
@@ -150,7 +134,7 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	res.Notes = append(res.Notes,
-		"float32 reference kernel (phy.KernelFloat32), one block at a time: tens of times slower than the paper's SIMD C stack and several times slower than this repo's default int16 lockstep path (E12/E17); shapes (linear in PRB, turbo-dominated growth in MCS) are the reproduced result",
+		"float32 reference kernel (phy.KernelFloat32), one block at a time: tens of times slower than the paper's SIMD C stack and several times slower than this repo's default int16 lockstep path (phy BenchmarkFullDecode); shapes (linear in PRB, turbo-dominated growth in MCS) are the reproduced result",
 		"operating point: per-MCS operating SNR + 3 dB, CRC-based early termination active")
 	return res, nil
 }
@@ -159,9 +143,9 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 // where the subframe budget goes at representative MCS points (100 PRB).
 // Expected shape: turbo decoding dominates and its share grows with MCS.
 // The front-end is pinned to FrontEndStaged so the three pre-turbo stages
-// are individually attributable (E13 measures what fusing them buys), and
-// the turbo column is the float32 reference kernel (E12 measures what the
-// default kernel takes off it).
+// are individually attributable, and the turbo column is the float32
+// reference kernel; phy's BenchmarkFullDecode times both against the
+// default.
 func E2StageBreakdown(quick bool) (Result, error) {
 	mcsGrid := []phy.MCS{4, 13, 22, 27}
 	reps := 3
@@ -201,7 +185,7 @@ func E2StageBreakdown(quick bool) (Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		"fft column is the per-cell OFDM stage (14 × 2048-point FFT), shared across all UEs in the subframe",
-		"reference paths named on purpose: float32 kernel and staged front-end, for per-stage attribution; the default runs the int16 lockstep kernel (E12/E17) behind the fused front-end, which collapses demod+descramble+dematch into one pass (E13)")
+		"reference paths named on purpose: float32 kernel and staged front-end, for per-stage attribution; the default runs the int16 lockstep kernel behind the fused front-end, which collapses demod+descramble+dematch into one pass (phy BenchmarkFullDecode times each)")
 	return res, nil
 }
 

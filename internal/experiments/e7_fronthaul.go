@@ -13,8 +13,9 @@ import (
 // functional splits, with the compression's measured EVM cost. Expected
 // shape: raw I/Q is multi-Gb/s but BFP buys ~1.7× at negligible EVM and the
 // low-PHY split roughly halves it again; only the MAC split is cheap, and it
-// forfeits pooling (compute share column).
-func E7Fronthaul() (Result, error) {
+// forfeits pooling (compute share column). The table is arithmetic plus one
+// fixed-size codec measurement, so quick and full runs are the same.
+func E7Fronthaul(bool) (Result, error) {
 	res := Result{
 		ID:      "E7",
 		Title:   "Fronthaul bandwidth per cell: raw CPRI vs compression vs split",

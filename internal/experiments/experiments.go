@@ -1,10 +1,8 @@
 // Package experiments regenerates PRAN's evaluation: one function per
-// reconstructed table/figure (E1–E20 less the retired E11, indexed in
-// DESIGN.md §4). Each returns
-// a Result whose rows cmd/pran-bench prints and whose headline numbers the
-// root bench_test.go reports as benchmark metrics. The quick flag trades
-// sweep breadth for runtime so `go test -bench` stays fast; the full sweeps
-// run via cmd/pran-bench.
+// reconstructed table/figure, listed in Registry (indexed in DESIGN.md §4;
+// E11, E12, E13, E17 and E18 are retired). Each returns a Result whose rows
+// cmd/pran-bench prints and writes as JSON for CI's gates. The quick flag
+// trades sweep breadth for runtime; the full sweeps run via cmd/pran-bench.
 //
 // Concurrency: experiment functions are plain synchronous calls — each runs
 // its sweep on the calling goroutine and returns a self-contained Result.
@@ -12,19 +10,14 @@
 // processors internally and tear them down before returning, so concurrent
 // experiment runs don't share state; the only process-global is the lazily
 // calibrated deadline scale, which is written once and is not safe to race
-// from multiple goroutines (the benchmark and CLI drivers run experiments
-// sequentially).
+// from multiple goroutines (cmd/pran-bench runs experiments sequentially).
 package experiments
 
 import (
 	"fmt"
 	"math"
 
-	"pran/internal/cluster"
-	"pran/internal/dataplane"
-	"pran/internal/frame"
 	"pran/internal/metrics"
-	"pran/internal/phy"
 )
 
 // Result is one experiment's regenerated table.
@@ -36,8 +29,7 @@ type Result struct {
 	// Header and Rows form the printable table.
 	Header []string
 	Rows   [][]string
-	// Metrics exposes headline scalars for benchmark reporting
-	// (name → value).
+	// Metrics exposes headline scalars for CI's gates (name → value).
 	Metrics map[string]float64
 	// Notes carry caveats (substitutions, scale factors).
 	Notes []string
@@ -51,6 +43,34 @@ func (r Result) String() string {
 		s += "note: " + n + "\n"
 	}
 	return s
+}
+
+// Experiment is one registered table: its ID and the function that
+// regenerates it.
+type Experiment struct {
+	ID  string
+	Run func(quick bool) (Result, error)
+}
+
+// Registry lists every live experiment in report order. It is the one
+// experiment driver: cmd/pran-bench runs from it, and the root doc lint
+// holds EXPERIMENTS.md and DESIGN.md §4 to exactly these IDs.
+var Registry = []Experiment{
+	{"E1", E1SubframeVsMCS},
+	{"E2", E2StageBreakdown},
+	{"E3", E3TraceDiversity},
+	{"E4", E4PoolingGain},
+	{"E5", E5DeadlineMiss},
+	{"E6", E6Scaling},
+	{"E7", E7Fronthaul},
+	{"E8", E8Failover},
+	{"E9", E9Controller},
+	{"E10", E10HeadroomAblation},
+	{"E14", E14TelemetryOverhead},
+	{"E15", E15Recovery},
+	{"E16", E16Scale},
+	{"E19", E19OverloadCurve},
+	{"E20", E20SoakSLO},
 }
 
 // f formats a float compactly for table cells.
@@ -70,27 +90,6 @@ func f(v float64) string {
 // ms formats seconds as milliseconds.
 func ms(sec float64) string { return fmt.Sprintf("%.3f", sec*1e3) }
 
-// alloc100 is the fully loaded 100-PRB allocation at an MCS's operating
-// point — the provisioning corner case.
-func alloc100(mcs phy.MCS) frame.Allocation {
-	return frame.Allocation{RNTI: 1, FirstPRB: 0, NumPRB: 100, MCS: mcs, SNRdB: mcs.OperatingSNR()}
-}
-
-// feasibleMCS returns the highest MCS whose full-band subframe cost fits the
-// HARQ compute budget on the model's reference core, or -1 if none does.
-func feasibleMCS(m cluster.CostModel) int {
-	best := -1
-	for mcs := phy.MCS(0); mcs <= 28; mcs++ {
-		if _, err := mcs.TransportBlockSize(100); err != nil {
-			continue
-		}
-		if m.AllocCost(alloc100(mcs)) <= dataplane.HARQBudget {
-			best = int(mcs)
-		}
-	}
-	return best
-}
-
 // baseSeed shifts the deterministic seeds experiments derive their workloads
 // and fault schedules from. The default 1 reproduces the committed baselines
 // bit for bit; cmd/pran-bench's -seed flag overrides it so a soak or sweep
@@ -98,7 +97,7 @@ func feasibleMCS(m cluster.CostModel) int {
 var baseSeed int64 = 1
 
 // SetBaseSeed installs the base seed for subsequent experiment runs. Not
-// safe to call concurrently with a running experiment (the drivers run
+// safe to call concurrently with a running experiment (cmd/pran-bench runs
 // experiments sequentially).
 func SetBaseSeed(s int64) { baseSeed = s }
 
@@ -113,38 +112,4 @@ func seedFor(local int64) int64 {
 		return local
 	}
 	return local + (baseSeed-1)*7919
-}
-
-// All runs every experiment in order.
-func All(quick bool) ([]Result, error) {
-	runs := []func(bool) (Result, error){
-		E1SubframeVsMCS,
-		E2StageBreakdown,
-		E3TraceDiversity,
-		E4PoolingGain,
-		E5DeadlineMiss,
-		E6Scaling,
-		func(bool) (Result, error) { return E7Fronthaul() },
-		E8Failover,
-		E9Controller,
-		E10HeadroomAblation,
-		E12KernelAblation,
-		E13FrontEndAblation,
-		E14TelemetryOverhead,
-		E15Recovery,
-		E16Scale,
-		func(q bool) (Result, error) { return E17BatchSpeedup(q, 8) },
-		E18VectorFrontEnd,
-		E19OverloadCurve,
-		E20SoakSLO,
-	}
-	var out []Result
-	for _, fn := range runs {
-		r, err := fn(quick)
-		if err != nil {
-			return out, fmt.Errorf("%s failed: %w", r.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

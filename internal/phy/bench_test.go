@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -87,7 +88,8 @@ func BenchmarkTurboDecodeK6144(b *testing.B) {
 }
 
 // BenchmarkTurboDecodeK6144Int16 is the quantized-kernel counterpart of
-// BenchmarkTurboDecodeK6144; the ratio between the two is the E12 headline.
+// BenchmarkTurboDecodeK6144: the ratio between the two is the scalar int16
+// kernel's arithmetic win, before lockstep (BenchmarkBatchVsScalarI16).
 func BenchmarkTurboDecodeK6144Int16(b *testing.B) {
 	const k = 6144
 	enc := NewTurboEncoder()
@@ -173,19 +175,39 @@ func BenchmarkCRC24A(b *testing.B) {
 }
 
 // BenchmarkFullDecode is the headline per-subframe number: the complete
-// uplink receive chain for a fully loaded 20 MHz subframe at high MCS.
-func BenchmarkFullDecode_MCS22_100PRB(b *testing.B) {
-	benchFullDecode(b, 22, 100)
+// uplink receive chain at a fully loaded 20 MHz subframe at high MCS and at
+// a mid-range operating point. Each shape runs on the default profile and
+// on every oracle profile that differs from it in one field, so the ratio
+// of a sub-benchmark to "default" is what that choice of the default buys:
+// the int16 kernel over float32, width-8 lockstep over the scalar int16
+// decode, the fused front-end over the staged sweeps, and the AVX2 tiles
+// over the pure-Go ones.
+func BenchmarkFullDecode(b *testing.B) {
+	profiles := []struct {
+		name string
+		prof DecodeProfile
+	}{
+		{"default", DecodeProfile{}},
+		{"batch1", DecodeProfile{Batch: 1}},
+		{"float32", DecodeProfile{Kernel: KernelFloat32}},
+		{"staged", DecodeProfile{FrontEnd: FrontEndStaged}},
+		{"novecfe", DecodeProfile{NoVectorFrontEnd: true}},
+	}
+	for _, sh := range []struct {
+		mcs  MCS
+		nprb int
+	}{{22, 100}, {13, 50}} {
+		for _, p := range profiles {
+			b.Run(fmt.Sprintf("MCS%d_%dPRB/%s", sh.mcs, sh.nprb, p.name), func(b *testing.B) {
+				benchFullDecode(b, sh.mcs, sh.nprb, p.prof)
+			})
+		}
+	}
 }
 
-// BenchmarkFullDecode_MCS13_50PRB is the mid-range operating point.
-func BenchmarkFullDecode_MCS13_50PRB(b *testing.B) {
-	benchFullDecode(b, 13, 50)
-}
-
-func benchFullDecode(b *testing.B, mcs MCS, nprb int) {
+func benchFullDecode(b *testing.B, mcs MCS, nprb int, prof DecodeProfile) {
 	b.Helper()
-	proc, err := newTBProc(mcs, nprb, DecodeProfile{})
+	proc, err := newTBProc(mcs, nprb, prof)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -198,6 +220,11 @@ func benchFullDecode(b *testing.B, mcs MCS, nprb int) {
 	rx := append([]complex128(nil), syms...)
 	ch := NewAWGNChannel(mcs.OperatingSNR()+3, 7)
 	ch.Apply(rx)
+	// The first decode builds the processor's decode buffers and turbo
+	// working set; keep it out of the timed loop.
+	if _, err := proc.Decode(rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
+		b.Fatal(err)
+	}
 	b.SetBytes(int64(proc.TransportBlockSize()) / 8)
 	b.ReportAllocs()
 	b.ResetTimer()

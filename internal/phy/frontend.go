@@ -23,7 +23,8 @@ const (
 	FrontEndFused FrontEnd = iota
 	// FrontEndStaged is the three-sweep reference pipeline (full-E
 	// demodulate, then descramble, then per-block dematch), kept as the
-	// test oracle and for per-stage cost attribution (experiments E2/E13).
+	// test oracle and for per-stage cost attribution (experiment E2,
+	// BenchmarkFullDecode's staged column).
 	FrontEndStaged
 )
 

@@ -29,9 +29,9 @@ type DecodeProfile struct {
 	Batch int
 	// NoVectorFrontEnd forces the fused front-end's pure-Go tile kernels
 	// even where the AVX2 ones are available (FrontEndAVX2). Outputs are
-	// bit-identical either way; it exists for measurement (E13/E18's
-	// scalar-fused column, the cost model's calibration) and has no effect on
-	// the staged front-end.
+	// bit-identical either way; it exists for measurement (BenchmarkFullDecode's
+	// novecfe column, the cost model's calibration) and has no effect on the
+	// staged front-end.
 	NoVectorFrontEnd bool
 }
 

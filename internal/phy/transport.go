@@ -495,8 +495,8 @@ func (p *TransportProcessor) Decode(mcs MCS, nprb int, rx []complex128, n0 float
 	p.Timings.FrontEnd = 0
 
 	// Demodulate to LLRs (initDecode capped llr at the largest E, so the
-	// append never grows mid-measurement: the E2/E13/E18 staged columns
-	// time this path).
+	// append never grows mid-measurement: E2 and BenchmarkFullDecode's
+	// staged column time this path).
 	start := time.Now()
 	p.llr = p.llr[:0]
 	p.llr, err = Demodulate(p.llr, rx, mcs.Modulation(), n0)

@@ -366,7 +366,8 @@ func FuzzBatchedKernel(f *testing.F) {
 
 // BenchmarkBatchVsScalarI16 measures per-block decode cost at K=6144 with a
 // fixed iteration budget (no early exit), scalar vs lockstep widths — the
-// kernel-level speedup E17 reports.
+// kernel-level speedup; BenchmarkFullDecode's batch1 column shows it end to
+// end.
 func BenchmarkBatchVsScalarI16(b *testing.B) {
 	const k = 6144
 	rng := rand.New(rand.NewSource(17))
