@@ -93,13 +93,6 @@ type CostModel struct {
 	// not name the pure-Go tiles (Profile.NoVectorFrontEnd), FusedPerRE*
 	// otherwise.
 	FrontEndVector bool
-	// IterCap, when > 0, caps the expected turbo iterations the cost
-	// queries charge — the degradation ladder's per-cell
-	// iteration cap (DegradationLevel.IterCap), so a degraded cell's
-	// modelled demand shrinks to what its capped decode actually costs.
-	// 0 (the default) leaves ExpectedTurboIterations unclamped. Use
-	// WithIterCap (or DegradationLevel.Apply) to derive a capped model.
-	IterCap int
 }
 
 // WithProfile returns a copy of the model whose cost queries price the
@@ -107,23 +100,6 @@ type CostModel struct {
 func (m CostModel) WithProfile(p phy.DecodeProfile) CostModel {
 	m.Profile = p
 	return m
-}
-
-// WithIterCap returns a copy of the model whose cost queries cap the
-// expected turbo iterations at c (0 removes the cap).
-func (m CostModel) WithIterCap(c int) CostModel {
-	m.IterCap = c
-	return m
-}
-
-// expectedIters is ExpectedTurboIterations clamped by the model's iteration
-// cap — the per-allocation iteration count every cost query charges.
-func (m CostModel) expectedIters(mcs phy.MCS, snrDB float64) float64 {
-	it := ExpectedTurboIterations(mcs, snrDB)
-	if m.IterCap > 0 && it > float64(m.IterCap) {
-		it = float64(m.IterCap)
-	}
-	return it
 }
 
 // spanUnits returns the turbo cost, in seconds per code-block bit per
@@ -186,9 +162,6 @@ func (m CostModel) Validate() error {
 	}
 	if err := m.Profile.Validate(); err != nil {
 		return fmt.Errorf("cluster: %w", err)
-	}
-	if m.IterCap < 0 {
-		return fmt.Errorf("cluster: negative turbo iteration cap %d: %w", m.IterCap, phy.ErrBadParameter)
 	}
 	return nil
 }
@@ -291,7 +264,7 @@ func (m CostModel) AllocCost(a frame.Allocation) time.Duration {
 	} else {
 		serial += frontEnd
 	}
-	bitIters := float64(seg.K) * m.expectedIters(a.MCS, a.SNRdB)
+	bitIters := float64(seg.K) * ExpectedTurboIterations(a.MCS, a.SNRdB)
 	span := func(n int) float64 { return bitIters*m.spanUnits(n) + float64(n)*blockFE }
 
 	w := m.Profile.Width()

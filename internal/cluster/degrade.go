@@ -7,12 +7,12 @@ import (
 )
 
 // DegradationLevel is one rung of PRAN's compute-aware degradation ladder —
-// the shared vocabulary between the data plane (which executes degraded
-// decodes), the controller (which deliberately places hot cells degraded
-// instead of rejecting them), and the scheduler feedback path (MCS capping
-// through ranapi). Raising the level trades a bounded amount of link
-// performance for a large cut in compute per bit (Rost et al.'s
-// complexity-rate tradeoff), turning the pool's overload cliff into a slope:
+// the shared vocabulary between the data plane (whose headroom loop sets
+// the level and whose workers execute degraded decodes) and the scheduler
+// feedback path (MCS capping through ranapi). Raising the level trades a
+// bounded amount of link performance for a large cut in compute per bit
+// (Rost et al.'s complexity-rate tradeoff), turning the pool's overload
+// cliff into a slope:
 //
 //	level 0: full service — the configured kernel, the full turbo iteration
 //	         budget, HARQ soft combining, no MCS cap.
@@ -30,13 +30,13 @@ import (
 //	         retransmissions decode fresh instead of accumulating LLRs,
 //	         dropping the soft-buffer bookkeeping and its memory traffic.
 //
-// Each rung also carries an MCS cap the controller can push back to the
-// scheduler so future allocations arrive cheaper, not just decode cheaper.
-// Every rung strictly reduces per-TB decode cost (enforced by the monotone
-// ladder property test in internal/dataplane) and never changes the
-// CRC-pass/fail outcome of a block both rungs decode successfully — the
-// int16 kernel sits on the float32 kernel's BLER curve and the iteration
-// cap only forgoes decodes that needed the longer budget.
+// Each rung also carries an MCS cap fed back to the scheduler so future
+// allocations arrive cheaper, not just decode cheaper. No rung raises
+// per-TB decode work (enforced by the monotone ladder property test in
+// internal/dataplane) or changes the CRC-pass/fail outcome of a block both
+// rungs decode successfully — the int16 kernel sits on the float32
+// kernel's BLER curve and the iteration cap only forgoes decodes that
+// needed the longer budget.
 type DegradationLevel uint8
 
 // The ladder's rungs, in increasing severity.
@@ -60,9 +60,9 @@ const (
 var degradeIterCaps = [MaxDegradationLevel + 1]int{0, 4, 3, 2}
 
 // degradeMCSCaps[l] is the scheduler MCS cap at level l: the highest MCS the
-// controller lets the scheduler assign to a cell running degraded. Level 0
-// is uncapped; the deeper rungs pull new allocations down the TBS ladder so
-// arriving work is cheaper to decode, complementing the per-decode knobs.
+// scheduler may assign to a cell running degraded. Level 0 is uncapped;
+// the deeper rungs pull new allocations down the TBS ladder so arriving
+// work is cheaper to decode, complementing the per-decode knobs.
 var degradeMCSCaps = [MaxDegradationLevel + 1]phy.MCS{phy.MaxMCS, 22, 18, 14}
 
 // Clamp limits the level to the ladder's range.
@@ -88,22 +88,6 @@ func (l DegradationLevel) ShedsHARQ() bool { return l.Clamp() >= DegradeShedHARQ
 // MCSCap returns the highest MCS the scheduler should assign to a cell at
 // this level (phy.MaxMCS = uncapped).
 func (l DegradationLevel) MCSCap() phy.MCS { return degradeMCSCaps[l.Clamp()] }
-
-// Apply derives the cost model a cell running at this level should be
-// charged with: the iteration cap always, plus the int16 kernel (at the
-// profile's lockstep width) when the level forces it. This is how
-// the controller prices degraded placements — a hot cell's demand shrinks to
-// what its degraded decode actually costs.
-func (l DegradationLevel) Apply(m CostModel) CostModel {
-	l = l.Clamp()
-	if c := l.IterCap(); c > 0 {
-		m = m.WithIterCap(c)
-	}
-	if l.ForcesInt16() {
-		m.Profile.Kernel = phy.KernelInt16
-	}
-	return m
-}
 
 // String implements fmt.Stringer.
 func (l DegradationLevel) String() string {

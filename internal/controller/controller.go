@@ -53,12 +53,6 @@ type Config struct {
 	// the flag exists as the oracle for its equivalence property test and
 	// as an ablation knob, not as a safety valve.
 	DisableIncremental bool
-	// Degrade enables degradation-aware placement (see DegradePolicy):
-	// when demand exceeds every server even after promoting all standbys,
-	// hot cells are placed at raised degradation levels — priced at the
-	// policy's per-level factors — instead of shed. Nil disables the path
-	// (overload goes straight to shedding, the pre-ladder behaviour).
-	Degrade *DegradePolicy
 }
 
 // DefaultConfig returns the controller defaults used by the experiments.
@@ -87,13 +81,8 @@ type StepReport struct {
 	// Migrations counts cells moved this round.
 	Migrations int
 	// Unplaceable is true when demand exceeded all capacity even after
-	// promoting every standby; with a DegradePolicy the placement then
-	// runs hot cells degraded, and only sheds when even the fully
-	// degraded pool does not fit.
+	// promoting every standby, so the round shed cells.
 	Unplaceable bool
-	// Degraded is the number of cells the round left running at a raised
-	// degradation level (0 when the full-fidelity demand fit).
-	Degraded int
 	// Dropped are cells that could not be placed (overload shedding).
 	Dropped []frame.CellID
 }
@@ -111,9 +100,6 @@ type Controller struct {
 	placement Placement
 	// cache backs the incremental fast path (see incremental.go).
 	cache placeCache
-	// degLevels is the per-cell degradation assignment of the last round
-	// (empty when everything runs full-fidelity); see degrade.go.
-	degLevels map[frame.CellID]cluster.DegradationLevel
 
 	// cumulative statistics
 	rounds, totalMigrations, totalPromotions uint64
@@ -133,11 +119,6 @@ func New(cfg Config, cl *cluster.Cluster) (*Controller, error) {
 	if cfg.ForecastSteps < 0 {
 		return nil, fmt.Errorf("controller: forecast steps %d: %w", cfg.ForecastSteps, phy.ErrBadParameter)
 	}
-	if cfg.Degrade != nil {
-		if err := cfg.Degrade.Validate(); err != nil {
-			return nil, err
-		}
-	}
 	shards := cfg.Shards
 	if shards <= 0 {
 		shards = defaultMonitorShards
@@ -156,7 +137,6 @@ func New(cfg Config, cl *cluster.Cluster) (*Controller, error) {
 		monitor:   mon,
 		pred:      pred,
 		placement: make(Placement),
-		degLevels: make(map[frame.CellID]cluster.DegradationLevel),
 	}, nil
 }
 
@@ -268,29 +248,16 @@ func (c *Controller) Step() (StepReport, error) {
 // rest recompute fully, which is also the fallback that defines the fast
 // path's correctness.
 func (c *Controller) place(rep *StepReport) error {
-	// The incremental fast path reasons about raw observed demands; while
-	// any cell runs degraded those are scaled by the ladder factors, so
-	// overloaded rounds always recompute fully (like the shedding path).
-	if !c.cfg.DisableIncremental && len(c.degLevels) == 0 {
-		changes := c.monitor.TakeChanges()
-		if c.tryIncremental(changes) {
-			rep.Migrations = 0
-			c.fastRounds.Add(1)
-			return nil
-		}
-	} else if !c.cfg.DisableIncremental {
-		c.monitor.TakeChanges() // keep the dirty sets drained
+	if !c.cfg.DisableIncremental && c.tryIncremental(c.monitor.TakeChanges()) {
+		rep.Migrations = 0
+		c.fastRounds.Add(1)
+		return nil
 	}
 	c.fullRounds.Add(1)
-	demands := c.undegradedDemands()
+	demands := c.monitor.Demands()
 	for {
 		res, err := Place(demands, c.cluster.Servers(), c.placement, c.cfg.Policy)
 		if err == nil {
-			// Full-fidelity demand fits: every degraded cell returns to
-			// full service.
-			if len(c.degLevels) > 0 {
-				c.degLevels = make(map[frame.CellID]cluster.DegradationLevel)
-			}
 			rep.Migrations = res.Migrations
 			c.totalMigrations += uint64(res.Migrations)
 			c.placement = res.Placement
@@ -304,12 +271,6 @@ func (c *Controller) place(rep *StepReport) error {
 		// Try promoting one more standby.
 		standbys := c.cluster.InState(cluster.Standby)
 		if len(standbys) == 0 {
-			if c.cfg.Degrade != nil {
-				// Run hot cells degraded instead of rejecting them; sheds
-				// only if even the fully degraded pool does not fit.
-				rep.Unplaceable = true
-				return c.placeWithDegradation(demands, rep)
-			}
 			// Shed the smallest cells until the rest fits.
 			return c.placeWithShedding(demands, rep)
 		}

@@ -89,13 +89,10 @@ type System struct {
 	harq       []*harqLoop // per-cell HARQ retransmission loops
 
 	// mcsCap is the auto-registered scheduler-feedback program: every
-	// control period it receives each cell's degradation-ladder MCS cap, so
-	// a degraded cell's future subframes arrive with cheaper transport
-	// blocks.
+	// control period it receives the pool's degradation-ladder MCS cap for
+	// each cell, so a degraded pool's future subframes arrive with cheaper
+	// transport blocks.
 	mcsCap *ranapi.MCSCapProgram
-	// ctlLevels is the controller's last pushed per-cell level set, kept
-	// to reset cells the controller stops degrading.
-	ctlLevels map[frame.CellID]cluster.DegradationLevel
 
 	closed bool
 }
@@ -155,7 +152,6 @@ func New(cfg Config) (*System, error) {
 		ctl:        ctl,
 		registry:   ranapi.NewRegistry(),
 		cellDemand: make([]float64, len(cfg.Cells)),
-		ctlLevels:  make(map[frame.CellID]cluster.DegradationLevel),
 	}
 	s.mcsCap = ranapi.NewMCSCapProgram()
 	if err := s.registry.Register(s.mcsCap); err != nil {
@@ -295,26 +291,12 @@ func (s *System) RunTTIs(n int) error {
 // MCSCaps exposes the auto-registered scheduler-feedback program.
 func (s *System) MCSCaps() *ranapi.MCSCapProgram { return s.mcsCap }
 
-// syncDegradation runs after every control step: the controller's
-// degradation-aware placement decisions flow down to the data-plane pool
-// (per-cell levels), and each cell's effective level — whether set by the
-// controller or by the pool's own headroom loop — flows back to the
-// scheduler as an MCS cap. With no DegradePolicy on the controller the
-// level map is always empty and only the cap feedback runs.
+// syncDegradation runs after every control step: the pool's degradation
+// level flows back to the scheduler as every cell's MCS cap.
 func (s *System) syncDegradation() {
-	levels := s.ctl.DegradationLevels()
-	for cell, prev := range s.ctlLevels {
-		if _, still := levels[cell]; !still && prev != cluster.DegradeNone {
-			_ = s.pool.SetCellLevel(cell, cluster.DegradeNone)
-		}
-	}
-	for cell, lvl := range levels {
-		_ = s.pool.SetCellLevel(cell, lvl)
-	}
-	s.ctlLevels = levels
-	for ci := range s.cells {
-		id := s.cfg.Cells[ci].Config.ID
-		s.mcsCap.SetCap(id, s.pool.CellLevel(id).MCSCap())
+	mcsCap := s.pool.Level().MCSCap()
+	for _, c := range s.cfg.Cells {
+		s.mcsCap.SetCap(c.Config.ID, mcsCap)
 	}
 }
 

@@ -179,9 +179,9 @@ func TestDefaultCells(t *testing.T) {
 }
 
 func TestSystemDegradationFeedback(t *testing.T) {
-	// A cell's degradation level — however it was set — must flow back to
+	// The pool's degradation level — however it was set — must flow back to
 	// the scheduler as an MCS cap at the next control period, and clear
-	// when the cell returns to full service.
+	// when the pool returns to full service.
 	s, err := New(smallConfig(1))
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func TestSystemDegradationFeedback(t *testing.T) {
 	if caps.Cap(0) != phy.MaxMCS {
 		t.Fatal("fresh system already capped")
 	}
-	if err := s.Pool().SetCellLevel(0, cluster.DegradeShedHARQ); err != nil {
+	if err := s.Pool().SetLevel(cluster.DegradeShedHARQ); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RunTTIs(20); err != nil { // one control period
@@ -204,7 +204,7 @@ func TestSystemDegradationFeedback(t *testing.T) {
 	if got, want := caps.Cap(0), cluster.DegradeShedHARQ.MCSCap(); got != want {
 		t.Fatalf("cap %v after degradation, want %v", got, want)
 	}
-	if err := s.Pool().SetCellLevel(0, cluster.DegradeNone); err != nil {
+	if err := s.Pool().SetLevel(cluster.DegradeNone); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.RunTTIs(20); err != nil {

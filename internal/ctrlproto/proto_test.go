@@ -1,6 +1,7 @@
 package ctrlproto
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -10,27 +11,29 @@ import (
 	"time"
 )
 
+// sampleMessages holds at least one populated message of every type.
+var sampleMessages = []Message{
+	&Register{ProtoVersion: 1, ServerID: 7, Cores: 16, SpeedMilli: 1250},
+	&RegisterAck{HeartbeatMillis: 100},
+	&Heartbeat{ServerID: 7, TTI: 123456, UsedMilliCores: 3500, QueueLen: 12, Misses: 3, Completed: 99999},
+	&AssignCell{Seq: 1, Cell: 42, PCI: 101, PRB: 100, Antennas: 4},
+	&RemoveCell{Seq: 2, Cell: 42},
+	&MigrateState{Seq: 3, Cell: 42, State: []byte{1, 2, 3, 4, 5}},
+	&MigrateState{Seq: 4, Cell: 1, State: nil},
+	&Drain{Seq: 5},
+	&Promote{Seq: 6},
+	&Ack{Seq: 7},
+	&ErrorMsg{Seq: 8, Code: 2, Text: "boom"},
+	&CellLoad{ServerID: 7, Cell: 3, MilliCores: 1500, TTI: 99},
+	&StatsRequest{Seq: 9},
+	&StatsReport{Seq: 9, ServerID: 7, Data: []byte(`{"counters":[]}`)},
+	&StatsReport{Seq: 10, ServerID: 8, Data: nil},
+	&CellOwned{ServerID: 7, Cells: []uint16{4, 9, 1}},
+	&CellOwned{ServerID: 8, Cells: nil},
+}
+
 func TestMessageRoundtrips(t *testing.T) {
-	msgs := []Message{
-		&Register{ProtoVersion: 1, ServerID: 7, Cores: 16, SpeedMilli: 1250},
-		&RegisterAck{HeartbeatMillis: 100},
-		&Heartbeat{ServerID: 7, TTI: 123456, UsedMilliCores: 3500, QueueLen: 12, Misses: 3, Completed: 99999},
-		&AssignCell{Seq: 1, Cell: 42, PCI: 101, PRB: 100, Antennas: 4},
-		&RemoveCell{Seq: 2, Cell: 42},
-		&MigrateState{Seq: 3, Cell: 42, State: []byte{1, 2, 3, 4, 5}},
-		&MigrateState{Seq: 4, Cell: 1, State: nil},
-		&Drain{Seq: 5},
-		&Promote{Seq: 6},
-		&Ack{Seq: 7},
-		&ErrorMsg{Seq: 8, Code: 2, Text: "boom"},
-		&CellLoad{ServerID: 7, Cell: 3, MilliCores: 1500, TTI: 99},
-		&StatsRequest{Seq: 9},
-		&StatsReport{Seq: 9, ServerID: 7, Data: []byte(`{"counters":[]}`)},
-		&StatsReport{Seq: 10, ServerID: 8, Data: nil},
-		&CellOwned{ServerID: 7, Cells: []uint16{4, 9, 1}},
-		&CellOwned{ServerID: 8, Cells: nil},
-	}
-	for _, m := range msgs {
+	for _, m := range sampleMessages {
 		payload := m.MarshalBinary(nil)
 		fresh, err := newMessage(m.Type())
 		if err != nil {
@@ -53,6 +56,29 @@ func TestMessageRoundtrips(t *testing.T) {
 			t.Fatalf("%v roundtrip: %+v != %+v", m.Type(), fresh, m)
 		}
 	}
+}
+
+// FuzzCtrlprotoMessage feeds arbitrary payloads to every message type's
+// decoder: none may panic, and whatever decodes must re-encode to the same
+// bytes, which decode again.
+func FuzzCtrlprotoMessage(f *testing.F) {
+	for _, m := range sampleMessages {
+		f.Add(uint8(m.Type()), m.MarshalBinary(nil))
+	}
+	f.Fuzz(func(t *testing.T, typ uint8, data []byte) {
+		m, err := newMessage(MsgType(typ))
+		if err != nil || m.UnmarshalBinary(data) != nil {
+			return
+		}
+		blob := m.MarshalBinary(nil)
+		if !bytes.Equal(blob, data) {
+			t.Fatalf("%v: decoded %x re-encodes as %x", m.Type(), data, blob)
+		}
+		again, _ := newMessage(m.Type())
+		if err := again.UnmarshalBinary(blob); err != nil {
+			t.Fatalf("%v: re-encoded payload does not decode: %v", m.Type(), err)
+		}
+	})
 }
 
 func TestMessageRejectsTruncation(t *testing.T) {

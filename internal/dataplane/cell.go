@@ -101,7 +101,7 @@ func (c *CellProcessor) IngestSubframe(samples []complex128, work frame.Subframe
 	// re-reads when stamping each task. A transition between the two reads
 	// is a harmless one-TTI transient (a task may decode degraded with a
 	// combining buffer it no longer needed, or once without one).
-	lvl := c.pool.CellLevel(work.Cell)
+	lvl := c.pool.Level()
 
 	// Cell-level FFT stage: time domain → resource grid.
 	fftStart := time.Now()

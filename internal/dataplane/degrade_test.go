@@ -13,11 +13,8 @@ import (
 
 func TestDegradeConfigValidate(t *testing.T) {
 	bad := []Config{
-		{Workers: 1, DeadlineScale: 1, Degrade: DegradeConfig{MaxLevel: cluster.MaxDegradationLevel + 1}},
 		{Workers: 1, DeadlineScale: 1, Degrade: DegradeConfig{Period: -time.Millisecond}},
-		{Workers: 1, DeadlineScale: 1, Degrade: DegradeConfig{Alpha: 1.5}},
-		{Workers: 1, DeadlineScale: 1, Degrade: DegradeConfig{RaiseDepth: 1, LowerDepth: 2}},
-		{Workers: 1, DeadlineScale: 1, Degrade: DegradeConfig{RaiseSlack: 0.5, LowerSlack: 0.4}},
+		{Workers: 1, DeadlineScale: 1, Degrade: DegradeConfig{DwellPeriods: -1}},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -29,12 +26,12 @@ func TestDegradeConfigValidate(t *testing.T) {
 	}
 }
 
-// decodeAtLevel runs one subframe through a pool pinned at lvl and returns
-// the completed tasks keyed by RNTI.
+// decodeAtLevel runs one subframe through a pool set to lvl and returns the
+// completed tasks keyed by RNTI.
 func decodeAtLevel(t *testing.T, work frame.SubframeWork, lvl cluster.DegradationLevel) map[frame.RNTI]*Task {
 	t.Helper()
 	pool := testPool(t, Config{Workers: 1, Policy: EDF, DeadlineScale: 1000})
-	if err := pool.SetCellLevel(work.Cell, lvl); err != nil {
+	if err := pool.SetLevel(lvl); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[frame.RNTI]*Task)
@@ -124,14 +121,14 @@ func TestShedHARQSkipsSoftState(t *testing.T) {
 		}
 		<-ch
 	}
-	if err := pool.SetCellLevel(1, cluster.DegradeShedHARQ); err != nil {
+	if err := pool.SetLevel(cluster.DegradeShedHARQ); err != nil {
 		t.Fatal(err)
 	}
 	ingest(4)
 	if n := cp.HARQ().Processes(); n != 0 {
 		t.Fatalf("shed rung still tracked %d HARQ processes", n)
 	}
-	if err := pool.SetCellLevel(1, cluster.DegradeNone); err != nil {
+	if err := pool.SetLevel(cluster.DegradeNone); err != nil {
 		t.Fatal(err)
 	}
 	ingest(12)
@@ -142,104 +139,93 @@ func TestShedHARQSkipsSoftState(t *testing.T) {
 
 func TestDegradeLevelAccessors(t *testing.T) {
 	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1})
-	if err := pool.SetCellLevel(1, cluster.MaxDegradationLevel+1); err == nil {
+	if err := pool.SetLevel(cluster.MaxDegradationLevel + 1); err == nil {
 		t.Fatal("invalid level accepted")
 	}
-	if err := pool.SetCellLevel(2, cluster.DegradeForceI16); err != nil {
+	if err := pool.SetLevel(cluster.DegradeForceI16); err != nil {
 		t.Fatal(err)
 	}
-	if pool.CellLevel(2) != cluster.DegradeForceI16 {
-		t.Fatal("pinned level not read back")
-	}
-	if lv := pool.CellLevels(); len(lv) != 1 || lv[2] != cluster.DegradeForceI16 {
-		t.Fatalf("snapshot %v", lv)
+	if pool.Level() != cluster.DegradeForceI16 {
+		t.Fatal("level not read back")
 	}
 }
 
-// TestHeadroomControllerHysteresis drives the controller's step() directly:
-// thin slack climbs the ladder one rung per dwell window, fat slack with an
-// empty queue walks it back down, and a fresh cell inherits the pool-wide
-// target.
+// TestHeadroomControllerHysteresis drives the loop's step() directly with
+// the default thresholds: thin slack climbs the ladder one rung per
+// transition with a dwell period between, and fat slack with an empty queue
+// walks it back down the same way.
 func TestHeadroomControllerHysteresis(t *testing.T) {
-	// Alpha 1 makes the EWMAs track each period's sample exactly, so the
-	// test controls the signals without modelling the smoothing.
 	pool := testPool(t, Config{
 		Workers: 1, DeadlineScale: 1000,
-		Degrade: DegradeConfig{Alpha: 1, DwellPeriods: 1},
+		Degrade: DegradeConfig{DwellPeriods: 1},
 	})
 	d := pool.deg
 	budget := pool.cfg.Budget()
-	feed := func(slackFrac float64) {
+	// feed runs one period whose one completion finished with slackFrac of
+	// its budget left, and checks the level moved by at most one rung.
+	feed := func(slackFrac float64) cluster.DegradationLevel {
+		t.Helper()
+		before := pool.Level()
 		d.slackNanos.Store(int64(slackFrac * float64(budget)))
 		d.slackCount.Store(1)
 		d.step()
+		after := pool.Level()
+		if after > before+1 || before > after+1 {
+			t.Fatalf("level jumped %v → %v in one period", before, after)
+		}
+		return after
 	}
 
 	// Idle pool: full slack, empty queue — stays at full service.
 	for i := 0; i < 3; i++ {
-		feed(1.0)
-	}
-	if got := pool.DegradeTarget(); got != cluster.DegradeNone {
-		t.Fatalf("idle pool degraded to %v", got)
+		if got := feed(1.0); got != cluster.DegradeNone {
+			t.Fatalf("idle pool degraded to %v", got)
+		}
 	}
 
-	// Thin slack: one rung per transition, with a dwell period between.
-	feed(0.0)
-	if got := pool.DegradeTarget(); got != cluster.DegradeIterCap {
-		t.Fatalf("after thin slack: %v", got)
+	// Thin slack: the smoothed signal crosses the raise bar within a few
+	// periods, then one rung per transition with a dwell period between.
+	i := 0
+	for ; i < 20 && pool.Level() == cluster.DegradeNone; i++ {
+		feed(0.0)
 	}
-	feed(0.0) // dwell period — no move
-	if got := pool.DegradeTarget(); got != cluster.DegradeIterCap {
+	if got := pool.Level(); got != cluster.DegradeIterCap {
+		t.Fatalf("after %d thin-slack periods: %v", i, got)
+	}
+	if got := feed(0.0); got != cluster.DegradeIterCap {
 		t.Fatalf("dwell not honoured: %v", got)
 	}
-	feed(0.0)
-	if got := pool.DegradeTarget(); got != cluster.DegradeForceI16 {
+	if got := feed(0.0); got != cluster.DegradeForceI16 {
 		t.Fatalf("second raise missing: %v", got)
 	}
 	for i := 0; i < 6; i++ {
 		feed(0.0)
 	}
-	if got := pool.DegradeTarget(); got != cluster.MaxDegradationLevel {
+	if got := pool.Level(); got != cluster.MaxDegradationLevel {
 		t.Fatalf("ladder topped out at %v", got)
 	}
 
-	// A cell first seen now inherits the pool-wide target.
-	if got := pool.CellLevel(42); got != cluster.MaxDegradationLevel {
-		t.Fatalf("new cell at %v, want target", got)
-	}
-
 	// Recovery: fat slack and an empty queue walk back down rung by rung.
-	for i := 0; i < 10 && pool.DegradeTarget() != cluster.DegradeNone; i++ {
+	for i := 0; i < 20 && pool.Level() != cluster.DegradeNone; i++ {
 		feed(1.0)
 	}
-	if got := pool.DegradeTarget(); got != cluster.DegradeNone {
+	if got := pool.Level(); got != cluster.DegradeNone {
 		t.Fatalf("never recovered: %v", got)
-	}
-	if got := pool.CellLevel(42); got != cluster.DegradeNone {
-		t.Fatalf("cell 42 left behind at %v", got)
 	}
 }
 
-// TestHeadroomControllerMaxLevel pins the automatic controller to its
-// configured ceiling (manual pins are unbounded).
-func TestHeadroomControllerMaxLevel(t *testing.T) {
-	pool := testPool(t, Config{
-		Workers: 1, DeadlineScale: 1000,
-		Degrade: DegradeConfig{Alpha: 1, DwellPeriods: 1, MaxLevel: cluster.DegradeIterCap},
-	})
+// TestHeadroomLoopCarriesUncountedSlack: a period that ends between a
+// completion's two accumulator adds keeps that completion's nanos for the
+// next period, which then averages them with its count instead of reading
+// the task at zero slack.
+func TestHeadroomLoopCarriesUncountedSlack(t *testing.T) {
+	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1000})
 	d := pool.deg
-	for i := 0; i < 8; i++ {
-		d.slackNanos.Store(0)
-		d.slackCount.Store(1)
-		d.step()
-	}
-	if got := pool.DegradeTarget(); got != cluster.DegradeIterCap {
-		t.Fatalf("controller exceeded MaxLevel: %v", got)
-	}
-	if err := pool.SetCellLevel(1, cluster.DegradeShedHARQ); err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.CellLevel(1); got != cluster.DegradeShedHARQ {
-		t.Fatalf("manual pin bounded by MaxLevel: %v", got)
+	d.slackNanos.Add(int64(0.9 * float64(pool.cfg.Budget())))
+	d.step()
+	d.slackCount.Add(1)
+	d.step()
+	if d.ewmaSlack < 0.9 {
+		t.Fatalf("smoothed slack %.3f after one completion at 0.9 slack, want ≥ 0.9", d.ewmaSlack)
 	}
 }

@@ -209,19 +209,24 @@ func TestDownlinkCheaperThanUplink(t *testing.T) {
 			ch := phy.NewAWGNChannel(mcs.OperatingSNR()+2, 34)
 			ch.Apply(rx)
 
-			var encTotal, decTotal time.Duration
-			const reps = 3
-			for i := 0; i < reps; i++ {
+			// Best of five per stage: a shared host's preemption lands on
+			// single repetitions, not on the stage's cost.
+			var enc, dec time.Duration
+			for i := 0; i < 5; i++ {
 				if _, err := proc.Encode(mcs, nprb, payload, 1, 1, 0, 0); err != nil {
 					t.Fatal(err)
 				}
-				encTotal += proc.Timings.EncodeChain + proc.Timings.Modulate
+				if e := proc.Timings.EncodeChain + proc.Timings.Modulate; i == 0 || e < enc {
+					enc = e
+				}
 				if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
 					t.Fatal(err)
 				}
-				decTotal += proc.Timings.Total()
+				if d := proc.Timings.Total(); i == 0 || d < dec {
+					dec = d
+				}
 			}
-			t.Logf("encode %v, decode %v", encTotal/reps, decTotal/reps)
+			t.Logf("encode %v, decode %v", enc, dec)
 			if raceEnabled && tc.opts.Kernel == phy.KernelInt16 {
 				// The detector instruments the Go encode chain (~16× slower)
 				// and none of the default decode's assembly kernels, so under
@@ -232,8 +237,8 @@ func TestDownlinkCheaperThanUplink(t *testing.T) {
 				// build, and the all-Go float32 ratio by both.
 				t.Skip("wall-clock ratio of Go code to assembly is not meaningful under -race")
 			}
-			if encTotal*2 >= decTotal {
-				t.Fatalf("encode %v not well under half of decode %v", encTotal/reps, decTotal/reps)
+			if enc*2 >= dec {
+				t.Fatalf("encode %v not well under half of decode %v", enc, dec)
 			}
 		})
 	}

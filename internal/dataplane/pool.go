@@ -65,10 +65,9 @@ type Config struct {
 	// useless — the NACK window has closed).
 	AbandonLate bool
 	// Degrade parameterizes the compute-aware degradation ladder (see
-	// DegradeConfig and cluster.DegradationLevel). The ladder's per-cell
-	// level words exist on every pool, all at cluster.DegradeNone until
-	// something sets one; the automatic headroom controller runs only when
-	// Degrade.Enable is true.
+	// DegradeConfig and cluster.DegradationLevel). Every pool has the
+	// ladder's level word, at cluster.DegradeNone until something sets it;
+	// the headroom loop that moves it runs only when Degrade.Enable is true.
 	Degrade DegradeConfig
 	// Telemetry selects the registry this pool records runtime metrics
 	// into; nil means the process-wide telemetry.Default(). Telemetry is
@@ -195,10 +194,10 @@ func (p *Pool) Telemetry() *telemetry.Registry {
 // Config.Budget from its Enqueued time); OnDone fires on a worker goroutine
 // when the task completes or is abandoned.
 func (p *Pool) Submit(t *Task) error {
-	// Freeze the cell's current ladder level into the task: the degrade
+	// Freeze the pool's current ladder level into the task: the degrade
 	// knobs a decode runs with are decided at submission, so a mid-queue
 	// transition never splits one task's decisions.
-	t.Degrade = p.deg.level(t.Cell)
+	t.Degrade = p.Level()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()

@@ -26,8 +26,8 @@
 // interleaver and rate-match tables they share are read-only), so the hot
 // path takes no locks; per-worker metrics merge at collection points. The
 // degradation ladder adds one more goroutine when Degrade.Enable is set —
-// the headroom controller, which writes per-cell level words that Submit
-// reads via atomic loads; workers only ever see the level frozen into
+// the headroom loop, which writes the pool's one level word that Submit
+// reads with an atomic load; workers only ever see the level frozen into
 // Task.Degrade at submission (see degradeState). The full threading model is
 // documented in docs/concurrency.md.
 package dataplane
@@ -68,7 +68,7 @@ type Task struct {
 	// Enqueued is when the task entered the pool.
 	Enqueued time.Time
 	// Degrade is the degradation-ladder level this task decodes at,
-	// stamped by Submit from the cell's current level. It selects the
+	// stamped by Submit from the pool's current level. It selects the
 	// worker's iteration cap and kernel override.
 	Degrade cluster.DegradationLevel
 

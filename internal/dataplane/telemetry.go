@@ -55,13 +55,12 @@ const (
 	// lockstep width — lanes left empty because the transport block had no
 	// more code blocks to fill them with.
 	MetricBatchFlushRagged = "dataplane.batch_flush_ragged"
-	// MetricDegradeLevel gauges the headroom controller's current
-	// pool-wide degradation-ladder target (0 = full service; see
-	// cluster.DegradationLevel).
+	// MetricDegradeLevel gauges the pool's degradation-ladder level
+	// (0 = full service; see cluster.DegradationLevel).
 	MetricDegradeLevel = "dataplane.degradation_level"
-	// MetricDegradeRaises counts the controller's level raises.
+	// MetricDegradeRaises counts the headroom loop's level raises.
 	MetricDegradeRaises = "dataplane.degrade_raises"
-	// MetricDegradeLowers counts the controller's level lowers.
+	// MetricDegradeLowers counts the headroom loop's level lowers.
 	MetricDegradeLowers = "dataplane.degrade_lowers"
 )
 
@@ -77,11 +76,6 @@ func CellMetricTasks(cell frame.CellID) string {
 // CellMetricHARQRetransmits returns the per-cell retransmission counter name.
 func CellMetricHARQRetransmits(cell frame.CellID) string {
 	return fmt.Sprintf("cell.%d.harq_retransmits", cell)
-}
-
-// CellMetricDegradeLevel returns the per-cell degradation-level gauge name.
-func CellMetricDegradeLevel(cell frame.CellID) string {
-	return fmt.Sprintf("cell.%d.degradation_level", cell)
 }
 
 // poolTelemetry carries the pool's pre-resolved metric handles. Handles are

@@ -18,7 +18,7 @@ type worker struct {
 	id   int
 	// dsps holds the worker's transport processor, one per decode kernel in
 	// use: the pool's configured kernel, plus int16 when a float32 pool
-	// degrades a cell to the ladder rung that forces it. Each is sized for
+	// degrades to the ladder rung that forces it. Each is sized for
 	// the largest transport block (phy.MaxPRB at phy.MaxMCS).
 	dsps map[phy.DecodeKernel]*phy.TransportProcessor
 }

@@ -18,7 +18,7 @@ type overloadStats struct {
 	goodputMbps float64
 	// missRate is the counted tasks' deadline-miss fraction.
 	missRate float64
-	// level is the pool's degradation target when the run drained.
+	// level is the pool's degradation level when the run drained.
 	level cluster.DegradationLevel
 }
 
@@ -99,7 +99,7 @@ func runOverloadPoint(tpls []*taskTemplate, cfg dataplane.Config, load float64, 
 	elapsed := time.Since(windowStart)
 	out := overloadStats{
 		missRate: float64(missed) / float64(nTasks),
-		level:    pool.DegradeTarget(),
+		level:    pool.Level(),
 	}
 	if elapsed > 0 {
 		out.goodputMbps = float64(goodBits) / elapsed.Seconds() / 1e6

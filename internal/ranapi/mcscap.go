@@ -8,8 +8,8 @@ import (
 )
 
 // MCSCapProgram clamps scheduled allocations' MCS to a per-cell cap — the
-// scheduler-feedback half of the compute-aware degradation ladder. When the
-// controller runs a cell degraded it pushes the level's MCS cap here (see
+// scheduler-feedback half of the compute-aware degradation ladder. When a
+// cell's pool runs degraded, the level's MCS cap is pushed here (see
 // cluster.DegradationLevel.MCSCap), so future subframes arrive with smaller
 // transport blocks that are cheaper to decode, complementing the per-decode
 // knobs (iteration cap, kernel override) the pool already applies. A cap of

@@ -169,6 +169,38 @@ func TestSnapshotEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// FuzzDecodeSnapshot feeds two arbitrary scrape payloads through everything
+// a scraper does with them — decode, merge, window delta, text exposition,
+// quantile queries — none of which may panic.
+func FuzzDecodeSnapshot(f *testing.F) {
+	r := New(2)
+	r.Counter("c").Add(1, 3)
+	r.Gauge("g").Set(-4)
+	r.LatencyHistogram("h").Observe(0, 0.25)
+	seed, err := r.Snapshot().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed, seed)
+	f.Add(seed, []byte(`{"histograms":[{"name":"h","state":{"min":1,"max":2,"buckets":[1]}}]}`))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		sa, errA := DecodeSnapshot(a)
+		sb, errB := DecodeSnapshot(b)
+		if errA != nil || errB != nil {
+			return
+		}
+		merged, _ := MergeAll(sa, sb)
+		for _, s := range []Snapshot{sa, sb, merged, Delta(sa, sb), Delta(sb, sa)} {
+			_ = s.WriteText(io.Discard)
+			for _, h := range s.Histograms {
+				for _, q := range []float64{0, 0.5, 0.99, 1} {
+					h.Quantile(q)
+				}
+			}
+		}
+	})
+}
+
 func TestTextExposition(t *testing.T) {
 	r := New(2)
 	r.Counter("pool.completed").Add(0, 2)
