@@ -22,21 +22,23 @@ func Calibrate() (CostModel, error) {
 	var m CostModel
 	rng := rand.New(rand.NewSource(12345))
 
-	// FFT: 1024-point plan, per-butterfly-unit cost.
+	// FFT: one symbol's OFDM demodulation at 20 MHz, the call a
+	// dataplane.CellProcessor makes 14 times a subframe, per butterfly unit.
 	{
-		const n = 1024
-		f, err := phy.NewFFT(n)
+		o, err := phy.NewOFDMModulator(phy.BW20MHz)
 		if err != nil {
 			return m, fmt.Errorf("cluster: calibrate FFT: %w", err)
 		}
-		buf := make([]complex128, n)
-		for i := range buf {
-			buf[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		n := float64(o.FFTSize())
+		samples := make([]complex128, o.FFTSize())
+		for i := range samples {
+			samples[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
+		dst := make([]complex128, o.UsedSubcarriers())
 		reps := 2000
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			if err := f.Forward(buf); err != nil {
+			if err := o.Demodulate(dst, samples); err != nil {
 				return m, err
 			}
 		}

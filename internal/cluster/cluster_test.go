@@ -101,6 +101,10 @@ func TestSubframeCostSumsAllocations(t *testing.T) {
 	if got != want {
 		t.Fatalf("got %v want %v", got, want)
 	}
+	// An idle subframe is not transformed, so it costs nothing.
+	if c := m.SubframeCost(frame.SubframeWork{}, phy.BW10MHz, 2); c != 0 {
+		t.Fatalf("empty subframe costs %v", c)
+	}
 }
 
 func TestCoreFraction(t *testing.T) {
@@ -121,6 +125,10 @@ func TestUtilizationDemandMonotone(t *testing.T) {
 			t.Fatalf("demand not increasing at util %v", u)
 		}
 		prev = d
+	}
+	// An idle cell is priced as SubframeCost prices an idle subframe.
+	if d := m.UtilizationDemand(phy.BW20MHz, 2, 0.001, 15, 18); d != 0 {
+		t.Fatalf("idle cell demands %v cores", d)
 	}
 	// Clamps.
 	if m.UtilizationDemand(phy.BW20MHz, 2, -1, 15, 18) != m.UtilizationDemand(phy.BW20MHz, 2, 0, 15, 18) {

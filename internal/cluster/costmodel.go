@@ -280,8 +280,12 @@ func (m CostModel) AllocCost(a frame.Allocation) time.Duration {
 }
 
 // SubframeCost returns the total uplink cost of one cell subframe: cell
-// overhead plus every allocation.
+// overhead plus every allocation, and 0 for a subframe with no allocation,
+// which the data plane does not transform.
 func (m CostModel) SubframeCost(w frame.SubframeWork, bw phy.Bandwidth, antennas int) time.Duration {
+	if len(w.Allocations) == 0 {
+		return 0
+	}
 	total := m.CellOverhead(bw, antennas)
 	for _, a := range w.Allocations {
 		total += m.AllocCost(a)
@@ -299,7 +303,8 @@ func CoreFraction(perSubframe time.Duration) float64 {
 // reference-core fractions, when it runs at PRB utilization util with a
 // typical MCS and SNR margin. It is the bridge from coarse traffic traces
 // (internal/traffic.DayTrace) to compute requirements in the pooling
-// experiments.
+// experiments. It prices the cell's subframe through SubframeCost, so a
+// utilization that rounds to 0 PRBs costs 0.
 func (m CostModel) UtilizationDemand(bw phy.Bandwidth, antennas int, util float64, mcs phy.MCS, snrDB float64) float64 {
 	if util < 0 {
 		util = 0
@@ -307,12 +312,9 @@ func (m CostModel) UtilizationDemand(bw phy.Bandwidth, antennas int, util float6
 	if util > 1 {
 		util = 1
 	}
-	nprb := int(math.Round(util * float64(bw.PRB())))
-	cost := m.CellOverhead(bw, antennas)
-	if nprb > 0 {
-		cost += m.AllocCost(frame.Allocation{
-			RNTI: 1, FirstPRB: 0, NumPRB: nprb, MCS: mcs, SNRdB: snrDB,
-		})
+	var w frame.SubframeWork
+	if nprb := int(math.Round(util * float64(bw.PRB()))); nprb > 0 {
+		w.Allocations = []frame.Allocation{{RNTI: 1, FirstPRB: 0, NumPRB: nprb, MCS: mcs, SNRdB: snrDB}}
 	}
-	return CoreFraction(cost)
+	return CoreFraction(m.SubframeCost(w, bw, antennas))
 }

@@ -95,6 +95,12 @@ func (c *CellProcessor) IngestSubframe(samples []complex128, work frame.Subframe
 	if err := work.Validate(c.cfg.Bandwidth); err != nil {
 		return err
 	}
+	// An idle subframe has nothing to decode: no transform, no estimate.
+	// Nothing reads the grid before the next subframe rewrites it, and the
+	// estimate starts from zero every subframe, so no state carries over.
+	if len(work.Allocations) == 0 {
+		return nil
+	}
 	now := time.Now()
 	deadline := now.Add(c.pool.cfg.Budget())
 	// One level read covers the subframe's HARQ-shed decision; Submit

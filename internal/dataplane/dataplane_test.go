@@ -334,6 +334,76 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestIngestIdleSubframe: a subframe with no allocation costs no transform
+// and submits nothing, and the next busy subframe decodes as it does on a
+// processor that never saw the idle one.
+func TestIngestIdleSubframe(t *testing.T) {
+	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1000})
+	cfg := testCellConfig()
+	rrh, err := NewRRHEmulator(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle, err := NewCellProcessor(cfg, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := NewCellProcessor(cfg, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idle.EstimateChannel, fresh.EstimateChannel = true, true
+
+	empty := frame.SubframeWork{Cell: 1, TTI: 4}
+	samples, err := rrh.Emit(empty, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idle.IngestSubframe(samples, empty, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := pool.Stats().Submitted; n != 0 || idle.FFTTime != 0 || idle.EstimateTime != 0 {
+		t.Fatalf("idle subframe: %d tasks submitted, FFT %v, estimate %v", n, idle.FFTTime, idle.EstimateTime)
+	}
+
+	busy := frame.SubframeWork{Cell: 1, TTI: 5, Allocations: []frame.Allocation{
+		{RNTI: 7, FirstPRB: 0, NumPRB: 3, MCS: 10, SNRdB: phy.MCS(10).OperatingSNR() + 3},
+		{RNTI: 8, FirstPRB: 3, NumPRB: 3, MCS: 16, SNRdB: phy.MCS(16).OperatingSNR() + 3},
+	}}
+	payloads, err := rrh.RandomPayloads(busy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if samples, err = rrh.Emit(busy, payloads); err != nil {
+		t.Fatal(err)
+	}
+	decode := func(cp *CellProcessor) map[frame.RNTI][]byte {
+		out := map[frame.RNTI][]byte{}
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		wg.Add(len(busy.Allocations))
+		if err := cp.IngestSubframe(samples, busy, func(tk *Task) {
+			defer wg.Done()
+			mu.Lock()
+			defer mu.Unlock()
+			if tk.Err != nil {
+				t.Errorf("rnti %d: %v", tk.Alloc.RNTI, tk.Err)
+			}
+			out[tk.Alloc.RNTI] = append([]byte(nil), tk.Payload...)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Wait()
+		return out
+	}
+	got, want := decode(idle), decode(fresh)
+	for i, a := range busy.Allocations {
+		if !bytes.Equal(got[a.RNTI], want[a.RNTI]) || !bytes.Equal(got[a.RNTI], payloads[i]) {
+			t.Fatalf("rnti %d: payload after an idle subframe differs", a.RNTI)
+		}
+	}
+}
+
 func TestRRHValidation(t *testing.T) {
 	rrh, err := NewRRHEmulator(testCellConfig(), 1)
 	if err != nil {

@@ -5,8 +5,8 @@
 //
 // LTE FDD HARQ gives the pool a hard budget: an uplink subframe received at
 // time t must be decoded (and the ACK/NACK prepared) within ~3 ms. Because
-// this DSP (AVX2 turbo and demodulation kernels around a pure-Go FFT and
-// equalizer) still runs several times slower than the SIMD C stacks the
+// this DSP (AVX2 turbo, demodulation and FFT kernels around a pure-Go
+// equalizer) still runs slower than the SIMD C stacks the
 // paper used, Config.DeadlineScale stretches the budget by a constant factor
 // while preserving every ratio the experiments measure (utilization at a
 // given miss rate, EDF-vs-FIFO gaps, pooling factors) — the substitution is

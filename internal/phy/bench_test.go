@@ -9,39 +9,51 @@ import (
 // Component-level benchmarks backing the cost-model calibration: these are
 // the per-stage costs cluster.Calibrate measures at runtime.
 
-func BenchmarkFFT2048(b *testing.B) {
-	f, err := NewFFT(2048)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	x := randSymbols(rng, 2048)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Forward(x); err != nil {
+// BenchmarkFFT times the transform against its complex128 oracle, forward
+// and inverse at 1024 and 2048 points, and one symbol of the 20 MHz OFDM
+// demodulation a cell runs 14 times a subframe (cluster.Calibrate's FFT
+// column).
+func BenchmarkFFT(b *testing.B) {
+	for _, n := range []int{1024, 2048} {
+		f, err := NewFFT(n)
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFFT2048Inverse exercises the precomputed inverse-twiddle path
-// (the forward/inverse butterflies are branch-identical since the conjugate
-// table replaced the per-butterfly `if inverse`).
-func BenchmarkFFT2048Inverse(b *testing.B) {
-	f, err := NewFFT(2048)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	x := randSymbols(rng, 2048)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Inverse(x); err != nil {
-			b.Fatal(err)
+		o := newFFTOracle(n)
+		for _, c := range []struct {
+			name string
+			run  func([]complex128) error
+		}{
+			{"default", f.Forward}, {"default_inverse", f.Inverse},
+			{"oracle", o.Forward}, {"oracle_inverse", o.Inverse},
+		} {
+			b.Run(fmt.Sprintf("%d/%s", n, c.name), func(b *testing.B) {
+				x := randSymbols(rand.New(rand.NewSource(1)), n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := c.run(x); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
+	b.Run("OFDMDemodulate20MHz", func(b *testing.B) {
+		o, err := NewOFDMModulator(BW20MHz)
+		if err != nil {
+			b.Fatal(err)
+		}
+		samples := randSymbols(rand.New(rand.NewSource(1)), o.FFTSize())
+		dst := make([]complex128, o.UsedSubcarriers())
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := o.Demodulate(dst, samples); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func BenchmarkTurboEncodeK6144(b *testing.B) {

@@ -7,18 +7,31 @@ import (
 )
 
 // FFT is a planned, allocation-free radix-2 decimation-in-time FFT used for
-// OFDM (de)modulation. A plan precomputes twiddle factors and the
-// bit-reversal permutation for a fixed power-of-two size; Forward and
-// Inverse then transform in place.
+// OFDM (de)modulation. It computes in float32 over split re/im planes:
 //
-// The data plane creates one plan per cell (sized by the cell bandwidth's
-// FFT size) at setup and reuses it for every symbol, so the hot path does
-// not allocate.
+//   - the bit-reversal permutation is folded into the complex128 → float32
+//     load, which also runs the first three stages (twiddles ±1, −i and
+//     (±1−i)/√2) in float64 and rounds once;
+//   - every later stage reads its twiddles from a contiguous per-stage table
+//     and, where the CPU has AVX2, runs as an 8-wide butterfly in assembly
+//     (fft_amd64.s) that is bit-identical to the pure-Go stage loop
+//     (fftStagesGo): no fused multiply-add, the same operation order.
+//
+// The result is float32-accurate: against an exact DFT the error is within
+// Higham's radix-2 bound, a few ε₃₂·log₂n of the output's norm.
+//
+// A plan owns its scratch planes, so it is not safe for concurrent use. The
+// data plane creates one plan per cell (sized by the cell bandwidth's FFT
+// size) at setup and reuses it for every symbol, so the hot path does not
+// allocate.
 type FFT struct {
-	n        int
-	twiddle  []complex128 // twiddle[k] = exp(-2πik/n), k < n/2
-	itwiddle []complex128 // conjugates, so Inverse has no per-butterfly branch
-	rev      []int32      // bit-reversal permutation
+	n int
+	// base[b] is the bit reversal of 8b: load group b's first input.
+	base []int32
+	// tw holds the stages with half h = 8, 16, …, n/2 back to back: h
+	// cosines then h sines of −πk/h at tw[2h−16:].
+	tw     []float32
+	re, im []float32 // the planes a transform runs in
 }
 
 // NewFFT returns a plan for size n, which must be a power of two ≥ 2.
@@ -26,20 +39,18 @@ func NewFFT(n int) (*FFT, error) {
 	if n < 2 || n&(n-1) != 0 {
 		return nil, fmt.Errorf("phy: FFT size %d is not a power of two ≥ 2: %w", n, ErrBadParameter)
 	}
-	f := &FFT{
-		n:        n,
-		twiddle:  make([]complex128, n/2),
-		itwiddle: make([]complex128, n/2),
-		rev:      make([]int32, n),
-	}
-	for k := range f.twiddle {
-		ang := -2 * math.Pi * float64(k) / float64(n)
-		f.twiddle[k] = complex(math.Cos(ang), math.Sin(ang))
-		f.itwiddle[k] = complex(math.Cos(ang), -math.Sin(ang))
-	}
+	f := &FFT{n: n, re: make([]float32, n), im: make([]float32, n)}
 	shift := 64 - uint(bits.TrailingZeros(uint(n)))
-	for i := range f.rev {
-		f.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+	for b := 0; b < n/8; b++ {
+		f.base = append(f.base, int32(bits.Reverse64(uint64(8*b))>>shift))
+	}
+	for h := 8; h < n; h <<= 1 {
+		wr, wi := make([]float32, h), make([]float32, h)
+		for k := range wr {
+			s, c := math.Sincos(-math.Pi * float64(k) / float64(h))
+			wr[k], wi[k] = float32(c), float32(s)
+		}
+		f.tw = append(append(f.tw, wr...), wi...)
 	}
 	return f, nil
 }
@@ -52,46 +63,124 @@ func (f *FFT) Forward(x []complex128) error {
 	if len(x) != f.n {
 		return fmt.Errorf("phy: FFT input length %d != plan size %d: %w", len(x), f.n, ErrBadParameter)
 	}
-	f.transform(x, f.twiddle)
+	f.transform(x)
+	for i := range x {
+		x[i] = complex(float64(f.re[i]), float64(f.im[i]))
+	}
 	return nil
 }
 
 // Inverse computes the in-place inverse DFT of x, including the 1/n scaling,
-// so Inverse(Forward(x)) == x up to rounding.
+// so Inverse(Forward(x)) == x up to rounding. It is the forward transform
+// with re and im swapped on the way in and out, and 1/n scales each part as
+// a real number (so 1+∞i stays ∞ in imag and finite in real).
 func (f *FFT) Inverse(x []complex128) error {
 	if len(x) != f.n {
 		return fmt.Errorf("phy: FFT input length %d != plan size %d: %w", len(x), f.n, ErrBadParameter)
 	}
-	f.transform(x, f.itwiddle)
-	inv := complex(1/float64(f.n), 0)
+	for i, v := range x {
+		x[i] = complex(imag(v), real(v))
+	}
+	f.transform(x)
+	s := 1 / float64(f.n)
 	for i := range x {
-		x[i] *= inv
+		x[i] = complex(float64(f.im[i])*s, float64(f.re[i])*s)
 	}
 	return nil
 }
 
-// transform runs the iterative Cooley-Tukey butterflies against a twiddle
-// table (f.twiddle forward, f.itwiddle inverse); direction costs nothing in
-// the inner loop.
-func (f *FFT) transform(x []complex128, twiddle []complex128) {
-	n := f.n
-	// Bit-reversal permutation.
-	for i, r := range f.rev {
-		if int32(i) < r {
-			x[i], x[r] = x[r], x[i]
-		}
+// transform leaves the DFT of x in the planes.
+func (f *FFT) transform(x []complex128) {
+	f.load(x)
+	if f.n < 16 {
+		return
 	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := n / size
-		for start := 0; start < n; start += size {
-			tw := 0
-			for k := start; k < start+half; k++ {
-				w := twiddle[tw]
-				t := w * x[k+half]
-				x[k+half] = x[k] - t
-				x[k] = x[k] + t
-				tw += step
+	if fftAsm {
+		fftStagesAVX2(&f.re[0], &f.im[0], &f.tw[0], f.n)
+	} else {
+		fftStagesGo(f.re, f.im, f.tw)
+	}
+}
+
+// load reads x in bit-reversed order into the planes and runs the stages
+// with half 1, 2 and 4 on the way: each group of eight outputs is the
+// 8-point DFT of eight inputs n/8 apart. Their twiddles are 1, −i and
+// (±1−i)/√2, so the group is computed in float64 and rounded once.
+func (f *FFT) load(x []complex128) {
+	n := f.n
+	re, im := f.re[:n], f.im[:n]
+	switch n {
+	case 2:
+		put(re, im, 0, x[0]+x[1])
+		put(re, im, 1, x[0]-x[1])
+		return
+	case 4:
+		o0, o1, o2, o3 := dft4(x[0], x[2], x[1], x[3])
+		put(re, im, 0, o0)
+		put(re, im, 1, o1)
+		put(re, im, 2, o2)
+		put(re, im, 3, o3)
+		return
+	}
+	// Position 8b+j holds input r + rev₃(j)·e, r the bit reversal of 8b: the
+	// eight inputs of a group sit in the eight streams xm = x[m·e:(m+1)·e] at
+	// r. The loop runs in r order, so that every stream is read sequentially;
+	// base is its own inverse (b = base[r]).
+	e := n / 8
+	base := f.base[:e]
+	x0, x1, x2, x3 := x[0:e], x[e:2*e], x[2*e:3*e], x[3*e:4*e]
+	x4, x5, x6, x7 := x[4*e:5*e], x[5*e:6*e], x[6*e:7*e], x[7*e:8*e]
+	for r, b := range base {
+		a0, a1, a2, a3 := dft4(x0[r], x4[r], x2[r], x6[r])
+		b0, b1, b2, b3 := dft4(x1[r], x5[r], x3[r], x7[r])
+		// Stage 3: twiddles 1, (1−i)/√2, −i, (−1−i)/√2.
+		const c = math.Sqrt2 / 2
+		t1 := complex((real(b1)+imag(b1))*c, (imag(b1)-real(b1))*c)
+		t2 := complex(imag(b2), -real(b2))
+		t3 := complex((imag(b3)-real(b3))*c, -(real(b3)+imag(b3))*c)
+		r8, i8 := re[8*b:8*b+8], im[8*b:8*b+8]
+		put(r8, i8, 0, a0+b0)
+		put(r8, i8, 1, a1+t1)
+		put(r8, i8, 2, a2+t2)
+		put(r8, i8, 3, a3+t3)
+		put(r8, i8, 4, a0-b0)
+		put(r8, i8, 5, a1-t1)
+		put(r8, i8, 6, a2-t2)
+		put(r8, i8, 7, a3-t3)
+	}
+}
+
+// dft4 runs stages 1 and 2 over four inputs in bit-reversed order: the
+// 4-point DFT of (p0, p2, p1, p3).
+func dft4(p0, p1, p2, p3 complex128) (o0, o1, o2, o3 complex128) {
+	q0, q1, q2, q3 := p0+p1, p0-p1, p2+p3, p2-p3
+	t := complex(imag(q3), -real(q3)) // −i·q3
+	return q0 + q2, q1 + t, q0 - q2, q1 - t
+}
+
+// put rounds v into the planes at j.
+func put(re, im []float32, j int, v complex128) {
+	re[j], im[j] = float32(real(v)), float32(imag(v))
+}
+
+// fftStagesGo is the pure-Go twin of fftStagesAVX2: the radix-2 stages with
+// half h = 8, 16, …, n/2 over the planes, each butterfly in the operation
+// order the assembly uses. The explicit float32 conversions keep the
+// compiler from fusing a multiply into the add after it.
+func fftStagesGo(re, im, tw []float32) {
+	n := len(re)
+	im = im[:n]
+	for h := 8; h < n; h <<= 1 {
+		wr, wi := tw[2*h-16:3*h-16], tw[3*h-16:4*h-16]
+		wi = wi[:len(wr)]
+		for s := 0; s < n; s += 2 * h {
+			ar, ai := re[s:s+h], im[s:s+h]
+			br, bi := re[s+h:s+2*h], im[s+h:s+2*h]
+			for k, c := range wr {
+				tr := float32(c*br[k]) - float32(wi[k]*bi[k])
+				ti := float32(c*bi[k]) + float32(wi[k]*br[k])
+				ar[k], br[k] = ar[k]+tr, ar[k]-tr
+				ai[k], bi[k] = ai[k]+ti, ai[k]-ti
 			}
 		}
 	}
@@ -100,11 +189,10 @@ func (f *FFT) transform(x []complex128, twiddle []complex128) {
 // OFDMModulator maps frequency-domain subcarrier values to time-domain
 // samples (IFFT with the LTE half-subcarrier layout: DC unused, positive
 // subcarriers in bins 1..k, negative in bins n-k..n-1) and back. One
-// instance per cell; scratch buffers are reused across symbols.
+// instance per cell; like its FFT plan it is not safe for concurrent use.
 type OFDMModulator struct {
-	fft     *FFT
-	usedSC  int // active subcarriers (12 × PRB)
-	scratch []complex128
+	fft    *FFT
+	usedSC int // active subcarriers (12 × PRB)
 }
 
 // NewOFDMModulator returns a modulator for the given bandwidth.
@@ -116,11 +204,7 @@ func NewOFDMModulator(bw Bandwidth) (*OFDMModulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &OFDMModulator{
-		fft:     f,
-		usedSC:  bw.PRB() * SubcarriersPerPRB,
-		scratch: make([]complex128, f.Size()),
-	}, nil
+	return &OFDMModulator{fft: f, usedSC: bw.PRB() * SubcarriersPerPRB}, nil
 }
 
 // FFTSize returns the underlying transform length.
@@ -154,7 +238,8 @@ func (o *OFDMModulator) Symbol(dst []complex128, subcarriers []complex128) error
 
 // Demodulate transforms time-domain samples (len == FFTSize) back into
 // subcarrier values written into dst (len == UsedSubcarriers). It is the FFT
-// direction that begins uplink processing.
+// direction that begins uplink processing; samples is only read, and only
+// the used bins are stored.
 func (o *OFDMModulator) Demodulate(dst []complex128, samples []complex128) error {
 	if len(samples) != o.fft.Size() {
 		return fmt.Errorf("phy: got %d samples, want %d: %w", len(samples), o.fft.Size(), ErrBadParameter)
@@ -162,15 +247,17 @@ func (o *OFDMModulator) Demodulate(dst []complex128, samples []complex128) error
 	if len(dst) != o.usedSC {
 		return fmt.Errorf("phy: dst length %d != %d subcarriers: %w", len(dst), o.usedSC, ErrBadParameter)
 	}
-	copy(o.scratch, samples)
-	if err := o.fft.Forward(o.scratch); err != nil {
-		return err
-	}
-	n := o.fft.Size()
+	f := o.fft
+	f.transform(samples)
 	half := o.usedSC / 2
-	for k := 0; k < half; k++ {
-		dst[k] = o.scratch[n-half+k]
-		dst[half+k] = o.scratch[1+k]
+	lo, hi := dst[:half], dst[half:2*half]
+	re, im := f.re[f.n-half:], f.im[f.n-half:]
+	for k := range lo {
+		lo[k] = complex(float64(re[k]), float64(im[k]))
+	}
+	re, im = f.re[1:1+half], f.im[1:1+half]
+	for k := range hi {
+		hi[k] = complex(float64(re[k]), float64(im[k]))
 	}
 	return nil
 }
