@@ -164,6 +164,47 @@ func TestExperimentRegistryMatchesDocs(t *testing.T) {
 	}
 }
 
+// oracleNames are the decode-profile knobs that select a reference pipeline
+// (and the cost-model and ladder hooks that once priced or forced one).
+var oracleNames = regexp.MustCompile(`\b(KernelFloat32|FrontEndStaged|NoVectorFrontEnd|WithProfile|ForcesInt16)\b`)
+
+// TestOraclesStayInPhy is the default-only lint: phy's reference decode
+// pipelines are test oracles and measurement columns, so no non-test Go file
+// outside internal/phy may name them — a pool, a cost model or a ladder rung
+// that selected one would make configuration of an oracle again.
+func TestOraclesStayInPhy(t *testing.T) {
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == filepath.Join("internal", "phy") || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		text, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		checked++
+		for _, name := range oracleNames.FindAllString(string(text), -1) {
+			t.Errorf("%s names %s: reference decode pipelines are internal/phy's test oracles, not configuration", path, name)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("lint found no Go files — walk broken?")
+	}
+}
+
 // exportedNames parses a package's non-test files (every build variant) and
 // returns its exported top-level names plus "Type.Member" for the exported
 // fields and methods of its types.

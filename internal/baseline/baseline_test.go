@@ -111,15 +111,10 @@ func TestMultiplexingGain(t *testing.T) {
 // with a realistic diurnal mix, pooling must beat per-cell static
 // provisioning by a visible factor.
 //
-// The mean-gain floor is 1.8 on the float32 reference model and 1.4 on the
-// default (int16 lockstep) model:
-// decoding is several times cheaper there, the fixed per-cell FFT floor
-// outweighs the load-dependent part of a cell's demand, and the ratio
-// compresses (see TestE4PoolingGainShapes).
+// The mean-gain floor is 1.4: with int16 lockstep decoding the fixed
+// per-cell FFT floor outweighs the load-dependent part of a cell's demand,
+// and the ratio compresses (see TestE4PoolingGainShapes).
 func TestDiurnalPoolingGainShape(t *testing.T) {
-	t.Run("float32", func(t *testing.T) {
-		testDiurnalPoolingGain(t, cluster.DefaultCostModel().WithProfile(phy.DecodeProfile{Kernel: phy.KernelFloat32}), 1.8)
-	})
 	t.Run("default", func(t *testing.T) { testDiurnalPoolingGain(t, cluster.DefaultCostModel(), 1.4) })
 }
 

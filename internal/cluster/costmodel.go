@@ -27,189 +27,95 @@ import (
 )
 
 // CostModel maps PHY work items to time on a reference core (seconds). All
-// coefficients are per-unit costs measured by Calibrate.
+// coefficients are per-unit costs measured by Calibrate, one per stage of
+// the decode pipeline the data plane runs (int16 turbo at lockstep width 8
+// behind the fused front-end; internal/phy's other decode profiles are test
+// oracles and are not priced).
 type CostModel struct {
 	// FFTPerButterfly is the cost of one FFT butterfly stage unit; an
 	// n-point FFT costs FFTPerButterfly × n·log2(n).
 	FFTPerButterfly float64
-	// DemodPerREQPSK/16/64 is the LLR demodulation cost per resource
-	// element for each constellation.
-	DemodPerREQPSK  float64
-	DemodPerRE16QAM float64
-	DemodPerRE64QAM float64
-	// DescramblePerBit is the per-coded-bit descrambling cost, including
-	// the amortized Gold-sequence generation.
-	DescramblePerBit float64
-	// DematchPerBit is the soft de-rate-matching cost per coded bit.
-	DematchPerBit float64
-	// FusedPerREQPSK/16/64 is the all-in cost per resource element of the
-	// fused decode front-end (phy.FrontEndFused), which replaces the three
-	// staged sweeps (demodulate + descramble + de-rate-match) with one
-	// word-oriented pass. Charged instead of — never in addition to — the
-	// DemodPerRE*/DescramblePerBit/DematchPerBit coefficients when
-	// Profile.FrontEnd is FrontEndFused.
-	FusedPerREQPSK  float64
-	FusedPerRE16QAM float64
-	FusedPerRE64QAM float64
-	// FusedVecPerREQPSK/16/64 is the fused front-end cost per resource
-	// element with the AVX2 tile pipeline (phy.FrontEndAVX2() true): tile
-	// demodulation and descrambling run 8 symbols per iteration in
-	// assembly. On hosts without AVX2 the calibrator sets these equal to
-	// the scalar FusedPerRE* coefficients. Charged instead of FusedPerRE*
-	// as FrontEndVector describes.
-	FusedVecPerREQPSK  float64
-	FusedVecPerRE16QAM float64
-	FusedVecPerRE64QAM float64
-	// TurboPerBitIter is the turbo-decode cost per code-block bit per full
-	// iteration with the float32 reference kernel (phy.KernelFloat32).
-	TurboPerBitIter float64
-	// TurboPerBitIterI16 is the same coefficient measured with the scalar
-	// int16 kernel — what a lone code block (a single-block transport
-	// block, a span's odd block out) costs on the default path.
-	TurboPerBitIterI16 float64
-	// TurboPerBitIterI16Batch is the int16 coefficient measured with the
-	// width-8 lockstep batch kernel (phy.BatchDecoderI16): the per-bit,
-	// per-iteration, per-lane cost when eight same-size code blocks move
-	// through the SISO pipeline together — the default path's dominant
-	// coefficient.
-	TurboPerBitIterI16Batch float64
+	// FrontEndPerREQPSK/16/64 is the all-in decode front-end cost per
+	// resource element for each constellation: the one fused pass that turns
+	// received symbols into turbo-ready soft streams (demodulation,
+	// descrambling and de-rate-matching), on the tile kernels the host runs.
+	FrontEndPerREQPSK  float64
+	FrontEndPerRE16QAM float64
+	FrontEndPerRE64QAM float64
+	// TurboLonePerBitIter is the turbo-decode cost per code-block bit per
+	// full iteration of a block decoded alone (a single-block transport
+	// block, a ragged span's odd block out).
+	TurboLonePerBitIter float64
+	// TurboLanePerBitIter is the same cost per lane of a full lockstep span:
+	// eight same-size code blocks moving through one SISO pass together, the
+	// dominant coefficient of a multi-block transport block.
+	TurboLanePerBitIter float64
 	// CRCPerBit is the CRC verification cost per bit.
 	CRCPerBit float64
 	// EncodePerBit is the downlink encode-chain cost per information bit.
 	EncodePerBit float64
-
-	// Profile is the decode pipeline the cost queries price — the same value
-	// a pool runs as dataplane.Config.Decode, so a provisioning answer and
-	// the pipeline it describes are compared with ==. Its Kernel and lockstep
-	// Width select the turbo coefficients and how a transport block's code
-	// blocks are charged span by span (see spanUnits), its FrontEnd and
-	// NoVectorFrontEnd the front-end coefficients. The zero value is the
-	// default path. Use WithProfile to derive a model for another pipeline.
-	Profile phy.DecodeProfile
-	// FrontEndVector is the calibration's record of which fused column this
-	// host's default tile kernels run: Calibrate sets it to
-	// phy.FrontEndAVX2(), DefaultCostModel leaves it false. The fused
-	// front-end is charged FusedVecPerRE* when it is set and the profile does
-	// not name the pure-Go tiles (Profile.NoVectorFrontEnd), FusedPerRE*
-	// otherwise.
-	FrontEndVector bool
 }
 
-// WithProfile returns a copy of the model whose cost queries price the
-// given decode pipeline.
-func (m CostModel) WithProfile(p phy.DecodeProfile) CostModel {
-	m.Profile = p
-	return m
-}
+// lockstepWidth is the number of code blocks the decoder runs through one
+// SISO pass: the default decode profile's width.
+var lockstepWidth = phy.DecodeProfile{}.Width()
 
 // spanUnits returns the turbo cost, in seconds per code-block bit per
-// iteration, of decoding n ≤ width code blocks as one span: n
-// scalar decodes on the float32 kernel, one scalar decode for a lone int16
-// block (the decoder does not run a one-lane batch), and otherwise one
-// lockstep pass whose per-lane coefficient interpolates hyperbolically
-// between the scalar (1 lane) and width-8 calibration points — the lockstep
-// saving is per lane, so a pass at half occupancy forfeits half of it.
+// iteration, of decoding n ≤ lockstepWidth code blocks as one span: one
+// lone-block decode for n = 1, and otherwise one lockstep pass whose per-lane
+// coefficient interpolates hyperbolically between the lone-block (1 lane)
+// and full-span calibration points — the lockstep saving is per lane, so a
+// pass at half occupancy forfeits half of it.
 func (m CostModel) spanUnits(n int) float64 {
-	switch {
-	case m.Profile.Kernel != phy.KernelInt16:
-		return float64(n) * m.TurboPerBitIter
-	case n == 1:
-		return m.TurboPerBitIterI16
+	if n == 1 {
+		return m.TurboLonePerBitIter
 	}
-	lam := (1/float64(n) - 1.0/8) / (1 - 1.0/8)
-	return float64(n) * (lam*m.TurboPerBitIterI16 + (1-lam)*m.TurboPerBitIterI16Batch)
+	w := float64(lockstepWidth)
+	lam := (1/float64(n) - 1/w) / (1 - 1/w)
+	return float64(n) * (lam*m.TurboLonePerBitIter + (1-lam)*m.TurboLanePerBitIter)
 }
 
 // DefaultCostModel returns coefficients representative of a ~3 GHz x86 core
 // (used when calibration is skipped, e.g. in fast unit tests). Values are in
-// seconds per unit. Like every CostModel whose Profile is zero it charges
-// the default decode path, int16 at lockstep width 8.
+// seconds per unit.
 func DefaultCostModel() CostModel {
 	return CostModel{
-		FFTPerButterfly:         2.0e-9,
-		DemodPerREQPSK:          15e-9,
-		DemodPerRE16QAM:         25e-9,
-		DemodPerRE64QAM:         45e-9,
-		DescramblePerBit:        1.2e-9,
-		DematchPerBit:           2.5e-9,
-		FusedPerREQPSK:          11e-9,
-		FusedPerRE16QAM:         20e-9,
-		FusedPerRE64QAM:         33e-9,
-		FusedVecPerREQPSK:       5e-9,
-		FusedVecPerRE16QAM:      8e-9,
-		FusedVecPerRE64QAM:      13e-9,
-		TurboPerBitIter:         28e-9,
-		TurboPerBitIterI16:      9e-9,
-		TurboPerBitIterI16Batch: 2.4e-9,
-		CRCPerBit:               0.8e-9,
-		EncodePerBit:            12e-9,
+		FFTPerButterfly:     2.0e-9,
+		FrontEndPerREQPSK:   11e-9,
+		FrontEndPerRE16QAM:  20e-9,
+		FrontEndPerRE64QAM:  33e-9,
+		TurboLonePerBitIter: 9e-9,
+		TurboLanePerBitIter: 2.4e-9,
+		CRCPerBit:           0.8e-9,
+		EncodePerBit:        12e-9,
 	}
 }
 
 // Validate checks that every coefficient is positive.
 func (m CostModel) Validate() error {
 	for _, v := range []float64{
-		m.FFTPerButterfly, m.DemodPerREQPSK, m.DemodPerRE16QAM, m.DemodPerRE64QAM,
-		m.DescramblePerBit, m.DematchPerBit,
-		m.FusedPerREQPSK, m.FusedPerRE16QAM, m.FusedPerRE64QAM,
-		m.FusedVecPerREQPSK, m.FusedVecPerRE16QAM, m.FusedVecPerRE64QAM,
-		m.TurboPerBitIter, m.TurboPerBitIterI16, m.TurboPerBitIterI16Batch,
+		m.FFTPerButterfly,
+		m.FrontEndPerREQPSK, m.FrontEndPerRE16QAM, m.FrontEndPerRE64QAM,
+		m.TurboLonePerBitIter, m.TurboLanePerBitIter,
 		m.CRCPerBit, m.EncodePerBit,
 	} {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("cluster: non-positive cost coefficient: %w", phy.ErrBadParameter)
 		}
 	}
-	if err := m.Profile.Validate(); err != nil {
-		return fmt.Errorf("cluster: %w", err)
-	}
 	return nil
 }
 
-// demodPerRE selects the per-RE demodulation coefficient.
-func (m CostModel) demodPerRE(mod phy.Modulation) float64 {
+// frontEndPerRE selects the per-RE front-end coefficient.
+func (m CostModel) frontEndPerRE(mod phy.Modulation) float64 {
 	switch mod {
 	case phy.QAM16:
-		return m.DemodPerRE16QAM
+		return m.FrontEndPerRE16QAM
 	case phy.QAM64:
-		return m.DemodPerRE64QAM
+		return m.FrontEndPerRE64QAM
 	default:
-		return m.DemodPerREQPSK
+		return m.FrontEndPerREQPSK
 	}
-}
-
-// fusedPerRE selects the per-RE fused front-end coefficient for the tile
-// kernels the profile runs on the calibrated host (vector vs pure Go).
-func (m CostModel) fusedPerRE(mod phy.Modulation) float64 {
-	if m.FrontEndVector && !m.Profile.NoVectorFrontEnd {
-		switch mod {
-		case phy.QAM16:
-			return m.FusedVecPerRE16QAM
-		case phy.QAM64:
-			return m.FusedVecPerRE64QAM
-		default:
-			return m.FusedVecPerREQPSK
-		}
-	}
-	switch mod {
-	case phy.QAM16:
-		return m.FusedPerRE16QAM
-	case phy.QAM64:
-		return m.FusedPerRE64QAM
-	default:
-		return m.FusedPerREQPSK
-	}
-}
-
-// frontEndSec returns the decode front-end cost (everything between the
-// received symbols and turbo-ready soft streams) for res resource elements
-// carrying codedBits coded bits: one fused pass, or the staged
-// demodulate + descramble + de-rate-match sweeps, per the profile's FrontEnd.
-func (m CostModel) frontEndSec(res, codedBits float64, mod phy.Modulation) float64 {
-	if m.Profile.FrontEnd == phy.FrontEndFused {
-		return res * m.fusedPerRE(mod)
-	}
-	return res*m.demodPerRE(mod) + codedBits*(m.DescramblePerBit+m.DematchPerBit)
 }
 
 // ExpectedTurboIterations models how many full turbo iterations a decode
@@ -239,12 +145,11 @@ func (m CostModel) CellOverhead(bw phy.Bandwidth, antennas int) time.Duration {
 }
 
 // AllocCost returns the uplink processing cost of one UE allocation on a
-// reference core: the decode front-end (one fused pass, or staged
-// demodulation + descrambling + de-rate-matching) + turbo decoding + CRC.
-// The model follows the decoder: the transport block's C code blocks decode
-// in spans of the lockstep width — full spans first, the remainder as one
-// ragged span — each span costing what spanUnits charges for its occupancy,
-// plus, with the fused front-end, the front-end share of its blocks.
+// reference core: the decode front-end + turbo decoding + CRC. The model
+// follows the decoder: the transport block's C code blocks decode in spans
+// of the lockstep width — full spans first, the remainder as one ragged
+// span — each span costing what spanUnits charges for its occupancy plus the
+// front-end share of its blocks.
 func (m CostModel) AllocCost(a frame.Allocation) time.Duration {
 	tbs, err := a.MCS.TransportBlockSize(a.NumPRB)
 	if err != nil {
@@ -255,19 +160,12 @@ func (m CostModel) AllocCost(a frame.Allocation) time.Duration {
 		return 0
 	}
 	res := float64(a.NumPRB * phy.DataREsPerPRB)
-	qm := float64(a.MCS.Modulation().BitsPerSymbol())
-	frontEnd := m.frontEndSec(res, res*qm, a.MCS.Modulation())
 	serial := float64(tbs+24) * m.CRCPerBit
-	blockFE := 0.0 // front-end time riding each decoded block
-	if m.Profile.FrontEnd == phy.FrontEndFused {
-		blockFE = frontEnd / float64(seg.C)
-	} else {
-		serial += frontEnd
-	}
+	blockFE := res * m.frontEndPerRE(a.MCS.Modulation()) / float64(seg.C) // front-end time riding each decoded block
 	bitIters := float64(seg.K) * ExpectedTurboIterations(a.MCS, a.SNRdB)
 	span := func(n int) float64 { return bitIters*m.spanUnits(n) + float64(n)*blockFE }
 
-	w := m.Profile.Width()
+	w := lockstepWidth
 	full, rest := seg.C/w, seg.C%w
 	// The leading full spans, then the last span, full or ragged: the
 	// summation order testdata/costmodel_grid.txt's nanoseconds pin.

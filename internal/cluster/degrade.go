@@ -14,18 +14,12 @@ import (
 // (Rost et al.'s complexity-rate tradeoff), turning the pool's overload
 // cliff into a slope:
 //
-//	level 0: full service — the configured kernel, the full turbo iteration
-//	         budget, HARQ soft combining, no MCS cap.
+//	level 0: full service — the full turbo iteration budget, HARQ soft
+//	         combining, no MCS cap.
 //	level 1: turbo iterations capped at 4 (ample-margin decodes already
 //	         early-terminate below that; edge-of-cliff decodes lose their
 //	         long tail).
-//	level 2: iterations capped at 3 AND the quantized int16 lockstep kernel
-//	         forced regardless of the pool's configured kernel. On a default
-//	         pool, which already runs that kernel, the override is a no-op
-//	         and the rung is the tighter iteration cap alone; it changes the
-//	         kernel only for pools that name phy.KernelFloat32 (E19's
-//	         reference column). Re-deriving the ladder for the int16 default
-//	         is a ROADMAP item.
+//	level 2: a tighter cap: iterations capped at 3.
 //	level 3: iterations capped at 2 and HARQ retransmission combining shed:
 //	         retransmissions decode fresh instead of accumulating LLRs,
 //	         dropping the soft-buffer bookkeeping and its memory traffic.
@@ -34,8 +28,7 @@ import (
 // allocations arrive cheaper, not just decode cheaper. No rung raises
 // per-TB decode work (enforced by the monotone ladder property test in
 // internal/dataplane) or changes the CRC-pass/fail outcome of a block both
-// rungs decode successfully — the int16 kernel sits on the float32
-// kernel's BLER curve and the iteration cap only forgoes decodes that
+// rungs decode successfully — the iteration cap only forgoes decodes that
 // needed the longer budget.
 type DegradationLevel uint8
 
@@ -45,9 +38,8 @@ const (
 	DegradeNone DegradationLevel = iota
 	// DegradeIterCap caps turbo iterations.
 	DegradeIterCap
-	// DegradeForceI16 additionally forces the int16 batched kernel (a
-	// no-op where it is already the pool's kernel, as it is by default).
-	DegradeForceI16
+	// DegradeTightCap caps turbo iterations tighter.
+	DegradeTightCap
 	// DegradeShedHARQ additionally sheds HARQ soft combining.
 	DegradeShedHARQ
 
@@ -77,10 +69,6 @@ func (l DegradationLevel) Clamp() DegradationLevel {
 // decoder's default budget.
 func (l DegradationLevel) IterCap() int { return degradeIterCaps[l.Clamp()] }
 
-// ForcesInt16 reports whether this level overrides the configured decode
-// kernel with the quantized int16 lockstep kernel.
-func (l DegradationLevel) ForcesInt16() bool { return l.Clamp() >= DegradeForceI16 }
-
 // ShedsHARQ reports whether this level sheds HARQ soft combining
 // (retransmissions decode without accumulated LLRs).
 func (l DegradationLevel) ShedsHARQ() bool { return l.Clamp() >= DegradeShedHARQ }
@@ -96,8 +84,8 @@ func (l DegradationLevel) String() string {
 		return "full"
 	case DegradeIterCap:
 		return "iter-cap"
-	case DegradeForceI16:
-		return "force-i16"
+	case DegradeTightCap:
+		return "tight-cap"
 	default:
 		return "shed-harq"
 	}

@@ -38,9 +38,6 @@ func TestDegradationLadderStructure(t *testing.T) {
 		if effectiveIterCap(l+1) >= effectiveIterCap(l) {
 			t.Fatalf("iter cap not strictly decreasing at level %d", l+1)
 		}
-		if l.ForcesInt16() && !(l + 1).ForcesInt16() {
-			t.Fatalf("int16 forcing regressed at level %d", l+1)
-		}
 		if l.ShedsHARQ() && !(l + 1).ShedsHARQ() {
 			t.Fatalf("HARQ shedding regressed at level %d", l+1)
 		}
@@ -48,10 +45,10 @@ func TestDegradationLadderStructure(t *testing.T) {
 			t.Fatalf("MCS cap not strictly decreasing at level %d", l+1)
 		}
 	}
-	if DegradeNone.IterCap() != 0 || DegradeNone.ForcesInt16() || DegradeNone.ShedsHARQ() || DegradeNone.MCSCap() != phy.MaxMCS {
+	if DegradeNone.IterCap() != 0 || DegradeNone.ShedsHARQ() || DegradeNone.MCSCap() != phy.MaxMCS {
 		t.Fatal("level 0 is not full service")
 	}
-	if !MaxDegradationLevel.ForcesInt16() || !MaxDegradationLevel.ShedsHARQ() {
+	if !MaxDegradationLevel.ShedsHARQ() {
 		t.Fatal("deepest rung missing knobs")
 	}
 }

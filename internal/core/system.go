@@ -55,8 +55,7 @@ type Config struct {
 	// Cluster sizes the managed pool.
 	Cluster ClusterSpec
 	// CostModel attributes compute demand; zero value selects
-	// cluster.DefaultCostModel. Whichever it is, it prices Pool.Decode — the
-	// pipeline the pool runs — not the profile it arrived with.
+	// cluster.DefaultCostModel.
 	CostModel cluster.CostModel
 	// Seed makes runs reproducible.
 	Seed int64
@@ -123,7 +122,6 @@ func New(cfg Config) (*System, error) {
 	if model.Validate() != nil {
 		model = cluster.DefaultCostModel()
 	}
-	model = model.WithProfile(cfg.Pool.Decode)
 
 	gen, err := traffic.NewGenerator(bw, profiles, cfg.Seed, cfg.StartHour)
 	if err != nil {

@@ -14,8 +14,8 @@ import (
 // scaled HARQ budget — the same compute-to-deadline ratio the paper's
 // optimized C stack had against the real 3 ms budget. Experiments that use
 // the measured data plane call this once at startup so results are
-// comparable across hosts. The measurement decodes on the default processor
-// — the pipeline a Config that names no decode profile runs.
+// comparable across hosts. The measurement decodes on the processor a pool
+// worker runs.
 func CalibrateDeadlineScale(bw phy.Bandwidth, mcs phy.MCS) (float64, error) {
 	nprb := bw.PRB()
 	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})

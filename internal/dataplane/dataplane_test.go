@@ -557,39 +557,6 @@ func TestCalibrateDeadlineScale(t *testing.T) {
 	}
 }
 
-// TestEndToEndFloat32Kernel drives the reference kernel through the pool:
-// every other end-to-end test runs the default (int16 lockstep), so this is
-// where the oracle path a Config can still name stays exercised.
-func TestEndToEndFloat32Kernel(t *testing.T) {
-	pool := testPool(t, Config{Workers: 2, Policy: EDF, DeadlineScale: 1000, Decode: phy.DecodeProfile{Kernel: phy.KernelFloat32}})
-	if pool.Config().Decode.Kernel != phy.KernelFloat32 {
-		t.Fatal("kernel not recorded in config")
-	}
-	work := frame.SubframeWork{
-		Cell: 1, TTI: 42,
-		Allocations: []frame.Allocation{
-			{RNTI: 100, FirstPRB: 0, NumPRB: 3, MCS: 8, SNRdB: phy.MCS(8).OperatingSNR() + 4},
-			{RNTI: 101, FirstPRB: 3, NumPRB: 3, MCS: 12, SNRdB: phy.MCS(12).OperatingSNR() + 4},
-		},
-	}
-	done := endToEnd(t, pool, work)
-	if len(done) != 2 {
-		t.Fatalf("%d tasks done", len(done))
-	}
-	for _, tk := range done {
-		if tk.Err != nil {
-			t.Fatalf("rnti %d: %v", tk.Alloc.RNTI, tk.Err)
-		}
-	}
-}
-
-func TestConfigRejectsBadKernel(t *testing.T) {
-	cfg := Config{Workers: 1, DeadlineScale: 1, Decode: phy.DecodeProfile{Kernel: phy.DecodeKernel(9)}}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("invalid decode kernel accepted")
-	}
-}
-
 func TestPoolDrainEventDriven(t *testing.T) {
 	// Drain must wake promptly when the pool quiesces and must be safe with
 	// concurrent drainers and submitters (race-detector coverage for the
@@ -626,31 +593,6 @@ func TestPoolDrainEventDriven(t *testing.T) {
 	}
 	// Drain on an idle pool returns immediately.
 	pool.Drain()
-}
-
-func TestPoolFrontEndConfig(t *testing.T) {
-	// A staged-front-end pool must decode identically to the fused default.
-	if err := (Config{Workers: 1, DeadlineScale: 1, Decode: phy.DecodeProfile{FrontEnd: phy.FrontEnd(7)}}).Validate(); err == nil {
-		t.Fatal("bogus front-end accepted")
-	}
-	work := frame.SubframeWork{
-		Cell: 1, TTI: 3,
-		Allocations: []frame.Allocation{
-			{RNTI: 8, FirstPRB: 0, NumPRB: 4, MCS: 9, SNRdB: 20},
-		},
-	}
-	var outputs [][]byte
-	for _, fe := range []phy.FrontEnd{phy.FrontEndFused, phy.FrontEndStaged} {
-		pool := testPool(t, Config{Workers: 1, DeadlineScale: 1000, Decode: phy.DecodeProfile{FrontEnd: fe}})
-		done := endToEnd(t, pool, work)
-		if len(done) != 1 || done[0].Err != nil {
-			t.Fatalf("front-end %v decode failed: %+v", fe, done[0].Err)
-		}
-		outputs = append(outputs, append([]byte(nil), done[0].Payload...))
-	}
-	if !bytes.Equal(outputs[0], outputs[1]) {
-		t.Fatal("fused and staged pools decoded different payloads")
-	}
 }
 
 // TestWorkerFootprintFlatAcrossShapes pins the pooling property the worker's

@@ -142,10 +142,10 @@ func TestDegradeLevelAccessors(t *testing.T) {
 	if err := pool.SetLevel(cluster.MaxDegradationLevel + 1); err == nil {
 		t.Fatal("invalid level accepted")
 	}
-	if err := pool.SetLevel(cluster.DegradeForceI16); err != nil {
+	if err := pool.SetLevel(cluster.DegradeTightCap); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Level() != cluster.DegradeForceI16 {
+	if pool.Level() != cluster.DegradeTightCap {
 		t.Fatal("level not read back")
 	}
 }
@@ -195,7 +195,7 @@ func TestHeadroomControllerHysteresis(t *testing.T) {
 	if got := feed(0.0); got != cluster.DegradeIterCap {
 		t.Fatalf("dwell not honoured: %v", got)
 	}
-	if got := feed(0.0); got != cluster.DegradeForceI16 {
+	if got := feed(0.0); got != cluster.DegradeTightCap {
 		t.Fatalf("second raise missing: %v", got)
 	}
 	for i := 0; i < 6; i++ {

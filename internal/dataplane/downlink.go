@@ -149,9 +149,7 @@ func EncodeOnPool(pool *Pool, cell frame.CellConfig, work frame.SubframeWork, pa
 			Deadline: txDeadline,
 			runInstead: func(w *worker, t *Task) {
 				start := time.Now()
-				// Encode doesn't decode, so the degradation ladder's kernel
-				// override is irrelevant — use the pool's configured kernel.
-				proc, err := w.dspFor(w.pool.cfg.Decode.Kernel)
+				proc, err := w.processor()
 				if err != nil {
 					dl.Err = err
 					return

@@ -41,18 +41,14 @@ var (
 	ErrClosed = errors.New("dataplane: pool closed")
 )
 
-// Config parameterizes a worker pool. A Config that sets only Workers,
-// Policy and DeadlineScale runs the default decode path.
+// Config parameterizes a worker pool. Every pool decodes on the default
+// pipeline (int16 lockstep turbo behind the fused front-end), the one
+// cluster.CostModel prices.
 type Config struct {
-	// Workers is the number of processing goroutines (≈ dedicated cores).
+	// Workers is the number of processing goroutines (≈ dedicated cores). A
+	// worker decodes a task's code blocks on its own goroutine, so a fully
+	// busy pool demands Workers cores.
 	Workers int
-	// Decode is the decode pipeline every worker's processor is built from;
-	// the zero value is the default path (int16 lockstep turbo behind the
-	// fused vector front-end). A worker decodes a task's code blocks on its
-	// own goroutine, so a fully busy pool demands Workers cores. A cost model
-	// prices this pool when its Profile equals this field
-	// (cluster.CostModel.WithProfile).
-	Decode phy.DecodeProfile
 	// Policy selects EDF or FIFO dispatch.
 	Policy SchedPolicy
 	// DeadlineScale stretches the HARQ budget to compensate for the DSP's
@@ -90,9 +86,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Workers < 1 {
 		return fmt.Errorf("dataplane: %d workers: %w", c.Workers, phy.ErrBadParameter)
-	}
-	if err := c.Decode.Validate(); err != nil {
-		return fmt.Errorf("dataplane: %w", err)
 	}
 	if c.DeadlineScale <= 0 {
 		return fmt.Errorf("dataplane: deadline scale %v: %w", c.DeadlineScale, phy.ErrBadParameter)

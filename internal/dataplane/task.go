@@ -69,7 +69,7 @@ type Task struct {
 	Enqueued time.Time
 	// Degrade is the degradation-ladder level this task decodes at,
 	// stamped by Submit from the pool's current level. It selects the
-	// worker's iteration cap and kernel override.
+	// worker's iteration cap.
 	Degrade cluster.DegradationLevel
 
 	// Soft, when non-nil, supplies the HARQ soft-combining buffer for this

@@ -36,7 +36,7 @@ const (
 	// MetricProcTime is the pure processing-time histogram (seconds).
 	MetricProcTime = "pool.proc_time_s"
 	// MetricStageFrontEnd is the decode front-end stage histogram (seconds):
-	// demodulation + descrambling + de-rate-matching, fused or staged.
+	// the fused demodulation + descrambling + de-rate-matching pass.
 	MetricStageFrontEnd = "pool.stage_front_end_s"
 	// MetricStageTurbo is the turbo-decode stage histogram (seconds).
 	MetricStageTurbo = "pool.stage_turbo_s"
@@ -48,10 +48,10 @@ const (
 	// C code blocks decodes as ⌊C/width⌋ full spans and one ragged span of
 	// the remainder, so single-block transport blocks read 1.
 	MetricBatchWidth = "dataplane.batch_width"
-	// MetricBatchFlushFull counts spans that filled the decode profile's
-	// lockstep width.
+	// MetricBatchFlushFull counts spans that filled the decoder's lockstep
+	// width.
 	MetricBatchFlushFull = "dataplane.batch_flush_full"
-	// MetricBatchFlushRagged counts spans narrower than the decode profile's
+	// MetricBatchFlushRagged counts spans narrower than the decoder's
 	// lockstep width — lanes left empty because the transport block had no
 	// more code blocks to fill them with.
 	MetricBatchFlushRagged = "dataplane.batch_flush_ragged"

@@ -3,7 +3,6 @@ package dataplane
 import (
 	"time"
 
-	"pran/internal/cluster"
 	"pran/internal/phy"
 )
 
@@ -16,41 +15,27 @@ import (
 type worker struct {
 	pool *Pool
 	id   int
-	// dsps holds the worker's transport processor, one per decode kernel in
-	// use: the pool's configured kernel, plus int16 when a float32 pool
-	// degrades to the ladder rung that forces it. Each is sized for
-	// the largest transport block (phy.MaxPRB at phy.MaxMCS).
-	dsps map[phy.DecodeKernel]*phy.TransportProcessor
+	// dsp is the worker's transport processor on the default decode
+	// profile, sized for the largest transport block (phy.MaxPRB at
+	// phy.MaxMCS); nil until the worker's first task.
+	dsp *phy.TransportProcessor
 }
 
 func newWorker(p *Pool, id int) *worker {
-	return &worker{pool: p, id: id, dsps: make(map[phy.DecodeKernel]*phy.TransportProcessor)}
+	return &worker{pool: p, id: id}
 }
 
-// kernelFor returns the decode kernel a task at degradation level lvl runs:
-// the pool's configured kernel, overridden to int16 at the ladder rungs
-// that force it (a no-op on the default, int16, pool).
-func (w *worker) kernelFor(lvl cluster.DegradationLevel) phy.DecodeKernel {
-	if lvl.ForcesInt16() {
-		return phy.KernelInt16
+// processor returns the worker's transport processor, building it on first
+// use.
+func (w *worker) processor() (*phy.TransportProcessor, error) {
+	if w.dsp == nil {
+		d, err := phy.NewTransportProcessor(phy.MaxPRB, phy.DecodeProfile{})
+		if err != nil {
+			return nil, err
+		}
+		w.dsp = d
 	}
-	return w.pool.cfg.Decode.Kernel
-}
-
-// dspFor returns the processor a dispatch on the given kernel runs in — the
-// pool's decode profile at that kernel — building it on first use.
-func (w *worker) dspFor(kern phy.DecodeKernel) (*phy.TransportProcessor, error) {
-	if d := w.dsps[kern]; d != nil {
-		return d, nil
-	}
-	prof := w.pool.cfg.Decode
-	prof.Kernel = kern
-	d, err := phy.NewTransportProcessor(phy.MaxPRB, prof)
-	if err != nil {
-		return nil, err
-	}
-	w.dsps[kern] = d
-	return d, nil
+	return w.dsp, nil
 }
 
 func (w *worker) run() {
@@ -87,14 +72,14 @@ func (w *worker) admit(t *Task, now time.Time) bool {
 // recordStages feeds the per-stage histograms and the lane-fill telemetry
 // from a processor's most recent decode: one batch-width observation per
 // span, valued at the code blocks it decoded together, counted full at the
-// profile's lockstep width and ragged below it.
+// decoder's lockstep width and ragged below it.
 func (w *worker) recordStages(proc *phy.TransportProcessor) {
 	tel := w.pool.tel
 	if tel == nil {
 		return
 	}
 	tm := &proc.Timings
-	tel.frontEnd.ObserveDuration(w.id, tm.Demodulate+tm.Descramble+tm.Dematch+tm.FrontEnd)
+	tel.frontEnd.ObserveDuration(w.id, tm.FrontEnd)
 	tel.turbo.ObserveDuration(w.id, tm.TurboDecode)
 	tel.crc.ObserveDuration(w.id, tm.CRCCheck)
 	width := proc.Profile().Width()
@@ -123,7 +108,7 @@ func (w *worker) execute(t *Task) {
 		t.Finished = time.Now()
 		return
 	}
-	proc, err := w.dspFor(w.kernelFor(t.Degrade))
+	proc, err := w.processor()
 	if err != nil {
 		t.Err = err
 		t.Finished = time.Now()

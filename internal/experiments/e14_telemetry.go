@@ -119,7 +119,7 @@ func E14TelemetryOverhead(quick bool) (Result, error) {
 	res.Metrics["record_ns_per_op"] = recNs
 	worst := 0.0
 	for _, mcs := range mcsGrid {
-		tpl, err := makeTemplate(phy.MCS(mcs), 100, 1400+int64(mcs), time.Hour, phy.DecodeProfile{})
+		tpl, err := makeTemplate(phy.MCS(mcs), 100, 1400+int64(mcs), time.Hour)
 		if err != nil {
 			return res, err
 		}

@@ -8,7 +8,6 @@ import (
 
 	"pran/internal/cluster"
 	"pran/internal/dataplane"
-	"pran/internal/phy"
 )
 
 // overloadStats is one load point's outcome for the overload curve.
@@ -113,13 +112,11 @@ func runOverloadPoint(tpls []*taskTemplate, cfg dataplane.Config, load float64, 
 // controller, so every cell stays at level 0 (the overload cliff), and once
 // with the degradation ladder's headroom
 // controller enabled (the slope). Under overload the ladder should climb
-// (iteration cap → forced int16 kernel → HARQ shed), cutting compute per
-// bit so goodput keeps rising past the cliff instead of flatlining while
-// deadline misses soak up the excess; at 2× offered load the ladder's
-// goodput should beat the baseline by well over the CI gate's 1×
-// (acceptance target ≥1.5×). Deadline-miss rates should grow monotonically
-// with offered load in both variants, the ladder's at or below the
-// baseline's at every load (miss_monotone checks both).
+// (iteration caps → HARQ shed), cutting compute per bit so goodput keeps
+// rising past the cliff instead of flatlining while deadline misses soak up
+// the excess. Deadline-miss rates should grow monotonically with offered
+// load in both variants, the ladder's at or below the baseline's at every
+// load (miss_monotone checks both).
 func E19OverloadCurve(quick bool) (Result, error) {
 	loads := []float64{0.5, 1.0, 1.5, 2.0, 2.5, 3.0}
 	nTasks := 240
@@ -127,19 +124,13 @@ func E19OverloadCurve(quick bool) (Result, error) {
 		loads = []float64{0.5, 1.0, 2.0, 3.0}
 		nTasks = 150
 	}
-	// Both variants run the float32 reference kernel, named explicitly, so
-	// that the ladder's forced-int16 rung is a real kernel change (on a
-	// default pool it is a no-op and the ladder has only its iteration caps
-	// and HARQ shedding to offer). Capacity and deadlines are therefore
-	// measured on that kernel too: the bulk decode fills a fifth of the
-	// per-task budget (the ratio the experiment ran at when its scale came
-	// from CalibrateDeadlineScale on a float32 default).
-	ref := phy.DecodeProfile{Kernel: phy.KernelFloat32}
-	bulk, err := makeTemplate(16, 25, 61, 0, ref)
+	// The deadline scale makes the bulk decode fill a fifth of the per-task
+	// budget, never below real LTE time.
+	bulk, err := makeTemplate(16, 25, 61, 0)
 	if err != nil {
 		return Result{ID: "E19"}, err
 	}
-	narrow, err := makeTemplate(10, 4, 62, 0, ref)
+	narrow, err := makeTemplate(10, 4, 62, 0)
 	if err != nil {
 		return Result{ID: "E19"}, err
 	}
@@ -161,7 +152,6 @@ func E19OverloadCurve(quick bool) (Result, error) {
 	// burning the worker on it only deepens the backlog).
 	baseCfg := dataplane.Config{
 		Workers: 1, DeadlineScale: scale,
-		Decode: ref,
 		Policy: dataplane.EDF, AbandonLate: true,
 	}
 	ladderCfg := baseCfg
@@ -209,7 +199,7 @@ func E19OverloadCurve(quick bool) (Result, error) {
 	}
 	res.Metrics["miss_monotone"] = missMonotone
 	res.Notes = append(res.Notes,
-		fmt.Sprintf("both variants name the float32 reference kernel (so the force-i16 rung is a kernel change); deadline scale ×%.1f from the float32 bulk decode; offered load 1.0 = one worker's measured float32 decode capacity", scale),
+		fmt.Sprintf("default decode path; deadline scale ×%.1f from the bulk decode; offered load 1.0 = one worker's measured decode capacity", scale),
 		fmt.Sprintf("templates: MCS 16 / 25 PRB (%.2f ms) + MCS 10 / 4 PRB (%.2f ms), full budget",
 			bulk.cost.Seconds()*1e3, narrow.cost.Seconds()*1e3),
 		"goodput = on-time CRC-passing transport-block bits / wall time; ladder = headroom-controlled degradation (cluster.DegradationLevel)")

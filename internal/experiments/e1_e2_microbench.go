@@ -11,11 +11,10 @@ import (
 )
 
 // measureDecode times the full uplink transport decode of a configuration on
-// the given decode profile, returning the per-subframe stage timings over
-// reps runs (experiments that attribute cost to individual pre-turbo stages
-// name FrontEndStaged, since the fused pass reports one combined time).
-func measureDecode(mcs phy.MCS, nprb, reps int, seed int64, prof phy.DecodeProfile) (phy.StageTimings, error) {
-	proc, err := phy.NewTransportProcessor(nprb, prof)
+// the processor a pool worker runs, returning the per-subframe stage timings
+// over reps runs.
+func measureDecode(mcs phy.MCS, nprb, reps int, seed int64) (phy.StageTimings, error) {
+	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
 	if err != nil {
 		return phy.StageTimings{}, err
 	}
@@ -60,9 +59,6 @@ func measureDecode(mcs phy.MCS, nprb, reps int, seed int64, prof phy.DecodeProfi
 		if ok == 0 {
 			min = t
 		} else {
-			minDur(&min.Demodulate, t.Demodulate)
-			minDur(&min.Descramble, t.Descramble)
-			minDur(&min.Dematch, t.Dematch)
 			minDur(&min.FrontEnd, t.FrontEnd)
 			minDur(&min.TurboDecode, t.TurboDecode)
 			minDur(&min.CRCCheck, t.CRCCheck)
@@ -85,9 +81,9 @@ func minDur(dst *time.Duration, v time.Duration) {
 // uplink subframe processing time as a function of MCS for 25/50/100 PRB.
 // Expected shape: ~linear in PRBs, superlinear in MCS efficiency, with the
 // high-MCS wide-band corner defining the provisioning requirement. Every
-// column names the float32 reference kernel — the per-block decoder of the
-// paper's era; phy's BenchmarkFullDecode times the default int16 lockstep
-// path next to it.
+// column decodes on the default path, the int16 lockstep kernel behind the
+// fused front-end; phy's BenchmarkFullDecode times the oracle profiles next
+// to it.
 func E1SubframeVsMCS(quick bool) (Result, error) {
 	mcsGrid := []phy.MCS{0, 4, 9, 13, 17, 22, 28}
 	prbGrid := []int{25, 50, 100}
@@ -122,7 +118,7 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 				row = append(row, "-")
 				continue
 			}
-			tm, err := measureDecode(mcs, nprb, reps, int64(mcs)*100+int64(nprb), phy.DecodeProfile{Kernel: phy.KernelFloat32})
+			tm, err := measureDecode(mcs, nprb, reps, int64(mcs)*100+int64(nprb))
 			if err != nil {
 				return res, err
 			}
@@ -134,7 +130,7 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	res.Notes = append(res.Notes,
-		"float32 reference kernel (phy.KernelFloat32), one block at a time: tens of times slower than the paper's SIMD C stack and several times slower than this repo's default int16 lockstep path (phy BenchmarkFullDecode); shapes (linear in PRB, turbo-dominated growth in MCS) are the reproduced result",
+		"default decode path: int16 turbo, code blocks decoded 8 at a time in lockstep behind the fused front-end (phy BenchmarkFullDecode times the float32 and staged oracles next to it); a transport block with fewer than 8 code blocks leaves lanes empty, so time is not linear in PRB",
 		"operating point: per-MCS operating SNR + 3 dB, CRC-based early termination active")
 	return res, nil
 }
@@ -142,10 +138,9 @@ func E1SubframeVsMCS(quick bool) (Result, error) {
 // E2StageBreakdown reconstructs the per-stage cost breakdown figure:
 // where the subframe budget goes at representative MCS points (100 PRB).
 // Expected shape: turbo decoding dominates and its share grows with MCS.
-// The front-end is pinned to FrontEndStaged so the three pre-turbo stages
-// are individually attributable, and the turbo column is the float32
-// reference kernel; phy's BenchmarkFullDecode times both against the
-// default.
+// Every stage is the default path's: the front-end column is the one fused
+// pass (demodulation, descrambling and de-rate-matching together), the
+// turbo column the int16 lockstep kernel.
 func E2StageBreakdown(quick bool) (Result, error) {
 	mcsGrid := []phy.MCS{4, 13, 22, 27}
 	reps := 3
@@ -156,7 +151,7 @@ func E2StageBreakdown(quick bool) (Result, error) {
 	res := Result{
 		ID:      "E2",
 		Title:   "Processing-time breakdown by pipeline stage, 100 PRB (measured)",
-		Header:  []string{"mcs", "fft(ms)", "demod(ms)", "descramble(ms)", "dematch(ms)", "turbo(ms)", "crc(ms)", "turbo-share"},
+		Header:  []string{"mcs", "fft(ms)", "front-end(ms)", "turbo(ms)", "crc(ms)", "turbo-share"},
 		Metrics: map[string]float64{},
 	}
 	// Cell-level FFT stage cost (14 symbols at 2048-point), measured once.
@@ -165,7 +160,7 @@ func E2StageBreakdown(quick bool) (Result, error) {
 		return res, err
 	}
 	for _, mcs := range mcsGrid {
-		tm, err := measureDecode(mcs, 100, reps, int64(mcs)*977, phy.DecodeProfile{Kernel: phy.KernelFloat32, FrontEnd: phy.FrontEndStaged})
+		tm, err := measureDecode(mcs, 100, reps, int64(mcs)*977)
 		if err != nil {
 			return res, err
 		}
@@ -174,9 +169,7 @@ func E2StageBreakdown(quick bool) (Result, error) {
 		res.Rows = append(res.Rows, []string{
 			fmt.Sprintf("%d", mcs),
 			ms(fftCost.Seconds()),
-			ms(tm.Demodulate.Seconds()),
-			ms(tm.Descramble.Seconds()),
-			ms(tm.Dematch.Seconds()),
+			ms(tm.FrontEnd.Seconds()),
 			ms(tm.TurboDecode.Seconds()),
 			ms(tm.CRCCheck.Seconds()),
 			fmt.Sprintf("%.0f%%", share*100),
@@ -185,7 +178,7 @@ func E2StageBreakdown(quick bool) (Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		"fft column is the per-cell OFDM stage (14 × 2048-point FFT), shared across all UEs in the subframe",
-		"reference paths named on purpose: float32 kernel and staged front-end, for per-stage attribution; the default runs the int16 lockstep kernel behind the fused front-end, which collapses demod+descramble+dematch into one pass (phy BenchmarkFullDecode times each)")
+		"default decode path: the front-end column is the fused pass (demod + descramble + dematch in one sweep), turbo the int16 lockstep kernel; phy BenchmarkFullDecode times the staged and float32 oracles")
 	return res, nil
 }
 

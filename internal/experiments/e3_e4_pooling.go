@@ -115,16 +115,9 @@ func cellDemandTraces(n int, stepSeconds float64, model cluster.CostModel) ([][]
 // Expected shape: pooling needs clearly fewer cores than per-cell static by
 // ~50 cells, and the mean-usage gain is larger still. On the default cost
 // model (int16 lockstep decode) the load-independent per-cell FFT floor is
-// most of a cell's demand, so the ratios sit near 1.4 / 1.6 where the
-// float32 model read 1.5 / 2.1 — on a third of the cores.
+// most of a cell's demand, so the ratios sit near 1.4 / 1.6.
 func E4PoolingGain(quick bool) (Result, error) {
-	return e4PoolingGain(quick, cluster.DefaultCostModel())
-}
-
-// e4PoolingGain is E4 with the cells' demands drawn from model; the shape
-// test also runs it on the float32 reference model, which has the higher
-// gain floor.
-func e4PoolingGain(quick bool, model cluster.CostModel) (Result, error) {
+	model := cluster.DefaultCostModel()
 	cellCounts := []int{10, 20, 50, 100, 200}
 	step := 60.0
 	if quick {
@@ -177,6 +170,6 @@ func e4PoolingGain(quick bool, model cluster.CostModel) (Result, error) {
 	}
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("headroom %.0f%% on all elastic/static variants; 5-minute scale-down lag on the elastic pool", headroom*100),
-		fmt.Sprintf("demands from the cost model charging %v decode (the default is int16 lockstep) over 20 MHz 2-antenna cells, standard class mix; the per-cell FFT floor (1.26 cores) is load-independent and on the default model the larger part of a cell's demand", model.Profile.Kernel))
+		"demands from the cost model charging int16 decode (the default is int16 lockstep) over 20 MHz 2-antenna cells, standard class mix; the per-cell FFT floor (1.26 cores) is load-independent and on the default model the larger part of a cell's demand")
 	return res, nil
 }

@@ -22,11 +22,10 @@ type taskTemplate struct {
 }
 
 // makeTemplate encodes one allocation at its operating point and measures
-// its decode cost on a processor built from prof — the profile of the pool
-// the template will load (the zero value for a pool that names none).
-// budget is the class's per-task deadline budget.
-func makeTemplate(mcs phy.MCS, nprb int, seed int64, budget time.Duration, prof phy.DecodeProfile) (*taskTemplate, error) {
-	proc, err := phy.NewTransportProcessor(nprb, prof)
+// its decode cost on the processor a pool worker runs. budget is the class's
+// per-task deadline budget.
+func makeTemplate(mcs phy.MCS, nprb int, seed int64, budget time.Duration) (*taskTemplate, error) {
+	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
 	if err != nil {
 		return nil, err
 	}
@@ -193,11 +192,11 @@ func E5DeadlineMiss(quick bool) (Result, error) {
 	}
 	scale := baseScale * 2
 	budget := time.Duration(float64(dataplane.HARQBudget) * scale)
-	bulk, err := makeTemplate(16, 25, 51, budget, phy.DecodeProfile{})
+	bulk, err := makeTemplate(16, 25, 51, budget)
 	if err != nil {
 		return Result{ID: "E5"}, err
 	}
-	urgent, err := makeTemplate(10, 4, 52, budget/2, phy.DecodeProfile{})
+	urgent, err := makeTemplate(10, 4, 52, budget/2)
 	if err != nil {
 		return Result{ID: "E5"}, err
 	}

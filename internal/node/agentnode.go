@@ -174,7 +174,7 @@ func NewAgentNode(cfg AgentConfig) (*AgentNode, error) {
 		cfg:     cfg,
 		client:  client,
 		pool:    pool,
-		model:   cluster.DefaultCostModel().WithProfile(cfg.Pool.Decode),
+		model:   cluster.DefaultCostModel(),
 		logf:    cfg.Logf,
 		dial:    cfg.Dial,
 		cells:   make(map[frame.CellID]*cellRuntime),

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"pran/internal/cluster"
 	"pran/internal/controller"
 	"pran/internal/dataplane"
 	"pran/internal/frame"
@@ -144,31 +143,5 @@ func TestAgentValidation(t *testing.T) {
 	// Unreachable controller must fail fast-ish.
 	if _, err := NewAgentNode(AgentConfig{ControllerAddr: "127.0.0.1:1", Cores: 1}); err == nil {
 		t.Fatal("dial to closed port succeeded")
-	}
-}
-
-// TestAgentModelFollowsPoolProfile is core's TestSystemModelFollowsPoolProfile
-// for the agent: the model its load reports are priced with describes the
-// pipeline its pool runs.
-func TestAgentModelFollowsPoolProfile(t *testing.T) {
-	cn := startControllerNode(t, 1)
-	f32 := phy.DecodeProfile{Kernel: phy.KernelFloat32}
-	an, err := NewAgentNode(AgentConfig{
-		ControllerAddr: cn.Addr().String(),
-		ServerID:       1,
-		Cores:          1,
-		Pool:           dataplane.Config{DeadlineScale: 1000, Decode: f32},
-		Logf:           t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer an.Close()
-	if an.model.Profile != f32 {
-		t.Fatalf("agent model prices %+v, pool runs %+v", an.model.Profile, f32)
-	}
-	a := frame.Allocation{RNTI: 1, NumPRB: 6, MCS: 20, SNRdB: phy.MCS(20).OperatingSNR()}
-	if got, want := an.model.AllocCost(a), cluster.DefaultCostModel().WithProfile(f32).AllocCost(a); got != want {
-		t.Fatalf("AllocCost %v on a float32 agent, float32 model says %v", got, want)
 	}
 }

@@ -8,6 +8,40 @@ import (
 	"testing/quick"
 )
 
+// TestInvalidProfileRejected pins that the decode profile has one
+// validator: every profile DecodeProfile.Validate rejects, NewTransportProcessor
+// rejects with ErrBadParameter, and every profile it accepts builds a
+// processor.
+func TestInvalidProfileRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		prof  DecodeProfile
+		valid bool
+	}{
+		{"zero value", DecodeProfile{}, true},
+		{"every oracle", DecodeProfile{Kernel: KernelFloat32, FrontEnd: FrontEndStaged, Batch: 1, NoVectorFrontEnd: true}, true},
+		{"width 8", DecodeProfile{Batch: 8}, true},
+		{"negative width", DecodeProfile{Batch: -1}, false},
+		{"width above 8", DecodeProfile{Batch: 9}, false},
+		{"lockstep float32", DecodeProfile{Kernel: KernelFloat32, Batch: 2}, false},
+		{"unknown kernel", DecodeProfile{Kernel: DecodeKernel(9)}, false},
+		{"unknown front-end", DecodeProfile{FrontEnd: FrontEnd(7)}, false},
+	} {
+		_, procErr := NewTransportProcessor(1, tc.prof)
+		for who, err := range map[string]error{
+			"DecodeProfile.Validate": tc.prof.Validate(),
+			"NewTransportProcessor":  procErr,
+		} {
+			if tc.valid && err != nil {
+				t.Errorf("%s: %s rejected a valid profile: %v", tc.name, who, err)
+			}
+			if !tc.valid && !errors.Is(err, ErrBadParameter) {
+				t.Errorf("%s: %s returned %v, want ErrBadParameter", tc.name, who, err)
+			}
+		}
+	}
+}
+
 func TestDecodeKernelStringValidate(t *testing.T) {
 	if got := KernelFloat32.String(); got != "float32" {
 		t.Errorf("KernelFloat32.String() = %q", got)

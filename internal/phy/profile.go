@@ -2,18 +2,17 @@ package phy
 
 import "fmt"
 
-// DecodeProfile declares the uplink decode pipeline: the turbo SISO
-// arithmetic, the front-end that feeds it, and the lockstep width. It is the
-// one declaration of that pipeline — a TransportProcessor is built from it,
-// a worker pool carries it as dataplane.Config.Decode, and the cost model
-// prices it as cluster.CostModel.Profile — and it is comparable, so "does
-// this provisioning answer describe the pipeline that runs" is p == q.
+// DecodeProfile declares the uplink decode pipeline a TransportProcessor is
+// built from: the turbo SISO arithmetic, the front-end that feeds it, and
+// the lockstep width. It is this package's processor option and nothing
+// more: every processor outside it — a pool worker's, the cost model's
+// calibration, the experiments' — is built from the zero value.
 //
 // The zero value is the default, and fastest, path: KernelInt16 at lockstep
 // width 8, FrontEndFused with the host's vector tile kernels.
 // The reference paths (KernelFloat32, Batch 1, FrontEndStaged,
-// NoVectorFrontEnd) are test oracles and measurement columns; they run only
-// where a caller names them.
+// NoVectorFrontEnd) are test oracles and measurement columns; only this
+// package's tests and benchmarks name them.
 type DecodeProfile struct {
 	// Kernel selects the turbo SISO arithmetic.
 	Kernel DecodeKernel
@@ -22,21 +21,20 @@ type DecodeProfile struct {
 	FrontEnd FrontEnd
 	// Batch is the lockstep width: a transport block's code blocks decode
 	// Batch at a time, each span through one BatchDecoderI16 pass (a lone
-	// leftover block falls back to the scalar decoder, which is faster than a
-	// one-lane batch). 0 means the kernel's own width (see Width); 1 is
-	// scalar per-block decode, the oracle the lockstep kernel is
-	// bit-identical to.
+	// leftover block goes to the scalar decoder; see spanDecoder for what
+	// that costs against a one-lane pass). 0 means the kernel's own width
+	// (see Width); 1 is scalar per-block decode, the oracle the lockstep
+	// kernel is bit-identical to.
 	Batch int
 	// NoVectorFrontEnd forces the fused front-end's pure-Go tile kernels
 	// even where the AVX2 ones are available (FrontEndAVX2). Outputs are
 	// bit-identical either way; it exists for measurement (BenchmarkFullDecode's
-	// novecfe column, the cost model's calibration) and has no effect on the
-	// staged front-end.
+	// novecfe column) and has no effect on the staged front-end.
 	NoVectorFrontEnd bool
 }
 
 // maxProfileWidth is the widest lockstep a profile may name: the width the
-// vector kernel runs at and the cost model's far calibration point.
+// vector kernel runs at.
 const maxProfileWidth = 8
 
 // Width returns the lockstep width the profile decodes at: Batch, with 0
@@ -52,10 +50,8 @@ func (p DecodeProfile) Width() int {
 	return 1
 }
 
-// Validate reports whether the profile names a pipeline that exists. Every
-// consumer — NewTransportProcessor, dataplane.NewPool,
-// cluster.CostModel.Validate — rejects a profile by calling this, so they
-// cannot disagree.
+// Validate reports whether the profile names a pipeline that exists;
+// NewTransportProcessor rejects a profile by calling it.
 func (p DecodeProfile) Validate() error {
 	if err := p.Kernel.Validate(); err != nil {
 		return err

@@ -367,7 +367,8 @@ func FuzzBatchedKernel(f *testing.F) {
 // BenchmarkBatchVsScalarI16 measures per-block decode cost at K=6144 with a
 // fixed iteration budget (no early exit), scalar vs lockstep widths — the
 // kernel-level speedup; BenchmarkFullDecode's batch1 column shows it end to
-// end.
+// end. w8lanes1 is the width-8 decoder carrying one block, the pass a lone
+// block would take if spanDecoder did not route it to the scalar decoder.
 func BenchmarkBatchVsScalarI16(b *testing.B) {
 	const k = 6144
 	rng := rand.New(rand.NewSource(17))
@@ -387,21 +388,25 @@ func BenchmarkBatchVsScalarI16(b *testing.B) {
 			}
 		}
 	})
-	for _, w := range []int{2, 4, 8} {
-		b.Run(map[int]string{2: "batch2", 4: "batch4", 8: "batch8"}[w], func(b *testing.B) {
-			bd, err := NewBatchDecoderI16(w)
+	for _, c := range []struct {
+		name         string
+		width, lanes int
+	}{{"batch2", 2, 2}, {"batch4", 4, 4}, {"batch8", 8, 8}, {"w8lanes1", 8, 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			bd, err := NewBatchDecoderI16(c.width)
 			if err != nil {
 				b.Fatal(err)
 			}
 			bd.MaxIterations = 4
-			got := make([][]byte, w)
+			n := c.lanes
+			got := make([][]byte, n)
 			for i := range got {
 				got[i] = make([]byte, k)
 			}
-			b.SetBytes(int64(k * w))
+			b.SetBytes(int64(k * n))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bd.Decode(got, l0[:w], l1[:w], l2[:w], nil, nil); err != nil {
+				if _, _, err := bd.Decode(got, l0[:n], l1[:n], l2[:n], nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
