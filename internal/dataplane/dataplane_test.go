@@ -187,17 +187,6 @@ func TestEndToEndLowSNRFailsCRC(t *testing.T) {
 	}
 }
 
-// awaitHARQRelease blocks until the pool has handed the allocation's HARQ
-// buffer back, which it does just after the task's OnDone. A real
-// retransmission arrives 8 ms after the first attempt; a test's arrives at
-// once, and the manager rightly withholds a buffer a worker still owns —
-// the retransmission would decode without combining.
-func awaitHARQRelease(cp *CellProcessor, a frame.Allocation) {
-	for st := cp.HARQ().states[harqStateKey{a.RNTI, a.HARQProcess}]; st.busy.Load(); {
-		runtime.Gosched()
-	}
-}
-
 func TestHARQRetransmissionViaDataplane(t *testing.T) {
 	// First TX below the operating point usually fails; a chase-combined
 	// retransmission through the cell's HARQ manager must succeed.
@@ -227,7 +216,6 @@ func TestHARQRetransmissionViaDataplane(t *testing.T) {
 	}
 
 	first := runOnce(work)
-	awaitHARQRelease(cp, alloc)
 	// Retransmission 8 TTIs later, same HARQ process, RV 2.
 	work2 := work
 	work2.TTI = 18
@@ -534,7 +522,7 @@ func TestHARQManagerBusyOwnership(t *testing.T) {
 	if sb2 == nil || sb2 == sb1 {
 		t.Fatal("busy buffer reset/reused for new TX")
 	}
-	// Release both tasks (what the pool does after OnDone); the process's
+	// Release both tasks (what the pool does just before OnDone); the process's
 	// current buffer becomes reusable again.
 	st1.busy.Store(false)
 	st2.busy.Store(false)

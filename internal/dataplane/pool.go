@@ -46,7 +46,8 @@ var (
 // cluster.CostModel prices.
 type Config struct {
 	// Workers is the number of processing goroutines (≈ dedicated cores). A
-	// worker decodes a task's code blocks on its own goroutine, so a fully
+	// worker decodes the code blocks of the tasks it claims — a queued task
+	// and those sharing its lockstep span — on its own goroutine, so a fully
 	// busy pool demands Workers cores.
 	Workers int
 	// Policy selects EDF or FIFO dispatch.
@@ -191,6 +192,7 @@ func (p *Pool) Submit(t *Task) error {
 	// knobs a decode runs with are decided at submission, so a mid-queue
 	// transition never splits one task's decisions.
 	t.Degrade = p.Level()
+	t.setSpan()
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -222,10 +224,11 @@ func (p *Pool) Stats() Stats {
 	return p.stats
 }
 
-// Drain blocks until the queue is empty and all in-flight tasks finished.
-// It is event-driven: drainers park on the pool's idle condition variable
-// and the last finishing task broadcasts it, so there is no polling loop on
-// this path.
+// Drain blocks until the queue is empty and all in-flight tasks finished:
+// every OnDone has returned and every HARQ buffer is released. It is
+// event-driven: drainers park on the pool's idle condition variable and the
+// last finishing claim broadcasts it, so there is no polling loop on this
+// path.
 func (p *Pool) Drain() {
 	p.mu.Lock()
 	for p.queue.Len() > 0 || p.inflight > 0 {
@@ -253,56 +256,76 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// next blocks for the next task or returns nil when the pool is closed and
-// drained.
-func (p *Pool) next() *Task {
+// next blocks for the next claim — the queue's head and the tasks that
+// share its lockstep span (taskQueue.claim), appended to dst — or returns
+// dst empty when the pool is closed and drained.
+func (p *Pool) next(dst []*Task) []*Task {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.queue.Len() > 0 {
-			t := p.queue.pop()
-			p.inflight++
+			dst = p.queue.claim(dst)
+			p.inflight += len(dst)
 			if p.tel != nil {
 				p.tel.queueDepth.Set(int64(p.queue.Len()))
 			}
-			return t
+			return dst
 		}
 		if p.closed {
-			return nil
+			return dst
 		}
 		p.cond.Wait()
 	}
 }
 
-// finish records completion accounting for a task. shard is the finishing
+// finish records completion accounting for a claim. shard is the finishing
 // worker's ID, used as the telemetry shard so per-worker breakdowns line up.
-func (p *Pool) finish(t *Task, shard int) {
+// The claim's processing time — from its first start to its last finish,
+// the compute the worker spent on it — is recorded once, however many
+// tasks shared it. The counters are final before any OnDone runs; each
+// task's HARQ buffer is released just before its OnDone; and the claim
+// leaves the in-flight count only after its last OnDone returned, so Drain
+// returns with every callback run and every HARQ process at rest.
+func (p *Pool) finish(claim []*Task, shard int) {
+	var start, end time.Time
+	for _, t := range claim {
+		if t.Started.IsZero() {
+			continue
+		}
+		if start.IsZero() || t.Started.Before(start) {
+			start = t.Started
+		}
+		if t.Finished.After(end) {
+			end = t.Finished
+		}
+	}
+	busy := end.Sub(start)
 	p.mu.Lock()
-	p.inflight--
-	switch {
-	case errors.Is(t.Err, ErrAbandoned):
-		p.stats.Abandoned++
-	case errors.Is(t.Err, phy.ErrCRC):
-		p.stats.CRCFailures++
-		p.stats.Completed++
-	case t.Err == nil:
-		p.stats.Completed++
-	default:
-		p.stats.Completed++
+	for _, t := range claim {
+		switch {
+		case errors.Is(t.Err, ErrAbandoned):
+			p.stats.Abandoned++
+		case errors.Is(t.Err, phy.ErrCRC):
+			p.stats.CRCFailures++
+			p.stats.Completed++
+		default:
+			p.stats.Completed++
+		}
+		if t.Missed() {
+			p.stats.DeadlineMisses++
+		}
+		p.stats.Latency.Observe(t.Latency().Seconds())
 	}
-	if t.Missed() {
-		p.stats.DeadlineMisses++
-	}
-	p.stats.Latency.Observe(t.Latency().Seconds())
-	if !t.Started.IsZero() {
-		p.stats.ProcTime.Observe(t.Finished.Sub(t.Started).Seconds())
-	}
-	if p.queue.Len() == 0 && p.inflight == 0 {
-		p.idle.Broadcast()
+	if !start.IsZero() {
+		p.stats.ProcTime.Observe(busy.Seconds())
 	}
 	p.mu.Unlock()
-	p.deg.observe(t)
-	if tel := p.tel; tel != nil {
+	tel := p.tel
+	for _, t := range claim {
+		p.deg.observe(t)
+		if tel == nil {
+			continue
+		}
 		switch {
 		case errors.Is(t.Err, ErrAbandoned):
 			tel.abandoned.Inc(shard)
@@ -316,20 +339,28 @@ func (p *Pool) finish(t *Task, shard int) {
 			tel.misses.Inc(shard)
 		}
 		tel.latency.ObserveDuration(shard, t.Latency())
-		if !t.Started.IsZero() {
-			busy := t.Finished.Sub(t.Started)
-			tel.procTime.ObserveDuration(shard, busy)
-			tel.busyNanos.Add(shard, uint64(busy.Nanoseconds()))
+	}
+	if tel != nil && !start.IsZero() {
+		tel.procTime.ObserveDuration(shard, busy)
+		tel.busyNanos.Add(shard, uint64(busy.Nanoseconds()))
+	}
+	for _, t := range claim {
+		if t.softState != nil {
+			// Hand the HARQ soft buffer back to its manager: the atomic
+			// store is the happens-before edge that lets the driver
+			// goroutine touch the buffer again (reset, reuse, or migration
+			// serialization).
+			t.softState.busy.Store(false)
+			t.softState = nil
+		}
+		if t.OnDone != nil {
+			t.OnDone(t)
 		}
 	}
-	if t.OnDone != nil {
-		t.OnDone(t)
+	p.mu.Lock()
+	p.inflight -= len(claim)
+	if p.queue.Len() == 0 && p.inflight == 0 {
+		p.idle.Broadcast()
 	}
-	if t.softState != nil {
-		// Hand the HARQ soft buffer back to its manager: the atomic store
-		// is the happens-before edge that lets the driver goroutine touch
-		// the buffer again (reset, reuse, or migration serialization).
-		t.softState.busy.Store(false)
-		t.softState = nil
-	}
+	p.mu.Unlock()
 }

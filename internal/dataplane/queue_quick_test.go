@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"pran/internal/phy"
 )
 
 // TestEDFQueueMatchesReferenceSort property-checks the heap against a
@@ -107,4 +109,95 @@ func TestQueueInterleavedPushPop(t *testing.T) {
 		prev = tk.Deadline
 	}
 	_ = lastPopped
+}
+
+// TestQueueClaimQuick property-checks taskQueue.claim against a reference
+// built from a sorted copy of the queue: claim after claim, the claim's
+// head is the queue's head (EDF, or FIFO), its partners are, in queue
+// order, the head's span-key tasks whose code blocks still fit the span's
+// lanes, and after the last claim every task was claimed exactly once.
+func TestQueueClaimQuick(t *testing.T) {
+	for _, fifo := range []bool{false, true} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			base := time.Unix(0, 0)
+			n := 1 + rng.Intn(60)
+			q := taskQueue{fifo: fifo}
+			var ref []*Task // queue order
+			seq := map[*Task]int{}
+			keys := []spanKey{{}, {k: 2112}, {k: 2112, iterCap: 4}, {k: 6144}}
+			push := func() {
+				tk := &Task{
+					Deadline: base.Add(time.Duration(rng.Intn(8)) * time.Millisecond),
+					Enqueued: base.Add(time.Duration(len(seq)) * time.Microsecond),
+					span:     keys[rng.Intn(len(keys))],
+					blocks:   1 + rng.Intn(9),
+				}
+				if tk.span.k == 0 {
+					tk.blocks = 1
+				}
+				seq[tk] = len(seq)
+				q.push(tk)
+				ref = append(ref, tk)
+			}
+			for i := 0; i < n; i++ {
+				push()
+			}
+			seen := map[*Task]bool{}
+			var dst []*Task
+			for q.Len() > 0 {
+				sort.SliceStable(ref, func(i, j int) bool {
+					a, b := ref[i], ref[j]
+					ta, tb := a.Deadline, b.Deadline
+					if fifo {
+						ta, tb = a.Enqueued, b.Enqueued
+					}
+					if !ta.Equal(tb) {
+						return ta.Before(tb)
+					}
+					return seq[a] < seq[b]
+				})
+				head := ref[0]
+				want := []*Task{head}
+				if lanes := phy.MaxJointBlocks - head.blocks; head.span.k != 0 {
+					for _, tk := range ref[1:] {
+						if tk.span == head.span && tk.blocks <= lanes {
+							lanes -= tk.blocks
+							want = append(want, tk)
+						}
+					}
+				}
+				dst = q.claim(dst[:0])
+				if len(dst) != len(want) {
+					t.Logf("fifo=%v: claim of %d tasks, reference %d", fifo, len(dst), len(want))
+					return false
+				}
+				for i := range dst {
+					if dst[i] != want[i] || seen[dst[i]] {
+						t.Logf("fifo=%v: claim member %d differs from the reference or was claimed before", fifo, i)
+						return false
+					}
+					seen[dst[i]] = true
+				}
+				rest := ref[:0]
+				for _, tk := range ref {
+					if !seen[tk] {
+						rest = append(rest, tk)
+					}
+				}
+				ref = rest
+				if q.Len() != len(ref) {
+					return false
+				}
+				// Arrivals between claims.
+				if rng.Intn(3) == 0 {
+					push()
+				}
+			}
+			return len(seen) == len(seq)
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+			t.Fatalf("fifo=%v: %v", fifo, err)
+		}
+	}
 }

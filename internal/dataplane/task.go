@@ -18,10 +18,12 @@
 // processing performs no heap allocation and a worker's memory does not
 // depend on the shapes it has decoded.
 //
-// Concurrency: a Pool owns Config.Workers resident goroutines, and each
-// decodes a task's code blocks on its own goroutine; tasks enter through
-// Submit (any goroutine) and results leave on the pool's completion
-// channel. Each worker owns its processor and its metrics outright —
+// Concurrency: a Pool owns Config.Workers resident goroutines. Each claims
+// a queued task together with the queued tasks whose code blocks can share
+// its lockstep span, and decodes all their code blocks on its own
+// goroutine; tasks enter through Submit (any goroutine) and results leave
+// through each task's OnDone, which runs on the worker that decoded it.
+// Each worker owns its processor and its metrics outright —
 // nothing mutable on the processing path is shared between workers (the
 // interleaver and rate-match tables they share are read-only), so the hot
 // path takes no locks; per-worker metrics merge at collection points. The
@@ -75,16 +77,25 @@ type Task struct {
 	// Soft, when non-nil, supplies the HARQ soft-combining buffer for this
 	// (cell, RNTI, HARQ process); the HARQ manager owns its lifecycle. The
 	// task owns the buffer's contents from submission until the pool
-	// releases softState after OnDone.
+	// releases softState, just before OnDone: OnDone must not read Soft
+	// (none in this module does).
 	Soft *phy.SoftBuffer
 	// softState, when non-nil, is the HARQ state handle whose busy flag
 	// the pool clears once the task is done with Soft.
 	softState *harqState
 	// runInstead, when non-nil, replaces the default uplink decode with a
 	// custom work function (the downlink encode path uses this so both
-	// directions share the pool's queue and deadline accounting).
+	// directions share the pool's queue and deadline accounting). Such a
+	// task is always a claim of its own.
 	runInstead func(w *worker, t *Task)
-	// OnDone, when non-nil, runs on the worker goroutine after processing.
+	// span is what a claim shares: the turbo block size and iteration cap
+	// (zero K for a task no claim may share), with the task's code-block
+	// count; Submit fills it.
+	span   spanKey
+	blocks int
+	// OnDone, when non-nil, runs on the worker goroutine after processing,
+	// after the pool's counters include the task and before the task
+	// leaves the pool's in-flight count, so it must not wait on Pool.Drain.
 	OnDone func(*Task)
 
 	// Result fields, valid after processing.
@@ -109,6 +120,31 @@ func (t *Task) Missed() bool { return t.Finished.After(t.Deadline) }
 // Latency returns enqueue-to-finish latency.
 func (t *Task) Latency() time.Duration { return t.Finished.Sub(t.Enqueued) }
 
+// spanKey is what the tasks of one claim have in common: their code blocks'
+// turbo block size and the iteration cap they decode under.
+type spanKey struct {
+	k, iterCap int
+}
+
+// setSpan fills the task's claim key from its allocation and degradation
+// level; a task whose shape does not segment gets the zero key and is
+// always claimed alone (its decode then reports the error).
+func (t *Task) setSpan() {
+	t.span, t.blocks = spanKey{}, 1
+	if t.runInstead != nil {
+		return
+	}
+	tbs, err := t.Alloc.MCS.TransportBlockSize(t.Alloc.NumPRB)
+	if err != nil {
+		return
+	}
+	seg, err := phy.Segment(tbs + 24)
+	if err != nil {
+		return
+	}
+	t.span, t.blocks = spanKey{k: seg.K, iterCap: t.Degrade.IterCap()}, seg.C
+}
+
 // taskQueue is a deadline-ordered heap (EDF). FIFO mode is implemented by
 // ordering on Enqueued instead; ties break by insertion order via seq.
 type taskQueue struct {
@@ -116,6 +152,8 @@ type taskQueue struct {
 	seqs  []uint64
 	seq   uint64
 	fifo  bool
+	// cand is claim's scratch: the queue indices of the head's partners.
+	cand []int
 }
 
 func (q *taskQueue) Len() int { return len(q.items) }
@@ -157,3 +195,57 @@ func (q *taskQueue) Pop() any {
 // push/pop wrappers keep heap usage local.
 func (q *taskQueue) push(t *Task) { heap.Push(q, t) }
 func (q *taskQueue) pop() *Task   { return heap.Pop(q).(*Task) }
+
+// claim pops the queue's head and, when its code blocks leave lanes free
+// in one lockstep span of phy.MaxJointBlocks, the queued tasks that share
+// that span: the tasks with the head's span key, in queue order (deadline
+// order under EDF), each taken if its code blocks still fit whole in the
+// lanes left. It appends the head and its partners to dst.
+func (q *taskQueue) claim(dst []*Task) []*Task {
+	head := q.pop()
+	dst = append(dst, head)
+	lanes := phy.MaxJointBlocks - head.blocks
+	if head.span.k == 0 || lanes <= 0 {
+		return dst
+	}
+	// The candidates, in queue order: an insertion sort, since a queue is
+	// a few dozen tasks and sort.Slice would allocate.
+	q.cand = q.cand[:0]
+	for i, t := range q.items {
+		if t.span != head.span || t.blocks > lanes {
+			continue
+		}
+		j := len(q.cand)
+		q.cand = append(q.cand, i)
+		for ; j > 0 && q.Less(i, q.cand[j-1]); j-- {
+			q.cand[j] = q.cand[j-1]
+		}
+		q.cand[j] = i
+	}
+	taken := 0
+	for _, i := range q.cand {
+		if t := q.items[i]; t.blocks <= lanes {
+			lanes -= t.blocks
+			dst = append(dst, t)
+			// Marking by nil keeps the indices valid until the one
+			// compaction pass below.
+			q.items[i] = nil
+			taken++
+		}
+	}
+	if taken == 0 {
+		return dst
+	}
+	// Drop the partners and restore the heap.
+	kept := 0
+	for i, t := range q.items {
+		if t != nil {
+			q.items[kept], q.seqs[kept] = t, q.seqs[i]
+			kept++
+		}
+	}
+	clear(q.items[kept:])
+	q.items, q.seqs = q.items[:kept], q.seqs[:kept]
+	heap.Init(q)
+	return dst
+}

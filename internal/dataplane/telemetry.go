@@ -27,16 +27,21 @@ const (
 	// HARQ retransmissions entering the pool.
 	MetricHARQRetransmits = "pool.harq_retransmits"
 	// MetricWorkerBusyNanos accumulates per-worker processing time in
-	// nanoseconds; shard i over wall time is worker i's utilization.
+	// nanoseconds, a claim's wall time once however many tasks shared it;
+	// shard i over wall time is worker i's utilization.
 	MetricWorkerBusyNanos = "pool.worker_busy_ns"
 	// MetricQueueDepth gauges the number of tasks waiting in the queue.
 	MetricQueueDepth = "pool.queue_depth"
 	// MetricLatency is the enqueue-to-finish latency histogram (seconds).
 	MetricLatency = "pool.latency_s"
-	// MetricProcTime is the pure processing-time histogram (seconds).
+	// MetricProcTime is the pure processing-time histogram (seconds): one
+	// observation per claim, from its first task's start to its last
+	// task's finish.
 	MetricProcTime = "pool.proc_time_s"
 	// MetricStageFrontEnd is the decode front-end stage histogram (seconds):
-	// the fused demodulation + descrambling + de-rate-matching pass.
+	// the fused demodulation + descrambling + de-rate-matching pass. It and
+	// the two stage histograms below observe once per claim, summed over
+	// the claim's transport blocks.
 	MetricStageFrontEnd = "pool.stage_front_end_s"
 	// MetricStageTurbo is the turbo-decode stage histogram (seconds).
 	MetricStageTurbo = "pool.stage_turbo_s"
@@ -44,16 +49,17 @@ const (
 	MetricStageCRC = "pool.stage_crc_s"
 	// MetricBatchWidth is the lockstep lane-fill histogram: one observation
 	// per span a worker's turbo decoder ran, valued at the number of code
-	// blocks it decoded together (1 = a scalar decode). A transport block of
-	// C code blocks decodes as ⌊C/width⌋ full spans and one ragged span of
-	// the remainder, so single-block transport blocks read 1.
+	// blocks it decoded together (1 = a lone block). A claim's transport
+	// blocks share K and fill one span together; a transport block of more
+	// code blocks than the width is a claim of its own and decodes as full
+	// spans and one ragged span of the remainder.
 	MetricBatchWidth = "dataplane.batch_width"
 	// MetricBatchFlushFull counts spans that filled the decoder's lockstep
 	// width.
 	MetricBatchFlushFull = "dataplane.batch_flush_full"
 	// MetricBatchFlushRagged counts spans narrower than the decoder's
-	// lockstep width — lanes left empty because the transport block had no
-	// more code blocks to fill them with.
+	// lockstep width — lanes left empty because the claim had no more code
+	// blocks to fill them with.
 	MetricBatchFlushRagged = "dataplane.batch_flush_ragged"
 	// MetricDegradeLevel gauges the pool's degradation-ladder level
 	// (0 = full service; see cluster.DegradationLevel).

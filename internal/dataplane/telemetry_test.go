@@ -96,7 +96,6 @@ func TestPoolTelemetryHARQAndFailures(t *testing.T) {
 		return <-ch
 	}
 	first := runOnce(work)
-	awaitHARQRelease(cp, alloc)
 	work2 := work
 	work2.TTI = 18
 	work2.Allocations = []frame.Allocation{alloc}

@@ -49,7 +49,9 @@ func (f FrontEnd) Validate() error {
 	return fmt.Errorf("phy: unsupported front-end %d: %w", uint8(f), ErrBadParameter)
 }
 
-// frontEndBlock runs the fused front-end for code block i through the
+// frontEndBlock runs the fused front-end for code block i of the loaded
+// transport block (frontEndLane), whose d0|d1|d2 soft streams are blk,
+// through the
 // two-phase tile pipeline (frontend_tile.go): per tile of up to feTileSyms
 // symbols, phase 1 expands the block's keystream bits into plane-major
 // sign words and demodulates the tile into a structure-of-arrays LLR strip
@@ -61,18 +63,16 @@ func (f FrontEnd) Validate() error {
 // and every float expression matches them, so the soft buffer contents are
 // bit-identical to the oracle. The block's front-end time is added to
 // Timings.FrontEnd.
-func (p *TransportProcessor) frontEndBlock(i int) {
+func (p *TransportProcessor) frontEndBlock(i int, blk []float32) {
 	start := time.Now()
 	rm := p.rm
 	mod := p.sh.mcs.Modulation()
 	qm := mod.BitsPerSymbol()
 	off := p.sh.blockOff(i)
 	e := p.sh.blockE(i)
-	// blk is block i's contiguous soft-buffer region, laid out d0|d1|d2 —
-	// exactly the flat indexing of the rate matcher's scatter table, so one
-	// indexed add replaces the staged per-stream switch.
-	d3 := 3 * rm.d
-	blk := p.feSB.back[i*d3 : i*d3+d3 : i*d3+d3]
+	// blk is laid out d0|d1|d2 — exactly the flat indexing of the rate
+	// matcher's scatter table, so one indexed add replaces the staged
+	// per-stream switch.
 	key := p.feKey
 	rx := p.feRX
 	invN0 := p.feInvN0
@@ -111,10 +111,4 @@ func (p *TransportProcessor) frontEndBlock(i int) {
 		}
 	}
 	p.Timings.FrontEnd += time.Since(start)
-}
-
-// clearFrontEndState drops the per-call references the fused front-end
-// published, so a completed Decode retains no caller memory.
-func (p *TransportProcessor) clearFrontEndState() {
-	p.feRX, p.feKey, p.feSB = nil, nil, nil
 }

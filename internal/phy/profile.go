@@ -19,10 +19,11 @@ type DecodeProfile struct {
 	// FrontEnd selects the fused single-pass or the staged three-sweep decode
 	// front-end. Outputs are bit-identical either way.
 	FrontEnd FrontEnd
-	// Batch is the lockstep width: a transport block's code blocks decode
-	// Batch at a time, each span through one BatchDecoderI16 pass (a lone
-	// leftover block goes to the scalar decoder; see spanDecoder for what
-	// that costs against a one-lane pass). 0 means the kernel's own width
+	// Batch is the lockstep width: a decode's code blocks — one transport
+	// block's, or those of a DecodeJoint call — decode Batch at a time,
+	// each span through one BatchDecoderI16 pass (a lone block goes to the
+	// scalar decoder or, on the AVX2 width-8 path from loneLaneMinK up, to
+	// a one-lane pass; see spanDecoder). 0 means the kernel's own width
 	// (see Width); 1 is scalar per-block decode, the oracle the lockstep
 	// kernel is bit-identical to.
 	Batch int

@@ -303,7 +303,8 @@ func TestPlansSharedAcrossGoroutines(t *testing.T) {
 // NewTransportProcessor and initDecode by enumeration: for every
 // construction PRB count, no shape the processor accepts needs more
 // transport-block bits, coded bits, code blocks, block bits or soft values
-// than the top shape's bounds provide.
+// than the top shape's bounds provide, and no shape's K exceeds the K a
+// joint decode's MaxJointBlocks lanes are sized for.
 func TestProcessorScratchCoversEveryShape(t *testing.T) {
 	for maxPRB := 1; maxPRB <= MaxPRB; maxPRB++ {
 		top, err := shapeOf(MaxMCS, maxPRB)
@@ -311,13 +312,17 @@ func TestProcessorScratchCoversEveryShape(t *testing.T) {
 			t.Fatal(err)
 		}
 		b, c := top.seg.B, top.seg.C
+		kmax := MaxBlockSize
+		if c == 1 {
+			kmax = top.seg.K
+		}
 		for m := MCS(0); m <= MaxMCS; m++ {
 			for n := 1; n <= maxPRB; n++ {
 				sh, err := shapeOf(m, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if sh.seg.B > b || sh.e > top.e || sh.seg.C > c || sh.seg.C*sh.seg.K > b+88*c || sh.seg.C*(sh.seg.K+4) > c*(b/c+93) {
+				if sh.seg.B > b || sh.e > top.e || sh.seg.C > c || sh.seg.C*sh.seg.K > b+88*c || sh.seg.C*(sh.seg.K+4) > c*(b/c+93) || sh.seg.K > kmax {
 					t.Fatalf("built for %d PRB: MCS %d / %d PRB (%+v) exceeds the scratch sized from %+v", maxPRB, m, n, sh.seg, top.seg)
 				}
 			}

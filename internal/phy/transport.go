@@ -43,16 +43,17 @@ type TransportProcessor struct {
 	maxIter int          // turbo iteration bound applied to the decoder per Decode (0 = default)
 	scr     *Scrambler
 
-	// The running call's configuration and its K's rate-match plan.
+	// The running encode's, or running front-end's, configuration and its
+	// K's rate-match plan.
 	sh tbShape
 	rm *RateMatcher
 
-	// Fused front-end per-call state, written before the per-block
-	// front-ends run (see frontEndBlock).
-	fe      func(int) // p.frontEndBlock, bound once so installing it never allocates
+	// Fused front-end state of the transport block whose code blocks are
+	// running their front-ends (see frontEndLane).
+	fe      func(int) // p.frontEndLane, bound once so installing it never allocates
+	feTB    int       // the loaded transport block's index in jt, -1 for none
 	feRX    []complex128
 	feKey   []uint32
-	feSB    *SoftBuffer
 	feRV    int
 	feInvN0 float64
 	feVec   bool // AVX2 tile demodulation (fixed at construction)
@@ -67,11 +68,12 @@ type TransportProcessor struct {
 	symbols  []complex128 // modulated symbols
 	// Decode side, built by the first Decode (initDecode).
 	llr     []float32   // demodulated LLRs (E); staged front-end only
-	softBuf *SoftBuffer // default soft buffer when the caller passes nil
-	blocks  [][]byte    // per-block decoded bit slices of the running call
-	blockbk []byte      // backing array for blocks
-	known   []int       // per code block, the leading filler bits: {F, 0, 0, …}
-	joined  []byte      // reassembled B bits
+	softBuf *SoftBuffer // the soft streams of transport blocks decoded without a buffer
+	blockbk []byte      // backing array for the code blocks' decoded bits
+	joined  []byte      // reassembled B bits, each transport block's at its first lane·K
+	one     [1]TBDecode // Decode's transport block
+	jt      []jointTB   // the running decode's accepted transport blocks
+	cb      codeBlocks  // the running decode's code blocks
 
 	// Timings records the stage breakdown of the most recent Encode/Decode.
 	Timings StageTimings
@@ -285,27 +287,40 @@ func NewTransportProcessor(maxPRB int, prof DecodeProfile) (*TransportProcessor,
 	// Cover the longest keystream now, so no later call grows it.
 	p.scr.KeyWords(top.e)
 	// Bound once: installing the hook per call allocates nothing.
-	p.fe = p.frontEndBlock
+	p.fe = p.frontEndLane
 	return p, nil
 }
 
-// initDecode allocates the decode side for the largest transport block. K
-// is the smallest legal size ≥ ⌈B′/C⌉ and legal sizes are at most 64 apart,
-// so C·K < B + 88·C for every segmentation; B and C peak at the top shape.
+// initDecode allocates the decode side for the largest call: one transport
+// block of the top shape, or MaxJointBlocks code blocks of the largest K a
+// transport block of the processor can have — the top shape's when it is a
+// single block (TBS grows with MCS and PRB count), else MaxBlockSize. K is
+// the smallest legal size ≥ ⌈B′/C⌉ and legal sizes are at most 64 apart, so
+// C·K < B + 88·C for every segmentation; B and C peak at the top shape.
 func (p *TransportProcessor) initDecode() {
 	b, c := p.top.seg.B, p.top.seg.C
-	p.blockbk = make([]byte, b+88*c)
-	p.blocks = make([][]byte, 0, c)
-	p.known = make([]int, c)
-	p.joined = make([]byte, b)
-	p.softBuf = &SoftBuffer{}
-	p.softBuf.reshape(c, b/c+93) // C·(K+4) < B + 92·C values, C views
+	kmax := MaxBlockSize
+	if c == 1 {
+		kmax = p.top.seg.K
+	}
+	lanes := max(c, MaxJointBlocks)
+	p.blockbk = make([]byte, max(b+88*c, MaxJointBlocks*kmax))
+	p.joined = make([]byte, max(b, MaxJointBlocks*kmax))
+	p.jt = make([]jointTB, 0, MaxJointBlocks)
+	p.cb = newCodeBlocks(lanes, MaxJointBlocks)
+	// C·(K+4) < B + 92·C values for one transport block.
+	p.softBuf = &SoftBuffer{
+		back: make([]float32, max(c*3*(b/c+93), MaxJointBlocks*3*(kmax+4))),
+		ld0:  make([][]float32, 0, lanes),
+		ld1:  make([][]float32, 0, lanes),
+		ld2:  make([][]float32, 0, lanes),
+	}
 	if p.prof.FrontEnd == FrontEndStaged {
 		p.llr = make([]float32, 0, p.top.e)
 	}
 }
 
-// setShape makes (mcs, nprb) the running call's configuration: its shape
+// setShape makes (mcs, nprb) the running encode's configuration: its shape
 // and its block size's rate-match plan.
 func (p *TransportProcessor) setShape(mcs MCS, nprb int) error {
 	if nprb > p.top.nprb {
@@ -320,25 +335,6 @@ func (p *TransportProcessor) setShape(mcs MCS, nprb int) error {
 		return err
 	}
 	p.sh, p.rm = sh, rm
-	return nil
-}
-
-// setDecodeShape is setShape for a decode: it also lays the per-block views
-// and filler counts of the decode side out for the shape.
-func (p *TransportProcessor) setDecodeShape(mcs MCS, nprb int) error {
-	if err := p.setShape(mcs, nprb); err != nil {
-		return err
-	}
-	if p.blockbk == nil {
-		p.initDecode()
-	}
-	c, k := p.sh.seg.C, p.sh.seg.K
-	p.blocks = p.blocks[:c]
-	for i := range p.blocks {
-		p.blocks[i] = p.blockbk[i*k : (i+1)*k : (i+1)*k]
-	}
-	p.known = p.known[:c]
-	p.known[0] = p.sh.seg.F
 	return nil
 }
 
@@ -452,6 +448,42 @@ func (p *TransportProcessor) Encode(mcs MCS, nprb int, payload []byte, rnti uint
 // does not mistake the pins for channel observations.
 const fillerLLR = 1e4
 
+// MaxJointBlocks is the most code blocks a DecodeJoint call of more than one
+// transport block may carry: one lockstep span of the width-8 kernel.
+const MaxJointBlocks = maxProfileWidth
+
+// TBDecode is one transport block of a DecodeJoint call: Decode's arguments
+// and, once the call returns, its outcome.
+type TBDecode struct {
+	MCS      MCS
+	NPRB     int
+	RX       []complex128
+	N0       float64
+	RNTI     uint16
+	CellID   uint16
+	Subframe uint8
+	RV       int
+	// Soft is the HARQ soft-combining buffer, as Decode's sb (nil: none).
+	Soft *SoftBuffer
+
+	// Payload holds the decoded payload bits (owned by the processor, valid
+	// until its next decode), nil on failure.
+	Payload []byte
+	// Err is nil, ErrCRC on a decode failure, or the reason the transport
+	// block was not decoded.
+	Err error
+	// TurboIterations is the full turbo iterations its code blocks used.
+	TurboIterations int
+}
+
+// jointTB is the processor's view of one transport block of the running
+// decode.
+type jointTB struct {
+	in    *TBDecode
+	sh    tbShape
+	first int // its first code block's index in the decode's lane order
+}
+
 // Decode recovers the payload of a transport block of nprb resource blocks
 // at mcs from received symbols under noise power n0. sb, when non-nil,
 // supplies HARQ soft-combining state: callers Reset it for a new TB and
@@ -460,131 +492,270 @@ const fillerLLR = 1e4
 // the processor, valid until next Decode) holds the payload bits; a CRC
 // failure returns ErrCRC. Output and soft-buffer contents are bit-identical
 // across front-ends, kernels, lockstep widths and the processor's history.
+// Decode is DecodeJoint of one transport block.
 func (p *TransportProcessor) Decode(mcs MCS, nprb int, rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer) ([]byte, error) {
-	if err := p.setDecodeShape(mcs, nprb); err != nil {
-		return nil, err
+	tb := &p.one[0]
+	*tb = TBDecode{MCS: mcs, NPRB: nprb, RX: rx, N0: n0, RNTI: rnti, CellID: cellID, Subframe: subframe, RV: rv, Soft: sb}
+	p.DecodeJoint(p.one[:])
+	payload, err := tb.Payload, tb.Err
+	*tb = TBDecode{}
+	return payload, err
+}
+
+// DecodeJoint decodes transport blocks whose code blocks share one turbo
+// block size K, the first block's, in shared lockstep spans: each block's
+// front-end fills its own soft buffer, the code blocks of all of them turbo
+// decode together — each lane stopping early on its own transport block's
+// CRC, the CRC-24A of a single-block transport block or the CRC-24B of a
+// segmented one's block — and each transport block is then desegmented and
+// checked on its own. Every outcome (payload, error, iteration count, soft
+// buffer) is bit-identical to decoding the transport block alone with
+// Decode: a code block's lane never perturbs another's, and a segmented
+// transport block wider than a span is split into spans exactly as Decode
+// splits it.
+//
+// With more than one transport block, their code blocks together must fit
+// MaxJointBlocks. A transport block that does not fit, has another K, or
+// fails Decode's argument checks is not decoded and reports why in its Err;
+// the others decode regardless. Timings describes the whole call. The
+// iteration bound (SetMaxIterations) applies to every transport block.
+func (p *TransportProcessor) DecodeJoint(tbs []TBDecode) {
+	if p.blockbk == nil {
+		p.initDecode()
 	}
-	sh := p.sh
-	if len(rx) != sh.numSymbols() {
-		return nil, fmt.Errorf("phy: got %d symbols, want %d: %w", len(rx), sh.numSymbols(), ErrBadParameter)
+	tm := &p.Timings
+	tm.Demodulate, tm.Descramble, tm.Dematch, tm.FrontEnd = 0, 0, 0, 0
+	tm.TurboDecode, tm.CRCCheck, tm.TurboIterations, tm.Spans = 0, 0, 0, [maxProfileWidth + 1]int{}
+	if err := p.layout(tbs); err != nil {
+		for i := range tbs {
+			tbs[i].Err = err
+		}
+		return
 	}
-	if rv < 0 || rv > 3 {
-		return nil, fmt.Errorf("phy: rv=%d out of range: %w", rv, ErrBadParameter)
-	}
-	if sb == nil {
-		sb = p.softBuf
-		sb.reshape(sh.seg.C, sh.seg.K+4)
-	} else if err := sh.checkSoftBuffer(sb); err != nil {
-		return nil, err
+	defer p.clearJoint()
+	if len(p.jt) == 0 {
+		return
 	}
 	sd, err := p.decoder()
-	if err != nil {
-		return nil, err
-	}
-	sd.setMaxIterations(p.maxIter)
-	p.Timings.TurboIterations = 0
-	check := checkBlockCRC24A
-	if sh.seg.C > 1 {
-		check = checkBlockCRC24B
-	}
-	if p.prof.FrontEnd == FrontEndFused {
-		return p.decodeFused(sd, rx, n0, rnti, cellID, subframe, rv, sb, check)
-	}
-
-	// Staged (oracle) path: three full sweeps over the E coded bits.
-	p.Timings.FrontEnd = 0
-
-	// Demodulate to LLRs (initDecode capped llr at the largest E, so the
-	// append never grows mid-measurement: E2 and BenchmarkFullDecode's
-	// staged column time this path).
-	start := time.Now()
-	p.llr = p.llr[:0]
-	p.llr, err = Demodulate(p.llr, rx, mcs.Modulation(), n0)
-	if err != nil {
-		return nil, err
-	}
-	p.Timings.Demodulate = time.Since(start)
-
-	// Descramble.
-	start = time.Now()
-	p.scr.Reinit(ScramblerInit(rnti, cellID, subframe))
-	p.scr.DescrambleLLR(p.llr)
-	p.Timings.Descramble = time.Since(start)
-
-	// De-rate-match per block, accumulating into the soft buffer.
-	start = time.Now()
-	off := 0
-	for i := 0; i < sh.seg.C; i++ {
-		e := sh.blockE(i)
-		if err := p.rm.SoftDematch(sb.ld0[i], sb.ld1[i], sb.ld2[i], p.llr[off:off+e], rv); err != nil {
-			return nil, err
+	if err == nil {
+		sd.setMaxIterations(p.maxIter)
+		if p.prof.FrontEnd == FrontEndFused {
+			err = p.turboFused(sd)
+		} else {
+			err = p.turboStaged(sd)
 		}
-		off += e
+		tm.Spans = sd.spans
 	}
-	for j := 0; j < sh.seg.F; j++ {
-		sb.ld0[0][j] = fillerLLR
+	for t := range p.jt {
+		jt := &p.jt[t]
+		jt.in.TurboIterations = p.cb.iters[t]
+		tm.TurboIterations += p.cb.iters[t]
+		switch {
+		case err != nil:
+			jt.in.Err = err
+		case !p.cb.ok[t]:
+			jt.in.Err = fmt.Errorf("phy: transport block: %w", ErrCRC)
+		default:
+			jt.in.Payload, jt.in.Err = p.finishDecode(t)
+		}
 	}
-	p.Timings.Dematch = time.Since(start)
-
-	// Turbo decode with CRC-based early termination, span by span; a block
-	// failing its CRC ends the decoding, since the TB CRC could no longer
-	// pass.
-	start = time.Now()
-	iters, ok, err := sd.decode(p.blocks, sb.ld0, sb.ld1, sb.ld2, p.known, check, nil)
-	p.Timings.TurboIterations = iters
-	p.Timings.TurboDecode = time.Since(start)
-	p.Timings.Spans = sd.spans
-	return p.finishTurbo(ok, err)
 }
 
-// decodeFused is the fused-front-end decode body: the per-block front-end
-// (see frontEndBlock) replaces the staged sweeps and runs as the decoder's
-// prepare hook, just before the block's span decodes. Decode has validated
-// rv and the soft buffer's shape, so the per-block front-end itself cannot
-// fail — the invariant the decoder's prepare hook requires.
-func (p *TransportProcessor) decodeFused(sd *spanDecoder, rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer, check func([]byte) bool) ([]byte, error) {
-	p.Timings.Demodulate, p.Timings.Descramble, p.Timings.Dematch = 0, 0, 0
-
-	start := time.Now()
-	p.scr.Reinit(ScramblerInit(rnti, cellID, subframe))
-	p.feKey = p.scr.KeyWords(p.sh.e)
-	p.feRX, p.feInvN0, p.feSB, p.feRV = rx, demodInvN0(n0), sb, rv
-
-	// The keystream set-up above counts as front-end; each block's
-	// front-end adds its own time as the decoder runs it.
-	p.Timings.FrontEnd = time.Since(start)
-	iters, ok, err := sd.decode(p.blocks, sb.ld0, sb.ld1, sb.ld2, p.known, check, p.fe)
-	p.clearFrontEndState()
-	p.Timings.TurboIterations = iters
-	p.Timings.TurboDecode = time.Since(start) - p.Timings.FrontEnd
-	p.Timings.Spans = sd.spans
-	return p.finishTurbo(ok, err)
-}
-
-// finishTurbo maps the turbo stage's outcome to Decode's: an internal error
-// or an aborted transport block ends the decode, success moves on to
-// desegmentation and the TB CRC.
-func (p *TransportProcessor) finishTurbo(ok bool, err error) ([]byte, error) {
+// layout validates the transport blocks of a DecodeJoint call and lays out
+// the accepted ones' code blocks, in call order, across the processor's
+// lanes: each block's output bits, soft streams, filler count and early-stop
+// predicate. A rejected transport block gets its Err. layout fails the whole
+// call only for a K whose rate-match plan cannot be built.
+func (p *TransportProcessor) layout(tbs []TBDecode) error {
+	p.jt = p.jt[:0]
+	k, lanes, own := 0, 0, 0
+	for i := range tbs {
+		tb := &tbs[i]
+		tb.Payload, tb.Err, tb.TurboIterations = nil, nil, 0
+		sh, err := p.accept(tb, k, lanes)
+		if err != nil {
+			tb.Err = err
+			continue
+		}
+		k = sh.seg.K
+		p.jt = append(p.jt, jointTB{in: tb, sh: sh, first: lanes})
+		lanes += sh.seg.C
+		if tb.Soft == nil {
+			own += sh.seg.C
+		}
+	}
+	if k == 0 {
+		return nil
+	}
+	rm, err := NewRateMatcher(k)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if !ok {
-		p.Timings.CRCCheck = 0
-		return nil, fmt.Errorf("phy: transport block: %w", ErrCRC)
+	p.rm = rm
+	// The transport blocks without a soft buffer of their own share the
+	// processor's, laid out afresh block after block for this call.
+	p.softBuf.reshape(own, k+4)
+	own = 0
+	cb := &p.cb
+	d3 := 3 * (k + 4)
+	for t := range p.jt {
+		jt := &p.jt[t]
+		sb, base := jt.in.Soft, 0
+		if sb == nil {
+			sb, base = p.softBuf, own
+			own += jt.sh.seg.C
+		}
+		check := checkBlockCRC24A
+		if jt.sh.seg.C > 1 {
+			check = checkBlockCRC24B
+		}
+		for j := base; j < base+jt.sh.seg.C; j++ {
+			off := len(cb.out) * k
+			cb.out = append(cb.out, p.blockbk[off:off+k:off+k])
+			cb.soft = append(cb.soft, sb.back[j*d3:(j+1)*d3:(j+1)*d3])
+			cb.known = append(cb.known, 0)
+			cb.check = append(cb.check, check)
+			cb.tb = append(cb.tb, t)
+		}
+		cb.known[jt.first] = jt.sh.seg.F
+		cb.end = append(cb.end, len(cb.out))
+		cb.iters = append(cb.iters, 0)
+		cb.ok = append(cb.ok, true)
 	}
-	return p.finishDecode()
+	return nil
 }
 
-// finishDecode desegments the decoded blocks and verifies the TB CRC.
-func (p *TransportProcessor) finishDecode() ([]byte, error) {
+// accept checks one transport block of a joint decode against Decode's
+// argument rules and the joint's: the joint's K (0 before the first accepted
+// block) and the lanes already laid out.
+func (p *TransportProcessor) accept(tb *TBDecode, k, lanes int) (tbShape, error) {
+	if tb.NPRB > p.top.nprb {
+		return tbShape{}, fmt.Errorf("phy: %d PRB on a processor built for %d: %w", tb.NPRB, p.top.nprb, ErrBadParameter)
+	}
+	sh, err := shapeOf(tb.MCS, tb.NPRB)
+	if err != nil {
+		return tbShape{}, err
+	}
+	if len(tb.RX) != sh.numSymbols() {
+		return tbShape{}, fmt.Errorf("phy: got %d symbols, want %d: %w", len(tb.RX), sh.numSymbols(), ErrBadParameter)
+	}
+	if tb.RV < 0 || tb.RV > 3 {
+		return tbShape{}, fmt.Errorf("phy: rv=%d out of range: %w", tb.RV, ErrBadParameter)
+	}
+	if tb.Soft != nil {
+		if err := sh.checkSoftBuffer(tb.Soft); err != nil {
+			return tbShape{}, err
+		}
+	}
+	if k != 0 && sh.seg.K != k {
+		return tbShape{}, fmt.Errorf("phy: joint decode of K=%d cannot take a K=%d transport block: %w", k, sh.seg.K, ErrBadParameter)
+	}
+	if lanes > 0 && lanes+sh.seg.C > MaxJointBlocks {
+		return tbShape{}, fmt.Errorf("phy: %d code blocks do not fit a joint decode holding %d of %d: %w", sh.seg.C, lanes, MaxJointBlocks, ErrBadParameter)
+	}
+	return sh, nil
+}
+
+// clearJoint drops the references a joint decode took to its caller's
+// memory, so a completed call retains none.
+func (p *TransportProcessor) clearJoint() {
+	clear(p.jt)
+	p.cb.reset()
+	p.feRX, p.feKey = nil, nil
+}
+
+// turboFused runs the fused front-end as the span decoder's prepare hook
+// (frontEndLane), just before each code block's span decodes. layout has
+// validated every accepted transport block, so the per-block front-end
+// cannot fail — the invariant the prepare hook requires.
+func (p *TransportProcessor) turboFused(sd *spanDecoder) error {
+	p.feTB = -1
 	start := time.Now()
-	joined := p.joined[:p.sh.seg.B]
-	if err := p.sh.seg.Join(joined, p.blocks); err != nil {
-		p.Timings.CRCCheck = time.Since(start)
+	err := sd.decode(&p.cb, p.fe)
+	// Each block's front-end adds its own time as the decoder runs it.
+	p.Timings.TurboDecode = time.Since(start) - p.Timings.FrontEnd
+	return err
+}
+
+// frontEndLane is the fused decode's prepare hook for code block i of the
+// running decode: it loads the block's transport block into the front-end
+// state when the block is the first of it to run — the keystream set-up
+// counts as front-end — and runs the block's front-end.
+func (p *TransportProcessor) frontEndLane(i int) {
+	t := p.cb.tb[i]
+	if t != p.feTB {
+		start := time.Now()
+		jt := &p.jt[t]
+		in := jt.in
+		p.feTB, p.sh = t, jt.sh
+		p.scr.Reinit(ScramblerInit(in.RNTI, in.CellID, in.Subframe))
+		p.feKey = p.scr.KeyWords(jt.sh.e)
+		p.feRX, p.feInvN0, p.feRV = in.RX, demodInvN0(in.N0), in.RV
+		p.Timings.FrontEnd += time.Since(start)
+	}
+	p.frontEndBlock(i-p.jt[t].first, p.cb.soft[i])
+}
+
+// turboStaged is the staged (oracle) decode: three full sweeps over each
+// transport block's E coded bits, then the turbo stage.
+func (p *TransportProcessor) turboStaged(sd *spanDecoder) error {
+	for t := range p.jt {
+		jt := &p.jt[t]
+		in, sh := jt.in, jt.sh
+		mod := sh.mcs.Modulation()
+		// Demodulate to LLRs (initDecode capped llr at the largest E, so the
+		// append never grows mid-measurement: E2 and BenchmarkFullDecode's
+		// staged column time this path).
+		start := time.Now()
+		var err error
+		p.llr, err = Demodulate(p.llr[:0], in.RX, mod, in.N0)
+		if err != nil {
+			return err
+		}
+		p.Timings.Demodulate += time.Since(start)
+
+		start = time.Now()
+		p.scr.Reinit(ScramblerInit(in.RNTI, in.CellID, in.Subframe))
+		p.scr.DescrambleLLR(p.llr)
+		p.Timings.Descramble += time.Since(start)
+
+		// De-rate-match per block, accumulating into the soft buffer.
+		start = time.Now()
+		off := 0
+		for j := 0; j < sh.seg.C; j++ {
+			i := jt.first + j
+			e := sh.blockE(j)
+			ld0, ld1, ld2 := p.cb.streams(i)
+			if err := p.rm.SoftDematch(ld0, ld1, ld2, p.llr[off:off+e], in.RV); err != nil {
+				return err
+			}
+			off += e
+		}
+		for f := 0; f < sh.seg.F; f++ {
+			p.cb.soft[jt.first][f] = fillerLLR
+		}
+		p.Timings.Dematch += time.Since(start)
+	}
+	start := time.Now()
+	err := sd.decode(&p.cb, nil)
+	p.Timings.TurboDecode = time.Since(start)
+	return err
+}
+
+// finishDecode desegments transport block t's decoded blocks into its share
+// of the joined scratch and verifies the TB CRC.
+func (p *TransportProcessor) finishDecode(t int) ([]byte, error) {
+	start := time.Now()
+	jt := &p.jt[t]
+	seg := jt.sh.seg
+	off := jt.first * seg.K // a transport block's B bits fit its C·K lanes
+	joined := p.joined[off : off+seg.B]
+	if err := seg.Join(joined, p.cb.out[jt.first:jt.first+seg.C]); err != nil {
+		p.Timings.CRCCheck += time.Since(start)
 		return nil, err
 	}
 	payload, ok := CheckCRC24A(joined)
-	p.Timings.CRCCheck = time.Since(start)
+	p.Timings.CRCCheck += time.Since(start)
 	if !ok {
 		return nil, fmt.Errorf("phy: transport block: %w", ErrCRC)
 	}

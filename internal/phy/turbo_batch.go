@@ -71,6 +71,12 @@ type BatchDecoderI16 struct {
 
 	lanes []int    // lane slot → caller block index (compaction mapping)
 	outs  [][]byte // lane slot → output block (rebuilt each iteration)
+
+	// iters[i] is the full iterations caller block i consumed in the most
+	// recent decode.
+	iters []int
+	// checks is Decode's per-block predicate list: its one check repeated.
+	checks []func([]byte) bool
 }
 
 // maxBatchWidth bounds the lockstep width: Decode's failure mask is a
@@ -102,6 +108,8 @@ func NewBatchDecoderI16(width int) (*BatchDecoderI16, error) {
 		nbt:           make([]int16, turboStates*w),
 		lanes:         make([]int, w),
 		outs:          make([][]byte, w),
+		iters:         make([]int, w),
+		checks:        make([]func([]byte) bool, w),
 	}, nil
 }
 
@@ -128,29 +136,54 @@ func (bd *BatchDecoderI16) Width() int { return bd.width }
 // failing. Successful lanes are bit-identical to decoding the same streams
 // with a scalar KernelInt16 TurboDecoder under the same check.
 func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, known []int, check func([]byte) bool) (int, uint64, error) {
+	var checks []func([]byte) bool
+	if check != nil {
+		checks = bd.checks[:min(len(blocks), bd.width)]
+		for i := range checks {
+			checks[i] = check
+		}
+	}
+	failed, err := bd.decode(blocks, ld0, ld1, ld2, known, checks)
+	clear(bd.checks)
+	if err != nil {
+		return 0, 0, err
+	}
+	total := 0
+	for _, it := range bd.iters[:len(blocks)] {
+		total += it
+	}
+	return total, failed, nil
+}
+
+// decode is Decode with a success predicate per block: checks, when
+// non-nil, holds block i's predicate at checks[i], so the blocks of
+// different transport blocks — a single-block one ending in its CRC-24A, a
+// segmented one's blocks in CRC-24B — share a pass. It leaves block i's
+// iteration count in bd.iters[i] and returns the failure bitmask.
+func (bd *BatchDecoderI16) decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, known []int, checks []func([]byte) bool) (uint64, error) {
 	n := len(blocks)
 	if n == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	if n > bd.width {
-		return 0, 0, fmt.Errorf("phy: %d blocks exceed batch width %d: %w", n, bd.width, ErrBadParameter)
+		return 0, fmt.Errorf("phy: %d blocks exceed batch width %d: %w", n, bd.width, ErrBadParameter)
 	}
-	if len(ld0) != n || len(ld1) != n || len(ld2) != n || (known != nil && len(known) != n) {
-		return 0, 0, fmt.Errorf("phy: %d blocks but %d/%d/%d LLR streams: %w",
+	if len(ld0) != n || len(ld1) != n || len(ld2) != n || (known != nil && len(known) != n) || (checks != nil && len(checks) != n) {
+		return 0, fmt.Errorf("phy: %d blocks but %d/%d/%d LLR streams: %w",
 			n, len(ld0), len(ld1), len(ld2), ErrBadParameter)
 	}
 	q, err := NewQPPInterleaver(len(blocks[0]))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	k := q.K
 	bd.q = q
 	for b := 0; b < n; b++ {
 		if len(blocks[b]) != k {
-			return 0, 0, fmt.Errorf("phy: batch lane %d output length %d != K=%d: %w", b, len(blocks[b]), k, ErrBadParameter)
+			return 0, fmt.Errorf("phy: batch lane %d output length %d != K=%d: %w", b, len(blocks[b]), k, ErrBadParameter)
 		}
 		if len(ld0[b]) != k+4 || len(ld1[b]) != k+4 || len(ld2[b]) != k+4 {
-			return 0, 0, fmt.Errorf("phy: batch lane %d input streams must each be K+4=%d: %w", b, k+4, ErrBadParameter)
+			return 0, fmt.Errorf("phy: batch lane %d input streams must each be K+4=%d: %w", b, k+4, ErrBadParameter)
 		}
 	}
 
@@ -159,6 +192,7 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 	clear(bd.apri[:k*w])
 	for b := 0; b < n; b++ {
 		bd.lanes[b] = b
+		bd.iters[b] = 0
 	}
 
 	// The AVX2 path is fixed at 8 lanes (one YMM of widened int32 per
@@ -166,7 +200,6 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 	// ragged lanes ride along as dead columns, which costs nothing extra
 	// and cannot perturb live lanes (all lane arithmetic is independent).
 	useAVX2 := batchAsm && w == 8
-	itersTotal := 0
 	var failed uint64
 	for it := 0; it < bd.MaxIterations && n > 0; it++ {
 		if useAVX2 {
@@ -203,7 +236,9 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 				copy(bd.apri[pi*w:pi*w+n], bd.ext2[i*w:i*w+n])
 			}
 		}
-		itersTotal += n
+		for _, b := range bd.lanes[:n] {
+			bd.iters[b]++
+		}
 
 		// Hard decisions — the sign bit of the a-posteriori sum — step-major
 		// so the three metric streams are read sequentially (lane-major
@@ -228,10 +263,10 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 		// Per-lane early termination. Descending over the lane slots keeps
 		// compaction sound: the lane moved into slot j comes from a higher
 		// slot already decided this iteration.
-		if check != nil {
+		if checks != nil {
 			last := it == bd.MaxIterations-1
 			for j := n - 1; j >= 0; j-- {
-				if check(outs[j]) {
+				if checks[bd.lanes[j]](outs[j]) {
 					n = bd.compact(j, n)
 				} else if last {
 					failed |= 1 << uint(bd.lanes[j])
@@ -239,7 +274,7 @@ func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, kn
 			}
 		}
 	}
-	return itersTotal, failed, nil
+	return failed, nil
 }
 
 // ingestTile is the step height of the pure-Go lockstep ingest's tiles:

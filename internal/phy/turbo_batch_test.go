@@ -3,6 +3,7 @@ package phy
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -273,15 +274,25 @@ func TestBatchDecoderValidation(t *testing.T) {
 		t.Errorf("mixed block sizes = %v, want ErrBadParameter", err)
 	}
 	// The span decoder a processor drives the batch decoder through checks
-	// the transport block's stream shapes before it cuts them into spans.
+	// the code blocks' stream shapes before it cuts them into spans.
 	sd, err := newSpanDecoder(DecodeProfile{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sd.decode(blocks, mk(1, 516), mk(2, 516), mk(2, 516), nil, nil, nil); !errors.Is(err, ErrBadParameter) {
+	cbOf := func(soft [][]float32, known []int) *codeBlocks {
+		return &codeBlocks{
+			out: blocks, soft: soft, known: known,
+			check: []func([]byte) bool{checkBlockCRC24B, checkBlockCRC24B}, tb: []int{0, 0},
+			end: []int{2}, iters: []int{0}, ok: []bool{true},
+		}
+	}
+	if err := sd.decode(cbOf(mk(1, 3*516), []int{0, 0}), nil); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("span decoder stream count mismatch = %v, want ErrBadParameter", err)
 	}
-	if _, _, err := sd.decode(blocks, mk(2, 516), mk(2, 516), mk(2, 516), []int{0}, nil, nil); !errors.Is(err, ErrBadParameter) {
+	if err := sd.decode(cbOf(mk(2, 3*516-1), []int{0, 0}), nil); !errors.Is(err, ErrBadParameter) {
+		t.Errorf("span decoder stream length mismatch = %v, want ErrBadParameter", err)
+	}
+	if err := sd.decode(cbOf(mk(2, 3*516), []int{0}), nil); !errors.Is(err, ErrBadParameter) {
 		t.Errorf("span decoder known-bit count mismatch = %v, want ErrBadParameter", err)
 	}
 }
@@ -364,52 +375,52 @@ func FuzzBatchedKernel(f *testing.F) {
 	})
 }
 
-// BenchmarkBatchVsScalarI16 measures per-block decode cost at K=6144 with a
-// fixed iteration budget (no early exit), scalar vs lockstep widths — the
-// kernel-level speedup; BenchmarkFullDecode's batch1 column shows it end to
-// end. w8lanes1 is the width-8 decoder carrying one block, the pass a lone
-// block would take if spanDecoder did not route it to the scalar decoder.
+// BenchmarkBatchVsScalarI16 measures the turbo cost of a span at a fixed
+// iteration budget (4, no early exit) across block sizes: the scalar
+// decoder on one block (K<k>/scalar) against the width-8 lockstep decoder
+// carrying 1, 2 or 8 blocks (K<k>/lanes<n>). ns/op is a whole span, so
+// lanes8 over 8 is the per-block cost of a full span, lanes1 is what a lone
+// block costs on the lockstep decoder, and the K at which lanes1 overtakes
+// scalar is spanDecoder's loneLaneMinK. BenchmarkFullDecode's batch1 column
+// shows the lockstep gain end to end.
 func BenchmarkBatchVsScalarI16(b *testing.B) {
-	const k = 6144
-	rng := rand.New(rand.NewSource(17))
-	_, l0, l1, l2 := batchTestVectors(b, rng, k, 8, 0.8)
-	out := make([]byte, k)
-	b.Run("scalar", func(b *testing.B) {
-		dec, err := NewTurboDecoderKernel(KernelInt16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dec.MaxIterations = 4
-		b.SetBytes(int64(k))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := dec.Decode(out, l0[i%8], l1[i%8], l2[i%8]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, c := range []struct {
-		name         string
-		width, lanes int
-	}{{"batch2", 2, 2}, {"batch4", 4, 4}, {"batch8", 8, 8}, {"w8lanes1", 8, 1}} {
-		b.Run(c.name, func(b *testing.B) {
-			bd, err := NewBatchDecoderI16(c.width)
+	for _, k := range []int{208, 1056, 2112, 3136, 6144} {
+		rng := rand.New(rand.NewSource(17))
+		_, l0, l1, l2 := batchTestVectors(b, rng, k, 8, 0.8)
+		out := make([]byte, k)
+		b.Run(fmt.Sprintf("K%d/scalar", k), func(b *testing.B) {
+			dec, err := NewTurboDecoderKernel(KernelInt16)
 			if err != nil {
 				b.Fatal(err)
 			}
-			bd.MaxIterations = 4
-			n := c.lanes
-			got := make([][]byte, n)
-			for i := range got {
-				got[i] = make([]byte, k)
-			}
-			b.SetBytes(int64(k * n))
+			dec.MaxIterations = 4
+			b.SetBytes(int64(k))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := bd.Decode(got, l0[:n], l1[:n], l2[:n], nil, nil); err != nil {
+				if _, err := dec.Decode(out, l0[i%8], l1[i%8], l2[i%8]); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+		for _, n := range []int{1, 2, 8} {
+			b.Run(fmt.Sprintf("K%d/lanes%d", k, n), func(b *testing.B) {
+				bd, err := NewBatchDecoderI16(8)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bd.MaxIterations = 4
+				got := make([][]byte, n)
+				for i := range got {
+					got[i] = make([]byte, k)
+				}
+				b.SetBytes(int64(k * n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := bd.Decode(got, l0[:n], l1[:n], l2[:n], nil, nil); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
