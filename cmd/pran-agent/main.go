@@ -10,9 +10,9 @@ package main
 import (
 	"flag"
 	"log"
+	"math"
 	"net/http"
 
-	"pran/internal/core"
 	"pran/internal/dataplane"
 	"pran/internal/node"
 	"pran/internal/phy"
@@ -32,12 +32,12 @@ func main() {
 	flag.Parse()
 
 	if *scale <= 0 {
-		s, err := core.SuggestedDeadlineScale(phy.Bandwidth(*prb))
+		s, err := dataplane.CalibrateDeadlineScale(phy.Bandwidth(*prb), 16)
 		if err != nil {
 			log.Fatal(err)
 		}
-		*scale = s
-		log.Printf("calibrated deadline scale: x%.0f", s)
+		*scale = math.Ceil(s)
+		log.Printf("calibrated deadline scale: x%.0f", *scale)
 	}
 	an, err := node.NewAgentNode(node.AgentConfig{
 		ControllerAddr: *addr,

@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"pran/internal/controller"
 	"pran/internal/core"
@@ -19,6 +20,7 @@ import (
 	"pran/internal/frame"
 	"pran/internal/phy"
 	"pran/internal/ranapi"
+	"pran/internal/telemetry"
 )
 
 func main() {
@@ -94,8 +96,16 @@ func main() {
 	fmt.Printf("tasks: submitted=%d completed=%d abandoned=%d crc-fail=%d\n",
 		st.Submitted, st.Completed, st.Abandoned, st.CRCFailures)
 	fmt.Printf("deadline misses: %d (%.2f%%)\n", st.DeadlineMisses, st.MissRate()*100)
-	fmt.Printf("latency: %s\n", st.Latency.String())
-	fmt.Printf("proc:    %s\n", st.ProcTime.String())
+	snap := sys.Pool().Telemetry().Snapshot()
+	var hists telemetry.Snapshot
+	for _, name := range []string{dataplane.MetricLatency, dataplane.MetricProcTime} {
+		if h, ok := snap.Histogram(name); ok {
+			hists.Histograms = append(hists.Histograms, h)
+		}
+	}
+	if err := hists.WriteText(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 
 	rounds, migrations, promotions := sys.Controller().Stats()
 	fmt.Printf("\n=== control plane ===\n")

@@ -73,13 +73,20 @@ func TestInternalPackagesDocumentConcurrency(t *testing.T) {
 // span; the leading group keeps x.pkg.Ident and Xpkg.Ident from matching.
 var qualifiedIdent = regexp.MustCompile(`(?:^|[^.\w])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 
+// internalPath finds an internal/<dir>[/more] path inside a backticked span
+// (`internal/phy`, `go test ./internal/soak/`, `pran/internal/telemetry`).
+var internalPath = regexp.MustCompile(`(?:^|[^\w])(internal/[a-z0-9_]+(?:/[\w.-]+)*)`)
+
 // TestDocsNameLiveIdentifiers is the stale-name lint: every backticked
 // pkg.Ident or pkg.Ident.Member in README.md, DESIGN.md, EXPERIMENTS.md and
 // docs/*.md whose pkg is a directory of internal/ must be an exported
 // declaration of that package (and Member a field or method of the type), so
 // renaming or deleting a name the documents teach fails here and not in a
 // reader's editor. Names written unqualified are not checked, which is the
-// reason to write them qualified.
+// reason to write them qualified. A pkg.Ident whose package is gone looks
+// like a standard-library name and passes, so every backticked internal/...
+// path must exist too: a deleted package fails where the documents name its
+// directory.
 func TestDocsNameLiveIdentifiers(t *testing.T) {
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
@@ -95,6 +102,13 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, sp := range span.FindAllString(string(text), -1) {
+			for _, m := range internalPath.FindAllStringSubmatch(strings.Trim(sp, "`"), -1) {
+				path := strings.TrimRight(m[1], ".")
+				checked++
+				if _, err := os.Stat(filepath.FromSlash(path)); err != nil {
+					t.Errorf("%s names `%s`, which does not exist", doc, path)
+				}
+			}
 			for _, m := range qualifiedIdent.FindAllStringSubmatch(strings.Trim(sp, "`"), -1) {
 				pkg, name := m[1], m[2]
 				if info, err := os.Stat(filepath.Join("internal", pkg)); err != nil || !info.IsDir() {
@@ -116,7 +130,7 @@ func TestDocsNameLiveIdentifiers(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("lint found no qualified identifiers — pattern broken?")
 	}
-	t.Logf("resolved %d qualified identifiers in %d documents", checked, len(docs))
+	t.Logf("resolved %d qualified identifiers and internal paths in %d documents", checked, len(docs))
 }
 
 // TestExperimentRegistryMatchesDocs ties the documents to the one experiment

@@ -9,7 +9,7 @@ import (
 
 	"pran/internal/baseline"
 	"pran/internal/cluster"
-	"pran/internal/metrics"
+	"pran/internal/experiments"
 	"pran/internal/phy"
 	"pran/internal/traffic"
 )
@@ -54,7 +54,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println(metrics.Table(
+	fmt.Println(experiments.Table(
 		[]string{"provisioning", "cores", "vs-static"},
 		[][]string{
 			{"per-cell static (today's RAN)", fmt.Sprintf("%d", static), "1.00x"},

@@ -5,11 +5,13 @@
 // command-line tools build on; everything underneath remains individually
 // usable.
 //
-// Concurrency: a System is driven by one goroutine calling Tick; the
-// dataplane pool it owns runs its own worker goroutines, and results
-// are joined back into the Tick goroutine before observations and control
-// steps run. Only Tick's caller may touch the System; everything the pool
-// touches crosses via the pool's channels.
+// Concurrency: a System is driven by one goroutine calling RunTTIs (and
+// then Drain, Close and the accessors); only that goroutine may touch the
+// System. The dataplane pool it owns decodes on its own worker goroutines,
+// and their completions reach the System only through each task's OnDone,
+// which runs on the worker and feeds the per-cell HARQ loop under that
+// loop's mutex. Observations and control steps run on the driving
+// goroutine and never wait for decodes; Drain does.
 package core
 
 import (
@@ -24,6 +26,7 @@ import (
 	"pran/internal/frame"
 	"pran/internal/phy"
 	"pran/internal/ranapi"
+	"pran/internal/telemetry"
 	"pran/internal/traffic"
 )
 
@@ -353,19 +356,6 @@ func (s *System) MeasuredMissRate(n int) (float64, error) {
 	return s.pool.Stats().MissRate(), nil
 }
 
-// SuggestedDeadlineScale calibrates a deadline scale for the given
-// bandwidth so measured-mode runs behave like the paper's optimized stack
-// (see dataplane.CalibrateDeadlineScale, which times the default decode
-// path — what a pool built from this package's Config runs). The scale is
-// rounded up to avoid borderline flakiness across runs.
-func SuggestedDeadlineScale(bw phy.Bandwidth) (float64, error) {
-	s, err := dataplane.CalibrateDeadlineScale(bw, 16)
-	if err != nil {
-		return 0, err
-	}
-	return math.Ceil(s), nil
-}
-
 // CalibrateScale sizes Config.Pool.DeadlineScale against the *actual*
 // workload: it runs a throwaway copy of the configuration unpaced for
 // warmupTTIs subframes, measures the pool's real compute per TTI on this
@@ -373,6 +363,8 @@ func SuggestedDeadlineScale(bw phy.Bandwidth) (float64, error) {
 // scaled subframe budget — the compute-to-deadline ratio the paper's
 // optimized stack ran at. This captures everything the single-decode
 // calibration misses (per-UE overheads, iteration spread, cache warm-up).
+// The throwaway pool records into a private registry, so none of its tasks
+// reach cfg.Pool.Telemetry or telemetry.Default().
 func CalibrateScale(cfg Config, warmupTTIs int) (float64, error) {
 	if warmupTTIs <= 0 {
 		warmupTTIs = 100
@@ -381,6 +373,9 @@ func CalibrateScale(cfg Config, warmupTTIs int) (float64, error) {
 	trial.Realtime = false
 	trial.Pool.DeadlineScale = 1e6 // never abandon during measurement
 	trial.Pool.AbandonLate = false
+	reg := telemetry.New(trial.Pool.Workers)
+	trial.Pool.Telemetry = reg
+	trial.Pool.DisableTelemetry = false
 	sys, err := New(trial)
 	if err != nil {
 		return 0, err
@@ -390,8 +385,8 @@ func CalibrateScale(cfg Config, warmupTTIs int) (float64, error) {
 		return 0, err
 	}
 	sys.Drain()
-	st := sys.Pool().Stats()
-	procPerTTI := st.ProcTime.Mean() * float64(st.ProcTime.Count()) / float64(warmupTTIs)
+	busy := time.Duration(reg.Counter(dataplane.MetricWorkerBusyNanos).Value())
+	procPerTTI := busy.Seconds() / float64(warmupTTIs)
 	perWorkerMs := procPerTTI / float64(cfg.Pool.Workers) / 1e-3
 	scale := math.Ceil(perWorkerMs / 0.6)
 	if scale < 1 {

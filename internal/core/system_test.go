@@ -9,6 +9,7 @@ import (
 	"pran/internal/frame"
 	"pran/internal/phy"
 	"pran/internal/ranapi"
+	"pran/internal/telemetry"
 	"pran/internal/traffic"
 )
 
@@ -228,5 +229,41 @@ func TestMeasuredMissRateRuns(t *testing.T) {
 	}
 	if rate < 0 || rate > 1 {
 		t.Fatalf("miss rate %v", rate)
+	}
+}
+
+// TestCalibrateScaleKeepsCallerTelemetry pins that CalibrateScale's
+// throwaway pool records into a registry of its own: the caller's registry,
+// which the real system built from the same Config then reports, counts
+// none of the warm-up's tasks or compute.
+func TestCalibrateScaleKeepsCallerTelemetry(t *testing.T) {
+	reg := telemetry.New(4)
+	cfg := smallConfig(2)
+	cfg.Pool.Telemetry = reg
+	scale, err := CalibrateScale(cfg, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scale < 1 {
+		t.Fatalf("scale %v", scale)
+	}
+	snap := reg.Snapshot()
+	for _, name := range []string{dataplane.MetricTasksSubmitted, dataplane.MetricTasksCompleted, dataplane.MetricWorkerBusyNanos} {
+		if n := snap.Counter(name); n != 0 {
+			t.Fatalf("calibration leaked into the caller's registry: %s = %d", name, n)
+		}
+	}
+	// The same configuration does submit work when it runs for real.
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.RunTTIs(20); err != nil {
+		t.Fatal(err)
+	}
+	s.Drain()
+	if reg.Snapshot().Counter(dataplane.MetricTasksSubmitted) == 0 {
+		t.Fatal("the system submitted no task into its registry")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"pran/internal/metrics"
 	"pran/internal/phy"
 	"pran/internal/telemetry"
 )
@@ -107,10 +106,6 @@ type Stats struct {
 	// DeadlineMisses counts tasks finishing after their deadline
 	// (including abandoned ones).
 	DeadlineMisses uint64
-	// Latency summarizes enqueue-to-finish latency in seconds.
-	Latency metrics.Summary
-	// ProcTime summarizes pure processing time in seconds.
-	ProcTime metrics.Summary
 }
 
 // MissRate returns the fraction of submitted tasks that missed.
@@ -314,10 +309,6 @@ func (p *Pool) finish(claim []*Task, shard int) {
 		if t.Missed() {
 			p.stats.DeadlineMisses++
 		}
-		p.stats.Latency.Observe(t.Latency().Seconds())
-	}
-	if !start.IsZero() {
-		p.stats.ProcTime.Observe(busy.Seconds())
 	}
 	p.mu.Unlock()
 	tel := p.tel

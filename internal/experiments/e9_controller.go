@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"net"
+	"sort"
 	"sync"
 	"time"
 
@@ -10,7 +11,6 @@ import (
 	"pran/internal/controller"
 	"pran/internal/ctrlproto"
 	"pran/internal/frame"
-	"pran/internal/metrics"
 )
 
 // placementBench times a full placement computation.
@@ -115,7 +115,7 @@ func protocolRTT(rounds int) (p50, p99 float64, err error) {
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
-	return metrics.Percentile(rtts, 50), metrics.Percentile(rtts, 99), nil
+	return percentile(rtts, 50), percentile(rtts, 99), nil
 }
 
 // E9Controller reconstructs the control-plane microbenchmark table:
@@ -170,4 +170,28 @@ func E9Controller(quick bool) (Result, error) {
 	res.Rows = append(res.Rows, []string{"cell migration payload (8 HARQ processes)", fmt.Sprintf("%d bytes", stateBytes)})
 	res.Metrics["migration_bytes"] = float64(stateBytes)
 	return res, nil
+}
+
+// percentile returns the p-th percentile (0–100) of xs by sorting a copy and
+// interpolating linearly.
+func percentile(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	c := make([]float64, len(xs))
+	copy(c, xs)
+	sort.Float64s(c)
+	if p <= 0 {
+		return c[0]
+	}
+	if p >= 100 {
+		return c[len(c)-1]
+	}
+	pos := p / 100 * float64(len(c)-1)
+	i := int(pos)
+	frac := pos - float64(i)
+	if i+1 >= len(c) {
+		return c[len(c)-1]
+	}
+	return c[i]*(1-frac) + c[i+1]*frac
 }

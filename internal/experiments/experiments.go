@@ -16,8 +16,7 @@ package experiments
 import (
 	"fmt"
 	"math"
-
-	"pran/internal/metrics"
+	"strings"
 )
 
 // Result is one experiment's regenerated table.
@@ -38,11 +37,53 @@ type Result struct {
 // String renders the result as a titled table.
 func (r Result) String() string {
 	s := fmt.Sprintf("== %s: %s ==\n", r.ID, r.Title)
-	s += metrics.Table(r.Header, r.Rows)
+	s += Table(r.Header, r.Rows)
 	for _, n := range r.Notes {
 		s += "note: " + n + "\n"
 	}
 	return s
+}
+
+// Table formats aligned benchmark-style rows: header, a dashed separator,
+// then rows, columns separated by at least two spaces. Result.String prints
+// every experiment's table with it.
+func Table(header []string, rows [][]string) string {
+	width := make([]int, len(header))
+	for i, hcell := range header {
+		width[i] = len(hcell)
+	}
+	for _, r := range rows {
+		for i, cell := range r {
+			if i < len(width) && len(cell) > width[i] {
+				width[i] = len(cell)
+			}
+		}
+	}
+	var b strings.Builder
+	writeRow := func(cells []string) {
+		for i, cell := range cells {
+			if i > 0 {
+				b.WriteString("  ")
+			}
+			b.WriteString(cell)
+			if i < len(cells)-1 {
+				for p := len(cell); p < width[i]; p++ {
+					b.WriteByte(' ')
+				}
+			}
+		}
+		b.WriteByte('\n')
+	}
+	writeRow(header)
+	sep := make([]string, len(header))
+	for i := range sep {
+		sep[i] = strings.Repeat("-", width[i])
+	}
+	writeRow(sep)
+	for _, r := range rows {
+		writeRow(r)
+	}
+	return b.String()
 }
 
 // Experiment is one registered table: its ID and the function that

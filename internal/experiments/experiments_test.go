@@ -187,3 +187,38 @@ func TestSeedFor(t *testing.T) {
 		t.Fatalf("BaseSeed = %d", BaseSeed())
 	}
 }
+
+func TestPercentile(t *testing.T) {
+	xs := []float64{5, 1, 3, 2, 4}
+	if percentile(xs, 0) != 1 || percentile(xs, 100) != 5 {
+		t.Fatal("edge percentiles wrong")
+	}
+	if percentile(xs, 50) != 3 {
+		t.Fatalf("median %v", percentile(xs, 50))
+	}
+	if percentile(nil, 50) != 0 {
+		t.Fatal("empty percentile")
+	}
+	// Must not modify input.
+	if xs[0] != 5 {
+		t.Fatal("percentile sorted the caller's slice")
+	}
+	// Interpolation: p25 of [1..5] = 2.
+	if v := percentile(xs, 25); v != 2 {
+		t.Fatalf("p25 = %v", v)
+	}
+}
+
+func TestTable(t *testing.T) {
+	out := Table([]string{"a", "long-header"}, [][]string{{"1", "2"}, {"333333", "4"}})
+	lines := strings.Split(strings.TrimSpace(out), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("got %d lines", len(lines))
+	}
+	if !strings.Contains(lines[0], "long-header") || !strings.Contains(lines[1], "---") {
+		t.Fatalf("header/separator malformed: %q %q", lines[0], lines[1])
+	}
+	if !strings.HasPrefix(lines[3], "333333") {
+		t.Fatalf("row misaligned: %q", lines[3])
+	}
+}

@@ -657,7 +657,7 @@ func (n *ControllerNode) LeaseBudget() time.Duration { return n.leaseBudget }
 // answered within the timeout; agents running with telemetry disabled
 // answer with an empty snapshot and still count. A histogram spec mismatch
 // between agents is returned as an error (wrapping
-// metrics.ErrSpecMismatch) rather than blending buckets.
+// telemetry.ErrSpecMismatch) rather than blending buckets.
 func (n *ControllerNode) ScrapeTelemetry(timeout time.Duration) (telemetry.Snapshot, int, error) {
 	agents := n.srv.Agents()
 	deadline := time.Now().Add(timeout)

@@ -1,10 +1,10 @@
 package ranapi
 
 import (
+	"math"
 	"testing"
 
 	"pran/internal/frame"
-	"pran/internal/metrics"
 	"pran/internal/phy"
 )
 
@@ -75,8 +75,8 @@ func TestPFFairerThanGreedy(t *testing.T) {
 		pfServed[r] += 0
 		grServed[r] += 0
 	}
-	pfJain := metrics.JainIndex(ThroughputShare(pfServed))
-	grJain := metrics.JainIndex(ThroughputShare(grServed))
+	pfJain := jainIndex(ThroughputShare(pfServed))
+	grJain := jainIndex(ThroughputShare(grServed))
 	if pfJain <= grJain {
 		t.Fatalf("PF Jain %.3f not above greedy %.3f", pfJain, grJain)
 	}
@@ -111,5 +111,43 @@ func TestPFInRegistryChain(t *testing.T) {
 	out := r.Apply(contention(0))
 	if out.UsedPRB() > 4 {
 		t.Fatal("chained PF did not enforce the cap")
+	}
+}
+
+// jainIndex computes Jain's fairness index over per-entity allocations:
+// (Σx)² / (n·Σx²). It returns 1 for an empty or all-zero input by
+// convention (nothing is unfairly shared).
+func jainIndex(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 1
+	}
+	var sum, sumSq float64
+	for _, x := range xs {
+		sum += x
+		sumSq += x * x
+	}
+	if sumSq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(xs)) * sumSq)
+}
+
+func TestJainIndex(t *testing.T) {
+	if jainIndex(nil) != 1 {
+		t.Fatal("empty should be 1")
+	}
+	if jainIndex([]float64{0, 0}) != 1 {
+		t.Fatal("all-zero should be 1")
+	}
+	if v := jainIndex([]float64{1, 1, 1, 1}); math.Abs(v-1) > 1e-12 {
+		t.Fatalf("equal allocation: %v", v)
+	}
+	// One user hogging everything among n: index = 1/n.
+	if v := jainIndex([]float64{1, 0, 0, 0}); math.Abs(v-0.25) > 1e-12 {
+		t.Fatalf("max unfairness: %v", v)
+	}
+	mid := jainIndex([]float64{1, 2, 3})
+	if mid <= 0.25 || mid >= 1 {
+		t.Fatalf("intermediate fairness %v out of range", mid)
 	}
 }

@@ -1,10 +1,6 @@
 package telemetry
 
-import (
-	"sort"
-
-	"pran/internal/metrics"
-)
+import "sort"
 
 // Delta returns the windowed difference cur − prev: what happened between
 // two snapshots of the same source. It is the primitive behind windowed SLO
@@ -64,7 +60,7 @@ func Delta(prev, cur Snapshot) Snapshot {
 // subtractHistState computes cur − prev bucket-wise. ok is false when the
 // states cannot be diffed (spec mismatch, or cur counted less than prev —
 // a restarted source), in which case the caller keeps cur whole.
-func subtractHistState(prev, cur metrics.HistogramState) (metrics.HistogramState, bool) {
+func subtractHistState(prev, cur HistogramState) (HistogramState, bool) {
 	if prev.Min != cur.Min || prev.Max != cur.Max || len(prev.Buckets) != len(cur.Buckets) {
 		return cur, false
 	}

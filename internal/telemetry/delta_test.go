@@ -3,17 +3,19 @@ package telemetry
 import (
 	"math"
 	"testing"
-
-	"pran/internal/metrics"
 )
 
-func histState(vals ...float64) metrics.HistogramState {
-	h := metrics.NewHistogram(1e-6, 16, 64)
+// specState records vals into a one-shard histogram of the given spec and
+// returns its state.
+func specState(min, max float64, n int, vals ...float64) HistogramState {
+	h := New(1).Histogram("h", min, max, n)
 	for _, v := range vals {
-		h.Observe(v)
+		h.Observe(0, v)
 	}
-	return h.State()
+	return h.state()
 }
+
+func histState(vals ...float64) HistogramState { return specState(1e-6, 16, 64, vals...) }
 
 func TestDeltaCounters(t *testing.T) {
 	prev := Snapshot{Counters: []CounterSnap{
@@ -96,9 +98,7 @@ func TestDeltaHistogramReset(t *testing.T) {
 }
 
 func TestDeltaHistogramSpecMismatch(t *testing.T) {
-	other := metrics.NewHistogram(1e-3, 10, 32)
-	other.Observe(0.5)
-	prev := Snapshot{Histograms: []HistSnap{{Name: "h", State: other.State()}}}
+	prev := Snapshot{Histograms: []HistSnap{{Name: "h", State: specState(1e-3, 10, 32, 0.5)}}}
 	cur := Snapshot{Histograms: []HistSnap{{Name: "h", State: histState(0.001)}}}
 	hs, _ := Delta(prev, cur).Histogram("h")
 	if hs.State.Count != 1 {

@@ -3,11 +3,11 @@
 // concurrently, merged on demand into immutable snapshots with a text/JSON
 // exposition format.
 //
-// It complements internal/metrics rather than replacing it: metrics holds
-// the unsynchronized measurement primitives experiments use after workers
-// quiesce; telemetry answers "what is the pool doing *right now*" without
-// stopping it. Snapshot histograms export through metrics.HistogramState so
-// quantile math and cross-process merging reuse metrics.Histogram.
+// It answers "what is the pool doing *right now*" without stopping it, and
+// it is the repository's one histogram implementation: a Histogram records
+// into one log-scale bucket geometry, and a snapshot exports it as
+// HistogramState, the form quantile queries, merges (across processes too:
+// stats reports carry it) and window deltas work on.
 //
 // # Concurrency and shard model
 //
@@ -40,9 +40,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
-
-	"pran/internal/metrics"
 )
 
 // slot is one shard's counter cell, padded to a cache line so adjacent
@@ -92,96 +89,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value reads the gauge.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// histShard is one shard of a histogram: the log-scale bucket counts plus
-// the streaming moments and extrema. Buckets lead so the hot bucket
-// increment lands in the same lines as the shard header.
-type histShard struct {
-	low, high atomic.Uint64
-	sumBits   atomic.Uint64 // float64 bits, CAS-accumulated
-	sumSqBits atomic.Uint64
-	minBits   atomic.Uint64 // float64 bits; math.Inf(1) when empty
-	maxBits   atomic.Uint64 // float64 bits; math.Inf(-1) when empty
-	_         [16]byte
-	buckets   []atomic.Uint64
-}
-
-// Histogram is a sharded log-scale histogram with the same bucket geometry
-// as metrics.Histogram; snapshots export it as metrics.HistogramState.
-type Histogram struct {
-	name     string
-	min, max float64
-	scale    float64 // buckets / log(max/min), as in metrics.Histogram
-	shards   []histShard
-	mask     uint32
-}
-
-// Observe records one non-negative measurement on the given shard. The
-// record path performs no allocation and takes no locks.
-func (h *Histogram) Observe(shard int, v float64) {
-	s := &h.shards[uint32(shard)&h.mask]
-	switch {
-	case v < h.min:
-		s.low.Add(1)
-	case v >= h.max:
-		s.high.Add(1)
-	default:
-		i := int(math.Log(v/h.min) * h.scale)
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(s.buckets) {
-			i = len(s.buckets) - 1
-		}
-		s.buckets[i].Add(1)
-	}
-	addFloat(&s.sumBits, v)
-	addFloat(&s.sumSqBits, v*v)
-	casMin(&s.minBits, v)
-	casMax(&s.maxBits, v)
-}
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(shard int, d time.Duration) {
-	h.Observe(shard, d.Seconds())
-}
-
-// addFloat accumulates a float64 into atomic bits via CAS. Shards are
-// effectively single-writer (each worker records into its own), so the loop
-// converges on the first iteration; the CAS keeps accidental multi-writer
-// use correct rather than silently lossy.
-func addFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
-			return
-		}
-	}
-}
-
-func casMin(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if v >= math.Float64frombits(old) {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-func casMax(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if v <= math.Float64frombits(old) {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
 
 // Registry holds named metrics. Registration (Counter/Gauge/Histogram
 // lookups) takes the registry mutex and may allocate — resolve handles once
@@ -265,25 +172,24 @@ const DefaultHistBuckets = 128
 // different spec panics: two call sites disagreeing on a metric's geometry
 // is a programming error that silent reuse would turn into mis-binned data.
 func (r *Registry) Histogram(name string, min, max float64, n int) *Histogram {
-	if !(min > 0) || !(max > min) || n <= 0 {
+	g := newGeometry(min, max, n)
+	if !g.valid() {
 		panic(fmt.Sprintf("telemetry: invalid histogram spec %q min=%v max=%v n=%d", name, min, max, n))
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
-		if h.min != min || h.max != max || len(h.shards[0].buckets) != n {
+		if h.min != min || h.max != max || h.n != n {
 			panic(fmt.Sprintf("telemetry: histogram %q re-registered with spec [%g, %g]/%d, have [%g, %g]/%d",
-				name, min, max, n, h.min, h.max, len(h.shards[0].buckets)))
+				name, min, max, n, h.min, h.max, h.n))
 		}
 		return h
 	}
 	h := &Histogram{
-		name:   name,
-		min:    min,
-		max:    max,
-		scale:  float64(n) / math.Log(max/min),
-		shards: make([]histShard, r.shards),
-		mask:   uint32(r.shards - 1),
+		name:     name,
+		geometry: g,
+		shards:   make([]histShard, r.shards),
+		mask:     uint32(r.shards - 1),
 	}
 	for i := range h.shards {
 		h.shards[i].buckets = make([]atomic.Uint64, n)
@@ -341,37 +247,4 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
-}
-
-// state merges a histogram's shards into exported state. Count derives from
-// the bucket reads so Count == Low + High + Σ Buckets holds in every
-// snapshot, even mid-recording.
-func (h *Histogram) state() metrics.HistogramState {
-	n := len(h.shards[0].buckets)
-	st := metrics.HistogramState{Min: h.min, Max: h.max, Buckets: make([]uint64, n)}
-	vMin, vMax := math.Inf(1), math.Inf(-1)
-	for i := range h.shards {
-		s := &h.shards[i]
-		for b := range s.buckets {
-			c := s.buckets[b].Load()
-			st.Buckets[b] += c
-			st.Count += c
-		}
-		low, high := s.low.Load(), s.high.Load()
-		st.Low += low
-		st.High += high
-		st.Count += low + high
-		st.Sum += math.Float64frombits(s.sumBits.Load())
-		st.SumSq += math.Float64frombits(s.sumSqBits.Load())
-		if v := math.Float64frombits(s.minBits.Load()); v < vMin {
-			vMin = v
-		}
-		if v := math.Float64frombits(s.maxBits.Load()); v > vMax {
-			vMax = v
-		}
-	}
-	if st.Count > 0 && !math.IsInf(vMin, 1) {
-		st.VMin, st.VMax = vMin, vMax
-	}
-	return st
 }

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"sort"
 	"strings"
-
-	"pran/internal/metrics"
 )
 
 // CounterSnap is one counter's snapshot: the total plus the per-shard
@@ -27,21 +25,15 @@ type GaugeSnap struct {
 	Value int64  `json:"value"`
 }
 
-// HistSnap is one histogram's snapshot, exported as metrics.HistogramState
-// so the receiving side rebuilds a metrics.Histogram for quantile queries.
+// HistSnap is one histogram's snapshot.
 type HistSnap struct {
-	Name  string                 `json:"name"`
-	State metrics.HistogramState `json:"state"`
+	Name  string         `json:"name"`
+	State HistogramState `json:"state"`
 }
 
-// Quantile rebuilds the histogram and queries the q-quantile.
-func (h HistSnap) Quantile(q float64) float64 {
-	hist, err := metrics.FromState(h.State)
-	if err != nil {
-		return 0
-	}
-	return hist.Quantile(q)
-}
+// Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the bucket upper
+// edges; an empty or malformed state reads 0.
+func (h HistSnap) Quantile(q float64) float64 { return h.State.quantile(q) }
 
 // Snapshot is an immutable capture of a registry (or a merge of several).
 // The zero value is an empty snapshot.
@@ -81,40 +73,36 @@ func (s Snapshot) Histogram(name string) (HistSnap, bool) {
 	return HistSnap{}, false
 }
 
-// Merge folds other into a new snapshot: counters and gauges sum by name,
-// histograms merge bucket-wise. Merging histograms with mismatched specs is
-// an explicit error (metrics.ErrSpecMismatch) — the scrape layer must
-// surface disagreeing agents, not blend their buckets. Per-shard counter
-// breakdowns are dropped, since shard identity does not survive aggregation
-// across processes.
-func (s Snapshot) Merge(other Snapshot) (Snapshot, error) {
+// Merge folds other into a new snapshot; see MergeAll.
+func (s Snapshot) Merge(other Snapshot) (Snapshot, error) { return MergeAll(s, other) }
+
+// MergeAll merges any number of snapshots into a new one: counters and
+// gauges sum by name, histograms merge bucket-wise in the order given.
+// Merging histograms with mismatched specs is an explicit error
+// (ErrSpecMismatch) — the scrape layer must surface disagreeing agents, not
+// blend their buckets. Per-shard counter breakdowns are dropped, since shard
+// identity does not survive aggregation across processes.
+func MergeAll(snaps ...Snapshot) (Snapshot, error) {
 	counters := make(map[string]uint64)
-	for _, c := range s.Counters {
-		counters[c.Name] += c.Value
-	}
-	for _, c := range other.Counters {
-		counters[c.Name] += c.Value
-	}
 	gauges := make(map[string]int64)
-	for _, g := range s.Gauges {
-		gauges[g.Name] += g.Value
-	}
-	for _, g := range other.Gauges {
-		gauges[g.Name] += g.Value
-	}
-	hists := make(map[string]*metrics.Histogram)
-	for _, src := range [][]HistSnap{s.Histograms, other.Histograms} {
-		for _, h := range src {
-			cur, ok := hists[h.Name]
-			if !ok {
-				rebuilt, err := metrics.FromState(h.State)
-				if err != nil {
-					return Snapshot{}, fmt.Errorf("telemetry: histogram %q: %w", h.Name, err)
-				}
-				hists[h.Name] = rebuilt
-				continue
+	hists := make(map[string]*HistogramState)
+	for _, s := range snaps {
+		for _, c := range s.Counters {
+			counters[c.Name] += c.Value
+		}
+		for _, g := range s.Gauges {
+			gauges[g.Name] += g.Value
+		}
+		for _, h := range s.Histograms {
+			var err error
+			if cur, ok := hists[h.Name]; ok {
+				err = cur.merge(h.State)
+			} else {
+				var acc HistogramState
+				acc, err = h.State.accumulator()
+				hists[h.Name] = &acc
 			}
-			if err := cur.MergeState(h.State); err != nil {
+			if err != nil {
 				return Snapshot{}, fmt.Errorf("telemetry: histogram %q: %w", h.Name, err)
 			}
 		}
@@ -128,23 +116,14 @@ func (s Snapshot) Merge(other Snapshot) (Snapshot, error) {
 		out.Gauges = append(out.Gauges, GaugeSnap{Name: name, Value: v})
 	}
 	for name, h := range hists {
-		out.Histograms = append(out.Histograms, HistSnap{Name: name, State: h.State()})
+		if h.Count == 0 {
+			h.VMin, h.VMax = 0, 0
+		}
+		out.Histograms = append(out.Histograms, HistSnap{Name: name, State: *h})
 	}
 	sort.Slice(out.Counters, func(i, j int) bool { return out.Counters[i].Name < out.Counters[j].Name })
 	sort.Slice(out.Gauges, func(i, j int) bool { return out.Gauges[i].Name < out.Gauges[j].Name })
 	sort.Slice(out.Histograms, func(i, j int) bool { return out.Histograms[i].Name < out.Histograms[j].Name })
-	return out, nil
-}
-
-// MergeAll merges any number of snapshots.
-func MergeAll(snaps ...Snapshot) (Snapshot, error) {
-	var out Snapshot
-	var err error
-	for _, s := range snaps {
-		if out, err = out.Merge(s); err != nil {
-			return Snapshot{}, err
-		}
-	}
 	return out, nil
 }
 
@@ -169,11 +148,10 @@ func (s Snapshot) WriteText(w io.Writer) error {
 		}
 	}
 	for _, h := range s.Histograms {
-		hist, err := metrics.FromState(h.State)
-		if err != nil {
+		if _, err := h.State.spec(); err != nil {
 			return err
 		}
-		if _, err := fmt.Fprintf(w, "histogram %s %s\n", h.Name, hist.String()); err != nil {
+		if _, err := fmt.Fprintf(w, "histogram %s %s\n", h.Name, h.State.summary()); err != nil {
 			return err
 		}
 	}

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"pran/internal/metrics"
 )
 
 func TestCounterShardingAndTotal(t *testing.T) {
@@ -73,20 +71,16 @@ func TestHistogramSnapshotInvariant(t *testing.T) {
 	if st.VMin != 1e-9 || st.VMax != 100 {
 		t.Fatalf("extrema %v/%v", st.VMin, st.VMax)
 	}
-	// Quantiles via the metrics.Histogram rebuild: the median of 1e-5..1e-2
-	// uniform mass sits mid-range.
+	// Quantiles from the state: the median of 1e-5..1e-2 uniform mass sits
+	// mid-range.
 	med := snap.Quantile(0.5)
 	if med < 3e-3 || med > 8e-3 {
 		t.Fatalf("median %v", med)
 	}
 	// Mean matches the analytic mean once recorders quiesce.
-	hist, err := metrics.FromState(st)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := (100 + 1e-9 + 1e-5*1000*1001/2) / 1002
-	if math.Abs(hist.Mean()-want)/want > 1e-9 {
-		t.Fatalf("mean %v want %v", hist.Mean(), want)
+	if math.Abs(st.mean()-want)/want > 1e-9 {
+		t.Fatalf("mean %v want %v", st.mean(), want)
 	}
 }
 
@@ -134,7 +128,7 @@ func TestSnapshotMerge(t *testing.T) {
 	// Spec mismatch is an explicit error.
 	c := New(1)
 	c.Histogram("lat", 1e-3, 1, 8).Observe(0, 0.01)
-	if _, err := merged.Merge(c.Snapshot()); !errors.Is(err, metrics.ErrSpecMismatch) {
+	if _, err := merged.Merge(c.Snapshot()); !errors.Is(err, ErrSpecMismatch) {
 		t.Fatalf("cross-spec merge: %v", err)
 	}
 }
@@ -171,7 +165,10 @@ func TestSnapshotEncodeDecodeRoundtrip(t *testing.T) {
 
 // FuzzDecodeSnapshot feeds two arbitrary scrape payloads through everything
 // a scraper does with them — decode, merge, window delta, text exposition,
-// quantile queries — none of which may panic.
+// quantile queries — none of which may panic, and checks that merging and
+// diffing conserve observations: a successful merge's histogram counts
+// (Count, Low, High) are the sums over the same-named inputs, and a
+// snapshot's delta against itself holds no observation.
 func FuzzDecodeSnapshot(f *testing.F) {
 	r := New(2)
 	r.Counter("c").Add(1, 3)
@@ -181,15 +178,47 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	golden, err := goldenRegistry().Snapshot().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add(seed, seed)
 	f.Add(seed, []byte(`{"histograms":[{"name":"h","state":{"min":1,"max":2,"buckets":[1]}}]}`))
+	f.Add(golden, golden)
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		sa, errA := DecodeSnapshot(a)
 		sb, errB := DecodeSnapshot(b)
 		if errA != nil || errB != nil {
 			return
 		}
-		merged, _ := MergeAll(sa, sb)
+		merged, err := MergeAll(sa, sb)
+		if err == nil {
+			type counts struct{ n, low, high uint64 }
+			want := map[string]counts{}
+			for _, h := range append(append([]HistSnap(nil), sa.Histograms...), sb.Histograms...) {
+				c := want[h.Name]
+				want[h.Name] = counts{c.n + h.State.Count, c.low + h.State.Low, c.high + h.State.High}
+			}
+			if len(merged.Histograms) != len(want) {
+				t.Fatalf("merge kept %d histograms of %d names", len(merged.Histograms), len(want))
+			}
+			for _, h := range merged.Histograms {
+				if got := (counts{h.State.Count, h.State.Low, h.State.High}); got != want[h.Name] {
+					t.Fatalf("histogram %q merged to count/low/high %v, inputs sum to %v", h.Name, got, want[h.Name])
+				}
+			}
+		}
+		for _, s := range []Snapshot{sa, sb, merged} {
+			names := map[string]int{}
+			for _, h := range s.Histograms {
+				names[h.Name]++
+			}
+			for _, h := range Delta(s, s).Histograms {
+				if names[h.Name] == 1 && h.State.Count != 0 {
+					t.Fatalf("histogram %q: delta against itself counts %d", h.Name, h.State.Count)
+				}
+			}
+		}
 		for _, s := range []Snapshot{sa, sb, merged, Delta(sa, sb), Delta(sb, sa)} {
 			_ = s.WriteText(io.Discard)
 			for _, h := range s.Histograms {
