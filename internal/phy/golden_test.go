@@ -14,12 +14,13 @@ import (
 	"testing"
 )
 
-// updateGolden regenerates testdata/decode_golden.txt from the decoders in
-// the tree: go test ./internal/phy -run TestDecodeGoldenDigests -update-golden.
-// The committed file was generated before the processors lost their shape,
-// so regenerating it is only ever right for a deliberate change of
-// arithmetic.
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/decode_golden.txt")
+// updateGolden regenerates the golden digest files under testdata from the
+// tree: go test ./internal/phy -run TestDecodeGoldenDigests -update-golden
+// (or TestFFTGoldenDigests). The committed decode file was generated before
+// the processors lost their shape, the FFT file before the FFT's load and
+// bin stores were vectorised, so regenerating either is only ever right for
+// a deliberate change of arithmetic.
+var updateGolden = flag.Bool("update-golden", false, "rewrite the golden digest files under testdata")
 
 const goldenFile = "testdata/decode_golden.txt"
 
