@@ -667,3 +667,63 @@ func TestWorkerFootprintFlatAcrossShapes(t *testing.T) {
 		t.Fatalf("live heap grew from %d to %d bytes across 300 shapes", after3, after300)
 	}
 }
+
+// TestEveryBandwidthBuildsAndDecodes builds the modulator, the cell
+// processor and the emulator at every bandwidth Validate accepts, and
+// decodes one AWGN subframe through them byte for byte.
+func TestEveryBandwidthBuildsAndDecodes(t *testing.T) {
+	for bw := phy.Bandwidth(1); bw <= phy.MaxPRB; bw++ {
+		if bw.Validate() != nil {
+			continue
+		}
+		if _, err := phy.NewOFDMModulator(bw); err != nil {
+			t.Fatalf("%v MHz: modulator: %v", bw.MHz(), err)
+		}
+		cfg := frame.CellConfig{ID: 1, PCI: 42, Bandwidth: bw, Antennas: 1}
+		pool := testPool(t, Config{Workers: 1, Policy: EDF, DeadlineScale: 1000})
+		rrh, err := NewRRHEmulator(cfg, int64(bw))
+		if err != nil {
+			t.Fatalf("%v MHz: emulator: %v", bw.MHz(), err)
+		}
+		cp, err := NewCellProcessor(cfg, pool)
+		if err != nil {
+			t.Fatalf("%v MHz: cell processor: %v", bw.MHz(), err)
+		}
+		work := frame.SubframeWork{
+			Cell: 1, TTI: 3,
+			Allocations: []frame.Allocation{
+				{RNTI: 70, FirstPRB: 0, NumPRB: 2, MCS: 10, SNRdB: phy.MCS(10).OperatingSNR() + 6},
+				{RNTI: 71, FirstPRB: bw.PRB() - 3, NumPRB: 3, MCS: 4, SNRdB: phy.MCS(4).OperatingSNR() + 6},
+			},
+		}
+		payloads, err := rrh.RandomPayloads(work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samples, err := rrh.Emit(work, payloads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan *Task, len(work.Allocations))
+		err = cp.IngestSubframe(samples, work, func(tk *Task) {
+			tk.Payload = append([]byte(nil), tk.Payload...)
+			done <- tk
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range work.Allocations {
+			tk := <-done
+			if tk.Err != nil {
+				t.Fatalf("%v MHz rnti %d: %v", bw.MHz(), tk.Alloc.RNTI, tk.Err)
+			}
+			want := payloads[0]
+			if tk.Alloc.RNTI == 71 {
+				want = payloads[1]
+			}
+			if !bytes.Equal(tk.Payload, want) {
+				t.Fatalf("%v MHz rnti %d: decoded payload differs from transmitted", bw.MHz(), tk.Alloc.RNTI)
+			}
+		}
+	}
+}

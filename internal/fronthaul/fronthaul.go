@@ -34,7 +34,9 @@ const (
 
 // CPRIRate returns the fronthaul line rate in bits/s for carrying one cell's
 // raw I/Q: sampleRate × 2 components × sampleBits × antennas, plus CPRI
-// control and line-coding overheads.
+// control and line-coding overheads. The sample rate is bw.SampleRate, so a
+// 15 MHz cell is carried at its 2048-point FFT's 30.72 Msps, 4/3 of the
+// conventional 23.04 Msps; E7's table has no 15 MHz row.
 func CPRIRate(bw phy.Bandwidth, antennas, sampleBits int) float64 {
 	return bw.SampleRate() * 2 * float64(sampleBits) * float64(antennas) *
 		cpriControlOverhead * cpriLineCoding

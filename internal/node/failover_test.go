@@ -41,8 +41,7 @@ func startControllerNodeCfg(t *testing.T, nCells int, hb time.Duration, misses i
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = cn.Serve() }()
-	t.Cleanup(func() { _ = cn.Close() })
+	runUntilCleanup(t, "controller Serve", cn.Serve, cn.Close)
 	return cn
 }
 
@@ -71,8 +70,7 @@ func startFaultyAgent(t *testing.T, addr string, id uint32, inj *faultinject.Inj
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = an.Run() }()
-	t.Cleanup(func() { _ = an.Close() })
+	runUntilCleanup(t, "agent Run", an.Run, an.Close)
 	return an
 }
 

@@ -11,6 +11,25 @@ import (
 	"pran/internal/phy"
 )
 
+// runUntilCleanup runs serve (a node's Serve or Run) on its own goroutine
+// and keeps its result in a channel. The cleanup it registers calls stop
+// (the node's Close) and then waits up to 5 s for serve to return, failing
+// the test if it does not, so no goroutine of the node logs through t after
+// the test has completed.
+func runUntilCleanup(t *testing.T, name string, serve, stop func() error) {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- serve() }()
+	t.Cleanup(func() {
+		_ = stop()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s did not return within 5 s of Close", name)
+		}
+	})
+}
+
 // startControllerNode spins up a controller node on loopback with small
 // cells and a fast control loop.
 func startControllerNode(t *testing.T, nCells int) *ControllerNode {
@@ -35,8 +54,7 @@ func startControllerNode(t *testing.T, nCells int) *ControllerNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = cn.Serve() }()
-	t.Cleanup(func() { _ = cn.Close() })
+	runUntilCleanup(t, "controller Serve", cn.Serve, cn.Close)
 	return cn
 }
 
@@ -54,8 +72,7 @@ func startAgent(t *testing.T, addr string, id uint32) *AgentNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = an.Run() }()
-	t.Cleanup(func() { _ = an.Close() })
+	runUntilCleanup(t, "agent Run", an.Run, an.Close)
 	return an
 }
 

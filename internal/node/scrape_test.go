@@ -38,8 +38,7 @@ func TestScrapeConcurrentWithDelayedAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = cn.Serve() }()
-	t.Cleanup(func() { _ = cn.Close() })
+	runUntilCleanup(t, "controller Serve", cn.Serve, cn.Close)
 
 	inj := faultinject.New(7)
 	newAgent := func(id uint32, dial func(string, string) (net.Conn, error)) {
@@ -56,8 +55,7 @@ func TestScrapeConcurrentWithDelayedAgent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() { _ = an.Run() }()
-		t.Cleanup(func() { _ = an.Close() })
+		runUntilCleanup(t, "agent Run", an.Run, an.Close)
 	}
 	const healthy = 3
 	for id := uint32(1); id <= healthy; id++ {

@@ -36,8 +36,7 @@ func TestControllerScrapesTelemetryFromAgents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = cn.Serve() }()
-	t.Cleanup(func() { _ = cn.Close() })
+	runUntilCleanup(t, "controller Serve", cn.Serve, cn.Close)
 
 	newAgent := func(id uint32) *AgentNode {
 		an, err := NewAgentNode(AgentConfig{
@@ -52,8 +51,7 @@ func TestControllerScrapesTelemetryFromAgents(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() { _ = an.Run() }()
-		t.Cleanup(func() { _ = an.Close() })
+		runUntilCleanup(t, "agent Run", an.Run, an.Close)
 		return an
 	}
 	a1 := newAgent(1)
@@ -144,8 +142,7 @@ func TestScrapeTimeoutDoesNotWedge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = cn.Serve() }()
-	t.Cleanup(func() { _ = cn.Close() })
+	runUntilCleanup(t, "controller Serve", cn.Serve, cn.Close)
 
 	start := time.Now()
 	merged, reported, err := cn.ScrapeTelemetry(100 * time.Millisecond)

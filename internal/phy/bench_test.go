@@ -10,9 +10,11 @@ import (
 // the per-stage costs cluster.Calibrate measures at runtime.
 
 // BenchmarkFFT times the transform against its complex128 oracle, forward
-// and inverse at 1024 and 2048 points, and one symbol of the 20 MHz OFDM
-// demodulation a cell runs 14 times a subframe (cluster.Calibrate's FFT
-// column).
+// and inverse at 1024 and 2048 points; the forward transform's three parts
+// alone (load: complex128 → planes with the first three stages; stages: the
+// rest; store: planes → complex128 bins); and one symbol of the 20 MHz
+// OFDM demodulation a cell runs 14 times a subframe (cluster.Calibrate's
+// FFT column).
 func BenchmarkFFT(b *testing.B) {
 	for _, n := range []int{1024, 2048} {
 		f, err := NewFFT(n)
@@ -26,6 +28,9 @@ func BenchmarkFFT(b *testing.B) {
 		}{
 			{"default", f.Forward}, {"default_inverse", f.Inverse},
 			{"oracle", o.Forward}, {"oracle_inverse", o.Inverse},
+			{"load", func(x []complex128) error { f.loadPlanes(x, false); return nil }},
+			{"stages", func([]complex128) error { f.runStages(); return nil }},
+			{"store", func(x []complex128) error { widen(x, f.re, f.im, 1); return nil }},
 		} {
 			b.Run(fmt.Sprintf("%d/%s", n, c.name), func(b *testing.B) {
 				x := randSymbols(rand.New(rand.NewSource(1)), n)

@@ -63,10 +63,8 @@ func (f *FFT) Forward(x []complex128) error {
 	if len(x) != f.n {
 		return fmt.Errorf("phy: FFT input length %d != plan size %d: %w", len(x), f.n, ErrBadParameter)
 	}
-	f.transform(x)
-	for i := range x {
-		x[i] = complex(float64(f.re[i]), float64(f.im[i]))
-	}
+	f.transform(x, false)
+	widen(x, f.re, f.im, 1)
 	return nil
 }
 
@@ -78,20 +76,35 @@ func (f *FFT) Inverse(x []complex128) error {
 	if len(x) != f.n {
 		return fmt.Errorf("phy: FFT input length %d != plan size %d: %w", len(x), f.n, ErrBadParameter)
 	}
-	for i, v := range x {
-		x[i] = complex(imag(v), real(v))
-	}
-	f.transform(x)
-	s := 1 / float64(f.n)
-	for i := range x {
-		x[i] = complex(float64(f.im[i])*s, float64(f.re[i])*s)
-	}
+	f.transform(x, true)
+	widen(x, f.im, f.re, 1/float64(f.n))
 	return nil
 }
 
-// transform leaves the DFT of x in the planes.
-func (f *FFT) transform(x []complex128) {
+// transform leaves the DFT of x in the planes; with swap, the DFT of x with
+// re and im swapped (x itself may then be left swapped).
+func (f *FFT) transform(x []complex128, swap bool) {
+	f.loadPlanes(x, swap)
+	f.runStages()
+}
+
+// loadPlanes runs the load (FFT.load or its AVX2 twin) on x, or on x with
+// re and im swapped.
+func (f *FFT) loadPlanes(x []complex128, swap bool) {
+	if fftAsm && f.n >= 32 {
+		fftLoadAVX2(&f.re[0], &f.im[0], &x[0], &f.base[0], f.n, swap)
+		return
+	}
+	if swap {
+		for i, v := range x {
+			x[i] = complex(imag(v), real(v))
+		}
+	}
 	f.load(x)
+}
+
+// runStages runs the stages with half ≥ 8 over the loaded planes.
+func (f *FFT) runStages() {
 	if f.n < 16 {
 		return
 	}
@@ -105,7 +118,9 @@ func (f *FFT) transform(x []complex128) {
 // load reads x in bit-reversed order into the planes and runs the stages
 // with half 1, 2 and 4 on the way: each group of eight outputs is the
 // 8-point DFT of eight inputs n/8 apart. Their twiddles are 1, −i and
-// (±1−i)/√2, so the group is computed in float64 and rounded once.
+// (±1−i)/√2, so the group is computed in float64 and rounded once. It is
+// the pure-Go twin of fftLoadAVX2: the explicit float64 conversions keep
+// the compiler from fusing a stage-3 multiply into the add after it.
 func (f *FFT) load(x []complex128) {
 	n := f.n
 	re, im := f.re[:n], f.im[:n]
@@ -135,9 +150,9 @@ func (f *FFT) load(x []complex128) {
 		b0, b1, b2, b3 := dft4(x1[r], x5[r], x3[r], x7[r])
 		// Stage 3: twiddles 1, (1−i)/√2, −i, (−1−i)/√2.
 		const c = math.Sqrt2 / 2
-		t1 := complex((real(b1)+imag(b1))*c, (imag(b1)-real(b1))*c)
+		t1 := complex(float64((real(b1)+imag(b1))*c), float64((imag(b1)-real(b1))*c))
 		t2 := complex(imag(b2), -real(b2))
-		t3 := complex((imag(b3)-real(b3))*c, -(real(b3)+imag(b3))*c)
+		t3 := complex(float64((imag(b3)-real(b3))*c), float64(-(real(b3)+imag(b3))*c))
 		r8, i8 := re[8*b:8*b+8], im[8*b:8*b+8]
 		put(r8, i8, 0, a0+b0)
 		put(r8, i8, 1, a1+t1)
@@ -161,6 +176,26 @@ func dft4(p0, p1, p2, p3 complex128) (o0, o1, o2, o3 complex128) {
 // put rounds v into the planes at j.
 func put(re, im []float32, j int, v complex128) {
 	re[j], im[j] = float32(real(v)), float32(imag(v))
+}
+
+// widen stores dst[k] = complex(float64(a[k])·s, float64(b[k])·s): the
+// planes (or a window of them) back into complex128 bins, scaled by s. The
+// AVX2 kernel takes whole vectors of four and widenGo the rest.
+func widen(dst []complex128, a, b []float32, s float64) {
+	if m := len(dst) &^ 3; fftAsm && m > 0 {
+		fftWidenAVX2(&dst[0], &a[0], &b[0], m, s)
+		dst, a, b = dst[m:], a[m:], b[m:]
+	}
+	widenGo(dst, a, b, s)
+}
+
+// widenGo is the pure-Go twin of fftWidenAVX2. A scale of 1 leaves every
+// value as its plain widening.
+func widenGo(dst []complex128, a, b []float32, s float64) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for k := range dst {
+		dst[k] = complex(float64(a[k])*s, float64(b[k])*s)
+	}
 }
 
 // fftStagesGo is the pure-Go twin of fftStagesAVX2: the radix-2 stages with
@@ -248,16 +283,9 @@ func (o *OFDMModulator) Demodulate(dst []complex128, samples []complex128) error
 		return fmt.Errorf("phy: dst length %d != %d subcarriers: %w", len(dst), o.usedSC, ErrBadParameter)
 	}
 	f := o.fft
-	f.transform(samples)
+	f.transform(samples, false)
 	half := o.usedSC / 2
-	lo, hi := dst[:half], dst[half:2*half]
-	re, im := f.re[f.n-half:], f.im[f.n-half:]
-	for k := range lo {
-		lo[k] = complex(float64(re[k]), float64(im[k]))
-	}
-	re, im = f.re[1:1+half], f.im[1:1+half]
-	for k := range hi {
-		hi[k] = complex(float64(re[k]), float64(im[k]))
-	}
+	widen(dst[:half], f.re[f.n-half:], f.im[f.n-half:], 1)
+	widen(dst[half:2*half], f.re[1:1+half], f.im[1:1+half], 1)
 	return nil
 }

@@ -14,16 +14,18 @@ import (
 
 const fftGoldenFile = "testdata/fft_golden.txt"
 
+// fftGoldenSpecials are the finite values fftGoldenInput sprinkles in.
+var fftGoldenSpecials = []float64{
+	0, math.Copysign(0, -1), 1e-40, -3e-45, 0x1p-126, 5e-324, -0x1p-1070,
+	0x1p100, -0x1p100,
+}
+
 // fftGoldenInput is the seeded input of one golden transform: normal draws,
 // and for kind > 0 every fourth entry replaced by a value a load or a store
 // could get wrong: a signed zero, a float32 or float64 subnormal, or ±2¹⁰⁰.
 // kind 2 scales the draws into float32's subnormal range. Every entry is
 // finite.
 func fftGoldenInput(n, kind int, seed int64) []complex128 {
-	specials := []float64{
-		0, math.Copysign(0, -1), 1e-40, -3e-45, 0x1p-126, 5e-324, -0x1p-1070,
-		0x1p100, -0x1p100,
-	}
 	rng := rand.New(rand.NewSource(seed))
 	scale := 1.0
 	if kind == 2 {
@@ -33,7 +35,7 @@ func fftGoldenInput(n, kind int, seed int64) []complex128 {
 	for i := range x {
 		x[i] = complex(scale*rng.NormFloat64(), scale*rng.NormFloat64())
 		if kind > 0 && rng.Intn(4) == 0 {
-			x[i] = complex(specials[rng.Intn(len(specials))], specials[rng.Intn(len(specials))])
+			x[i] = complex(fftGoldenSpecials[rng.Intn(len(fftGoldenSpecials))], fftGoldenSpecials[rng.Intn(len(fftGoldenSpecials))])
 		}
 	}
 	return x

@@ -2,6 +2,7 @@ package phy
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -288,26 +289,102 @@ var fftSpecials = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(),
 }
 
-// checkFFTTwin loads x into f's planes and runs the stages with half ≥ 8
-// through the AVX2 kernel and through its pure-Go twin on copies of them; the
-// planes must agree bit for bit (a NaN matches any NaN: x86 keeps the first
-// operand's NaN, and the compiler orders commutative operands freely).
+// sameBits reports whether two planes' values agree bit for bit, a NaN
+// matching any NaN: x86 keeps the first operand's NaN, and the compiler
+// orders commutative operands freely.
+func sameBits[F float32 | float64](a, b F) bool {
+	if a != a || b != b {
+		return a != a && b != b
+	}
+	return a == b && math.Signbit(float64(a)) == math.Signbit(float64(b))
+}
+
+// checkFFTTwin runs x through each AVX2 kernel of the FFT and through its
+// pure-Go twin, and requires the same bits from both:
+//   - the load, plain and with re and im swapped (Inverse's way in), where
+//     the plan is large enough for the kernel (n ≥ 32; below it the
+//     dispatcher runs FFT.load, which the first comparison then pins);
+//   - the stages with half ≥ 8, on copies of the loaded planes;
+//   - the widening of the transformed planes into bins, scaled by 1 and by
+//     1/n, over the whole plan and over windows whose lengths leave every
+//     remainder mod 4 to the pure-Go tail, as Demodulate's bin windows do.
 func checkFFTTwin(t *testing.T, f *FFT, x []complex128) {
 	t.Helper()
-	f.load(x)
-	if f.n < 16 {
-		return
-	}
-	re, im := slices.Clone(f.re), slices.Clone(f.im)
-	fftStagesAVX2(&f.re[0], &f.im[0], &f.tw[0], f.n)
-	fftStagesGo(re, im, f.tw)
-	for i := range re {
-		for _, p := range [2][2]float32{{f.re[i], re[i]}, {f.im[i], im[i]}} {
-			if math.Float32bits(p[0]) != math.Float32bits(p[1]) && !(p[0] != p[0] && p[1] != p[1]) {
-				t.Fatalf("n=%d: bin %d = %v, pure Go %v", f.n, i, complex(f.re[i], f.im[i]), complex(re[i], im[i]))
+	n := f.n
+	diff := func(what string, ar, ai, br, bi []float32) {
+		t.Helper()
+		for i := range ar {
+			if !sameBits(ar[i], br[i]) || !sameBits(ai[i], bi[i]) {
+				t.Fatalf("n=%d %s: bin %d = %v, pure Go %v", n, what, i, complex(ar[i], ai[i]), complex(br[i], bi[i]))
 			}
 		}
 	}
+	for _, swap := range []bool{true, false} {
+		in := slices.Clone(x)
+		f.transform(in, swap)
+		re, im := slices.Clone(f.re), slices.Clone(f.im)
+		in = slices.Clone(x)
+		if swap {
+			for i, v := range in {
+				in[i] = complex(imag(v), real(v))
+			}
+		}
+		f.load(in)
+		if n >= 32 {
+			lr, li := slices.Clone(f.re), slices.Clone(f.im)
+			fftLoadAVX2(&lr[0], &li[0], &x[0], &f.base[0], n, swap)
+			diff(fmt.Sprintf("load swap=%v", swap), lr, li, f.re, f.im)
+		}
+		if n >= 16 {
+			sr, si := slices.Clone(f.re), slices.Clone(f.im)
+			fftStagesAVX2(&sr[0], &si[0], &f.tw[0], n)
+			fftStagesGo(f.re, f.im, f.tw)
+			diff("stages", sr, si, f.re, f.im)
+		}
+		diff(fmt.Sprintf("transform swap=%v", swap), re, im, f.re, f.im)
+	}
+	for _, s := range []float64{1, 1 / float64(n)} {
+		for _, l := range []int{1, 2, 3, 4, 5, 6, 7, n / 2, n - 1, n} {
+			if l < 1 || l > n {
+				continue
+			}
+			for _, off := range []int{0, n - l} {
+				got, want := make([]complex128, l), make([]complex128, l)
+				widen(got, f.re[off:], f.im[off:], s)
+				widenGo(want, f.re[off:], f.im[off:], s)
+				for k := range got {
+					if !sameBits(real(got[k]), real(want[k])) || !sameBits(imag(got[k]), imag(want[k])) {
+						t.Fatalf("n=%d widen len %d at %d by %v: bin %d = %v, pure Go %v", n, l, off, s, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// fftTwinInput is one seeded input of kind 0..5 for the twin checks:
+// normal draws, zeros, float32 subnormals, draws near float32's top (sums
+// overflow to ±Inf, and ∞−∞ makes NaN), and normal draws with every
+// special sprinkled in.
+func fftTwinInput(rng *rand.Rand, n, kind int) []complex128 {
+	x := make([]complex128, n)
+	for i := range x {
+		switch kind {
+		case 0: // random
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		case 1: // zero
+		case 2: // float32 subnormals
+			x[i] = complex(rng.NormFloat64()*1e-42, rng.NormFloat64()*1e-42)
+		case 3: // huge
+			x[i] = complex(rng.NormFloat64()*1e38, rng.NormFloat64()*1e38)
+		default:
+			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+			if rng.Intn(4) == 0 {
+				x[i] = complex(fftSpecials[rng.Intn(len(fftSpecials))], fftSpecials[rng.Intn(len(fftSpecials))])
+			}
+		}
+	}
+	return x
 }
 
 func TestFFTAVX2MatchesGo(t *testing.T) {
@@ -315,45 +392,46 @@ func TestFFTAVX2MatchesGo(t *testing.T) {
 		t.Skip("no AVX2 FFT path in this build or on this CPU")
 	}
 	rng := rand.New(rand.NewSource(2048))
-	for n := 2; n <= 2048; n <<= 1 {
+	for n := 2; n <= 4096; n <<= 1 {
 		f, err := NewFFT(n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for kind := 0; kind < 6; kind++ {
-			x := make([]complex128, n)
-			for i := range x {
-				switch kind {
-				case 0: // random
-					x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-				case 1: // zero
-				case 2: // float32 subnormals
-					x[i] = complex(rng.NormFloat64()*1e-42, rng.NormFloat64()*1e-42)
-				case 3: // huge: sums overflow to ±Inf, and ∞−∞ makes NaN
-					x[i] = complex(rng.NormFloat64()*1e38, rng.NormFloat64()*1e38)
-				default: // random with every special sprinkled in
-					x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-					if rng.Intn(4) == 0 {
-						x[i] = complex(fftSpecials[rng.Intn(len(fftSpecials))], fftSpecials[rng.Intn(len(fftSpecials))])
-					}
-				}
-			}
-			checkFFTTwin(t, f, x)
+			checkFFTTwin(t, f, fftTwinInput(rng, n, kind))
+		}
+		for kind := 0; kind < 3; kind++ {
+			checkFFTTwin(t, f, fftGoldenInput(n, kind, int64(n)*10+int64(kind)))
 		}
 	}
 }
 
-// FuzzFFT: any input, at any size, gives the same planes from the AVX2 and
-// the pure-Go stages, and an input in float32's normal range (every part at
-// most 2¹⁰⁰, the whole not below 2⁻⁶⁰) transforms to within fftErrBound of
-// the complex128 oracle.
+// fftGoldenRaw is fftGoldenSpecials as FuzzFFT's raw bytes.
+func fftGoldenRaw() []byte {
+	var raw []byte
+	for _, v := range fftGoldenSpecials {
+		raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+	}
+	return raw
+}
+
+// FuzzFFT: any input, at any size from 2 to 4096, gives the same bits from
+// each AVX2 kernel of the FFT and from its pure-Go twin (checkFFTTwin), and
+// an input in float32's normal range (every part at most 2¹⁰⁰, the whole
+// not below 2⁻⁶⁰) transforms to within fftErrBound of the complex128
+// oracle. The seeds cover every size with the golden digests' special
+// values and at a float32-subnormal scale.
 func FuzzFFT(f *testing.F) {
 	f.Add(uint8(11), int64(1), int8(0), []byte{})
 	f.Add(uint8(4), int64(2), int8(-60), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
 	f.Add(uint8(7), int64(3), int8(90), []byte{1, 0, 0, 0, 0, 0, 0xf8, 0x7f, 0, 0, 0, 0, 0, 0, 0xf0, 0xff})
 	f.Add(uint8(1), int64(4), int8(0), []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f})
+	for log2n := uint8(0); log2n < 12; log2n++ {
+		f.Add(log2n, int64(log2n)+10, int8(0), fftGoldenRaw())
+		f.Add(log2n, int64(log2n)+20, int8(-128), fftGoldenRaw())
+	}
 	f.Fuzz(func(t *testing.T, log2n uint8, seed int64, scale int8, raw []byte) {
-		n := 2 << (log2n % 11)
+		n := 2 << (log2n % 12)
 		rng := rand.New(rand.NewSource(seed))
 		c := math.Ldexp(1, int(scale))
 		x := make([]complex128, n)
@@ -410,6 +488,7 @@ func TestBandwidthTable(t *testing.T) {
 		{BW1_4MHz, 6, 128, 1.4, 1.92e6},
 		{BW5MHz, 25, 512, 5, 7.68e6},
 		{BW10MHz, 50, 1024, 10, 15.36e6},
+		{BW15MHz, 75, 2048, 15, 30.72e6}, // radix-2: 4/3 of the conventional 1536
 		{BW20MHz, 100, 2048, 20, 30.72e6},
 	}
 	for _, c := range cases {

@@ -92,7 +92,10 @@ func (b Bandwidth) MHz() float64 {
 	}
 }
 
-// FFTSize returns the OFDM FFT size conventionally used for the bandwidth.
+// FFTSize returns the OFDM FFT size used for the bandwidth: the
+// conventional size, except at 15 MHz, where the conventional 1536 is not a
+// power of two and the radix-2 FFT runs 2048, the smallest power of two
+// that holds its 900 subcarriers.
 func (b Bandwidth) FFTSize() int {
 	switch {
 	case b <= BW1_4MHz:
@@ -103,15 +106,16 @@ func (b Bandwidth) FFTSize() int {
 		return 512
 	case b <= BW10MHz:
 		return 1024
-	case b <= BW15MHz:
-		return 1536
 	default:
 		return 2048
 	}
 }
 
 // SampleRate returns the baseband complex sample rate in samples/second for
-// the bandwidth (FFT size × 15 kHz subcarrier spacing).
+// the bandwidth (FFT size × 15 kHz subcarrier spacing). At 15 MHz that is
+// 30.72 Msps, 4/3 of the conventional 23.04 Msps, because FFTSize runs 2048
+// points there; the fronthaul rates derived from it (fronthaul.CPRIRate,
+// E7) carry the same 4/3 oversampling.
 func (b Bandwidth) SampleRate() float64 { return float64(b.FFTSize()) * 15_000 }
 
 // Validate reports whether b is one of the standard configurations.
