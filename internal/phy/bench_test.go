@@ -29,7 +29,7 @@ func BenchmarkFFT(b *testing.B) {
 			{"default", f.Forward}, {"default_inverse", f.Inverse},
 			{"oracle", o.Forward}, {"oracle_inverse", o.Inverse},
 			{"load", func(x []complex128) error { f.loadPlanes(x, false); return nil }},
-			{"stages", func([]complex128) error { f.runStages(); return nil }},
+			{"stages", func(x []complex128) error { f.runStages(x); return nil }},
 			{"store", func(x []complex128) error { widen(x, f.re, f.im, 1); return nil }},
 		} {
 			b.Run(fmt.Sprintf("%d/%s", n, c.name), func(b *testing.B) {

@@ -11,11 +11,19 @@ import (
 //
 //   - the bit-reversal permutation is folded into the complex128 → float32
 //     load, which also runs the first three stages (twiddles ±1, −i and
-//     (±1−i)/√2) in float64 and rounds once;
+//     (±1−i)/√2) in float64 and rounds once; Inverse's re/im swap is folded
+//     into it too;
 //   - every later stage reads its twiddles from a contiguous per-stage table
-//     and, where the CPU has AVX2, runs as an 8-wide butterfly in assembly
-//     (fft_amd64.s) that is bit-identical to the pure-Go stage loop
-//     (fftStagesGo): no fused multiply-add, the same operation order.
+//     (and, on AVX2, prefetches the bins the result goes to);
+//   - the planes widen back into complex128 bins, scaled by 1/n for Inverse.
+//
+// Where the CPU has AVX2, all three run in assembly (fft_amd64.s): the load
+// four groups at a time in float64 vectors with one VCVTPD2PS rounding and a
+// 4×8 transpose into the rows, the stages as 8-wide float32 butterflies, the
+// widening four bins at a time. Each kernel is bit-identical to its pure-Go
+// twin (FFT.load, fftStagesGo, widenGo), which plans below the vector width
+// and builds without the assembly run: no fused multiply-add, the same
+// operation order.
 //
 // The result is float32-accurate: against an exact DFT the error is within
 // Higham's radix-2 bound, a few ε₃₂·log₂n of the output's norm.
@@ -63,7 +71,8 @@ func (f *FFT) Forward(x []complex128) error {
 	if len(x) != f.n {
 		return fmt.Errorf("phy: FFT input length %d != plan size %d: %w", len(x), f.n, ErrBadParameter)
 	}
-	f.transform(x, false)
+	f.loadPlanes(x, false)
+	f.runStages(x)
 	widen(x, f.re, f.im, 1)
 	return nil
 }
@@ -76,20 +85,14 @@ func (f *FFT) Inverse(x []complex128) error {
 	if len(x) != f.n {
 		return fmt.Errorf("phy: FFT input length %d != plan size %d: %w", len(x), f.n, ErrBadParameter)
 	}
-	f.transform(x, true)
+	f.loadPlanes(x, true)
+	f.runStages(x)
 	widen(x, f.im, f.re, 1/float64(f.n))
 	return nil
 }
 
-// transform leaves the DFT of x in the planes; with swap, the DFT of x with
-// re and im swapped (x itself may then be left swapped).
-func (f *FFT) transform(x []complex128, swap bool) {
-	f.loadPlanes(x, swap)
-	f.runStages()
-}
-
 // loadPlanes runs the load (FFT.load or its AVX2 twin) on x, or on x with
-// re and im swapped.
+// re and im swapped (x itself may then be left swapped).
 func (f *FFT) loadPlanes(x []complex128, swap bool) {
 	if fftAsm && f.n >= 32 {
 		fftLoadAVX2(&f.re[0], &f.im[0], &x[0], &f.base[0], f.n, swap)
@@ -103,13 +106,19 @@ func (f *FFT) loadPlanes(x []complex128, swap bool) {
 	f.load(x)
 }
 
-// runStages runs the stages with half ≥ 8 over the loaded planes.
-func (f *FFT) runStages() {
+// runStages runs the stages with half ≥ 8 over the loaded planes; dst (not
+// empty) is where the caller will widen the result. The AVX2 stages
+// prefetch dst, spread evenly over their butterflies: the row of a cell's
+// grid that a symbol demodulates into is usually cold by then, and the
+// stages are the part of the transform that leaves memory idle, so its
+// lines arrive while they compute instead of stalling the stores.
+func (f *FFT) runStages(dst []complex128) {
 	if f.n < 16 {
 		return
 	}
 	if fftAsm {
-		fftStagesAVX2(&f.re[0], &f.im[0], &f.tw[0], f.n)
+		iters := f.n / 16 * (bits.TrailingZeros(uint(f.n)) - 3)
+		fftStagesAVX2(&f.re[0], &f.im[0], &f.tw[0], f.n, &dst[0], len(dst)*16/iters)
 	} else {
 		fftStagesGo(f.re, f.im, f.tw)
 	}
@@ -283,7 +292,8 @@ func (o *OFDMModulator) Demodulate(dst []complex128, samples []complex128) error
 		return fmt.Errorf("phy: dst length %d != %d subcarriers: %w", len(dst), o.usedSC, ErrBadParameter)
 	}
 	f := o.fft
-	f.transform(samples, false)
+	f.loadPlanes(samples, false)
+	f.runStages(dst)
 	half := o.usedSC / 2
 	widen(dst[:half], f.re[f.n-half:], f.im[f.n-half:], 1)
 	widen(dst[half:2*half], f.re[1:1+half], f.im[1:1+half], 1)

@@ -176,14 +176,17 @@ swapped:
 // iteration, eight butterflies of one block:
 //   tr = wr·br − wi·bi,  ti = wr·bi + wi·br,
 //   a' = a + t,          b' = a − t,
-// with separate VMULPS/VSUBPS/VADDPS, the order fftStagesGo uses.
+// with separate VMULPS/VSUBPS/VADDPS, the order fftStagesGo uses, and one
+// prefetch of the bins the result goes to: R14 walks them by R15 bytes.
 
-// func fftStagesAVX2(re, im, tw *float32, n int)
-TEXT ·fftStagesAVX2(SB), NOSPLIT, $0-32
+// func fftStagesAVX2(re, im, tw *float32, n int, pf *complex128, pfStride int)
+TEXT ·fftStagesAVX2(SB), NOSPLIT, $0-48
 	MOVQ	re+0(FP), DI
 	MOVQ	im+8(FP), SI
 	MOVQ	tw+16(FP), R8		// the first stage's cosines
 	MOVQ	n+24(FP), CX
+	MOVQ	pf+32(FP), R14
+	MOVQ	pfStride+40(FP), R15
 	SHLQ	$2, CX			// n, in bytes
 	MOVQ	$32, BX			// h = 8, in bytes
 
@@ -201,6 +204,8 @@ block:
 	XORQ	AX, AX			// k, bytes
 
 bfly:
+	PREFETCHT0	(R14)
+	ADDQ	R15, R14
 	VMOVUPS	(R13)(AX*1), Y2		// br
 	VMOVUPS	(DX)(AX*1), Y3		// bi
 	VMOVUPS	(R8)(AX*1), Y0		// wr

@@ -27,10 +27,12 @@ func fftLoadAVX2(re, im *float32, x *complex128, base *int32, n int, swap bool)
 
 // fftStagesAVX2 runs the stages with half h = 8, 16, …, n/2 (n ≥ 16) over
 // the planes re[0:n], im[0:n] with the per-stage twiddle table tw laid out
-// as FFT.tw.
+// as FFT.tw. Each of its n/16·(log₂n − 3) iterations prefetches the cache
+// line at pf and advances pf by pfStride bytes; the prefetches are hints
+// and change no result.
 //
 //go:noescape
-func fftStagesAVX2(re, im, tw *float32, n int)
+func fftStagesAVX2(re, im, tw *float32, n int, pf *complex128, pfStride int)
 
 // fftWidenAVX2 is widenGo over the first n entries (n a positive multiple
 // of 4).

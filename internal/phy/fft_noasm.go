@@ -14,7 +14,7 @@ func fftLoadAVX2(re, im *float32, x *complex128, base *int32, n int, swap bool) 
 	panic("phy: AVX2 FFT path unavailable in this build")
 }
 
-func fftStagesAVX2(re, im, tw *float32, n int) {
+func fftStagesAVX2(re, im, tw *float32, n int, pf *complex128, pfStride int) {
 	panic("phy: AVX2 FFT path unavailable in this build")
 }
 

@@ -321,7 +321,8 @@ func checkFFTTwin(t *testing.T, f *FFT, x []complex128) {
 	}
 	for _, swap := range []bool{true, false} {
 		in := slices.Clone(x)
-		f.transform(in, swap)
+		f.loadPlanes(in, swap)
+		f.runStages(in)
 		re, im := slices.Clone(f.re), slices.Clone(f.im)
 		in = slices.Clone(x)
 		if swap {
@@ -337,11 +338,11 @@ func checkFFTTwin(t *testing.T, f *FFT, x []complex128) {
 		}
 		if n >= 16 {
 			sr, si := slices.Clone(f.re), slices.Clone(f.im)
-			fftStagesAVX2(&sr[0], &si[0], &f.tw[0], n)
+			fftStagesAVX2(&sr[0], &si[0], &f.tw[0], n, &x[0], 16)
 			fftStagesGo(f.re, f.im, f.tw)
 			diff("stages", sr, si, f.re, f.im)
 		}
-		diff(fmt.Sprintf("transform swap=%v", swap), re, im, f.re, f.im)
+		diff(fmt.Sprintf("load and stages swap=%v", swap), re, im, f.re, f.im)
 	}
 	for _, s := range []float64{1, 1 / float64(n)} {
 		for _, l := range []int{1, 2, 3, 4, 5, 6, 7, n / 2, n - 1, n} {
