@@ -21,8 +21,8 @@ import (
 // four groups at a time in float64 vectors with one VCVTPD2PS rounding and a
 // 4×8 transpose into the rows, the stages as 8-wide float32 butterflies, the
 // widening four bins at a time. Each kernel is bit-identical to its pure-Go
-// twin (FFT.load, fftStagesGo, widenGo), which plans below the vector width
-// and builds without the assembly run: no fused multiply-add, the same
+// twin (FFT.load, fftStagesGo, widenGo), which is what runs below the vector
+// width and in builds without the assembly: no fused multiply-add, the same
 // operation order.
 //
 // The result is float32-accurate: against an exact DFT the error is within

@@ -219,7 +219,7 @@ func TestFFTInverseRealScale(t *testing.T) {
 
 func TestOFDMRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	for _, bw := range []Bandwidth{BW1_4MHz, BW5MHz, BW10MHz, BW20MHz} {
+	for _, bw := range []Bandwidth{BW1_4MHz, BW3MHz, BW5MHz, BW10MHz, BW15MHz, BW20MHz} {
 		o, err := NewOFDMModulator(bw)
 		if err != nil {
 			t.Fatal(err)
