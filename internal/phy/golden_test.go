@@ -1,7 +1,6 @@
 package phy
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/binary"
 	"flag"
@@ -9,7 +8,6 @@ import (
 	"hash"
 	"io"
 	"math/rand"
-	"os"
 	"strings"
 	"testing"
 )
@@ -184,42 +182,7 @@ func TestDecodeGoldenDigests(t *testing.T) {
 		t.Fatalf("sweep covers %d failed, %d passed, %d iteration-capped first transmissions; want some of each", failed, passed, capped)
 	}
 
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenFile, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d digests to %s", len(lines), goldenFile)
-		return
-	}
-	f, err := os.Open(goldenFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	n, bad := 0, 0
-	for ; sc.Scan(); n++ {
-		if n >= len(lines) {
-			break
-		}
-		if sc.Text() != lines[n] {
-			if bad++; bad <= 5 {
-				t.Errorf("digest %d differs:\n  golden %s\n  got    %s", n, sc.Text(), lines[n])
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(lines) || sc.Scan() {
-		t.Fatalf("golden file holds a different number of digests than the sweep's %d", len(lines))
-	}
-	if bad > 0 {
-		t.Fatalf("%d of %d digests differ from %s", bad, n, goldenFile)
-	}
+	checkGoldenLines(t, goldenFile, lines)
 }
 
 func mustSoftBuffer(t *testing.T, s goldenShape) *SoftBuffer {
