@@ -54,8 +54,8 @@ GLOBL fftSqrtHalf<>(SB), RODATA|NOPTR, $8
 	VCVTPD2PSY	HI, XHI		\
 	VINSERTF128	$1, XHI, LO, LO
 
-// ROW stores the eight outputs of the group whose base entry is at off(BX),
-// re row RR and im row RI, at 8·base[r+g] of the planes.
+// ROW stores group r+g's eight outputs, re row RR and im row RI, at
+// 8·base[r+g] of the planes; off = 4g is base[r+g]'s offset from BX.
 #define ROW(off, RR, RI) \
 	MOVLQSX	off(BX), AX		\
 	SHLQ	$5, AX			\
