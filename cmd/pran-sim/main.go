@@ -1,7 +1,9 @@
-// Command pran-sim runs a complete local PRAN instance in measured mode:
-// synthetic cells feed real uplink DSP through the worker pool while the
-// controller scales and places. It prints data-plane and control-plane
-// statistics at the end.
+// Command pran-sim runs a complete local PRAN instance in measured mode: a
+// controller node and one agent node talk the real control protocol over
+// loopback, and the agent feeds its synthetic cells through RAN programs,
+// real uplink DSP on its worker pool and the HARQ retransmission loop while
+// the controller scales and places. It prints data-plane, HARQ and
+// control-plane statistics at the end.
 //
 // Usage:
 //
@@ -12,12 +14,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
+	"time"
 
 	"pran/internal/controller"
-	"pran/internal/core"
 	"pran/internal/dataplane"
 	"pran/internal/frame"
+	"pran/internal/node"
 	"pran/internal/phy"
 	"pran/internal/ranapi"
 	"pran/internal/telemetry"
@@ -42,34 +46,56 @@ func main() {
 	if *policy == "fifo" {
 		pol = dataplane.FIFO
 	}
-
-	cfg := core.Config{
-		Cells:             core.DefaultCells(*nCells, bw, 1),
-		Pool:              dataplane.Config{Workers: *workers, Policy: pol, DeadlineScale: 1, AbandonLate: true},
-		Controller:        controller.DefaultConfig(),
-		Cluster:           core.ClusterSpec{Servers: 8, Active: 1, CoresPerServer: *workers, Speed: 1},
-		Seed:              *seed,
-		StartHour:         12,
-		ControlPeriodTTIs: 100,
-		Realtime:          true,
+	cells := make([]node.CellSpecNet, *nCells)
+	for i := range cells {
+		cells[i] = node.CellSpecNet{ID: frame.CellID(i), PCI: uint16((i * 3) % 504), Bandwidth: bw, Antennas: 1}
+	}
+	agentCfg := node.AgentConfig{
+		ServerID: 1,
+		Cores:    *workers,
+		Pool:     dataplane.Config{Policy: pol, AbandonLate: true},
+		Seed:     *seed,
 	}
 	if *scale <= 0 {
-		s, err := core.CalibrateScale(cfg, 100)
+		s, err := node.CalibrateScale(agentCfg, cells, 100)
 		if err != nil {
 			log.Fatal(err)
 		}
 		*scale = s
 		fmt.Printf("workload-calibrated deadline scale: x%.0f\n", s)
 	}
-	cfg.Pool.DeadlineScale = *scale
-	sys, err := core.New(cfg)
+	agentCfg.Pool.DeadlineScale = *scale
+	// A worker has scale ms for each 1 ms subframe, so it covers scale
+	// cores of the real-time demand the agent reports.
+	agentCfg.SpeedMilli = uint32(*scale * 1000)
+	tti := time.Duration(float64(time.Millisecond) * *scale)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Close()
+	cn, err := node.NewControllerNode(ln, node.ControllerConfig{
+		Controller: controller.DefaultConfig(),
+		Cells:      cells,
+		Period:     100 * tti,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- cn.Serve() }()
+	// Bootstrap demand so the first placement happens before load reports.
+	for _, c := range cells {
+		cn.Controller().ObserveCell(c.ID, 0.05)
+	}
 
+	agentCfg.ControllerAddr = cn.Addr().String()
+	an, err := node.NewAgentNode(agentCfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	stats := ranapi.NewStatsProgram()
-	if err := sys.Programs().Register(stats); err != nil {
+	if err := an.Programs().Register(stats); err != nil {
 		log.Fatal(err)
 	}
 	if *icic {
@@ -81,22 +107,43 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := sys.Programs().Register(prog); err != nil {
+		if err := an.Programs().Register(prog); err != nil {
 			log.Fatal(err)
 		}
 	}
+	ran := make(chan error, 1)
+	go func() { ran <- an.Run() }()
 
-	if err := sys.RunTTIs(*ttis); err != nil {
+	// Count subframes from the moment the controller has placed every
+	// cell on the agent, then stop the agent (its pool drains on Close).
+	waitUntil := func(what string, limit time.Duration, cond func() bool) {
+		for start := time.Now(); !cond(); time.Sleep(tti / 2) {
+			if time.Since(start) > limit {
+				log.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitUntil("cell placement", 30*time.Second+200*tti, func() bool { return an.NumCells() == *nCells })
+	start := an.TTI()
+	waitUntil("the run", time.Duration(*ttis)*tti+time.Minute, func() bool { return an.TTI()-start >= frame.TTI(*ttis) })
+	if err := an.Close(); err != nil {
 		log.Fatal(err)
 	}
-	sys.Drain()
+	if err := <-ran; err != nil {
+		log.Fatal(err)
+	}
+	_ = cn.Close()
+	<-served
 
-	st := sys.Pool().Stats()
+	st := an.Pool().Stats()
 	fmt.Printf("\n=== data plane (%d TTIs, %d cells, %s) ===\n", *ttis, *nCells, pol)
 	fmt.Printf("tasks: submitted=%d completed=%d abandoned=%d crc-fail=%d\n",
 		st.Submitted, st.Completed, st.Abandoned, st.CRCFailures)
 	fmt.Printf("deadline misses: %d (%.2f%%)\n", st.DeadlineMisses, st.MissRate()*100)
-	snap := sys.Pool().Telemetry().Snapshot()
+	hs := an.HARQStats()
+	fmt.Printf("harq: first-tx failures=%d retransmissions=%d recovered=%d exhausted=%d\n",
+		hs.FirstTxFailures, hs.Retransmissions, hs.Recovered, hs.Exhausted)
+	snap := an.Telemetry().Snapshot()
 	var hists telemetry.Snapshot
 	for _, name := range []string{dataplane.MetricLatency, dataplane.MetricProcTime} {
 		if h, ok := snap.Histogram(name); ok {
@@ -107,10 +154,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rounds, migrations, promotions := sys.Controller().Stats()
+	rounds, migrations, promotions := cn.Controller().Stats()
 	fmt.Printf("\n=== control plane ===\n")
 	fmt.Printf("rounds=%d migrations=%d promotions=%d demand=%.2f cores\n",
-		rounds, migrations, promotions, sys.Controller().Monitor().TotalDemand())
+		rounds, migrations, promotions, cn.Controller().Monitor().TotalDemand())
 	for _, cell := range stats.Cells() {
 		cs, _ := stats.Stats(cell)
 		fmt.Printf("cell %d: %.1f PRB, %.1f UEs, %.3f cores (mean over %d subframes)\n",

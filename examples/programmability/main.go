@@ -1,37 +1,60 @@
-// Programmability: install RAN programs on a running PRAN instance through
-// the registry — soft-frequency-reuse interference coordination (ICIC) plus
+// Programmability: install RAN programs on a running PRAN agent through
+// its registry — soft-frequency-reuse interference coordination (ICIC) plus
 // a passive stats collector — and show the programs reshaping the schedule
-// that the measured data plane then executes.
+// that the agent's measured data plane then executes. The controller and
+// the agent run in one process and talk the real control protocol over
+// loopback.
 package main
 
 import (
 	"fmt"
 	"log"
+	"net"
+	"time"
 
 	"pran/internal/controller"
-	"pran/internal/core"
 	"pran/internal/dataplane"
 	"pran/internal/frame"
+	"pran/internal/node"
 	"pran/internal/phy"
 	"pran/internal/ranapi"
 )
 
 func main() {
 	const nCells = 3
-	cfg := core.Config{
-		Cells:             core.DefaultCells(nCells, phy.BW1_4MHz, 1),
-		Pool:              dataplane.Config{Workers: 2, Policy: dataplane.EDF, DeadlineScale: 1000},
-		Controller:        controller.DefaultConfig(),
-		Cluster:           core.ClusterSpec{Servers: 4, Active: 1, CoresPerServer: 4, Speed: 1},
-		Seed:              42,
-		StartHour:         18, // evening: residential cells are busy
-		ControlPeriodTTIs: 50,
-	}
-	sys, err := core.New(cfg)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Close()
+	cells := make([]node.CellSpecNet, nCells)
+	for i := range cells {
+		cells[i] = node.CellSpecNet{ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1}
+	}
+	cn, err := node.NewControllerNode(ln, node.ControllerConfig{
+		Controller: controller.DefaultConfig(),
+		Cells:      cells,
+		Period:     50 * time.Millisecond,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	go func() { _ = cn.Serve() }()
+	defer cn.Close()
+	// Bootstrap demand so the first placement happens before load reports.
+	for _, c := range cells {
+		cn.Controller().ObserveCell(c.ID, 0.05)
+	}
+	an, err := node.NewAgentNode(node.AgentConfig{
+		ControllerAddr: cn.Addr().String(),
+		ServerID:       1,
+		Cores:          2,
+		Pool:           dataplane.Config{Policy: dataplane.EDF, DeadlineScale: 1000},
+		TTIInterval:    time.Millisecond,
+		Seed:           42,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Three neighbouring cells get the three soft-reuse groups: cell-edge
 	// UEs (below 8 dB) are confined to their cell's third of the band so
@@ -42,18 +65,30 @@ func main() {
 		log.Fatal(err)
 	}
 	stats := ranapi.NewStatsProgram()
-	if err := sys.Programs().Register(icic); err != nil {
+	if err := an.Programs().Register(icic); err != nil {
 		log.Fatal(err)
 	}
-	if err := sys.Programs().Register(stats); err != nil {
+	if err := an.Programs().Register(stats); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("installed RAN programs: %v\n", sys.Programs().Names())
+	fmt.Printf("installed RAN programs: %v\n", an.Programs().Names())
+	go func() { _ = an.Run() }()
+	defer an.Close()
 
-	if err := sys.RunTTIs(400); err != nil {
-		log.Fatal(err)
+	waitUntil := func(what string, cond func() bool) {
+		for start := time.Now(); !cond(); time.Sleep(time.Millisecond) {
+			if time.Since(start) > time.Minute {
+				log.Fatalf("timed out waiting for %s", what)
+			}
+		}
 	}
-	sys.Drain()
+	waitUntil("cell placement", func() bool { return an.NumCells() == nCells })
+	// run lets the agent serve n more subframes of every cell.
+	run := func(n int) {
+		start := an.TTI()
+		waitUntil(fmt.Sprintf("%d subframes", n), func() bool { return an.TTI()-start >= frame.TTI(n) })
+	}
+	run(400)
 
 	fmt.Printf("\nICIC after 400 TTIs × %d cells:\n", nCells)
 	fmt.Printf("  allocations repacked into protected bands: %d\n", icic.Moved())
@@ -63,16 +98,13 @@ func main() {
 		fmt.Printf("  cell %d (reuse group %d): mean %.1f PRB, %.1f UEs/subframe\n",
 			cell, groups[cell], cs.MeanPRB, cs.MeanUEs)
 	}
-	st := sys.Pool().Stats()
+	st := an.Pool().Stats()
 	fmt.Printf("\ndata plane processed %d tasks (%d CRC failures) under the reshaped schedule\n",
 		st.Submitted, st.CRCFailures)
 
 	// Programs are hot-swappable: drop ICIC and keep running.
-	sys.Programs().Unregister("icic")
-	if err := sys.RunTTIs(100); err != nil {
-		log.Fatal(err)
-	}
-	sys.Drain()
+	an.Programs().Unregister("icic")
+	run(100)
 	fmt.Printf("after uninstalling ICIC: programs=%v, tasks=%d\n",
-		sys.Programs().Names(), sys.Pool().Stats().Submitted)
+		an.Programs().Names(), an.Pool().Stats().Submitted)
 }

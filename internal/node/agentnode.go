@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"pran/internal/dataplane"
 	"pran/internal/frame"
 	"pran/internal/phy"
+	"pran/internal/ranapi"
 	"pran/internal/telemetry"
 	"pran/internal/traffic"
 )
@@ -65,17 +67,80 @@ type AgentConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// cellRuntime is one assigned cell's emulation and ingest state.
+// cellRuntime is one assigned cell's emulation, ingest and retransmission
+// state. Its step runs under the agent's mutex on the one goroutine driving
+// the agent's subframes; the HARQ loop is also fed from pool workers, under
+// its own mutex, through each task's OnDone.
 type cellRuntime struct {
 	cfg  frame.CellConfig
 	rrh  *dataplane.RRHEmulator
 	proc *dataplane.CellProcessor
 	gen  *traffic.Generator
+	harq *harqLoop
 	// demand is the EWMA compute demand reported to the controller.
 	demand float64
 	// demandGauge mirrors demand into the telemetry registry (nil when
 	// telemetry is disabled).
 	demandGauge *telemetry.Gauge
+}
+
+// step serves one subframe of the cell: schedule, RAN programs, due
+// retransmissions, signal synthesis, ingest into the pool (whose
+// completions feed the HARQ loop), the demand EWMA, and the observation
+// fan-out. An error drops this subframe only; the cell keeps serving.
+func (rt *cellRuntime) step(tti frame.TTI, programs *ranapi.Registry, model cluster.CostModel) error {
+	work, err := rt.gen.Subframe(0, tti)
+	if err != nil {
+		return err
+	}
+	work.Cell = rt.cfg.ID
+	work = programs.Apply(work)
+	if err := work.Validate(rt.cfg.Bandwidth); err != nil {
+		return fmt.Errorf("node: RAN program produced invalid work: %w", err)
+	}
+	// HARQ: due retransmissions preempt fresh traffic on their PRBs.
+	overrides := rt.harq.inject(&work)
+	payloads, err := rt.rrh.RandomPayloads(work)
+	if err != nil {
+		return err
+	}
+	for idx, tb := range overrides {
+		payloads[idx] = tb
+	}
+	samples, err := rt.rrh.Emit(work, payloads)
+	if err != nil {
+		return err
+	}
+	// Each decode outcome feeds the HARQ loop together with the TB it
+	// carried (allocations are PRB-disjoint, so RNTI+FirstPRB finds it).
+	onDone := func(t *dataplane.Task) {
+		for i, a := range work.Allocations {
+			if a.RNTI == t.Alloc.RNTI && a.FirstPRB == t.Alloc.FirstPRB {
+				rt.harq.onTaskDone(t, payloads[i])
+				return
+			}
+		}
+	}
+	if err := rt.proc.IngestSubframe(samples, work, onDone); err != nil {
+		return err
+	}
+	d := cluster.CoreFraction(model.SubframeCost(work, rt.cfg.Bandwidth, rt.cfg.Antennas))
+	rt.demand += 0.2 * (d - rt.demand)
+	if rt.demandGauge != nil {
+		rt.demandGauge.Set(int64(rt.demand * 1000))
+	}
+	obs := ranapi.Observation{
+		Cell:        work.Cell,
+		TTI:         work.TTI,
+		UsedPRB:     work.UsedPRB(),
+		NumUEs:      len(work.Allocations),
+		DemandCores: d,
+	}
+	for _, a := range work.Allocations {
+		obs.AvgSNRdB += a.SNRdB / float64(len(work.Allocations))
+	}
+	programs.Observe(obs)
+	return nil
 }
 
 // cellDemandMetric names the per-cell demand gauge the agent maintains.
@@ -85,7 +150,8 @@ func cellDemandMetric(id frame.CellID) string {
 
 // AgentNode is one pool server: it registers with the controller, runs the
 // measured data plane for whatever cells it is assigned (emulating their
-// RRH input locally), and streams heartbeats plus per-cell load reports.
+// RRH input locally) through its RAN-program chain and HARQ retransmission
+// loop, and streams heartbeats plus per-cell load reports.
 // A broken controller connection is survivable: the TTI loop keeps serving
 // assigned cells headless while a reconnect loop re-registers with jittered
 // exponential backoff.
@@ -95,6 +161,12 @@ type AgentNode struct {
 	model cluster.CostModel
 	logf  func(format string, args ...any)
 	dial  func(network, addr string) (net.Conn, error)
+
+	// programs is the RAN-program chain every cell's subframes pass
+	// through. mcsCap, registered first, carries the pool's degradation
+	// level back to the scheduler as each cell's MCS ceiling.
+	programs *ranapi.Registry
+	mcsCap   *ranapi.MCSCapProgram
 
 	// connMu guards the current client; the connection is replaced by the
 	// reconnect loop while the TTI and report loops keep running.
@@ -112,6 +184,8 @@ type AgentNode struct {
 	headlessTTIs  *telemetry.Counter
 	stateRestored *telemetry.Counter
 	stateShipped  *telemetry.Counter
+	// subframeErrors counts cell-subframes a step could not serve.
+	subframeErrors *telemetry.Counter
 
 	closeOnce sync.Once
 	closeCh   chan struct{} // closed by Close; aborts reconnect backoff
@@ -129,6 +203,26 @@ func inc(c *telemetry.Counter, n uint64) {
 // NewAgentNode dials the controller and registers. Call Run to start the
 // TTI and reporting loops.
 func NewAgentNode(cfg AgentConfig) (*AgentNode, error) {
+	a, err := newAgent(cfg)
+	if err != nil {
+		return nil, err
+	}
+	nc, err := a.dial("tcp", a.cfg.ControllerAddr)
+	if err == nil {
+		a.client, err = ctrlproto.RegisterAgentConn(nc, a.cfg.ServerID, uint16(a.cfg.Cores), a.cfg.SpeedMilli)
+	}
+	if err != nil {
+		_ = a.pool.Close()
+		return nil, err
+	}
+	a.connected.Store(true)
+	return a, nil
+}
+
+// newAgent applies cfg's defaults and builds the agent's data plane and
+// program chain, with no controller connection: NewAgentNode adds one, and
+// CalibrateScale drives the agent's subframes without.
+func newAgent(cfg AgentConfig) (*AgentNode, error) {
 	if cfg.Cores < 1 {
 		return nil, fmt.Errorf("node: agent needs ≥ 1 core: %w", phy.ErrBadParameter)
 	}
@@ -157,36 +251,32 @@ func NewAgentNode(cfg AgentConfig) (*AgentNode, error) {
 	if cfg.TTIStride < 1 {
 		cfg.TTIStride = 1
 	}
-	nc, err := cfg.Dial("tcp", cfg.ControllerAddr)
-	if err != nil {
-		return nil, err
-	}
-	client, err := ctrlproto.RegisterAgentConn(nc, cfg.ServerID, uint16(cfg.Cores), cfg.SpeedMilli)
-	if err != nil {
-		return nil, err
-	}
 	pool, err := dataplane.NewPool(cfg.Pool)
 	if err != nil {
-		_ = client.Close()
 		return nil, err
 	}
 	a := &AgentNode{
-		cfg:     cfg,
-		client:  client,
-		pool:    pool,
-		model:   cluster.DefaultCostModel(),
-		logf:    cfg.Logf,
-		dial:    cfg.Dial,
-		cells:   make(map[frame.CellID]*cellRuntime),
-		closeCh: make(chan struct{}),
-		stopCh:  make(chan struct{}),
+		cfg:      cfg,
+		pool:     pool,
+		model:    cluster.DefaultCostModel(),
+		logf:     cfg.Logf,
+		dial:     cfg.Dial,
+		programs: ranapi.NewRegistry(),
+		mcsCap:   ranapi.NewMCSCapProgram(),
+		cells:    make(map[frame.CellID]*cellRuntime),
+		closeCh:  make(chan struct{}),
+		stopCh:   make(chan struct{}),
 	}
-	a.connected.Store(true)
+	if err := a.programs.Register(a.mcsCap); err != nil {
+		_ = pool.Close()
+		return nil, err
+	}
 	if reg := pool.Telemetry(); reg != nil {
 		a.reconnects = reg.Counter("agent.reconnects")
 		a.headlessTTIs = reg.Counter("agent.headless_ttis")
 		a.stateRestored = reg.Counter("agent.state_restored_bytes")
 		a.stateShipped = reg.Counter("agent.state_shipped_bytes")
+		a.subframeErrors = reg.Counter("agent.subframe_errors")
 	}
 	return a, nil
 }
@@ -210,6 +300,26 @@ func (a *AgentNode) isClosing() bool {
 
 // Pool exposes the local data plane.
 func (a *AgentNode) Pool() *dataplane.Pool { return a.pool }
+
+// Programs exposes the agent's RAN-program chain. Programs registered here
+// rewrite every assigned cell's schedule from the next subframe on.
+func (a *AgentNode) Programs() *ranapi.Registry { return a.programs }
+
+// HARQStats sums the retransmission-loop outcomes of the cells the agent
+// currently serves.
+func (a *AgentNode) HARQStats() HARQStats {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var total HARQStats
+	for _, rt := range a.cells {
+		st := rt.harq.snapshot()
+		total.FirstTxFailures += st.FirstTxFailures
+		total.Retransmissions += st.Retransmissions
+		total.Recovered += st.Recovered
+		total.Exhausted += st.Exhausted
+	}
+	return total
+}
 
 // Telemetry returns the agent's runtime-metrics registry, or nil when the
 // pool runs with telemetry disabled.
@@ -404,7 +514,8 @@ func (a *AgentNode) commandLoop() error {
 	}
 }
 
-// assignCell builds the cell's runtime (RRH emulator + ingest + traffic).
+// assignCell builds the cell's runtime (RRH emulator + ingest + traffic +
+// HARQ loop).
 func (a *AgentNode) assignCell(cmd *ctrlproto.AssignCell) error {
 	cellCfg := frame.CellConfig{
 		ID:        frame.CellID(cmd.Cell),
@@ -414,6 +525,14 @@ func (a *AgentNode) assignCell(cmd *ctrlproto.AssignCell) error {
 	}
 	if err := cellCfg.Validate(); err != nil {
 		return err
+	}
+	a.mu.Lock()
+	running, ok := a.cells[cellCfg.ID]
+	a.mu.Unlock()
+	if ok && running.cfg == cellCfg {
+		// Already served as configured: keep its HARQ state, including
+		// any state the controller shipped ahead of this assignment.
+		return nil
 	}
 	rrh, err := dataplane.NewRRHEmulator(cellCfg, a.cfg.Seed+int64(cmd.Cell)*997)
 	if err != nil {
@@ -435,7 +554,7 @@ func (a *AgentNode) assignCell(cmd *ctrlproto.AssignCell) error {
 			return err
 		}
 	}
-	rt := &cellRuntime{cfg: cellCfg, rrh: rrh, proc: proc, gen: gen}
+	rt := &cellRuntime{cfg: cellCfg, rrh: rrh, proc: proc, gen: gen, harq: newHARQLoop()}
 	if reg := a.pool.Telemetry(); reg != nil {
 		rt.demandGauge = reg.Gauge(cellDemandMetric(cellCfg.ID))
 	}
@@ -451,6 +570,11 @@ func (a *AgentNode) assignCell(cmd *ctrlproto.AssignCell) error {
 	}
 	a.mu.Unlock()
 	return nil
+}
+
+// assign serves c as if the controller had assigned it.
+func (a *AgentNode) assign(c CellSpecNet) error {
+	return a.assignCell(&ctrlproto.AssignCell{Cell: uint16(c.ID), PCI: c.PCI, PRB: uint16(c.Bandwidth.PRB()), Antennas: uint8(c.Antennas)})
 }
 
 func (a *AgentNode) removeCell(id frame.CellID) {
@@ -499,8 +623,7 @@ func (a *AgentNode) restoreCellState(id frame.CellID, state []byte) error {
 	return nil
 }
 
-// ttiLoop paces subframes: each tick, every assigned cell generates its
-// schedule, emits the uplink signal, and ingests it into the shared pool.
+// ttiLoop paces subframes: one tick per TTIInterval.
 func (a *AgentNode) ttiLoop() {
 	defer a.wg.Done()
 	ticker := time.NewTicker(a.cfg.TTIInterval)
@@ -511,38 +634,66 @@ func (a *AgentNode) ttiLoop() {
 			return
 		case <-ticker.C:
 		}
-		a.mu.Lock()
-		tti := a.tti
-		a.tti += frame.TTI(a.cfg.TTIStride)
-		if !a.connected.Load() && len(a.cells) > 0 {
-			inc(a.headlessTTIs, 1) // still serving, controller unreachable
-		}
-		for _, rt := range a.cells {
-			work, err := rt.gen.Subframe(0, tti)
-			if err != nil {
-				continue
-			}
-			work.Cell = rt.cfg.ID
-			payloads, err := rt.rrh.RandomPayloads(work)
-			if err != nil {
-				continue
-			}
-			samples, err := rt.rrh.Emit(work, payloads)
-			if err != nil {
-				continue
-			}
-			if err := rt.proc.IngestSubframe(samples, work, nil); err != nil {
-				continue
-			}
-			cost := a.model.SubframeCost(work, rt.cfg.Bandwidth, rt.cfg.Antennas)
-			d := cluster.CoreFraction(cost)
-			rt.demand += 0.2 * (d - rt.demand)
-			if rt.demandGauge != nil {
-				rt.demandGauge.Set(int64(rt.demand * 1000))
-			}
-		}
-		a.mu.Unlock()
+		a.tick()
 	}
+}
+
+// tick serves one subframe of every assigned cell under a.mu and advances
+// the TTI counter by the stride. The pool's degradation level reaches the
+// scheduler here, as every cell's MCS cap for this subframe.
+func (a *AgentNode) tick() {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	tti := a.tti
+	a.tti += frame.TTI(a.cfg.TTIStride)
+	if !a.connected.Load() && len(a.cells) > 0 {
+		inc(a.headlessTTIs, 1) // still serving, controller unreachable
+	}
+	mcsCap := a.pool.Level().MCSCap()
+	for id, rt := range a.cells {
+		a.mcsCap.SetCap(id, mcsCap)
+		if err := rt.step(tti, a.programs, a.model); err != nil {
+			inc(a.subframeErrors, 1)
+		}
+	}
+}
+
+// CalibrateScale sizes cfg.Pool.DeadlineScale against the actual workload:
+// it builds a throwaway agent from cfg with no controller connection,
+// assigns it cells, runs its subframes unpaced for warmupTTIs ticks,
+// measures the pool's real compute per TTI on this host, and returns the
+// scale at which that load fills ~60% of the workers' scaled subframe
+// budget — the compute-to-deadline ratio the paper's optimized stack ran
+// at. This captures everything a single-decode calibration misses (per-UE
+// overheads, iteration spread, retransmissions, cache warm-up). The
+// throwaway pool records into a private registry, so none of its tasks
+// reach cfg.Pool.Telemetry or telemetry.Default().
+func CalibrateScale(cfg AgentConfig, cells []CellSpecNet, warmupTTIs int) (float64, error) {
+	if warmupTTIs <= 0 {
+		warmupTTIs = 100
+	}
+	cfg.Pool.DeadlineScale = 1e6 // never abandon during measurement
+	cfg.Pool.AbandonLate = false
+	reg := telemetry.New(cfg.Cores)
+	cfg.Pool.Telemetry = reg
+	cfg.Pool.DisableTelemetry = false
+	a, err := newAgent(cfg)
+	if err != nil {
+		return 0, err
+	}
+	defer a.pool.Close()
+	for _, c := range cells {
+		if err := a.assign(c); err != nil {
+			return 0, err
+		}
+	}
+	for i := 0; i < warmupTTIs; i++ {
+		a.tick()
+	}
+	a.pool.Drain()
+	busy := time.Duration(reg.Counter(dataplane.MetricWorkerBusyNanos).Value())
+	perWorkerMs := busy.Seconds() / float64(warmupTTIs) / float64(a.cfg.Cores) / 1e-3
+	return math.Max(1, math.Ceil(perWorkerMs/0.6)), nil
 }
 
 // warmSnapshotEvery is how many report intervals pass between HARQ snapshot

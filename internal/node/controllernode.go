@@ -1,12 +1,14 @@
 // Package node implements PRAN's deployable daemons: the controller node
 // (the logically centralized control plane behind a TCP endpoint) and the
-// agent node (a pool server running the measured data plane). Together they
-// turn the in-process library into the distributed system the paper
-// sketches: agents register and stream per-cell load, the controller scales
-// and places, and cell assignments flow back as protocol commands.
+// agent node (a pool server running the measured data plane, its RAN
+// programs and its HARQ retransmission loop). Together they turn the
+// in-process library into the distributed system the paper sketches: agents
+// register and stream per-cell load, the controller scales and places, and
+// cell assignments flow back as protocol commands.
 //
 // cmd/pran-controller and cmd/pran-agent are thin wrappers around this
-// package so the whole distributed path stays unit-testable over loopback.
+// package, and cmd/pran-sim runs one of each in-process, so the whole
+// distributed path stays unit-testable over loopback.
 //
 // Concurrency: this is where the single-threaded control plane meets the
 // network. The controller node serializes placement mutation behind one
@@ -18,9 +20,12 @@
 // (ctrlproto.Stream) draining a bounded coalescing queue, so no goroutine
 // holding n.mu ever performs socket IO — commands are enqueued after the
 // lock is released, and a slow agent backpressures only its own queue. The
-// agent node runs a TTI loop goroutine driving its dataplane pool plus a
-// report loop goroutine streaming load, sharing state under the agent's
-// mutex. Shutdown joins all goroutines via WaitGroups. See
+// agent node runs a TTI loop goroutine that steps every assigned cell's
+// runtime (schedule → RAN programs → HARQ retransmissions → emit → ingest
+// into its dataplane pool) plus a report loop goroutine streaming load,
+// sharing state under the agent's mutex; pool workers reach a cell's HARQ
+// loop only through task completions, under that loop's own mutex.
+// Shutdown joins all goroutines via WaitGroups. See
 // docs/control-plane.md for the full contract.
 package node
 
@@ -616,6 +621,20 @@ func (n *ControllerNode) pushPlacement() {
 		n.removesSent.Inc(0)
 	}
 	for _, op := range assigns {
+		// Ship the warm HARQ snapshot ahead of the assignment: the agent
+		// parks state for a cell it does not run yet and applies it when
+		// the assignment lands, so the first subframe it serves already
+		// combines into the old host's soft state. A fresher snapshot
+		// relayed directly from the old host (if it is still up)
+		// supersedes this one on arrival.
+		if len(op.warm) > 0 {
+			if _, err := op.agent.MigrateState(uint16(op.cell), op.warm); err != nil {
+				n.logf("controller: push warm state for cell %d to %d: %v", op.cell, op.srv, err)
+			} else {
+				n.statePushed.Add(0, uint64(len(op.warm)))
+				n.logf("controller: pushed %d bytes of warm cell %d state to %d", len(op.warm), op.cell, op.srv)
+			}
+		}
 		if _, err := op.agent.AssignCell(uint16(op.cell), op.spec.PCI, uint16(op.spec.Bandwidth.PRB()), uint8(op.spec.Antennas)); err != nil {
 			n.logf("controller: assign cell %d to %d: %v", op.cell, op.srv, err)
 			n.mu.Lock()
@@ -626,17 +645,6 @@ func (n *ControllerNode) pushPlacement() {
 			continue
 		}
 		n.assignsSent.Inc(0)
-		// Ship the warm HARQ snapshot so soft combining resumes where the
-		// old host left off. A fresher snapshot relayed directly from the
-		// old host (if it is still up) supersedes this one on arrival.
-		if len(op.warm) > 0 {
-			if _, err := op.agent.MigrateState(uint16(op.cell), op.warm); err != nil {
-				n.logf("controller: push warm state for cell %d to %d: %v", op.cell, op.srv, err)
-			} else {
-				n.statePushed.Add(0, uint64(len(op.warm)))
-				n.logf("controller: pushed %d bytes of warm cell %d state to %d", len(op.warm), op.cell, op.srv)
-			}
-		}
 	}
 }
 

@@ -2,15 +2,16 @@ package node
 
 import (
 	"net"
+	"sync"
 	"testing"
 	"time"
 
 	"pran/internal/cluster"
 	"pran/internal/controller"
+	"pran/internal/ctrlproto"
 	"pran/internal/dataplane"
 	"pran/internal/faultinject"
 	"pran/internal/frame"
-	"pran/internal/phy"
 	"pran/internal/telemetry"
 )
 
@@ -23,15 +24,9 @@ func startControllerNodeCfg(t *testing.T, nCells int, hb time.Duration, misses i
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cells []CellSpecNet
-	for i := 0; i < nCells; i++ {
-		cells = append(cells, CellSpecNet{
-			ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1,
-		})
-	}
 	cn, err := NewControllerNode(ln, ControllerConfig{
 		Controller:        controller.DefaultConfig(),
-		Cells:             cells,
+		Cells:             testCells(nCells),
 		Period:            20 * time.Millisecond,
 		HeartbeatInterval: hb,
 		LeaseMisses:       misses,
@@ -199,5 +194,143 @@ func TestAgentReconnectKeepsCells(t *testing.T) {
 	}
 	if got := cn.Applied(); len(got) != 2 {
 		t.Fatalf("applied placement has %d cells after reconnect", len(got))
+	}
+}
+
+// rawAgent is a hand-driven protocol client standing in for an agent: it
+// heartbeats every hb, acks every command, and keeps what the controller
+// sent in arrival order.
+type rawAgent struct {
+	c    *ctrlproto.Client
+	stop chan struct{}
+	once sync.Once
+	wg   sync.WaitGroup
+
+	mu  sync.Mutex
+	got []ctrlproto.Message
+}
+
+// dialRawAgent registers a raw agent; the test's cleanup kills it.
+func dialRawAgent(t *testing.T, addr string, id uint32, hb time.Duration) *rawAgent {
+	t.Helper()
+	c, err := ctrlproto.DialAgent(addr, id, 2, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rawAgent{c: c, stop: make(chan struct{})}
+	r.wg.Add(2)
+	go func() {
+		defer r.wg.Done()
+		tk := time.NewTicker(hb)
+		defer tk.Stop()
+		for {
+			select {
+			case <-r.stop:
+				return
+			case <-tk.C:
+				_ = c.Heartbeat(&ctrlproto.Heartbeat{})
+			}
+		}
+	}()
+	go func() {
+		defer r.wg.Done()
+		for {
+			m, err := c.Receive()
+			if err != nil {
+				return
+			}
+			r.mu.Lock()
+			r.got = append(r.got, m)
+			r.mu.Unlock()
+			switch t := m.(type) {
+			case *ctrlproto.AssignCell:
+				_ = c.Ack(t.Seq)
+			case *ctrlproto.RemoveCell:
+				_ = c.Ack(t.Seq)
+			case *ctrlproto.MigrateState:
+				_ = c.Ack(t.Seq)
+			}
+		}
+	}()
+	t.Cleanup(r.kill)
+	return r
+}
+
+// kill stops heartbeating and drops the connection, as a crashed agent.
+func (r *rawAgent) kill() {
+	r.once.Do(func() {
+		close(r.stop)
+		_ = r.c.Close()
+		r.wg.Wait()
+	})
+}
+
+// received returns the messages so far, in arrival order.
+func (r *rawAgent) received() []ctrlproto.Message {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]ctrlproto.Message(nil), r.got...)
+}
+
+// assigned reports whether every cell has been assigned to the agent.
+func (r *rawAgent) assigned(cells ...uint16) bool {
+	seen := map[uint16]bool{}
+	for _, m := range r.received() {
+		if a, ok := m.(*ctrlproto.AssignCell); ok {
+			seen[a.Cell] = true
+		}
+	}
+	for _, c := range cells {
+		if !seen[c] {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFailoverShipsStateBeforeAssignment pins restore-before-serve on the
+// wire: when a dead agent's cells are re-placed, the survivor must receive
+// each cell's warm HARQ snapshot before the cell's assignment, so the
+// first subframe it serves already combines into the restored state. Both
+// agents are raw protocol clients, so the test sees exactly what the
+// controller sends and in which order.
+func TestFailoverShipsStateBeforeAssignment(t *testing.T) {
+	const hb = 20 * time.Millisecond
+	cn := startControllerNodeCfg(t, 2, hb, 5)
+	victim := dialRawAgent(t, cn.Addr().String(), 1, hb)
+	for i := 0; i < 2; i++ {
+		cn.Controller().ObserveCell(frame.CellID(i), 0.05)
+	}
+	waitFor(t, "both cells on the victim", 5*time.Second, func() bool { return victim.assigned(0, 1) })
+	state := []byte("warm harq snapshot")
+	for cell := uint16(0); cell < 2; cell++ {
+		if err := victim.c.SendMigrateState(cell, state); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "warm state at controller", 5*time.Second, func() bool {
+		return cn.Telemetry().Gauge("controller.warm_state_bytes").Value() == int64(2*len(state))
+	})
+
+	survivor := dialRawAgent(t, cn.Addr().String(), 2, hb)
+	victim.kill()
+	waitFor(t, "failover to the survivor", 10*time.Second, func() bool { return survivor.assigned(0, 1) })
+	for cell := uint16(0); cell < 2; cell++ {
+		stateAt, assignAt := -1, -1
+		for i, m := range survivor.received() {
+			switch t := m.(type) {
+			case *ctrlproto.MigrateState:
+				if t.Cell == cell && stateAt < 0 {
+					stateAt = i
+				}
+			case *ctrlproto.AssignCell:
+				if t.Cell == cell && assignAt < 0 {
+					assignAt = i
+				}
+			}
+		}
+		if stateAt < 0 || stateAt > assignAt {
+			t.Fatalf("cell %d: warm state arrived at message %d, assignment at %d; the survivor served the cell cold", cell, stateAt, assignAt)
+		}
 	}
 }

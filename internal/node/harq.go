@@ -1,4 +1,4 @@
-package core
+package node
 
 import (
 	"errors"
@@ -12,10 +12,10 @@ import (
 // HARQ retransmission loop. When a transport block fails its CRC, the MAC
 // retransmits it on the same HARQ process 8 TTIs later with the next
 // redundancy version; the data plane's per-cell HARQ manager soft-combines
-// the attempts. The System closes this loop: decode failures reported by
-// the pool schedule retransmissions that preempt fresh traffic on the same
-// PRBs, and exhausted processes (after the full RV sequence) count as
-// residual losses.
+// the attempts. The agent's cell runtime closes this loop: decode failures
+// reported by the pool schedule retransmissions that preempt fresh traffic
+// on the same PRBs, and exhausted processes (after the full RV sequence)
+// count as residual losses.
 
 // rvSequence is the LTE redundancy-version order across attempts.
 var rvSequence = [4]uint8{0, 2, 3, 1}

@@ -1,68 +1,12 @@
-package core
+package node
 
 import (
 	"testing"
 
-	"pran/internal/controller"
 	"pran/internal/dataplane"
 	"pran/internal/frame"
 	"pran/internal/phy"
-	"pran/internal/traffic"
 )
-
-// lowSNRConfig builds a single cell whose UEs sit right at their MCS
-// operating points, so first transmissions fail regularly and the HARQ loop
-// has work to do.
-func lowSNRConfig() Config {
-	cfg := smallConfig(1)
-	// Tight SNR spread pins UEs near the MCSForSNR switch threshold, where
-	// the fading jitter pushes a good fraction of TBs below water.
-	cfg.Cells[0].Profile = traffic.CellProfile{
-		Class:           traffic.Mixed,
-		PeakUtilization: 0.9,
-		SNRMeanDB:       8,
-		SNRStdDB:        0.5,
-		MeanUEsAtPeak:   4,
-	}
-	return cfg
-}
-
-func TestHARQLoopRecoversFailures(t *testing.T) {
-	s, err := New(lowSNRConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.RunTTIs(400); err != nil {
-		t.Fatal(err)
-	}
-	s.Drain()
-	// Let straggler retransmissions resolve.
-	if err := s.RunTTIs(40); err != nil {
-		t.Fatal(err)
-	}
-	s.Drain()
-
-	hs := s.HARQStatsTotal()
-	if hs.FirstTxFailures == 0 {
-		t.Fatal("no first-transmission failures at the operating point; scenario miscalibrated")
-	}
-	if hs.Retransmissions == 0 {
-		t.Fatal("failures occurred but nothing was retransmitted")
-	}
-	if hs.Recovered == 0 {
-		t.Fatal("retransmissions never recovered a transport block")
-	}
-	// Soft combining must recover the majority of resolved TBs within the
-	// RV budget. (The exact ratio wobbles a few percent across runs because
-	// worker completion order shifts which subframes see the busy-process
-	// filter; the invariant is "combining wins", not a point estimate.)
-	resolved := hs.Recovered + hs.Exhausted
-	if resolved > 0 && float64(hs.Recovered)/float64(resolved) < 0.5 {
-		t.Fatalf("recovery ratio %.2f too low (%+v)", float64(hs.Recovered)/float64(resolved), hs)
-	}
-	t.Logf("HARQ: %+v", hs)
-}
 
 func TestHARQInjectRespectsGrid(t *testing.T) {
 	// The retransmission injector must always yield valid, non-overlapping
@@ -164,23 +108,5 @@ func TestHARQAbandonedTasksDoNotAdvance(t *testing.T) {
 	work := frame.SubframeWork{Cell: 0, TTI: 8}
 	if got := loop.inject(&work); len(got) != 0 {
 		t.Fatal("abandoned task scheduled a retransmission")
-	}
-}
-
-// Ensure the HARQ-enabled system remains usable under all the existing
-// config paths (controller stepping, RAN programs).
-func TestHARQSystemIntegration(t *testing.T) {
-	cfg := lowSNRConfig()
-	cfg.Controller = controller.DefaultConfig()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := s.MeasuredMissRate(100); err != nil {
-		t.Fatal(err)
-	}
-	if s.Pool().Stats().Submitted == 0 {
-		t.Fatal("no traffic")
 	}
 }

@@ -30,6 +30,15 @@ func runUntilCleanup(t *testing.T, name string, serve, stop func() error) {
 	})
 }
 
+// testCells describes n 1.4 MHz single-antenna cells with IDs 0..n-1.
+func testCells(n int) []CellSpecNet {
+	cells := make([]CellSpecNet, n)
+	for i := range cells {
+		cells[i] = CellSpecNet{ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1}
+	}
+	return cells
+}
+
 // startControllerNode spins up a controller node on loopback with small
 // cells and a fast control loop.
 func startControllerNode(t *testing.T, nCells int) *ControllerNode {
@@ -38,15 +47,9 @@ func startControllerNode(t *testing.T, nCells int) *ControllerNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cells []CellSpecNet
-	for i := 0; i < nCells; i++ {
-		cells = append(cells, CellSpecNet{
-			ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1,
-		})
-	}
 	cfg := ControllerConfig{
 		Controller: controller.DefaultConfig(),
-		Cells:      cells,
+		Cells:      testCells(nCells),
 		Period:     30 * time.Millisecond,
 		Logf:       t.Logf,
 	}

@@ -1,6 +1,6 @@
 // Package ranapi is PRAN's programmability surface: RAN programs attach to
-// the controller, observe per-cell radio state, and rewrite scheduling
-// decisions before the data plane executes them. This is the "programmable"
+// the agent serving a cell, observe per-cell radio state, and rewrite
+// scheduling decisions before the data plane executes them. This is the "programmable"
 // in Programmable RAN — centralizing processing is what makes cross-cell
 // programs (interference coordination, admission control, custom
 // schedulers) a software change instead of a base-station firmware change.
@@ -10,11 +10,13 @@
 // plane executes whatever survives. After processing, per-cell observations
 // flow back through OnObservation.
 //
-// Concurrency: the registry invokes every program hook from the single
-// goroutine driving the subframe loop (core.System's Tick), never
-// concurrently — programs may keep unsynchronized internal state.
-// Attaching or detaching programs is also a single-goroutine operation;
-// the registry does not lock.
+// Concurrency: an agent (node.AgentNode) invokes every hook of its chain
+// from its one TTI goroutine, stepping its cells in turn, so one agent
+// never calls a program concurrently. A program installed on several
+// agents in one process is called from each agent's goroutine, which is why
+// Program asks for concurrency safety. The Registry is safe for concurrent
+// use: programs may be registered or unregistered from any goroutine while
+// subframes run, and take effect from the next subframe.
 package ranapi
 
 import (
@@ -43,8 +45,6 @@ type Observation struct {
 	AvgSNRdB float64
 	// DemandCores is the subframe's compute demand in core fractions.
 	DemandCores float64
-	// Misses is the number of deadline misses attributed to the subframe.
-	Misses int
 }
 
 // Program is a RAN program. Implementations must be safe for concurrent
