@@ -39,9 +39,9 @@ func main() {
 	if err := bw.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	var cells []node.CellSpecNet
+	var cells []frame.CellConfig
 	for i := 0; i < *nCells; i++ {
-		cells = append(cells, node.CellSpecNet{
+		cells = append(cells, frame.CellConfig{
 			ID: frame.CellID(i), PCI: uint16((i * 3) % 504), Bandwidth: bw, Antennas: 1,
 		})
 	}

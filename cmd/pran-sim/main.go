@@ -46,9 +46,9 @@ func main() {
 	if *policy == "fifo" {
 		pol = dataplane.FIFO
 	}
-	cells := make([]node.CellSpecNet, *nCells)
+	cells := make([]frame.CellConfig, *nCells)
 	for i := range cells {
-		cells[i] = node.CellSpecNet{ID: frame.CellID(i), PCI: uint16((i * 3) % 504), Bandwidth: bw, Antennas: 1}
+		cells[i] = frame.CellConfig{ID: frame.CellID(i), PCI: uint16((i * 3) % 504), Bandwidth: bw, Antennas: 1}
 	}
 	agentCfg := node.AgentConfig{
 		ServerID: 1,

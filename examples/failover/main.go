@@ -23,9 +23,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var cells []node.CellSpecNet
+	var cells []frame.CellConfig
 	for i := 0; i < 4; i++ {
-		cells = append(cells, node.CellSpecNet{
+		cells = append(cells, frame.CellConfig{
 			ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1,
 		})
 	}

@@ -26,9 +26,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cells := make([]node.CellSpecNet, nCells)
+	cells := make([]frame.CellConfig, nCells)
 	for i := range cells {
-		cells[i] = node.CellSpecNet{ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1}
+		cells[i] = frame.CellConfig{ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1}
 	}
 	cn, err := node.NewControllerNode(ln, node.ControllerConfig{
 		Controller: controller.DefaultConfig(),

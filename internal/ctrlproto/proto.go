@@ -1,8 +1,8 @@
 // Package ctrlproto implements the PRAN control protocol: a compact binary
 // protocol over TCP between the controller and the per-server data-plane
 // agents. Agents register their capacity, stream load heartbeats every
-// reporting interval, and receive cell assignment / removal / migration and
-// lifecycle commands.
+// reporting interval, and receive cell assignment, removal and migration
+// commands, each answered with an Ack or an ErrorMsg.
 //
 // Wire format: every message is a frame
 //
@@ -64,10 +64,8 @@ const (
 	TRemoveCell
 	// TMigrateState (both directions) carries a cell's HARQ/soft state.
 	TMigrateState
-	// TDrain (controller→agent) tells the server to stop accepting cells.
-	TDrain
-	// TPromote (controller→agent) activates a standby server.
-	TPromote
+	_ // 7 and 8 were lifecycle commands no controller sent; their codes stay
+	_ // retired so every later code keeps its value under Version 1.
 	// TAck acknowledges a command by sequence number.
 	TAck
 	// TError reports a command failure by sequence number.
@@ -99,10 +97,6 @@ func (t MsgType) String() string {
 		return "remove-cell"
 	case TMigrateState:
 		return "migrate-state"
-	case TDrain:
-		return "drain"
-	case TPromote:
-		return "promote"
 	case TAck:
 		return "ack"
 	case TError:
@@ -334,52 +328,6 @@ func (m *MigrateState) UnmarshalBinary(src []byte) error {
 	return nil
 }
 
-// Drain tells a server to finish current cells but accept no new ones.
-type Drain struct {
-	// Seq is the command sequence number.
-	Seq uint32
-}
-
-// Type implements Message.
-func (*Drain) Type() MsgType { return TDrain }
-
-// MarshalBinary implements Message.
-func (m *Drain) MarshalBinary(dst []byte) []byte {
-	return binary.BigEndian.AppendUint32(dst, m.Seq)
-}
-
-// UnmarshalBinary implements Message.
-func (m *Drain) UnmarshalBinary(src []byte) error {
-	if len(src) != 4 {
-		return fmt.Errorf("drain payload %d bytes: %w", len(src), ErrBadMessage)
-	}
-	m.Seq = binary.BigEndian.Uint32(src)
-	return nil
-}
-
-// Promote activates a standby server.
-type Promote struct {
-	// Seq is the command sequence number.
-	Seq uint32
-}
-
-// Type implements Message.
-func (*Promote) Type() MsgType { return TPromote }
-
-// MarshalBinary implements Message.
-func (m *Promote) MarshalBinary(dst []byte) []byte {
-	return binary.BigEndian.AppendUint32(dst, m.Seq)
-}
-
-// UnmarshalBinary implements Message.
-func (m *Promote) UnmarshalBinary(src []byte) error {
-	if len(src) != 4 {
-		return fmt.Errorf("promote payload %d bytes: %w", len(src), ErrBadMessage)
-	}
-	m.Seq = binary.BigEndian.Uint32(src)
-	return nil
-}
-
 // Ack acknowledges a command.
 type Ack struct {
 	// Seq echoes the command sequence number.
@@ -592,10 +540,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &RemoveCell{}, nil
 	case TMigrateState:
 		return &MigrateState{}, nil
-	case TDrain:
-		return &Drain{}, nil
-	case TPromote:
-		return &Promote{}, nil
 	case TAck:
 		return &Ack{}, nil
 	case TError:

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -28,42 +29,38 @@ type Handler interface {
 // Agent is the controller's handle on one connected data-plane server.
 // Command senders may be called from any goroutine: each enqueues onto the
 // agent's event stream (see Stream) and returns without touching the socket,
-// so a slow agent can never stall a caller. Enqueue errors mean the message
-// was not (and will not be) delivered — the stream is closed or the queue
-// was full of uncoalescable traffic — and the caller must re-drive the state
-// on a later round.
+// so a slow agent can never stall a caller. An enqueue error means the
+// stream is closed and the message will not be delivered; the caller must
+// re-drive the state on a later round.
 type Agent struct {
 	// ID is the agent's registered server ID.
 	ID uint32
-	// Cores and SpeedMilli echo the registration.
-	Cores      uint16
-	SpeedMilli uint32
 
 	conn   *Conn
-	stream *Stream // non-nil once serveConn starts the writer
-	seq    uint32
-	mu     sync.Mutex
+	stream *Stream       // non-nil once serveConn starts the writer
+	seq    atomic.Uint32 // the typed senders' sequence numbers
 }
 
-// nextSeq returns a fresh command sequence number.
-func (a *Agent) nextSeq() uint32 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.seq++
-	return a.seq
-}
-
-// Send transmits a raw message to the agent directly, bypassing the stream.
-// It blocks on the socket; command senders below are the streaming path.
-func (a *Agent) Send(m Message) error { return a.conn.WriteMessage(m) }
-
-// send enqueues onto the agent's stream, falling back to a direct write for
-// agents constructed without one (tests driving the protocol by hand).
-func (a *Agent) send(key StreamKey, m Message) error {
-	if a.stream != nil {
-		return a.stream.Enqueue(key, m)
+// Send queues a command the caller numbered itself, keyed by what it
+// declares (see StreamKeyKind); any message but the four commands is refused.
+func (a *Agent) Send(m Message) error {
+	var key StreamKey
+	switch t := m.(type) {
+	case *AssignCell:
+		key = StreamKey{Kind: KeyPlacement, Cell: t.Cell}
+	case *RemoveCell:
+		key = StreamKey{Kind: KeyPlacement, Cell: t.Cell}
+	case *MigrateState:
+		key = StreamKey{Kind: KeyState, Cell: t.Cell}
+	case *StatsRequest:
+		key = StreamKey{Kind: KeyStats}
+	default:
+		return fmt.Errorf("ctrlproto: %v is not a command: %w", m.Type(), ErrBadMessage)
 	}
-	return a.conn.WriteMessage(m)
+	if a.stream == nil {
+		return ErrStreamClosed // the writer has not started (a call from OnRegister)
+	}
+	return a.stream.Enqueue(key, m)
 }
 
 // StreamStats returns the agent stream's accounting (zero value when the
@@ -79,44 +76,23 @@ func (a *Agent) StreamStats() StreamStats {
 // coalesces with any queued assignment or removal of the same cell: both
 // declare the cell's desired placement, and the newest declaration wins.
 func (a *Agent) AssignCell(cell, pci, prb uint16, antennas uint8) (uint32, error) {
-	seq := a.nextSeq()
-	return seq, a.send(StreamKey{Kind: KeyPlacement, Cell: cell},
-		&AssignCell{Seq: seq, Cell: cell, PCI: pci, PRB: prb, Antennas: antennas})
+	seq := a.seq.Add(1)
+	return seq, a.Send(&AssignCell{Seq: seq, Cell: cell, PCI: pci, PRB: prb, Antennas: antennas})
 }
 
 // RemoveCell queues a cell removal (coalesces with queued placement commands
 // for the same cell).
 func (a *Agent) RemoveCell(cell uint16) (uint32, error) {
-	seq := a.nextSeq()
-	return seq, a.send(StreamKey{Kind: KeyPlacement, Cell: cell}, &RemoveCell{Seq: seq, Cell: cell})
-}
-
-// MigrateState queues a cell's serialized state for the agent; a newer
-// snapshot for the same cell supersedes a queued older one.
-func (a *Agent) MigrateState(cell uint16, state []byte) (uint32, error) {
-	seq := a.nextSeq()
-	return seq, a.send(StreamKey{Kind: KeyState, Cell: cell}, &MigrateState{Seq: seq, Cell: cell, State: state})
-}
-
-// Drain tells the agent to stop accepting new cells. Lifecycle commands are
-// unkeyed: they queue FIFO and are never coalesced or dropped.
-func (a *Agent) Drain() (uint32, error) {
-	seq := a.nextSeq()
-	return seq, a.send(StreamKey{}, &Drain{Seq: seq})
-}
-
-// Promote activates a standby agent (unkeyed, like Drain).
-func (a *Agent) Promote() (uint32, error) {
-	seq := a.nextSeq()
-	return seq, a.send(StreamKey{}, &Promote{Seq: seq})
+	seq := a.seq.Add(1)
+	return seq, a.Send(&RemoveCell{Seq: seq, Cell: cell})
 }
 
 // RequestStats asks the agent for a telemetry snapshot; the StatsReport
 // arrives on the handler's OnMessage with the returned sequence number. A
 // queued unanswered request is superseded by a fresh one.
 func (a *Agent) RequestStats() (uint32, error) {
-	seq := a.nextSeq()
-	return seq, a.send(StreamKey{Kind: KeyStats}, &StatsRequest{Seq: seq})
+	seq := a.seq.Add(1)
+	return seq, a.Send(&StatsRequest{Seq: seq})
 }
 
 // Close terminates the agent connection and its stream.
@@ -256,7 +232,7 @@ func (s *Server) serveConn(nc net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	agent := &Agent{ID: reg.ServerID, Cores: reg.Cores, SpeedMilli: reg.SpeedMilli, conn: conn}
+	agent := &Agent{ID: reg.ServerID, conn: conn}
 	if err := s.handler.OnRegister(agent, reg); err != nil {
 		_ = conn.WriteMessage(&ErrorMsg{Code: 3, Text: err.Error()})
 		_ = conn.Close()

@@ -6,13 +6,8 @@ import (
 	"time"
 )
 
-// Stream errors.
-var (
-	// ErrStreamClosed indicates an enqueue on a closed agent stream.
-	ErrStreamClosed = errors.New("ctrlproto: stream closed")
-	// ErrStreamOverflow indicates a full send queue with nothing evictable.
-	ErrStreamOverflow = errors.New("ctrlproto: send queue full")
-)
+// ErrStreamClosed indicates an enqueue on a closed agent stream.
+var ErrStreamClosed = errors.New("ctrlproto: stream closed")
 
 // StreamKeyKind classifies a queued message for coalescing.
 type StreamKeyKind uint8
@@ -20,12 +15,10 @@ type StreamKeyKind uint8
 // Coalescing key kinds. Messages sharing a (kind, cell) key declare the same
 // piece of desired state, so only the newest needs to reach the agent.
 const (
-	// KeyNone marks uncoalescable messages: strict FIFO, never dropped.
-	KeyNone StreamKeyKind = iota
 	// KeyPlacement covers AssignCell/RemoveCell for one cell — both are
 	// idempotent declarations of where the cell should run, so the newest
 	// wins.
-	KeyPlacement
+	KeyPlacement StreamKeyKind = iota
 	// KeyState covers MigrateState for one cell; a newer HARQ snapshot
 	// supersedes an older one still queued.
 	KeyState
@@ -33,8 +26,7 @@ const (
 	KeyStats
 )
 
-// StreamKey is the coalescing slot a queued message occupies. The zero key
-// (KeyNone) is unkeyed.
+// StreamKey is the coalescing slot a queued message occupies.
 type StreamKey struct {
 	Kind StreamKeyKind
 	Cell uint16
@@ -47,8 +39,8 @@ type StreamStats struct {
 	// Coalesced counts enqueues folded into an already-queued message with
 	// the same key (the older payload was replaced, not duplicated).
 	Coalesced uint64
-	// Dropped counts queued keyed messages evicted to admit newer traffic
-	// when the queue was full.
+	// Dropped counts queued messages evicted to admit newer traffic when
+	// the queue was full.
 	Dropped uint64
 	// Depth is the current number of live queued messages.
 	Depth int
@@ -66,8 +58,8 @@ type outEntry struct {
 // Stream is the controller→agent send side: a bounded, coalescing outbox
 // drained by one dedicated writer goroutine, so a slow or stalled agent can
 // never block the control loop. Enqueue is non-blocking by construction:
-// when the queue is full it first coalesces by key, then evicts the oldest
-// keyed (stale) message; unkeyed messages are never dropped.
+// a message first coalesces with the queued one of its key, and when the
+// queue is full the oldest (stalest) message is evicted.
 //
 // Concurrency: Enqueue may be called from any goroutine; the writer
 // goroutine is the only socket writer for queued traffic (the Conn's
@@ -117,10 +109,10 @@ func newStream(conn *Conn, limit int) *Stream {
 	return st
 }
 
-// Enqueue queues a message for the writer. Keyed messages replace any queued
-// message with the same key (keeping its queue position, so coalescing never
-// delays delivery); when the queue is full, the oldest queued keyed message
-// is evicted to make room. It never blocks on the socket.
+// Enqueue queues a message for the writer. It replaces any queued message
+// with the same key (keeping its queue position, so coalescing never delays
+// delivery); when the queue is full, the oldest queued message is evicted
+// to make room. It never blocks on the socket.
 func (st *Stream) Enqueue(key StreamKey, m Message) error {
 	now := time.Now()
 	var evictedKey StreamKey
@@ -131,42 +123,32 @@ func (st *Stream) Enqueue(key StreamKey, m Message) error {
 		st.mu.Unlock()
 		return ErrStreamClosed
 	}
-	if key.Kind != KeyNone {
-		if e, ok := st.byKey[key]; ok && !e.dead {
-			e.msg = m
-			e.enq = now
-			st.stats.Coalesced++
-			st.mu.Unlock()
-			return nil
-		}
+	if e, ok := st.byKey[key]; ok && !e.dead {
+		e.msg = m
+		e.enq = now
+		st.stats.Coalesced++
+		st.mu.Unlock()
+		return nil
 	}
-	if st.live >= st.limit && key.Kind != KeyNone {
-		// Evict the oldest keyed entry: it is by definition the stalest
-		// piece of coalescable state, and the caller's onDrop hook gets a
-		// chance to schedule a re-send once the agent catches up.
-		evicted := false
+	if st.live >= st.limit {
+		// Evict the oldest entry: it is by definition the stalest piece of
+		// coalescable state, and the caller's onDrop hook gets a chance to
+		// schedule a re-send once the agent catches up.
 		for i := st.head; i < len(st.q); i++ {
-			e := st.q[i]
-			if !e.dead && e.key.Kind != KeyNone {
+			if e := st.q[i]; !e.dead {
 				e.dead = true
 				delete(st.byKey, e.key)
 				st.live--
 				st.stats.Dropped++
-				evictedKey, evictedMsg, evicted = e.key, e.msg, true
+				evictedKey, evictedMsg = e.key, e.msg
 				break
 			}
-		}
-		if !evicted {
-			st.mu.Unlock()
-			return ErrStreamOverflow
 		}
 	}
 	e := &outEntry{key: key, msg: m, enq: now}
 	st.q = append(st.q, e)
 	st.live++
-	if key.Kind != KeyNone {
-		st.byKey[key] = e
-	}
+	st.byKey[key] = e
 	st.stats.Depth = st.live
 	st.cond.Signal()
 	st.mu.Unlock()
@@ -199,7 +181,7 @@ func (st *Stream) writeLoop() {
 			st.mu.Unlock()
 			continue
 		}
-		if e.key.Kind != KeyNone && st.byKey[e.key] == e {
+		if st.byKey[e.key] == e {
 			delete(st.byKey, e.key)
 		}
 		st.live--

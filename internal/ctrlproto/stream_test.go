@@ -30,7 +30,7 @@ func streamPair(t *testing.T, limit int) (*Stream, *Conn) {
 // enqueueing one message the test has not read yet.
 func stallWriter(t *testing.T, st *Stream) {
 	t.Helper()
-	if err := st.Enqueue(StreamKey{}, &Drain{Seq: 1}); err != nil {
+	if err := st.Enqueue(StreamKey{Kind: KeyStats}, &StatsRequest{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -82,8 +82,8 @@ func TestStreamCoalescesUnderStalledReader(t *testing.T) {
 
 	// Drain the pipe: the stall message, then exactly one message per key
 	// in enqueue order, carrying the newest state.
-	if m, err := rd.ReadMessage(); err != nil || m.Type() != TDrain {
-		t.Fatalf("first message %v err %v, want Drain", m, err)
+	if m, err := rd.ReadMessage(); err != nil || m.Type() != TStatsRequest {
+		t.Fatalf("first message %v err %v, want the stall message", m, err)
 	}
 	m, err := rd.ReadMessage()
 	if err != nil {
@@ -102,9 +102,9 @@ func TestStreamCoalescesUnderStalledReader(t *testing.T) {
 	}
 }
 
-// TestStreamEvictsStaleOnOverflow: a full queue admits new keyed traffic by
-// dropping the oldest keyed message, reporting each eviction through the
-// drop hook, while unkeyed messages are never shed.
+// TestStreamEvictsStaleOnOverflow: a full queue admits new traffic by
+// dropping the oldest queued message, reporting each eviction through the
+// drop hook.
 func TestStreamEvictsStaleOnOverflow(t *testing.T) {
 	st, rd := streamPair(t, 4)
 	var drops []StreamKey
@@ -130,8 +130,8 @@ func TestStreamEvictsStaleOnOverflow(t *testing.T) {
 	}
 
 	// The survivors are the four newest cells, in order.
-	if m, err := rd.ReadMessage(); err != nil || m.Type() != TDrain {
-		t.Fatalf("first message %v err %v, want the stall Drain", m, err)
+	if m, err := rd.ReadMessage(); err != nil || m.Type() != TStatsRequest {
+		t.Fatalf("first message %v err %v, want the stall message", m, err)
 	}
 	for want := uint16(7); want <= 10; want++ {
 		m, err := rd.ReadMessage()
@@ -144,36 +144,12 @@ func TestStreamEvictsStaleOnOverflow(t *testing.T) {
 	}
 }
 
-// TestStreamUnkeyedOverflow: unkeyed (lifecycle) messages queue past the
-// limit rather than drop, and a keyed enqueue into a queue with nothing
-// evictable reports overflow instead of blocking or shedding FIFO traffic.
-func TestStreamUnkeyedOverflow(t *testing.T) {
-	st, rd := streamPair(t, 2)
-	stallWriter(t, st)
-
-	for i := 0; i < 5; i++ {
-		if err := st.Enqueue(StreamKey{}, &Promote{Seq: uint32(i + 10)}); err != nil {
-			t.Fatalf("unkeyed enqueue %d: %v", i, err)
-		}
-	}
-	if err := st.Enqueue(StreamKey{Kind: KeyPlacement, Cell: 1}, &AssignCell{Seq: 99, Cell: 1}); !errors.Is(err, ErrStreamOverflow) {
-		t.Fatalf("keyed enqueue into unkeyed-full queue: err %v, want ErrStreamOverflow", err)
-	}
-	if m, err := rd.ReadMessage(); err != nil || m.Type() != TDrain {
-		t.Fatalf("first message %v err %v, want the stall Drain", m, err)
-	}
-	for i := 0; i < 5; i++ {
-		m, err := rd.ReadMessage()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Type() != TPromote {
-			t.Fatalf("message %d is %v, want every unkeyed Promote delivered", i, m.Type())
-		}
-	}
-
+// TestStreamClosedRejectsEnqueue: once closed, a stream refuses new
+// messages instead of queueing them for a writer that is gone.
+func TestStreamClosedRejectsEnqueue(t *testing.T) {
+	st, _ := streamPair(t, 2)
 	st.close()
-	if err := st.Enqueue(StreamKey{}, &Drain{}); !errors.Is(err, ErrStreamClosed) {
+	if err := st.Enqueue(StreamKey{Kind: KeyPlacement, Cell: 1}, &AssignCell{Seq: 1, Cell: 1}); !errors.Is(err, ErrStreamClosed) {
 		t.Fatalf("enqueue after close: err %v, want ErrStreamClosed", err)
 	}
 }

@@ -50,9 +50,9 @@ func waitUntil(timeout time.Duration, cond func() bool) bool {
 // victim's reconnect and ownership reconciliation.
 func runLiveRecovery(nCells int, hb time.Duration, misses int, ttiInterval time.Duration) (recoveryOutcome, error) {
 	var out recoveryOutcome
-	var cells []node.CellSpecNet
+	var cells []frame.CellConfig
 	for i := 0; i < nCells; i++ {
-		cells = append(cells, node.CellSpecNet{
+		cells = append(cells, frame.CellConfig{
 			ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1,
 		})
 	}

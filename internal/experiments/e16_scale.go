@@ -87,9 +87,6 @@ func (a *stubAgent) readLoop() {
 			if err == nil {
 				_ = a.client.SendStatsReport(t.Seq, data)
 			}
-		case *ctrlproto.Drain, *ctrlproto.Promote:
-			// Lifecycle commands carry a Seq in their first field; both are
-			// bookkeeping no-ops for a stub.
 		}
 	}
 }
@@ -170,9 +167,9 @@ type e16Outcome struct {
 func runScale(nCells, nAgents int, churn time.Duration) (e16Outcome, error) {
 	out := e16Outcome{cells: nCells, agents: nAgents}
 	const period = 50 * time.Millisecond
-	cells := make([]node.CellSpecNet, nCells)
+	cells := make([]frame.CellConfig, nCells)
 	for i := range cells {
-		cells[i] = node.CellSpecNet{
+		cells[i] = frame.CellConfig{
 			ID: frame.CellID(i), PCI: uint16(i % 504), Bandwidth: phy.BW1_4MHz, Antennas: 1,
 		}
 	}

@@ -256,16 +256,17 @@ func newAgent(cfg AgentConfig) (*AgentNode, error) {
 		return nil, err
 	}
 	a := &AgentNode{
-		cfg:      cfg,
-		pool:     pool,
-		model:    cluster.DefaultCostModel(),
-		logf:     cfg.Logf,
-		dial:     cfg.Dial,
-		programs: ranapi.NewRegistry(),
-		mcsCap:   ranapi.NewMCSCapProgram(),
-		cells:    make(map[frame.CellID]*cellRuntime),
-		closeCh:  make(chan struct{}),
-		stopCh:   make(chan struct{}),
+		cfg:          cfg,
+		pool:         pool,
+		model:        cluster.DefaultCostModel(),
+		logf:         cfg.Logf,
+		dial:         cfg.Dial,
+		programs:     ranapi.NewRegistry(),
+		mcsCap:       ranapi.NewMCSCapProgram(),
+		cells:        make(map[frame.CellID]*cellRuntime),
+		closeCh:      make(chan struct{}),
+		pendingState: make(map[frame.CellID][]byte),
+		stopCh:       make(chan struct{}),
 	}
 	if err := a.programs.Register(a.mcsCap); err != nil {
 		_ = pool.Close()
@@ -471,7 +472,8 @@ func (a *AgentNode) commandLoop() error {
 		}
 		switch t := m.(type) {
 		case *ctrlproto.AssignCell:
-			if err := a.assignCell(t); err != nil {
+			cfg := frame.CellConfig{ID: frame.CellID(t.Cell), PCI: t.PCI, Bandwidth: phy.Bandwidth(t.PRB), Antennas: int(t.Antennas)}
+			if err := a.assign(cfg); err != nil {
 				a.logf("agent %d: assign cell %d: %v", a.cfg.ServerID, t.Cell, err)
 				a.cmdError("assign_cell")
 				_ = c.SendError(t.Seq, 1, err.Error())
@@ -480,31 +482,26 @@ func (a *AgentNode) commandLoop() error {
 			a.logf("agent %d: assigned cell %d", a.cfg.ServerID, t.Cell)
 			_ = c.Ack(t.Seq)
 		case *ctrlproto.RemoveCell:
-			// Ship the cell's HARQ state to the controller before
-			// releasing it, so the destination server can resume
-			// in-flight retransmissions (PRAN's migration path).
-			if state := a.snapshotCellState(frame.CellID(t.Cell)); state != nil {
+			// Ship the cell's final HARQ state to the controller before
+			// acking the removal, so the destination server resumes
+			// in-flight retransmissions from it (PRAN's migration path).
+			if state := a.cellState(frame.CellID(t.Cell), true); state != nil {
 				if err := c.SendMigrateState(t.Cell, state); err != nil {
 					a.cmdError("remove_cell")
 				} else {
 					inc(a.stateShipped, uint64(len(state)))
 				}
 			}
-			a.removeCell(frame.CellID(t.Cell))
 			a.logf("agent %d: removed cell %d", a.cfg.ServerID, t.Cell)
 			_ = c.Ack(t.Seq)
 		case *ctrlproto.MigrateState:
-			if err := a.restoreCellState(frame.CellID(t.Cell), t.State); err != nil {
-				a.logf("agent %d: restore cell %d state: %v", a.cfg.ServerID, t.Cell, err)
+			if err := a.parkCellState(frame.CellID(t.Cell), t.State); err != nil {
+				a.logf("agent %d: park cell %d state: %v", a.cfg.ServerID, t.Cell, err)
 				a.cmdError("migrate_state")
 				_ = c.SendError(t.Seq, 2, err.Error())
 				continue
 			}
-			a.logf("agent %d: restored %d bytes of cell %d state", a.cfg.ServerID, len(t.State), t.Cell)
-			_ = c.Ack(t.Seq)
-		case *ctrlproto.Drain:
-			_ = c.Ack(t.Seq)
-		case *ctrlproto.Promote:
+			a.logf("agent %d: parked %d bytes of cell %d state", a.cfg.ServerID, len(t.State), t.Cell)
 			_ = c.Ack(t.Seq)
 		case *ctrlproto.StatsRequest:
 			if err := c.SendStatsReport(t.Seq, a.encodeTelemetry()); err != nil {
@@ -514,15 +511,9 @@ func (a *AgentNode) commandLoop() error {
 	}
 }
 
-// assignCell builds the cell's runtime (RRH emulator + ingest + traffic +
-// HARQ loop).
-func (a *AgentNode) assignCell(cmd *ctrlproto.AssignCell) error {
-	cellCfg := frame.CellConfig{
-		ID:        frame.CellID(cmd.Cell),
-		PCI:       cmd.PCI,
-		Bandwidth: phy.Bandwidth(cmd.PRB),
-		Antennas:  int(cmd.Antennas),
-	}
+// assign serves a cell: it builds the cell's runtime (RRH emulator + ingest
+// + traffic + HARQ loop) and applies any state parked for it.
+func (a *AgentNode) assign(cellCfg frame.CellConfig) error {
 	if err := cellCfg.Validate(); err != nil {
 		return err
 	}
@@ -530,11 +521,12 @@ func (a *AgentNode) assignCell(cmd *ctrlproto.AssignCell) error {
 	running, ok := a.cells[cellCfg.ID]
 	a.mu.Unlock()
 	if ok && running.cfg == cellCfg {
-		// Already served as configured: keep its HARQ state, including
-		// any state the controller shipped ahead of this assignment.
+		// Already served as configured (a repeated assignment): keep its
+		// runtime and live HARQ state.
 		return nil
 	}
-	rrh, err := dataplane.NewRRHEmulator(cellCfg, a.cfg.Seed+int64(cmd.Cell)*997)
+	id := int(cellCfg.ID)
+	rrh, err := dataplane.NewRRHEmulator(cellCfg, a.cfg.Seed+int64(id)*997)
 	if err != nil {
 		return err
 	}
@@ -542,15 +534,15 @@ func (a *AgentNode) assignCell(cmd *ctrlproto.AssignCell) error {
 	if err != nil {
 		return err
 	}
-	classes := traffic.StandardMix(int(cmd.Cell) + 1)
+	classes := traffic.StandardMix(id + 1)
 	gen, err := traffic.NewGenerator(cellCfg.Bandwidth,
-		[]traffic.CellProfile{traffic.DefaultProfile(classes[cmd.Cell])},
-		a.cfg.Seed+int64(cmd.Cell), 12)
+		[]traffic.CellProfile{traffic.DefaultProfile(classes[id])},
+		a.cfg.Seed+int64(id), 12)
 	if err != nil {
 		return err
 	}
 	if a.cfg.Schedule != nil {
-		if err := gen.SetSchedule(a.cfg.Schedule, int(cmd.Cell)); err != nil {
+		if err := gen.SetSchedule(a.cfg.Schedule, id); err != nil {
 			return err
 		}
 	}
@@ -572,26 +564,20 @@ func (a *AgentNode) assignCell(cmd *ctrlproto.AssignCell) error {
 	return nil
 }
 
-// assign serves c as if the controller had assigned it.
-func (a *AgentNode) assign(c CellSpecNet) error {
-	return a.assignCell(&ctrlproto.AssignCell{Cell: uint16(c.ID), PCI: c.PCI, PRB: uint16(c.Bandwidth.PRB()), Antennas: uint8(c.Antennas)})
-}
-
-func (a *AgentNode) removeCell(id frame.CellID) {
-	a.mu.Lock()
-	if rt, ok := a.cells[id]; ok && rt.demandGauge != nil {
-		rt.demandGauge.Set(0) // the cell no longer demands compute here
-	}
-	delete(a.cells, id)
-	a.mu.Unlock()
-}
-
-// snapshotCellState serializes a cell's HARQ state, or nil when the cell is
-// unknown or has no state worth shipping.
-func (a *AgentNode) snapshotCellState(id frame.CellID) []byte {
+// cellState serializes a cell's HARQ state, or nil when the cell is
+// unknown or has no state worth shipping. With remove it also stops serving
+// the cell in the same critical section, so no subframe runs between the
+// snapshot and the removal and the state is final.
+func (a *AgentNode) cellState(id frame.CellID, remove bool) []byte {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	rt, ok := a.cells[id]
+	if ok && remove {
+		if rt.demandGauge != nil {
+			rt.demandGauge.Set(0) // the cell no longer demands compute here
+		}
+		delete(a.cells, id)
+	}
 	if !ok || rt.proc.HARQ().Processes() == 0 {
 		return nil
 	}
@@ -602,24 +588,16 @@ func (a *AgentNode) snapshotCellState(id frame.CellID) []byte {
 	return state
 }
 
-// restoreCellState loads migrated HARQ state into an assigned cell. State
-// arriving before the AssignCell command is parked and applied on
-// assignment.
-func (a *AgentNode) restoreCellState(id frame.CellID, state []byte) error {
+// parkCellState holds migrated HARQ state for a cell the agent does not
+// serve yet; its assignment applies it. State for a cell already served is
+// refused: the live state is newer than anything the controller holds.
+func (a *AgentNode) parkCellState(id frame.CellID, state []byte) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	rt, ok := a.cells[id]
-	if !ok {
-		if a.pendingState == nil {
-			a.pendingState = make(map[frame.CellID][]byte)
-		}
-		a.pendingState[id] = append([]byte(nil), state...)
-		return nil
+	if _, ok := a.cells[id]; ok {
+		return fmt.Errorf("node: cell %d is already served: %w", id, phy.ErrBadParameter)
 	}
-	if err := rt.proc.HARQ().UnmarshalBinary(state); err != nil {
-		return err
-	}
-	inc(a.stateRestored, uint64(len(state)))
+	a.pendingState[id] = state // the decoder's copy; the message is not reused
 	return nil
 }
 
@@ -668,7 +646,7 @@ func (a *AgentNode) tick() {
 // overheads, iteration spread, retransmissions, cache warm-up). The
 // throwaway pool records into a private registry, so none of its tasks
 // reach cfg.Pool.Telemetry or telemetry.Default().
-func CalibrateScale(cfg AgentConfig, cells []CellSpecNet, warmupTTIs int) (float64, error) {
+func CalibrateScale(cfg AgentConfig, cells []frame.CellConfig, warmupTTIs int) (float64, error) {
 	if warmupTTIs <= 0 {
 		warmupTTIs = 100
 	}
@@ -754,7 +732,7 @@ func (a *AgentNode) reportLoop() {
 		}
 		if tick%warmSnapshotEvery == 0 {
 			for _, r := range reps {
-				if state := a.snapshotCellState(r.cell); state != nil {
+				if state := a.cellState(r.cell, false); state != nil {
 					if err := c.SendMigrateState(uint16(r.cell), state); err == nil {
 						inc(a.stateShipped, uint64(len(state)))
 					}

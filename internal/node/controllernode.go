@@ -10,28 +10,23 @@
 // package, and cmd/pran-sim runs one of each in-process, so the whole
 // distributed path stays unit-testable over loopback.
 //
-// Concurrency: this is where the single-threaded control plane meets the
-// network. The controller node serializes placement mutation behind one
-// mutex (n.mu), but its fan-in paths are sharded so dozens of per-agent
-// reader goroutines never serialize on a single lock: heartbeat leases and
-// scrape correlation state live in per-shard maps keyed by agent ID, and
-// cell-load reports land in the controller's sharded LoadMonitor. On the
-// fan-out side every agent has a dedicated stream writer goroutine
-// (ctrlproto.Stream) draining a bounded coalescing queue, so no goroutine
-// holding n.mu ever performs socket IO — commands are enqueued after the
-// lock is released, and a slow agent backpressures only its own queue. The
-// agent node runs a TTI loop goroutine that steps every assigned cell's
-// runtime (schedule → RAN programs → HARQ retransmissions → emit → ingest
-// into its dataplane pool) plus a report loop goroutine streaming load,
-// sharing state under the agent's mutex; pool workers reach a cell's HARQ
-// loop only through task completions, under that loop's own mutex.
-// Shutdown joins all goroutines via WaitGroups. See
-// docs/control-plane.md for the full contract.
+// Concurrency: the controller node's goroutines (control loop, lease sweep,
+// per-agent readers) turn protocol callbacks into events for one pure cell
+// ownership machine, apply each under n.mu (which also guards the
+// controller's calls), and send the returned commands after unlocking, so
+// no goroutine holding n.mu performs socket IO. Heartbeat leases, scrape
+// correlation and cell-load reports are sharded by agent ID instead; every
+// agent has its own stream writer goroutine (ctrlproto.Stream). The agent
+// node's TTI loop and report loop share its state under the agent's mutex;
+// pool workers reach a cell's HARQ loop only through task completions,
+// under that loop's own mutex. Shutdown joins all goroutines via
+// WaitGroups. See docs/control-plane.md and docs/concurrency.md.
 package node
 
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -43,40 +38,21 @@ import (
 	"pran/internal/telemetry"
 )
 
-// CellSpecNet describes a cell the controller is responsible for assigning.
-type CellSpecNet struct {
-	// ID is the PRAN cell identifier; PCI its physical identity.
-	ID  frame.CellID
-	PCI uint16
-	// Bandwidth and Antennas describe the cell's radio configuration.
-	Bandwidth phy.Bandwidth
-	Antennas  int
-}
-
 // ControllerNode is the networked control plane: a ctrlproto server whose
 // registered agents form the controller's cluster, plus a periodic control
-// loop that scales, places, pushes cell assignments, and sweeps heartbeat
-// leases to detect dead agents.
+// loop that scales and places, a cell-ownership state machine that turns
+// the placement into acked commands, and a heartbeat-lease sweep that
+// detects dead agents.
 type ControllerNode struct {
 	srv         *ctrlproto.Server
 	ctl         *controller.Controller
-	cells       map[frame.CellID]CellSpecNet
 	logf        func(format string, args ...any)
 	period      time.Duration
 	reg         *telemetry.Registry
 	leaseBudget time.Duration
 
 	mu      sync.Mutex
-	applied controller.Placement // what agents have been told
-	// pendingRemoves holds removals that could not be delivered (stream
-	// closed, queue overflow, or evicted under backpressure); pushPlacement
-	// retries them every round until the agent takes them or the placement
-	// routes the cell back.
-	pendingRemoves map[frame.CellID]cluster.ServerID
-	// warm caches the freshest HARQ snapshot per cell (shipped by agents
-	// with their load reports) so a failover can re-place a cell together
-	// with its soft-combining state even though its host is gone.
-	warm    map[frame.CellID][]byte
+	own     *ownership // who serves which cell, with each cell's warm HARQ state
 	stopCh  chan struct{}
 	doneCh  chan struct{}
 	started bool
@@ -140,7 +116,7 @@ type ControllerConfig struct {
 	// Controller is the control-plane configuration.
 	Controller controller.Config
 	// Cells lists the cells to manage.
-	Cells []CellSpecNet
+	Cells []frame.CellConfig
 	// Period is the control-loop cadence (default 500 ms).
 	Period time.Duration
 	// HeartbeatInterval is the reporting cadence requested from agents
@@ -172,6 +148,16 @@ func NewControllerNode(ln net.Listener, cfg ControllerConfig) (*ControllerNode, 
 	if len(cfg.Cells) == 0 {
 		return nil, fmt.Errorf("node: no cells to manage: %w", phy.ErrBadParameter)
 	}
+	seen := make(map[frame.CellID]bool, len(cfg.Cells))
+	for _, c := range cfg.Cells {
+		if err := c.Validate(); err != nil {
+			return nil, fmt.Errorf("node: %w", err)
+		}
+		if seen[c.ID] {
+			return nil, fmt.Errorf("node: cell %d listed twice: %w", c.ID, phy.ErrBadParameter)
+		}
+		seen[c.ID] = true
+	}
 	if cfg.Period <= 0 {
 		cfg.Period = 500 * time.Millisecond
 	}
@@ -200,19 +186,16 @@ func NewControllerNode(ln net.Listener, cfg ControllerConfig) (*ControllerNode, 
 	}
 	ctl.Cluster().SetTelemetry(reg)
 	n := &ControllerNode{
-		ctl:            ctl,
-		cells:          make(map[frame.CellID]CellSpecNet, len(cfg.Cells)),
-		logf:           cfg.Logf,
-		period:         cfg.Period,
-		reg:            reg,
-		leaseBudget:    time.Duration(cfg.LeaseMisses) * cfg.HeartbeatInterval,
-		applied:        make(controller.Placement),
-		pendingRemoves: make(map[frame.CellID]cluster.ServerID),
-		warm:           make(map[frame.CellID][]byte),
-		stopCh:         make(chan struct{}),
-		doneCh:         make(chan struct{}),
-		leases:         make([]leaseShard, cfg.Shards),
-		stats:          make([]statsShard, cfg.Shards),
+		ctl:         ctl,
+		logf:        cfg.Logf,
+		period:      cfg.Period,
+		reg:         reg,
+		leaseBudget: time.Duration(cfg.LeaseMisses) * cfg.HeartbeatInterval,
+		own:         newOwnership(slices.Clone(cfg.Cells)),
+		stopCh:      make(chan struct{}),
+		doneCh:      make(chan struct{}),
+		leases:      make([]leaseShard, cfg.Shards),
+		stats:       make([]statsShard, cfg.Shards),
 
 		leaseExpiries:   reg.Counter("controller.lease_expiries"),
 		registrations:   reg.Counter("controller.registrations"),
@@ -236,9 +219,6 @@ func NewControllerNode(ln net.Listener, cfg ControllerConfig) (*ControllerNode, 
 	for i := range n.stats {
 		n.stats[i].pending = make(map[uint32]chan []byte)
 	}
-	for _, c := range cfg.Cells {
-		n.cells[c.ID] = c
-	}
 	n.srv = ctrlproto.NewServer(ln, (*ctrlHandler)(n))
 	n.srv.HeartbeatInterval = cfg.HeartbeatInterval
 	// Keep the socket timeout well past the lease budget so the sweep, not
@@ -250,23 +230,56 @@ func NewControllerNode(ln net.Listener, cfg ControllerConfig) (*ControllerNode, 
 	n.srv.OnStreamSend = func(a *ctrlproto.Agent, key ctrlproto.StreamKey, wait time.Duration) {
 		n.streamWait.ObserveDuration(int(a.ID), wait)
 	}
-	// Evictions under backpressure: repair the bookkeeping so the dropped
-	// state is re-driven once the agent catches up.
-	n.srv.OnStreamDrop = func(a *ctrlproto.Agent, key ctrlproto.StreamKey, m ctrlproto.Message) {
-		switch t := m.(type) {
-		case *ctrlproto.AssignCell:
-			n.mu.Lock()
-			if n.applied[frame.CellID(t.Cell)] == cluster.ServerID(a.ID) {
-				delete(n.applied, frame.CellID(t.Cell))
-			}
-			n.mu.Unlock()
+	// An evicted cell command fails its step; the next round re-drives it.
+	n.srv.OnStreamDrop = func(a *ctrlproto.Agent, _ ctrlproto.StreamKey, m ctrlproto.Message) { n.fail(a.ID, m) }
+	return n, nil
+}
+
+// fail fails the step cell command m to agent was for. Any other message
+// (an evicted stats request just times its scrape out) is ignored.
+func (n *ControllerNode) fail(agent uint32, m ctrlproto.Message) {
+	var seq uint32
+	switch t := m.(type) {
+	case *ctrlproto.AssignCell:
+		seq = t.Seq
+	case *ctrlproto.RemoveCell:
+		seq = t.Seq
+	case *ctrlproto.MigrateState:
+		seq = t.Seq
+	default:
+		return
+	}
+	n.handle(event{kind: evFail, agent: cluster.ServerID(agent), seq: seq})
+}
+
+// handle applies one event under n.mu and sends the commands it returns.
+func (n *ControllerNode) handle(e event) {
+	n.mu.Lock()
+	cmds := n.own.apply(e)
+	n.warmBytes.Set(int64(n.own.warmBytes))
+	n.mu.Unlock()
+	n.send(cmds)
+}
+
+// send enqueues the commands on their agents' streams, in order. A command
+// that cannot be queued fails its step at once.
+func (n *ControllerNode) send(cmds []command) {
+	for _, c := range cmds {
+		if err := c.link.Send(c.msg); err != nil {
+			n.logf("controller: %v to %d: %v", c.msg.Type(), c.link.ID, err)
+			n.fail(c.link.ID, c.msg)
+			continue
+		}
+		switch t := c.msg.(type) {
 		case *ctrlproto.RemoveCell:
-			n.mu.Lock()
-			n.pendingRemoves[frame.CellID(t.Cell)] = cluster.ServerID(a.ID)
-			n.mu.Unlock()
+			n.removesSent.Inc(0)
+		case *ctrlproto.MigrateState:
+			n.statePushed.Add(0, uint64(len(t.State)))
+			n.logf("controller: pushed %d bytes of warm cell %d state to %d", len(t.State), t.Cell, c.link.ID)
+		case *ctrlproto.AssignCell:
+			n.assignsSent.Inc(0)
 		}
 	}
-	return n, nil
 }
 
 // ctrlHandler adapts protocol events onto the node (separate type so the
@@ -344,35 +357,29 @@ func (n *ControllerNode) sweepLeases() {
 	for _, id := range expired {
 		n.leaseExpiries.Inc(0)
 		n.logf("controller: server %d lease expired (budget %v)", id, n.leaseBudget)
-		if agent, up := n.srv.Agent(id); up {
-			_ = agent.Close() // reader goroutine sees the close; OnDisconnect only logs
+		if link, up := n.srv.Agent(id); up {
+			_ = link.Close() // its reader goroutine delivers the disconnect
 		}
-		n.failover(cluster.ServerID(id))
+		n.mu.Lock()
+		rep, err := n.ctl.OnServerFailure(cluster.ServerID(id))
+		cmds := n.own.apply(event{kind: evExpire, agent: cluster.ServerID(id), want: n.ctl.Placement()})
+		n.mu.Unlock()
+		if err == nil {
+			n.cellsFailedOver.Add(0, uint64(len(rep.LostCells)))
+			n.logf("controller: failover moved %d cells (%d promotions)", len(rep.LostCells), rep.Promotions)
+		}
+		n.send(cmds)
 	}
-}
-
-// failover marks the server failed, re-places its cells, and pushes the new
-// placement. Must be called without n.mu held.
-func (n *ControllerNode) failover(id cluster.ServerID) {
-	n.mu.Lock()
-	rep, err := n.ctl.OnServerFailure(id)
-	n.mu.Unlock()
-	if err != nil {
-		return // unknown or already failed
-	}
-	n.cellsFailedOver.Add(0, uint64(len(rep.LostCells)))
-	n.logf("controller: failover moved %d cells (%d promotions)", len(rep.LostCells), rep.Promotions)
-	n.pushPlacement()
 }
 
 // OnMessage feeds cell-load reports into the controller's monitor and
-// relays migration state from a cell's old server to its new one. Every
-// message renews the sender's lease: a large state transfer can delay
-// heartbeats behind it on the shared stream (head-of-line blocking), and
-// any inbound message is equally strong proof of life.
+// everything about cell ownership into the ownership machine. Every message
+// renews the sender's lease: a large state transfer can delay heartbeats
+// behind it on the shared stream, and any message is proof of life.
 func (h *ctrlHandler) OnMessage(a *ctrlproto.Agent, m ctrlproto.Message) {
 	n := (*ControllerNode)(h)
 	n.touchLease(a.ID)
+	id := cluster.ServerID(a.ID)
 	switch t := m.(type) {
 	case *ctrlproto.CellLoad:
 		n.ctl.ObserveCell(frame.CellID(t.Cell), float64(t.MilliCores)/1000)
@@ -387,84 +394,29 @@ func (h *ctrlHandler) OnMessage(a *ctrlproto.Agent, m ctrlproto.Message) {
 		if ok {
 			ch <- t.Data // buffered; never blocks the reader goroutine
 		}
+	case *ctrlproto.Ack:
+		n.handle(event{kind: evAck, agent: id, seq: t.Seq})
+	case *ctrlproto.ErrorMsg:
+		n.logf("controller: server %d refused command %d: %s", a.ID, t.Seq, t.Text)
+		n.handle(event{kind: evFail, agent: id, seq: t.Seq})
 	case *ctrlproto.MigrateState:
-		// Always refresh the warm cache: this is the freshest snapshot of
-		// the cell's HARQ state and seeds future failovers.
-		n.mu.Lock()
-		n.warm[frame.CellID(t.Cell)] = append([]byte(nil), t.State...)
-		n.setWarmBytesLocked()
-		dst, ok := n.ctl.Placement()[frame.CellID(t.Cell)]
-		n.mu.Unlock()
-		if !ok {
-			return
-		}
-		if agent, up := n.srv.Agent(uint32(dst)); up && agent.ID != a.ID {
-			if _, err := agent.MigrateState(t.Cell, t.State); err != nil {
-				n.logf("controller: relay state for cell %d to %d: %v", t.Cell, dst, err)
-			} else {
-				n.statePushed.Add(0, uint64(len(t.State)))
-				n.logf("controller: relayed %d bytes of cell %d state %d→%d", len(t.State), t.Cell, a.ID, dst)
-			}
-		}
+		// The decoder copied the state out of the frame, so the event owns
+		// its bytes and nothing is copied under n.mu.
+		n.handle(event{kind: evState, agent: id, cell: frame.CellID(t.Cell), state: t.State})
 	case *ctrlproto.CellOwned:
-		n.reconcileOwned(a, t)
+		n.logf("controller: server %d declares %d cells", a.ID, len(t.Cells))
+		n.handle(event{kind: evOwned, agent: id, link: a, cells: t.Cells})
 	}
 }
 
-// reconcileOwned aligns the controller's view with the cell list a
-// reconnecting agent claims to run. The controller wins: cells the agent
-// owns that are placed elsewhere are removed from it (the agent ships their
-// state back, which relays to the current owner); applied entries the agent
-// no longer backs are dropped so the next push re-assigns them.
-func (n *ControllerNode) reconcileOwned(a *ctrlproto.Agent, co *ctrlproto.CellOwned) {
-	srvID := cluster.ServerID(co.ServerID)
-	owned := make(map[frame.CellID]bool, len(co.Cells))
-	for _, c := range co.Cells {
-		owned[frame.CellID(c)] = true
-	}
-	var stale []frame.CellID
-	n.mu.Lock()
-	for cell, s := range n.applied {
-		if s == srvID && !owned[cell] {
-			delete(n.applied, cell) // stale: agent lost it (e.g. restart)
-		}
-	}
-	want := n.ctl.Placement()
-	for cell := range owned {
-		if dst, ok := want[cell]; ok && dst == srvID {
-			n.applied[cell] = srvID // confirmed; no redundant re-assign
-			continue
-		}
-		// Placed elsewhere (or unmanaged) while the agent was away.
-		stale = append(stale, cell)
-	}
-	n.mu.Unlock()
-	// Command writes happen outside n.mu (see pushPlacement).
-	for _, cell := range stale {
-		if _, err := a.RemoveCell(uint16(cell)); err != nil {
-			n.logf("controller: reconcile remove cell %d from %d: %v", cell, co.ServerID, err)
-		} else {
-			n.logf("controller: reconcile: cell %d no longer on %d, removing", cell, co.ServerID)
-		}
-	}
-	n.logf("controller: reconciled server %d (%d cells owned)", co.ServerID, len(co.Cells))
-}
-
-// setWarmBytesLocked refreshes the warm-cache size gauge. Callers hold n.mu.
-func (n *ControllerNode) setWarmBytesLocked() {
-	total := 0
-	for _, s := range n.warm {
-		total += len(s)
-	}
-	n.warmBytes.Set(int64(total))
-}
-
-// OnDisconnect only logs: a broken connection is no longer treated as a
-// server failure. The lease sweep is the single failure detector, which
-// gives agents a reconnect window before their cells are re-placed.
+// OnDisconnect ends the agent's session: commands in flight to it are
+// abandoned, but it keeps its cells. A broken connection is not a server
+// failure; the lease sweep is the single failure detector, which gives
+// agents a reconnect window before their cells are re-placed.
 func (h *ctrlHandler) OnDisconnect(a *ctrlproto.Agent, err error) {
 	n := (*ControllerNode)(h)
 	n.logf("controller: server %d disconnected (lease pending): %v", a.ID, err)
+	n.handle(event{kind: evDisconnect, agent: cluster.ServerID(a.ID), link: a})
 }
 
 // Serve runs the protocol listener and the control loop until Close.
@@ -512,7 +464,9 @@ func (n *ControllerNode) controlLoop() {
 		n.sweepLeases()
 		n.mu.Lock()
 		rep, err := n.ctl.Step()
+		cmds := n.own.apply(event{kind: evPlace, want: n.ctl.Placement()}) // re-drives on error too
 		n.mu.Unlock()
+		n.send(cmds)
 		if err != nil {
 			n.logf("controller: step failed: %v", err)
 			continue
@@ -521,7 +475,6 @@ func (n *ControllerNode) controlLoop() {
 			n.logf("controller: demand=%.2f forecast=%.2f active=%d migrations=%d dropped=%d",
 				rep.Demand, rep.Forecast, rep.Active, rep.Migrations, len(rep.Dropped))
 		}
-		n.pushPlacement()
 		n.roundDur.ObserveDuration(0, time.Since(start))
 		n.updateStreamGauges()
 	}
@@ -542,110 +495,6 @@ func (n *ControllerNode) updateStreamGauges() {
 	n.streamCoal.Set(coal)
 	n.streamDropped.Set(dropped)
 	n.streamDepth.Set(depth)
-}
-
-// pushPlacement diffs the controller's placement against what agents have
-// been told and enqueues remove/assign commands onto the per-agent streams.
-// It must run WITHOUT n.mu held — PR 5's rule, which the streams now make
-// cheap to honor: enqueues never block on a socket, but keeping command
-// dispatch outside the lock also keeps the stream drop hooks (which take
-// n.mu to repair bookkeeping) deadlock-free. The diff is computed and
-// n.applied updated optimistically under the lock; a failed or evicted
-// assign rolls its entry back, and undeliverable removes park in
-// pendingRemoves for retry next round.
-func (n *ControllerNode) pushPlacement() {
-	type removeOp struct {
-		agent *ctrlproto.Agent
-		cell  frame.CellID
-		srv   cluster.ServerID
-	}
-	type assignOp struct {
-		agent *ctrlproto.Agent
-		cell  frame.CellID
-		srv   cluster.ServerID
-		spec  CellSpecNet
-		warm  []byte
-	}
-	var removes []removeOp
-	var assigns []assignOp
-	n.mu.Lock()
-	want := n.ctl.Placement()
-	// Retry removals that previously failed to reach their agent; a cell
-	// routed back to the same server no longer needs one.
-	for cell, srv := range n.pendingRemoves {
-		if dst, ok := want[cell]; ok && dst == srv {
-			delete(n.pendingRemoves, cell)
-			continue
-		}
-		if agent, up := n.srv.Agent(uint32(srv)); up {
-			removes = append(removes, removeOp{agent, cell, srv})
-			delete(n.pendingRemoves, cell)
-		}
-	}
-	// Removals first (cells that moved or vanished).
-	for cell, oldSrv := range n.applied {
-		if newSrv, ok := want[cell]; !ok || newSrv != oldSrv {
-			if agent, up := n.srv.Agent(uint32(oldSrv)); up {
-				removes = append(removes, removeOp{agent, cell, oldSrv})
-			}
-			delete(n.applied, cell)
-		}
-	}
-	// Additions.
-	for cell, srv := range want {
-		if cur, ok := n.applied[cell]; ok && cur == srv {
-			continue
-		}
-		spec, ok := n.cells[cell]
-		if !ok {
-			continue // load reported for a cell we don't manage
-		}
-		agent, up := n.srv.Agent(uint32(srv))
-		if !up {
-			continue
-		}
-		// Warm snapshots are replaced wholesale on arrival, never mutated
-		// in place, so the slice is safe to read after unlocking.
-		assigns = append(assigns, assignOp{agent, cell, srv, spec, n.warm[cell]})
-		n.applied[cell] = srv
-	}
-	n.mu.Unlock()
-	for _, op := range removes {
-		if _, err := op.agent.RemoveCell(uint16(op.cell)); err != nil {
-			n.logf("controller: remove cell %d from %d: %v", op.cell, op.srv, err)
-			n.mu.Lock()
-			n.pendingRemoves[op.cell] = op.srv
-			n.mu.Unlock()
-			continue
-		}
-		n.removesSent.Inc(0)
-	}
-	for _, op := range assigns {
-		// Ship the warm HARQ snapshot ahead of the assignment: the agent
-		// parks state for a cell it does not run yet and applies it when
-		// the assignment lands, so the first subframe it serves already
-		// combines into the old host's soft state. A fresher snapshot
-		// relayed directly from the old host (if it is still up)
-		// supersedes this one on arrival.
-		if len(op.warm) > 0 {
-			if _, err := op.agent.MigrateState(uint16(op.cell), op.warm); err != nil {
-				n.logf("controller: push warm state for cell %d to %d: %v", op.cell, op.srv, err)
-			} else {
-				n.statePushed.Add(0, uint64(len(op.warm)))
-				n.logf("controller: pushed %d bytes of warm cell %d state to %d", len(op.warm), op.cell, op.srv)
-			}
-		}
-		if _, err := op.agent.AssignCell(uint16(op.cell), op.spec.PCI, uint16(op.spec.Bandwidth.PRB()), uint8(op.spec.Antennas)); err != nil {
-			n.logf("controller: assign cell %d to %d: %v", op.cell, op.srv, err)
-			n.mu.Lock()
-			if n.applied[op.cell] == op.srv {
-				delete(n.applied, op.cell)
-			}
-			n.mu.Unlock()
-			continue
-		}
-		n.assignsSent.Inc(0)
-	}
 }
 
 // Telemetry returns the controller's local registry.
@@ -736,9 +585,10 @@ func (n *ControllerNode) ScrapeTelemetry(timeout time.Duration) (telemetry.Snaps
 	return merged, reported, nil
 }
 
-// Applied returns a copy of the placement as pushed to agents.
+// Applied returns the placement agents have confirmed: every cell with an
+// owner and no command in flight.
 func (n *ControllerNode) Applied() controller.Placement {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.applied.Clone()
+	return n.own.applied()
 }

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"bytes"
 	"net"
 	"sync"
 	"testing"
@@ -198,26 +199,40 @@ func TestAgentReconnectKeepsCells(t *testing.T) {
 }
 
 // rawAgent is a hand-driven protocol client standing in for an agent: it
-// heartbeats every hb, acks every command, and keeps what the controller
-// sent in arrival order.
+// heartbeats every hb, answers every command, and keeps what the controller
+// sent in arrival order, with arrival times.
 type rawAgent struct {
 	c    *ctrlproto.Client
+	opts rawOpts
 	stop chan struct{}
 	once sync.Once
 	wg   sync.WaitGroup
 
-	mu  sync.Mutex
-	got []ctrlproto.Message
+	mu    sync.Mutex
+	got   []ctrlproto.Message
+	at    []time.Time
+	acked map[uint32]time.Time // when each command's ack was sent
 }
 
-// dialRawAgent registers a raw agent; the test's cleanup kills it.
-func dialRawAgent(t *testing.T, addr string, id uint32, hb time.Duration) *rawAgent {
+// rawOpts shape a raw agent's session.
+type rawOpts struct {
+	owned  []uint16 // cells declared on connect
+	final  []byte   // state shipped for a cell before acking its removal
+	refuse bool     // answer AssignCell with an ErrorMsg
+}
+
+// dialRawAgent registers a raw agent, which declares opts.owned as a real
+// agent declares its cells on every connect; the test's cleanup kills it.
+func dialRawAgent(t *testing.T, addr string, id uint32, hb time.Duration, opts rawOpts) *rawAgent {
 	t.Helper()
 	c, err := ctrlproto.DialAgent(addr, id, 2, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rawAgent{c: c, stop: make(chan struct{})}
+	if err := c.SendCellOwned(opts.owned); err != nil {
+		t.Fatal(err)
+	}
+	r := &rawAgent{c: c, opts: opts, stop: make(chan struct{}), acked: map[uint32]time.Time{}}
 	r.wg.Add(2)
 	go func() {
 		defer r.wg.Done()
@@ -241,15 +256,30 @@ func dialRawAgent(t *testing.T, addr string, id uint32, hb time.Duration) *rawAg
 			}
 			r.mu.Lock()
 			r.got = append(r.got, m)
+			r.at = append(r.at, time.Now())
 			r.mu.Unlock()
+			var seq uint32
 			switch t := m.(type) {
 			case *ctrlproto.AssignCell:
-				_ = c.Ack(t.Seq)
+				if r.opts.refuse {
+					_ = c.SendError(t.Seq, 1, "refused")
+					continue
+				}
+				seq = t.Seq
 			case *ctrlproto.RemoveCell:
-				_ = c.Ack(t.Seq)
+				if r.opts.final != nil {
+					_ = c.SendMigrateState(t.Cell, r.opts.final)
+				}
+				seq = t.Seq
 			case *ctrlproto.MigrateState:
-				_ = c.Ack(t.Seq)
+				seq = t.Seq
+			default:
+				continue
 			}
+			r.mu.Lock()
+			r.acked[seq] = time.Now()
+			r.mu.Unlock()
+			_ = c.Ack(seq)
 		}
 	}()
 	t.Cleanup(r.kill)
@@ -272,16 +302,48 @@ func (r *rawAgent) received() []ctrlproto.Message {
 	return append([]ctrlproto.Message(nil), r.got...)
 }
 
-// assigned reports whether every cell has been assigned to the agent.
-func (r *rawAgent) assigned(cells ...uint16) bool {
-	seen := map[uint16]bool{}
-	for _, m := range r.received() {
-		if a, ok := m.(*ctrlproto.AssignCell); ok {
-			seen[a.Cell] = true
+// first returns the index and arrival time of the first message of type
+// ty for cell, or -1.
+func (r *rawAgent) first(ty ctrlproto.MsgType, cell uint16) (int, time.Time) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i, m := range r.got {
+		if m.Type() == ty && msgCell(m) == cell {
+			return i, r.at[i]
 		}
 	}
+	return -1, time.Time{}
+}
+
+// msgCell is the cell a cell command names.
+func msgCell(m ctrlproto.Message) uint16 {
+	switch t := m.(type) {
+	case *ctrlproto.AssignCell:
+		return t.Cell
+	case *ctrlproto.RemoveCell:
+		return t.Cell
+	case *ctrlproto.MigrateState:
+		return t.Cell
+	}
+	return 0
+}
+
+// count returns how many messages of the given type the agent received for
+// cell.
+func (r *rawAgent) count(ty ctrlproto.MsgType, cell uint16) int {
+	n := 0
+	for _, m := range r.received() {
+		if m.Type() == ty && msgCell(m) == cell {
+			n++
+		}
+	}
+	return n
+}
+
+// assigned reports whether every cell has been assigned to the agent.
+func (r *rawAgent) assigned(cells ...uint16) bool {
 	for _, c := range cells {
-		if !seen[c] {
+		if r.count(ctrlproto.TAssignCell, c) == 0 {
 			return false
 		}
 	}
@@ -297,7 +359,7 @@ func (r *rawAgent) assigned(cells ...uint16) bool {
 func TestFailoverShipsStateBeforeAssignment(t *testing.T) {
 	const hb = 20 * time.Millisecond
 	cn := startControllerNodeCfg(t, 2, hb, 5)
-	victim := dialRawAgent(t, cn.Addr().String(), 1, hb)
+	victim := dialRawAgent(t, cn.Addr().String(), 1, hb, rawOpts{})
 	for i := 0; i < 2; i++ {
 		cn.Controller().ObserveCell(frame.CellID(i), 0.05)
 	}
@@ -312,7 +374,7 @@ func TestFailoverShipsStateBeforeAssignment(t *testing.T) {
 		return cn.Telemetry().Gauge("controller.warm_state_bytes").Value() == int64(2*len(state))
 	})
 
-	survivor := dialRawAgent(t, cn.Addr().String(), 2, hb)
+	survivor := dialRawAgent(t, cn.Addr().String(), 2, hb, rawOpts{})
 	victim.kill()
 	waitFor(t, "failover to the survivor", 10*time.Second, func() bool { return survivor.assigned(0, 1) })
 	for cell := uint16(0); cell < 2; cell++ {
@@ -332,5 +394,205 @@ func TestFailoverShipsStateBeforeAssignment(t *testing.T) {
 		if stateAt < 0 || stateAt > assignAt {
 			t.Fatalf("cell %d: warm state arrived at message %d, assignment at %d; the survivor served the cell cold", cell, stateAt, assignAt)
 		}
+	}
+}
+
+// TestReconnectedVictimStateIsDiscarded is the split-brain regression: a
+// victim whose cells failed over comes back declaring them and, removed,
+// ships the state it kept building while cut off. That state must not
+// reach the survivor, which already serves the cells, and must not replace
+// the warm snapshot the failover restored from.
+func TestReconnectedVictimStateIsDiscarded(t *testing.T) {
+	const hb = 20 * time.Millisecond
+	cn := startControllerNodeCfg(t, 2, hb, 5)
+	victim := dialRawAgent(t, cn.Addr().String(), 1, hb, rawOpts{})
+	for i := 0; i < 2; i++ {
+		cn.Controller().ObserveCell(frame.CellID(i), 0.05)
+	}
+	waitFor(t, "both cells on the victim", 5*time.Second, func() bool { return victim.assigned(0, 1) })
+	pre := []byte("pre-partition snapshot")
+	for cell := uint16(0); cell < 2; cell++ {
+		if err := victim.c.SendMigrateState(cell, pre); err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm := cn.Telemetry().Gauge("controller.warm_state_bytes")
+	waitFor(t, "warm state at controller", 5*time.Second, func() bool { return warm.Value() == int64(2*len(pre)) })
+
+	survivor := dialRawAgent(t, cn.Addr().String(), 2, hb, rawOpts{})
+	victim.kill()
+	waitFor(t, "failover to the survivor", 10*time.Second, func() bool { return survivor.assigned(0, 1) })
+
+	back := dialRawAgent(t, cn.Addr().String(), 1, hb, rawOpts{owned: []uint16{0, 1}, final: []byte("state built while partitioned")})
+	waitFor(t, "the victim's cells removed", 5*time.Second, func() bool {
+		return back.count(ctrlproto.TRemoveCell, 0) > 0 && back.count(ctrlproto.TRemoveCell, 1) > 0
+	})
+	time.Sleep(10 * 20 * time.Millisecond) // ten control rounds for anything it shipped to travel on
+	for cell := uint16(0); cell < 2; cell++ {
+		assignAt, _ := survivor.first(ctrlproto.TAssignCell, cell)
+		for i, m := range survivor.received() {
+			if ms, ok := m.(*ctrlproto.MigrateState); ok && ms.Cell == cell && i > assignAt {
+				t.Fatalf("cell %d: the survivor got %q at message %d, after its assignment at %d", cell, ms.State, i, assignAt)
+			}
+		}
+	}
+	if v := warm.Value(); v != int64(2*len(pre)) {
+		t.Fatalf("warm_state_bytes %d, want the pre-partition %d", v, 2*len(pre))
+	}
+}
+
+// TestRefusedAssignmentIsRetried: an agent that answers AssignCell with an
+// ErrorMsg does not serve the cell, so the controller must neither count
+// it as applied nor stop trying.
+func TestRefusedAssignmentIsRetried(t *testing.T) {
+	const hb = 20 * time.Millisecond
+	cn := startControllerNodeCfg(t, 1, hb, 5)
+	a := dialRawAgent(t, cn.Addr().String(), 1, hb, rawOpts{refuse: true})
+	cn.Controller().ObserveCell(0, 0.05)
+	waitFor(t, "the assignment sent again", 5*time.Second, func() bool {
+		if _, ok := cn.Applied()[0]; ok {
+			t.Fatal("a refused cell is in the applied placement")
+		}
+		return a.count(ctrlproto.TAssignCell, 0) >= 3
+	})
+}
+
+// TestPlannedMoveAssignsAfterRemoveAck pins a planned move's order on the
+// wire: the old host's RemoveCell is acked, after it shipped its final
+// state, before the new host is sent that state and then the assignment.
+func TestPlannedMoveAssignsAfterRemoveAck(t *testing.T) {
+	const hb = 20 * time.Millisecond
+	cn := startControllerNodeCfg(t, 2, hb, 5)
+	final := []byte("final state")
+	old := dialRawAgent(t, cn.Addr().String(), 1, hb, rawOpts{final: final})
+	for i := 0; i < 2; i++ {
+		cn.Controller().ObserveCell(frame.CellID(i), 0.05)
+	}
+	waitFor(t, "both cells on the first agent", 5*time.Second, func() bool { return old.assigned(0, 1) })
+	next := dialRawAgent(t, cn.Addr().String(), 2, hb, rawOpts{})
+	// Demand neither server can hold twice forces one cell to move.
+	waitFor(t, "a cell moved to the second agent", 10*time.Second, func() bool {
+		for i := 0; i < 2; i++ {
+			cn.Controller().ObserveCell(frame.CellID(i), 1.5)
+		}
+		return next.assigned(0) || next.assigned(1)
+	})
+	cell := uint16(0)
+	if !next.assigned(0) {
+		cell = 1
+	}
+	removeAt, _ := old.first(ctrlproto.TRemoveCell, cell)
+	if removeAt < 0 {
+		t.Fatalf("cell %d reached the second agent without a RemoveCell to the first", cell)
+	}
+	old.mu.Lock()
+	ackedAt := old.acked[old.got[removeAt].(*ctrlproto.RemoveCell).Seq]
+	old.mu.Unlock()
+	stateIdx, stateAt := next.first(ctrlproto.TMigrateState, cell)
+	assignIdx, assignAt := next.first(ctrlproto.TAssignCell, cell)
+	if stateIdx < 0 || stateIdx > assignIdx {
+		t.Fatalf("cell %d: state at message %d, assignment at %d", cell, stateIdx, assignIdx)
+	}
+	if got := next.received()[stateIdx].(*ctrlproto.MigrateState).State; string(got) != string(final) {
+		t.Fatalf("cell %d moved with state %q, not the old host's final %q", cell, got, final)
+	}
+	if !stateAt.After(ackedAt) || !assignAt.After(ackedAt) {
+		t.Fatalf("cell %d: state at %v and assignment at %v, remove acked at %v", cell, stateAt, assignAt, ackedAt)
+	}
+}
+
+// stateRecorder is a controller side that keeps every reply.
+type stateRecorder struct{ msgs chan ctrlproto.Message }
+
+func (h *stateRecorder) OnRegister(*ctrlproto.Agent, *ctrlproto.Register) error { return nil }
+func (h *stateRecorder) OnHeartbeat(*ctrlproto.Agent, *ctrlproto.Heartbeat)     {}
+func (h *stateRecorder) OnDisconnect(*ctrlproto.Agent, error)                   {}
+func (h *stateRecorder) OnMessage(_ *ctrlproto.Agent, m ctrlproto.Message) {
+	select {
+	case h.msgs <- m:
+	default:
+	}
+}
+
+// TestServedCellRefusesMigratedState: a MigrateState for a cell the agent
+// already serves is answered with an ErrorMsg and leaves the cell's live
+// HARQ state as it was.
+func TestServedCellRefusesMigratedState(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for every report the agent streams while the test runs; the
+	// recorder drops the rest rather than stall the server's reader.
+	h := &stateRecorder{msgs: make(chan ctrlproto.Message, 1024)}
+	srv := ctrlproto.NewServer(ln, h)
+	runUntilCleanup(t, "server Serve", srv.Serve, srv.Close)
+	an, err := NewAgentNode(AgentConfig{
+		ControllerAddr: srv.Addr().String(), ServerID: 1, Cores: 1,
+		Pool:        dataplane.Config{DeadlineScale: 1000, Telemetry: telemetry.New(1)},
+		TTIInterval: time.Hour, // no subframe runs, so the live state holds still
+		Logf:        t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runUntilCleanup(t, "agent Run", an.Run, an.Close)
+	var link *ctrlproto.Agent
+	waitFor(t, "agent registered", 5*time.Second, func() bool {
+		var ok bool
+		link, ok = srv.Agent(1)
+		return ok
+	})
+	reply := func(seq uint32) ctrlproto.Message {
+		t.Helper()
+		deadline := time.After(5 * time.Second)
+		for {
+			select {
+			case m := <-h.msgs:
+				switch r := m.(type) {
+				case *ctrlproto.Ack:
+					if r.Seq == seq {
+						return r
+					}
+				case *ctrlproto.ErrorMsg:
+					if r.Seq == seq {
+						return r
+					}
+				}
+			case <-deadline:
+				t.Fatalf("no reply to command %d", seq)
+			}
+		}
+	}
+	if err := link.Send(&ctrlproto.AssignCell{Seq: 1, Cell: 0, PCI: 0, PRB: 6, Antennas: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reply(1).(*ctrlproto.Ack); !ok {
+		t.Fatal("assignment refused")
+	}
+	live := func() []byte {
+		an.mu.Lock()
+		defer an.mu.Unlock()
+		b, err := an.cells[0].proc.HARQ().MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	before := live()
+	foreign := dataplane.NewHARQManager()
+	foreign.Prepare(frame.Allocation{RNTI: 7, NumPRB: 3, MCS: 8}, 0)
+	state, err := foreign.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := link.Send(&ctrlproto.MigrateState{Seq: 2, Cell: 0, State: state}); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := reply(2).(*ctrlproto.ErrorMsg); !ok {
+		t.Fatal("state for a served cell was accepted")
+	}
+	if after := live(); !bytes.Equal(before, after) {
+		t.Fatalf("live HARQ state changed from %d to %d bytes", len(before), len(after))
 	}
 }

@@ -31,10 +31,10 @@ func runUntilCleanup(t *testing.T, name string, serve, stop func() error) {
 }
 
 // testCells describes n 1.4 MHz single-antenna cells with IDs 0..n-1.
-func testCells(n int) []CellSpecNet {
-	cells := make([]CellSpecNet, n)
+func testCells(n int) []frame.CellConfig {
+	cells := make([]frame.CellConfig, n)
 	for i := range cells {
-		cells[i] = CellSpecNet{ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1}
+		cells[i] = frame.CellConfig{ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: phy.BW1_4MHz, Antennas: 1}
 	}
 	return cells
 }
@@ -151,8 +151,24 @@ func TestControllerNodeValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	if _, err := NewControllerNode(ln, ControllerConfig{Controller: controller.DefaultConfig()}); err == nil {
-		t.Fatal("no cells accepted")
+	good := testCells(1)[0]
+	bad := func(edit func(*frame.CellConfig)) frame.CellConfig {
+		c := good
+		edit(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name  string
+		cells []frame.CellConfig
+	}{
+		{"no cells", nil},
+		{"duplicate ID", []frame.CellConfig{good, bad(func(c *frame.CellConfig) { c.PCI = 7 })}},
+		{"0 antennas", []frame.CellConfig{bad(func(c *frame.CellConfig) { c.Antennas = 0 })}},
+		{"PCI 504", []frame.CellConfig{bad(func(c *frame.CellConfig) { c.PCI = 504 })}},
+	} {
+		if _, err := NewControllerNode(ln, ControllerConfig{Controller: controller.DefaultConfig(), Cells: tc.cells}); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"pran/internal/controller"
 	"pran/internal/dataplane"
 	"pran/internal/faultinject"
+	"pran/internal/frame"
 	"pran/internal/phy"
 	"pran/internal/telemetry"
 )
@@ -26,7 +27,7 @@ func TestScrapeConcurrentWithDelayedAgent(t *testing.T) {
 	}
 	cn, err := NewControllerNode(ln, ControllerConfig{
 		Controller: controller.DefaultConfig(),
-		Cells:      []CellSpecNet{{ID: 0, PCI: 0, Bandwidth: phy.BW1_4MHz, Antennas: 1}},
+		Cells:      []frame.CellConfig{{ID: 0, PCI: 0, Bandwidth: phy.BW1_4MHz, Antennas: 1}},
 		Period:     50 * time.Millisecond,
 		// Generous lease budget: the delayed agent's heartbeats crawl
 		// through the same slowed link and must not be evicted mid-test.

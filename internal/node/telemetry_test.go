@@ -25,7 +25,7 @@ func TestControllerScrapesTelemetryFromAgents(t *testing.T) {
 	}
 	cn, err := NewControllerNode(ln, ControllerConfig{
 		Controller: controller.DefaultConfig(),
-		Cells: []CellSpecNet{
+		Cells: []frame.CellConfig{
 			{ID: 0, PCI: 0, Bandwidth: phy.BW1_4MHz, Antennas: 1},
 			{ID: 1, PCI: 3, Bandwidth: phy.BW1_4MHz, Antennas: 1},
 		},
@@ -136,7 +136,7 @@ func TestScrapeTimeoutDoesNotWedge(t *testing.T) {
 	}
 	cn, err := NewControllerNode(ln, ControllerConfig{
 		Controller: controller.DefaultConfig(),
-		Cells:      []CellSpecNet{{ID: 0, PCI: 0, Bandwidth: phy.BW1_4MHz, Antennas: 1}},
+		Cells:      []frame.CellConfig{{ID: 0, PCI: 0, Bandwidth: phy.BW1_4MHz, Antennas: 1}},
 		Telemetry:  telemetry.New(1),
 	})
 	if err != nil {

@@ -334,9 +334,9 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	var cells []node.CellSpecNet
+	var cells []frame.CellConfig
 	for i := 0; i < cfg.Cells; i++ {
-		cells = append(cells, node.CellSpecNet{
+		cells = append(cells, frame.CellConfig{
 			ID: frame.CellID(i), PCI: uint16(i * 3), Bandwidth: cfg.Bandwidth, Antennas: 1,
 		})
 	}
