@@ -11,7 +11,7 @@ import (
 
 // Calibrate measures the host's actual per-stage DSP costs by running the
 // real internal/phy implementations on the pipeline the data plane runs (the
-// zero phy.DecodeProfile, on whatever tile kernels this host has) and
+// processor's one decode pipeline, on whatever tile kernels this host has) and
 // returns a CostModel whose coefficients reflect this machine. The run takes
 // a few hundred milliseconds. Use DefaultCostModel when speed matters more
 // than fidelity (unit tests); use Calibrate in benchmarks and experiments.
@@ -60,7 +60,7 @@ func Calibrate() (CostModel, error) {
 		if err != nil {
 			return m, err
 		}
-		p, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
+		p, err := phy.NewTransportProcessor(nprb)
 		if err != nil {
 			return m, fmt.Errorf("cluster: calibrate front-end: %w", err)
 		}
@@ -175,7 +175,7 @@ func Calibrate() (CostModel, error) {
 	// encode at a mid-range configuration).
 	{
 		const mcs, nprb = 17, 50
-		p, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
+		p, err := phy.NewTransportProcessor(nprb)
 		if err != nil {
 			return m, err
 		}

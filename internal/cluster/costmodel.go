@@ -28,9 +28,9 @@ import (
 
 // CostModel maps PHY work items to time on a reference core (seconds). All
 // coefficients are per-unit costs measured by Calibrate, one per stage of
-// the decode pipeline the data plane runs (int16 turbo at lockstep width 8
-// behind the fused front-end; internal/phy's other decode profiles are test
-// oracles and are not priced).
+// the one decode pipeline internal/phy builds (int16 turbo at lockstep
+// width 8 behind the fused front-end; its reference pipelines are test code
+// and are not priced).
 type CostModel struct {
 	// FFTPerButterfly is the cost of one FFT butterfly stage unit; an
 	// n-point FFT costs FFTPerButterfly × n·log2(n).
@@ -57,8 +57,8 @@ type CostModel struct {
 }
 
 // lockstepWidth is the number of code blocks the decoder runs through one
-// SISO pass: the default decode profile's width.
-var lockstepWidth = phy.DecodeProfile{}.Width()
+// SISO pass.
+const lockstepWidth = phy.MaxJointBlocks
 
 // spanUnits returns the turbo cost, in seconds per code-block bit per
 // iteration, of decoding n ≤ lockstepWidth code blocks as one span: one

@@ -17,7 +17,7 @@ import (
 // ragged below it. A 14-block transport block (MCS 28, 100 PRB) decodes as
 // spans of 8 and 6, a single-block one (MCS 10, 4 PRB) as one lone block.
 func TestBatchTelemetryCountsLockstepSpans(t *testing.T) {
-	enc, err := phy.NewTransportProcessor(phy.MaxPRB, phy.DecodeProfile{})
+	enc, err := phy.NewTransportProcessor(phy.MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}

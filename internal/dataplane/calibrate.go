@@ -18,7 +18,7 @@ import (
 // worker runs.
 func CalibrateDeadlineScale(bw phy.Bandwidth, mcs phy.MCS) (float64, error) {
 	nprb := bw.PRB()
-	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
+	proc, err := phy.NewTransportProcessor(nprb)
 	if err != nil {
 		return 0, err
 	}

@@ -126,11 +126,11 @@ func blockWorkers(t *testing.T, pool *Pool) chan struct{} {
 // have shared spans across tasks.
 func TestClaimMatchesSerialDecode(t *testing.T) {
 	byC := claimShapes(t)
-	enc, err := phy.NewTransportProcessor(phy.MaxPRB, phy.DecodeProfile{})
+	enc, err := phy.NewTransportProcessor(phy.MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := phy.NewTransportProcessor(phy.MaxPRB, phy.DecodeProfile{})
+	ref, err := phy.NewTransportProcessor(phy.MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestWarmClaimNoAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := phy.NewTransportProcessor(phy.MaxPRB, phy.DecodeProfile{})
+	enc, err := phy.NewTransportProcessor(phy.MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -614,7 +614,7 @@ func TestWorkerFootprintFlatAcrossShapes(t *testing.T) {
 		shapes = append(shapes, s)
 	}
 	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1e6, DisableTelemetry: true})
-	enc, err := phy.NewTransportProcessor(phy.MaxPRB, phy.DecodeProfile{})
+	enc, err := phy.NewTransportProcessor(phy.MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}

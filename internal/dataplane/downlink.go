@@ -67,7 +67,7 @@ func NewDownlinkProcessor(cfg frame.CellConfig) (*DownlinkProcessor, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc, err := phy.NewTransportProcessor(cfg.Bandwidth.PRB(), phy.DecodeProfile{})
+	enc, err := phy.NewTransportProcessor(cfg.Bandwidth.PRB())
 	if err != nil {
 		return nil, err
 	}

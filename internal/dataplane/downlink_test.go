@@ -83,7 +83,7 @@ func TestDownlinkBuildAndReceive(t *testing.T) {
 		if err := grid.Extract(res, a); err != nil {
 			t.Fatal(err)
 		}
-		proc, err := phy.NewTransportProcessor(a.NumPRB, phy.DecodeProfile{})
+		proc, err := phy.NewTransportProcessor(a.NumPRB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func TestEncodeOnPool(t *testing.T) {
 		}
 		// The pooled encode must produce the exact symbols the inline
 		// transmit chain produces.
-		proc, _ := phy.NewTransportProcessor(a.NumPRB, phy.DecodeProfile{})
+		proc, _ := phy.NewTransportProcessor(a.NumPRB)
 		want, err := proc.Encode(a.MCS, a.NumPRB, payloads[i], uint16(a.RNTI), cfg.PCI, work.TTI.Subframe(), int(a.RV))
 		if err != nil {
 			t.Fatal(err)
@@ -177,69 +177,63 @@ func TestEncodeOnPoolValidation(t *testing.T) {
 
 func TestDownlinkCheaperThanUplink(t *testing.T) {
 	// The provisioning asymmetry the paper relies on: encoding a TB costs
-	// well under half of decoding it — on the default decode path and on the
-	// float32 oracle the bound was first written against.
-	for _, tc := range []struct {
-		name string
-		opts phy.DecodeProfile
-	}{
-		{"default", phy.DecodeProfile{}},
-		{"float32", phy.DecodeProfile{Kernel: phy.KernelFloat32}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const mcs, nprb = phy.MCS(16), 25
-			proc, err := phy.NewTransportProcessor(nprb, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tbs, err := mcs.TransportBlockSize(nprb)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rng := rand.New(rand.NewSource(33))
-			payload := make([]byte, tbs)
-			for i := range payload {
-				payload[i] = byte(rng.Intn(2))
-			}
-			syms, err := proc.Encode(mcs, nprb, payload, 1, 1, 0, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rx := append([]complex128(nil), syms...)
-			ch := phy.NewAWGNChannel(mcs.OperatingSNR()+2, 34)
-			ch.Apply(rx)
+	// well under half of decoding it on the default decode path. The bound
+	// was first written against the float32 reference decoder, a test
+	// oracle of internal/phy, whose TestEncodeCheaperThanFloat32Decode holds
+	// it there.
+	t.Run("default", func(t *testing.T) {
+		const mcs, nprb = phy.MCS(16), 25
+		proc, err := phy.NewTransportProcessor(nprb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbs, err := mcs.TransportBlockSize(nprb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(33))
+		payload := make([]byte, tbs)
+		for i := range payload {
+			payload[i] = byte(rng.Intn(2))
+		}
+		syms, err := proc.Encode(mcs, nprb, payload, 1, 1, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rx := append([]complex128(nil), syms...)
+		ch := phy.NewAWGNChannel(mcs.OperatingSNR()+2, 34)
+		ch.Apply(rx)
 
-			// Best of five per stage: a shared host's preemption lands on
-			// single repetitions, not on the stage's cost.
-			var enc, dec time.Duration
-			for i := 0; i < 5; i++ {
-				if _, err := proc.Encode(mcs, nprb, payload, 1, 1, 0, 0); err != nil {
-					t.Fatal(err)
-				}
-				if e := proc.Timings.EncodeChain + proc.Timings.Modulate; i == 0 || e < enc {
-					enc = e
-				}
-				if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
-					t.Fatal(err)
-				}
-				if d := proc.Timings.Total(); i == 0 || d < dec {
-					dec = d
-				}
+		// Best of five per stage: a shared host's preemption lands on
+		// single repetitions, not on the stage's cost.
+		var enc, dec time.Duration
+		for i := 0; i < 5; i++ {
+			if _, err := proc.Encode(mcs, nprb, payload, 1, 1, 0, 0); err != nil {
+				t.Fatal(err)
 			}
-			t.Logf("encode %v, decode %v", enc, dec)
-			if raceEnabled && tc.opts.Kernel == phy.KernelInt16 {
-				// The detector instruments the Go encode chain (~16× slower)
-				// and none of the default decode's assembly kernels, so under
-				// it this ratio compares an instrumented stage with an
-				// uninstrumented one (measured 3.0 ms / 5.6 ms, against
-				// 0.19 ms / 1.29 ms in a plain build). The path still ran
-				// above under the detector; its ratio is asserted by the plain
-				// build, and the all-Go float32 ratio by both.
-				t.Skip("wall-clock ratio of Go code to assembly is not meaningful under -race")
+			if e := proc.Timings.EncodeChain + proc.Timings.Modulate; i == 0 || e < enc {
+				enc = e
 			}
-			if enc*2 >= dec {
-				t.Fatalf("encode %v not well under half of decode %v", enc, dec)
+			if _, err := proc.Decode(mcs, nprb, rx, ch.N0(), 1, 1, 0, 0, nil); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			if d := proc.Timings.Total(); i == 0 || d < dec {
+				dec = d
+			}
+		}
+		t.Logf("encode %v, decode %v", enc, dec)
+		if raceEnabled {
+			// The detector instruments the Go encode chain (~16× slower)
+			// and none of the default decode's assembly kernels, so under
+			// it this ratio compares an instrumented stage with an
+			// uninstrumented one (measured 3.0 ms / 5.6 ms, against
+			// 0.19 ms / 1.29 ms in a plain build). The path still ran
+			// above under the detector; its ratio is asserted by the plain
+			// build.
+			t.Skip("wall-clock ratio of Go code to assembly is not meaningful under -race")
+		}
+		if enc*2 >= dec {
+			t.Fatalf("encode %v not well under half of decode %v", enc, dec)
+		}
+	})
 }

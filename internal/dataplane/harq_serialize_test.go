@@ -113,7 +113,7 @@ func TestHARQMigrationPreservesDecodeState(t *testing.T) {
 	// HARQ state migrates, and the retransmission decodes on server B by
 	// combining with the migrated LLRs.
 	const mcs, nprb = 14, 6
-	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
+	proc, err := phy.NewTransportProcessor(nprb)
 	if err != nil {
 		t.Fatal(err)
 	}

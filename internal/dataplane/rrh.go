@@ -48,7 +48,7 @@ func NewRRHEmulator(cfg frame.CellConfig, seed int64) (*RRHEmulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	enc, err := phy.NewTransportProcessor(cfg.Bandwidth.PRB(), phy.DecodeProfile{})
+	enc, err := phy.NewTransportProcessor(cfg.Bandwidth.PRB())
 	if err != nil {
 		return nil, err
 	}

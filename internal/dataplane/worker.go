@@ -42,7 +42,7 @@ func newWorker(p *Pool, id int) *worker {
 // use.
 func (w *worker) processor() (*phy.TransportProcessor, error) {
 	if w.dsp == nil {
-		d, err := phy.NewTransportProcessor(phy.MaxPRB, phy.DecodeProfile{})
+		d, err := phy.NewTransportProcessor(phy.MaxPRB)
 		if err != nil {
 			return nil, err
 		}
@@ -97,13 +97,12 @@ func (w *worker) recordStages(proc *phy.TransportProcessor) {
 	tel.frontEnd.ObserveDuration(w.id, tm.FrontEnd)
 	tel.turbo.ObserveDuration(w.id, tm.TurboDecode)
 	tel.crc.ObserveDuration(w.id, tm.CRCCheck)
-	width := proc.Profile().Width()
 	var full, ragged uint64
 	for n, spans := range tm.Spans {
 		for range spans {
 			tel.batchWidth.Observe(w.id, float64(n))
 		}
-		if n == width {
+		if n == phy.MaxJointBlocks {
 			full += uint64(spans)
 		} else {
 			ragged += uint64(spans)

@@ -14,7 +14,7 @@ import (
 // the processor a pool worker runs, returning the per-subframe stage timings
 // over reps runs.
 func measureDecode(mcs phy.MCS, nprb, reps int, seed int64) (phy.StageTimings, error) {
-	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
+	proc, err := phy.NewTransportProcessor(nprb)
 	if err != nil {
 		return phy.StageTimings{}, err
 	}
@@ -81,9 +81,9 @@ func minDur(dst *time.Duration, v time.Duration) {
 // uplink subframe processing time as a function of MCS for 25/50/100 PRB.
 // Expected shape: ~linear in PRBs, superlinear in MCS efficiency, with the
 // high-MCS wide-band corner defining the provisioning requirement. Every
-// column decodes on the default path, the int16 lockstep kernel behind the
-// fused front-end; phy's BenchmarkFullDecode times the oracle profiles next
-// to it.
+// column decodes on the processor's one pipeline, the int16 lockstep kernel
+// behind the fused front-end; phy's BenchmarkFullDecode times its test
+// reference pipelines next to it.
 func E1SubframeVsMCS(quick bool) (Result, error) {
 	mcsGrid := []phy.MCS{0, 4, 9, 13, 17, 22, 28}
 	prbGrid := []int{25, 50, 100}

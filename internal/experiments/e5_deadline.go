@@ -25,7 +25,7 @@ type taskTemplate struct {
 // its decode cost on the processor a pool worker runs. budget is the class's
 // per-task deadline budget.
 func makeTemplate(mcs phy.MCS, nprb int, seed int64, budget time.Duration) (*taskTemplate, error) {
-	proc, err := phy.NewTransportProcessor(nprb, phy.DecodeProfile{})
+	proc, err := phy.NewTransportProcessor(nprb)
 	if err != nil {
 		return nil, err
 	}

@@ -15,7 +15,10 @@ import (
 // the attempts. The agent's cell runtime closes this loop: decode failures
 // reported by the pool schedule retransmissions that preempt fresh traffic
 // on the same PRBs, and exhausted processes (after the full RV sequence)
-// count as residual losses.
+// count as residual losses. A process whose last transmission gets no CRC
+// verdict — abandoned late, or its subframe never reached the pool — is
+// exhausted too, once a round trip past its due TTI, so it never blocks
+// fresh traffic for good.
 
 // rvSequence is the LTE redundancy-version order across attempts.
 var rvSequence = [4]uint8{0, 2, 3, 1}
@@ -70,6 +73,11 @@ func (h *harqLoop) onTaskDone(t *dataplane.Task, payload []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	p, inFlight := h.pending[key]
+	if !inFlight && t.Alloc.RV != 0 {
+		// A late verdict on a retransmission of a process that has since
+		// expired (see inject): there is nothing left to retransmit.
+		return
+	}
 	if t.Err == nil {
 		if inFlight && p.attempt > 1 {
 			h.stats.Recovered++
@@ -116,6 +124,16 @@ func (h *harqLoop) inject(work *frame.SubframeWork) map[int][]byte {
 	defer h.mu.Unlock()
 	if len(h.pending) == 0 {
 		return nil
+	}
+	// Expiry: a process at its last attempt whose verdict has not come one
+	// round trip past its due TTI never will (the attempt was abandoned, or
+	// its subframe failed before the pool); it is exhausted, and its HARQ
+	// process free for fresh data again.
+	for key, p := range h.pending {
+		if p.attempt >= maxHARQAttempts && work.TTI >= p.dueTTI+harqRetxInterval {
+			h.stats.Exhausted++
+			delete(h.pending, key)
+		}
 	}
 	// Phase 0: drop fresh allocations on busy HARQ processes regardless of
 	// whether their retransmission is due this subframe — a real MAC never

@@ -110,3 +110,56 @@ func TestHARQAbandonedTasksDoNotAdvance(t *testing.T) {
 		t.Fatal("abandoned task scheduled a retransmission")
 	}
 }
+
+// TestHARQLastAttemptWithoutVerdictExpires drives a process to its last
+// transmission and then gives that transmission no CRC verdict — abandoned
+// late, or never decoded because its subframe failed after inject — and
+// checks the process is exhausted a round trip past its due TTI, so fresh
+// data flows on it again, and that a late verdict on the expired
+// retransmission is ignored rather than taken for a failed first
+// transmission.
+func TestHARQLastAttemptWithoutVerdictExpires(t *testing.T) {
+	for _, verdict := range []error{dataplane.ErrAbandoned, nil} {
+		loop := newHARQLoop()
+		alloc := frame.Allocation{RNTI: 5, FirstPRB: 0, NumPRB: 2, MCS: 9, HARQProcess: 3, SNRdB: 0}
+		loop.onTaskDone(&dataplane.Task{TTI: 0, Alloc: alloc, Err: phy.ErrCRC}, make([]byte, 4))
+		tti := frame.TTI(8)
+		var last frame.Allocation
+		for round := 0; round < 3; round++ {
+			work := frame.SubframeWork{Cell: 0, TTI: tti}
+			if got := loop.inject(&work); len(got) != 1 {
+				t.Fatalf("round %d: retransmission missing", round)
+			}
+			last = work.Allocations[len(work.Allocations)-1]
+			if round < 2 {
+				loop.onTaskDone(&dataplane.Task{TTI: tti, Alloc: last, Err: phy.ErrCRC}, make([]byte, 4))
+			}
+			tti += 8
+		}
+		if verdict != nil {
+			loop.onTaskDone(&dataplane.Task{TTI: tti - 8, Alloc: last, Err: verdict}, nil)
+		}
+		fresh := alloc
+		fresh.FirstPRB = 4
+		for ; tti <= 100; tti++ {
+			work := frame.SubframeWork{Cell: 0, TTI: tti, Allocations: []frame.Allocation{fresh}}
+			if got := loop.inject(&work); len(got) != 0 {
+				t.Fatalf("TTI %d: an exhausted process retransmitted", tti)
+			}
+			if len(work.Allocations) == 1 {
+				break
+			}
+		}
+		if tti > 40 {
+			t.Fatalf("verdict %v: the process still blocks fresh data at TTI %d", verdict, tti)
+		}
+		if st := loop.snapshot(); st.Exhausted != 1 || st.FirstTxFailures != 1 || st.Retransmissions != 3 {
+			t.Fatalf("verdict %v: stats %+v", verdict, st)
+		}
+		// The expired attempt's CRC verdict arrives after all.
+		loop.onTaskDone(&dataplane.Task{TTI: tti, Alloc: last, Err: phy.ErrCRC}, make([]byte, 4))
+		if st := loop.snapshot(); st.FirstTxFailures != 1 || st.Exhausted != 1 || len(loop.pending) != 0 {
+			t.Fatalf("verdict %v: a late retransmission verdict was queued: stats %+v, %d pending", verdict, st, len(loop.pending))
+		}
+	}
+}

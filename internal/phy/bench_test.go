@@ -79,10 +79,12 @@ func BenchmarkTurboEncodeK6144(b *testing.B) {
 	}
 }
 
+// BenchmarkTurboDecodeK6144 times the float32 reference decoder on one
+// K=6144 block at 4 iterations.
 func BenchmarkTurboDecodeK6144(b *testing.B) {
 	const k = 6144
 	enc := NewTurboEncoder()
-	dec := NewTurboDecoder()
+	dec := newFloatDecoder()
 	dec.MaxIterations = 4
 	rng := rand.New(rand.NewSource(3))
 	input := randBits(rng, k)
@@ -110,7 +112,7 @@ func BenchmarkTurboDecodeK6144(b *testing.B) {
 func BenchmarkTurboDecodeK6144Int16(b *testing.B) {
 	const k = 6144
 	enc := NewTurboEncoder()
-	dec, _ := NewTurboDecoderKernel(KernelInt16)
+	dec := NewTurboDecoder()
 	dec.MaxIterations = 4
 	rng := rand.New(rand.NewSource(3))
 	input := randBits(rng, k)
@@ -193,38 +195,38 @@ func BenchmarkCRC24A(b *testing.B) {
 
 // BenchmarkFullDecode is the headline per-subframe number: the complete
 // uplink receive chain at a fully loaded 20 MHz subframe at high MCS and at
-// a mid-range operating point. Each shape runs on the default profile and
-// on every oracle profile that differs from it in one field, so the ratio
-// of a sub-benchmark to "default" is what that choice of the default buys:
-// the int16 kernel over float32, width-8 lockstep over the scalar int16
-// decode, the fused front-end over the staged sweeps, and the AVX2 tiles
-// over the pure-Go ones.
+// a mid-range operating point. Each shape runs on the default pipeline and
+// on every reference pipeline that swaps one of its stages (reference_test.go),
+// so the ratio of a sub-benchmark to "default" is what that stage of the
+// default buys: the int16 kernel over float32, width-8 lockstep over the
+// scalar int16 decode, the fused front-end over the staged sweeps, and the
+// AVX2 tiles over the pure-Go ones.
 func BenchmarkFullDecode(b *testing.B) {
-	profiles := []struct {
+	pipelines := []struct {
 		name string
-		prof DecodeProfile
+		pipe pipeline
 	}{
-		{"default", DecodeProfile{}},
-		{"batch1", DecodeProfile{Batch: 1}},
-		{"float32", DecodeProfile{Kernel: KernelFloat32}},
-		{"staged", DecodeProfile{FrontEnd: FrontEndStaged}},
-		{"novecfe", DecodeProfile{NoVectorFrontEnd: true}},
+		{"default", pipeline{}},
+		{"batch1", pipeline{turbo: turboPerBlock}},
+		{"float32", pipeline{turbo: turboFloat32}},
+		{"staged", pipeline{staged: true}},
+		{"novecfe", pipeline{goTiles: true}},
 	}
 	for _, sh := range []struct {
 		mcs  MCS
 		nprb int
 	}{{22, 100}, {13, 50}} {
-		for _, p := range profiles {
+		for _, p := range pipelines {
 			b.Run(fmt.Sprintf("MCS%d_%dPRB/%s", sh.mcs, sh.nprb, p.name), func(b *testing.B) {
-				benchFullDecode(b, sh.mcs, sh.nprb, p.prof)
+				benchFullDecode(b, sh.mcs, sh.nprb, p.pipe)
 			})
 		}
 	}
 }
 
-func benchFullDecode(b *testing.B, mcs MCS, nprb int, prof DecodeProfile) {
+func benchFullDecode(b *testing.B, mcs MCS, nprb int, r pipeline) {
 	b.Helper()
-	proc, err := newTBProc(mcs, nprb, prof)
+	proc, err := newTBProc(mcs, nprb, r)
 	if err != nil {
 		b.Fatal(err)
 	}

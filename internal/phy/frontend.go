@@ -1,57 +1,11 @@
 package phy
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// FrontEnd selects how TransportProcessor.Decode runs the pre-turbo bit
-// chain (demodulate → descramble → soft de-rate-match). Like DecodeKernel it
-// is fixed at processor construction; a pipeline names its front-end in
-// DecodeProfile.FrontEnd.
-type FrontEnd uint8
-
-const (
-	// FrontEndFused is the default single-pass front-end: demodulation
-	// computes each symbol's LLRs on demand, the descrambling sign flip is
-	// folded in as an XOR against the keystream word, and the result
-	// scatters directly through the rate matcher's precomputed inverse
-	// index into the HARQ soft buffer — one pass over the coded bits, no
-	// intermediate E-length array. It runs per code block, just before the
-	// block's turbo decode. Output is bit-identical to FrontEndStaged
-	// (property-tested).
-	FrontEndFused FrontEnd = iota
-	// FrontEndStaged is the three-sweep reference pipeline (full-E
-	// demodulate, then descramble, then per-block dematch), kept as the
-	// test oracle and for per-stage cost attribution (experiment E2,
-	// BenchmarkFullDecode's staged column).
-	FrontEndStaged
-)
-
-// String implements fmt.Stringer.
-func (f FrontEnd) String() string {
-	switch f {
-	case FrontEndFused:
-		return "fused"
-	case FrontEndStaged:
-		return "staged"
-	default:
-		return "FrontEnd(?)"
-	}
-}
-
-// Validate reports whether f names a supported front-end.
-func (f FrontEnd) Validate() error {
-	switch f {
-	case FrontEndFused, FrontEndStaged:
-		return nil
-	}
-	return fmt.Errorf("phy: unsupported front-end %d: %w", uint8(f), ErrBadParameter)
-}
-
-// frontEndBlock runs the fused front-end for code block i of the loaded
-// transport block (frontEndLane), whose d0|d1|d2 soft streams are blk,
-// through the
+// frontEndBlock runs the decode front-end — demodulate, descramble, soft
+// de-rate-match with HARQ combining — for code block i of the loaded
+// transport block (frontEndLane), whose d0|d1|d2 soft streams are blk, in
+// one fused pass, just before the block's turbo decode. It runs the
 // two-phase tile pipeline (frontend_tile.go): per tile of up to feTileSyms
 // symbols, phase 1 expands the block's keystream bits into plane-major
 // sign words and demodulates the tile into a structure-of-arrays LLR strip
@@ -61,8 +15,8 @@ func (f FrontEnd) Validate() error {
 // into the block's soft streams. Accumulation order per position is
 // identical to the staged Demodulate → DescrambleLLR → SoftDematch sweeps,
 // and every float expression matches them, so the soft buffer contents are
-// bit-identical to the oracle. The block's front-end time is added to
-// Timings.FrontEnd.
+// bit-identical to that three-sweep reference (frontend_test.go). The
+// block's front-end time is added to Timings.FrontEnd.
 func (p *TransportProcessor) frontEndBlock(i int, blk []float32) {
 	start := time.Now()
 	rm := p.rm

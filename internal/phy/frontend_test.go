@@ -13,23 +13,24 @@ import (
 // staged-oracle processor and a fused processor (each with its own soft
 // buffer, carried across the rv sequence for HARQ combining), comparing
 // payloads, errors, and full soft-buffer contents bit for bit. On AVX2
-// hosts a third, scalar-tile fused processor (NoVectorFrontEnd) decodes the
-// same vector, pinning the vector and pure-Go tile kernels to each other at
-// every code-block boundary residue the configuration produces.
-func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb int, kernel DecodeKernel, rvs []int, snrDB float64, seed int64) {
+// hosts a third, scalar-tile fused processor (goTiles) decodes the same
+// vector, pinning the vector and pure-Go tile kernels to each other at
+// every code-block boundary residue the configuration produces. All three
+// run the given turbo stage.
+func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb int, turbo refTurbo, rvs []int, snrDB float64, seed int64) {
 	t.Helper()
-	staged, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: kernel, FrontEnd: FrontEndStaged})
+	staged, err := newTBProc(mcs, nprb, pipeline{turbo: turbo, staged: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: kernel, FrontEnd: FrontEndFused})
+	fused, err := newTBProc(mcs, nprb, pipeline{turbo: turbo})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var scalar *tbProc
 	var sbSc *SoftBuffer
 	if FrontEndAVX2() {
-		scalar, err = newTBProc(mcs, nprb, DecodeProfile{Kernel: kernel, FrontEnd: FrontEndFused, NoVectorFrontEnd: true})
+		scalar, err = newTBProc(mcs, nprb, pipeline{turbo: turbo, goTiles: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,8 +90,9 @@ func decodeBothFrontEnds(t *testing.T, mcs MCS, nprb int, kernel DecodeKernel, r
 func TestFusedFrontEndMatchesStagedOracle(t *testing.T) {
 	// The fused single-pass front-end must be bit-identical to the staged
 	// three-sweep pipeline: same payloads, same errors, same accumulated
-	// soft-buffer words — across modulations, segment counts, kernels, and
-	// HARQ retransmission sequences.
+	// soft-buffer words — across modulations, segment counts, turbo stages
+	// (the float32 reference decoder and the default), and HARQ
+	// retransmission sequences.
 	cases := []struct {
 		mcs  MCS
 		nprb int
@@ -102,11 +104,11 @@ func TestFusedFrontEndMatchesStagedOracle(t *testing.T) {
 		{22, 50},  // 64QAM
 		{27, 100}, // 64QAM, many code blocks
 	}
-	for _, kernel := range []DecodeKernel{KernelFloat32, KernelInt16} {
+	for _, turbo := range []refTurbo{turboFloat32, turboLockstep} {
 		for i, c := range cases {
 			// op+3dB: first transmission usually passes; the low-SNR HARQ
 			// case below covers combining across rv.
-			decodeBothFrontEnds(t, c.mcs, c.nprb, kernel, []int{0}, c.mcs.OperatingSNR()+3, int64(100+i))
+			decodeBothFrontEnds(t, c.mcs, c.nprb, turbo, []int{0}, c.mcs.OperatingSNR()+3, int64(100+i))
 		}
 	}
 }
@@ -118,31 +120,13 @@ func TestFusedFrontEndHARQRetransmissions(t *testing.T) {
 		mcs  MCS
 		nprb int
 	}{{13, 50}, {22, 100}} {
-		decodeBothFrontEnds(t, c.mcs, c.nprb, KernelFloat32,
+		decodeBothFrontEnds(t, c.mcs, c.nprb, turboFloat32,
 			[]int{0, 2, 3, 1}, c.mcs.OperatingSNR()-4, 7)
 	}
 }
 
-func TestFrontEndValidate(t *testing.T) {
-	if err := FrontEndFused.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := FrontEndStaged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := FrontEnd(9).Validate(); err == nil {
-		t.Fatal("bogus front-end accepted")
-	}
-	if FrontEndFused.String() != "fused" || FrontEndStaged.String() != "staged" {
-		t.Fatalf("front-end names wrong: %v %v", FrontEndFused, FrontEndStaged)
-	}
-	if _, err := newTBProc(10, 25, DecodeProfile{FrontEnd: FrontEnd(9)}); err == nil {
-		t.Fatal("processor with bogus front-end accepted")
-	}
-}
-
 func TestFusedDecodeValidation(t *testing.T) {
-	p, err := newTBProc(10, 25, DecodeProfile{})
+	p, err := newTBProc(10, 25, pipeline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,6 +167,6 @@ func FuzzFusedFrontEnd(f *testing.F) {
 		if rv != 0 {
 			rvs = []int{0, rv}
 		}
-		decodeBothFrontEnds(t, mcs, nprb, KernelFloat32, rvs, mcs.OperatingSNR()+1, seed)
+		decodeBothFrontEnds(t, mcs, nprb, turboFloat32, rvs, mcs.OperatingSNR()+1, seed)
 	})
 }

@@ -87,8 +87,8 @@ func feExpandSigns(sgn []uint32, key []uint32, s0, n, qm, stride int, vector boo
 // qm planes of strip (plane-major, the given stride) with the sign words
 // already expanded into sgn XORed in. The AVX2 path consumes the largest
 // multiple-of-8 prefix; the pure-Go kernels finish the tail and are the
-// whole path on non-AVX2 hosts, purego builds, or when the processor was
-// built with NoVectorFrontEnd.
+// whole path on non-AVX2 hosts and purego builds (and, in tests, on a
+// processor whose feVec is cleared).
 func feTileDemod(mod Modulation, strip []float32, sgn []uint32, rx []complex128, n, stride int, invN0 float64, vector bool) {
 	t0 := 0
 	if vector && feAsm {

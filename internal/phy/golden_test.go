@@ -95,7 +95,8 @@ func goldenDigest(h io.Writer, payload []byte, err error, sb *SoftBuffer, iters 
 // shape: every shape of the sweep is sent at its operating-point SNR (so
 // some blocks stop early, some run to the iteration cap and some fail their
 // CRC), RV 0 then RV 2 into one soft buffer, through the int16 lockstep,
-// int16 scalar and float32 decoders, as a solo Decode of the first transport
+// int16 scalar and float32 decoders (the last two the reference pipelines
+// of reference_test.go), as a solo Decode of the first transport
 // block and as serial decodes of three transport blocks, block j on
 // processor j, and payload ‖ soft buffer ‖ iteration count of each
 // transport block is hashed. Three processors per variant serve the whole
@@ -103,17 +104,17 @@ func goldenDigest(h io.Writer, payload []byte, err error, sb *SoftBuffer, iters 
 func TestDecodeGoldenDigests(t *testing.T) {
 	variants := []struct {
 		name string
-		opts DecodeProfile
+		pipe pipeline
 	}{
-		{"i16x8", DecodeProfile{}},
-		{"i16x1", DecodeProfile{Batch: 1}},
-		{"f32", DecodeProfile{Kernel: KernelFloat32}},
+		{"i16x8", pipeline{}},
+		{"i16x1", pipeline{turbo: turboPerBlock}},
+		{"f32", pipeline{turbo: turboFloat32}},
 	}
 	rigs := make([]*goldenRig, len(variants))
 	for i, v := range variants {
-		rigs[i] = newGoldenRig(t, v.opts)
+		rigs[i] = newGoldenRig(t, v.pipe)
 	}
-	enc := newGoldenRig(t, DecodeProfile{})
+	enc := newGoldenRig(t, pipeline{})
 
 	var lines []string
 	failed, passed, capped := 0, 0, 0
@@ -201,12 +202,12 @@ type goldenRig struct {
 	procs [3]*TransportProcessor
 }
 
-func newGoldenRig(t *testing.T, o DecodeProfile) *goldenRig {
+func newGoldenRig(t *testing.T, r pipeline) *goldenRig {
 	t.Helper()
 	g := &goldenRig{}
 	for i := range g.procs {
 		var err error
-		if g.procs[i], err = NewTransportProcessor(MaxPRB, o); err != nil {
+		if g.procs[i], err = newRefProcessor(MaxPRB, r); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -153,14 +153,14 @@ func mixedK(t testing.TB) (k int, byC map[int]tbShape) {
 // TestDecodeJointMatchesDecode is the claim's phy contract: transport blocks
 // of one K — single-block and segmented, of different cells, RNTIs and
 // subframes, with and without a HARQ buffer — decoded in one DecodeJoint
-// call give each exactly what Decode gives it alone on the same profile, and
+// call give each exactly what Decode gives it alone on the same pipeline, and
 // a retransmission combines into its buffer inside a shared span as it
 // would alone.
 func TestDecodeJointMatchesDecode(t *testing.T) {
 	k, byC := mixedK(t)
 	t.Logf("K=%d: C=1 MCS %d/%d PRB, C=2 MCS %d/%d PRB, C=3 MCS %d/%d PRB", k,
 		byC[1].mcs, byC[1].nprb, byC[2].mcs, byC[2].nprb, byC[3].mcs, byC[3].nprb)
-	enc, err := NewTransportProcessor(MaxPRB, DecodeProfile{})
+	enc, err := NewTransportProcessor(MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,18 +180,17 @@ func TestDecodeJointMatchesDecode(t *testing.T) {
 		}
 		cases[i] = c
 	}
-	for name, o := range map[string]DecodeProfile{
+	for name, o := range map[string]pipeline{
 		"default": {},
-		"scalar":  {Batch: 1},
-		"width4":  {Batch: 4},
-		"staged":  {FrontEnd: FrontEndStaged},
+		"scalar":  {turbo: turboPerBlock},
+		"staged":  {staged: true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			joint, err := NewTransportProcessor(MaxPRB, o)
+			joint, err := newRefProcessor(MaxPRB, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			alone, err := NewTransportProcessor(MaxPRB, o)
+			alone, err := newRefProcessor(MaxPRB, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -239,7 +238,7 @@ func TestDecodeJointRejects(t *testing.T) {
 			break
 		}
 	}
-	enc, err := NewTransportProcessor(MaxPRB, DecodeProfile{})
+	enc, err := NewTransportProcessor(MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +256,7 @@ func TestDecodeJointRejects(t *testing.T) {
 	for i, c := range cases {
 		tbs[i] = c.tb()
 	}
-	p, err := NewTransportProcessor(MaxPRB, DecodeProfile{})
+	p, err := NewTransportProcessor(MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +280,7 @@ func TestDecodeJointRejects(t *testing.T) {
 // allocates nothing.
 func TestDecodeJointNoAlloc(t *testing.T) {
 	_, byC := mixedK(t)
-	enc, err := NewTransportProcessor(MaxPRB, DecodeProfile{})
+	enc, err := NewTransportProcessor(MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +294,7 @@ func TestDecodeJointNoAlloc(t *testing.T) {
 		}
 		tbs[i] = c.tb()
 	}
-	p, err := NewTransportProcessor(MaxPRB, DecodeProfile{})
+	p, err := NewTransportProcessor(MaxPRB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +339,7 @@ func FuzzJointSpan(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, kSel, nSel uint8, snrTenths int8) {
 		group := groups[ks[int(kSel)%len(ks)]]
 		rng := rand.New(rand.NewSource(seed))
-		enc, err := NewTransportProcessor(MaxPRB, DecodeProfile{})
+		enc, err := NewTransportProcessor(MaxPRB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,7 +370,7 @@ func FuzzJointSpan(f *testing.F) {
 				break
 			}
 		}
-		alone, err := NewTransportProcessor(MaxPRB, DecodeProfile{})
+		alone, err := NewTransportProcessor(MaxPRB)
 		if err != nil {
 			t.Fatal(err)
 		}

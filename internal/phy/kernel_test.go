@@ -8,64 +8,6 @@ import (
 	"testing/quick"
 )
 
-// TestInvalidProfileRejected pins that the decode profile has one
-// validator: every profile DecodeProfile.Validate rejects, NewTransportProcessor
-// rejects with ErrBadParameter, and every profile it accepts builds a
-// processor.
-func TestInvalidProfileRejected(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		prof  DecodeProfile
-		valid bool
-	}{
-		{"zero value", DecodeProfile{}, true},
-		{"every oracle", DecodeProfile{Kernel: KernelFloat32, FrontEnd: FrontEndStaged, Batch: 1, NoVectorFrontEnd: true}, true},
-		{"width 8", DecodeProfile{Batch: 8}, true},
-		{"negative width", DecodeProfile{Batch: -1}, false},
-		{"width above 8", DecodeProfile{Batch: 9}, false},
-		{"lockstep float32", DecodeProfile{Kernel: KernelFloat32, Batch: 2}, false},
-		{"unknown kernel", DecodeProfile{Kernel: DecodeKernel(9)}, false},
-		{"unknown front-end", DecodeProfile{FrontEnd: FrontEnd(7)}, false},
-	} {
-		_, procErr := NewTransportProcessor(1, tc.prof)
-		for who, err := range map[string]error{
-			"DecodeProfile.Validate": tc.prof.Validate(),
-			"NewTransportProcessor":  procErr,
-		} {
-			if tc.valid && err != nil {
-				t.Errorf("%s: %s rejected a valid profile: %v", tc.name, who, err)
-			}
-			if !tc.valid && !errors.Is(err, ErrBadParameter) {
-				t.Errorf("%s: %s returned %v, want ErrBadParameter", tc.name, who, err)
-			}
-		}
-	}
-}
-
-func TestDecodeKernelStringValidate(t *testing.T) {
-	if got := KernelFloat32.String(); got != "float32" {
-		t.Errorf("KernelFloat32.String() = %q", got)
-	}
-	if got := KernelInt16.String(); got != "int16" {
-		t.Errorf("KernelInt16.String() = %q", got)
-	}
-	if got := DecodeKernel(9).String(); got != "DecodeKernel(9)" {
-		t.Errorf("DecodeKernel(9).String() = %q", got)
-	}
-	if err := KernelFloat32.Validate(); err != nil {
-		t.Errorf("KernelFloat32.Validate() = %v", err)
-	}
-	if err := KernelInt16.Validate(); err != nil {
-		t.Errorf("KernelInt16.Validate() = %v", err)
-	}
-	if err := DecodeKernel(9).Validate(); !errors.Is(err, ErrBadParameter) {
-		t.Errorf("DecodeKernel(9).Validate() = %v, want ErrBadParameter", err)
-	}
-	if _, err := NewTurboDecoderKernel(DecodeKernel(9)); !errors.Is(err, ErrBadParameter) {
-		t.Errorf("NewTurboDecoderKernel(bad kernel) = %v, want ErrBadParameter", err)
-	}
-}
-
 // TestUnrolledTrellisMatchesTables pins sisoI16's hand-unrolled butterflies
 // against the generated trellis tables: the unrolled code hard-codes these
 // successor/branch-sign patterns, so if the tables ever change shape this
@@ -210,13 +152,7 @@ func TestTurboI16NoiseFreeRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, k := range []int{40, 512, 1056, 6144} {
 		enc := NewTurboEncoder()
-		dec, err := NewTurboDecoderKernel(KernelInt16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.Kernel() != KernelInt16 {
-			t.Fatalf("Kernel() = %v", dec.Kernel())
-		}
+		dec := NewTurboDecoder()
 		input := randBits(rng, k)
 		d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
 		if err := enc.Encode(d0, d1, d2, input); err != nil {
@@ -240,8 +176,7 @@ func TestTurboI16NoiseFreeRoundtrip(t *testing.T) {
 func TestTurboI16MatchesFloatHighSNR(t *testing.T) {
 	const k = 512
 	enc := NewTurboEncoder()
-	decF, _ := NewTurboDecoderKernel(KernelFloat32)
-	decI, _ := NewTurboDecoderKernel(KernelInt16)
+	decF, decI := newFloatDecoder(), NewTurboDecoder()
 	d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
 	outF, outI := make([]byte, k), make([]byte, k)
 
@@ -287,7 +222,7 @@ func TestTurboI16MatchesFloatHighSNR(t *testing.T) {
 func TestTurboI16DecodeNoAlloc(t *testing.T) {
 	const k = 512
 	enc := NewTurboEncoder()
-	dec, _ := NewTurboDecoderKernel(KernelInt16)
+	dec := NewTurboDecoder()
 	rng := rand.New(rand.NewSource(26))
 	input := randBits(rng, k)
 	d0, d1, d2 := make([]byte, k+4), make([]byte, k+4), make([]byte, k+4)
@@ -323,11 +258,12 @@ func (r kernelBLER) bler() float64 {
 	return float64(n) / float64(len(r.failed))
 }
 
-// measureKernelBLER is measureBLER with an explicit kernel and per-block
-// outcomes; the same seed gives every kernel the same payloads and noise.
-func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials int, seed int64, kernel DecodeKernel) kernelBLER {
+// measureKernelBLER is measureBLER with an explicit turbo stage — the
+// default's or the float32 reference's — and per-block outcomes; the same
+// seed gives every stage the same payloads and noise.
+func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials int, seed int64, turbo refTurbo) kernelBLER {
 	t.Helper()
-	proc, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: kernel})
+	proc, err := newTBProc(mcs, nprb, pipeline{turbo: turbo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,8 +307,8 @@ func TestTurboI16BLERParity(t *testing.T) {
 	const trials = 150
 	for _, mcs := range []MCS{4, 13, 22} {
 		snr := mcs.OperatingSNR() + 0.5
-		ri := measureKernelBLER(t, mcs, nprb, snr, trials, 400+int64(mcs), KernelInt16)
-		rf := measureKernelBLER(t, mcs, nprb, snr, trials, 400+int64(mcs), KernelFloat32)
+		ri := measureKernelBLER(t, mcs, nprb, snr, trials, 400+int64(mcs), turboLockstep)
+		rf := measureKernelBLER(t, mcs, nprb, snr, trials, 400+int64(mcs), turboFloat32)
 		onlyI, onlyF := 0, 0
 		for i := range ri.failed {
 			switch {
@@ -413,8 +349,8 @@ func TestI16BLERParityHighSNR(t *testing.T) {
 	for _, margin := range []float64{3, 4} {
 		snr := mcs.OperatingSNR() + margin
 		seed := 2800 + int64(margin)
-		ri := measureKernelBLER(t, mcs, nprb, snr, trials, seed, KernelInt16)
-		rf := measureKernelBLER(t, mcs, nprb, snr, trials, seed, KernelFloat32)
+		ri := measureKernelBLER(t, mcs, nprb, snr, trials, seed, turboLockstep)
+		rf := measureKernelBLER(t, mcs, nprb, snr, trials, seed, turboFloat32)
 		var itI, itF, both int
 		for i := range ri.failed {
 			if !ri.failed[i] && !rf.failed[i] {
@@ -441,16 +377,13 @@ func TestI16BLERParityHighSNR(t *testing.T) {
 func TestTransportKernelI16(t *testing.T) {
 	const nprb = 50
 	const mcs = MCS(22) // segments into several code blocks at 50 PRB
-	serial, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: KernelInt16, Batch: 1})
+	serial, err := newTBProc(mcs, nprb, pipeline{turbo: turboPerBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := newTBProc(mcs, nprb, DecodeProfile{Kernel: KernelInt16})
+	par, err := newTBProc(mcs, nprb, pipeline{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if serial.Profile().Kernel != KernelInt16 || par.Profile().Kernel != KernelInt16 {
-		t.Fatalf("kernels %v/%v, want int16", serial.Profile().Kernel, par.Profile().Kernel)
 	}
 	rng := rand.New(rand.NewSource(77))
 	ch := NewAWGNChannel(mcs.OperatingSNR()+3, 78)

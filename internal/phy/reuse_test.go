@@ -45,9 +45,9 @@ func (o reuseOutcome) equal(w reuseOutcome) bool {
 // newReuseTB draws a payload for the shape, sends it at the operating-point
 // SNR with RV 0 and RV 2, and records the outcome of decoding both on a
 // fresh processor sized for this shape alone.
-func newReuseTB(t *testing.T, mcs MCS, nprb int, o DecodeProfile, ownSoft bool, seed int64) *reuseTB {
+func newReuseTB(t *testing.T, mcs MCS, nprb int, o pipeline, ownSoft bool, seed int64) *reuseTB {
 	t.Helper()
-	p, err := NewTransportProcessor(nprb, o)
+	p, err := newRefProcessor(nprb, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func newReuseTB(t *testing.T, mcs MCS, nprb int, o DecodeProfile, ownSoft bool, 
 // block — starting with the largest shape followed by a three-PRB shape with
 // filler bits, the pair that leaves the most behind.
 func TestProcessorReuseMatchesFresh(t *testing.T) {
-	for name, o := range map[string]DecodeProfile{
+	for name, o := range map[string]pipeline{
 		"default": {},
-		"scalar":  {Batch: 1},
-		"float32": {Kernel: KernelFloat32},
-		"staged":  {FrontEnd: FrontEndStaged},
+		"scalar":  {turbo: turboPerBlock},
+		"float32": {turbo: turboFloat32},
+		"staged":  {staged: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
@@ -105,7 +105,7 @@ func TestProcessorReuseMatchesFresh(t *testing.T) {
 				t.Fatal("the small shape carries no filler bits")
 			}
 			n := 24
-			if testing.Short() || o.Kernel == KernelFloat32 {
+			if testing.Short() || o.turbo == turboFloat32 {
 				n = 8
 			}
 			for i := 0; i < n; i++ {
@@ -124,7 +124,7 @@ func TestProcessorReuseMatchesFresh(t *testing.T) {
 			}
 			rng.Shuffle(len(order)-4, func(i, j int) { order[4+i], order[4+j] = order[4+j], order[4+i] })
 
-			p, err := NewTransportProcessor(MaxPRB, o)
+			p, err := newRefProcessor(MaxPRB, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,18 +177,18 @@ func plannedShapes(t *testing.T, n int, maxPRB int) []goldenShape {
 // TestProcessorNoAllocOnNewShape pins the footprint contract: once a block
 // size's plans exist, the first Encode and the first Decode of a shape the
 // processor has never seen allocate nothing — with or without a caller's
-// soft buffer, for the default path, the scalar decoders and the staged
-// front-end.
+// soft buffer, for the default path and for the reference pipelines' scalar
+// decoders and staged front-end.
 func TestProcessorNoAllocOnNewShape(t *testing.T) {
-	for name, o := range map[string]DecodeProfile{
+	for name, o := range map[string]pipeline{
 		"default": {},
-		"float32": {Kernel: KernelFloat32},
-		"staged":  {FrontEnd: FrontEndStaged, Batch: 1},
+		"float32": {turbo: turboFloat32},
+		"staged":  {staged: true, turbo: turboPerBlock},
 	} {
 		t.Run(name, func(t *testing.T) {
 			const runs = 6
 			shapes := plannedShapes(t, 2*(runs+1)+1, 50)
-			src, err := NewTransportProcessor(50, DecodeProfile{})
+			src, err := NewTransportProcessor(50)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -210,7 +210,7 @@ func TestProcessorNoAllocOnNewShape(t *testing.T) {
 				ch.Apply(in[i].rx)
 				in[i].n0 = ch.N0()
 			}
-			p, err := NewTransportProcessor(50, o)
+			p, err := newRefProcessor(50, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -266,7 +266,7 @@ func TestPlansSharedAcrossGoroutines(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := NewTransportProcessor(MaxPRB, DecodeProfile{})
+			p, err := NewTransportProcessor(MaxPRB)
 			if err != nil {
 				t.Error(err)
 				return

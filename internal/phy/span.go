@@ -13,30 +13,29 @@ import "fmt"
 const loneLaneMinK = 1056
 
 // spanDecoder turbo-decodes the code blocks of a decode — one or more
-// transport blocks of one block size K — in spans of the lockstep width.
+// transport blocks of one block size K — in spans of up to MaxJointBlocks,
+// the lockstep width.
 // Spans follow the transport blocks: one that fits a span never straddles
 // two, and one wider than a span is split into full spans and a ragged rest
 // exactly as it would be alone, so every transport block's outcome is the
 // one it has decoded alone. A span of two or more live blocks goes through
 // one BatchDecoderI16 pass. A lone block goes through that decoder too when
-// its width-8 AVX2 path is available and K ≥ loneLaneMinK, and through the
-// scalar TurboDecoder otherwise: every block at width 1, a block of small K,
-// and any lone block of the pure-Go build, where the one-lane pass is the
-// slower (K 2112: 2.2–2.3 against 0.6–0.8 ms; K 6144: 3.4–3.7 against
-// 2.0–3.3 ms). Both produce
+// its AVX2 path is available and K ≥ loneLaneMinK, and through the scalar
+// TurboDecoder otherwise: a block of small K, and any lone block of the
+// pure-Go build, where the one-lane pass is the slower (K 2112: 2.2–2.3
+// against 0.6–0.8 ms; K 6144: 3.4–3.7 against 2.0–3.3 ms). Both produce
 // bit-identical output, and LTE code blocks are independent after
 // de-rate-matching — no state crosses block boundaries until
 // desegmentation — so block j's bits land in its output whatever the span.
 //
 // A spanDecoder has no block size: a call's K is read off its blocks and the
-// working sets are sized for the largest, so one decoder (≈ 1.7 MB on the
-// default path) serves every shape its owner meets. It belongs to one
-// TransportProcessor, which builds it on its first Decode, and like the
-// processor it is owned by one goroutine at a time.
+// working sets are sized for the largest, so one decoder (≈ 1.7 MB) serves
+// every shape its owner meets. It belongs to one TransportProcessor, which
+// builds it on its first Decode, and like the processor it is owned by one
+// goroutine at a time.
 type spanDecoder struct {
-	width int
-	dec   *TurboDecoder
-	bd    *BatchDecoderI16 // nil unless width ≥ 2
+	dec *TurboDecoder
+	bd  *BatchDecoderI16
 
 	// The running span's live blocks, gathered for the lockstep decoder:
 	// live[j] is lane j's index in the decode's codeBlocks.
@@ -48,7 +47,7 @@ type spanDecoder struct {
 
 	// spans[n] counts the spans of the most recent decode that decoded n
 	// code blocks together.
-	spans [maxProfileWidth + 1]int
+	spans [MaxJointBlocks + 1]int
 }
 
 // codeBlocks is a decode's code blocks, transport block after transport
@@ -101,13 +100,13 @@ func (cb *codeBlocks) streams(i int) (ld0, ld1, ld2 []float32) {
 	return s[:d:d], s[d : 2*d : 2*d], s[2*d : 3*d : 3*d]
 }
 
-// newSpanDecoder builds the decoders of a profile: its Kernel and lockstep
-// Width are read, the front-end fields are the processor's business.
-func newSpanDecoder(p DecodeProfile) (*spanDecoder, error) {
-	w := p.Width()
-	sd := &spanDecoder{
-		width: w,
-		dec:   newTurboDecoder(p.Kernel),
+// newSpanDecoder builds the scalar and the lockstep decoder and the span
+// scratch.
+func newSpanDecoder() *spanDecoder {
+	const w = MaxJointBlocks
+	return &spanDecoder{
+		dec:   NewTurboDecoder(),
+		bd:    newBatchDecoderI16(w),
 		live:  make([]int, 0, w),
 		out:   make([][]byte, 0, w),
 		ld0:   make([][]float32, 0, w),
@@ -116,14 +115,6 @@ func newSpanDecoder(p DecodeProfile) (*spanDecoder, error) {
 		known: make([]int, 0, w),
 		check: make([]func([]byte) bool, 0, w),
 	}
-	if w > 1 {
-		bd, err := NewBatchDecoderI16(w)
-		if err != nil {
-			return nil, err
-		}
-		sd.bd = bd
-	}
-	return sd, nil
 }
 
 // setMaxIterations bounds the scalar and lockstep decoders' full turbo
@@ -133,9 +124,7 @@ func (sd *spanDecoder) setMaxIterations(n int) {
 		n = DefaultTurboIterations
 	}
 	sd.dec.MaxIterations = n
-	if sd.bd != nil {
-		sd.bd.MaxIterations = n
-	}
+	sd.bd.MaxIterations = n
 }
 
 // decode turbo-decodes every code block of cb: out[i] (all of one length K,
@@ -143,9 +132,9 @@ func (sd *spanDecoder) setMaxIterations(n int) {
 // in soft[i] (three of length K+4, the encoder's layout), check[i]
 // is the block's success predicate (a CRC) its lane stops early on, and
 // known[i] the leading systematic values that are LTE filler — known zeros
-// pinned to fillerLLR — which the int16 kernel keeps out of the block's
-// ingest gain (see llrGain). A block that still fails its predicate after
-// the iteration budget fails its transport block (ok[t] = false), whose
+// pinned to fillerLLR — which the ingest keeps out of the block's gain (see
+// llrGain). A block that still fails its predicate after the iteration
+// budget fails its transport block (ok[t] = false), whose
 // blocks in later spans are then not decoded: a transport block with a
 // failed code block can never pass the TB CRC. iters[t] sums the iterations
 // of transport block t's blocks.
@@ -156,8 +145,9 @@ func (sd *spanDecoder) setMaxIterations(n int) {
 // to the caller before the call. prepare runs for every block even after a
 // failure ends its transport block's decoding, because its side effect is
 // soft-buffer accumulation — HARQ state the next retransmission combines
-// against, which must match the staged pipeline's, whose front-end sweeps
-// always complete before turbo decoding starts.
+// against, which must match the staged reference's (frontend_test.go),
+// whose front-end sweeps always complete before turbo decoding starts; a
+// nil prepare decodes streams the caller has already filled.
 func (sd *spanDecoder) decode(cb *codeBlocks, prepare func(int)) error {
 	c := len(cb.out)
 	if len(cb.soft) != c || len(cb.known) != c || len(cb.check) != c || len(cb.tb) != c {
@@ -169,7 +159,7 @@ func (sd *spanDecoder) decode(cb *codeBlocks, prepare func(int)) error {
 			return fmt.Errorf("phy: block %d of %d bits has %d soft values: %w", i, len(cb.out[i]), len(s), ErrBadParameter)
 		}
 	}
-	sd.spans = [maxProfileWidth + 1]int{}
+	sd.spans = [MaxJointBlocks + 1]int{}
 	for base := 0; base < c; {
 		end := sd.spanEnd(cb, base)
 		if prepare != nil {
@@ -200,10 +190,10 @@ func (sd *spanDecoder) decode(cb *codeBlocks, prepare func(int)) error {
 // base's transport block and every following one that still fits whole.
 func (sd *spanDecoder) spanEnd(cb *codeBlocks, base int) int {
 	end := cb.end[cb.tb[base]]
-	if end-base > sd.width {
-		return base + sd.width
+	if end-base > MaxJointBlocks {
+		return base + MaxJointBlocks
 	}
-	for end < len(cb.out) && cb.end[cb.tb[end]]-base <= sd.width {
+	for end < len(cb.out) && cb.end[cb.tb[end]]-base <= MaxJointBlocks {
 		end = cb.end[cb.tb[end]]
 	}
 	return end
@@ -212,7 +202,7 @@ func (sd *spanDecoder) spanEnd(cb *codeBlocks, base int) int {
 // decodeSpan decodes the live blocks of one span and books their
 // iterations and failures to their transport blocks.
 func (sd *spanDecoder) decodeSpan(cb *codeBlocks) error {
-	if i := sd.live[0]; len(sd.live) == 1 && !(batchAsm && sd.width == 8 && len(cb.out[i]) >= loneLaneMinK) {
+	if i := sd.live[0]; len(sd.live) == 1 && !(batchAsm && len(cb.out[i]) >= loneLaneMinK) {
 		sd.dec.EarlyCheck = cb.check[i]
 		ld0, ld1, ld2 := cb.streams(i)
 		it, err := sd.dec.decode(cb.out[i], ld0, ld1, ld2, cb.known[i])

@@ -9,16 +9,16 @@ import (
 	"testing/quick"
 )
 
-// decodeBoth runs the same received subframe through a scalar per-block
-// processor (lockstep width 1) and one decoding spans of the given width,
-// and returns both outcomes.
-func decodeBoth(t *testing.T, mcs MCS, nprb, width int, snrDB float64, seed int64) (scalarOut, spanOut []byte, scalarErr, spanErr error, scalarIters, spanIters int) {
+// decodeBoth runs the same received subframe through the per-block
+// reference processor (the scalar decoder, lockstep width 1) and the
+// default one decoding lockstep spans, and returns both outcomes.
+func decodeBoth(t *testing.T, mcs MCS, nprb int, snrDB float64, seed int64) (scalarOut, spanOut []byte, scalarErr, spanErr error, scalarIters, spanIters int) {
 	t.Helper()
-	ser, err := newTBProc(mcs, nprb, DecodeProfile{Batch: 1})
+	ser, err := newTBProc(mcs, nprb, pipeline{turbo: turboPerBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := newTBProc(mcs, nprb, DecodeProfile{Batch: width})
+	sp, err := newTBProc(mcs, nprb, pipeline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,35 +43,33 @@ func decodeBoth(t *testing.T, mcs MCS, nprb, width int, snrDB float64, seed int6
 }
 
 func TestParallelDecodeBitIdenticalQuick(t *testing.T) {
-	// Property: for random (MCS, PRB, lockstep width), span decode of a
-	// successfully received subframe is bit-identical to scalar per-block
-	// decode — same payload, same error outcome, same total turbo
-	// iterations.
+	// Property: for random (MCS, PRB), span decode of a successfully
+	// received subframe is bit-identical to scalar per-block decode — same
+	// payload, same error outcome, same total turbo iterations.
 	cfg := &quick.Config{MaxCount: 10}
 	if testing.Short() {
 		cfg.MaxCount = 4
 	}
 	seed := int64(1)
-	prop := func(mcsRaw, nprbRaw, widthRaw uint8) bool {
+	prop := func(mcsRaw, nprbRaw uint8) bool {
 		mcs := MCS(mcsRaw % 29)
 		nprb := 1 + int(nprbRaw)%50
-		width := 2 + int(widthRaw)%7
 		if _, err := mcs.TransportBlockSize(nprb); err != nil {
 			return true // invalid combination, vacuously fine
 		}
 		seed++
 		// 6 dB above the operating point: decode reliably succeeds, so the
 		// property exercises the payload path, not just matching failures.
-		so, po, se, pe, si, pi := decodeBoth(t, mcs, nprb, width, mcs.OperatingSNR()+6, seed)
+		so, po, se, pe, si, pi := decodeBoth(t, mcs, nprb, mcs.OperatingSNR()+6, seed)
 		if (se == nil) != (pe == nil) {
-			t.Logf("mcs=%d nprb=%d width=%d: scalar err=%v span err=%v", mcs, nprb, width, se, pe)
+			t.Logf("mcs=%d nprb=%d: scalar err=%v span err=%v", mcs, nprb, se, pe)
 			return false
 		}
 		if se != nil {
 			return true
 		}
 		if si != pi {
-			t.Logf("mcs=%d nprb=%d width=%d: iterations %d vs %d", mcs, nprb, width, si, pi)
+			t.Logf("mcs=%d nprb=%d: iterations %d vs %d", mcs, nprb, si, pi)
 			return false
 		}
 		if len(so) != len(po) {
@@ -79,7 +77,7 @@ func TestParallelDecodeBitIdenticalQuick(t *testing.T) {
 		}
 		for i := range so {
 			if so[i] != po[i] {
-				t.Logf("mcs=%d nprb=%d width=%d: payload differs at bit %d", mcs, nprb, width, i)
+				t.Logf("mcs=%d nprb=%d: payload differs at bit %d", mcs, nprb, i)
 				return false
 			}
 		}
@@ -91,30 +89,29 @@ func TestParallelDecodeBitIdenticalQuick(t *testing.T) {
 }
 
 func TestParallelDecodeBitIdenticalMultiBlock(t *testing.T) {
-	// Pin the interesting corner deterministically: a high-MCS wide-band TB
-	// that segments into many code blocks, across several lockstep widths
-	// (a width above the block count is covered by small nprb below).
+	// Pin the interesting corners deterministically: transport blocks that
+	// segment into many code blocks, cut into full, ragged and lone spans.
 	for _, tc := range []struct {
-		mcs   MCS
-		nprb  int
-		width int
+		mcs  MCS
+		nprb int
 	}{
-		{28, 100, 4}, // 14 blocks, the provisioning corner: three full spans and a ragged one
-		{22, 50, 3},
-		{16, 25, 8},
-		{10, 4, 4}, // single block: the width exceeds C
+		{28, 100}, // 14 blocks, the provisioning corner: a full span and a ragged one
+		{21, 100}, // 9 blocks: a full span and a lone block
+		{22, 50},  // 5 blocks: one ragged span
+		{16, 25},  // 2 blocks
+		{10, 4},   // single block: the width exceeds C
 	} {
-		so, po, se, pe, si, pi := decodeBoth(t, tc.mcs, tc.nprb, tc.width,
+		so, po, se, pe, si, pi := decodeBoth(t, tc.mcs, tc.nprb,
 			tc.mcs.OperatingSNR()+4, int64(tc.mcs)*31+int64(tc.nprb))
 		if se != nil || pe != nil {
-			t.Fatalf("mcs=%d nprb=%d width=%d: scalar=%v span=%v", tc.mcs, tc.nprb, tc.width, se, pe)
+			t.Fatalf("mcs=%d nprb=%d: scalar=%v span=%v", tc.mcs, tc.nprb, se, pe)
 		}
 		if si != pi {
-			t.Fatalf("mcs=%d nprb=%d width=%d: iterations %d vs %d", tc.mcs, tc.nprb, tc.width, si, pi)
+			t.Fatalf("mcs=%d nprb=%d: iterations %d vs %d", tc.mcs, tc.nprb, si, pi)
 		}
 		for i := range so {
 			if so[i] != po[i] {
-				t.Fatalf("mcs=%d nprb=%d width=%d: payload differs at bit %d", tc.mcs, tc.nprb, tc.width, i)
+				t.Fatalf("mcs=%d nprb=%d: payload differs at bit %d", tc.mcs, tc.nprb, i)
 			}
 		}
 	}
@@ -124,7 +121,7 @@ func TestParallelDecodeFailsAtVeryLowSNR(t *testing.T) {
 	// Far below the operating point both paths must report ErrCRC; the
 	// span path stops after its first failed span but the caller-visible
 	// outcome matches.
-	_, _, se, pe, _, _ := decodeBoth(t, 22, 50, 4, MCS(22).OperatingSNR()-15, 77)
+	_, _, se, pe, _, _ := decodeBoth(t, 22, 50, MCS(22).OperatingSNR()-15, 77)
 	if !errors.Is(se, ErrCRC) {
 		t.Fatalf("scalar: expected CRC failure, got %v", se)
 	}
@@ -151,7 +148,7 @@ func TestParallelDecodeConcurrentSubframes(t *testing.T) {
 			defer wg.Done()
 			mcs := MCS(10 + 3*(g%4))
 			nprb := 10 + 5*g
-			proc, err := newTBProc(mcs, nprb, DecodeProfile{Batch: 2 + g%3})
+			proc, err := newTBProc(mcs, nprb, pipeline{})
 			if err != nil {
 				errs[g] = err
 				return
@@ -190,10 +187,11 @@ func TestParallelDecodeConcurrentSubframes(t *testing.T) {
 }
 
 func TestParallelDecodeNoAlloc(t *testing.T) {
-	// Span decoding at a width that leaves a ragged span (14 blocks at width
-	// 4) must stay allocation-free like the default: the decoders and their
-	// working sets are built once.
-	p, err := newTBProc(28, 100, DecodeProfile{Batch: 4})
+	// A transport block whose last code block is a span of its own (9
+	// blocks: a full span, then a lone block on the one-lane pass or the
+	// scalar decoder) must stay allocation-free like a full one: both
+	// decoders and their working sets are built once.
+	p, err := newTBProc(21, 100, pipeline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +202,7 @@ func TestParallelDecodeNoAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	rx := append([]complex128(nil), syms...)
-	ch := NewAWGNChannel(MCS(28).OperatingSNR()+4, 91)
+	ch := NewAWGNChannel(MCS(21).OperatingSNR()+4, 91)
 	ch.Apply(rx)
 	if _, err := p.Decode(rx, ch.N0(), 3, 9, 4, 0, nil); err != nil {
 		t.Fatal(err)
@@ -236,33 +234,32 @@ func makeSubframe(t *testing.T, proc *tbProc, rnti uint16, snrDB float64, seed i
 }
 
 func TestBatchedProcessorBitIdentical(t *testing.T) {
-	// A processor with lockstep batching enabled must be bit-identical to
-	// the scalar int16 processor: same payload, same error outcome, same
-	// iteration totals — across batch widths and both front-ends.
+	// The lockstep processor must be bit-identical to the scalar per-block
+	// reference: same payload, same error outcome, same iteration totals —
+	// behind the fused front-end and behind the staged reference one.
 	for _, tc := range []struct {
 		mcs             MCS
 		nprb            int
-		batch           int
-		frontEnd        FrontEnd
+		staged          bool
 		snrOffset       float64
 		wantCRCFailure  bool
 		descriptiveName string
 	}{
-		{28, 100, 8, FrontEndFused, 4, false, "many blocks"},
-		{22, 50, 4, FrontEndStaged, 4, false, "staged front-end"},
-		{16, 25, 3, FrontEndFused, 4, false, "odd width"},
-		{10, 4, 8, FrontEndFused, 4, false, "single block, ragged"},
-		{22, 50, 8, FrontEndFused, -15, true, "hopeless SNR aborts"},
+		{28, 100, false, 4, false, "many blocks"},
+		{22, 50, true, 4, false, "staged front-end"},
+		{16, 25, false, 4, false, "two blocks"},
+		{10, 4, false, 4, false, "single block, ragged"},
+		{22, 50, false, -15, true, "hopeless SNR aborts"},
 	} {
-		ser, err := newTBProc(tc.mcs, tc.nprb, DecodeProfile{Kernel: KernelInt16, FrontEnd: tc.frontEnd, Batch: 1})
+		ser, err := newTBProc(tc.mcs, tc.nprb, pipeline{turbo: turboPerBlock, staged: tc.staged})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bat, err := newTBProc(tc.mcs, tc.nprb, DecodeProfile{Kernel: KernelInt16, FrontEnd: tc.frontEnd, Batch: tc.batch})
+		bat, err := newTBProc(tc.mcs, tc.nprb, pipeline{staged: tc.staged})
 		if err != nil {
 			t.Fatal(err)
 		}
-		payload, rx, n0 := makeSubframe(t, ser, 17, tc.mcs.OperatingSNR()+tc.snrOffset, int64(tc.mcs)*13+int64(tc.batch))
+		payload, rx, n0 := makeSubframe(t, ser, 17, tc.mcs.OperatingSNR()+tc.snrOffset, int64(tc.mcs)*13+int64(tc.nprb))
 		so, se := ser.Decode(rx, n0, 17, 101, 4, 0, nil)
 		si := ser.Timings.TurboIterations
 		bo, be := bat.Decode(rx, n0, 17, 101, 4, 0, nil)
@@ -288,7 +285,7 @@ func TestBatchedProcessorBitIdentical(t *testing.T) {
 func TestBatchedProcessorNoAlloc(t *testing.T) {
 	// Batched decode must preserve the zero-allocation steady state: the
 	// lockstep decoder and its working set belong to the processor.
-	p, err := newTBProc(28, 100, DecodeProfile{Kernel: KernelInt16, Batch: 8})
+	p, err := newTBProc(28, 100, pipeline{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,13 +301,4 @@ func TestBatchedProcessorNoAlloc(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("batched Decode allocates %v times per subframe", allocs)
 	}
-}
-
-func mustProc(t *testing.T, mcs MCS, nprb int, o DecodeProfile) *tbProc {
-	t.Helper()
-	p, err := newTBProc(mcs, nprb, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }

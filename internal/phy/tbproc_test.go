@@ -11,13 +11,14 @@ type tbProc struct {
 	sh tbShape
 }
 
-// newTBProc builds a processor sized for nprb, bound to the shape.
-func newTBProc(mcs MCS, nprb int, o DecodeProfile) (*tbProc, error) {
+// newTBProc builds a processor sized for nprb that decodes through pipeline
+// r, bound to the shape.
+func newTBProc(mcs MCS, nprb int, r pipeline) (*tbProc, error) {
 	sh, err := shapeOf(mcs, nprb)
 	if err != nil {
 		return nil, err
 	}
-	p, err := NewTransportProcessor(nprb, o)
+	p, err := newRefProcessor(nprb, r)
 	if err != nil {
 		return nil, err
 	}

@@ -35,8 +35,7 @@ import (
 // calling goroutine. The data plane keeps one per pool worker. See
 // docs/concurrency.md for the end-to-end threading model.
 type TransportProcessor struct {
-	top  tbShape // the largest shape: MaxMCS at the construction PRB count
-	prof DecodeProfile
+	top tbShape // the largest shape: MaxMCS at the construction PRB count
 
 	enc     *TurboEncoder
 	dec     *spanDecoder // the turbo decoder, built by the first Decode
@@ -56,7 +55,7 @@ type TransportProcessor struct {
 	feKey   []uint32
 	feRV    int
 	feInvN0 float64
-	feVec   bool // AVX2 tile demodulation (fixed at construction)
+	feVec   bool // AVX2 tile demodulation: FrontEndAVX2
 
 	// Working storage, sized for the largest transport block.
 	tbBits   []byte // payload + TB CRC (B bits)
@@ -67,13 +66,18 @@ type TransportProcessor struct {
 	coded    []byte       // rate-matched coded bits (E)
 	symbols  []complex128 // modulated symbols
 	// Decode side, built by the first Decode (initDecode).
-	llr     []float32   // demodulated LLRs (E); staged front-end only
 	softBuf *SoftBuffer // the soft streams of transport blocks decoded without a buffer
 	blockbk []byte      // backing array for the code blocks' decoded bits
 	joined  []byte      // reassembled B bits, each transport block's at its first lane·K
 	one     [1]TBDecode // Decode's transport block
 	jt      []jointTB   // the running decode's accepted transport blocks
 	cb      codeBlocks  // the running decode's code blocks
+
+	// ref is nil on every processor NewTransportProcessor builds; a test
+	// sets it to a reference pipeline (reference_test.go), which then stands
+	// in for turboFused, running the decode's front-ends and turbo stage on
+	// the laid-out code blocks.
+	ref func(*spanDecoder) error
 
 	// Timings records the stage breakdown of the most recent Encode/Decode.
 	Timings StageTimings
@@ -133,28 +137,25 @@ func (s tbShape) blockOff(i int) int {
 type StageTimings struct {
 	Modulate    time.Duration // encode: modulation (+scrambling)
 	EncodeChain time.Duration // encode: CRC+segmentation+turbo+rate match
-	Demodulate  time.Duration // decode: LLR computation (staged front-end)
-	Descramble  time.Duration // (staged front-end)
-	Dematch     time.Duration // soft de-rate-matching (staged front-end)
-	// FrontEnd is the fused single-pass demod+descramble+dematch time; it
-	// replaces the three staged fields above when the processor runs
-	// FrontEndFused. The per-block front-ends run as the turbo decoder's
-	// prepare hook, timed block by block and subtracted from the decode
-	// region.
+	// FrontEnd is the decode front-end's time: the fused single-pass
+	// demodulate + descramble + soft de-rate-match of every code block. The
+	// per-block front-ends run as the turbo decoder's prepare hook, timed
+	// block by block and subtracted from the decode region.
 	FrontEnd    time.Duration
 	TurboDecode time.Duration
 	CRCCheck    time.Duration // desegmentation + CRC verification
 	// TurboIterations is the total turbo iterations across code blocks.
 	TurboIterations int
 	// Spans counts the turbo stage's spans by width: Spans[n] is the number
-	// of spans that decoded n code blocks together, n = 1 being a scalar
-	// decode. Spans narrower than the profile's lockstep width are ragged.
-	Spans [maxProfileWidth + 1]int
+	// of spans that decoded n code blocks together, n = 1 being a lone
+	// block. Spans narrower than the lockstep width, MaxJointBlocks, are
+	// ragged.
+	Spans [MaxJointBlocks + 1]int
 }
 
 // Total returns the decode-side total (the HARQ-deadline-relevant part).
 func (t StageTimings) Total() time.Duration {
-	return t.Demodulate + t.Descramble + t.Dematch + t.FrontEnd + t.TurboDecode + t.CRCCheck
+	return t.FrontEnd + t.TurboDecode + t.CRCCheck
 }
 
 // SoftBuffer holds per-code-block accumulated LLRs across HARQ
@@ -260,11 +261,8 @@ func (sb *SoftBuffer) Unmarshal(src []byte) (int, error) {
 }
 
 // NewTransportProcessor builds a processor for transport blocks of up to
-// maxPRB resource blocks that runs the given decode profile.
-func NewTransportProcessor(maxPRB int, prof DecodeProfile) (*TransportProcessor, error) {
-	if err := prof.Validate(); err != nil {
-		return nil, err
-	}
+// maxPRB resource blocks.
+func NewTransportProcessor(maxPRB int) (*TransportProcessor, error) {
 	// MaxMCS has the largest payload and, being 64-QAM, the most coded bits.
 	top, err := shapeOf(MaxMCS, maxPRB)
 	if err != nil {
@@ -272,8 +270,7 @@ func NewTransportProcessor(maxPRB int, prof DecodeProfile) (*TransportProcessor,
 	}
 	p := &TransportProcessor{
 		top:      top,
-		prof:     prof,
-		feVec:    FrontEndAVX2() && !prof.NoVectorFrontEnd,
+		feVec:    FrontEndAVX2(),
 		enc:      NewTurboEncoder(),
 		scr:      NewScrambler(0),
 		tbBits:   make([]byte, top.seg.B),
@@ -315,9 +312,6 @@ func (p *TransportProcessor) initDecode() {
 		ld1:  make([][]float32, 0, lanes),
 		ld2:  make([][]float32, 0, lanes),
 	}
-	if p.prof.FrontEnd == FrontEndStaged {
-		p.llr = make([]float32, 0, p.top.e)
-	}
 }
 
 // setShape makes (mcs, nprb) the running encode's configuration: its shape
@@ -338,20 +332,13 @@ func (p *TransportProcessor) setShape(mcs MCS, nprb int) error {
 	return nil
 }
 
-// Profile returns the decode profile the processor was built with.
-func (p *TransportProcessor) Profile() DecodeProfile { return p.prof }
-
 // decoder returns the processor's turbo decoder, building it and its
 // working sets on the first request.
-func (p *TransportProcessor) decoder() (*spanDecoder, error) {
+func (p *TransportProcessor) decoder() *spanDecoder {
 	if p.dec == nil {
-		sd, err := newSpanDecoder(p.prof)
-		if err != nil {
-			return nil, err
-		}
-		p.dec = sd
+		p.dec = newSpanDecoder()
 	}
-	return p.dec, nil
+	return p.dec
 }
 
 // SetMaxIterations bounds the turbo decoders' full iterations for subsequent
@@ -448,9 +435,10 @@ func (p *TransportProcessor) Encode(mcs MCS, nprb int, payload []byte, rnti uint
 // does not mistake the pins for channel observations.
 const fillerLLR = 1e4
 
-// MaxJointBlocks is the most code blocks a DecodeJoint call of more than one
-// transport block may carry: one lockstep span of the width-8 kernel.
-const MaxJointBlocks = maxProfileWidth
+// MaxJointBlocks is the lockstep width — the code blocks one pass of the
+// turbo decoder carries together — and so the most code blocks a
+// DecodeJoint call of more than one transport block may carry.
+const MaxJointBlocks = 8
 
 // TBDecode is one transport block of a DecodeJoint call: Decode's arguments
 // and, once the call returns, its outcome.
@@ -490,8 +478,8 @@ type jointTB struct {
 // reuse it across retransmissions (passing the matching rv). When sb is nil
 // a fresh internal buffer is used. On success the returned slice (owned by
 // the processor, valid until next Decode) holds the payload bits; a CRC
-// failure returns ErrCRC. Output and soft-buffer contents are bit-identical
-// across front-ends, kernels, lockstep widths and the processor's history.
+// failure returns ErrCRC. Output and soft-buffer contents do not depend on
+// the processor's history.
 // Decode is DecodeJoint of one transport block.
 func (p *TransportProcessor) Decode(mcs MCS, nprb int, rx []complex128, n0 float64, rnti uint16, cellID uint16, subframe uint8, rv int, sb *SoftBuffer) ([]byte, error) {
 	tb := &p.one[0]
@@ -524,8 +512,7 @@ func (p *TransportProcessor) DecodeJoint(tbs []TBDecode) {
 		p.initDecode()
 	}
 	tm := &p.Timings
-	tm.Demodulate, tm.Descramble, tm.Dematch, tm.FrontEnd = 0, 0, 0, 0
-	tm.TurboDecode, tm.CRCCheck, tm.TurboIterations, tm.Spans = 0, 0, 0, [maxProfileWidth + 1]int{}
+	tm.FrontEnd, tm.TurboDecode, tm.CRCCheck, tm.TurboIterations, tm.Spans = 0, 0, 0, 0, [MaxJointBlocks + 1]int{}
 	if err := p.layout(tbs); err != nil {
 		for i := range tbs {
 			tbs[i].Err = err
@@ -536,16 +523,15 @@ func (p *TransportProcessor) DecodeJoint(tbs []TBDecode) {
 	if len(p.jt) == 0 {
 		return
 	}
-	sd, err := p.decoder()
-	if err == nil {
-		sd.setMaxIterations(p.maxIter)
-		if p.prof.FrontEnd == FrontEndFused {
-			err = p.turboFused(sd)
-		} else {
-			err = p.turboStaged(sd)
-		}
-		tm.Spans = sd.spans
+	sd := p.decoder()
+	sd.setMaxIterations(p.maxIter)
+	var err error
+	if p.ref != nil {
+		err = p.ref(sd)
+	} else {
+		err = p.turboFused(sd)
 	}
+	tm.Spans = sd.spans
 	for t := range p.jt {
 		jt := &p.jt[t]
 		jt.in.TurboIterations = p.cb.iters[t]
@@ -694,52 +680,6 @@ func (p *TransportProcessor) frontEndLane(i int) {
 		p.Timings.FrontEnd += time.Since(start)
 	}
 	p.frontEndBlock(i-p.jt[t].first, p.cb.soft[i])
-}
-
-// turboStaged is the staged (oracle) decode: three full sweeps over each
-// transport block's E coded bits, then the turbo stage.
-func (p *TransportProcessor) turboStaged(sd *spanDecoder) error {
-	for t := range p.jt {
-		jt := &p.jt[t]
-		in, sh := jt.in, jt.sh
-		mod := sh.mcs.Modulation()
-		// Demodulate to LLRs (initDecode capped llr at the largest E, so the
-		// append never grows mid-measurement: E2 and BenchmarkFullDecode's
-		// staged column time this path).
-		start := time.Now()
-		var err error
-		p.llr, err = Demodulate(p.llr[:0], in.RX, mod, in.N0)
-		if err != nil {
-			return err
-		}
-		p.Timings.Demodulate += time.Since(start)
-
-		start = time.Now()
-		p.scr.Reinit(ScramblerInit(in.RNTI, in.CellID, in.Subframe))
-		p.scr.DescrambleLLR(p.llr)
-		p.Timings.Descramble += time.Since(start)
-
-		// De-rate-match per block, accumulating into the soft buffer.
-		start = time.Now()
-		off := 0
-		for j := 0; j < sh.seg.C; j++ {
-			i := jt.first + j
-			e := sh.blockE(j)
-			ld0, ld1, ld2 := p.cb.streams(i)
-			if err := p.rm.SoftDematch(ld0, ld1, ld2, p.llr[off:off+e], in.RV); err != nil {
-				return err
-			}
-			off += e
-		}
-		for f := 0; f < sh.seg.F; f++ {
-			p.cb.soft[jt.first][f] = fillerLLR
-		}
-		p.Timings.Dematch += time.Since(start)
-	}
-	start := time.Now()
-	err := sd.decode(&p.cb, nil)
-	p.Timings.TurboDecode = time.Since(start)
-	return err
 }
 
 // finishDecode desegments transport block t's decoded blocks into its share

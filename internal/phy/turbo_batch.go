@@ -33,7 +33,7 @@ import "fmt"
 // and Q6 quantization at ingest (llrGain and quantI16, shared; the AVX2
 // ingest performs the same operations), the same unrolled LTE
 // butterflies, the same renorm-every-4-steps schedule, all in exact integer
-// ops, so lane b's output equals what TurboDecoder{KernelInt16} produces
+// ops, so lane b's output equals what the scalar TurboDecoder produces
 // for the same streams — property- and fuzz-tested in turbo_batch_test.go.
 //
 // Early termination is per lane: after every full iteration each active
@@ -89,9 +89,14 @@ func NewBatchDecoderI16(width int) (*BatchDecoderI16, error) {
 	if width < 2 || width > maxBatchWidth {
 		return nil, fmt.Errorf("phy: batch width %d (want 2..%d): %w", width, maxBatchWidth, ErrBadParameter)
 	}
+	return newBatchDecoderI16(width), nil
+}
+
+// newBatchDecoderI16 is NewBatchDecoderI16 for a width already known to be
+// in range.
+func newBatchDecoderI16(w int) *BatchDecoderI16 {
 	const k = MaxBlockSize
 	steps := k + turboTail
-	w := width
 	return &BatchDecoderI16{
 		width:         w,
 		MaxIterations: DefaultTurboIterations,
@@ -110,7 +115,7 @@ func NewBatchDecoderI16(width int) (*BatchDecoderI16, error) {
 		outs:          make([][]byte, w),
 		iters:         make([]int, w),
 		checks:        make([]func([]byte) bool, w),
-	}, nil
+	}
 }
 
 // Width returns the lane capacity.
@@ -134,7 +139,7 @@ func (bd *BatchDecoderI16) Width() int { return bd.width }
 // Decode returns the total iterations consumed (summed over lanes) and a
 // bitmask of lanes that exhausted the iteration budget with check still
 // failing. Successful lanes are bit-identical to decoding the same streams
-// with a scalar KernelInt16 TurboDecoder under the same check.
+// with a scalar TurboDecoder under the same check.
 func (bd *BatchDecoderI16) Decode(blocks [][]byte, ld0, ld1, ld2 [][]float32, known []int, check func([]byte) bool) (int, uint64, error) {
 	var checks []func([]byte) bool
 	if check != nil {

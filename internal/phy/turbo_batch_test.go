@@ -64,10 +64,7 @@ func scaleStreams(c float32, puncture bool, ls ...[][]float32) {
 // for bit.
 func decodeScalarOracle(t testing.TB, k, maxIter int, l0, l1, l2 [][]float32, check func([]byte) bool) (outs [][]byte, iters int, failed uint64) {
 	t.Helper()
-	dec, err := NewTurboDecoderKernel(KernelInt16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := NewTurboDecoder()
 	dec.MaxIterations = maxIter
 	dec.EarlyCheck = check
 	for b := range l0 {
@@ -275,10 +272,7 @@ func TestBatchDecoderValidation(t *testing.T) {
 	}
 	// The span decoder a processor drives the batch decoder through checks
 	// the code blocks' stream shapes before it cuts them into spans.
-	sd, err := newSpanDecoder(DecodeProfile{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sd := newSpanDecoder()
 	cbOf := func(soft [][]float32, known []int) *codeBlocks {
 		return &codeBlocks{
 			out: blocks, soft: soft, known: known,
@@ -389,10 +383,7 @@ func BenchmarkBatchVsScalarI16(b *testing.B) {
 		_, l0, l1, l2 := batchTestVectors(b, rng, k, 8, 0.8)
 		out := make([]byte, k)
 		b.Run(fmt.Sprintf("K%d/scalar", k), func(b *testing.B) {
-			dec, err := NewTurboDecoderKernel(KernelInt16)
-			if err != nil {
-				b.Fatal(err)
-			}
+			dec := NewTurboDecoder()
 			dec.MaxIterations = 4
 			b.SetBytes(int64(k))
 			b.ResetTimer()

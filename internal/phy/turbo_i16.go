@@ -2,7 +2,8 @@ package phy
 
 import "math"
 
-// Quantized fixed-point max-log-MAP SISO (KernelInt16, the default kernel).
+// Quantized fixed-point max-log-MAP SISO: the turbo kernel of TurboDecoder
+// and, eight code blocks in lockstep, of BatchDecoderI16.
 //
 // Arithmetic model: each code block's LLRs are scaled by a per-block
 // power-of-two gain (below), quantized to Q6 fixed point (64 units per LLR
@@ -13,9 +14,10 @@ import "math"
 // every fourth trellis step. The backward recursion is fused with the
 // extrinsic computation so beta metrics never touch memory — only the
 // forward metrics are stored, as int16, halving the metric working set of
-// the float32 kernel. These are exactly the tricks fixed-point SIMD turbo
-// decoders use; here they buy the same things in pure Go — fewer loads,
-// smaller cache footprint, branch-free maxes.
+// the float32 reference decoder (turbo_float_test.go). These are exactly
+// the tricks fixed-point SIMD turbo decoders use; here they buy the same
+// things in pure Go — fewer loads, smaller cache footprint, branch-free
+// maxes.
 //
 // Ingest gain: max-log-MAP is invariant to a positive scaling of its
 // inputs, but a fixed-point kernel is not — scaled too high, a block's LLRs
@@ -103,8 +105,7 @@ const (
 )
 
 // i16Buffers is the working storage of the int16 kernel, allocated once at
-// decoder construction for the largest block (TurboDecoder keeps either
-// these or the float32 buffers, never both); a decode of block size K uses
+// decoder construction for the largest block; a decode of block size K uses
 // the leading part of each.
 type i16Buffers struct {
 	ls1, lp1 []int16 // systematic & parity, natural order (K+3 used)
@@ -214,7 +215,7 @@ func ingestTailI16(ls1, lp1, ls2, lp2 []int16, w, b, k int, d0, d1, d2 []float32
 		ls1[t*w+b] = i16LLRSat
 	}
 	q := func(v float32) int16 { return quantI16(v, g) }
-	// Tails: inverse of the encoder multiplexing (same layout as float32).
+	// Tails: inverse of the encoder multiplexing.
 	t0, t1, t2 := d0[k:], d1[k:], d2[k:]
 	ls1[(k+0)*w+b], lp1[(k+0)*w+b] = q(t0[0]), q(t1[0])
 	ls1[(k+1)*w+b], lp1[(k+1)*w+b] = q(t2[0]), q(t0[1])
@@ -234,39 +235,6 @@ func (b *i16Buffers) ingest(q *QPPInterleaver, d0, d1, d2 []float32, known int) 
 	for i := 0; i < k; i++ {
 		b.ls2[i] = b.ls1[q.Perm(i)]
 	}
-}
-
-// decodeI16 is the int16-kernel body of Decode: identical iteration
-// structure to the float32 path, with gain + LLR quantization at the demux
-// step. Inputs were already length-checked by decode; hard is the decoder's
-// K-bit decision scratch.
-func (d *TurboDecoder) decodeI16(q *QPPInterleaver, hard, out []byte, ld0, ld1, ld2 []float32, known int) (int, error) {
-	k := q.K
-	b := d.i16
-	b.ingest(q, ld0, ld1, ld2, known)
-	clear(b.apri[:k])
-	d.iterationsUsed = 0
-	for it := 0; it < d.MaxIterations; it++ {
-		sisoI16(b.ls1, b.lp1, b.apri, b.ext1, b.alpha, k)
-		for i := 0; i < k; i++ {
-			b.apri[i] = b.ext1[q.Perm(i)]
-		}
-		sisoI16(b.ls2, b.lp2, b.apri, b.ext2, b.alpha, k)
-		for i := 0; i < k; i++ {
-			b.apri[q.Perm(i)] = b.ext2[i]
-		}
-		d.iterationsUsed = it + 1
-		// Hard decisions: the sign bit of the a-posteriori sum.
-		ls1, ext1, apri := b.ls1[:k], b.ext1[:k], b.apri[:k]
-		for i := range hard {
-			hard[i] = byte(uint32(int32(ls1[i])+int32(ext1[i])+int32(apri[i])) >> 31)
-		}
-		if d.EarlyCheck != nil && d.EarlyCheck(hard) {
-			break
-		}
-	}
-	copy(out, hard)
-	return d.iterationsUsed, nil
 }
 
 // sisoI16 runs one quantized max-log-MAP pass over a terminated constituent
