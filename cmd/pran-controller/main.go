@@ -31,7 +31,6 @@ func main() {
 	leaseMisses := flag.Int("lease-misses", 5, "missed heartbeats before an agent's lease expires and its cells fail over")
 	telemetryAddr := flag.String("telemetry", "", "HTTP address serving the merged cluster telemetry scrape (empty = off)")
 	scrapeEvery := flag.Duration("scrape-interval", 5*time.Second, "cadence for logging the merged cluster snapshot (0 = off)")
-	shards := flag.Int("shards", 0, "fan-in lock shards for leases, cluster state, and load reports (0 = default; size to agent count)")
 	sendQueue := flag.Int("send-queue", 0, "per-agent command stream queue bound (0 = default 256); slow agents coalesce or shed stale pushes past it")
 	flag.Parse()
 
@@ -59,7 +58,6 @@ func main() {
 		Cells:             cells,
 		HeartbeatInterval: *heartbeat,
 		LeaseMisses:       *leaseMisses,
-		Shards:            *shards,
 		SendQueue:         *sendQueue,
 		Logf:              log.Printf,
 	})

@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"pran/internal/telemetry"
 )
@@ -91,43 +90,15 @@ func (s Server) Validate() error {
 // Cluster is the mutable pool membership. It is safe for concurrent use;
 // the controller mutates it from its control loop while monitors read it.
 //
-// Membership is sharded by server ID: each shard has its own lock, so
-// registration bursts, state transitions, and per-server reads from
-// different connections never serialize on one mutex. Aggregates (state
-// counts, active capacity) are maintained incrementally in atomics as
-// servers mutate — a transition adjusts two counters instead of rescanning
-// the pool — and the telemetry gauges publish from those atomics.
+// One RWMutex guards the servers. A mutation sets the telemetry gauges
+// (state counts, active capacity) before it releases the lock, so the
+// gauges always show the state after the latest mutation, and every read
+// is a consistent cut of the pool.
 type Cluster struct {
-	shards []clusterShard
-
-	// counts[state] and capMilli are the incrementally maintained
-	// aggregates; they may trail an in-flight mutation by one update but
-	// converge as soon as it completes.
-	counts   [4]atomic.Int64
-	capMilli atomic.Int64
-
-	tel atomic.Pointer[clusterTelemetry] // nil until SetTelemetry
-}
-
-// clusterShard is one lock domain of the membership map.
-type clusterShard struct {
 	mu      sync.RWMutex
 	servers map[ServerID]*Server
-}
 
-// shardFor maps a server ID onto its shard.
-func (c *Cluster) shardFor(id ServerID) *clusterShard {
-	i := int(id) % len(c.shards)
-	if i < 0 {
-		i += len(c.shards)
-	}
-	return &c.shards[i]
-}
-
-// capacityMilli is the server's capacity contribution in milli reference
-// cores, rounded once so incremental adds and removes cancel exactly.
-func capacityMilli(s *Server) int64 {
-	return int64(math.Round(s.Capacity() * 1000))
+	tel *clusterTelemetry // nil until SetTelemetry
 }
 
 // clusterTelemetry holds the membership metrics: one gauge per lifecycle
@@ -144,66 +115,48 @@ type clusterTelemetry struct {
 // cluster.active_capacity_millicores gauge across membership mutations. Pass
 // nil to detach.
 func (c *Cluster) SetTelemetry(reg *telemetry.Registry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if reg == nil {
-		c.tel.Store(nil)
+		c.tel = nil
 		return
 	}
-	tel := &clusterTelemetry{
+	c.tel = &clusterTelemetry{
 		transitions: reg.Counter("cluster.state_transitions"),
 		capacity:    reg.Gauge("cluster.active_capacity_millicores"),
 	}
 	for st := Standby; st <= Failed; st++ {
-		tel.states[st] = reg.Gauge("cluster.servers_" + st.String())
-	}
-	c.tel.Store(tel)
-	c.publishTelemetry()
-}
-
-// applyDelta folds one server mutation into the aggregates and republishes
-// the gauges. Pass state -1 to skip a side (pure add or remove).
-func (c *Cluster) applyDelta(oldState ServerState, oldCap int64, newState ServerState, newCap int64) {
-	if oldState >= 0 {
-		c.counts[oldState].Add(-1)
-	}
-	if newState >= 0 {
-		c.counts[newState].Add(1)
-	}
-	if d := newCap - oldCap; d != 0 {
-		c.capMilli.Add(d)
+		c.tel.states[st] = reg.Gauge("cluster.servers_" + st.String())
 	}
 	c.publishTelemetry()
 }
 
-// publishTelemetry pushes the aggregate atomics into the gauges.
+// tally counts the servers per state and sums the active capacity; the
+// caller holds c.mu.
+func (c *Cluster) tally() (counts [4]int, capacity float64) {
+	for _, s := range c.servers {
+		counts[s.State]++
+		capacity += s.Capacity()
+	}
+	return counts, capacity
+}
+
+// publishTelemetry sets the gauges from a tally of the pool; the caller
+// holds c.mu.
 func (c *Cluster) publishTelemetry() {
-	tel := c.tel.Load()
-	if tel == nil {
+	if c.tel == nil {
 		return
 	}
+	counts, capacity := c.tally()
 	for st := Standby; st <= Failed; st++ {
-		tel.states[st].Set(c.counts[st].Load())
+		c.tel.states[st].Set(int64(counts[st]))
 	}
-	tel.capacity.Set(c.capMilli.Load())
+	c.tel.capacity.Set(int64(math.Round(capacity * 1000)))
 }
 
-// DefaultShards is the shard count New uses; metro-scale pools are dozens
-// to hundreds of servers, so eight lock domains keep registration and
-// heartbeat-driven reads from serializing without wasting footprint.
-const DefaultShards = 8
-
-// New returns an empty cluster with DefaultShards lock shards.
-func New() *Cluster { return NewSharded(DefaultShards) }
-
-// NewSharded returns an empty cluster with n lock shards (minimum 1).
-func NewSharded(n int) *Cluster {
-	if n < 1 {
-		n = 1
-	}
-	c := &Cluster{shards: make([]clusterShard, n)}
-	for i := range c.shards {
-		c.shards[i].servers = make(map[ServerID]*Server)
-	}
-	return c
+// New returns an empty cluster.
+func New() *Cluster {
+	return &Cluster{servers: make(map[ServerID]*Server)}
 }
 
 // Add registers a server (in its given state). Re-adding an existing ID is
@@ -212,25 +165,22 @@ func (c *Cluster) Add(s Server) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	sh := c.shardFor(s.ID)
-	sh.mu.Lock()
-	if _, ok := sh.servers[s.ID]; ok {
-		sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.servers[s.ID]; ok {
 		return fmt.Errorf("cluster: server %d already present: %w", s.ID, ErrBadTransition)
 	}
 	cp := s
-	sh.servers[s.ID] = &cp
-	sh.mu.Unlock()
-	c.applyDelta(-1, 0, s.State, capacityMilli(&cp))
+	c.servers[s.ID] = &cp
+	c.publishTelemetry()
 	return nil
 }
 
 // Get returns a snapshot of the server.
 func (c *Cluster) Get(id ServerID) (Server, error) {
-	sh := c.shardFor(id)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	s, ok := sh.servers[id]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	s, ok := c.servers[id]
 	if !ok {
 		return Server{}, fmt.Errorf("cluster: id %d: %w", id, ErrNoSuchServer)
 	}
@@ -240,28 +190,27 @@ func (c *Cluster) Get(id ServerID) (Server, error) {
 // SetState transitions a server's lifecycle state. Failed is terminal
 // except for explicit Repair.
 func (c *Cluster) SetState(id ServerID, st ServerState) error {
-	sh := c.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.servers[id]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.servers[id]
 	if !ok {
-		sh.mu.Unlock()
 		return fmt.Errorf("cluster: id %d: %w", id, ErrNoSuchServer)
 	}
 	if s.State == Failed && st != Standby {
-		sh.mu.Unlock()
 		return fmt.Errorf("cluster: server %d is failed: %w", id, ErrBadTransition)
 	}
-	old, oldCap := s.State, capacityMilli(s)
-	s.State = st
-	newCap := capacityMilli(s)
-	sh.mu.Unlock()
-	if old != st {
-		if tel := c.tel.Load(); tel != nil {
-			tel.transitions.Inc(0)
-		}
-	}
-	c.applyDelta(old, oldCap, st, newCap)
+	c.transition(s, st)
 	return nil
+}
+
+// transition moves s to st and republishes the gauges; the caller holds
+// c.mu.
+func (c *Cluster) transition(s *Server, st ServerState) {
+	if s.State != st && c.tel != nil {
+		c.tel.transitions.Inc(0)
+	}
+	s.State = st
+	c.publishTelemetry()
 }
 
 // Fail marks a server failed.
@@ -269,40 +218,28 @@ func (c *Cluster) Fail(id ServerID) error { return c.SetState(id, Failed) }
 
 // Repair returns a failed server to standby.
 func (c *Cluster) Repair(id ServerID) error {
-	sh := c.shardFor(id)
-	sh.mu.Lock()
-	s, ok := sh.servers[id]
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s, ok := c.servers[id]
 	if !ok {
-		sh.mu.Unlock()
 		return fmt.Errorf("cluster: id %d: %w", id, ErrNoSuchServer)
 	}
 	if s.State != Failed {
-		sh.mu.Unlock()
 		return fmt.Errorf("cluster: server %d not failed: %w", id, ErrBadTransition)
 	}
-	s.State = Standby
-	sh.mu.Unlock()
-	if tel := c.tel.Load(); tel != nil {
-		tel.transitions.Inc(0)
-	}
-	c.applyDelta(Failed, 0, Standby, 0)
+	c.transition(s, Standby)
 	return nil
 }
 
 // Servers returns snapshots of all servers sorted by ID (deterministic
-// iteration for placement and tests). Shards are read in turn, so the view
-// is per-shard consistent, not a global cut — same as any reader racing the
-// control loop.
+// iteration for placement and tests).
 func (c *Cluster) Servers() []Server {
-	var out []Server
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.RLock()
-		for _, s := range sh.servers {
-			out = append(out, *s)
-		}
-		sh.mu.RUnlock()
+	c.mu.RLock()
+	out := make([]Server, 0, len(c.servers))
+	for _, s := range c.servers {
+		out = append(out, *s)
 	}
+	c.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
@@ -321,18 +258,22 @@ func (c *Cluster) InState(st ServerState) []Server {
 // ActiveCapacity returns the summed capacity of active servers in
 // reference-core fractions.
 func (c *Cluster) ActiveCapacity() float64 {
-	total := 0.0
-	for _, s := range c.Servers() {
-		total += s.Capacity()
-	}
-	return total
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, capacity := c.tally()
+	return capacity
 }
 
 // Counts returns the number of servers per state.
 func (c *Cluster) Counts() map[ServerState]int {
+	c.mu.RLock()
+	counts, _ := c.tally()
+	c.mu.RUnlock()
 	m := make(map[ServerState]int)
-	for _, s := range c.Servers() {
-		m[s.State]++
+	for st, n := range counts {
+		if n > 0 {
+			m[ServerState(st)] = n
+		}
 	}
 	return m
 }

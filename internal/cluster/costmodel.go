@@ -11,9 +11,9 @@
 //
 // Concurrency: CostModel is an immutable value after construction — its
 // cost queries (AllocCost, SubframeCost, …) are pure and
-// safe to call concurrently. Server and Cluster are plain mutable state
-// owned by whoever constructs them (in practice the controller's single
-// goroutine); they perform no internal locking. Calibrate runs measured
+// safe to call concurrently. Server is a plain value; Cluster guards its
+// membership with one RWMutex, so registrations from reader goroutines and
+// the control loop's transitions may interleave. Calibrate runs measured
 // loops on the calling goroutine and should not race other CPU-heavy work.
 package cluster
 

@@ -45,14 +45,6 @@ type Config struct {
 	Scale *ScalePolicy
 	// Policy is the placement heuristic.
 	Policy PlacePolicy
-	// Shards is the load monitor's lock-shard count (0 selects the
-	// default); size it to the expected reporter concurrency.
-	Shards int
-	// DisableIncremental forces a full placement recompute every round.
-	// The incremental engine falls back to exactly this computation, so
-	// the flag exists as the oracle for its equivalence property test and
-	// as an ablation knob, not as a safety valve.
-	DisableIncremental bool
 }
 
 // DefaultConfig returns the controller defaults used by the experiments.
@@ -100,6 +92,10 @@ type Controller struct {
 	placement Placement
 	// cache backs the incremental fast path (see incremental.go).
 	cache placeCache
+	// fullRecompute skips the fast path every round. The fast path falls
+	// back to exactly that computation, so only the equivalence property
+	// test sets it, as the fast path's oracle.
+	fullRecompute bool
 
 	// cumulative statistics
 	rounds, totalMigrations, totalPromotions uint64
@@ -119,11 +115,7 @@ func New(cfg Config, cl *cluster.Cluster) (*Controller, error) {
 	if cfg.ForecastSteps < 0 {
 		return nil, fmt.Errorf("controller: forecast steps %d: %w", cfg.ForecastSteps, phy.ErrBadParameter)
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = defaultMonitorShards
-	}
-	mon, err := NewLoadMonitorSharded(cfg.MonitorAlpha, shards)
+	mon, err := NewLoadMonitor(cfg.MonitorAlpha)
 	if err != nil {
 		return nil, err
 	}
@@ -248,7 +240,7 @@ func (c *Controller) Step() (StepReport, error) {
 // rest recompute fully, which is also the fallback that defines the fast
 // path's correctness.
 func (c *Controller) place(rep *StepReport) error {
-	if !c.cfg.DisableIncremental && c.tryIncremental(c.monitor.TakeChanges()) {
+	if !c.fullRecompute && c.tryIncremental(c.monitor.TakeChanges()) {
 		rep.Migrations = 0
 		c.fastRounds.Add(1)
 		return nil

@@ -3,6 +3,7 @@ package controller
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"pran/internal/cluster"
@@ -450,5 +451,70 @@ func TestControllerConfigValidation(t *testing.T) {
 	cfg.Scale = &ScalePolicy{Headroom: -1, DownFactor: 0.5, DownRounds: 1}
 	if _, err := New(cfg, cl); err == nil {
 		t.Fatal("bad scale policy accepted")
+	}
+}
+
+// TestLoadMonitorDrainLosesNothing feeds the monitor from 16 goroutines
+// while a drainer calls TakeChanges. With alpha 1 and every sample unique,
+// each cell's final value must show up in exactly one change set, and it
+// must be the last change set that names the cell: an update racing a
+// drain lands in that drain or the next one, never in neither.
+func TestLoadMonitorDrainLosesNothing(t *testing.T) {
+	m, err := NewLoadMonitor(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, cells, samples = 16, 64, 2000
+	var drained []ChangeSet
+	stop := make(chan struct{})
+	drainerDone := make(chan struct{})
+	go func() {
+		defer close(drainerDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				drained = append(drained, m.TakeChanges())
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < samples; i++ {
+				m.Observe(frame.CellID(i%cells), float64(1+w*samples+i))
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	<-drainerDone
+	drained = append(drained, m.TakeChanges())
+
+	for c := frame.CellID(0); c < cells; c++ {
+		final := m.Demand(c)
+		seen, last := 0, -1
+		for i, ch := range drained {
+			v, ok := ch.Updated[c]
+			if !ok {
+				continue
+			}
+			last = i
+			if v == final {
+				seen++
+			}
+		}
+		if seen != 1 {
+			t.Fatalf("cell %d: final value %v in %d change sets, want 1", c, final, seen)
+		}
+		if drained[last].Updated[c] != final {
+			t.Fatalf("cell %d: last change set holds %v, want the final %v", c, drained[last].Updated[c], final)
+		}
+	}
+	if ch := m.TakeChanges(); len(ch.Updated) != 0 || len(ch.Removed) != 0 {
+		t.Fatalf("drained monitor still reports %d updates, %d removals", len(ch.Updated), len(ch.Removed))
 	}
 }

@@ -12,11 +12,10 @@
 // Controller (and its Predictor and Placer) must be driven from one
 // goroutine; Step mutates placement state with no internal locking. The
 // paper's "logically centralized" controller maps to exactly this: one
-// decision loop. The fan-in side is the exception: the LoadMonitor is
-// sharded by cell ID so per-agent reader goroutines feeding thousands of
-// cell-load reports never serialize on one lock, and the control loop
-// drains the accumulated changes once per round (TakeChanges) to drive
-// incremental placement.
+// decision loop. The fan-in side is the exception: per-agent reader
+// goroutines feed cell-load reports into the LoadMonitor under its one
+// lock, and the control loop drains the accumulated changes once per round
+// (TakeChanges) to drive incremental placement.
 package controller
 
 import (
@@ -28,66 +27,35 @@ import (
 	"pran/internal/phy"
 )
 
-// defaultMonitorShards is the lock-shard count for NewLoadMonitor; city
-// scale is O(1000) cells fed by dozens of reader goroutines, and 16 shards
-// keep those writers from contending without measurable footprint.
-const defaultMonitorShards = 16
-
 // LoadMonitor maintains an exponentially weighted moving average of each
 // cell's compute demand in reference-core fractions. Safe for concurrent
-// use (heartbeat handlers feed it while the control loop reads); state is
-// sharded by cell ID so concurrent reporters only lock their own shard.
+// use: heartbeat handlers feed it while the control loop reads, all under
+// one mutex. It also tracks changes for the incremental placer: dirty maps
+// each cell whose smoothed value moved since the last drain to that value,
+// and removed holds the cells forgotten since then.
 type LoadMonitor struct {
-	alpha  float64
-	shards []monitorShard
-}
+	alpha float64
 
-// monitorShard is one lock domain of the demand map, with change tracking
-// for the incremental placer: dirty holds cells whose smoothed value moved
-// since the last drain, removed the cells forgotten since then.
-type monitorShard struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	cells   map[frame.CellID]float64
 	last    map[frame.CellID]float64
-	dirty   map[frame.CellID]struct{}
+	dirty   map[frame.CellID]float64
 	removed map[frame.CellID]struct{}
 }
 
-// NewLoadMonitor returns a monitor with smoothing factor alpha ∈ (0, 1] and
-// the default shard count; alpha 1 tracks instantaneous load, small alpha
-// smooths heavily.
+// NewLoadMonitor returns a monitor with smoothing factor alpha ∈ (0, 1];
+// alpha 1 tracks instantaneous load, small alpha smooths heavily.
 func NewLoadMonitor(alpha float64) (*LoadMonitor, error) {
-	return NewLoadMonitorSharded(alpha, defaultMonitorShards)
-}
-
-// NewLoadMonitorSharded returns a monitor with the given lock-shard count
-// (minimum 1).
-func NewLoadMonitorSharded(alpha float64, shards int) (*LoadMonitor, error) {
 	if alpha <= 0 || alpha > 1 {
 		return nil, fmt.Errorf("controller: alpha %v outside (0,1]: %w", alpha, phy.ErrBadParameter)
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	m := &LoadMonitor{alpha: alpha, shards: make([]monitorShard, shards)}
-	for i := range m.shards {
-		m.shards[i] = monitorShard{
-			cells:   make(map[frame.CellID]float64),
-			last:    make(map[frame.CellID]float64),
-			dirty:   make(map[frame.CellID]struct{}),
-			removed: make(map[frame.CellID]struct{}),
-		}
-	}
-	return m, nil
-}
-
-// shardFor maps a cell onto its shard.
-func (m *LoadMonitor) shardFor(cell frame.CellID) *monitorShard {
-	i := int(cell) % len(m.shards)
-	if i < 0 {
-		i += len(m.shards)
-	}
-	return &m.shards[i]
+	return &LoadMonitor{
+		alpha:   alpha,
+		cells:   make(map[frame.CellID]float64),
+		last:    make(map[frame.CellID]float64),
+		dirty:   make(map[frame.CellID]float64),
+		removed: make(map[frame.CellID]struct{}),
+	}, nil
 }
 
 // Observe feeds one demand sample (core fractions) for a cell.
@@ -95,94 +63,81 @@ func (m *LoadMonitor) Observe(cell frame.CellID, demand float64) {
 	if demand < 0 {
 		demand = 0
 	}
-	sh := m.shardFor(cell)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old, ok := sh.cells[cell]; ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if old, ok := m.cells[cell]; ok {
 		next := old + m.alpha*(demand-old)
 		if next != old {
-			sh.cells[cell] = next
-			sh.dirty[cell] = struct{}{}
+			m.cells[cell] = next
+			m.dirty[cell] = next
 		}
 	} else {
-		sh.cells[cell] = demand
-		sh.dirty[cell] = struct{}{}
+		m.cells[cell] = demand
+		m.dirty[cell] = demand
 	}
-	sh.last[cell] = demand
-	delete(sh.removed, cell)
+	m.last[cell] = demand
+	delete(m.removed, cell)
 }
 
 // Demand returns the smoothed demand for a cell (0 if never observed).
 func (m *LoadMonitor) Demand(cell frame.CellID) float64 {
-	sh := m.shardFor(cell)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.cells[cell]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.cells[cell]
 }
 
 // Last returns the most recent raw sample for a cell.
 func (m *LoadMonitor) Last(cell frame.CellID) float64 {
-	sh := m.shardFor(cell)
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.last[cell]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.last[cell]
 }
 
 // Demands returns a copy of all smoothed demands.
 func (m *LoadMonitor) Demands() map[frame.CellID]float64 {
-	out := make(map[frame.CellID]float64)
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for k, v := range sh.cells {
-			out[k] = v
-		}
-		sh.mu.RUnlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make(map[frame.CellID]float64, len(m.cells))
+	for k, v := range m.cells {
+		out[k] = v
 	}
 	return out
 }
 
 // TotalDemand returns the sum of smoothed demands.
 func (m *LoadMonitor) TotalDemand() float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	total := 0.0
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for _, v := range sh.cells {
-			total += v
-		}
-		sh.mu.RUnlock()
+	for _, v := range m.cells {
+		total += v
 	}
 	return total
 }
 
 // Cells returns the observed cell IDs in sorted order.
 func (m *LoadMonitor) Cells() []frame.CellID {
-	var out []frame.CellID
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.RLock()
-		for c := range sh.cells {
-			out = append(out, c)
-		}
-		sh.mu.RUnlock()
+	m.mu.Lock()
+	out := make([]frame.CellID, 0, len(m.cells))
+	for c := range m.cells {
+		out = append(out, c)
 	}
+	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
 // Forget drops a cell's state (cell teardown).
 func (m *LoadMonitor) Forget(cell frame.CellID) {
-	sh := m.shardFor(cell)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.cells[cell]; !ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.cells[cell]; !ok {
 		return
 	}
-	delete(sh.cells, cell)
-	delete(sh.last, cell)
-	delete(sh.dirty, cell)
-	sh.removed[cell] = struct{}{}
+	delete(m.cells, cell)
+	delete(m.last, cell)
+	delete(m.dirty, cell)
+	m.removed[cell] = struct{}{}
 }
 
 // ChangeSet is the demand churn accumulated between two TakeChanges calls.
@@ -194,23 +149,19 @@ type ChangeSet struct {
 	Removed []frame.CellID
 }
 
-// TakeChanges drains and returns the change set accumulated since the last
-// call — the incremental placer's input. Updates racing the drain land in
-// the next change set, never lost.
+// TakeChanges atomically drains and returns the change set accumulated
+// since the last call — the incremental placer's input. An update racing
+// the drain lands in this change set or the next, never lost. The drain
+// swaps the tracking maps, so Observe never waits behind a copy.
 func (m *LoadMonitor) TakeChanges() ChangeSet {
-	ch := ChangeSet{Updated: make(map[frame.CellID]float64)}
-	for i := range m.shards {
-		sh := &m.shards[i]
-		sh.mu.Lock()
-		for c := range sh.dirty {
-			ch.Updated[c] = sh.cells[c]
-			delete(sh.dirty, c)
-		}
-		for c := range sh.removed {
-			ch.Removed = append(ch.Removed, c)
-			delete(sh.removed, c)
-		}
-		sh.mu.Unlock()
+	m.mu.Lock()
+	ch := ChangeSet{Updated: m.dirty}
+	removed := m.removed
+	m.dirty = make(map[frame.CellID]float64, len(ch.Updated))
+	m.removed = make(map[frame.CellID]struct{})
+	m.mu.Unlock()
+	for c := range removed {
+		ch.Removed = append(ch.Removed, c)
 	}
 	return ch
 }

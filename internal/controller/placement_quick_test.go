@@ -142,12 +142,11 @@ func TestIncrementalMatchesFullRecomputeQuick(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := DefaultConfig()
-			cfg.DisableIncremental = disable
-			c, err := New(cfg, cl)
+			c, err := New(DefaultConfig(), cl)
 			if err != nil {
 				t.Fatal(err)
 			}
+			c.fullRecompute = disable
 			return c
 		}
 		inc, full := build(false), build(true)

@@ -191,7 +191,6 @@ func runScale(nCells, nAgents int, churn time.Duration) (e16Outcome, error) {
 		// The run deliberately saturates shared CI hosts; failover is E15's
 		// subject, so the lease budget is set beyond this run's horizon.
 		LeaseMisses: 600,
-		Shards:      16,
 		Telemetry:   telemetry.New(1),
 	})
 	if err != nil {
@@ -300,7 +299,7 @@ func runScale(nCells, nAgents int, churn time.Duration) (e16Outcome, error) {
 
 // E16Scale measures the control plane at city scale: hundreds of cells
 // across dozens of agents on one controller, exercising the streaming
-// fan-out (per-agent coalescing queues), the sharded fan-in (load reports,
+// fan-out (per-agent coalescing queues), the locked fan-in (load reports,
 // leases), the incremental placer, and the concurrent telemetry scrape.
 // Expected shape: cold-start placement completes within a few control
 // periods of ingesting the whole city's demand; per-push dissemination

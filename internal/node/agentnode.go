@@ -100,6 +100,35 @@ func (rt *cellRuntime) step(tti frame.TTI, programs *ranapi.Registry, model clus
 	}
 	// HARQ: due retransmissions preempt fresh traffic on their PRBs.
 	overrides := rt.harq.inject(&work)
+	if err := rt.transmit(work, overrides); err != nil {
+		// No verdict comes for a subframe the pool did not take: free the
+		// HARQ processes its transmissions hold.
+		rt.harq.release(work)
+		return err
+	}
+	d := cluster.CoreFraction(model.SubframeCost(work, rt.cfg.Bandwidth, rt.cfg.Antennas))
+	rt.demand += 0.2 * (d - rt.demand)
+	if rt.demandGauge != nil {
+		rt.demandGauge.Set(int64(rt.demand * 1000))
+	}
+	obs := ranapi.Observation{
+		Cell:        work.Cell,
+		TTI:         work.TTI,
+		UsedPRB:     work.UsedPRB(),
+		NumUEs:      len(work.Allocations),
+		DemandCores: d,
+	}
+	for _, a := range work.Allocations {
+		obs.AvgSNRdB += a.SNRdB / float64(len(work.Allocations))
+	}
+	programs.Observe(obs)
+	return nil
+}
+
+// transmit synthesizes work's signal, with the TBs in overrides in place of
+// random payloads, and ingests it into the pool, whose completions feed the
+// HARQ loop.
+func (rt *cellRuntime) transmit(work frame.SubframeWork, overrides map[int][]byte) error {
 	payloads, err := rt.rrh.RandomPayloads(work)
 	if err != nil {
 		return err
@@ -121,26 +150,7 @@ func (rt *cellRuntime) step(tti frame.TTI, programs *ranapi.Registry, model clus
 			}
 		}
 	}
-	if err := rt.proc.IngestSubframe(samples, work, onDone); err != nil {
-		return err
-	}
-	d := cluster.CoreFraction(model.SubframeCost(work, rt.cfg.Bandwidth, rt.cfg.Antennas))
-	rt.demand += 0.2 * (d - rt.demand)
-	if rt.demandGauge != nil {
-		rt.demandGauge.Set(int64(rt.demand * 1000))
-	}
-	obs := ranapi.Observation{
-		Cell:        work.Cell,
-		TTI:         work.TTI,
-		UsedPRB:     work.UsedPRB(),
-		NumUEs:      len(work.Allocations),
-		DemandCores: d,
-	}
-	for _, a := range work.Allocations {
-		obs.AvgSNRdB += a.SNRdB / float64(len(work.Allocations))
-	}
-	programs.Observe(obs)
-	return nil
+	return rt.proc.IngestSubframe(samples, work, onDone)
 }
 
 // cellDemandMetric names the per-cell demand gauge the agent maintains.

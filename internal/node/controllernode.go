@@ -14,13 +14,15 @@
 // per-agent readers) turn protocol callbacks into events for one pure cell
 // ownership machine, apply each under n.mu (which also guards the
 // controller's calls), and send the returned commands after unlocking, so
-// no goroutine holding n.mu performs socket IO. Heartbeat leases, scrape
-// correlation and cell-load reports are sharded by agent ID instead; every
-// agent has its own stream writer goroutine (ctrlproto.Stream). The agent
-// node's TTI loop and report loop share its state under the agent's mutex;
-// pool workers reach a cell's HARQ loop only through task completions,
-// under that loop's own mutex. Shutdown joins all goroutines via
-// WaitGroups. See docs/control-plane.md and docs/concurrency.md.
+// no goroutine holding n.mu performs socket IO. Heartbeat leases and scrape
+// correlation live in one per-agent table under its own lock, and cell-load
+// reports go to the load monitor under its lock, so a reader goroutine never
+// waits behind a control round; every agent has its own stream writer
+// goroutine (ctrlproto.Stream). The agent node's TTI loop and report loop
+// share its state under the agent's mutex; pool workers reach a cell's HARQ
+// loop only through task completions, under that loop's own mutex. Shutdown
+// joins all goroutines via WaitGroups. See docs/control-plane.md and
+// docs/concurrency.md.
 package node
 
 import (
@@ -57,12 +59,13 @@ type ControllerNode struct {
 	doneCh  chan struct{}
 	started bool
 
-	// leases are the heartbeat-lease shards, keyed by agent ID. They are
-	// separate from mu because heartbeats arrive on per-agent reader
-	// goroutines at high rate and must never wait behind a control round —
-	// and sharded so those reader goroutines don't serialize on each other
-	// either: a renewal locks only the owning shard.
-	leases []leaseShard
+	// peersMu guards peers, the per-agent heartbeat leases and pending
+	// scrapes, and scrapeSeq. It is separate from mu because heartbeats
+	// arrive on per-agent reader goroutines at high rate and must never
+	// wait behind a control round.
+	peersMu   sync.Mutex
+	peers     map[uint32]*peer
+	scrapeSeq uint32 // numbers the StatsRequests this node sends
 
 	// Fault-tolerance telemetry, resolved once at construction.
 	leaseExpiries   *telemetry.Counter
@@ -80,35 +83,23 @@ type ControllerNode struct {
 	streamCoal    *telemetry.Gauge
 	streamDropped *telemetry.Gauge
 	streamDepth   *telemetry.Gauge
-
-	// stats are the scrape correlation shards: agent ID → the channel
-	// awaiting that agent's StatsReport. Sharded like the leases so
-	// concurrent report arrivals during a fan-in scrape only lock their
-	// own slice of the table.
-	stats []statsShard
 }
 
-// leaseShard is one lock domain of the heartbeat-lease table.
-type leaseShard struct {
-	mu       sync.Mutex
-	lastSeen map[uint32]time.Time
-	hbAge    map[uint32]*telemetry.Gauge
+// peer is one agent's row of the fan-in table.
+type peer struct {
+	lastSeen time.Time              // last proof of life; zero once the lease expired
+	hbAge    *telemetry.Gauge       // nil until the first proof of life
+	scrapes  map[uint32]chan []byte // StatsRequest Seq → the scrape awaiting its report
 }
 
-// statsShard is one lock domain of the scrape correlation table.
-type statsShard struct {
-	mu      sync.Mutex
-	pending map[uint32]chan []byte
-}
-
-// leaseShardFor maps an agent ID onto its lease shard.
-func (n *ControllerNode) leaseShardFor(id uint32) *leaseShard {
-	return &n.leases[id%uint32(len(n.leases))]
-}
-
-// statsShardFor maps an agent ID onto its scrape shard.
-func (n *ControllerNode) statsShardFor(id uint32) *statsShard {
-	return &n.stats[id%uint32(len(n.stats))]
+// peer returns id's row, creating it; the caller holds peersMu.
+func (n *ControllerNode) peer(id uint32) *peer {
+	p, ok := n.peers[id]
+	if !ok {
+		p = &peer{scrapes: make(map[uint32]chan []byte)}
+		n.peers[id] = p
+	}
+	return p
 }
 
 // ControllerConfig parameterizes a controller node.
@@ -127,11 +118,6 @@ type ControllerConfig struct {
 	// (default 5). The protocol-level socket timeout is kept at twice this
 	// budget so the lease — not the socket — is the failure detector.
 	LeaseMisses int
-	// Shards is the fan-in shard count for the lease table, the scrape
-	// correlation table, the cluster membership, and (unless the embedded
-	// controller config sets its own) the load monitor (default 8). Size
-	// it to the expected agent/reporter concurrency.
-	Shards int
 	// SendQueue bounds each agent's outbound command stream (default 256
 	// messages); a slow agent coalesces or sheds stale pushes past it.
 	SendQueue int
@@ -167,16 +153,10 @@ func NewControllerNode(ln net.Listener, cfg ControllerConfig) (*ControllerNode, 
 	if cfg.LeaseMisses <= 0 {
 		cfg.LeaseMisses = 5
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = cluster.DefaultShards
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	if cfg.Controller.Shards == 0 {
-		cfg.Controller.Shards = cfg.Shards
-	}
-	ctl, err := controller.New(cfg.Controller, cluster.NewSharded(cfg.Shards))
+	ctl, err := controller.New(cfg.Controller, cluster.New())
 	if err != nil {
 		return nil, err
 	}
@@ -194,8 +174,7 @@ func NewControllerNode(ln net.Listener, cfg ControllerConfig) (*ControllerNode, 
 		own:         newOwnership(slices.Clone(cfg.Cells)),
 		stopCh:      make(chan struct{}),
 		doneCh:      make(chan struct{}),
-		leases:      make([]leaseShard, cfg.Shards),
-		stats:       make([]statsShard, cfg.Shards),
+		peers:       make(map[uint32]*peer),
 
 		leaseExpiries:   reg.Counter("controller.lease_expiries"),
 		registrations:   reg.Counter("controller.registrations"),
@@ -211,13 +190,6 @@ func NewControllerNode(ln net.Listener, cfg ControllerConfig) (*ControllerNode, 
 		streamCoal:    reg.Gauge("controller.stream.coalesced"),
 		streamDropped: reg.Gauge("controller.stream.dropped"),
 		streamDepth:   reg.Gauge("controller.stream.depth"),
-	}
-	for i := range n.leases {
-		n.leases[i].lastSeen = make(map[uint32]time.Time)
-		n.leases[i].hbAge = make(map[uint32]*telemetry.Gauge)
-	}
-	for i := range n.stats {
-		n.stats[i].pending = make(map[uint32]chan []byte)
 	}
 	n.srv = ctrlproto.NewServer(ln, (*ctrlHandler)(n))
 	n.srv.HeartbeatInterval = cfg.HeartbeatInterval
@@ -322,38 +294,37 @@ func (h *ctrlHandler) OnHeartbeat(a *ctrlproto.Agent, hb *ctrlproto.Heartbeat) {
 	(*ControllerNode)(h).touchLease(a.ID)
 }
 
-// touchLease records a proof of life for the agent, locking only the
-// agent's lease shard.
+// touchLease records a proof of life for the agent.
 func (n *ControllerNode) touchLease(id uint32) {
-	sh := n.leaseShardFor(id)
-	sh.mu.Lock()
-	sh.lastSeen[id] = time.Now()
-	if _, ok := sh.hbAge[id]; !ok {
-		sh.hbAge[id] = n.reg.Gauge(fmt.Sprintf("controller.agent.%d.heartbeat_age_ms", id))
+	n.peersMu.Lock()
+	p := n.peer(id)
+	p.lastSeen = time.Now()
+	if p.hbAge == nil {
+		p.hbAge = n.reg.Gauge(fmt.Sprintf("controller.agent.%d.heartbeat_age_ms", id))
 	}
-	sh.hbAge[id].Set(0)
-	sh.mu.Unlock()
+	p.hbAge.Set(0)
+	n.peersMu.Unlock()
 }
 
 // sweepLeases declares agents whose lease lapsed dead: their connection is
 // closed, the cluster marks them Failed, and their cells are re-placed with
-// warm HARQ state. Runs on the control loop goroutine, shard by shard.
+// warm HARQ state. Runs on the control loop goroutine.
 func (n *ControllerNode) sweepLeases() {
 	now := time.Now()
 	var expired []uint32
-	for i := range n.leases {
-		sh := &n.leases[i]
-		sh.mu.Lock()
-		for id, last := range sh.lastSeen {
-			age := now.Sub(last)
-			sh.hbAge[id].Set(age.Milliseconds())
-			if age > n.leaseBudget {
-				expired = append(expired, id)
-				delete(sh.lastSeen, id)
-			}
+	n.peersMu.Lock()
+	for id, p := range n.peers {
+		if p.lastSeen.IsZero() {
+			continue
 		}
-		sh.mu.Unlock()
+		age := now.Sub(p.lastSeen)
+		p.hbAge.Set(age.Milliseconds())
+		if age > n.leaseBudget {
+			expired = append(expired, id)
+			p.lastSeen = time.Time{}
+		}
 	}
+	n.peersMu.Unlock()
 	for _, id := range expired {
 		n.leaseExpiries.Inc(0)
 		n.logf("controller: server %d lease expired (budget %v)", id, n.leaseBudget)
@@ -384,13 +355,13 @@ func (h *ctrlHandler) OnMessage(a *ctrlproto.Agent, m ctrlproto.Message) {
 	case *ctrlproto.CellLoad:
 		n.ctl.ObserveCell(frame.CellID(t.Cell), float64(t.MilliCores)/1000)
 	case *ctrlproto.StatsReport:
-		sh := n.statsShardFor(a.ID)
-		sh.mu.Lock()
-		ch, ok := sh.pending[a.ID]
-		if ok {
-			delete(sh.pending, a.ID)
-		}
-		sh.mu.Unlock()
+		// Only the request a scrape still awaits is answered: a late
+		// report to a timed-out request finds no entry and is dropped.
+		n.peersMu.Lock()
+		p := n.peer(a.ID)
+		ch, ok := p.scrapes[t.Seq]
+		delete(p.scrapes, t.Seq)
+		n.peersMu.Unlock()
 		if ok {
 			ch <- t.Data // buffered; never blocks the reader goroutine
 		}
@@ -528,20 +499,18 @@ func (n *ControllerNode) ScrapeTelemetry(timeout time.Duration) (telemetry.Snaps
 	results := make(chan scrapeResult, len(agents))
 	for _, a := range agents {
 		wait := make(chan []byte, 1)
-		sh := n.statsShardFor(a.ID)
-		sh.mu.Lock()
-		sh.pending[a.ID] = wait
-		sh.mu.Unlock()
+		n.peersMu.Lock()
+		n.scrapeSeq++
+		seq := n.scrapeSeq
+		n.peer(a.ID).scrapes[seq] = wait
+		n.peersMu.Unlock()
 		go func(a *ctrlproto.Agent, wait chan []byte) {
 			clear := func() {
-				sh := n.statsShardFor(a.ID)
-				sh.mu.Lock()
-				if sh.pending[a.ID] == wait {
-					delete(sh.pending, a.ID)
-				}
-				sh.mu.Unlock()
+				n.peersMu.Lock()
+				delete(n.peer(a.ID).scrapes, seq)
+				n.peersMu.Unlock()
 			}
-			if _, err := a.RequestStats(); err != nil {
+			if err := a.Send(&ctrlproto.StatsRequest{Seq: seq}); err != nil {
 				clear()
 				n.logf("controller: stats request to %d: %v", a.ID, err)
 				results <- scrapeResult{id: a.ID}

@@ -15,10 +15,14 @@ import (
 // the attempts. The agent's cell runtime closes this loop: decode failures
 // reported by the pool schedule retransmissions that preempt fresh traffic
 // on the same PRBs, and exhausted processes (after the full RV sequence)
-// count as residual losses. A process whose last transmission gets no CRC
-// verdict — abandoned late, or its subframe never reached the pool — is
-// exhausted too, once a round trip past its due TTI, so it never blocks
-// fresh traffic for good.
+// count as residual losses. A process is stop-and-wait: from a
+// transmission until its verdict it carries nothing else, however far the
+// pool lags the subframes, so a late verdict is still counted as what it
+// is. A transmission that gets no CRC verdict — abandoned, or its subframe
+// never reached the pool — is retransmitted if it was a retransmission
+// with attempts left, ends its TB as exhausted if it was the last attempt,
+// and frees the process if it was a first transmission (the MAC
+// reschedules the data).
 
 // rvSequence is the LTE redundancy-version order across attempts.
 var rvSequence = [4]uint8{0, 2, 3, 1}
@@ -34,12 +38,17 @@ type harqKey struct {
 	proc uint8
 }
 
-// pendingRetx is one failed TB awaiting retransmission.
-type pendingRetx struct {
-	alloc   frame.Allocation
-	payload []byte
-	attempt int // number of transmissions already made
-	dueTTI  frame.TTI
+// harqProc is one busy HARQ process: a transmission awaiting its verdict,
+// or a failed TB awaiting its retransmission.
+type harqProc struct {
+	alloc   frame.Allocation // the TB's grant, which every attempt reuses
+	payload []byte           // the TB, kept once its first transmission fails
+	attempt int              // transmissions made
+	// sent is true from a transmission until its verdict; sentTTI is that
+	// transmission's TTI, which tells its verdict from a stale one.
+	sent    bool
+	sentTTI frame.TTI
+	dueTTI  frame.TTI // when !sent, the TTI the next retransmission is due
 }
 
 // HARQStats aggregates the retransmission loop's outcomes.
@@ -54,60 +63,65 @@ type HARQStats struct {
 	Exhausted uint64
 }
 
-// harqLoop tracks pending retransmissions for one cell. Worker callbacks
+// harqLoop tracks the busy HARQ processes of one cell. Worker callbacks
 // and the TTI loop access it concurrently.
 type harqLoop struct {
-	mu      sync.Mutex
-	pending map[harqKey]*pendingRetx
-	stats   HARQStats
+	mu    sync.Mutex
+	procs map[harqKey]*harqProc
+	stats HARQStats
 }
 
 func newHARQLoop() *harqLoop {
-	return &harqLoop{pending: make(map[harqKey]*pendingRetx)}
+	return &harqLoop{procs: make(map[harqKey]*harqProc)}
 }
 
 // onTaskDone processes one decode outcome. payload is the transmitted TB
-// (retained so a failure can retransmit the same bits).
+// (retained so a failure can retransmit the same bits). A verdict for a
+// transmission the process no longer awaits — one release gave up on — is
+// ignored.
 func (h *harqLoop) onTaskDone(t *dataplane.Task, payload []byte) {
 	key := harqKey{t.Alloc.RNTI, t.Alloc.HARQProcess}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	p, inFlight := h.pending[key]
-	if !inFlight && t.Alloc.RV != 0 {
-		// A late verdict on a retransmission of a process that has since
-		// expired (see inject): there is nothing left to retransmit.
+	p, ok := h.procs[key]
+	if !ok || !p.sent || p.sentTTI != t.TTI {
 		return
 	}
-	if t.Err == nil {
-		if inFlight && p.attempt > 1 {
+	p.sent = false
+	switch {
+	case t.Err == nil:
+		if p.attempt > 1 {
 			h.stats.Recovered++
 		}
-		delete(h.pending, key)
-		return
-	}
-	if !errIsCRC(t.Err) {
-		// Abandoned or infrastructure errors don't advance HARQ state: the
-		// UE will be rescheduled by the MAC.
-		return
-	}
-	if !inFlight {
-		// First transmission failed: queue attempt #2.
-		h.stats.FirstTxFailures++
-		h.pending[key] = &pendingRetx{
-			alloc:   t.Alloc,
-			payload: append([]byte(nil), payload...),
-			attempt: 1,
-			dueTTI:  t.TTI + harqRetxInterval,
+		delete(h.procs, key)
+	case errIsCRC(t.Err):
+		if p.attempt == 1 {
+			h.stats.FirstTxFailures++
+			p.payload = append([]byte(nil), payload...)
 		}
-		return
+		if p.attempt >= maxHARQAttempts {
+			h.stats.Exhausted++
+			delete(h.procs, key)
+			return
+		}
+		p.dueTTI = t.TTI + harqRetxInterval
+	default:
+		h.lost(key, p, t.TTI)
 	}
-	// A retransmission failed.
-	if p.attempt >= maxHARQAttempts {
+}
+
+// lost settles a transmission at tti that gets no CRC verdict. h.mu is
+// held.
+func (h *harqLoop) lost(key harqKey, p *harqProc, tti frame.TTI) {
+	switch {
+	case p.attempt == 1:
+		delete(h.procs, key)
+	case p.attempt >= maxHARQAttempts:
 		h.stats.Exhausted++
-		delete(h.pending, key)
-		return
+		delete(h.procs, key)
+	default:
+		p.dueTTI = tti + harqRetxInterval
 	}
-	p.dueTTI = t.TTI + harqRetxInterval
 }
 
 // errIsCRC reports whether the decode failed on CRC (vs abandoned etc.).
@@ -115,45 +129,35 @@ func errIsCRC(err error) bool {
 	return errors.Is(err, phy.ErrCRC)
 }
 
-// inject rewrites a subframe's work to carry due retransmissions: fresh
-// allocations overlapping a retransmission's PRBs are dropped, and the
-// retransmission is appended with its next RV. It returns the payload
-// overrides (allocation index → TB bits to transmit).
+// inject rewrites a subframe's fresh work to carry due retransmissions:
+// fresh allocations on busy processes or overlapping a retransmission's
+// PRBs are dropped, and the retransmission is appended with its next RV.
+// Every transmission left in the work then holds its process until its
+// verdict. It returns the payload overrides (allocation index → TB bits to
+// transmit).
 func (h *harqLoop) inject(work *frame.SubframeWork) map[int][]byte {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if len(h.pending) == 0 {
-		return nil
-	}
-	// Expiry: a process at its last attempt whose verdict has not come one
-	// round trip past its due TTI never will (the attempt was abandoned, or
-	// its subframe failed before the pool); it is exhausted, and its HARQ
-	// process free for fresh data again.
-	for key, p := range h.pending {
-		if p.attempt >= maxHARQAttempts && work.TTI >= p.dueTTI+harqRetxInterval {
-			h.stats.Exhausted++
-			delete(h.pending, key)
-		}
-	}
 	// Phase 0: drop fresh allocations on busy HARQ processes regardless of
 	// whether their retransmission is due this subframe — a real MAC never
-	// schedules new data on a process that is still combining.
+	// schedules new data on a process that is still combining or awaiting
+	// its acknowledgement.
 	fresh := work.Allocations[:0]
 	for _, a := range work.Allocations {
-		if _, busy := h.pending[harqKey{a.RNTI, a.HARQProcess}]; busy {
+		if _, busy := h.procs[harqKey{a.RNTI, a.HARQProcess}]; busy {
 			continue
 		}
 		fresh = append(fresh, a)
 	}
 	work.Allocations = fresh
 	// Phase 1: choose due retransmissions with mutually disjoint PRB spans
-	// (two pendings may claim overlapping PRBs because their grants came
+	// (two processes may claim overlapping PRBs because their grants came
 	// from different TTIs); losers retry next subframe.
 	type span struct{ lo, hi int }
 	var taken []span
-	var chosen []*pendingRetx
-	for _, p := range h.pending {
-		if p.dueTTI > work.TTI || p.attempt >= maxHARQAttempts {
+	var chosen []*harqProc
+	for _, p := range h.procs {
+		if p.sent || p.dueTTI > work.TTI {
 			continue
 		}
 		lo, hi := p.alloc.FirstPRB, p.alloc.FirstPRB+p.alloc.NumPRB
@@ -171,10 +175,8 @@ func (h *harqLoop) inject(work *frame.SubframeWork) map[int][]byte {
 		taken = append(taken, span{lo, hi})
 		chosen = append(chosen, p)
 	}
-	if len(chosen) == 0 {
-		return nil
-	}
-	// Phase 2: drop fresh allocations overlapping a retransmission's PRBs.
+	// Phase 2: drop fresh allocations overlapping a retransmission's PRBs;
+	// the rest are first transmissions.
 	kept := work.Allocations[:0]
 	for _, a := range work.Allocations {
 		overlap := false
@@ -186,9 +188,13 @@ func (h *harqLoop) inject(work *frame.SubframeWork) map[int][]byte {
 		}
 		if !overlap {
 			kept = append(kept, a)
+			h.procs[harqKey{a.RNTI, a.HARQProcess}] = &harqProc{alloc: a, attempt: 1, sent: true, sentTTI: work.TTI}
 		}
 	}
 	work.Allocations = kept
+	if len(chosen) == 0 {
+		return nil
+	}
 	// Phase 3: append retransmissions and record payload overrides.
 	overrides := make(map[int][]byte, len(chosen))
 	for _, p := range chosen {
@@ -197,10 +203,26 @@ func (h *harqLoop) inject(work *frame.SubframeWork) map[int][]byte {
 		work.Allocations = append(work.Allocations, retx)
 		overrides[len(work.Allocations)-1] = p.payload
 		p.attempt++
-		p.dueTTI = work.TTI + harqRetxInterval // re-armed on failure
+		p.sent, p.sentTTI = true, work.TTI
 		h.stats.Retransmissions++
 	}
 	return overrides
+}
+
+// release gives up on the transmissions inject put in work, for a subframe
+// that failed before the pool could decode it: each is settled as a
+// transmission without a verdict. A process whose verdict already came is
+// left alone.
+func (h *harqLoop) release(work frame.SubframeWork) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for _, a := range work.Allocations {
+		key := harqKey{a.RNTI, a.HARQProcess}
+		if p, ok := h.procs[key]; ok && p.sent && p.sentTTI == work.TTI {
+			p.sent = false
+			h.lost(key, p, work.TTI)
+		}
+	}
 }
 
 // snapshot returns the current statistics.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pran/internal/controller"
+	"pran/internal/ctrlproto"
 	"pran/internal/dataplane"
 	"pran/internal/faultinject"
 	"pran/internal/frame"
@@ -106,4 +107,68 @@ func TestScrapeConcurrentWithDelayedAgent(t *testing.T) {
 		_, n, err := cn.ScrapeTelemetry(budget)
 		return err == nil && n == healthy+1
 	})
+}
+
+// TestScrapeDropsLateReport pins scrape correlation to the request's
+// sequence number. A raw agent holds its first report past that scrape's
+// timeout; on the second request it sends the stale report (snapshot A)
+// and then the fresh one (snapshot B). The second scrape must merge B: a
+// report is matched to the request it answers, not merely to its agent.
+func TestScrapeDropsLateReport(t *testing.T) {
+	cn := startControllerNodeCfg(t, 1, 20*time.Millisecond, 50)
+	r := dialRawAgent(t, cn.Addr().String(), 1, 20*time.Millisecond, rawOpts{})
+	waitFor(t, "agent registered", 5*time.Second, func() bool { return cn.NumAgents() == 1 })
+
+	requests := func() []uint32 {
+		var seqs []uint32
+		for _, m := range r.received() {
+			if req, ok := m.(*ctrlproto.StatsRequest); ok {
+				seqs = append(seqs, req.Seq)
+			}
+		}
+		return seqs
+	}
+	snapshot := func(v uint64) []byte {
+		reg := telemetry.New(1)
+		reg.Counter("raw.snapshot").Add(0, v)
+		data, err := reg.Snapshot().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+
+	if _, reported, err := cn.ScrapeTelemetry(100 * time.Millisecond); err != nil || reported != 0 {
+		t.Fatalf("held scrape: reported %d, err %v; want 0 agents, no error", reported, err)
+	}
+	waitFor(t, "first request delivered", 5*time.Second, func() bool { return len(requests()) == 1 })
+
+	type result struct {
+		snap     telemetry.Snapshot
+		reported int
+		err      error
+	}
+	done := make(chan result, 1)
+	go func() {
+		snap, reported, err := cn.ScrapeTelemetry(5 * time.Second)
+		done <- result{snap, reported, err}
+	}()
+	waitFor(t, "second request delivered", 5*time.Second, func() bool { return len(requests()) == 2 })
+	seqs := requests()
+	if seqs[0] == seqs[1] {
+		t.Fatalf("both scrapes sent request seq %d", seqs[0])
+	}
+	if err := r.c.SendStatsReport(seqs[0], snapshot(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.c.SendStatsReport(seqs[1], snapshot(2)); err != nil {
+		t.Fatal(err)
+	}
+	res := <-done
+	if res.err != nil || res.reported != 1 {
+		t.Fatalf("second scrape: reported %d, err %v; want 1 agent, no error", res.reported, res.err)
+	}
+	if got := res.snap.Counter("raw.snapshot"); got != 2 {
+		t.Fatalf("second scrape merged snapshot %d, want the fresh report's 2 (1 is the late reply to the first scrape)", got)
+	}
 }

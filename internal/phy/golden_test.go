@@ -102,6 +102,9 @@ func goldenDigest(h io.Writer, payload []byte, err error, sb *SoftBuffer, iters 
 // transport block is hashed. Three processors per variant serve the whole
 // sweep, so whatever a decode leaves behind in them meets every later shape.
 func TestDecodeGoldenDigests(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine sweep: the race detector has nothing to check; the -short CI step runs it")
+	}
 	variants := []struct {
 		name string
 		pipe pipeline

@@ -300,6 +300,9 @@ func measureKernelBLER(t *testing.T, mcs MCS, nprb int, snrDB float64, trials in
 // below the ingest-gain threshold, so this is the un-scaled quantizer;
 // TestI16BLERParityHighSNR covers the scaled one.
 func TestTurboI16BLERParity(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine sweep: the race detector has nothing to check; the race-free phy CI step runs it")
+	}
 	if testing.Short() {
 		t.Skip("BLER measurement in -short mode")
 	}
@@ -338,6 +341,9 @@ func TestTurboI16BLERParity(t *testing.T) {
 // failed transport block stops early on the scalar float32 path and runs
 // every lane to the cap in lockstep, so failures are not comparable).
 func TestI16BLERParityHighSNR(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine sweep: the race detector has nothing to check; the race-free phy CI step runs it")
+	}
 	if testing.Short() {
 		t.Skip("BLER measurement in -short mode")
 	}
