@@ -188,8 +188,11 @@ func TestEndToEndLowSNRFailsCRC(t *testing.T) {
 }
 
 func TestHARQRetransmissionViaDataplane(t *testing.T) {
-	// First TX below the operating point usually fails; a chase-combined
-	// retransmission through the cell's HARQ manager must succeed.
+	// Below the operating point RV 0 alone fails CRC, and so does RV 2
+	// alone on a processor that holds no soft state for the process; only
+	// their chase combination through the cell's HARQ manager decodes. All
+	// three decodes see the same two emitted subframes, so the combining
+	// is the only difference between them.
 	poolCfg := Config{Workers: 1, Policy: EDF, DeadlineScale: 1000}
 	pool := testPool(t, poolCfg)
 	cfg := testCellConfig()
@@ -202,12 +205,21 @@ func TestHARQRetransmissionViaDataplane(t *testing.T) {
 	}
 	work := frame.SubframeWork{Cell: 1, TTI: 10, Allocations: []frame.Allocation{alloc}}
 	payloads, _ := rrh.RandomPayloads(work)
+	// Retransmission 8 TTIs later, same HARQ process, RV 2.
+	work2 := work
+	work2.TTI = 18
+	work2.Allocations = []frame.Allocation{alloc}
+	work2.Allocations[0].RV = 2
 
-	runOnce := func(w frame.SubframeWork) *Task {
+	emit := func(w frame.SubframeWork) []complex128 {
 		samples, err := rrh.Emit(w, payloads)
 		if err != nil {
 			t.Fatal(err)
 		}
+		return append([]complex128(nil), samples...) // Emit reuses its slice
+	}
+	rv0, rv2 := emit(work), emit(work2)
+	decode := func(cp *CellProcessor, samples []complex128, w frame.SubframeWork) *Task {
 		ch := make(chan *Task, 1)
 		if err := cp.IngestSubframe(samples, w, func(tk *Task) { ch <- tk }); err != nil {
 			t.Fatal(err)
@@ -215,15 +227,16 @@ func TestHARQRetransmissionViaDataplane(t *testing.T) {
 		return <-ch
 	}
 
-	first := runOnce(work)
-	// Retransmission 8 TTIs later, same HARQ process, RV 2.
-	work2 := work
-	work2.TTI = 18
-	work2.Allocations = []frame.Allocation{alloc}
-	work2.Allocations[0].RV = 2
-	second := runOnce(work2)
+	if first := decode(cp, rv0, work); first.Err == nil {
+		t.Fatal("RV 0 alone passed CRC: the test no longer needs combining")
+	}
+	fresh, _ := NewCellProcessor(cfg, pool)
+	if alone := decode(fresh, rv2, work2); alone.Err == nil {
+		t.Fatal("RV 2 alone passed CRC on a processor without soft state: the test no longer needs combining")
+	}
+	second := decode(cp, rv2, work2)
 	if second.Err != nil {
-		t.Fatalf("combined retransmission failed (first err=%v): %v", first.Err, second.Err)
+		t.Fatalf("combined retransmission failed: %v", second.Err)
 	}
 	if !bytes.Equal(second.Payload, payloads[0]) {
 		t.Fatal("combined decode returned wrong payload")

@@ -115,9 +115,11 @@ func TestDistributedAssignAndProcess(t *testing.T) {
 	waitFor(t, "load reports", 5*time.Second, func() bool {
 		return cn.Controller().Monitor().TotalDemand() > 0
 	})
-	if got := cn.Applied(); len(got) != 3 {
-		t.Fatalf("applied placement has %d cells", len(got))
-	}
+	// The controller books a cell as applied when it handles the agent's
+	// AssignCell ack, which races the load reports above.
+	waitFor(t, "applied placement of 3 cells", 5*time.Second, func() bool {
+		return len(cn.Applied()) == 3
+	})
 }
 
 func TestDistributedFailover(t *testing.T) {

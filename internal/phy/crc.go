@@ -1,5 +1,7 @@
 package phy
 
+import "encoding/binary"
+
 // CRC generators from 3GPP TS 36.212 §5.1.1. CRC-24A protects transport
 // blocks; CRC-24B protects individual code blocks after segmentation. Both
 // operate over bit slices (one bit per byte, values 0/1), which is the
@@ -7,7 +9,8 @@ package phy
 //
 // The production path is table-driven: eight input bits are packed MSB-first
 // into a byte and folded into the 24-bit register through a 256-entry table,
-// so the register advances a byte at a time instead of a bit at a time. The
+// so the register advances a byte at a time instead of a bit at a time
+// (packBits packs the eight one-bit bytes). The
 // original bit-serial long division remains as crc24Bitwise — it is the
 // reference the table path is fuzz-checked against (FuzzCRC24).
 
@@ -59,9 +62,7 @@ func crc24(bits []byte, poly uint32) uint32 {
 	var reg uint32
 	i := 0
 	for ; i+8 <= len(bits); i += 8 {
-		b := bits[i]<<7 | bits[i+1]<<6 | bits[i+2]<<5 | bits[i+3]<<4 |
-			bits[i+4]<<3 | bits[i+5]<<2 | bits[i+6]<<1 | bits[i+7]
-		reg = ((reg << 8) ^ table[byte(reg>>16)^b]) & 0xFFFFFF
+		reg = ((reg << 8) ^ table[byte(reg>>16)^packBits(bits[i:])]) & 0xFFFFFF
 	}
 	for ; i < len(bits); i++ {
 		fb := ((reg >> 23) ^ uint32(bits[i])) & 1
@@ -71,6 +72,15 @@ func crc24(bits []byte, poly uint32) uint32 {
 		}
 	}
 	return reg
+}
+
+// packBits packs bit 0 of each of the first eight bytes of b into one
+// byte, b[0] in the most significant bit: one little-endian 64-bit load and
+// one multiply by 0x8040201008040201, which moves bit 0 of byte i to bit
+// 63−i. The eight shifted copies land on distinct bit positions, so no
+// carry reaches the top byte, and it reads the eight bits MSB-first.
+func packBits(b []byte) byte {
+	return byte((binary.LittleEndian.Uint64(b) & 0x0101010101010101) * 0x8040201008040201 >> 56)
 }
 
 // crc24Bitwise is the direct bit-serial long division from the spec text:

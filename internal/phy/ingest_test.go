@@ -146,9 +146,11 @@ func checkIngestI16(t *testing.T, rig *ingestRig, q *QPPInterleaver, d0, d1, d2 
 	}
 
 	sb := rig.scalar
-	for b := 0; b < n; b++ {
-		sb.ingest(q, d0[b], d1[b], d2[b], known[b])
-		diff(fmt.Sprintf("scalar lane %d", b), [4][]int16{sb.ls1, sb.lp1, sb.ls2, sb.lp2}, want(1, b), 1, 1)
+	for _, vec := range []bool{false, batchAsm} {
+		for b := 0; b < n; b++ {
+			sb.ingest(q, d0[b], d1[b], d2[b], known[b], vec)
+			diff(fmt.Sprintf("scalar lane %d (vec %v)", b, vec), [4][]int16{sb.ls1, sb.lp1, sb.ls2, sb.lp2}, want(1, b), 1, 1)
+		}
 	}
 	all := make([]int, n)
 	for b := range all {
@@ -296,7 +298,7 @@ func FuzzIngestI16(f *testing.F) {
 }
 
 // BenchmarkIngestI16 measures the ingest boundary alone at K=6144: one
-// block through the scalar kernel's (w1) and eight through the lockstep
+// block through the scalar kernel's (w1: quantI16x1 on AVX2 hosts) and eight through the lockstep
 // kernel's at width 8 (w8: the AVX2 kernel on AVX2 hosts).
 func BenchmarkIngestI16(b *testing.B) {
 	const k = 6144
@@ -311,7 +313,7 @@ func BenchmarkIngestI16(b *testing.B) {
 		b.SetBytes(k)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			buf.ingest(q, l0[i%8], l1[i%8], l2[i%8], 0)
+			buf.ingest(q, l0[i%8], l1[i%8], l2[i%8], 0, batchAsm)
 		}
 	})
 	b.Run("w8", func(b *testing.B) {

@@ -127,7 +127,7 @@ func TestIngestKnownBits(t *testing.T) {
 			s[0][i] = pin
 		}
 		b := newI16Buffers()
-		b.ingest(q, s[0], s[1], s[2], kn)
+		b.ingest(q, s[0], s[1], s[2], kn, batchAsm)
 		return b.ls1[:k+3]
 	}
 	for _, pin := range []float32{fillerLLR, 5, -7, 0} {

@@ -136,10 +136,12 @@ type blockDecoder interface {
 	decodeBlock(out []byte, ld0, ld1, ld2 []float32, known int, check func([]byte) bool) (int, error)
 }
 
+// decodeBlock decodes through the pure-Go sisoI16 whatever the host: the
+// per-block reference is the oracle of the AVX2 twin too.
 func (d *TurboDecoder) decodeBlock(out []byte, ld0, ld1, ld2 []float32, known int, check func([]byte) bool) (int, error) {
-	d.EarlyCheck = check
+	d.EarlyCheck, d.vec = check, false
 	it, err := d.decode(out, ld0, ld1, ld2, known)
-	d.EarlyCheck = nil
+	d.EarlyCheck, d.vec = nil, batchAsm
 	return it, err
 }
 

@@ -2,15 +2,25 @@ package phy
 
 import "fmt"
 
-// loneLaneMinK is the smallest turbo block size at which a lone code block
-// (a span of one) decodes faster as a one-lane pass of the width-8 AVX2
-// lockstep decoder than through the scalar decoder. The K sweep of
-// BenchmarkBatchVsScalarI16 (K<k>/lanes1 against K<k>/scalar, 4
-// iterations, two runs of 3 on a 2-vCPU Xeon) pins it: at K 208 the two are
-// level within the host's noise (one-lane 71–78 µs, scalar 56–122 µs); from
-// K 1056 the one-lane pass wins (313–486 against 351–610 µs; K 2112
-// 585–934 against 707–1238 µs; K 6144 1.63–1.92 against 2.15–3.18 ms).
-const loneLaneMinK = 1056
+// spanCrossover is the narrowest span the width-8 lockstep decoder takes
+// on AVX2 hosts; narrower spans decode block by block through the scalar
+// TurboDecoder, whose state-parallel SISO costs the same per block whatever
+// the span holds. The K × width sweep of BenchmarkBatchVsScalarI16 (µs for
+// n blocks at 4 iterations: scalar one after another / lockstep in one
+// pass; 2-vCPU Xeon) puts it at 5 for every K measured — level at K 208,
+// 5–8 % in the lockstep pass's favour from K 1056:
+//
+//	K     n=1      2        3        4        5        6         8
+//	208   7/34     14/34    21/34    28/35    34/34    43/34     56/34
+//	1056  35/154   67/161   100/155  136/162  167/156  199/158   270/157
+//	2112  67/309   133/306  200/307  266/308  333/311  410/311   533/311
+//	3136  98/449   197/450  293/451  395/455  493/458  591/458   790/470
+//	6144  193/889  378/896  572/898  763/891  960/909  1141/925  1541/914
+//
+// The pure-Go build keeps the rule the sweep of its own kernels set: only a
+// lone block goes through the scalar decoder (K 2112: 2.2–2.3 ms one-lane
+// lockstep against 0.6–0.8 ms scalar; K 6144: 3.4–3.7 against 2.0–3.3 ms).
+const spanCrossover = 5
 
 // spanDecoder turbo-decodes the code blocks of a decode — one or more
 // transport blocks of one block size K — in spans of up to MaxJointBlocks,
@@ -18,21 +28,22 @@ const loneLaneMinK = 1056
 // Spans follow the transport blocks: one that fits a span never straddles
 // two, and one wider than a span is split into full spans and a ragged rest
 // exactly as it would be alone, so every transport block's outcome is the
-// one it has decoded alone. A span of two or more live blocks goes through
-// one BatchDecoderI16 pass. A lone block goes through that decoder too when
-// its AVX2 path is available and K ≥ loneLaneMinK, and through the scalar
-// TurboDecoder otherwise: a block of small K, and any lone block of the
-// pure-Go build, where the one-lane pass is the slower (K 2112: 2.2–2.3
-// against 0.6–0.8 ms; K 6144: 3.4–3.7 against 2.0–3.3 ms). Both produce
-// bit-identical output, and LTE code blocks are independent after
-// de-rate-matching — no state crosses block boundaries until
+// one it has decoded alone. A span of spanCrossover or more live blocks
+// (two or more on the pure-Go build) goes through one BatchDecoderI16 pass;
+// a narrower one decodes its live blocks one after another through the
+// scalar TurboDecoder — every one of them, as the lockstep pass does, so a
+// transport block's iterations do not depend on which way its span went.
+// Both produce bit-identical output, and LTE code blocks are independent
+// after de-rate-matching — no state crosses block boundaries until
 // desegmentation — so block j's bits land in its output whatever the span.
 //
 // A spanDecoder has no block size: a call's K is read off its blocks and the
-// working sets are sized for the largest, so one decoder (≈ 1.7 MB) serves
-// every shape its owner meets. It belongs to one TransportProcessor, which
-// builds it on its first Decode, and like the processor it is owned by one
-// goroutine at a time.
+// working sets are sized for the largest, so one decoder (≈ 1.5 MB) serves
+// every shape its owner meets. Its scalar decoder works in the lockstep
+// decoder's arrays (scalarBuffers): the two never run at once, so a
+// processor that meets spans of both kinds touches one working set. It
+// belongs to one TransportProcessor, which builds it on its first Decode,
+// and like the processor it is owned by one goroutine at a time.
 type spanDecoder struct {
 	dec *TurboDecoder
 	bd  *BatchDecoderI16
@@ -46,7 +57,8 @@ type spanDecoder struct {
 	check         []func([]byte) bool
 
 	// spans[n] counts the spans of the most recent decode that decoded n
-	// code blocks together.
+	// code blocks together: a span decoded block by block counts as that
+	// many spans of one.
 	spans [MaxJointBlocks + 1]int
 }
 
@@ -100,13 +112,14 @@ func (cb *codeBlocks) streams(i int) (ld0, ld1, ld2 []float32) {
 	return s[:d:d], s[d : 2*d : 2*d], s[2*d : 3*d : 3*d]
 }
 
-// newSpanDecoder builds the scalar and the lockstep decoder and the span
-// scratch.
+// newSpanDecoder builds the lockstep decoder, the scalar decoder over its
+// arrays and the span scratch.
 func newSpanDecoder() *spanDecoder {
 	const w = MaxJointBlocks
+	bd := newBatchDecoderI16(w)
 	return &spanDecoder{
-		dec:   NewTurboDecoder(),
-		bd:    newBatchDecoderI16(w),
+		dec:   newTurboDecoder(bd.scalarBuffers()),
+		bd:    bd,
 		live:  make([]int, 0, w),
 		out:   make([][]byte, 0, w),
 		ld0:   make([][]float32, 0, w),
@@ -180,7 +193,6 @@ func (sd *spanDecoder) decode(cb *codeBlocks, prepare func(int)) error {
 		if err := sd.decodeSpan(cb); err != nil {
 			return err
 		}
-		sd.spans[len(sd.live)]++
 	}
 	return nil
 }
@@ -199,20 +211,23 @@ func (sd *spanDecoder) spanEnd(cb *codeBlocks, base int) int {
 	return end
 }
 
-// decodeSpan decodes the live blocks of one span and books their
-// iterations and failures to their transport blocks.
+// decodeSpan decodes the live blocks of one span, books their iterations
+// and failures to their transport blocks and counts the span in spans.
 func (sd *spanDecoder) decodeSpan(cb *codeBlocks) error {
-	if i := sd.live[0]; len(sd.live) == 1 && !(batchAsm && len(cb.out[i]) >= loneLaneMinK) {
-		sd.dec.EarlyCheck = cb.check[i]
-		ld0, ld1, ld2 := cb.streams(i)
-		it, err := sd.dec.decode(cb.out[i], ld0, ld1, ld2, cb.known[i])
-		sd.dec.EarlyCheck = nil
-		if err != nil {
-			return err
+	if n := len(sd.live); n == 1 || batchAsm && n < spanCrossover {
+		for _, i := range sd.live {
+			t := cb.tb[i]
+			sd.dec.EarlyCheck = cb.check[i]
+			ld0, ld1, ld2 := cb.streams(i)
+			it, err := sd.dec.decode(cb.out[i], ld0, ld1, ld2, cb.known[i])
+			sd.dec.EarlyCheck = nil
+			if err != nil {
+				return err
+			}
+			cb.iters[t] += it
+			cb.ok[t] = cb.ok[t] && cb.check[i](cb.out[i])
+			sd.spans[1]++
 		}
-		t := cb.tb[i]
-		cb.iters[t] += it
-		cb.ok[t] = cb.ok[t] && cb.check[i](cb.out[i])
 		return nil
 	}
 	sd.out, sd.known, sd.check = sd.out[:0], sd.known[:0], sd.check[:0]
@@ -234,6 +249,7 @@ func (sd *spanDecoder) decodeSpan(cb *codeBlocks) error {
 	if err != nil {
 		return err
 	}
+	sd.spans[len(sd.live)]++
 	for j, i := range sd.live {
 		t := cb.tb[i]
 		cb.iters[t] += sd.bd.iters[j]

@@ -188,9 +188,9 @@ func TestParallelDecodeConcurrentSubframes(t *testing.T) {
 
 func TestParallelDecodeNoAlloc(t *testing.T) {
 	// A transport block whose last code block is a span of its own (9
-	// blocks: a full span, then a lone block on the one-lane pass or the
-	// scalar decoder) must stay allocation-free like a full one: both
-	// decoders and their working sets are built once.
+	// blocks: a full span, then a lone block on the scalar decoder) must
+	// stay allocation-free like a full one: both decoders and their
+	// working sets are built once.
 	p, err := newTBProc(21, 100, pipeline{})
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"encoding/binary"
 	"fmt"
 )
 
@@ -44,6 +45,15 @@ var (
 // which drives the feedback value to 0.
 var tailNext, tailGamma [turboStates]uint8
 
+// rscByteNext[s][b] and rscByteParity[s][b] are eight RSC steps from state
+// s over the input bits of b, MSB first: the state after them, and their
+// parity bits as eight one-bit bytes, little-endian (byte j for input bit
+// j).
+var (
+	rscByteNext   [turboStates][256]uint8
+	rscByteParity [turboStates][256]uint64
+)
+
 func init() {
 	for s := 0; s < turboStates; s++ {
 		r1 := uint8(s>>2) & 1 // newest register bit
@@ -61,6 +71,17 @@ func init() {
 		// Tail step drives a=0: input bit d=fb.
 		tailNext[s] = rscNext[s][0]
 		tailGamma[s] = fb<<1 | rscParityIn[s][fb]
+	}
+	for s := uint8(0); s < turboStates; s++ {
+		for b := 0; b < 256; b++ {
+			st := s
+			for j := 0; j < 8; j++ {
+				d := uint8(b>>(7-j)) & 1
+				rscByteParity[s][b] |= uint64(rscParityIn[st][d]) << (8 * j)
+				st = rscNext[st][d^rscFeedback[st]]
+			}
+			rscByteNext[s][b] = st
+		}
 	}
 }
 
@@ -106,11 +127,18 @@ func (e *TurboEncoder) Encode(d0, d1, d2, input []byte) error {
 
 // runRSC drives one RSC constituent over input, writing parity bits and the
 // termination tail (3 systematic + 3 parity bits driving the trellis to
-// state 0).
+// state 0). It steps eight input bits at a time through the rscByte tables
+// (a legal K is a multiple of 8), the rest one at a time.
 func runRSC(input, parity []byte, xt, zt *[turboTail]byte) {
 	var s uint8
-	for i, d := range input {
-		d &= 1
+	i := 0
+	for ; i+8 <= len(input); i += 8 {
+		b := packBits(input[i:])
+		binary.LittleEndian.PutUint64(parity[i:], rscByteParity[s][b])
+		s = rscByteNext[s][b]
+	}
+	for ; i < len(input); i++ {
+		d := input[i] & 1
 		parity[i] = rscParityIn[s][d]
 		s = rscNext[s][d^rscFeedback[s]]
 	}
@@ -123,7 +151,8 @@ func runRSC(input, parity []byte, xt, zt *[turboTail]byte) {
 }
 
 // TurboDecoder decodes blocks of any legal size K with the int16 max-log-MAP
-// kernel (turbo_i16.go): the block size is the length of the output, the
+// kernel (turbo_i16.go; on AVX2 hosts its bit-identical state-parallel twin,
+// turbo_i16_asm.go): the block size is the length of the output, the
 // interleaver a process-wide plan, and all working memory is allocated at
 // construction for the largest block, so a decoder's footprint does not
 // depend on what it has decoded. Decode performs no heap allocation, keeping
@@ -132,6 +161,9 @@ func runRSC(input, parity []byte, xt, zt *[turboTail]byte) {
 type TurboDecoder struct {
 	i16  *i16Buffers
 	hard []byte
+	// vec runs the AVX2 ingest, SISO and hard decisions; the reference
+	// pipelines clear it to decode through the pure-Go sisoI16.
+	vec bool
 
 	// MaxIterations bounds full decoder iterations (default 8).
 	MaxIterations int
@@ -144,10 +176,14 @@ type TurboDecoder struct {
 }
 
 // NewTurboDecoder returns a decoder.
-func NewTurboDecoder() *TurboDecoder {
+func NewTurboDecoder() *TurboDecoder { return newTurboDecoder(newI16Buffers()) }
+
+// newTurboDecoder returns a decoder working in b.
+func newTurboDecoder(b *i16Buffers) *TurboDecoder {
 	return &TurboDecoder{
-		i16:           newI16Buffers(),
+		i16:           b,
 		hard:          make([]byte, MaxBlockSize),
+		vec:           batchAsm,
 		MaxIterations: DefaultTurboIterations,
 	}
 }
@@ -168,7 +204,8 @@ func (d *TurboDecoder) Decode(out []byte, ld0, ld1, ld2 []float32) (int, error) 
 // decode is Decode for a block whose first known systematic values are
 // known zero bits (LTE filler) that the caller has pinned to fillerLLR; the
 // ingest keeps them out of its gain (llrGain). Each iteration runs both
-// constituents (sisoI16) and checks the sign bits of the a-posteriori sum.
+// constituents (sisoI16, or sisoI16AVX2 under vec) and checks the sign bits
+// of the a-posteriori sum.
 func (d *TurboDecoder) decode(out []byte, ld0, ld1, ld2 []float32, known int) (int, error) {
 	k := len(out)
 	q, err := NewQPPInterleaver(k)
@@ -180,23 +217,39 @@ func (d *TurboDecoder) decode(out []byte, ld0, ld1, ld2 []float32, known int) (i
 	}
 	hard := d.hard[:k]
 	b := d.i16
-	b.ingest(q, ld0, ld1, ld2, known)
-	clear(b.apri[:k])
+	b.ingest(q, ld0, ld1, ld2, known, d.vec)
+	perm, inv := q.perm[:k], q.inverse[:k]
+	apri, ext1, ext2 := b.apri[:k], b.ext1[:k], b.ext2[:k]
+	clear(apri)
 	d.iterationsUsed = 0
 	for it := 0; it < d.MaxIterations; it++ {
-		sisoI16(b.ls1, b.lp1, b.apri, b.ext1, b.alpha, k)
-		for i := 0; i < k; i++ {
-			b.apri[i] = b.ext1[q.Perm(i)]
+		if d.vec {
+			sisoI16AVX2(b.ls1, b.lp1, b.apri, b.ext1, b.alpha, b.gam, b.beta, k)
+		} else {
+			sisoI16(b.ls1, b.lp1, b.apri, b.ext1, b.alpha, k)
 		}
-		sisoI16(b.ls2, b.lp2, b.apri, b.ext2, b.alpha, k)
-		for i := 0; i < k; i++ {
-			b.apri[q.Perm(i)] = b.ext2[i]
+		for i, p := range perm {
+			apri[i] = ext1[p]
+		}
+		if d.vec {
+			sisoI16AVX2(b.ls2, b.lp2, b.apri, b.ext2, b.alpha, b.gam, b.beta, k)
+		} else {
+			sisoI16(b.ls2, b.lp2, b.apri, b.ext2, b.alpha, k)
+		}
+		// De-interleave as a gather through the inverse permutation:
+		// sequential stores, where scattering ext2 through perm is not.
+		for j, p := range inv {
+			apri[j] = ext2[p]
 		}
 		d.iterationsUsed = it + 1
 		// Hard decisions: the sign bit of the a-posteriori sum.
-		ls1, ext1, apri := b.ls1[:k], b.ext1[:k], b.apri[:k]
-		for i := range hard {
-			hard[i] = byte(uint32(int32(ls1[i])+int32(ext1[i])+int32(apri[i])) >> 31)
+		if d.vec {
+			hardI16x1(&b.ls1[0], &ext1[0], &apri[0], &hard[0], k)
+		} else {
+			ls1 := b.ls1[:k]
+			for i := range hard {
+				hard[i] = byte(uint32(int32(ls1[i])+int32(ext1[i])+int32(apri[i])) >> 31)
+			}
 		}
 		if d.EarlyCheck != nil && d.EarlyCheck(hard) {
 			break

@@ -118,6 +118,27 @@ func newBatchDecoderI16(w int) *BatchDecoderI16 {
 	}
 }
 
+// scalarBuffers lays the working storage of a scalar decoder that never
+// runs while bd does over bd's own arrays: the leading K+3 values of each
+// stream and the leading 3K rows of alpha for alpha, gam and beta. Either
+// decoder writes every array before reading it in each decode.
+func (bd *BatchDecoderI16) scalarBuffers() *i16Buffers {
+	const k = MaxBlockSize
+	steps := k + turboTail
+	return &i16Buffers{
+		ls1:   bd.ls1[:steps],
+		lp1:   bd.lp1[:steps],
+		ls2:   bd.ls2[:steps],
+		lp2:   bd.lp2[:steps],
+		apri:  bd.apri[:k],
+		ext1:  bd.ext1[:k],
+		ext2:  bd.ext2[:k],
+		alpha: bd.alpha[:k*turboStates],
+		gam:   bd.alpha[k*turboStates : 2*k*turboStates],
+		beta:  bd.alpha[2*k*turboStates : 3*k*turboStates],
+	}
+}
+
 // Width returns the lane capacity.
 func (bd *BatchDecoderI16) Width() int { return bd.width }
 

@@ -28,3 +28,15 @@ func hardI16AVX2(outs [][]byte, ls1, ext1, apri []int16, k int) {
 func absSumF32x16(acc *[gainSums]float64, s *float32, n int) {
 	panic("phy: AVX2 batch path unavailable in this build")
 }
+
+func sisoI16AVX2(ls, lp, la, ext, alpha, gam, beta []int16, k int) {
+	panic("phy: AVX2 SISO unavailable in this build")
+}
+
+func quantI16x1(dst *int16, src *float32, gain float32, n int) {
+	panic("phy: AVX2 SISO unavailable in this build")
+}
+
+func hardI16x1(ls, ext, apri *int16, out *byte, k int) {
+	panic("phy: AVX2 SISO unavailable in this build")
+}

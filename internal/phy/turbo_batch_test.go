@@ -67,6 +67,7 @@ func decodeScalarOracle(t testing.TB, k, maxIter int, l0, l1, l2 [][]float32, ch
 	dec := NewTurboDecoder()
 	dec.MaxIterations = maxIter
 	dec.EarlyCheck = check
+	dec.vec = false
 	for b := range l0 {
 		out := make([]byte, k)
 		n, err := dec.Decode(out, l0[b], l1[b], l2[b])
@@ -370,21 +371,22 @@ func FuzzBatchedKernel(f *testing.F) {
 }
 
 // BenchmarkBatchVsScalarI16 measures the turbo cost of a span at a fixed
-// iteration budget (4, no early exit) across block sizes: the scalar
-// decoder on one block (K<k>/scalar) against the width-8 lockstep decoder
-// carrying 1, 2 or 8 blocks (K<k>/lanes<n>). ns/op is a whole span, so
-// lanes8 over 8 is the per-block cost of a full span, lanes1 is what a lone
-// block costs on the lockstep decoder, and the K at which lanes1 overtakes
-// scalar is spanDecoder's loneLaneMinK. BenchmarkFullDecode's batch1 column
-// shows the lockstep gain end to end.
+// iteration budget (4, no early exit) across block sizes K and span widths
+// n: n blocks decoded one after another by the scalar decoder
+// (K<k>/scalar<n>, the AVX2 state-parallel SISO on AVX2 hosts) against the
+// width-8 lockstep decoder carrying them together (K<k>/lanes<n>), plus one
+// block through the pure-Go sisoI16 (K<k>/go1). ns/op is a whole span; the
+// smallest n at which lanes<n> beats scalar<n> is spanDecoder's crossover
+// (span.go). BenchmarkFullDecode's batch1 column shows the lockstep gain
+// end to end.
 func BenchmarkBatchVsScalarI16(b *testing.B) {
 	for _, k := range []int{208, 1056, 2112, 3136, 6144} {
 		rng := rand.New(rand.NewSource(17))
 		_, l0, l1, l2 := batchTestVectors(b, rng, k, 8, 0.8)
 		out := make([]byte, k)
-		b.Run(fmt.Sprintf("K%d/scalar", k), func(b *testing.B) {
+		b.Run(fmt.Sprintf("K%d/go1", k), func(b *testing.B) {
 			dec := NewTurboDecoder()
-			dec.MaxIterations = 4
+			dec.MaxIterations, dec.vec = 4, false
 			b.SetBytes(int64(k))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -393,7 +395,20 @@ func BenchmarkBatchVsScalarI16(b *testing.B) {
 				}
 			}
 		})
-		for _, n := range []int{1, 2, 8} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 8} {
+			b.Run(fmt.Sprintf("K%d/scalar%d", k, n), func(b *testing.B) {
+				dec := NewTurboDecoder()
+				dec.MaxIterations = 4
+				b.SetBytes(int64(k * n))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for j := 0; j < n; j++ {
+						if _, err := dec.Decode(out, l0[j], l1[j], l2[j]); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			})
 			b.Run(fmt.Sprintf("K%d/lanes%d", k, n), func(b *testing.B) {
 				bd, err := NewBatchDecoderI16(8)
 				if err != nil {

@@ -3,7 +3,11 @@ package phy
 import "math"
 
 // Quantized fixed-point max-log-MAP SISO: the turbo kernel of TurboDecoder
-// and, eight code blocks in lockstep, of BatchDecoderI16.
+// and, eight code blocks in lockstep, of BatchDecoderI16. On AVX2 hosts
+// TurboDecoder runs its state-parallel twin, sisoI16AVX2
+// (turbo_i16_asm.go), which holds one block's eight state metrics in one
+// vector and produces the same extrinsics and forward rows; sisoI16 stays
+// the pure-Go build's kernel and the oracle of both vector kernels.
 //
 // Arithmetic model: each code block's LLRs are scaled by a per-block
 // power-of-two gain (below), quantized to Q6 fixed point (64 units per LLR
@@ -42,7 +46,8 @@ import "math"
 // (v·g)·64 to ±i16LLRSat, adds 0.5 carrying the clamped value's sign and
 // truncates — round half away from zero in the same float32 operations a
 // sign branch would take. The scalar kernel runs ingestI16 over the whole
-// block; the lockstep kernel runs it in 128-step tiles across its lanes, or
+// block (on AVX2 hosts quantI16x1, eight contiguous values at a time); the
+// lockstep kernel runs it in 128-step tiles across its lanes, or
 // at width 8 on AVX2 hosts quantI16x8, which quantizes an 8-step tile of all
 // eight lanes and stores it with one 8×8 int16 transpose. Filler pins and
 // tails (ingestTailI16) stay scalar Go on every path. FuzzIngestI16 pins all
@@ -78,6 +83,14 @@ import "math"
 // together: with the floor at −20000 the channel saturation could not pass
 // ±1144. The three un-renormalized tail steps carry no a-priori term and
 // drift by at most 3·2047.
+//
+// The lower end is tighter than that: every butterfly output is the larger
+// of two candidates a_x ± g, a_y ∓ g, so at least their mean, and the
+// smallest metric of a bank never falls between renormalizations. Metrics
+// therefore stay within [−16000, +16380], and a renormalization's a − max
+// within [−32380, 0] — inside int16, so the state-parallel twin's int16
+// subtraction is exact; it saturates all the same, which keeps it exact
+// under the looser bound above as well.
 
 const (
 	// i16FracBits is the Q-format: 64 quantization units per LLR unit.
@@ -113,13 +126,15 @@ type i16Buffers struct {
 	apri     []int16 // a-priori input to the running constituent (K used)
 	ext1     []int16 // extrinsic from decoder 1, natural order
 	ext2     []int16 // extrinsic from decoder 2, interleaved order
-	alpha    []int16 // K×8 forward metrics (beta stays in registers)
+	alpha    []int16 // K×8 forward metrics (sisoI16 keeps beta in registers)
+	gam      []int16 // K×8 branch-metric rows of sisoI16AVX2, nil without AVX2
+	beta     []int16 // K×8 backward-metric rows of sisoI16AVX2, nil without AVX2
 }
 
 func newI16Buffers() *i16Buffers {
 	const k = MaxBlockSize
 	steps := k + turboTail
-	return &i16Buffers{
+	b := &i16Buffers{
 		ls1:   make([]int16, steps),
 		lp1:   make([]int16, steps),
 		ls2:   make([]int16, steps),
@@ -129,6 +144,11 @@ func newI16Buffers() *i16Buffers {
 		ext2:  make([]int16, k),
 		alpha: make([]int16, k*turboStates),
 	}
+	if batchAsm {
+		b.gam = make([]int16, k*turboStates)
+		b.beta = make([]int16, k*turboStates)
+	}
+	return b
 }
 
 // quantI16 converts the LLR v at ingest gain g to saturated Q6 fixed point,
@@ -226,11 +246,18 @@ func ingestTailI16(ls1, lp1, ls2, lp2 []int16, w, b, k int, d0, d1, d2 []float32
 }
 
 // ingest is the scalar kernel's whole ingest boundary: one code block at
-// width 1, including the interleaved systematic stream.
-func (b *i16Buffers) ingest(q *QPPInterleaver, d0, d1, d2 []float32, known int) {
+// width 1, including the interleaved systematic stream. vec quantizes the
+// data steps with quantI16x1, the same operations eight at a time.
+func (b *i16Buffers) ingest(q *QPPInterleaver, d0, d1, d2 []float32, known int, vec bool) {
 	k := q.K
 	g := llrGain(d0[known:], d1, d2)
-	ingestI16(b.ls1, b.lp1, b.lp2, 1, 0, 0, k, d0, d1, d2, g)
+	if vec {
+		quantI16x1(&b.ls1[0], &d0[0], g, k)
+		quantI16x1(&b.lp1[0], &d1[0], g, k)
+		quantI16x1(&b.lp2[0], &d2[0], g, k)
+	} else {
+		ingestI16(b.ls1, b.lp1, b.lp2, 1, 0, 0, k, d0, d1, d2, g)
+	}
 	ingestTailI16(b.ls1, b.lp1, b.ls2, b.lp2, 1, 0, k, d0, d1, d2, known, g)
 	for i := 0; i < k; i++ {
 		b.ls2[i] = b.ls1[q.Perm(i)]
@@ -245,8 +272,6 @@ func (b *i16Buffers) ingest(q *QPPInterleaver, d0, d1, d2 []float32, known int) 
 // are their negations). TestUnrolledTrellisMatchesTables pins the unrolled
 // structure against the generated trellis tables.
 func sisoI16(ls, lp, la, ext []int16, alpha []int16, k int) {
-	steps := k + turboTail
-
 	// Forward recursion, keeping the 8 state metrics in locals; row t of
 	// alpha stores the metrics *entering* step t.
 	a0, a1, a2, a3, a4, a5, a6, a7 := 0,
@@ -298,37 +323,8 @@ func sisoI16(ls, lp, la, ext []int16, alpha []int16, k int) {
 		}
 	}
 
-	// Backward recursion over the tail (single terminating branch per
-	// state, table-driven — only 3 steps, not hot).
-	var bt [turboStates]int
-	bt[0] = 0
-	for s := 1; s < turboStates; s++ {
-		bt[s] = i16MetricMin
-	}
-	for t := steps - 1; t >= k; t-- {
-		h := int(ls[t])
-		p := int(lp[t])
-		g0 := (h + p) >> 1
-		g1 := (h - p) >> 1
-		var nb [turboStates]int
-		for s := 0; s < turboStates; s++ {
-			var g int
-			switch tailGamma[s] {
-			case 0:
-				g = g0
-			case 1:
-				g = g1
-			case 2:
-				g = -g1
-			default:
-				g = -g0
-			}
-			nb[s] = g + bt[tailNext[s]]
-		}
-		bt = nb
-	}
+	bt := tailBetaI16(ls, lp, k)
 	b0, b1, b2, b3, b4, b5, b6, b7 := bt[0], bt[1], bt[2], bt[3], bt[4], bt[5], bt[6], bt[7]
-	b0, b1, b2, b3, b4, b5, b6, b7 = normI16(b0, b1, b2, b3, b4, b5, b6, b7)
 
 	// Fused backward recursion + extrinsic: at step t the registers hold
 	// beta[t+1]; the extrinsic needs only alpha[t], beta[t+1] and ±lp/2 (the
@@ -434,6 +430,40 @@ func sisoI16(ls, lp, la, ext []int16, alpha []int16, k int) {
 			b0, b1, b2, b3, b4, b5, b6, b7 = normI16(b0, b1, b2, b3, b4, b5, b6, b7)
 		}
 	}
+}
+
+// tailBetaI16 runs the backward recursion over the tail steps [K, K+3) of
+// ls/lp — a single terminating branch per state, table-driven, only 3
+// steps, not hot — and returns beta[K] renormalized.
+func tailBetaI16(ls, lp []int16, k int) [turboStates]int {
+	var bt [turboStates]int
+	for s := 1; s < turboStates; s++ {
+		bt[s] = i16MetricMin
+	}
+	for t := k + turboTail - 1; t >= k; t-- {
+		h := int(ls[t])
+		p := int(lp[t])
+		g0 := (h + p) >> 1
+		g1 := (h - p) >> 1
+		var nb [turboStates]int
+		for s := 0; s < turboStates; s++ {
+			var g int
+			switch tailGamma[s] {
+			case 0:
+				g = g0
+			case 1:
+				g = g1
+			case 2:
+				g = -g1
+			default:
+				g = -g0
+			}
+			nb[s] = g + bt[tailNext[s]]
+		}
+		bt = nb
+	}
+	bt[0], bt[1], bt[2], bt[3], bt[4], bt[5], bt[6], bt[7] = normI16(bt[0], bt[1], bt[2], bt[3], bt[4], bt[5], bt[6], bt[7])
+	return bt
 }
 
 // normI16 renormalizes eight path metrics: subtract the maximum (so the

@@ -21,19 +21,26 @@ func bitsToLLR(bits []byte, v float32) []float32 {
 
 func TestRSCTermination(t *testing.T) {
 	// After the 3 tail steps the constituent trellis must reach state 0
-	// from any data sequence.
+	// from any data sequence, and runRSC's byte steps must emit the parity
+	// and tail bits of a bit-serial pass over the tables.
 	rng := rand.New(rand.NewSource(20))
 	for trial := 0; trial < 50; trial++ {
 		input := randBits(rng, 40+rng.Intn(200))
 		parity := make([]byte, len(input))
 		var xt, zt [turboTail]byte
 		runRSC(input, parity, &xt, &zt)
-		// Re-run manually to inspect the final state.
+		// Re-run bit by bit to inspect the outputs and the final state.
 		var s uint8
-		for _, d := range input {
+		for i, d := range input {
+			if p := rscParityIn[s][d&1]; parity[i] != p {
+				t.Fatalf("len %d: parity bit %d = %d, bit-serial %d", len(input), i, parity[i], p)
+			}
 			s = rscNext[s][(d&1)^rscFeedback[s]]
 		}
 		for i := 0; i < turboTail; i++ {
+			if d := rscFeedback[s]; xt[i] != d || zt[i] != rscParityIn[s][d] {
+				t.Fatalf("len %d: tail step %d = (%d, %d), bit-serial (%d, %d)", len(input), i, xt[i], zt[i], d, rscParityIn[s][d])
+			}
 			s = rscNext[s][0]
 		}
 		if s != 0 {
