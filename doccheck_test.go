@@ -2,9 +2,13 @@ package pran
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
+	"path"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -222,6 +226,250 @@ func TestOraclesStayInPhy(t *testing.T) {
 	}
 	if checked == 0 || inPhy == 0 {
 		t.Fatalf("lint read %d Go files, %d of internal/phy — walk broken?", checked, inPhy)
+	}
+}
+
+// exportAllowlist names the exported identifiers under internal/ that
+// TestExportsHaveLiveUse accepts without a non-test use, each with its
+// reason. An entry that gains a use, or whose name is gone, fails the lint,
+// so the list only ever shrinks by hand.
+var exportAllowlist = map[string]string{
+	"dataplane.Pool.SetLevel": "the degradation ladder's manual override: internal/node's tests force a rung " +
+		"through it to check the MCS-cap feedback, and the live writer, the pool's headroom loop, " +
+		"cannot be driven to a chosen rung deterministically",
+}
+
+// TestExportsHaveLiveUse is the closed-API lint, the typed successor of
+// TestOraclesStayInPhy: every exported identifier declared in a non-test
+// file under internal/ — a top-level name, a method, a field of a struct or
+// a method of an interface — must be used by a non-test file of the program
+// (internal/, cmd/, examples/ and the benchmark module) other than its own
+// declaration. A name that only tests reach is deleted, moved into a
+// _test.go file if a test uses it as an oracle, or unexported if it is a
+// test hook. A method also counts as used when its type implements an
+// interface the program uses that declares it: one the program names, the
+// type of a parameter of a function it calls or of a variable it reads,
+// or fmt.Stringer where it imports fmt. The packages are type-checked for
+// the host's build configuration, so a name used only under another build
+// tag or GOARCH would need an allowlist entry.
+func TestExportsHaveLiveUse(t *testing.T) {
+	prog := loadProgram(t)
+	dead, checked := prog.unusedExports()
+	for _, name := range dead {
+		if exportAllowlist[name.id] != "" {
+			continue
+		}
+		t.Errorf("%s: %s is exported but no non-test file uses it: delete it, move it into a _test.go file, or unexport it", name.pos, name.id)
+	}
+	deadIDs := map[string]bool{}
+	for _, name := range dead {
+		deadIDs[name.id] = true
+	}
+	for id := range exportAllowlist {
+		if !deadIDs[id] {
+			t.Errorf("allowlist entry %s is used or no longer declared: remove the entry", id)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("lint checked no exported identifiers — load broken?")
+	}
+	t.Logf("checked %d exported identifiers in %d packages", checked, len(prog.pkgs))
+}
+
+// program is the type-checked non-test code of the repository: one shared
+// types.Info over every package.
+type program struct {
+	fset *token.FileSet
+	info *types.Info
+	pkgs map[string]*types.Package // by import path
+}
+
+// loadProgram type-checks the non-test files of every package under
+// internal/, cmd/ and examples/, and of the benchmark module, resolving the
+// standard library from its export data.
+func loadProgram(t *testing.T) *program {
+	t.Helper()
+	dirs := map[string]string{"pran/benchmark": "benchmark"} // import path → directory
+	for _, top := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(top, func(p string, d os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(p, ".go") && !strings.HasSuffix(p, "_test.go") {
+				dirs["pran/"+filepath.ToSlash(filepath.Dir(p))] = filepath.Dir(p)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	prog := &program{
+		fset: token.NewFileSet(),
+		info: &types.Info{Uses: map[*ast.Ident]types.Object{}},
+		pkgs: map[string]*types.Package{},
+	}
+	std := importer.Default()
+	var imp importerFunc
+	imp = func(ipath string) (*types.Package, error) {
+		if pkg, ok := prog.pkgs[ipath]; ok {
+			return pkg, nil
+		}
+		dir, ok := dirs[ipath]
+		if !ok {
+			return std.Import(ipath)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			return nil, err
+		}
+		var files []*ast.File
+		for _, e := range entries {
+			name := e.Name()
+			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			if match, err := build.Default.MatchFile(dir, name); err != nil || !match {
+				continue
+			}
+			f, err := parser.ParseFile(prog.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				return nil, err
+			}
+			files = append(files, f)
+		}
+		pkg, err := (&types.Config{Importer: imp}).Check(ipath, prog.fset, files, prog.info)
+		if err != nil {
+			return nil, err
+		}
+		prog.pkgs[ipath] = pkg
+		return pkg, nil
+	}
+	for ipath := range dirs {
+		if _, err := imp(ipath); err != nil {
+			t.Fatalf("%s: %v", ipath, err)
+		}
+	}
+	return prog
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// exportedDecl is one exported identifier: "pkg.Name" or "pkg.Type.Member",
+// and where it is declared.
+type exportedDecl struct {
+	id  string
+	pos token.Position
+}
+
+// unusedExports returns the exported identifiers declared under internal/
+// that no non-test file uses, sorted, and how many it checked.
+func (p *program) unusedExports() (dead []exportedDecl, checked int) {
+	used := map[types.Object]bool{}
+	for _, obj := range p.info.Uses {
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		used[obj] = true
+	}
+	implementsUsed := p.interfaceMethods()
+	check := func(obj types.Object, id string) {
+		checked++
+		if !used[obj] {
+			dead = append(dead, exportedDecl{path.Base(obj.Pkg().Path()) + "." + id, p.fset.Position(obj.Pos())})
+		}
+	}
+	for ipath, pkg := range p.pkgs {
+		if !strings.HasPrefix(ipath, "pran/internal/") {
+			continue
+		}
+		for _, name := range pkg.Scope().Names() {
+			obj := pkg.Scope().Lookup(name)
+			if !obj.Exported() {
+				continue
+			}
+			check(obj, name)
+			tn, ok := obj.(*types.TypeName)
+			if !ok {
+				continue
+			}
+			if named, ok := tn.Type().(*types.Named); ok {
+				for i := 0; i < named.NumMethods(); i++ {
+					if m := named.Method(i); m.Exported() && !implementsUsed(named, m.Name()) {
+						check(m, name+"."+m.Name())
+					}
+				}
+			}
+			switch u := tn.Type().Underlying().(type) {
+			case *types.Struct:
+				for i := 0; i < u.NumFields(); i++ {
+					if f := u.Field(i); f.Exported() && !f.Embedded() {
+						check(f, name+"."+f.Name())
+					}
+				}
+			case *types.Interface:
+				for i := 0; i < u.NumExplicitMethods(); i++ {
+					if m := u.ExplicitMethod(i); m.Exported() {
+						check(m, name+"."+m.Name())
+					}
+				}
+			}
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool { return dead[i].id < dead[j].id })
+	return dead, checked
+}
+
+// interfaceMethods collects the interfaces the program uses — those it
+// names, the types of parameters of the functions it calls and of the
+// variables it reads, and fmt.Stringer where it imports fmt — and returns
+// a predicate: whether T or *T implements one of them that declares the
+// method name.
+func (p *program) interfaceMethods() func(t *types.Named, method string) bool {
+	var ifaces []*types.Interface
+	add := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 {
+			ifaces = append(ifaces, it)
+		}
+	}
+	for _, obj := range p.info.Uses {
+		switch o := obj.(type) {
+		case *types.TypeName, *types.Var:
+			add(o.Type())
+		case *types.Func:
+			params := o.Type().(*types.Signature).Params()
+			for i := 0; i < params.Len(); i++ {
+				add(params.At(i).Type())
+			}
+		}
+	}
+	for _, pkg := range p.pkgs {
+		for _, imp := range pkg.Imports() {
+			if imp.Path() == "fmt" {
+				add(imp.Scope().Lookup("Stringer").Type())
+			}
+		}
+	}
+	return func(t *types.Named, method string) bool {
+		for _, it := range ifaces {
+			if !types.Implements(t, it) && !types.Implements(types.NewPointer(t), it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				if it.Method(i).Name() == method {
+					return true
+				}
+			}
+		}
+		return false
 	}
 }
 

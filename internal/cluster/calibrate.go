@@ -171,32 +171,6 @@ func Calibrate() (CostModel, error) {
 		m.CRCPerBit = time.Since(start).Seconds() / float64(reps) / n
 	}
 
-	// Downlink encode chain per information bit (full TransportProcessor
-	// encode at a mid-range configuration).
-	{
-		const mcs, nprb = 17, 50
-		p, err := phy.NewTransportProcessor(nprb)
-		if err != nil {
-			return m, err
-		}
-		tbs, err := phy.MCS(mcs).TransportBlockSize(nprb)
-		if err != nil {
-			return m, err
-		}
-		payload := make([]byte, tbs)
-		for i := range payload {
-			payload[i] = byte(rng.Intn(2))
-		}
-		reps := 20
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			if _, err := p.Encode(mcs, nprb, payload, 1, 1, 0, 0); err != nil {
-				return m, err
-			}
-		}
-		m.EncodePerBit = time.Since(start).Seconds() / float64(reps) / float64(tbs)
-	}
-
 	if err := m.Validate(); err != nil {
 		return m, fmt.Errorf("cluster: calibration produced invalid model: %w", err)
 	}

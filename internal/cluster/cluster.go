@@ -187,8 +187,8 @@ func (c *Cluster) Get(id ServerID) (Server, error) {
 	return *s, nil
 }
 
-// SetState transitions a server's lifecycle state. Failed is terminal
-// except for explicit Repair.
+// SetState transitions a server's lifecycle state. A failed server may only
+// return to Standby (a repair).
 func (c *Cluster) SetState(id ServerID, st ServerState) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -216,21 +216,6 @@ func (c *Cluster) transition(s *Server, st ServerState) {
 // Fail marks a server failed.
 func (c *Cluster) Fail(id ServerID) error { return c.SetState(id, Failed) }
 
-// Repair returns a failed server to standby.
-func (c *Cluster) Repair(id ServerID) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.servers[id]
-	if !ok {
-		return fmt.Errorf("cluster: id %d: %w", id, ErrNoSuchServer)
-	}
-	if s.State != Failed {
-		return fmt.Errorf("cluster: server %d not failed: %w", id, ErrBadTransition)
-	}
-	c.transition(s, Standby)
-	return nil
-}
-
 // Servers returns snapshots of all servers sorted by ID (deterministic
 // iteration for placement and tests).
 func (c *Cluster) Servers() []Server {
@@ -253,15 +238,6 @@ func (c *Cluster) InState(st ServerState) []Server {
 		}
 	}
 	return out
-}
-
-// ActiveCapacity returns the summed capacity of active servers in
-// reference-core fractions.
-func (c *Cluster) ActiveCapacity() float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, capacity := c.tally()
-	return capacity
 }
 
 // Counts returns the number of servers per state.

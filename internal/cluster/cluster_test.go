@@ -206,22 +206,26 @@ func TestClusterStateMachine(t *testing.T) {
 	if err := c.SetState(1, Active); !errors.Is(err, ErrBadTransition) {
 		t.Fatal("failed→active allowed")
 	}
-	if err := c.Repair(1); err != nil {
+	if err := c.SetState(1, Standby); err != nil {
 		t.Fatal(err)
 	}
 	s, _ := c.Get(1)
 	if s.State != Standby {
 		t.Fatalf("after repair: %v", s.State)
 	}
-	if err := c.Repair(1); err == nil {
-		t.Fatal("repairing non-failed server allowed")
-	}
-	if err := c.Repair(9); !errors.Is(err, ErrNoSuchServer) {
-		t.Fatal("repairing unknown server")
-	}
 	if err := c.SetState(9, Active); !errors.Is(err, ErrNoSuchServer) {
 		t.Fatal("state change on unknown server")
 	}
+}
+
+// activeCapacity sums the capacity of c's active servers, in reference-core
+// fractions.
+func activeCapacity(c *Cluster) float64 {
+	total := 0.0
+	for _, s := range c.Servers() {
+		total += s.Capacity()
+	}
+	return total
 }
 
 func TestClusterCapacityAndCounts(t *testing.T) {
@@ -229,7 +233,7 @@ func TestClusterCapacityAndCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.ActiveCapacity(); got != 16 {
+	if got := activeCapacity(c); got != 16 {
 		t.Fatalf("capacity %v", got)
 	}
 	counts := c.Counts()
@@ -241,7 +245,7 @@ func TestClusterCapacityAndCounts(t *testing.T) {
 	}
 	// Draining/failed capacity drops out.
 	_ = c.SetState(0, Draining)
-	if got := c.ActiveCapacity(); got != 8 {
+	if got := activeCapacity(c); got != 8 {
 		t.Fatalf("capacity after drain %v", got)
 	}
 	// Deterministic order.

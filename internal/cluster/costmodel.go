@@ -52,8 +52,6 @@ type CostModel struct {
 	TurboLanePerBitIter float64
 	// CRCPerBit is the CRC verification cost per bit.
 	CRCPerBit float64
-	// EncodePerBit is the downlink encode-chain cost per information bit.
-	EncodePerBit float64
 }
 
 // lockstepWidth is the number of code blocks the decoder runs through one
@@ -87,7 +85,6 @@ func DefaultCostModel() CostModel {
 		TurboLonePerBitIter: 9e-9,
 		TurboLanePerBitIter: 2.4e-9,
 		CRCPerBit:           0.8e-9,
-		EncodePerBit:        12e-9,
 	}
 }
 
@@ -97,7 +94,7 @@ func (m CostModel) Validate() error {
 		m.FFTPerButterfly,
 		m.FrontEndPerREQPSK, m.FrontEndPerRE16QAM, m.FrontEndPerRE64QAM,
 		m.TurboLonePerBitIter, m.TurboLanePerBitIter,
-		m.CRCPerBit, m.EncodePerBit,
+		m.CRCPerBit,
 	} {
 		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("cluster: non-positive cost coefficient: %w", phy.ErrBadParameter)

@@ -34,7 +34,7 @@ func TestClusterTelemetryGauges(t *testing.T) {
 	if err := c.Fail(3); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Repair(3); err != nil {
+	if err := c.SetState(3, Standby); err != nil {
 		t.Fatal(err)
 	}
 	snap = reg.Snapshot()
@@ -63,8 +63,8 @@ func TestClusterTelemetryGauges(t *testing.T) {
 	}
 }
 
-// TestClusterGaugesAfterConcurrentTransitions drives SetState, Fail and
-// Repair from several goroutines at once. The gauges are set under the
+// TestClusterGaugesAfterConcurrentTransitions drives SetState (repairs
+// included) and Fail from several goroutines at once. The gauges are set under the
 // membership lock, so once every mutation has returned they must equal the
 // aggregates a scan of the pool computes: a slower publisher must not
 // overwrite a newer mutation's values.
@@ -87,7 +87,7 @@ func TestClusterGaugesAfterConcurrentTransitions(t *testing.T) {
 				case 0:
 					_ = c.Fail(id)
 				case 1:
-					_ = c.Repair(id)
+					_ = c.SetState(id, Standby)
 				default:
 					_ = c.SetState(id, ServerState(rng.Intn(3))) // Standby, Active or Draining
 				}
@@ -103,7 +103,7 @@ func TestClusterGaugesAfterConcurrentTransitions(t *testing.T) {
 			t.Fatalf("%v gauge %d, pool holds %d", st, v, counts[st])
 		}
 	}
-	want := int64(math.Round(c.ActiveCapacity() * 1000))
+	want := int64(math.Round(activeCapacity(c) * 1000))
 	if v, _ := snap.Gauge("cluster.active_capacity_millicores"); v != want {
 		t.Fatalf("capacity gauge %d, pool holds %d millicores", v, want)
 	}

@@ -14,8 +14,8 @@ import (
 //
 // The fast path applies only when, relative to the cached placement:
 //
-//   - no cell appeared or disappeared (new cells need packing; removals can
-//     open better homes),
+//   - no cell appeared (a new cell needs packing; the monitor never drops
+//     one),
 //   - the active server set and every active capacity are unchanged (a
 //     promotion, drain, or failure changes the bins), and
 //   - after folding the demand deltas in, every server's total load fits
@@ -73,9 +73,9 @@ func (pc *placeCache) rebuild(demands map[frame.CellID]float64, load map[cluster
 // everything still fits. Returns false (leaving the cache untouched except
 // for a possible invalidation-by-staleness) when a full recompute is
 // required.
-func (c *Controller) tryIncremental(ch ChangeSet) bool {
+func (c *Controller) tryIncremental(changed map[frame.CellID]float64) bool {
 	pc := &c.cache
-	if !pc.valid || len(ch.Removed) > 0 {
+	if !pc.valid {
 		return false
 	}
 	// Structural check: the active set and capacities must match the
@@ -95,7 +95,7 @@ func (c *Controller) tryIncremental(ch ChangeSet) bool {
 		return false
 	}
 	// Every changed cell must already be placed (a new cell needs packing).
-	for cell := range ch.Updated {
+	for cell := range changed {
 		if _, ok := c.placement[cell]; !ok {
 			return false
 		}
@@ -105,7 +105,7 @@ func (c *Controller) tryIncremental(ch ChangeSet) bool {
 	for id, l := range pc.load {
 		newLoad[id] = l
 	}
-	for cell, d := range ch.Updated {
+	for cell, d := range changed {
 		srv := c.placement[cell]
 		newLoad[srv] += d - pc.demands[cell]
 	}
@@ -116,7 +116,7 @@ func (c *Controller) tryIncremental(ch ChangeSet) bool {
 	}
 	// Fits: the placement stands. Commit the folded state.
 	pc.load = newLoad
-	for cell, d := range ch.Updated {
+	for cell, d := range changed {
 		pc.demands[cell] = d
 	}
 	return true

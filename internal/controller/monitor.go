@@ -20,7 +20,6 @@ package controller
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"pran/internal/frame"
@@ -31,16 +30,13 @@ import (
 // cell's compute demand in reference-core fractions. Safe for concurrent
 // use: heartbeat handlers feed it while the control loop reads, all under
 // one mutex. It also tracks changes for the incremental placer: dirty maps
-// each cell whose smoothed value moved since the last drain to that value,
-// and removed holds the cells forgotten since then.
+// each cell whose smoothed value moved since the last drain to that value.
 type LoadMonitor struct {
 	alpha float64
 
-	mu      sync.Mutex
-	cells   map[frame.CellID]float64
-	last    map[frame.CellID]float64
-	dirty   map[frame.CellID]float64
-	removed map[frame.CellID]struct{}
+	mu    sync.Mutex
+	cells map[frame.CellID]float64
+	dirty map[frame.CellID]float64
 }
 
 // NewLoadMonitor returns a monitor with smoothing factor alpha ∈ (0, 1];
@@ -50,11 +46,9 @@ func NewLoadMonitor(alpha float64) (*LoadMonitor, error) {
 		return nil, fmt.Errorf("controller: alpha %v outside (0,1]: %w", alpha, phy.ErrBadParameter)
 	}
 	return &LoadMonitor{
-		alpha:   alpha,
-		cells:   make(map[frame.CellID]float64),
-		last:    make(map[frame.CellID]float64),
-		dirty:   make(map[frame.CellID]float64),
-		removed: make(map[frame.CellID]struct{}),
+		alpha: alpha,
+		cells: make(map[frame.CellID]float64),
+		dirty: make(map[frame.CellID]float64),
 	}, nil
 }
 
@@ -75,22 +69,6 @@ func (m *LoadMonitor) Observe(cell frame.CellID, demand float64) {
 		m.cells[cell] = demand
 		m.dirty[cell] = demand
 	}
-	m.last[cell] = demand
-	delete(m.removed, cell)
-}
-
-// Demand returns the smoothed demand for a cell (0 if never observed).
-func (m *LoadMonitor) Demand(cell frame.CellID) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cells[cell]
-}
-
-// Last returns the most recent raw sample for a cell.
-func (m *LoadMonitor) Last(cell frame.CellID) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.last[cell]
 }
 
 // Demands returns a copy of all smoothed demands.
@@ -115,53 +93,15 @@ func (m *LoadMonitor) TotalDemand() float64 {
 	return total
 }
 
-// Cells returns the observed cell IDs in sorted order.
-func (m *LoadMonitor) Cells() []frame.CellID {
-	m.mu.Lock()
-	out := make([]frame.CellID, 0, len(m.cells))
-	for c := range m.cells {
-		out = append(out, c)
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Forget drops a cell's state (cell teardown).
-func (m *LoadMonitor) Forget(cell frame.CellID) {
+// TakeChanges atomically drains the demand churn accumulated since the last
+// call — the incremental placer's input: each cell whose smoothed demand
+// changed, mapped to its current smoothed value. An update racing the drain
+// lands in this drain or the next, never lost. The drain swaps the tracking
+// map, so Observe never waits behind a copy.
+func (m *LoadMonitor) TakeChanges() map[frame.CellID]float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.cells[cell]; !ok {
-		return
-	}
-	delete(m.cells, cell)
-	delete(m.last, cell)
-	delete(m.dirty, cell)
-	m.removed[cell] = struct{}{}
-}
-
-// ChangeSet is the demand churn accumulated between two TakeChanges calls.
-type ChangeSet struct {
-	// Updated maps each cell whose smoothed demand changed to its current
-	// smoothed value.
-	Updated map[frame.CellID]float64
-	// Removed lists cells forgotten since the last drain.
-	Removed []frame.CellID
-}
-
-// TakeChanges atomically drains and returns the change set accumulated
-// since the last call — the incremental placer's input. An update racing
-// the drain lands in this change set or the next, never lost. The drain
-// swaps the tracking maps, so Observe never waits behind a copy.
-func (m *LoadMonitor) TakeChanges() ChangeSet {
-	m.mu.Lock()
-	ch := ChangeSet{Updated: m.dirty}
-	removed := m.removed
-	m.dirty = make(map[frame.CellID]float64, len(ch.Updated))
-	m.removed = make(map[frame.CellID]struct{})
-	m.mu.Unlock()
-	for c := range removed {
-		ch.Removed = append(ch.Removed, c)
-	}
-	return ch
+	changed := m.dirty
+	m.dirty = make(map[frame.CellID]float64, len(changed))
+	return changed
 }

@@ -36,15 +36,6 @@ func (p PlacePolicy) String() string {
 // Placement maps cells to servers.
 type Placement map[frame.CellID]cluster.ServerID
 
-// Clone returns a copy.
-func (p Placement) Clone() Placement {
-	out := make(Placement, len(p))
-	for k, v := range p {
-		out[k] = v
-	}
-	return out
-}
-
 // Migrations counts cells whose server differs between two placements
 // (cells absent from either side don't count).
 func (p Placement) Migrations(next Placement) int {

@@ -57,6 +57,3 @@ func (p *Predictor) Forecast(steps int) float64 {
 	}
 	return v
 }
-
-// Samples returns how many observations the predictor has absorbed.
-func (p *Predictor) Samples() int { return p.n }

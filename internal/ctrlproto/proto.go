@@ -578,9 +578,6 @@ func NewConn(nc net.Conn) *Conn {
 // Close closes the underlying connection.
 func (c *Conn) Close() error { return c.nc.Close() }
 
-// RemoteAddr returns the peer address.
-func (c *Conn) RemoteAddr() net.Addr { return c.nc.RemoteAddr() }
-
 // WriteMessage frames and sends one message.
 func (c *Conn) WriteMessage(m Message) error {
 	c.wmu.Lock()

@@ -74,9 +74,6 @@ func NewCellProcessor(cfg frame.CellConfig, pool *Pool) (*CellProcessor, error) 
 	return c, nil
 }
 
-// Config returns the cell configuration.
-func (c *CellProcessor) Config() frame.CellConfig { return c.cfg }
-
 // HARQ exposes the cell's HARQ manager (the controller migrates this state
 // when re-placing a cell).
 func (c *CellProcessor) HARQ() *HARQManager { return c.harq }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -93,28 +94,59 @@ func (c *claimCase) serial(t *testing.T, ref *phy.TransportProcessor) {
 	c.wantPayload, c.wantErr, c.wantIters = append([]byte(nil), out...), err, ref.Timings.TurboIterations
 }
 
-// blockWorkers parks every worker of pool on a gate task, so that what is
-// submitted next is queued whole before any worker claims; closing the
-// returned channel releases them.
-func blockWorkers(t *testing.T, pool *Pool) chan struct{} {
+// errParked fails the gate tasks a workerGate parks workers on.
+var errParked = errors.New("parked on a test gate")
+
+// workerGate parks pool workers through Config.FaultHook: after block, the
+// next n task admissions wait on the gate and then fail their task with
+// errParked; every later admission passes straight through.
+type workerGate struct {
+	mu    sync.Mutex
+	parks int
+	gate  chan struct{}
+}
+
+func (g *workerGate) hook(int) error {
+	g.mu.Lock()
+	if g.parks == 0 {
+		g.mu.Unlock()
+		return nil
+	}
+	g.parks--
+	gate := g.gate
+	g.mu.Unlock()
+	<-gate
+	return errParked
+}
+
+// block parks all workers of pool on gate tasks, so that what is submitted
+// next is queued whole before any worker claims; closing the returned
+// channel releases them.
+func (g *workerGate) block(t *testing.T, pool *Pool, workers int) chan struct{} {
 	t.Helper()
-	gate := make(chan struct{})
+	g.mu.Lock()
+	g.parks, g.gate = workers, make(chan struct{})
+	gate := g.gate
+	g.mu.Unlock()
 	now := time.Now()
-	for i := 0; i < pool.Config().Workers; i++ {
-		err := pool.Submit(&Task{
-			Enqueued: now, Deadline: now,
-			runInstead: func(*worker, *Task) { <-gate },
-		})
-		if err != nil {
+	for i := 0; i < workers; i++ {
+		// A task with no transport block shares no claim, so each
+		// worker claims one gate task alone.
+		if err := pool.Submit(&Task{Enqueued: now, Deadline: now}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// A worker parked on a gate holds it, so an empty queue means every
-	// worker holds one.
-	for pool.QueueLen() > 0 {
+	// Every worker holds a gate task once the last park is taken, and no
+	// later admission is parked.
+	for {
+		g.mu.Lock()
+		parks := g.parks
+		g.mu.Unlock()
+		if parks == 0 {
+			return gate
+		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	return gate
 }
 
 // TestClaimMatchesSerialDecode runs a queue of mixed single-block and
@@ -159,7 +191,8 @@ func TestClaimMatchesSerialDecode(t *testing.T) {
 				cases = append(cases, cc)
 			}
 			reg := telemetry.New(workers + 1)
-			pool := testPool(t, Config{Workers: workers, DeadlineScale: 1e6, Telemetry: reg})
+			var parking workerGate
+			pool := testPool(t, Config{Workers: workers, DeadlineScale: 1e6, Telemetry: reg, FaultHook: parking.hook})
 			round := func(cases []*claimCase, snrOffset float64, seed int64) {
 				t.Helper()
 				for i, c := range cases {
@@ -167,7 +200,7 @@ func TestClaimMatchesSerialDecode(t *testing.T) {
 					c.serial(t, ref)
 				}
 				spans0, _ := reg.Snapshot().Histogram(MetricBatchWidth)
-				gate := blockWorkers(t, pool)
+				gate := parking.block(t, pool, workers)
 				now := time.Now()
 				got := make([]*Task, len(cases))
 				payloads := make([][]byte, len(cases))

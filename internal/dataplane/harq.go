@@ -121,12 +121,6 @@ func (h *HARQManager) StateBytes() int {
 	return total
 }
 
-// Reset clears all HARQ state (used after a migration completes on the old
-// host, or on cell teardown).
-func (h *HARQManager) Reset() {
-	h.states = make(map[harqStateKey]*harqState)
-}
-
 // MarshalBinary serializes the full HARQ state for migration: a count
 // followed by, per process, its key (RNTI, process), configuration (MCS,
 // PRB), last TTI, and the soft buffer's LLRs. The format is

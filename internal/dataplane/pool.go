@@ -167,9 +167,6 @@ func NewPool(cfg Config) (*Pool, error) {
 	return p, nil
 }
 
-// Config returns the pool's configuration.
-func (p *Pool) Config() Config { return p.cfg }
-
 // Telemetry returns the registry this pool records into, or nil when
 // instrumentation is disabled. Scrape it with Telemetry().Snapshot().
 func (p *Pool) Telemetry() *telemetry.Registry {

@@ -64,9 +64,6 @@ func NewRRHEmulator(cfg frame.CellConfig, seed int64) (*RRHEmulator, error) {
 	}, nil
 }
 
-// Config returns the cell configuration.
-func (r *RRHEmulator) Config() frame.CellConfig { return r.cfg }
-
 // channel returns a persistent AWGN channel for the (rounded) SNR so noise
 // streams stay deterministic per cell.
 func (r *RRHEmulator) channel(snrDB float64) *phy.AWGNChannel {

@@ -83,11 +83,6 @@ type Task struct {
 	// softState, when non-nil, is the HARQ state handle whose busy flag
 	// the pool clears once the task is done with Soft.
 	softState *harqState
-	// runInstead, when non-nil, replaces the default uplink decode with a
-	// custom work function (the downlink encode path uses this so both
-	// directions share the pool's queue and deadline accounting). Such a
-	// task is always a claim of its own.
-	runInstead func(w *worker, t *Task)
 	// span is what a claim shares: the turbo block size and iteration cap
 	// (zero K for a task no claim may share), with the task's code-block
 	// count; Submit fills it.
@@ -131,9 +126,6 @@ type spanKey struct {
 // always claimed alone (its decode then reports the error).
 func (t *Task) setSpan() {
 	t.span, t.blocks = spanKey{}, 1
-	if t.runInstead != nil {
-		return
-	}
 	tbs, err := t.Alloc.MCS.TransportBlockSize(t.Alloc.NumPRB)
 	if err != nil {
 		return

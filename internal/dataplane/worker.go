@@ -118,13 +118,6 @@ func (w *worker) recordStages(proc *phy.TransportProcessor) {
 // returns.
 func (w *worker) execute(claim []*Task) {
 	now := time.Now()
-	if head := claim[0]; head.runInstead != nil {
-		if w.admit(head, now) {
-			head.runInstead(w, head)
-			head.Finished = time.Now()
-		}
-		return
-	}
 	proc, err := w.processor()
 	w.decoded, w.tbs = w.decoded[:0], w.tbs[:0]
 	for _, t := range claim {

@@ -87,14 +87,14 @@ func runFailover(hotStandby bool, nCells int) (failoverOutcome, error) {
 		return out, err
 	}
 	out.stateBytesCell = stateBytes
-	return runFailoverTimeline(&out, hotStandby)
+	return runFailoverTimeline(&out, hotStandby), nil
 }
 
 // runFailoverTimeline plays the recovery out as discrete events on the
 // simulation engine: missed heartbeats → detection, (cold only) server
 // boot, then sequential per-cell state restores over the pool fabric. The
 // engine's clock at each milestone supplies the outage accounting.
-func runFailoverTimeline(out *failoverOutcome, hotStandby bool) (failoverOutcome, error) {
+func runFailoverTimeline(out *failoverOutcome, hotStandby bool) failoverOutcome {
 	const (
 		heartbeat     = 100 * time.Millisecond
 		missedBeats   = 3
@@ -132,9 +132,7 @@ func runFailoverTimeline(out *failoverOutcome, hotStandby bool) (failoverOutcome
 			restoreCells(eng.Now())
 		})
 	})
-	if err := eng.RunAll(); err != nil {
-		return *out, err
-	}
+	eng.RunAll()
 
 	out.detection = detectedAt
 	out.capacityWait = capacityAt - detectedAt
@@ -154,7 +152,7 @@ func runFailoverTimeline(out *failoverOutcome, hotStandby bool) (failoverOutcome
 		lost = out.lostCells * int(last/time.Millisecond)
 	}
 	out.lostSubframes = lost
-	return *out, nil
+	return *out
 }
 
 // E8Failover reconstructs the fault-tolerance figure: outage and lost

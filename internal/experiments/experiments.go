@@ -142,9 +142,6 @@ var baseSeed int64 = 1
 // experiments sequentially).
 func SetBaseSeed(s int64) { baseSeed = s }
 
-// BaseSeed returns the current base seed.
-func BaseSeed() int64 { return baseSeed }
-
 // seedFor derives an experiment-local seed from the base seed. With the
 // default base the local constant passes through unchanged, keeping every
 // pre-existing sweep bit-identical; other bases shift the whole family.

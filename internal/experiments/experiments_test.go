@@ -183,8 +183,8 @@ func TestSeedFor(t *testing.T) {
 	if seedFor(1900) == seedFor(1901) {
 		t.Fatal("distinct locals collided")
 	}
-	if BaseSeed() != 7 {
-		t.Fatalf("BaseSeed = %d", BaseSeed())
+	if baseSeed != 7 {
+		t.Fatalf("base seed = %d", baseSeed)
 	}
 }
 

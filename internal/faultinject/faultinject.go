@@ -19,8 +19,8 @@
 //
 // Concurrency: an Injector is safe for concurrent use from any goroutine —
 // wrapped connections consult it under its mutex on each read/write, and the
-// scripting methods (Partition, PartitionDirs, Heal, SetDropRate, SetDelay,
-// CloseAll) may be called while connections are active. Reads blocked on a
+// scripting methods (Partition, PartitionDirs, Heal, SetDropRate, SetDelay)
+// may be called while connections are active. Reads blocked on a
 // partition park on a generation channel and wake on Heal or connection
 // close.
 package faultinject
@@ -38,14 +38,13 @@ import (
 // by reads on connections closed during a partition.
 var ErrPartitioned = errors.New("faultinject: network partitioned")
 
-// Stats counts the faults an injector has delivered.
-type Stats struct {
+// faultCounts counts the faults an injector has delivered; the package's
+// tests read them.
+type faultCounts struct {
 	// DroppedWrites counts writes swallowed (partition or random drop).
 	DroppedWrites uint64
 	// DelayedWrites counts writes that slept before transmission.
 	DelayedWrites uint64
-	// KilledConns counts connections closed by CloseAll.
-	KilledConns uint64
 	// RefusedDials counts Dial calls rejected during a partition.
 	RefusedDials uint64
 	// BlockedReads counts reads that parked on an inbound partition (each
@@ -72,8 +71,7 @@ type Injector struct {
 	// on the partition wait on the channel that was current when they parked.
 	healCh chan struct{}
 
-	conns map[*Conn]struct{}
-	stats Stats
+	stats faultCounts
 }
 
 // New returns an injector with all faults off, seeded for deterministic
@@ -82,22 +80,11 @@ func New(seed int64) *Injector {
 	return &Injector{
 		rng:    rand.New(rand.NewSource(seed)),
 		healCh: make(chan struct{}),
-		conns:  make(map[*Conn]struct{}),
 	}
 }
 
-// Wrap returns a net.Conn whose traffic is subject to the injector's
-// current faults. The wrapper tracks the connection until it closes, so
-// CloseAll can kill it.
-func (in *Injector) Wrap(nc net.Conn) *Conn {
-	c := &Conn{Conn: nc, inj: in}
-	in.mu.Lock()
-	in.conns[c] = struct{}{}
-	in.mu.Unlock()
-	return c
-}
-
-// Dial connects and wraps in one step. While partitioned it fails
+// Dial connects and returns a net.Conn whose traffic is subject to the
+// injector's current faults. While partitioned it fails
 // immediately with ErrPartitioned — a partitioned host cannot open new
 // connections either.
 func (in *Injector) Dial(network, addr string) (net.Conn, error) {
@@ -114,7 +101,7 @@ func (in *Injector) Dial(network, addr string) (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return in.Wrap(nc), nil
+	return &Conn{Conn: nc, inj: in}, nil
 }
 
 // SetDropRate sets the probability in [0, 1] that a write is silently
@@ -160,44 +147,8 @@ func (in *Injector) Heal() {
 	in.PartitionDirs(false, false)
 }
 
-// Partitioned reports whether any direction is currently partitioned.
-func (in *Injector) Partitioned() bool {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.partInbound || in.partOutbound
-}
-
-// PartitionState returns the per-direction partition flags.
-func (in *Injector) PartitionState() (inbound, outbound bool) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.partInbound, in.partOutbound
-}
-
-// CloseAll force-closes every live wrapped connection (crash injection —
-// the peer observes a reset/EOF, unlike Partition's silence).
-func (in *Injector) CloseAll() {
-	in.mu.Lock()
-	conns := make([]*Conn, 0, len(in.conns))
-	for c := range in.conns {
-		conns = append(conns, c)
-	}
-	in.stats.KilledConns += uint64(len(conns))
-	in.mu.Unlock()
-	for _, c := range conns {
-		_ = c.Close()
-	}
-}
-
-// NumConns returns the number of live wrapped connections.
-func (in *Injector) NumConns() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.conns)
-}
-
-// Stats returns a snapshot of the fault counters.
-func (in *Injector) Stats() Stats {
+// counts returns a snapshot of the fault counters.
+func (in *Injector) counts() faultCounts {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.stats
@@ -215,13 +166,6 @@ func (in *Injector) writeFault() (delay time.Duration, drop bool) {
 		in.stats.DelayedWrites++
 	}
 	return in.delay, false
-}
-
-// forget drops a closed connection from the registry.
-func (in *Injector) forget(c *Conn) {
-	in.mu.Lock()
-	delete(in.conns, c)
-	in.mu.Unlock()
 }
 
 // Conn is a net.Conn subject to an Injector's faults.
@@ -290,7 +234,6 @@ func (c *Conn) Close() error {
 	var err error
 	c.closeOnce.Do(func() {
 		close(c.closedChan())
-		c.inj.forget(c)
 		err = c.Conn.Close()
 	})
 	return err

@@ -38,9 +38,6 @@ func (t TTI) SFN() uint16 { return uint16(t / 10 % 1024) }
 // Subframe returns the subframe index within the frame (0–9).
 func (t TTI) Subframe() uint8 { return uint8(t % 10) }
 
-// TimeNs returns the TTI's start time in nanoseconds since system start.
-func (t TTI) TimeNs() uint64 { return uint64(t) * phy.SubframeDurationNs }
-
 // String implements fmt.Stringer.
 func (t TTI) String() string {
 	return fmt.Sprintf("tti=%d (sfn=%d sf=%d)", uint64(t), t.SFN(), t.Subframe())
@@ -89,7 +86,8 @@ type Allocation struct {
 	NumPRB int
 	// MCS selects modulation and code rate.
 	MCS phy.MCS
-	// Dir is the transport direction.
+	// Dir is the transport direction; the data plane handles only
+	// phy.Uplink, the zero value.
 	Dir phy.Direction
 	// HARQProcess is the HARQ process number (0–7).
 	HARQProcess uint8

@@ -22,9 +22,6 @@ func TestTTIDerivation(t *testing.T) {
 			t.Fatalf("%d: sfn=%d sf=%d, want %d/%d", c.tti, c.tti.SFN(), c.tti.Subframe(), c.sfn, c.sf)
 		}
 	}
-	if TTI(5).TimeNs() != 5_000_000 {
-		t.Fatal("TTI time wrong")
-	}
 	if TTI(3).String() == "" {
 		t.Fatal("empty String")
 	}
@@ -198,9 +195,6 @@ func TestGridErrors(t *testing.T) {
 
 func TestPRBAllocator(t *testing.T) {
 	p := NewPRBAllocator(phy.BW5MHz) // 25 PRB
-	if p.Remaining() != 25 {
-		t.Fatal("initial remaining wrong")
-	}
 	first, ok := p.Take(10)
 	if !ok || first != 0 {
 		t.Fatalf("take 10: %d %v", first, ok)
@@ -211,10 +205,6 @@ func TestPRBAllocator(t *testing.T) {
 	}
 	if _, ok := p.Take(1); ok {
 		t.Fatal("overcommit allowed")
-	}
-	p.Reset()
-	if got, ok := p.Take(25); !ok || got != 0 {
-		t.Fatal("reset broken")
 	}
 	if _, ok := p.Take(0); ok {
 		t.Fatal("n=0 accepted")

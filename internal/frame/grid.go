@@ -44,9 +44,6 @@ func NewGrid(bw phy.Bandwidth) (*Grid, error) {
 	return &Grid{bw: bw, sc: sc, data: make([]complex128, sc*phy.SymbolsPerSubframe)}, nil
 }
 
-// Bandwidth returns the grid's bandwidth configuration.
-func (g *Grid) Bandwidth() phy.Bandwidth { return g.bw }
-
 // Subcarriers returns the number of active subcarriers per symbol.
 func (g *Grid) Subcarriers() int { return g.sc }
 
@@ -116,11 +113,6 @@ func (g *Grid) Extract(dst []complex128, a Allocation) error {
 	return nil
 }
 
-// Raw exposes the full grid backing slice (symbol-major). The fronthaul
-// uses it to serialize the subframe as I/Q; treat it as read-only unless
-// you own the grid.
-func (g *Grid) Raw() []complex128 { return g.data }
-
 // PRBAllocator packs per-UE PRB demands into a subframe left-to-right
 // (first-fit). It is the minimal scheduler the workload generator and the
 // examples need; PRAN programs can replace it through internal/ranapi.
@@ -134,9 +126,6 @@ func NewPRBAllocator(bw phy.Bandwidth) *PRBAllocator {
 	return &PRBAllocator{bw: bw}
 }
 
-// Remaining returns the number of unallocated PRBs.
-func (p *PRBAllocator) Remaining() int { return p.bw.PRB() - p.next }
-
 // Take reserves n contiguous PRBs and returns the first index, or false if
 // the subframe cannot fit them.
 func (p *PRBAllocator) Take(n int) (int, bool) {
@@ -147,6 +136,3 @@ func (p *PRBAllocator) Take(n int) (int, bool) {
 	p.next += n
 	return first, true
 }
-
-// Reset releases all PRBs for the next subframe.
-func (p *PRBAllocator) Reset() { p.next = 0 }

@@ -41,9 +41,10 @@ func startControllerNodeCfg(t *testing.T, nCells int, hb time.Duration, misses i
 	return cn
 }
 
-// startFaultyAgent starts an agent whose controller link runs through the
-// fault injector, with a private telemetry registry and fast reconnect.
-func startFaultyAgent(t *testing.T, addr string, id uint32, inj *faultinject.Injector) *AgentNode {
+// startFaultyAgent starts an agent whose controller link runs through dial
+// (nil means net.Dial), with a private telemetry registry and fast
+// reconnect.
+func startFaultyAgent(t *testing.T, addr string, id uint32, dial func(network, addr string) (net.Conn, error)) *AgentNode {
 	t.Helper()
 	cfg := AgentConfig{
 		ControllerAddr: addr,
@@ -58,9 +59,7 @@ func startFaultyAgent(t *testing.T, addr string, id uint32, inj *faultinject.Inj
 		ReconnectMin: 20 * time.Millisecond,
 		ReconnectMax: 200 * time.Millisecond,
 		Logf:         t.Logf,
-	}
-	if inj != nil {
-		cfg.Dial = inj.Dial
+		Dial:         dial,
 	}
 	an, err := NewAgentNode(cfg)
 	if err != nil {
@@ -83,7 +82,7 @@ func TestLeaseFailoverWithFaultInjection(t *testing.T) {
 	const hb, misses = 50 * time.Millisecond, 8
 	cn := startControllerNodeCfg(t, 2, hb, misses)
 	inj := faultinject.New(42)
-	victim := startFaultyAgent(t, cn.Addr().String(), 1, inj)
+	victim := startFaultyAgent(t, cn.Addr().String(), 1, inj.Dial)
 	survivor := startFaultyAgent(t, cn.Addr().String(), 2, nil)
 	for i := 0; i < 2; i++ {
 		cn.Controller().ObserveCell(frame.CellID(i), 0.05)
@@ -157,14 +156,42 @@ func TestLeaseFailoverWithFaultInjection(t *testing.T) {
 	})
 }
 
+// linkKiller dials like net.Dial and remembers every connection, so a test
+// can crash the link (the peer sees a reset or EOF, unlike a partition's
+// silence) while the network itself stays up.
+type linkKiller struct {
+	mu    sync.Mutex
+	conns []net.Conn
+}
+
+func (k *linkKiller) dial(network, addr string) (net.Conn, error) {
+	nc, err := net.Dial(network, addr)
+	if err == nil {
+		k.mu.Lock()
+		k.conns = append(k.conns, nc)
+		k.mu.Unlock()
+	}
+	return nc, err
+}
+
+// kill closes every connection dialled so far.
+func (k *linkKiller) kill() {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	for _, nc := range k.conns {
+		_ = nc.Close()
+	}
+	k.conns = nil
+}
+
 // TestAgentReconnectKeepsCells checks the transient-failure path: the
 // agent's connection is killed (not partitioned), it reconnects inside the
 // lease budget, and its cells never move.
 func TestAgentReconnectKeepsCells(t *testing.T) {
 	// Generous lease: 40 misses × 50 ms = 2 s, far above reconnect time.
 	cn := startControllerNodeCfg(t, 2, 50*time.Millisecond, 40)
-	inj := faultinject.New(7)
-	an := startFaultyAgent(t, cn.Addr().String(), 1, inj)
+	var link linkKiller
+	an := startFaultyAgent(t, cn.Addr().String(), 1, link.dial)
 	for i := 0; i < 2; i++ {
 		cn.Controller().ObserveCell(frame.CellID(i), 0.05)
 	}
@@ -172,7 +199,7 @@ func TestAgentReconnectKeepsCells(t *testing.T) {
 		return an.NumCells() == 2
 	})
 
-	inj.CloseAll() // crash the link; the network itself stays up
+	link.kill() // crash the link; the network itself stays up
 	waitFor(t, "reconnect", 5*time.Second, func() bool {
 		return an.Telemetry().Counter("agent.reconnects").Value() >= 1
 	})

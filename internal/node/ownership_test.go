@@ -51,7 +51,7 @@ var modelWants = []controller.Placement{
 // failoverWant is what the controller re-places when A's lease expires:
 // A's cells on B.
 func failoverWant(want controller.Placement) controller.Placement {
-	out := want.Clone()
+	out := maps.Clone(want)
 	for c, s := range out {
 		if s == modelA {
 			out[c] = modelB

@@ -17,7 +17,6 @@ import (
 // independent noise streams.
 type AWGNChannel struct {
 	rng   *rand.Rand
-	snrDB float64
 	sigma float64 // per-dimension noise standard deviation
 }
 
@@ -31,13 +30,9 @@ func NewAWGNChannel(snrDB float64, seed int64) *AWGNChannel {
 
 // SetSNR changes the operating SNR in dB.
 func (c *AWGNChannel) SetSNR(snrDB float64) {
-	c.snrDB = snrDB
 	n0 := math.Pow(10, -snrDB/10)
 	c.sigma = math.Sqrt(n0 / 2)
 }
-
-// SNR returns the configured SNR in dB.
-func (c *AWGNChannel) SNR() float64 { return c.snrDB }
 
 // N0 returns the total complex noise power for the configured SNR.
 func (c *AWGNChannel) N0() float64 { return 2 * c.sigma * c.sigma }
@@ -68,23 +63,4 @@ func EVM(ref, rx []complex128) (float64, error) {
 		return 0, nil
 	}
 	return math.Sqrt(errP / refP), nil
-}
-
-// PathLossDB returns a simple 3GPP-style urban macro distance-dependent path
-// loss in dB for distance d in meters (128.1 + 37.6·log10(d/1000), floored
-// at 1 m). Used by the traffic generator to derive plausible per-UE SNR and
-// hence MCS distributions.
-func PathLossDB(dMeters float64) float64 {
-	if dMeters < 1 {
-		dMeters = 1
-	}
-	return 128.1 + 37.6*math.Log10(dMeters/1000)
-}
-
-// SNRFromPathLoss converts a transmit power (dBm), path loss (dB), and noise
-// figure over the LTE bandwidth to a received SNR estimate in dB. Thermal
-// noise floor: -174 dBm/Hz + 10log10(BW) + NF.
-func SNRFromPathLoss(txPowerDBm, pathLossDB, bwHz, noiseFigureDB float64) float64 {
-	noise := -174 + 10*math.Log10(bwHz) + noiseFigureDB
-	return txPowerDBm - pathLossDB - noise
 }

@@ -66,9 +66,6 @@ func TestAWGNN0(t *testing.T) {
 	if math.Abs(ch.N0()-0.1) > 1e-12 {
 		t.Fatalf("N0 at 10 dB = %v, want 0.1", ch.N0())
 	}
-	if ch.SNR() != 10 {
-		t.Fatal("SNR getter wrong")
-	}
 }
 
 func TestEVM(t *testing.T) {
@@ -86,31 +83,5 @@ func TestEVM(t *testing.T) {
 	}
 	if evm, err := EVM(nil, nil); err != nil || evm != 0 {
 		t.Fatal("empty EVM should be 0")
-	}
-}
-
-func TestPathLossMonotone(t *testing.T) {
-	prev := 0.0
-	for _, d := range []float64{10, 50, 100, 500, 1000, 5000} {
-		pl := PathLossDB(d)
-		if pl <= prev {
-			t.Fatalf("path loss not increasing at %v m", d)
-		}
-		prev = pl
-	}
-	if PathLossDB(0.5) != PathLossDB(1) {
-		t.Fatal("sub-meter distances must clamp")
-	}
-}
-
-func TestSNRFromPathLoss(t *testing.T) {
-	// 30 dBm TX, 100 dB loss, 10 MHz, 5 dB NF → SNR ≈ 30-100+174-70-5 = 29.
-	snr := SNRFromPathLoss(30, 100, 10e6, 5)
-	if math.Abs(snr-29) > 0.1 {
-		t.Fatalf("SNR = %v, want ≈ 29", snr)
-	}
-	// Farther → lower SNR.
-	if SNRFromPathLoss(30, PathLossDB(2000), 10e6, 5) >= SNRFromPathLoss(30, PathLossDB(200), 10e6, 5) {
-		t.Fatal("SNR should fall with distance")
 	}
 }

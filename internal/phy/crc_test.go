@@ -117,3 +117,23 @@ func TestCRCLinearity(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// AppendCRC24A appends data followed by its 24 CRC-24A bits to dst and
+// returns the extended slice, mirroring the 36.212 attachment procedure.
+func AppendCRC24A(dst, data []byte) []byte {
+	return appendCRC(dst, data, crc24APoly)
+}
+
+// AppendCRC24B appends data followed by its CRC-24B bits to dst.
+func AppendCRC24B(dst, data []byte) []byte {
+	return appendCRC(dst, data, crc24BPoly)
+}
+
+func appendCRC(dst, data []byte, poly uint32) []byte {
+	c := crc24(data, poly)
+	dst = append(dst, data...)
+	for i := crcBits - 1; i >= 0; i-- {
+		dst = append(dst, byte((c>>uint(i))&1))
+	}
+	return dst
+}

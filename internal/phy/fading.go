@@ -137,30 +137,6 @@ func (c *ChannelResponse) Apply(row []complex128) error {
 	return nil
 }
 
-// CoherenceBandwidthSCS estimates the 50%-correlation coherence bandwidth
-// in subcarriers — a sanity metric the tests use to tell profiles apart.
-func (c *ChannelResponse) CoherenceBandwidthSCS() int {
-	n := len(c.H)
-	if n == 0 {
-		return 0
-	}
-	var p0 float64
-	for _, h := range c.H {
-		p0 += real(h)*real(h) + imag(h)*imag(h)
-	}
-	p0 /= float64(n)
-	for lag := 1; lag < n; lag++ {
-		var corr complex128
-		for i := 0; i+lag < n; i++ {
-			corr += c.H[i] * cmplx.Conj(c.H[i+lag])
-		}
-		if cmplx.Abs(corr)/float64(n-lag)/p0 < 0.5 {
-			return lag
-		}
-	}
-	return n
-}
-
 // EstimateLS computes a least-squares channel estimate from received pilots
 // and the known transmitted pilot values: Ĥ[k] = rx[k]/tx[k]. Zero pilots
 // are skipped (estimate carries over from the left neighbour).
@@ -193,30 +169,14 @@ func clampEstimate(h complex128) (complex128, float64) {
 	return h * complex(scale, 0), estimateFloor
 }
 
-// Equalize divides a data row by the channel estimate in place and returns
-// the mean post-equalization noise enhancement factor mean(1/|Ĥ|²), which
-// scales the demodulator's noise power. Estimates below the floor are clamped
-// to avoid exploding deep fades. It is the whole-row reference for
-// EqualizerWeights, which the cell ingest path uses.
-func Equalize(row []complex128, est []complex128) (float64, error) {
-	if len(row) != len(est) {
-		return 0, fmt.Errorf("phy: equalize length mismatch %d vs %d: %w", len(row), len(est), ErrBadParameter)
-	}
-	var enh float64
-	for k := range row {
-		h, mag2 := clampEstimate(est[k])
-		row[k] /= h
-		enh += 1 / mag2
-	}
-	return enh / float64(len(row)), nil
-}
-
 // EqualizerWeights writes the zero-forcing weight 1/Ĥ[k] of every subcarrier
-// into w, with Equalize's deep-fade clamp, and returns the same whole-band
-// noise enhancement factor mean(1/|Ĥ|²). Multiplying any stretch of a data
-// row by the matching stretch of w equalizes it as Equalize would (to
-// rounding), so a receiver computes the weights once per subframe and
-// touches only the resource elements that are scheduled.
+// into w, clamping deep fades (clampEstimate), and returns the whole-band
+// noise enhancement factor mean(1/|Ĥ|²) that scales the demodulator's noise
+// power. Multiplying any stretch of a data row by the matching stretch of w
+// equalizes it as dividing the row by the estimate would (to rounding; the
+// tests keep that division as the oracle), so a receiver computes the
+// weights once per subframe and touches only the resource elements that are
+// scheduled.
 func EqualizerWeights(w []complex128, est []complex128) (float64, error) {
 	if len(w) != len(est) {
 		return 0, fmt.Errorf("phy: equalizer weights length mismatch %d vs %d: %w", len(w), len(est), ErrBadParameter)

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"testing"
@@ -180,4 +181,46 @@ func TestEqualizeClampsDeepFades(t *testing.T) {
 	if math.IsInf(enh, 0) {
 		t.Fatal("enhancement exploded")
 	}
+}
+
+// CoherenceBandwidthSCS estimates the 50%-correlation coherence bandwidth
+// in subcarriers — a sanity metric the tests use to tell profiles apart.
+func (c *ChannelResponse) CoherenceBandwidthSCS() int {
+	n := len(c.H)
+	if n == 0 {
+		return 0
+	}
+	var p0 float64
+	for _, h := range c.H {
+		p0 += real(h)*real(h) + imag(h)*imag(h)
+	}
+	p0 /= float64(n)
+	for lag := 1; lag < n; lag++ {
+		var corr complex128
+		for i := 0; i+lag < n; i++ {
+			corr += c.H[i] * cmplx.Conj(c.H[i+lag])
+		}
+		if cmplx.Abs(corr)/float64(n-lag)/p0 < 0.5 {
+			return lag
+		}
+	}
+	return n
+}
+
+// Equalize divides a data row by the channel estimate in place and returns
+// the mean post-equalization noise enhancement factor mean(1/|Ĥ|²), which
+// scales the demodulator's noise power. Estimates below the floor are clamped
+// to avoid exploding deep fades. It is the whole-row reference for
+// EqualizerWeights, which the cell ingest path uses.
+func Equalize(row []complex128, est []complex128) (float64, error) {
+	if len(row) != len(est) {
+		return 0, fmt.Errorf("phy: equalize length mismatch %d vs %d: %w", len(row), len(est), ErrBadParameter)
+	}
+	var enh float64
+	for k := range row {
+		h, mag2 := clampEstimate(est[k])
+		row[k] /= h
+		enh += 1 / mag2
+	}
+	return enh / float64(len(row)), nil
 }

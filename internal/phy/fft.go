@@ -66,17 +66,6 @@ func NewFFT(n int) (*FFT, error) {
 // Size returns the transform length.
 func (f *FFT) Size() int { return f.n }
 
-// Forward computes the in-place forward DFT of x (len must equal Size).
-func (f *FFT) Forward(x []complex128) error {
-	if len(x) != f.n {
-		return fmt.Errorf("phy: FFT input length %d != plan size %d: %w", len(x), f.n, ErrBadParameter)
-	}
-	f.loadPlanes(x, false)
-	f.runStages(x)
-	widen(x, f.re, f.im, 1)
-	return nil
-}
-
 // Inverse computes the in-place inverse DFT of x, including the 1/n scaling,
 // so Inverse(Forward(x)) == x up to rounding. It is the forward transform
 // with re and im swapped on the way in and out, and 1/n scales each part as
@@ -259,7 +248,7 @@ func (o *OFDMModulator) UsedSubcarriers() int { return o.usedSC }
 
 // Symbol transforms one OFDM symbol's subcarrier values (len == UsedSubcarriers)
 // into time-domain samples written into dst (len == FFTSize). It is the IFFT
-// direction used on the downlink and by the channel emulator's transmitter.
+// direction, used by the RRH emulator's transmitter.
 func (o *OFDMModulator) Symbol(dst []complex128, subcarriers []complex128) error {
 	if len(subcarriers) != o.usedSC {
 		return fmt.Errorf("phy: got %d subcarriers, want %d: %w", len(subcarriers), o.usedSC, ErrBadParameter)

@@ -507,3 +507,14 @@ func TestBandwidthTable(t *testing.T) {
 		t.Fatal("nonstandard bandwidth accepted")
 	}
 }
+
+// Forward computes the in-place forward DFT of x (len must equal Size).
+func (f *FFT) Forward(x []complex128) error {
+	if len(x) != f.n {
+		return fmt.Errorf("phy: FFT input length %d != plan size %d: %w", len(x), f.n, ErrBadParameter)
+	}
+	f.loadPlanes(x, false)
+	f.runStages(x)
+	widen(x, f.re, f.im, 1)
+	return nil
+}

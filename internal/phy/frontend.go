@@ -13,9 +13,10 @@ import "time"
 // bit-identical pure-Go tile kernels otherwise), and phase 2 scatters the
 // finished strip through the rate matcher's compacted inverse permutation
 // into the block's soft streams. Accumulation order per position is
-// identical to the staged Demodulate → DescrambleLLR → SoftDematch sweeps,
-// and every float expression matches them, so the soft buffer contents are
-// bit-identical to that three-sweep reference (frontend_test.go). The
+// identical to the staged Demodulate → DescrambleLLR → SoftDematch sweeps
+// that the tests keep as the reference, and every float expression matches
+// them, so the soft buffer contents are bit-identical to that three-sweep
+// reference (frontend_test.go). The
 // block's front-end time is added to Timings.FrontEnd.
 func (p *TransportProcessor) frontEndBlock(i int, blk []float32) {
 	start := time.Now()

@@ -1,7 +1,5 @@
 package phy
 
-import "math"
-
 // Gold-sequence scrambling per 3GPP TS 36.211 §7.2. LTE scrambles coded bits
 // with a length-31 Gold sequence whose initialization encodes the cell ID,
 // the RNTI, and the subframe number, decorrelating transmissions from
@@ -78,20 +76,6 @@ func (g *GoldSequence) NextWord() uint32 {
 	return uint32(v1) ^ uint32(v2)
 }
 
-// Fill writes len(dst) sequence bits into dst.
-func (g *GoldSequence) Fill(dst []byte) {
-	i := 0
-	for ; i+32 <= len(dst); i += 32 {
-		w := g.NextWord()
-		for j := 0; j < 32; j++ {
-			dst[i+j] = byte(w>>uint(j)) & 1
-		}
-	}
-	for ; i < len(dst); i++ {
-		dst[i] = g.step()
-	}
-}
-
 // ScramblerInit derives cinit per 36.211 §6.3.1 for PDSCH/PUSCH:
 // cinit = rnti·2^14 + q·2^13 + floor(ns/2)·2^9 + cellID, with codeword q=0.
 func ScramblerInit(rnti uint16, cellID uint16, subframe uint8) uint32 {
@@ -166,16 +150,5 @@ func (s *Scrambler) Scramble(bits []byte) {
 	s.ensureKey(len(bits))
 	for i := range bits {
 		bits[i] ^= byte(s.words[i>>5]>>(uint(i)&31)) & 1
-	}
-}
-
-// DescrambleLLR applies descrambling to soft values: where the keystream bit
-// is 1 the LLR sign flips (bit convention: positive LLR ⇒ bit 0). The flip
-// is a branchless XOR of the keystream bit against the float32 sign bit.
-func (s *Scrambler) DescrambleLLR(llr []float32) {
-	s.ensureKey(len(llr))
-	for i := range llr {
-		b := (s.words[i>>5] >> (uint(i) & 31)) & 1
-		llr[i] = math.Float32frombits(math.Float32bits(llr[i]) ^ b<<31)
 	}
 }

@@ -213,3 +213,14 @@ func TestScramblerInitFields(t *testing.T) {
 		t.Fatal("cinit collision across distinct parameters")
 	}
 }
+
+// DescrambleLLR applies descrambling to soft values: where the keystream bit
+// is 1 the LLR sign flips (bit convention: positive LLR ⇒ bit 0). The flip
+// is a branchless XOR of the keystream bit against the float32 sign bit.
+func (s *Scrambler) DescrambleLLR(llr []float32) {
+	s.ensureKey(len(llr))
+	for i := range llr {
+		b := (s.words[i>>5] >> (uint(i) & 31)) & 1
+		llr[i] = math.Float32frombits(math.Float32bits(llr[i]) ^ b<<31)
+	}
+}

@@ -98,52 +98,8 @@ func Modulate(dst []complex128, bits []byte, m Modulation) ([]complex128, error)
 	return dst, nil
 }
 
-// Demodulate computes per-bit log-likelihood ratios for received symbols
-// under AWGN with per-dimension noise variance n0/2 (n0 = total complex noise
-// power). Positive LLR means bit 0 is more likely, matching the turbo
-// decoder's convention. Max-log approximation computed per axis (square QAM
-// axes are independent) in closed form: for Gray-mapped PAM the max-log LLR
-// of each axis bit is an exact piecewise-linear function of the received
-// coordinate, so no scan over constellation points is needed. The test suite
-// keeps the scan as an oracle and pins equality. Results are appended to dst.
-func Demodulate(dst []float32, syms []complex128, m Modulation, n0 float64) ([]float32, error) {
-	if err := m.Validate(); err != nil {
-		return dst, err
-	}
-	if n0 <= 0 {
-		n0 = 1e-9
-	}
-	invN0 := 2 / n0 // per-axis noise variance is n0/2
-	// Transmitted ordering interleaves axis bits: b0(I) b1(Q) b2(I) ...
-	switch m {
-	case QPSK:
-		c := 4 * qpskA * invN0
-		for _, s := range syms {
-			dst = append(dst, float32(c*real(s)), float32(c*imag(s)))
-		}
-	case QAM16:
-		for _, s := range syms {
-			i0, i1 := qam16AxisLLR(real(s))
-			q0, q1 := qam16AxisLLR(imag(s))
-			dst = append(dst,
-				float32(i0*invN0), float32(q0*invN0),
-				float32(i1*invN0), float32(q1*invN0))
-		}
-	case QAM64:
-		for _, s := range syms {
-			i0, i1, i2 := qam64AxisLLR(real(s))
-			q0, q1, q2 := qam64AxisLLR(imag(s))
-			dst = append(dst,
-				float32(i0*invN0), float32(q0*invN0),
-				float32(i1*invN0), float32(q1*invN0),
-				float32(i2*invN0), float32(q2*invN0))
-		}
-	}
-	return dst, nil
-}
-
 // demodInvN0 maps the caller-supplied complex noise power to the 2/n0 LLR
-// scale factor, with the same floor Demodulate applies.
+// scale factor, with the same floor the tests' reference Demodulate applies.
 func demodInvN0(n0 float64) float64 {
 	if n0 <= 0 {
 		n0 = 1e-9
@@ -152,7 +108,8 @@ func demodInvN0(n0 float64) float64 {
 }
 
 // demodSymbolLLRs writes one symbol's Qm LLRs into dst[:Qm] in transmitted
-// bit order. It produces bit-identical values to Demodulate — the same
+// bit order. It produces bit-identical values to Demodulate, the
+// closed-form reference demodulator kept in modulation_test.go — the same
 // multiplication order and float64→float32 conversion points, with the axis
 // metrics computed by the branch-reduced *Fast helpers (bit-identical to the
 // reference ones by the argument on their definitions) — which is what lets
@@ -181,74 +138,6 @@ func demodSymbolLLRs(dst *[6]float32, s complex128, m Modulation, invN0 float64)
 		dst[4] = float32(i2 * invN0)
 		dst[5] = float32(q2 * invN0)
 	}
-}
-
-// qam16AxisLLR returns the two per-axis max-log bit metrics (before the
-// 1/noise scaling) for Gray-mapped 4-PAM with levels ±a, ±3a. The MSB metric
-// is odd-symmetric and saturates in slope past the outer decision boundary;
-// the LSB metric is a tent around ±2a.
-func qam16AxisLLR(x float64) (l0, l1 float64) {
-	a := qam16A
-	y := x
-	if y < 0 {
-		y = -y
-	}
-	switch {
-	case x > 2*a:
-		l0 = 8*a*x - 8*a*a
-	case x < -2*a:
-		l0 = 8*a*x + 8*a*a
-	default:
-		l0 = 4 * a * x
-	}
-	l1 = 4 * a * (2*a - y)
-	return l0, l1
-}
-
-// qam64AxisLLR returns the three per-axis max-log bit metrics (before the
-// 1/noise scaling) for Gray-mapped 8-PAM with levels ±a..±7a: the MSB is a
-// four-segment odd-symmetric ramp, the middle bit a piecewise tent around
-// ±4a, the LSB a double tent with peaks at ±2a and ±6a.
-func qam64AxisLLR(x float64) (l0, l1, l2 float64) {
-	a := qam64A
-	y := x
-	if y < 0 {
-		y = -y
-	}
-	a2 := a * a
-	switch {
-	case y <= 2*a:
-		l0 = 4 * a * x
-	case y <= 4*a:
-		l0 = 8*a*x - 8*a2
-		if x < 0 {
-			l0 = 8*a*x + 8*a2
-		}
-	case y <= 6*a:
-		l0 = 12*a*x - 24*a2
-		if x < 0 {
-			l0 = 12*a*x + 24*a2
-		}
-	default:
-		l0 = 16*a*x - 48*a2
-		if x < 0 {
-			l0 = 16*a*x + 48*a2
-		}
-	}
-	switch {
-	case y <= 2*a:
-		l1 = 24*a2 - 8*a*y
-	case y <= 6*a:
-		l1 = 16*a2 - 4*a*y
-	default:
-		l1 = 40*a2 - 8*a*y
-	}
-	if y <= 4*a {
-		l2 = 4*a*y - 8*a2
-	} else {
-		l2 = 24*a2 - 4*a*y
-	}
-	return l0, l1, l2
 }
 
 // Branch-reduced axis metrics for the fused front-end. The reference
@@ -338,17 +227,4 @@ func qam64AxisLLRFast(x float64) (l0, l1, l2 float64) {
 	t := 4 * a * y
 	l2 = r.l2s*t + r.l2c
 	return l0, l1, l2
-}
-
-// HardDecision converts LLRs to bits using the positive-LLR⇒0 convention,
-// appending to dst.
-func HardDecision(dst []byte, llr []float32) []byte {
-	for _, v := range llr {
-		if v >= 0 {
-			dst = append(dst, 0)
-		} else {
-			dst = append(dst, 1)
-		}
-	}
-	return dst
 }

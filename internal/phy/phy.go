@@ -1,6 +1,7 @@
 // Package phy implements the LTE physical-layer substrate the PRAN data
-// plane schedules: a real (if simplified) uplink/downlink baseband chain in
-// pure Go — CRC attachment, code-block segmentation, rate-1/3 turbo coding
+// plane schedules: a real (if simplified) LTE uplink baseband chain in pure
+// Go, transmit side (which the RRH emulator drives) and receive side (which
+// the pool decodes) — CRC attachment, code-block segmentation, rate-1/3 turbo coding
 // with QPP interleaving, rate matching, Gold-sequence scrambling, QPSK /
 // 16-QAM / 64-QAM (de)modulation with soft LLR output, OFDM (I)FFT, and an
 // AWGN channel model.
@@ -19,8 +20,8 @@
 // 213 (exact TBS tables, sub-block interleaver details) are documented where
 // they occur and in DESIGN.md §2.
 //
-// Concurrency and ownership: stateless transforms (CRCs, Modulate/
-// Demodulate, TBS tables) and plans — the QPPInterleaver and RateMatcher
+// Concurrency and ownership: stateless transforms (CRCs, Modulate, TBS
+// tables) and plans — the QPPInterleaver and RateMatcher
 // tables, built once per block size K for the whole process and read-only
 // afterwards — are safe for concurrent use. Scratch — TransportProcessor,
 // TurboEncoder/TurboDecoder, BatchDecoderI16, Scrambler, OFDMModulator —
@@ -50,8 +51,6 @@ const (
 	// DataREsPerPRB is the number of data resource elements per PRB per
 	// subframe after reference-signal overhead.
 	DataREsPerPRB = SubcarriersPerPRB * (SymbolsPerSubframe - ReferenceSymbolsPerSubframe)
-	// SubframeDuration is 1 ms expressed in nanoseconds.
-	SubframeDurationNs = 1_000_000
 	// MaxPRB is the largest LTE bandwidth configuration (20 MHz).
 	MaxPRB = 100
 )
@@ -137,20 +136,9 @@ var (
 	ErrTooShort = errors.New("buffer too short")
 )
 
-// Direction distinguishes the uplink (RRH→pool, decode-heavy) and downlink
-// (pool→RRH, encode-heavy) processing chains.
+// Direction is a transport block's direction through the PHY. The data
+// plane processes the uplink only (RRH→pool, decode-heavy).
 type Direction uint8
 
-// Directions of a transport block through the PHY.
-const (
-	Uplink Direction = iota
-	Downlink
-)
-
-// String implements fmt.Stringer.
-func (d Direction) String() string {
-	if d == Uplink {
-		return "UL"
-	}
-	return "DL"
-}
+// Uplink is the only direction the data plane processes.
+const Uplink Direction = 0

@@ -230,20 +230,5 @@ func (q *QPPInterleaver) Interleave(dst, src []byte) error {
 	return nil
 }
 
-// Deinterleave inverts Interleave: dst[π(i)] = src[i].
-func (q *QPPInterleaver) Deinterleave(dst, src []byte) error {
-	if len(dst) != q.K || len(src) != q.K {
-		return fmt.Errorf("phy: deinterleave length mismatch (dst %d, src %d, K %d): %w", len(dst), len(src), q.K, ErrBadParameter)
-	}
-	for i, p := range q.perm {
-		dst[p] = src[i]
-	}
-	return nil
-}
-
-// Perm returns π(i); Inv returns π⁻¹(i). Both are O(1) table lookups used by
-// the turbo decoder to avoid materializing interleaved LLR copies.
+// Perm returns π(i), an O(1) table lookup.
 func (q *QPPInterleaver) Perm(i int) int { return int(q.perm[i]) }
-
-// Inv returns the inverse permutation at i.
-func (q *QPPInterleaver) Inv(i int) int { return int(q.inverse[i]) }

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -139,3 +140,17 @@ func TestQPPSpread(t *testing.T) {
 		t.Fatalf("adjacent-bit spread %d too small", minDist)
 	}
 }
+
+// Deinterleave inverts Interleave: dst[π(i)] = src[i].
+func (q *QPPInterleaver) Deinterleave(dst, src []byte) error {
+	if len(dst) != q.K || len(src) != q.K {
+		return fmt.Errorf("phy: deinterleave length mismatch (dst %d, src %d, K %d): %w", len(dst), len(src), q.K, ErrBadParameter)
+	}
+	for i, p := range q.perm {
+		dst[p] = src[i]
+	}
+	return nil
+}
+
+// Inv returns the inverse permutation at i.
+func (q *QPPInterleaver) Inv(i int) int { return int(q.inverse[i]) }

@@ -28,7 +28,8 @@ const nullPos int32 = -1
 
 // RateMatcher performs rate matching and soft de-rate-matching for one turbo
 // block size K. The index map from circular-buffer position to (stream,
-// offset) is precomputed; Match and SoftDematch do not allocate. A matcher
+// offset) is precomputed; Match and the front-end's soft de-rate-matching
+// do not allocate. A matcher
 // is a plan, not scratch: immutable, one per K for the whole process, and
 // safe for concurrent use.
 type RateMatcher struct {
@@ -123,12 +124,6 @@ func NewRateMatcher(k int) (*RateMatcher, error) {
 	return actual.(*RateMatcher), nil
 }
 
-// K returns the turbo block size.
-func (m *RateMatcher) K() int { return m.k }
-
-// BufferLen returns the circular buffer length Kw (including nulls).
-func (m *RateMatcher) BufferLen() int { return m.kw }
-
 // rvOffset returns the read start position k0 for a redundancy version.
 func (m *RateMatcher) rvOffset(rv int) int {
 	rows := m.kw / 3 / subblockCols
@@ -169,38 +164,4 @@ func (m *RateMatcher) Match(dst []byte, d0, d1, d2 []byte, e, rv int) ([]byte, e
 		}
 	}
 	return dst, nil
-}
-
-// SoftDematch accumulates e received LLRs into the per-stream LLR buffers
-// ld0, ld1, ld2 (each length K+4). Callers zero the buffers for a fresh
-// transmission and keep them across retransmissions for HARQ soft combining;
-// repeated positions combine additively either way.
-func (m *RateMatcher) SoftDematch(ld0, ld1, ld2 []float32, llr []float32, rv int) error {
-	if len(ld0) != m.d || len(ld1) != m.d || len(ld2) != m.d {
-		return fmt.Errorf("phy: dematch buffers must each be K+4=%d: %w", m.d, ErrBadParameter)
-	}
-	if rv < 0 || rv > 3 {
-		return fmt.Errorf("phy: rv=%d out of range: %w", rv, ErrBadParameter)
-	}
-	pos := m.rvOffset(rv)
-	for n := 0; n < len(llr); {
-		ix := m.wIdx[pos]
-		if ix != nullPos {
-			v := llr[n]
-			switch {
-			case int(ix) < m.d:
-				ld0[ix] += v
-			case int(ix) < 2*m.d:
-				ld1[int(ix)-m.d] += v
-			default:
-				ld2[int(ix)-2*m.d] += v
-			}
-			n++
-		}
-		pos++
-		if pos == m.kw {
-			pos = 0
-		}
-	}
-	return nil
 }

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -181,4 +182,38 @@ func TestRateMatchErrors(t *testing.T) {
 	if _, err := NewRateMatcher(39); err == nil {
 		t.Fatal("illegal K accepted")
 	}
+}
+
+// SoftDematch accumulates e received LLRs into the per-stream LLR buffers
+// ld0, ld1, ld2 (each length K+4). Callers zero the buffers for a fresh
+// transmission and keep them across retransmissions for HARQ soft combining;
+// repeated positions combine additively either way.
+func (m *RateMatcher) SoftDematch(ld0, ld1, ld2 []float32, llr []float32, rv int) error {
+	if len(ld0) != m.d || len(ld1) != m.d || len(ld2) != m.d {
+		return fmt.Errorf("phy: dematch buffers must each be K+4=%d: %w", m.d, ErrBadParameter)
+	}
+	if rv < 0 || rv > 3 {
+		return fmt.Errorf("phy: rv=%d out of range: %w", rv, ErrBadParameter)
+	}
+	pos := m.rvOffset(rv)
+	for n := 0; n < len(llr); {
+		ix := m.wIdx[pos]
+		if ix != nullPos {
+			v := llr[n]
+			switch {
+			case int(ix) < m.d:
+				ld0[ix] += v
+			case int(ix) < 2*m.d:
+				ld1[int(ix)-m.d] += v
+			default:
+				ld2[int(ix)-2*m.d] += v
+			}
+			n++
+		}
+		pos++
+		if pos == m.kw {
+			pos = 0
+		}
+	}
+	return nil
 }

@@ -24,7 +24,7 @@ import (
 // largest transport block (MaxMCS at the construction PRB count) and a call
 // uses the leading part of it: the encode side at construction, the decode
 // side and the turbo decoder's working set by the first Decode, so an
-// encode-only owner (the RRH emulator, the downlink path) never carries
+// encode-only owner (the RRH emulator) never carries
 // them. A processor's memory and the cost of its first Encode or Decode of
 // a never-seen shape do not depend on what it has processed, and processing
 // performs no heap allocation — the property that keeps Go's GC out of the
@@ -135,8 +135,6 @@ func (s tbShape) blockOff(i int) int {
 // processing, used by experiment E2 and by the cluster cost-model
 // calibration.
 type StageTimings struct {
-	Modulate    time.Duration // encode: modulation (+scrambling)
-	EncodeChain time.Duration // encode: CRC+segmentation+turbo+rate match
 	// FrontEnd is the decode front-end's time: the fused single-pass
 	// demodulate + descramble + soft de-rate-match of every code block. The
 	// per-block front-ends run as the turbo decoder's prepare hook, timed
@@ -210,11 +208,6 @@ func (sb *SoftBuffer) reshape(c, d int) {
 		sb.ld1 = append(sb.ld1, sb.back[base+d:base+2*d:base+2*d])
 		sb.ld2 = append(sb.ld2, sb.back[base+2*d:base+3*d:base+3*d])
 	}
-}
-
-// Reset zeroes the accumulated LLRs for a fresh transport block.
-func (sb *SoftBuffer) Reset() {
-	clear(sb.back)
 }
 
 // Blocks returns the number of code blocks the buffer covers.
@@ -352,14 +345,6 @@ func (p *TransportProcessor) SetMaxIterations(n int) {
 	p.maxIter = n
 }
 
-// MaxIterations returns the current turbo iteration bound.
-func (p *TransportProcessor) MaxIterations() int {
-	if p.maxIter == 0 {
-		return DefaultTurboIterations
-	}
-	return p.maxIter
-}
-
 // checkBlockCRC24B reports whether a decoded code block passes its CRC-24B —
 // the per-block early-termination predicate when a TB segments into several
 // blocks. Package-level (not a closure) so installing it allocates nothing.
@@ -388,7 +373,6 @@ func (p *TransportProcessor) Encode(mcs MCS, nprb int, payload []byte, rnti uint
 	if len(payload) != sh.tbs {
 		return nil, fmt.Errorf("phy: payload %d bits, want TBS=%d: %w", len(payload), sh.tbs, ErrBadParameter)
 	}
-	start := time.Now()
 	// TB CRC.
 	tbBits := p.tbBits[:sh.seg.B]
 	copy(tbBits, payload)
@@ -413,9 +397,6 @@ func (p *TransportProcessor) Encode(mcs MCS, nprb int, payload []byte, rnti uint
 			return nil, err
 		}
 	}
-	p.Timings.EncodeChain = time.Since(start)
-
-	start = time.Now()
 	// Scramble and modulate.
 	p.scr.Reinit(ScramblerInit(rnti, cellID, subframe))
 	p.scr.Scramble(p.coded)
@@ -425,7 +406,6 @@ func (p *TransportProcessor) Encode(mcs MCS, nprb int, payload []byte, rnti uint
 	if err != nil {
 		return nil, err
 	}
-	p.Timings.Modulate = time.Since(start)
 	return p.symbols, nil
 }
 

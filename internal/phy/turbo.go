@@ -22,8 +22,6 @@ import (
 const (
 	turboStates = 8
 	turboTail   = 3 // termination steps per constituent encoder
-	// TailBits is the total number of multiplexed tail bits (12).
-	TailBits = 4 * turboTail
 
 	// DefaultTurboIterations is the default MaxIterations budget of every
 	// decoder constructor (TurboDecoder, BatchDecoderI16). The degradation
@@ -187,10 +185,6 @@ func newTurboDecoder(b *i16Buffers) *TurboDecoder {
 		MaxIterations: DefaultTurboIterations,
 	}
 }
-
-// IterationsUsed reports how many full iterations the last Decode consumed;
-// the cluster cost model uses it to attribute per-block compute.
-func (d *TurboDecoder) IterationsUsed() int { return d.iterationsUsed }
 
 // Decode consumes the three LLR streams ld0, ld1, ld2 (each length K+4,
 // matching the encoder's output layout; positive ⇒ bit 0) and writes the

@@ -139,9 +139,6 @@ func (bd *BatchDecoderI16) scalarBuffers() *i16Buffers {
 	}
 }
 
-// Width returns the lane capacity.
-func (bd *BatchDecoderI16) Width() int { return bd.width }
-
 // Decode turbo-decodes len(blocks) ≤ Width code blocks in lockstep:
 // blocks[i] (all of one length K, a legal turbo block size) receives the
 // hard decisions for the LLR streams ld0[i], ld1[i], ld2[i] (each length

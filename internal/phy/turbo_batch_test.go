@@ -234,8 +234,8 @@ func TestBatchDecoderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bd.Width() != 4 {
-		t.Errorf("Width()=%d", bd.Width())
+	if bd.width != 4 {
+		t.Errorf("width %d", bd.width)
 	}
 	mk := func(n, l int) [][]float32 {
 		s := make([][]float32, n)

@@ -190,9 +190,6 @@ func TestTurboEarlyTermination(t *testing.T) {
 	if iters >= 8 {
 		t.Fatalf("noise-free decode used all %d iterations; early stop broken", iters)
 	}
-	if iters != dec.IterationsUsed() {
-		t.Fatal("IterationsUsed disagrees with Decode return")
-	}
 }
 
 func TestTurboQuickRoundtrip(t *testing.T) {

@@ -149,54 +149,3 @@ func (p *ICICProgram) OnSubframe(w frame.SubframeWork) frame.SubframeWork {
 	p.mu.Unlock()
 	return out
 }
-
-// ThrottleProgram caps each cell's scheduled PRB utilization — a minimal
-// admission-control RAN program used by the programmability example. Excess
-// allocations (in scheduling order) are shed.
-type ThrottleProgram struct {
-	// MaxPRB is the per-subframe PRB cap.
-	MaxPRB int
-
-	mu   sync.Mutex
-	shed uint64
-}
-
-// NewThrottleProgram returns a throttle with the given cap.
-func NewThrottleProgram(maxPRB int) *ThrottleProgram {
-	return &ThrottleProgram{MaxPRB: maxPRB}
-}
-
-// Name implements Program.
-func (p *ThrottleProgram) Name() string { return "throttle" }
-
-// OnObservation implements Program (no-op).
-func (p *ThrottleProgram) OnObservation(Observation) {}
-
-// Shed reports how many allocations were dropped.
-func (p *ThrottleProgram) Shed() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.shed
-}
-
-// OnSubframe drops allocations once the PRB cap is reached.
-func (p *ThrottleProgram) OnSubframe(w frame.SubframeWork) frame.SubframeWork {
-	used := 0
-	out := w
-	out.Allocations = nil
-	var shed uint64
-	for _, a := range w.Allocations {
-		if used+a.NumPRB > p.MaxPRB {
-			shed++
-			continue
-		}
-		used += a.NumPRB
-		out.Allocations = append(out.Allocations, a)
-	}
-	if shed > 0 {
-		p.mu.Lock()
-		p.shed += shed
-		p.mu.Unlock()
-	}
-	return out
-}

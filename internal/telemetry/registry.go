@@ -84,9 +84,6 @@ type Gauge struct {
 // Set stores the gauge value.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
 // Value reads the gauge.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -118,9 +115,6 @@ func New(shards int) *Registry {
 		hists:    make(map[string]*Histogram),
 	}
 }
-
-// NumShards returns the (power-of-two) shard count.
-func (r *Registry) NumShards() int { return r.shards }
 
 // defaultRegistry is the process-wide registry components fall back to when
 // not handed an explicit one — this is what makes telemetry default-on.

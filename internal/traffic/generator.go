@@ -115,25 +115,9 @@ func (g *Generator) SetSchedule(s *Schedule, firstCell int) error {
 	return nil
 }
 
-// NumCells returns the number of cells the generator drives.
-func (g *Generator) NumCells() int { return len(g.cells) }
-
-// Bandwidth returns the shared cell bandwidth.
-func (g *Generator) Bandwidth() phy.Bandwidth { return g.bw }
-
 // todAt converts a TTI to time-of-day hours with wraparound.
 func (g *Generator) todAt(tti frame.TTI) float64 {
 	return math.Mod(g.start+float64(tti)*0.001/3600, 24)
-}
-
-// Utilization returns the instantaneous target PRB utilization for a cell
-// at a TTI, before burstiness (the deterministic diurnal component).
-func (g *Generator) Utilization(cell int, tti frame.TTI) (float64, error) {
-	if cell < 0 || cell >= len(g.cells) {
-		return 0, fmt.Errorf("traffic: cell %d out of %d: %w", cell, len(g.cells), phy.ErrBadParameter)
-	}
-	c := g.cells[cell]
-	return c.prof.PeakUtilization * c.prof.Class.Shape(g.todAt(tti)), nil
 }
 
 // Subframe generates the uplink workload for one cell and TTI. Allocations
@@ -195,7 +179,6 @@ func (g *Generator) Subframe(cell int, tti frame.TTI) (frame.SubframeWork, error
 			FirstPRB:    first,
 			NumPRB:      size,
 			MCS:         phy.MCSForSNR(snr),
-			Dir:         phy.Uplink,
 			HARQProcess: uint8(uint64(tti) % 8),
 			RV:          0,
 			SNRdB:       snr,

@@ -162,9 +162,6 @@ func TestGeneratorSubframeValid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumCells() != 2 || g.Bandwidth() != phy.BW10MHz {
-		t.Fatal("accessors wrong")
-	}
 	for tti := frame.TTI(0); tti < 500; tti++ {
 		for cell := 0; cell < 2; cell++ {
 			w, err := g.Subframe(cell, tti)
@@ -208,17 +205,6 @@ func TestGeneratorTracksDiurnalLoad(t *testing.T) {
 	}
 	if peak < 0.5 {
 		t.Fatalf("peak-hour utilization %v too low for PeakUtilization=%v", peak, prof.PeakUtilization)
-	}
-}
-
-func TestGeneratorUtilization(t *testing.T) {
-	g, _ := NewGenerator(phy.BW10MHz, []CellProfile{DefaultProfile(Office)}, 1, 11)
-	u, err := g.Utilization(0, 0)
-	if err != nil || u <= 0 || u > 1 {
-		t.Fatalf("utilization %v, %v", u, err)
-	}
-	if _, err := g.Utilization(5, 0); err == nil {
-		t.Fatal("bad cell accepted")
 	}
 }
 
