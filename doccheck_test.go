@@ -230,14 +230,11 @@ func TestOraclesStayInPhy(t *testing.T) {
 }
 
 // exportAllowlist names the exported identifiers under internal/ that
-// TestExportsHaveLiveUse accepts without a non-test use, each with its
-// reason. An entry that gains a use, or whose name is gone, fails the lint,
-// so the list only ever shrinks by hand.
-var exportAllowlist = map[string]string{
-	"dataplane.Pool.SetLevel": "the degradation ladder's manual override: internal/node's tests force a rung " +
-		"through it to check the MCS-cap feedback, and the live writer, the pool's headroom loop, " +
-		"cannot be driven to a chosen rung deterministically",
-}
+// TestExportsHaveLiveUse accepts without a non-test use, mapped to the
+// reason for each. An entry that gains a use, or whose name is gone, fails
+// the lint, so the list only shrinks. It is empty: every exported name has
+// a non-test use.
+var exportAllowlist = map[string]string{}
 
 // TestExportsHaveLiveUse is the closed-API lint, the typed successor of
 // TestOraclesStayInPhy: every exported identifier declared in a non-test
@@ -255,18 +252,15 @@ var exportAllowlist = map[string]string{
 func TestExportsHaveLiveUse(t *testing.T) {
 	prog := loadProgram(t)
 	dead, checked := prog.unusedExports()
-	for _, name := range dead {
-		if exportAllowlist[name.id] != "" {
-			continue
+	unused := map[string]bool{}
+	for _, d := range dead {
+		unused[d.id] = true
+		if exportAllowlist[d.id] == "" {
+			t.Errorf("%s: %s is exported but no non-test file uses it: delete it, move it into a _test.go file, or unexport it", d.pos, d.id)
 		}
-		t.Errorf("%s: %s is exported but no non-test file uses it: delete it, move it into a _test.go file, or unexport it", name.pos, name.id)
-	}
-	deadIDs := map[string]bool{}
-	for _, name := range dead {
-		deadIDs[name.id] = true
 	}
 	for id := range exportAllowlist {
-		if !deadIDs[id] {
+		if !unused[id] {
 			t.Errorf("allowlist entry %s is used or no longer declared: remove the entry", id)
 		}
 	}

@@ -97,9 +97,9 @@ func (c *claimCase) serial(t *testing.T, ref *phy.TransportProcessor) {
 // errParked fails the gate tasks a workerGate parks workers on.
 var errParked = errors.New("parked on a test gate")
 
-// workerGate parks pool workers through Config.FaultHook: after block, the
-// next n task admissions wait on the gate and then fail their task with
-// errParked; every later admission passes straight through.
+// workerGate parks pool workers through Config.FaultHook: block makes the
+// next admission on each worker wait on the gate and then fail its task
+// with errParked; every later admission passes straight through.
 type workerGate struct {
 	mu    sync.Mutex
 	parks int

@@ -31,8 +31,8 @@ const (
 
 // DegradeConfig parameterizes the pool's compute-aware degradation ladder
 // (see cluster.DegradationLevel for what each rung sheds). Every pool has one
-// level word — Pool.SetLevel always works — but the headroom loop that moves
-// it automatically runs only when Enable is true.
+// level word, at cluster.DegradeNone until the headroom loop moves it, and
+// the loop runs only when Enable is true.
 //
 // The loop is a deliberately simple hysteresis controller: every Period it
 // folds the pool's queue depth and the completed tasks' deadline slack into
@@ -42,8 +42,8 @@ const (
 // quiet follow every transition so the loop cannot flap faster than the
 // signals settle.
 type DegradeConfig struct {
-	// Enable starts the headroom loop. Without it the level moves only
-	// through Pool.SetLevel.
+	// Enable starts the headroom loop. Without it the level stays at
+	// cluster.DegradeNone.
 	Enable bool
 	// Period is the loop's sampling interval; 0 means half the pool's
 	// scaled task budget (Config.Budget()/2), tracking the deadline scale
@@ -82,8 +82,8 @@ func (c DegradeConfig) validate() error {
 // degradeState is the pool's degradation ladder: the pool-wide level word
 // plus the optional headroom-loop goroutine.
 //
-// Ownership: the level lives in one atomic word. The loop goroutine and any
-// Pool.SetLevel caller write it; the driver goroutine (Submit's task
+// Ownership: the level lives in one atomic word. The loop goroutine (and,
+// in this package's tests, setLevel) writes it; the driver goroutine (Submit's task
 // stamping, the cell ingest HARQ-shed decision) reads it with one atomic
 // load. Workers never touch it — they see the level frozen into
 // Task.Degrade at submission, so a mid-queue transition never splits a
@@ -207,10 +207,11 @@ func (p *Pool) Level() cluster.DegradationLevel {
 	return cluster.DegradationLevel(p.deg.level.Load())
 }
 
-// SetLevel sets the pool's degradation level. With the headroom loop enabled
-// the loop moves on from it at its next transition. Safe from any goroutine;
-// tasks already queued keep the level they were stamped with.
-func (p *Pool) SetLevel(lvl cluster.DegradationLevel) error {
+// setLevel sets the pool's degradation level, the tests' way to pin a rung.
+// With the headroom loop enabled the loop moves on from it at its next
+// transition. Safe from any goroutine; tasks already queued keep the level
+// they were stamped with.
+func (p *Pool) setLevel(lvl cluster.DegradationLevel) error {
 	if err := lvl.Validate(); err != nil {
 		return err
 	}

@@ -31,7 +31,7 @@ func TestDegradeConfigValidate(t *testing.T) {
 func decodeAtLevel(t *testing.T, work frame.SubframeWork, lvl cluster.DegradationLevel) map[frame.RNTI]*Task {
 	t.Helper()
 	pool := testPool(t, Config{Workers: 1, Policy: EDF, DeadlineScale: 1000})
-	if err := pool.SetLevel(lvl); err != nil {
+	if err := pool.setLevel(lvl); err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[frame.RNTI]*Task)
@@ -121,14 +121,14 @@ func TestShedHARQSkipsSoftState(t *testing.T) {
 		}
 		<-ch
 	}
-	if err := pool.SetLevel(cluster.DegradeShedHARQ); err != nil {
+	if err := pool.setLevel(cluster.DegradeShedHARQ); err != nil {
 		t.Fatal(err)
 	}
 	ingest(4)
 	if n := cp.HARQ().Processes(); n != 0 {
 		t.Fatalf("shed rung still tracked %d HARQ processes", n)
 	}
-	if err := pool.SetLevel(cluster.DegradeNone); err != nil {
+	if err := pool.setLevel(cluster.DegradeNone); err != nil {
 		t.Fatal(err)
 	}
 	ingest(12)
@@ -139,10 +139,10 @@ func TestShedHARQSkipsSoftState(t *testing.T) {
 
 func TestDegradeLevelAccessors(t *testing.T) {
 	pool := testPool(t, Config{Workers: 1, DeadlineScale: 1})
-	if err := pool.SetLevel(cluster.MaxDegradationLevel + 1); err == nil {
+	if err := pool.setLevel(cluster.MaxDegradationLevel + 1); err == nil {
 		t.Fatal("invalid level accepted")
 	}
-	if err := pool.SetLevel(cluster.DegradeTightCap); err != nil {
+	if err := pool.setLevel(cluster.DegradeTightCap); err != nil {
 		t.Fatal(err)
 	}
 	if pool.Level() != cluster.DegradeTightCap {

@@ -1,7 +1,9 @@
 package node
 
 import (
+	"sync"
 	"testing"
+	"time"
 
 	"pran/internal/cluster"
 	"pran/internal/dataplane"
@@ -27,7 +29,13 @@ func localAgentConfig() AgentConfig {
 // nCells 1.4 MHz cells; tests drive its subframes with tick, unpaced.
 func newLocalAgent(t *testing.T, nCells int) *AgentNode {
 	t.Helper()
-	a, err := newAgent(localAgentConfig())
+	return newLocalAgentCfg(t, localAgentConfig(), nCells)
+}
+
+// newLocalAgentCfg is newLocalAgent with an explicit configuration.
+func newLocalAgentCfg(t *testing.T, cfg AgentConfig, nCells int) *AgentNode {
+	t.Helper()
+	a, err := newAgent(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,10 +190,20 @@ func (r *mcsRecorder) OnSubframe(w frame.SubframeWork) frame.SubframeWork {
 func (r *mcsRecorder) OnObservation(ranapi.Observation) {}
 
 // TestAgentDegradationCapsMCS pins the scheduler feedback: the pool's
-// degradation level reaches every cell's schedule as an MCS cap from the
-// next subframe on, and clears when the pool returns to full service.
+// degradation level, as the pool's own headroom loop moves it, reaches
+// every cell's schedule as an MCS cap from the next subframe on, and clears
+// when the pool returns to full service. The workers park in the fault hook
+// until the test releases them, so queued decodes pile up and the loop
+// climbs the ladder; once released and drained, the loop walks back down.
 func TestAgentDegradationCapsMCS(t *testing.T) {
-	a := newLocalAgent(t, 1)
+	release := make(chan struct{})
+	var once sync.Once
+	cfg := localAgentConfig()
+	cfg.Pool.Degrade = dataplane.DegradeConfig{Enable: true, Period: time.Millisecond, DwellPeriods: 1}
+	cfg.Pool.FaultHook = func(int) error { <-release; return nil }
+	a := newLocalAgentCfg(t, cfg, 1)
+	// Registered after the pool's Close, so it runs first.
+	t.Cleanup(func() { once.Do(func() { close(release) }) })
 	// High SNR: uncapped, the scheduler picks MCS well above 18.
 	setProfile(t, a, traffic.CellProfile{
 		Class:           traffic.Mixed,
@@ -194,30 +212,43 @@ func TestAgentDegradationCapsMCS(t *testing.T) {
 		SNRStdDB:        2,
 		MeanUEsAtPeak:   4,
 	})
-	if err := a.pool.SetLevel(cluster.DegradeTightCap); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 16; i++ {
+		a.tick()
 	}
+	waitFor(t, "the headroom loop to reach "+cluster.DegradeTightCap.String(), 10*time.Second, func() bool {
+		return a.pool.Level() >= cluster.DegradeTightCap
+	})
 	capped := &mcsRecorder{}
 	if err := a.Programs().Register(capped); err != nil {
 		t.Fatal(err)
 	}
-	runTicks(a, 50)
+	// The workers stay parked, so the queue stays deep and the level at
+	// or above tight-cap.
+	for i := 0; i < 50; i++ {
+		a.tick()
+	}
 	if capped.allocs == 0 {
 		t.Fatal("no allocations scheduled")
 	}
 	if limit := cluster.DegradeTightCap.MCSCap(); capped.max > limit {
-		t.Fatalf("scheduled MCS %d at %v, cap %d", capped.max, cluster.DegradeTightCap, limit)
+		t.Fatalf("scheduled MCS %d at %v or deeper, cap %d", capped.max, cluster.DegradeTightCap, limit)
 	}
 
-	if err := a.pool.SetLevel(cluster.DegradeNone); err != nil {
-		t.Fatal(err)
-	}
+	once.Do(func() { close(release) })
+	a.pool.Drain()
+	waitFor(t, "the headroom loop to return to full service", 10*time.Second, func() bool {
+		return a.pool.Level() == cluster.DegradeNone
+	})
 	a.Programs().Unregister(capped.Name())
 	uncapped := &mcsRecorder{}
 	if err := a.Programs().Register(uncapped); err != nil {
 		t.Fatal(err)
 	}
-	runTicks(a, 50)
+	// Draining after every subframe keeps the queue shallow, so the loop
+	// stays at full service.
+	for i := 0; i < 50; i++ {
+		runTicks(a, 1)
+	}
 	if uncapped.max <= cluster.DegradeTightCap.MCSCap() {
 		t.Fatalf("highest MCS %d at full service; the cap still applies", uncapped.max)
 	}
