@@ -64,10 +64,10 @@ func TestClusterTelemetryGauges(t *testing.T) {
 }
 
 // TestClusterGaugesAfterConcurrentTransitions drives SetState (repairs
-// included) and Fail from several goroutines at once. The gauges are set under the
-// membership lock, so once every mutation has returned they must equal the
-// aggregates a scan of the pool computes: a slower publisher must not
-// overwrite a newer mutation's values.
+// included) and Fail from several goroutines at once. The gauges are set
+// under the membership lock, so once every mutation has returned they must
+// equal the aggregates a scan of the pool computes: a slower publisher must
+// not overwrite a newer mutation's values.
 func TestClusterGaugesAfterConcurrentTransitions(t *testing.T) {
 	reg := telemetry.New(1)
 	c, err := Uniform(16, 8, 4, 1.5)
